@@ -4,7 +4,6 @@ interior equilibrium points of the hydrodynamic Green function."""
 
 from . import core, dynamics, equilibria, errors, loops, reduction
 from .core import (
-    Configuration,
     CriticalPoint,
     DomainModel,
     HalfPlane,

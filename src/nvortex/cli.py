@@ -65,7 +65,7 @@ class RunConfig:
         params = {}
         if variant == "quadratic":
             try:
-                params["matrix"] = [
+                params["a_matrix"] = [
                     [float(x) for x in row.split(",")]
                     for row in dom["matrix"].split(";")]
             except (KeyError, ValueError) as exc:

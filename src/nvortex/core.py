@@ -30,7 +30,6 @@ __all__ = [
     "COLLISION_TOL",
     "BOUNDARY_TOL",
     "VortexSystem",
-    "Configuration",
     "DomainModel",
     "Plane",
     "UnitDisk",
@@ -113,33 +112,6 @@ def min_separation(z) -> float:
     dist2 = np.einsum("...x,...x->...", d, d)
     iu = np.triu_indices(n, 1)
     return float(np.sqrt(dist2[..., iu[0], iu[1]].min()))
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A configuration z in R^{2N} with the blow-up scale r (r=0: plane)."""
-
-    z: np.ndarray
-    r: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float).ravel())
-        if self.r < 0:
-            raise ValueError("scale r must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.z.size // 2
-
-    def min_separation(self) -> float:
-        return min_separation(self.z)
-
-    def is_valid(self, domain=None) -> bool:
-        if self.min_separation() <= COLLISION_TOL:
-            return False
-        if self.r > 0 and domain is not None:
-            return bool(np.all(domain.contains(_as_points(self.r * self.z))))
-        return True
 
 
 # ---------------------------------------------------------------------------

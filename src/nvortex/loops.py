@@ -192,6 +192,18 @@ def sample(u: Loop, m: int) -> np.ndarray:
     return u.eval(sample_times(m))
 
 
+def synthesis_matrix(modes: int, m: int) -> np.ndarray:
+    """Matrix S with S @ u.coeffs = sample(u, m) for loops of order `modes`:
+    columns 1, cos t, sin t, ..., cos Mt, sin Mt at the m equispaced times,
+    shape (m, 2M+1)."""
+    kt = np.multiply.outer(sample_times(m), np.arange(1, modes + 1))
+    s = np.empty((m, 2 * modes + 1))
+    s[:, 0] = 1.0
+    s[:, 1::2] = np.cos(kt)
+    s[:, 2::2] = np.sin(kt)
+    return s
+
+
 def from_samples(values: np.ndarray, modes: int) -> Loop:
     """Least-aliased loop of order `modes` through equispaced samples (rFFT)."""
     values = np.asarray(values, dtype=float)

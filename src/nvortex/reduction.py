@@ -221,26 +221,6 @@ def build_x_basis(frame: LoopFrame) -> XBasis:
     return XBasis(matrix=mat, weights=w, n=n, modes=modes)
 
 
-def _hessian_stack(sys: VortexSystem, domain: DomainModel, r: float,
-                   base_pts: np.ndarray) -> np.ndarray:
-    """H_r''(base(t)) at the quadrature nodes, shape (m, 2N, 2N)."""
-    h = core.hess_H0(sys, base_pts)
-    if r > 0:
-        h = h - r**2 * core.hess_F(sys, domain, r * base_pts)
-    return h
-
-
-def _apply_dphi(sys: VortexSystem, hmats: np.ndarray, w: Loop,
-                modes: int) -> Loop:
-    """(id-Lap)^{-1}(-J M w' - H_r''(base) w), H-term pseudo-spectral."""
-    m = hmats.shape[0]
-    pts = loops.sample(w, m)
-    nonlin = loops.from_samples(-np.einsum("tij,tj->ti", hmats, pts), modes)
-    jm = sys.j_n() @ sys.m_gamma()
-    lin = Loop(-loops.differentiate(w).coeffs @ jm.T)
-    return loops.inv_id_minus_laplace(lin + nonlin)
-
-
 @dataclass(frozen=True)
 class OperatorReport:
     matrix: np.ndarray
@@ -249,23 +229,57 @@ class OperatorReport:
     condition: float
 
 
+def _sym_cond(a: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix, max|lambda|/min|lambda|."""
+    lam = np.abs(np.linalg.eigvalsh(a))
+    return float(lam.max() / lam.min()) if lam.min() > 0 else np.inf
+
+
 def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
                  frame: LoopFrame, basis: XBasis | None = None,
                  base: Loop | None = None,
                  cond_limit: float = 1e12) -> OperatorReport:
-    """Dense matrix of P_X DPhi_r at the base loop over the X basis."""
+    """Dense matrix of P_X DPhi_r at the base loop over the X basis.
+
+    DPhi_r w = (id-Lap)^{-1}(-J M w' - H_r''(base) w), with the H-term taken
+    pseudo-spectrally on m = 4(2M+1) > 2M nodes.  There the rFFT projection
+    onto modes <= M is the trapezoid rule with weight 2 pi/m, and the H^1
+    weight pi(1+k^2) cancels (id-Lap)^{-1}, so over the basis matrix B
+
+        L = B^T K B,  K[:, i, :, j] = -(2 pi/m) S^T diag(H_r''(base)_ij) S,
+
+    with S the synthesis matrix, plus -pi k JM at (a_k, b_k) and +pi k JM at
+    (b_k, a_k) from the linear term, JM = J_N M_Gamma.
+    """
     basis = basis or build_x_basis(frame)
     base = base or frame.Z
-    m = loops.dealias_samples(basis.modes)
+    n, modes = sys.n, basis.modes
+    m = loops.dealias_samples(modes)
     base_pts = loops.sample(base, m)
     _check_nodes(sys, domain, base_pts, r)
-    hmats = _hessian_stack(sys, domain, r, base_pts)
+    hmats = core.hess_H0(sys, base_pts)
+    if r > 0:
+        fmats = core.hess_F(sys, domain, r * base_pts)
+        hmats = hmats - r**2 * fmats
+        # D-block of the F-contribution alone, scaled by 1/r^2 (finite limit):
+        # the e-hat columns are constant, so only the time mean of F'' enters
+        d0 = fmats.mean(axis=0).reshape(n, 2, n, 2).sum(axis=(0, 2)) / n
+    else:
+        d0 = np.zeros((2, 2))
 
-    dim = basis.dim
-    L = np.empty((dim, dim))
-    for j in range(dim):
-        bj = basis.column_loop(j)
-        L[:, j] = basis.coords(_apply_dphi(sys, hmats, bj, basis.modes))
+    s = loops.synthesis_matrix(modes, m)
+    rows, dim = 2 * modes + 1, 2 * n
+    K = np.empty((rows, dim, rows, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            K[:, i, :, j] = K[:, j, :, i] = (-2 * np.pi / m) * (
+                s.T @ (hmats[:, i, j, None] * s))
+    k = np.arange(1, modes + 1)
+    kjm = np.pi * k[:, None, None] * (sys.j_n() @ sys.m_gamma())
+    K[2 * k - 1, :, 2 * k, :] -= kjm
+    K[2 * k, :, 2 * k - 1, :] += kjm
+    K = K.reshape(rows * dim, rows * dim)
+    L = basis.matrix.T @ K @ basis.matrix
     L = 0.5 * (L + L.T)  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
 
     blocks = {
@@ -274,21 +288,7 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
         "C": np.linalg.norm(L[2:, :2]),
         "A": np.linalg.norm(L[2:, 2:]),
     }
-    # D-block of the F-contribution alone, scaled by 1/r^2 (finite limit)
-    if r > 0:
-        fmats = _hessian_stack(sys, domain, 0.0, base_pts) - hmats
-        d0 = np.empty((2, 2))
-        for j in range(2):
-            bj = basis.column_loop(j)
-            pts = loops.sample(bj, m)
-            img = loops.from_samples(
-                np.einsum("tij,tj->ti", fmats, pts), basis.modes)
-            d0[:, j] = basis.coords(loops.inv_id_minus_laplace(img))[:2]
-        d0 /= r**2
-    else:
-        d0 = np.zeros((2, 2))
-
-    cond_A = np.linalg.cond(L[2:, 2:])
+    cond_A = _sym_cond(L[2:, 2:])
     # the D block vanishes identically when F has no effect (plane, r = 0)
     cond_D = np.linalg.cond(L[:2, :2]) if blocks["D"] > 1e-14 else 1.0
     if max(cond_A, cond_D) > cond_limit:
@@ -296,7 +296,7 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
             f"ill-conditioned reduced operator: cond(A)={cond_A:.3e}, "
             f"cond(D)={cond_D:.3e}")
     return OperatorReport(matrix=L, block_norms=blocks, d0_matrix=d0,
-                          condition=float(np.linalg.cond(L)))
+                          condition=_sym_cond(L))
 
 
 # ---------------------------------------------------------------------------

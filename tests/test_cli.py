@@ -139,6 +139,12 @@ def test_continue_flag_overrides(capsys, tmp_path):
     assert "r_points = 3" in capsys.readouterr().out
 
 
+def test_quadratic_domain_matrix_key(tmp_path):
+    cfg = load_config(_write(tmp_path / "q.ini",
+                             "[domain]\nvariant = quadratic\nmatrix = 3,0;0,5\n"))
+    assert np.array_equal(cfg.domain.a_matrix, [[3.0, 0.0], [0.0, 5.0]])
+
+
 def test_continue_zero_vorticity_is_usage_error(tmp_path, capsys):
     cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
         "gammas = 1,1", "gammas = 1,-1")

@@ -8,7 +8,7 @@ import pytest
 
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import Plane, UnitDisk, VortexSystem
-from nvortex.errors import EmptyPath, ZeroTotalVorticity
+from nvortex.errors import EmptyPath, SingularOperator, ZeroTotalVorticity
 
 RNG = np.random.default_rng(99)
 M = 10
@@ -171,6 +171,85 @@ def test_d_block_limit_closed_form(pair_setup):
             < 1e-3 * lead
     op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
     assert np.max(np.abs(op.d0_matrix - expect)) < 1e-6
+    # below r = 1e-4 the r^4 term is under 1e-15: only roundoff is left, and
+    # it must not grow like eps / r^2
+    for r in (1e-4, 1e-5):
+        op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
+        assert np.max(np.abs(op.d0_matrix - expect)) <= 1e-12
+
+
+def _reference_operator(sys, domain, r, basis, base):
+    """Per-column assembly of L_r, kept as the reference for the Gram form.
+
+    Each basis column is sampled, multiplied by H_r''(base) at the nodes,
+    projected back by rFFT, added to -J M w', smoothed by (id-Lap)^{-1} and
+    read in H^1 coordinates.  The D block of the F part is the same image
+    of the two constant columns under the hess_F stack alone (their
+    derivative vanishes, so the linear term drops out).
+    """
+    m = lp.dealias_samples(basis.modes)
+    base_pts = lp.sample(base, m)
+    fmats = (core.hess_F(sys, domain, r * base_pts) if r > 0
+             else np.zeros((m, 2 * sys.n, 2 * sys.n)))
+    hmats = core.hess_H0(sys, base_pts) - r**2 * fmats
+    jm = sys.j_n() @ sys.m_gamma()
+
+    def image(hm, j):
+        w = basis.column_loop(j)
+        nonlin = lp.from_samples(
+            -np.einsum("tij,tj->ti", hm, lp.sample(w, m)), basis.modes)
+        lin = lp.Loop(-lp.differentiate(w).coeffs @ jm.T)
+        return basis.coords(lp.inv_id_minus_laplace(lin + nonlin))
+
+    L = np.column_stack([image(hmats, j) for j in range(basis.dim)])
+    L = 0.5 * (L + L.T)
+    d0 = -np.column_stack([image(fmats, j)[:2] for j in range(2)])
+    blocks = {"D": np.linalg.norm(L[:2, :2]), "B": np.linalg.norm(L[:2, 2:]),
+              "C": np.linalg.norm(L[2:, :2]), "A": np.linalg.norm(L[2:, 2:])}
+    return L, blocks, d0
+
+
+@pytest.mark.parametrize("modes", [8, 16])
+@pytest.mark.parametrize("gammas,make", [
+    ((1.0, 1.0), lambda: eq.make_pair(1.0, 1.0, 2.0)),
+    ((1.0, 2.0, 3.0), lambda: eq.make_triangle(1.0, 2.0, 3.0, 1.0)),
+], ids=["pair", "triangle123"])
+def test_operator_matches_per_column_reference(gammas, make, modes):
+    vs = VortexSystem(list(gammas))
+    seed = eq.normalize_period(make())
+    frame = lp.build_frame(seed.z, seed.omega, vs.n, modes)
+    basis = rd.build_x_basis(frame)
+    y = np.random.default_rng(modes).normal(size=basis.dim)
+    newton_base = frame.Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
+    disk = UnitDisk()
+    for r in (0.0, 0.1, 1e-3):
+        for base in (frame.Z, newton_base):
+            op = rd.assemble_L_r(vs, disk, r, frame, basis=basis, base=base)
+            L, blocks, d0 = _reference_operator(vs, disk, r, basis, base)
+            tol = 1e-13 * np.max(np.abs(L))
+            assert np.max(np.abs(op.matrix - L)) <= tol
+            assert all(abs(op.block_norms[k] - blocks[k]) <= tol for k in blocks)
+            assert np.max(np.abs(op.d0_matrix - d0)) <= tol
+
+
+def test_singular_operator_guard(pair_setup):
+    """cond(A) = 10.1 and cond(D) = 1.0 for the equal pair at r = 1e-3, so a
+    limit of 5 trips the guard on the A block."""
+    sys2, _, frame, basis = pair_setup
+    disk = UnitDisk()
+    op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
+    A, D = op.matrix[2:, 2:], op.matrix[:2, :2]
+    assert rd._sym_cond(A) == pytest.approx(np.linalg.cond(A), rel=1e-10)
+    assert 5 < rd._sym_cond(A) < 11 and np.linalg.cond(D) < 5
+    with pytest.raises(SingularOperator, match=r"cond\(A\)=1\.010e\+01"):
+        rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis, cond_limit=5)
+    # the eigenvalue and singular-value routes agree to the perturbation
+    # bound of the smallest eigenvalue, about eps * cond relative
+    for r in (0.1, 1e-3):
+        op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
+        ref = np.linalg.cond(op.matrix)
+        assert abs(op.condition / ref - 1) <= max(
+            1e-12, 16 * np.finfo(float).eps * ref)
 
 
 def test_center_of_vorticity_identity(pair_setup):
