@@ -300,8 +300,7 @@ def cmd_continue(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    vsys = core.VortexSystem(cfg.gammas if cfg.seed != "thomson"
-                             else np.full(cfg.n, cfg.gammas[0]))
+    vsys = cfg.vortex_system()
     z0 = np.array([float(x) for x in args.z0.split(",")])
     if z0.size != 2 * vsys.n:
         print(f"--z0 needs {2 * vsys.n} numbers", file=sys.stderr)

@@ -71,6 +71,8 @@ class VortexSystem:
         g = np.atleast_1d(np.asarray(self.gammas, dtype=float))
         if g.ndim != 1 or g.size == 0:
             raise ValueError("gammas must be a nonempty vector")
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"every vorticity must be finite, got {g}")
         if np.any(g == 0.0):
             raise ValueError("every vorticity must be nonzero")
         object.__setattr__(self, "gammas", g)
@@ -598,15 +600,23 @@ class CriticalPoint:
 
 def find_critical_point_h(domain: DomainModel, guess, tol: float = 1e-10,
                           max_iter: int = 50, deg_tol: float = 1e-10) -> CriticalPoint:
-    """Newton iteration on grad h with step halving to stay inside the domain."""
+    """Newton iteration on grad h with step halving to stay inside the domain.
+
+    The critical point is nondegenerate when the smaller singular value of
+    h'' exceeds ``deg_tol`` times the larger one, so the verdict does not
+    depend on the scale of h; a zero Hessian is degenerate.
+    """
     p = np.asarray(guess, dtype=float).reshape(2)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"initial guess must be finite, got {p}")
     if not domain.contains(p):
         raise DomainError("initial guess outside the domain")
     for _ in range(max_iter):
         gh = grad_h(domain, p)
         if np.linalg.norm(gh) <= tol:
             hh = hess_h(domain, p)
-            nondeg = abs(np.linalg.det(hh)) > deg_tol
+            sv = np.linalg.svd(hh, compute_uv=False)
+            nondeg = bool(sv[1] > deg_tol * sv[0])
             return CriticalPoint(point=p, hessian=hh, nondegenerate=nondeg)
         hh = hess_h(domain, p)
         try:

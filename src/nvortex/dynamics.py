@@ -119,9 +119,9 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
         t_fail = float(sol.t_events[which][0])
         if which == 0:
             raise CollisionApproach(
-                f"vortices within {COLLISION_GUARD:g} of collision", t=t_fail)
+                f"vortices within {collision_guard:g} of collision", t=t_fail)
         raise BoundaryApproach(
-            f"vortex within {BOUNDARY_GUARD:g} of the boundary", t=t_fail)
+            f"vortex within {boundary_guard:g} of the boundary", t=t_fail)
     if not sol.success:
         raise MinStepReached(sol.message, t=float(sol.t[-1]))
     times, states = sol.t, sol.y.T

@@ -4,8 +4,10 @@ A relative equilibrium is a configuration z that rotates rigidly,
 Z(t) = e^{-omega J t} z applied blockwise, and solves the free-plane system.
 Constructors cover the co-rotating pair, the equilateral triangle and the
 regular N-gon of identical vortices; each output is validated through its
-defining residual.  ``monodromy`` counts the geometric multiplicity of the
-Floquet multiplier 1 of the linearized periodic system; for triangles,
+defining residual.  In the rotating frame the linearized periodic system
+has the constant generator B of ``rotating_generator``, so ``monodromy``
+is the matrix exponential expm(2pi B), with no time stepping.  It counts
+the geometric multiplicity of the Floquet multiplier 1; for triangles,
 ``triangle_conditions`` also catches a lengthened Jordan chain at that
 multiplier, which the count cannot see.  The paper's abstract does not say
 which of the two its "nondegenerate" means; the CLI requires both.
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import J2, VortexSystem, grad_H0, hess_H0
 from .errors import ZeroTotalVorticity
@@ -29,6 +32,7 @@ __all__ = [
     "make_thomson",
     "normalize_period",
     "residual_HS0",
+    "rotating_generator",
     "monodromy",
     "triangle_conditions",
 ]
@@ -50,6 +54,11 @@ class RelativeEquilibrium:
 
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float).ravel())
+        if not np.all(np.isfinite(self.z)):
+            raise ValueError(f"configuration must be finite, got {self.z}")
+        if not np.isfinite(self.omega):
+            raise ValueError(
+                f"angular velocity must be finite, got {self.omega}")
         if self.omega == 0.0:
             raise ValueError("angular velocity must be nonzero")
         if self.z.size != 2 * self.sys.n:
@@ -85,8 +94,9 @@ def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquili
     """Two vortices rotating about their center of vorticity at the origin."""
     if gamma1 == 0 or gamma2 == 0:
         raise ValueError("vorticities must be nonzero")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not separation > 0 or not np.isfinite(separation):
+        raise ValueError(
+            f"separation must be finite and positive, got {separation}")
     total = gamma1 + gamma2
     if total == 0:
         raise ZeroTotalVorticity("a zero-sum pair translates instead of rotating")
@@ -110,8 +120,8 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
     gammas = np.array([gamma1, gamma2, gamma3], dtype=float)
     if np.any(gammas == 0):
         raise ValueError("vorticities must be nonzero")
-    if side <= 0:
-        raise ValueError("side must be positive")
+    if not side > 0 or not np.isfinite(side):
+        raise ValueError(f"side must be finite and positive, got {side}")
     total = gammas.sum()
     if total == 0:
         raise ZeroTotalVorticity("equilateral triangle needs nonzero total vorticity")
@@ -129,8 +139,8 @@ def make_thomson(n: int, gamma: float, radius: float) -> RelativeEquilibrium:
         raise ValueError("need at least two vortices")
     if gamma == 0:
         raise ValueError("vorticity must be nonzero")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not radius > 0 or not np.isfinite(radius):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     angles = 2.0 * np.pi * np.arange(n) / n
     verts = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     omega = gamma * (n - 1) / (2.0 * np.pi * radius**2)
@@ -170,45 +180,37 @@ class MonodromyReport:
     singular_values: np.ndarray
 
 
-def monodromy(eq: RelativeEquilibrium, steps: int = 2000,
-              svd_tol: float = 1e-6) -> MonodromyReport:
+def rotating_generator(eq: RelativeEquilibrium) -> np.ndarray:
+    """Constant generator B = M_Gamma^{-1} J_N H0''(z) + omega J_N.
+
+    In the frame that rotates with the equilibrium, W(t) = R(t) V(t), the
+    linearized system Wdot = M_Gamma^{-1} J_N H0''(Z(t)) W becomes
+    Vdot = B V: the blockwise rotation R(t) commutes with J_N and M_Gamma,
+    and H0''(Z(t)) = R(t) H0''(z) R(t)^T.
+    """
+    minv = 1.0 / eq.sys.m_gamma_diag()
+    jn = eq.sys.j_n()
+    return minv[:, None] * (jn @ hess_H0(eq.sys, eq.z)) + eq.omega * jn
+
+
+def monodromy(eq: RelativeEquilibrium, svd_tol: float = 1e-6) -> MonodromyReport:
     """Monodromy of the linearized system over one period of a normalized
     equilibrium.
 
-    Integrates Wdot = M_Gamma^{-1} J_N H0''(Z(t)) W over [0, 2pi] with
-    fixed-step RK4.  The coefficient matrix is evaluated through the rigid
-    rotation identity H0''(Z(t)) = R(t) H0''(z) R(t)^T.  Nondegeneracy here
-    means the multiplier-1 eigenspace is exactly three-dimensional: two
-    translations plus the phase direction.  Only this geometric
-    multiplicity is counted; a Jordan chain that lengthens at the multiplier
-    1 (the L = 0 triangle) leaves the verdict nondegenerate, and
-    ``triangle_conditions`` is what flags it.
+    The monodromy is W = R(2pi) expm(2pi B) with B from
+    ``rotating_generator``, and R(2pi) = I because |omega| = 1, so
+    W = expm(2pi B) in closed form.  Nondegeneracy here means the
+    multiplier-1 eigenspace is exactly three-dimensional: two translations
+    plus the phase direction.  Only this geometric multiplicity is counted;
+    a Jordan chain that lengthens at the multiplier 1 (the L = 0 triangle)
+    leaves the verdict nondegenerate, and ``triangle_conditions`` is what
+    flags it.
     """
     if abs(abs(eq.omega) - 1.0) > 1e-9:
         raise ValueError("monodromy expects a normalized equilibrium; "
                          "call normalize_period first")
-    n = eq.sys.n
-    dim = 2 * n
-    H = hess_H0(eq.sys, eq.z)
-    minv = 1.0 / eq.sys.m_gamma_diag()
-    jn = eq.sys.j_n()
-    eye_n = np.eye(n)
-
-    def coeff(t):
-        R = np.kron(eye_n, _rot(eq.omega * t))
-        return minv[:, None] * (jn @ (R @ H @ R.T))
-
-    W = np.eye(dim)
-    h = 2.0 * np.pi / steps
-    for i in range(steps):
-        t = i * h
-        k1 = coeff(t) @ W
-        k2 = coeff(t + 0.5 * h) @ (W + 0.5 * h * k1)
-        k3 = coeff(t + 0.5 * h) @ (W + 0.5 * h * k2)
-        k4 = coeff(t + h) @ (W + h * k3)
-        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    sv = np.linalg.svd(W - np.eye(dim), compute_uv=False)
+    W = expm(2.0 * np.pi * rotating_generator(eq))
+    sv = np.linalg.svd(W - np.eye(W.shape[0]), compute_uv=False)
     kernel_dim = int(np.count_nonzero(sv < svd_tol * sv[0]))
     return MonodromyReport(
         matrix=W,

@@ -67,13 +67,11 @@ def _multiplier_one_dims(rel_eq):
     of the period.  W - I is singular exactly on the eigenvalues ik of B
     (k integer), and on each of their generalized eigenspaces it equals
     B - ik times an invertible factor, so both multiplicities are nullities
-    of B^p and (B^2 + k^2)^p.  Ranks of the exact B are used because powers
-    of an integrated W - I are too noisy.
+    of B^p and (B^2 + k^2)^p.  Ranks of B are used because powers of
+    W - I are too noisy.
     """
-    vsys, n = rel_eq.sys, rel_eq.sys.n
-    minv = 1.0 / vsys.m_gamma_diag()
-    B = minv[:, None] * (vsys.j_n() @ core.hess_H0(vsys, rel_eq.z)) \
-        + rel_eq.omega * np.kron(np.eye(n), core.J2)
+    n = rel_eq.sys.n
+    B = eq.rotating_generator(rel_eq)
 
     def nullity(A):
         sv = np.linalg.svd(A, compute_uv=False)

@@ -72,6 +72,19 @@ def test_equilibrium_missing_args_usage():
     assert main(["equilibrium", "--type", "pair", "--gamma", "1,1"]) == 2
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["--type", "pair", "--gamma", "nan,1", "--sep", "1"], "nan"),
+    (["--type", "pair", "--gamma", "1,1", "--sep", "inf"], "inf"),
+    (["--type", "triangle", "--gamma", "1,2,3", "--side", "nan"], "nan"),
+    (["--type", "thomson", "--gamma", "1", "--n", "4", "--radius", "inf"],
+     "inf"),
+])
+def test_equilibrium_non_finite_input_exits_2(argv, bad, capsys):
+    assert main(["equilibrium", *argv, "--check"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "finite" in err and bad in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -218,6 +231,11 @@ def test_robin_disk_center(capsys):
     out = capsys.readouterr().out
     assert "a0 = (" in out
     assert "nondegenerate" in out
+
+
+def test_robin_non_finite_guess_exits_2(capsys):
+    assert main(["robin", "--domain", "disk", "--guess", "nan,0"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_robin_halfplane_has_no_critical_point(capsys):

@@ -304,6 +304,34 @@ def test_critical_point_quadratic():
     assert np.allclose(crit.hessian, 2 * np.eye(2), atol=1e-10)
 
 
+def test_critical_point_nondegeneracy_is_scale_aware():
+    # h'' = 2e-6 I has det 4e-12, yet it is as nondegenerate as 2 I
+    small = core.find_critical_point_h(SyntheticQuadratic(1e-6 * np.eye(2)),
+                                       np.array([0.7, -0.4]))
+    assert np.linalg.norm(small.point) < 1e-12
+    assert small.nondegenerate
+    # rank one: every point of the line p_x = 0 is critical
+    rank_one = core.find_critical_point_h(
+        SyntheticQuadratic(np.diag([1.0, 0.0])), np.array([0.0, 0.5]))
+    assert not rank_one.nondegenerate
+    zero = core.find_critical_point_h(SyntheticQuadratic(np.zeros((2, 2))),
+                                      np.array([0.3, 0.1]))
+    assert not zero.nondegenerate
+
+
+@pytest.mark.parametrize("domain", [UnitDisk(), HalfPlane(),
+                                    SyntheticQuadratic()])
+def test_critical_point_rejects_non_finite_guess(domain):
+    with pytest.raises(ValueError, match="finite.*nan"):
+        core.find_critical_point_h(domain, np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vortex_system_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite.*(nan|inf)"):
+        VortexSystem([1.0, bad])
+
+
 def test_domain_serialization_roundtrip():
     for dom in (Plane(), UnitDisk(), HalfPlane(),
                 SyntheticQuadratic(np.array([[1.0, 0.2], [0.2, 3.0]]))):

@@ -113,6 +113,21 @@ def test_boundary_guard_stops_dipole():
         dyn.integrate(sys2, UnitDisk(), "physical", z0, 50.0,
                       boundary_guard=0.25)
     assert info.value.t is not None and info.value.t > 0.0
+    assert "within 0.25 of the boundary" in str(info.value)
+
+
+def test_collision_guard_message_reports_given_guard():
+    """Self-similar collapse: Gamma = (2, 2, -1) has L = 0, and the sides
+    satisfy 4 d12^2 = 2 d13^2 + 2 d23^2, so with this orientation the
+    triangle shrinks to a point in finite time and crosses the guard."""
+    sys3 = VortexSystem([2.0, 2.0, -1.0])
+    d13, d23 = 1.2, np.sqrt(2.0 - 1.2**2)
+    x = (d13**2 - d23**2 + 1.0) / 2.0
+    z0 = np.array([0.0, 0.0, 1.0, 0.0, x, np.sqrt(d13**2 - x**2)])
+    with pytest.raises(CollisionApproach) as info:
+        dyn.integrate(sys3, Plane(), "plane", z0, 20.0, collision_guard=1e-3)
+    assert info.value.t > 0.0
+    assert "within 0.001 of collision" in str(info.value)
 
 
 def test_initial_point_outside_guard_rejected():

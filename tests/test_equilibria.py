@@ -47,6 +47,22 @@ def test_thomson_residual_and_omega(n):
     assert eq.residual_HS0(th) < 1e-12
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: eq.make_pair(1.0, 1.0, bad),
+    lambda bad: eq.make_triangle(1.0, 2.0, 3.0, bad),
+    lambda bad: eq.make_thomson(4, 1.0, bad),
+    lambda bad: eq.make_pair(bad, 1.0, 1.0),
+    lambda bad: eq.RelativeEquilibrium(VortexSystem([1.0, 1.0]),
+                                       [0.5, 0.0, -0.5, bad], 1.0),
+    lambda bad: eq.RelativeEquilibrium(VortexSystem([1.0, 1.0]),
+                                       [0.5, 0.0, -0.5, 0.0], bad),
+], ids=["separation", "side", "radius", "gamma", "z", "omega"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite.*(nan|inf)"):
+        build(bad)
+
+
 def test_normalize_period():
     pair = eq.make_pair(1.0, 1.0, 2.0)
     norm = eq.normalize_period(pair)
@@ -85,11 +101,50 @@ def test_monodromy_fixes_known_kernel_vectors():
         assert np.linalg.norm(W @ e - e) < 1e-6 * max(1.0, np.linalg.norm(e))
 
 
-def test_monodromy_richardson_step_doubling():
-    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    W1 = eq.monodromy(pair, steps=2000).matrix
-    W2 = eq.monodromy(pair, steps=4000).matrix
-    assert np.max(np.abs(W1 - W2)) < 1e-8
+def _rk4_lab_frame(rel_eq, steps):
+    """Monodromy by fixed-step RK4 on Wdot = M^-1 J_N H0''(Z(t)) W.
+
+    H0'' is evaluated on the rotating orbit Z(t) itself, at every RK4 stage
+    time, so the reference does not use the rotating-frame reduction.
+    """
+    vsys = rel_eq.sys
+    h = 2.0 * np.pi / steps
+    angles = rel_eq.omega * 0.5 * h * np.arange(2 * steps + 1)
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    x, y = rel_eq.z[0::2], rel_eq.z[1::2]
+    orbit = np.empty((angles.size, 2 * vsys.n))
+    orbit[:, 0::2] = c * x - s * y
+    orbit[:, 1::2] = s * x + c * y
+    coeff = (1.0 / vsys.m_gamma_diag())[:, None] * (
+        vsys.j_n() @ core.hess_H0(vsys, orbit))
+    W = np.eye(2 * vsys.n)
+    for i in range(steps):
+        a0, am, a1 = coeff[2 * i], coeff[2 * i + 1], coeff[2 * i + 2]
+        k1 = a0 @ W
+        k2 = am @ (W + 0.5 * h * k1)
+        k3 = am @ (W + 0.5 * h * k2)
+        k4 = a1 @ (W + h * k3)
+        W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return W
+
+
+def test_monodromy_matches_fine_rk4_reference():
+    """expm(2pi B) against 8000-step RK4 in the lab frame.
+
+    The cases cover the pair, a generic triangle, the L = 0 triangle (a
+    Jordan block), the Thomson square and a triangle with negative total
+    vorticity, where omega = -1.
+    """
+    cases = [eq.make_pair(1.0, 1.0, 2.0),
+             eq.make_triangle(1.0, 2.0, 3.0, 1.0),
+             eq.make_triangle(1.0, 1.0, -0.5, 1.0),
+             eq.make_thomson(4, 1.0, 1.0),
+             eq.make_triangle(-1.0, -2.0, 0.5, 1.0)]
+    for rel_eq in map(eq.normalize_period, cases):
+        W = eq.monodromy(rel_eq).matrix
+        ref = _rk4_lab_frame(rel_eq, 8000)
+        assert np.linalg.norm(W - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert rel_eq.omega == -1.0
 
 
 def test_monodromy_triangle_generic():
@@ -115,10 +170,7 @@ def test_L_zero_triangle_jordan_structure():
     stays three-dimensional and the SVD kernel count remains 3.
     """
     tri = eq.normalize_period(eq.make_triangle(1.0, 1.0, -0.5, 1.0))
-    H = core.hess_H0(tri.sys, tri.z)
-    minv = 1.0 / tri.sys.m_gamma_diag()
-    B = minv[:, None] * (tri.sys.j_n() @ H) + \
-        tri.omega * np.kron(np.eye(3), core.J2)
+    B = eq.rotating_generator(tri)
 
     def numerical_nullity(A):
         sv = np.linalg.svd(A, compute_uv=False)
@@ -153,4 +205,5 @@ def test_triangle_conditions_arithmetic():
 def test_monodromy_det_one():
     tri = eq.normalize_period(eq.make_triangle(1.0, 2.0, 3.0, 1.0))
     rep = eq.monodromy(tri)
-    assert np.linalg.det(rep.matrix) == pytest.approx(1.0, rel=1e-8)
+    # det expm(2pi B) = exp(2pi tr B), and tr B = 0
+    assert np.linalg.det(rep.matrix) == pytest.approx(1.0, rel=1e-12)
