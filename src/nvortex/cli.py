@@ -14,7 +14,6 @@ import configparser
 import io
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -41,11 +40,28 @@ DEFAULT_CONFIG = {
 }
 
 
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Reject sections and keys that no setting reads; `matrix` belongs to
+    the quadratic domain only."""
+    for section in parser.sections():
+        if section not in DEFAULT_CONFIG:
+            raise ValueError(f"unknown config section [{section}]")
+        allowed = set(DEFAULT_CONFIG[section])
+        if section == "domain" and \
+                parser[section].get("variant", "").lower() == "quadratic":
+            allowed.add("matrix")
+        unknown = sorted(set(parser[section]) - allowed)
+        if unknown:
+            raise ValueError(f"unknown key(s) in [{section}]: "
+                             + ", ".join(unknown))
+
+
 class RunConfig:
     """Parsed and validated configuration for a run."""
 
     def __init__(self, parser: configparser.ConfigParser):
         self.parser = parser
+        _check_keys(parser)
         sysal = parser["system"]
         try:
             self.gammas = np.array(
@@ -61,7 +77,7 @@ class RunConfig:
         self.n = sysal.getint("n", len(self.gammas))
 
         dom = parser["domain"]
-        variant = dom.get("variant", "disk")
+        variant = dom.get("variant", "disk").lower()
         params = {}
         if variant == "quadratic":
             try:
@@ -73,7 +89,7 @@ class RunConfig:
         try:
             self.domain = core.domain_from_spec(variant, params)
         except ValueError as exc:
-            raise ValueError(f"[domain] variant: {exc}") from exc
+            raise ValueError(f"[domain]: {exc}") from exc
         self.a0_guess = np.array(
             [float(x) for x in dom.get("a0_guess", "0,0").split(",")])
 
@@ -134,19 +150,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     n = states.shape[1] // 2
@@ -291,8 +294,8 @@ def cmd_continue(args) -> int:
     for r, msg in path.failures.items():
         lines.append(f"FAILED r={r:.6g}: {msg}")
     summary = "\n".join(lines) + "\n"
-    _atomic_write(os.path.join(cfg.out_dir, f"{cfg.prefix}_summary.txt"),
-                  summary)
+    reduction.atomic_write(
+        os.path.join(cfg.out_dir, f"{cfg.prefix}_summary.txt"), summary)
     print(summary, end="")
     quota = 0.8 * cfg.params.r_points
     return EXIT_OK if len(path.entries) >= quota else EXIT_FAIL
@@ -309,9 +312,9 @@ def cmd_simulate(args) -> int:
     t_eval = np.linspace(0.0, args.time, args.samples)
     traj = dynamics.integrate(vsys, domain, args.mode, z0, args.time,
                               r=args.r, t_eval=t_eval)
-    _atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
+    reduction.atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
     if args.svg:
-        _atomic_write(args.svg, trajectory_svg(traj.states, domain))
+        reduction.atomic_write(args.svg, trajectory_svg(traj.states, domain))
     inv = dynamics.invariants_along(vsys, domain, traj, r=args.r)
     for key, value in inv.items():
         print(f"{key} = {value:.3e}")
@@ -327,22 +330,20 @@ def cmd_validate(args) -> int:
         u = loops.loop_from_dict(doc["loop"])
         a0 = np.array(doc["a0"])
         r = float(doc["r"])
-        diag = doc["diagnostics"]
+        if "diagnostics" not in doc:  # part of the schema, though unread here
+            raise KeyError("diagnostics")
     except (VortexError, KeyError, ValueError, OSError) as exc:
         print(f"cannot read orbit file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sol = reduction.ReducedSolution(
-        r=r, v=u, u=u, residual_grad=diag["residual_grad"],
-        phase_defect=diag["phase_defect"], vnorm=diag["vnorm"],
-        iterations=diag["iterations"], spectral_tail=0.0)
-    orbit = reduction.unrescale(a0, r, sol, args.samples, domain=domain)
+    orbit = reduction.unrescale(a0, r, u, args.samples, domain=domain)
     report = dynamics.validate_orbit(vsys, domain, orbit, rtol=args.rtol)
     print(f"closure_error = {report['closure_error']:.6e}")
     print(f"max_pointwise_defect = {report['max_pointwise_defect']:.6e}")
     if args.csv:
-        _atomic_write(args.csv, trajectory_csv(orbit.times, orbit.samples))
+        reduction.atomic_write(args.csv,
+                               trajectory_csv(orbit.times, orbit.samples))
     if args.svg:
-        _atomic_write(args.svg, trajectory_svg(orbit.samples, domain))
+        reduction.atomic_write(args.svg, trajectory_svg(orbit.samples, domain))
     return EXIT_OK if report["closure_error"] <= args.tol else EXIT_FAIL
 
 

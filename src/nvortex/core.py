@@ -101,19 +101,30 @@ def _as_points(z):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] % 2:
         raise ValueError("configuration length must be even")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("every configuration entry must be finite, got "
+                         f"{z[~np.isfinite(z)][0]}")
     return z.reshape(z.shape[:-1] + (z.shape[-1] // 2, 2))
+
+
+def _pair_differences(p):
+    """d[..., k, j] = p_k - p_j and |d|^2 for points of shape (..., N, 2)."""
+    d = p[..., :, None, :] - p[..., None, :, :]
+    return d, np.einsum("...x,...x->...", d, d)
+
+
+def _min_dist2(dist2):
+    """Smallest off-diagonal entry of a (..., N, N) squared-distance array."""
+    n = dist2.shape[-1]
+    if n < 2:
+        return np.inf
+    iu = np.triu_indices(n, 1)
+    return dist2[..., iu[0], iu[1]].min()
 
 
 def min_separation(z) -> float:
     """Minimum pairwise distance over the (batched) configuration."""
-    p = _as_points(z)
-    n = p.shape[-2]
-    if n < 2:
-        return np.inf
-    d = p[..., :, None, :] - p[..., None, :, :]
-    dist2 = np.einsum("...x,...x->...", d, d)
-    iu = np.triu_indices(n, 1)
-    return float(np.sqrt(dist2[..., iu[0], iu[1]].min()))
+    return float(np.sqrt(_min_dist2(_pair_differences(_as_points(z))[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +308,8 @@ class SyntheticQuadratic(DomainModel):
         a = np.eye(2) if a_matrix is None else np.asarray(a_matrix, dtype=float)
         if a.shape != (2, 2) or not np.allclose(a, a.T):
             raise ValueError("A must be a symmetric 2x2 matrix")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"A must be finite, got {a.tolist()}")
         self.a_matrix = a
 
     def g(self, w, z):
@@ -378,30 +391,24 @@ def domain_from_spec(variant: str, params: dict | None = None) -> DomainModel:
 # ---------------------------------------------------------------------------
 
 
-def _check_separation(p, tol=COLLISION_TOL):
-    n = p.shape[-2]
-    if n < 2:
-        return
-    d = p[..., :, None, :] - p[..., None, :, :]
-    dist2 = np.einsum("...x,...x->...", d, d)
-    iu = np.triu_indices(n, 1)
-    m = dist2[..., iu[0], iu[1]].min()
+def _separated_pairs(p, tol=COLLISION_TOL):
+    """``_pair_differences`` of points no two of which are within tol."""
+    d, dist2 = _pair_differences(p)
+    m = _min_dist2(dist2)
     if m <= tol * tol:
         raise CollisionError(f"minimum separation {np.sqrt(m):.3e} <= {tol:.0e}")
+    return d, dist2
 
 
-def _check_membership(domain, p, what="configuration"):
-    inside = domain.contains(p)
-    if not np.all(inside):
-        raise DomainError(f"{what} has points outside the domain")
+def _check_membership(domain, p):
+    if not np.all(domain.contains(p)):
+        raise DomainError("configuration has points outside the domain")
 
 
 def eval_H0(sys: VortexSystem, z):
     """Logarithmic pair interaction, summed over ordered pairs j != k."""
     p = _as_points(z)
-    _check_separation(p)
-    d = p[..., :, None, :] - p[..., None, :, :]
-    dist2 = np.einsum("...x,...x->...", d, d)
+    d, dist2 = _separated_pairs(p)
     gg = np.outer(sys.gammas, sys.gammas)
     iu = np.triu_indices(sys.n, 1)
     terms = gg[iu] * np.log(dist2[..., iu[0], iu[1]])
@@ -412,9 +419,7 @@ def eval_H0(sys: VortexSystem, z):
 def grad_H0(sys: VortexSystem, z):
     """Gradient of ``eval_H0``; block k is -(G_k/pi) sum_j G_j d_kj/|d_kj|^2."""
     p = _as_points(z)
-    _check_separation(p)
-    d = p[..., :, None, :] - p[..., None, :, :]
-    dist2 = np.einsum("...x,...x->...", d, d)
+    d, dist2 = _separated_pairs(p)
     idx = np.arange(sys.n)
     d[..., idx, idx, :] = 0.0
     dist2[..., idx, idx] = 1.0
@@ -423,32 +428,34 @@ def grad_H0(sys: VortexSystem, z):
     return out.reshape(np.asarray(z, dtype=float).shape)
 
 
+def _assemble_pairs(off, diag):
+    """Dense symmetric (..., 2N, 2N) matrix from 2x2 blocks: off[..., k, j]
+    at (k, j) for k != j, and diag[..., k] at (k, k)."""
+    n = diag.shape[-3]
+    batch = diag.shape[:-3]
+    idx = np.arange(n)
+    H = np.zeros(batch + (n, 2, n, 2))
+    # off has axes (..., k, j, a, b); interleave to (..., k, a, j, b)
+    H[...] = np.moveaxis(off, -2, -3)
+    H[..., idx, :, idx, :] = np.moveaxis(diag, -3, 0)
+    full = H.reshape(batch + (2 * n, 2 * n))
+    return 0.5 * (full + np.swapaxes(full, -1, -2))
+
+
 def hess_H0(sys: VortexSystem, z):
     """Dense symmetric Hessian of ``eval_H0``, shape (..., 2N, 2N)."""
     p = _as_points(z)
-    _check_separation(p)
+    d, dist2 = _separated_pairs(p)
     n = sys.n
-    d = p[..., :, None, :] - p[..., None, :, :]
-    dist2 = np.einsum("...x,...x->...", d, d)
     dist2[..., np.arange(n), np.arange(n)] = 1.0
     # K(d) = I/|d|^2 - 2 d d^T / |d|^4, the Jacobian of d/|d|^2
     K = np.eye(2) / dist2[..., None, None] - 2.0 * (
         d[..., :, None] * d[..., None, :]
     ) / (dist2**2)[..., None, None]
-    gg = np.outer(sys.gammas, sys.gammas)
-    batch = p.shape[:-2]
-    H = np.zeros(batch + (n, 2, n, 2))
-    off = (gg[..., None, None] / np.pi) * K
-    idx = np.arange(n)
-    # off has axes (..., k, j, a, b); interleave to (..., k, a, j, b)
-    H[..., :, :, :, :] = np.moveaxis(off, -2, -3)
-    # zero the (yet wrong) diagonal blocks, then set them from the row sums
-    H[..., idx, :, idx, :] = 0.0
-    mask = 1.0 - np.eye(n)
-    diag = -np.einsum("...kjab,kj->...kab", off, mask)
-    H[..., idx, :, idx, :] = np.moveaxis(diag, -3, 0) if batch else diag
-    full = H.reshape(batch + (2 * n, 2 * n))
-    return 0.5 * (full + np.swapaxes(full, -1, -2))
+    off = (np.outer(sys.gammas, sys.gammas)[..., None, None] / np.pi) * K
+    # diagonal blocks are minus the row sums of the off-diagonal ones
+    diag = -np.einsum("...kjab,kj->...kab", off, 1.0 - np.eye(n))
+    return _assemble_pairs(off, diag)
 
 
 def eval_F(sys: VortexSystem, domain: DomainModel, z):
@@ -477,25 +484,15 @@ def hess_F(sys: VortexSystem, domain: DomainModel, z):
     gww = domain.g_ww(wp, zp)
     gwz = domain.g_wz(wp, zp)
     gg = np.outer(sys.gammas, sys.gammas)
-    batch = p.shape[:-2]
     idx = np.arange(n)
 
-    blocks = 2.0 * gg[..., None, None] * gwz
-    Hfull = np.zeros(batch + (n, 2, n, 2))
-    Hfull[...] = np.moveaxis(blocks, -2, -3)
-    Hfull[..., idx, :, idx, :] = 0.0
-
     # diagonal blocks: cross terms with the other vortices plus the Robin term
-    mask = 1.0 - np.eye(n)
-    cross = 2.0 * np.einsum("jk,...jkab->...jab", gg * mask, gww)
+    cross = 2.0 * np.einsum("jk,...jkab->...jab", gg * (1.0 - np.eye(n)), gww)
     gwz_d = gwz[..., idx, idx, :, :]
     gww_d = gww[..., idx, idx, :, :]
     hpp = 2.0 * (gww_d + 0.5 * (gwz_d + np.swapaxes(gwz_d, -1, -2)))
     diag = cross + (sys.gammas**2)[:, None, None] * hpp
-    Hfull[..., idx, :, idx, :] = np.moveaxis(diag, -3, 0) if batch else diag
-
-    full = Hfull.reshape(batch + (2 * n, 2 * n))
-    return 0.5 * (full + np.swapaxes(full, -1, -2))
+    return _assemble_pairs(2.0 * gg[..., None, None] * gwz, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -536,29 +533,21 @@ def hess_h(domain: DomainModel, p):
 # ---------------------------------------------------------------------------
 
 
-def _check_Or(domain, u, r):
-    p = _as_points(u)
-    _check_separation(p)
-    if r > 0:
-        _check_membership(domain, r * p, "scaled configuration")
-
-
 def eval_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
     """Rescaled Hamiltonian H_r(u) = H0(u) - F(ru) + F(0)."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    _check_Or(domain, u, r)
     u = np.asarray(u, dtype=float)
+    h0 = eval_H0(sys, u)
     if r == 0:
-        return eval_H0(sys, u)
-    f0 = eval_F(sys, domain, np.zeros_like(u))
-    return eval_H0(sys, u) - eval_F(sys, domain, r * u) + f0
+        return h0
+    return (h0 - eval_F(sys, domain, r * u)
+            + eval_F(sys, domain, np.zeros_like(u)))
 
 
 def grad_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
     if r < 0:
         raise ValueError("r must be nonnegative")
-    _check_Or(domain, u, r)
     u = np.asarray(u, dtype=float)
     out = grad_H0(sys, u)
     if r > 0:
@@ -575,9 +564,6 @@ def vortex_rhs(sys: VortexSystem, domain: DomainModel, z, r: float = 0.0,
     """
     z = np.asarray(z, dtype=float)
     if physical:
-        p = _as_points(z)
-        _check_separation(p)
-        _check_membership(domain, p)
         grad = grad_H0(sys, z) - grad_F(sys, domain, z)
     else:
         grad = grad_Hr(sys, domain, r, z)

@@ -42,12 +42,7 @@ class Trajectory:
         return self.states[-1]
 
     def min_separation(self) -> float:
-        z = self.states.reshape(len(self.times), -1, 2)
-        d = z[:, :, None, :] - z[:, None, :, :]
-        dist = np.linalg.norm(d, axis=-1)
-        idx = np.arange(z.shape[1])
-        dist[:, idx, idx] = np.inf
-        return float(dist.min())
+        return core.min_separation(self.states)
 
 
 def _rhs(sys: VortexSystem, domain: DomainModel, mode: str, r: float):

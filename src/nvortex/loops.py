@@ -6,9 +6,10 @@ A loop u(t) in R^{2N} is stored by its real Fourier coefficients
 
 each coefficient a 2N-vector.  The class provides the H^1 and L^2 inner
 products, differentiation, the smoothing operator (id - Laplacian)^{-1},
-time shifts, projections onto the geometric subspaces used by the
-reduction solver, the permutation-symmetry averaging projector, and a
-pseudo-spectral sampling bridge for evaluating nonlinear maps.
+time shifts, the geometric frame of the reduction solver and the
+projection onto its translation subspace D, the permutation-symmetry
+averaging projector, and a pseudo-spectral sampling bridge for evaluating
+nonlinear maps.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ class Loop:
 
     def eval(self, t) -> np.ndarray:
         """Evaluate u(t); t may be a scalar or an array of times."""
-        t = np.asarray(t, dtype=float)
-        k = np.arange(1, self.modes + 1)
-        kt = np.multiply.outer(t, k)
-        out = np.cos(kt) @ self.coeffs[1::2] + np.sin(kt) @ self.coeffs[2::2]
-        return out + self.coeffs[0]
+        return _trig_table(t, self.modes) @ self.coeffs
 
     def pad(self, modes: int) -> "Loop":
         """Zero-pad (or truncate) to truncation order `modes`."""
@@ -192,16 +189,22 @@ def sample(u: Loop, m: int) -> np.ndarray:
     return u.eval(sample_times(m))
 
 
-def synthesis_matrix(modes: int, m: int) -> np.ndarray:
-    """Matrix S with S @ u.coeffs = sample(u, m) for loops of order `modes`:
-    columns 1, cos t, sin t, ..., cos Mt, sin Mt at the m equispaced times,
-    shape (m, 2M+1)."""
-    kt = np.multiply.outer(sample_times(m), np.arange(1, modes + 1))
-    s = np.empty((m, 2 * modes + 1))
-    s[:, 0] = 1.0
-    s[:, 1::2] = np.cos(kt)
-    s[:, 2::2] = np.sin(kt)
+def _trig_table(t, modes: int) -> np.ndarray:
+    """Columns 1, cos t, sin t, ..., cos Mt, sin Mt at the times t, shape
+    t.shape + (2M+1,); the table times a loop's coeffs is the loop at t."""
+    t = np.asarray(t, dtype=float)
+    kt = np.multiply.outer(t, np.arange(1, modes + 1))
+    s = np.empty(t.shape + (2 * modes + 1,))
+    s[..., 0] = 1.0
+    s[..., 1::2] = np.cos(kt)
+    s[..., 2::2] = np.sin(kt)
     return s
+
+
+def synthesis_matrix(modes: int, m: int) -> np.ndarray:
+    """Matrix S with S @ u.coeffs = sample(u, m) for loops of order `modes`,
+    shape (m, 2M+1)."""
+    return _trig_table(sample_times(m), modes)
 
 
 def from_samples(values: np.ndarray, modes: int) -> Loop:
@@ -270,21 +273,6 @@ def project_D(u: Loop) -> Loop:
     c = np.zeros_like(u.coeffs)
     c[0] = np.tile(mean, u.n)
     return Loop(c)
-
-
-def project_phase(u: Loop, zdot: Loop) -> Loop:
-    denom = h1_inner(zdot, zdot)
-    if denom < 1e-24:
-        raise DegenerateFrame("phase direction has vanishing H^1 norm")
-    return (h1_inner(u, zdot) / denom) * zdot
-
-
-def project_X(u: Loop, frame: LoopFrame) -> Loop:
-    return u - project_phase(u, frame.Zdot)
-
-
-def project_NZ(u: Loop, frame: LoopFrame) -> Loop:
-    return u - project_phase(u, frame.Zdot) - project_D(u)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,6 @@ class PhysicalOrbit:
     period: float
     times: np.ndarray
     samples: np.ndarray  # (m, 2N)
-    source: ReducedSolution
 
 
 @dataclass
@@ -226,7 +225,6 @@ class OperatorReport:
     matrix: np.ndarray
     block_norms: dict
     d0_matrix: np.ndarray  # 2x2 D-block of (L_r - L_0-part)/r^2 in the e-hat basis
-    condition: float
 
 
 def _sym_cond(a: np.ndarray) -> float:
@@ -295,8 +293,7 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
         raise SingularOperator(
             f"ill-conditioned reduced operator: cond(A)={cond_A:.3e}, "
             f"cond(D)={cond_D:.3e}")
-    return OperatorReport(matrix=L, block_norms=blocks, d0_matrix=d0,
-                          condition=_sym_cond(L))
+    return OperatorReport(matrix=L, block_norms=blocks, d0_matrix=d0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +490,19 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
                             r0_empirical=r0)
 
 
-def unrescale(a0: np.ndarray, r: float, solution: ReducedSolution,
-              samples: int, domain: DomainModel | None = None) -> PhysicalOrbit:
+def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
+              domain: DomainModel | None = None) -> PhysicalOrbit:
     """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2."""
     a0 = np.asarray(a0, dtype=float)
     period = 2 * np.pi * r**2
     times = np.arange(samples) * (period / samples)
     phases = times / r**2
-    u_vals = solution.u.eval(phases)
-    pts = np.tile(a0, solution.u.n) + r * u_vals
+    pts = np.tile(a0, u.n) + r * u.eval(phases)
     if domain is not None:
         z = pts.reshape(samples, -1, 2)
         if not np.all(domain.contains(z)):
             raise DomainExit("rescaled orbit leaves the domain")
-    return PhysicalOrbit(a0=a0, r=r, period=period, times=times,
-                         samples=pts, source=solution)
+    return PhysicalOrbit(a0=a0, r=r, period=period, times=times, samples=pts)
 
 
 def local_uniqueness_probe(sys: VortexSystem, domain: DomainModel, r: float,
@@ -548,19 +543,22 @@ def orbit_to_dict(sys: VortexSystem, domain: DomainModel, a0, omega_seed: float,
     }
 
 
-def save_orbit(path: str, doc: dict) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+def atomic_write(path: str, text: str) -> None:
+    """Write text to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_orbit(path: str, doc: dict) -> None:
+    atomic_write(path, json.dumps(doc, indent=1) + "\n")
 
 
 def load_orbit(path: str) -> dict:

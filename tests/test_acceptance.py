@@ -252,7 +252,7 @@ def test_criterion_5_physical_validation(pair_frame):
     checks = {}
     for r in (0.1, 0.05, 0.02):
         sol = rd.solve_reduced(sys2, disk, r, frame, params)
-        orbit = rd.unrescale(np.zeros(2), r, sol, 256, domain=disk)
+        orbit = rd.unrescale(np.zeros(2), r, sol.u, 256, domain=disk)
         report = dyn.validate_orbit(sys2, disk, orbit, rtol=1e-12)
         checks[f"r={r} closure"] = report["closure_error"] <= 1e-6
         pts = orbit.samples.reshape(256, -1, 2)

@@ -158,6 +158,26 @@ def test_quadratic_domain_matrix_key(tmp_path):
     assert np.array_equal(cfg.domain.a_matrix, [[3.0, 0.0], [0.0, 5.0]])
 
 
+def test_quadratic_domain_non_finite_matrix_exits_2(tmp_path, capsys):
+    cfgfile = _write(tmp_path / "q.ini", "[domain]\nvariant = quadratic\n"
+                                         "matrix = inf,0;0,1\n")
+    assert main(["continue", "--config", cfgfile]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[solver]\ntol = 1e-3\n", "tol"),
+    ("[solver]\nmodez = 8\n", "modez"),
+    ("[sytem]\ngammas = 1,1\n", "[sytem]"),
+    ("[domain]\nvariant = disk\nmatrix = 3,0;0,5\n", "matrix"),
+])
+def test_continue_unknown_config_key_exits_2(text, named, tmp_path, capsys):
+    cfgfile = _write(tmp_path / "unknown.ini", text)
+    assert main(["continue", "--config", cfgfile, "--dump-config"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and named in err
+
+
 def test_continue_zero_vorticity_is_usage_error(tmp_path, capsys):
     cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
         "gammas = 1,1", "gammas = 1,-1")
@@ -187,6 +207,19 @@ def test_validate_corrupted_file(tmp_path, capsys):
     assert main(["validate", "--orbit", bad]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["validate", "--orbit", missing]) == 2
+    # a well-formed orbit file validates; without diagnostics it is rejected
+    doc = {"schema_version": 1, "system": {"gammas": [1.0, 1.0]},
+           "domain": {"variant": "disk", "params": {}}, "a0": [0.0, 0.0],
+           "r": 0.1, "omega_seed": 1.0,
+           "loop": {"n": 2, "modes": 1,
+                    "coeffs": [[0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, -1]]},
+           "diagnostics": {}}
+    orbit = _write(tmp_path / "orbit.json", json.dumps(doc))
+    assert main(["validate", "--orbit", orbit, "--samples", "16"]) != 2
+    del doc["diagnostics"]
+    orbit = _write(tmp_path / "no_diag.json", json.dumps(doc))
+    assert main(["validate", "--orbit", orbit, "--samples", "16"]) == 2
+    assert "diagnostics" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,35 @@ def test_vortex_system_rejects_non_finite(bad):
         VortexSystem([1.0, bad])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hamiltonians_reject_non_finite_configuration(bad):
+    sys2 = VortexSystem([1.0, 1.0])
+    z2 = np.array([0.0, 0.0, bad, 0.0])
+    sys3 = VortexSystem([1.0, 1.0, 1.0])
+    z3 = np.array([0.1, 0.2, -0.3, 0.1, 0.0, bad])
+    calls = [
+        lambda: core.eval_H0(sys2, z2),
+        lambda: core.eval_H0(sys3, z3),
+        lambda: core.grad_H0(sys3, z3),
+        lambda: core.hess_H0(sys3, z3),
+        lambda: core.eval_F(sys3, UnitDisk(), z3),
+        lambda: core.hess_F(sys3, Plane(), z3),
+        lambda: core.eval_Hr(sys3, UnitDisk(), 0.1, z3),
+        lambda: core.vortex_rhs(sys3, UnitDisk(), z3, physical=True),
+        lambda: core.vortex_rhs(sys3, Plane(), z3),
+        lambda: core.min_separation(np.stack([z3 / 2, z3])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite.*(nan|inf)"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quadratic_domain_rejects_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match="A must be"):
+        SyntheticQuadratic(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_domain_serialization_roundtrip():
     for dom in (Plane(), UnitDisk(), HalfPlane(),
                 SyntheticQuadratic(np.array([[1.0, 0.2], [0.2, 3.0]]))):

@@ -156,7 +156,7 @@ def test_min_separation_along_trajectory():
 
 def test_validate_orbit_positive(pair_orbit):
     sys2, pair, sol = pair_orbit
-    orbit = rd.unrescale(np.zeros(2), sol.r, sol, 128, domain=UnitDisk())
+    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 128, domain=UnitDisk())
     report = dyn.validate_orbit(sys2, UnitDisk(), orbit, rtol=1e-12)
     assert report["closure_error"] < 1e-7
     assert report["max_pointwise_defect"] < 1e-6
@@ -170,12 +170,7 @@ def test_validate_orbit_negative_control(pair_orbit):
     bump = rng.normal(size=sol.u.coeffs.shape)
     errs = []
     for size in (1e-4, 1e-3, 1e-2):
-        bad = rd.ReducedSolution(
-            r=sol.r, v=sol.v, u=lp.Loop(sol.u.coeffs + size * bump),
-            residual_grad=sol.residual_grad, phase_defect=sol.phase_defect,
-            vnorm=sol.vnorm, iterations=sol.iterations,
-            spectral_tail=sol.spectral_tail,
-            contraction_estimate=sol.contraction_estimate)
+        bad = lp.Loop(sol.u.coeffs + size * bump)
         orbit = rd.unrescale(np.zeros(2), sol.r, bad, 128, domain=UnitDisk())
         report = dyn.validate_orbit(sys2, UnitDisk(), orbit, rtol=1e-12)
         errs.append(report["max_pointwise_defect"])

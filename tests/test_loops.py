@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nvortex import equilibria as eq, loops as lp
+from nvortex import equilibria as eq, loops as lp, reduction as rd
 from nvortex.errors import AliasWarning, DimensionMismatch, VorticityMismatch
 
 RNG = np.random.default_rng(2024)
@@ -113,19 +113,33 @@ def test_shift_commutes_with_operators():
 
 
 # ---------------------------------------------------------------------------
-# projections
+# projections: project_D and the solver's X projector P = B B^T diag(w)
+
+def x_projector(frame):
+    """Matrix of the H^1-orthogonal projection onto X = (R Zdot)^perp over
+    flattened coefficients, built from the solver's basis B."""
+    basis = rd.build_x_basis(frame)
+    return (basis.matrix @ basis.matrix.T) * basis.weights
+
+
+def apply(mat, u):
+    return lp.unflatten(mat @ lp.flatten(u), u.n, u.modes)
+
 
 def test_projection_partition_and_orthogonality(frame):
     u = random_loop()
     pd = lp.project_D(u)
-    pp = lp.project_phase(u, frame.Zdot)
-    pn = lp.project_NZ(u, frame)
-    total = pd + pp + pn
-    assert np.max(np.abs(total.coeffs - u.coeffs)) < 1e-10
+    px = apply(x_projector(frame), u)
+    pn = px - pd
+    rest = u - px
+    # (I - P) u is the phase component: parallel to Zdot
+    coef = lp.h1_inner(u, frame.Zdot) / lp.h1_inner(frame.Zdot, frame.Zdot)
+    assert np.max(np.abs(rest.coeffs - coef * frame.Zdot.coeffs)) < 1e-10
+    assert abs(lp.h1_inner(px, frame.Zdot)) < 1e-10
     assert abs(lp.h1_inner(pn, frame.e1)) < 1e-10
     assert abs(lp.h1_inner(pn, frame.e2)) < 1e-10
     assert abs(lp.h1_inner(pn, frame.Zdot)) < 1e-10
-    assert abs(lp.h1_inner(pd, pp)) < 1e-10
+    assert abs(lp.h1_inner(pd, rest)) < 1e-10
 
 
 def test_projections_idempotent_self_adjoint(frame):
@@ -134,18 +148,20 @@ def test_projections_idempotent_self_adjoint(frame):
     assert np.max(np.abs(lp.project_D(pd).coeffs - pd.coeffs)) < 1e-12
     assert abs(lp.h1_inner(lp.project_D(u), v)
                - lp.h1_inner(u, lp.project_D(v))) < 1e-10
-    pp = lp.project_phase(u, frame.Zdot)
-    pp2 = lp.project_phase(pp, frame.Zdot)
-    assert np.max(np.abs(pp2.coeffs - pp.coeffs)) < 1e-12
-    assert abs(lp.h1_inner(lp.project_phase(u, frame.Zdot), v)
-               - lp.h1_inner(u, lp.project_phase(v, frame.Zdot))) < 1e-10
+    P = x_projector(frame)
+    w = lp.h1_weight_vector(N, M)
+    assert np.max(np.abs(P @ P - P)) < 1e-12
+    wp = w[:, None] * P  # diag(w) P, the H^1 Gram of the projection
+    assert np.max(np.abs(wp - wp.T)) < 1e-10 * np.max(np.abs(wp))
 
 
 def test_projection_fixed_points(frame):
     assert np.max(np.abs(lp.project_D(frame.e1).coeffs
                          - frame.e1.coeffs)) < 1e-14
-    px = lp.project_X(frame.Zdot, frame)
-    assert lp.h1_norm(px) < 1e-12
+    P = x_projector(frame)
+    assert lp.h1_norm(apply(P, frame.Zdot)) < 1e-12
+    for e in (frame.e1, frame.e2):
+        assert np.max(np.abs(apply(P, e).coeffs - e.coeffs)) < 1e-12
 
 
 def test_frame_orthogonality(frame):
@@ -161,8 +177,8 @@ def test_projection_equivariance_with_shifted_frame(frame):
     shifted_frame = lp.LoopFrame(Z=lp.time_shift(theta, frame.Z),
                                  Zdot=lp.time_shift(theta, frame.Zdot),
                                  e1=frame.e1, e2=frame.e2)
-    a = lp.time_shift(theta, lp.project_NZ(u, frame))
-    b = lp.project_NZ(lp.time_shift(theta, u), shifted_frame)
+    a = lp.time_shift(theta, apply(x_projector(frame), u))
+    b = apply(x_projector(shifted_frame), lp.time_shift(theta, u))
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 

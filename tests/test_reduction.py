@@ -243,13 +243,6 @@ def test_singular_operator_guard(pair_setup):
     assert 5 < rd._sym_cond(A) < 11 and np.linalg.cond(D) < 5
     with pytest.raises(SingularOperator, match=r"cond\(A\)=1\.010e\+01"):
         rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis, cond_limit=5)
-    # the eigenvalue and singular-value routes agree to the perturbation
-    # bound of the smallest eigenvalue, about eps * cond relative
-    for r in (0.1, 1e-3):
-        op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
-        ref = np.linalg.cond(op.matrix)
-        assert abs(op.condition / ref - 1) <= max(
-            1e-12, 16 * np.finfo(float).eps * ref)
 
 
 def test_center_of_vorticity_identity(pair_setup):
@@ -362,7 +355,7 @@ def test_zero_vorticity_rejected(pair_setup):
 def test_unrescale_geometry(small_path, pair_setup):
     sys2, pair, _, _ = pair_setup
     sol = small_path.entries[0]
-    orbit = rd.unrescale(np.zeros(2), sol.r, sol, 64, domain=UnitDisk())
+    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 64, domain=UnitDisk())
     assert orbit.period == pytest.approx(2 * np.pi * sol.r**2)
     pts = orbit.samples.reshape(64, 2, 2)
     radii = np.linalg.norm(pts, axis=-1)
@@ -374,7 +367,7 @@ def test_unrescale_geometry(small_path, pair_setup):
 
 def test_unrescale_roundtrip(small_path):
     sol = small_path.entries[0]
-    orbit = rd.unrescale(np.zeros(2), sol.r, sol, 32)
+    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 32)
     back = orbit.samples / sol.r
     expect = sol.u.eval(orbit.times / sol.r**2)
     assert np.max(np.abs(back - expect)) < 1e-10
