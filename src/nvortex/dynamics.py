@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import core
 from .core import DomainModel, VortexSystem
@@ -83,6 +82,7 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
               collision_guard: float = COLLISION_GUARD,
               boundary_guard: float = BOUNDARY_GUARD) -> Trajectory:
     """Integrate one of the vortex systems over [0, T]."""
+    from scipy.integrate import solve_ivp  # slow import; most commands never integrate
     z0 = np.asarray(z0, dtype=float).ravel()
     if core.min_separation(z0) <= collision_guard:
         raise CollisionApproach("initial state within the collision guard",

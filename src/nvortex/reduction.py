@@ -35,6 +35,7 @@ from .core import DomainModel, TranslatedDomain, VortexSystem
 from .errors import (
     CollisionError,
     ContractionFailure,
+    DegenerateFrame,
     DomainExit,
     EmptyPath,
     NoConvergence,
@@ -178,20 +179,33 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float, u: Loop,
 
 @dataclass(frozen=True)
 class XBasis:
-    """H^1-orthonormal basis of X = (R Z')^perp, as flattened columns.
+    """H^1-orthonormal basis of X = (R Z')^perp, or of its part in some
+    Fourier modes, as flattened columns; column j lies in mode col_modes[j].
 
-    The first two columns span D (normalized constant translations); the
-    rest span N_Z. weights is the diagonal H^1 Gram in flat coordinates.
+    D (the normalized constant translations) is in the basis exactly when
+    mode 0 is, as its first two columns; the rest span N_Z.  weights is the
+    diagonal H^1 Gram in flat coordinates.
     """
 
     matrix: np.ndarray  # (dim_total, dim_X)
     weights: np.ndarray
     n: int
     modes: int
+    col_modes: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def d_dim(self) -> int:
+        return 2 if self.col_modes[0] == 0 else 0
+
+    def odd_part(self) -> "XBasis":
+        """Columns in odd modes: they span the loops of X with u(t+pi) = -u(t)."""
+        keep = self.col_modes % 2 == 1
+        return XBasis(self.matrix[:, keep], self.weights, self.n, self.modes,
+                      self.col_modes[keep])
 
     def coords(self, u: Loop) -> np.ndarray:
         return self.matrix.T @ (self.weights * loops.flatten(u.pad(self.modes)))
@@ -204,27 +218,35 @@ class XBasis:
 
 
 def build_x_basis(frame: LoopFrame) -> XBasis:
-    n, modes = frame.n, frame.modes
+    """Mode by mode: e1, e2 and the rest of the constants in mode 0, the
+    complement of Z' in mode 1 (Z is a one-mode rotation), and the unit
+    coefficients in each mode k >= 2, all scaled to unit H^1 norm."""
+    n, modes, zdot = frame.n, frame.modes, frame.Zdot.coeffs
+    if np.any(zdot[0]) or np.any(zdot[3:]):
+        raise DegenerateFrame("the phase direction Z' must lie in mode 1")
+    e = np.tile(np.eye(2), n).T / np.sqrt(n)
     w = loops.h1_weight_vector(n, modes)
-    sw = np.sqrt(w)
-    zdot = loops.flatten(frame.Zdot)
-    e1 = loops.flatten(frame.e1)
-    e2 = loops.flatten(frame.e2)
-    scale = np.sqrt(2 * np.pi * n)
-    cols = [e1 / scale, e2 / scale]
-    # N_Z: orthogonal complement of span{Z', e1, e2} in the W metric
-    removed = np.vstack([zdot, e1, e2]) * sw
-    null = scipy.linalg.null_space(removed)
-    cols.append(null / sw[:, None])
-    mat = np.column_stack([cols[0], cols[1], cols[2]])
-    return XBasis(matrix=mat, weights=w, n=n, modes=modes)
+    mat = scipy.linalg.block_diag(
+        np.hstack([e, scipy.linalg.null_space(e.T)]),
+        scipy.linalg.null_space(zdot[1:3].reshape(1, -1)),
+        np.eye(w.size - 6 * n)) / np.sqrt(w)[:, None]
+    col_modes = np.repeat(np.arange(modes + 1),
+                          [2 * n, 4 * n - 1] + [4 * n] * (modes - 1))
+    return XBasis(matrix=mat, weights=w, n=n, modes=modes, col_modes=col_modes)
 
 
 @dataclass(frozen=True)
 class OperatorReport:
-    matrix: np.ndarray
-    block_norms: dict
+    matrix: np.ndarray  # over the columns of `basis`
+    basis: XBasis  # the columns kept: all of X, or its odd part
     d0_matrix: np.ndarray  # 2x2 D-block of (L_r - L_0-part)/r^2 in the e-hat basis
+
+
+def _repeats_after_pi(stack: np.ndarray) -> bool:
+    """Whether m (even) samples over [0, 2 pi) repeat after half a period, to
+    1e-12 of the largest entry; symmetric cases measure at most 2e-15."""
+    half = stack.shape[0] // 2
+    return np.abs(stack[:half] - stack[half:]).max() <= 1e-12 * np.abs(stack).max()
 
 
 def _sym_cond(a: np.ndarray) -> float:
@@ -248,6 +270,11 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
 
     with S the synthesis matrix, plus -pi k JM at (a_k, b_k) and +pi k JM at
     (b_k, a_k) from the linear term, JM = J_N M_Gamma.
+
+    When H0'' along the base and F'' along r*base both repeat after half a
+    period, DPhi_r keeps odd and even modes apart, and the odd part of X
+    holds the orbit (u(t + pi) = -u(t) for an odd base): only the odd
+    columns of the basis are kept then.
     """
     basis = basis or build_x_basis(frame)
     base = base or frame.Z
@@ -256,65 +283,54 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     base_pts = loops.sample(base, m)
     _check_nodes(sys, domain, base_pts, r)
     hmats = core.hess_H0(sys, base_pts)
+    even = _repeats_after_pi(hmats)
     if r > 0:
         fmats = core.hess_F(sys, domain, r * base_pts)
+        # tested apart: in the sum the asymmetry of F'' is scaled by r^2
+        # and lost in roundoff at small r
+        even = even and _repeats_after_pi(fmats)
         hmats = hmats - r**2 * fmats
         # D-block of the F-contribution alone, scaled by 1/r^2 (finite limit):
         # the e-hat columns are constant, so only the time mean of F'' enters
         d0 = fmats.mean(axis=0).reshape(n, 2, n, 2).sum(axis=(0, 2)) / n
     else:
         d0 = np.zeros((2, 2))
+    if even:
+        basis = basis.odd_part()
 
-    s = loops.synthesis_matrix(modes, m)
-    rows, dim = 2 * modes + 1, 2 * n
-    K = np.empty((rows, dim, rows, dim))
+    # coefficient rows a0, a1, b1, ... of the modes that the basis uses
+    rows = np.flatnonzero(np.isin(np.arange(1, 2 * modes + 2) // 2,
+                                  basis.col_modes))
+    s = loops.synthesis_matrix(modes, m)[:, rows]
+    dim = 2 * n
+    K = np.empty((rows.size, dim, rows.size, dim))
     for i in range(dim):
         for j in range(i, dim):
             K[:, i, :, j] = K[:, j, :, i] = (-2 * np.pi / m) * (
                 s.T @ (hmats[:, i, j, None] * s))
-    k = np.arange(1, modes + 1)
-    kjm = np.pi * k[:, None, None] * (sys.j_n() @ sys.m_gamma())
-    K[2 * k - 1, :, 2 * k, :] -= kjm
-    K[2 * k, :, 2 * k - 1, :] += kjm
-    K = K.reshape(rows * dim, rows * dim)
-    L = basis.matrix.T @ K @ basis.matrix
+    a = np.flatnonzero(rows % 2 == 1)  # the a_k rows, each followed by b_k
+    k = (rows[a, None, None] + 1) // 2
+    kjm = np.pi * k * (sys.j_n() @ sys.m_gamma())
+    K[a, :, a + 1, :] -= kjm
+    K[a + 1, :, a, :] += kjm
+    K = K.reshape(rows.size * dim, rows.size * dim)
+    B = basis.matrix.reshape(2 * modes + 1, dim, -1)[rows].reshape(K.shape[0], -1)
+    L = B.T @ K @ B
     L = 0.5 * (L + L.T)  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
 
-    blocks = {
-        "D": np.linalg.norm(L[:2, :2]),
-        "B": np.linalg.norm(L[:2, 2:]),
-        "C": np.linalg.norm(L[2:, :2]),
-        "A": np.linalg.norm(L[2:, 2:]),
-    }
-    cond_A = _sym_cond(L[2:, 2:])
-    # the D block vanishes identically when F has no effect (plane, r = 0)
-    cond_D = np.linalg.cond(L[:2, :2]) if blocks["D"] > 1e-14 else 1.0
+    cond_A = _sym_cond(L[basis.d_dim:, basis.d_dim:])
+    # D tends to r^2 (Gamma^2/N) h''(a0), so cond(D) tests the nondegeneracy
+    # of a0; it vanishes identically when F has no effect (plane, r = 0)
+    cond_D = np.linalg.cond(d0) if d0.any() else 1.0
     if max(cond_A, cond_D) > cond_limit:
         raise SingularOperator(
             f"ill-conditioned reduced operator: cond(A)={cond_A:.3e}, "
             f"cond(D)={cond_D:.3e}")
-    return OperatorReport(matrix=L, block_norms=blocks, d0_matrix=d0)
+    return OperatorReport(matrix=L, basis=basis, d0_matrix=d0)
 
 
 # ---------------------------------------------------------------------------
 # reduced solve
-
-def _linear_solver(op: OperatorReport):
-    """Factorized solve; drops the D block when it decouples and vanishes
-    (plane domain / r = 0), where the residual has no D component either."""
-    bn = op.block_norms
-    if max(bn["D"], bn["B"], bn["C"]) < 1e-14:
-        lu = scipy.linalg.lu_factor(op.matrix[2:, 2:])
-
-        def solve(res):
-            step = np.zeros_like(res)
-            step[2:] = scipy.linalg.lu_solve(lu, res[2:])
-            return step
-
-        return solve
-    lu = scipy.linalg.lu_factor(op.matrix)
-    return lambda res: scipy.linalg.lu_solve(lu, res)
-
 
 def _diagnostics(sys, domain, r, frame, v, iters, contraction):
     u = frame.Z + v
@@ -337,35 +353,28 @@ def _spectral_tail(u: Loop) -> float:
     return float(per_row[cutoff:].sum() / total) if total > 0 else 0.0
 
 
-def _collision_ball(frame: LoopFrame) -> float:
-    z = frame.Z.a(1).reshape(-1, 2)
-    return 0.5 * core.min_separation(z)
-
-
 def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                   frame: LoopFrame, params: SolverParams,
                   warm_start: Loop | None = None,
-                  basis: XBasis | None = None,
-                  operator: OperatorReport | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for the correction v in X."""
-    basis = basis or build_x_basis(frame)
-    if operator is None and params.mode == "FixedPoint":
-        operator = assemble_L_r(sys, domain, r, frame, basis=basis)
+                  basis: XBasis | None = None) -> ReducedSolution:
+    """Solve P_X grad J_r(Z + v) = 0 for v over the columns of X that the
+    operator at the seed keeps (the odd part when H_r is even about a0)."""
+    operator = assemble_L_r(sys, domain, r, frame, basis=basis)
+    basis = operator.basis
 
-    v = warm_start.pad(params.modes) if warm_start is not None else \
-        loops.zero_loop(sys.n, params.modes)
-    y = basis.coords(v)
-    eps_ball = _collision_ball(frame)
+    def residual(y):
+        v = _filtered(basis.to_loop(y), params)
+        return basis.coords(grad_J_r(sys, domain, r, frame.Z + v,
+                                     nodes=params.quad_nodes))
 
+    y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
+    eps_ball = 0.5 * core.min_separation(frame.Z.a(1).reshape(-1, 2))
+    contraction = float("nan")
     if params.mode == "FixedPoint":
-        solve = _linear_solver(operator)
-        prev_step, contraction = None, float("nan")
-        guard_strikes = 0
+        lu = scipy.linalg.lu_factor(operator.matrix)
+        prev_step, guard_strikes = None, 0
         for it in range(1, params.max_iter + 1):
-            v = _filtered(basis.to_loop(y), params)
-            res = basis.coords(grad_J_r(sys, domain, r, frame.Z + v,
-                                        nodes=params.quad_nodes))
-            step = -solve(res)
+            step = -scipy.linalg.lu_solve(lu, residual(y))
             y = y + step
             step_norm = np.linalg.norm(step)
             if prev_step is not None and prev_step > 1e-15:
@@ -388,29 +397,20 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             raise NoConvergence(
                 f"fixed point not converged in {params.max_iter} iterations "
                 f"at r={r:.5g} (last step {step_norm:.3e})")
-        iters = it
     else:
-        contraction = float("nan")
         for it in range(1, params.max_iter + 1):
-            v = _filtered(basis.to_loop(y), params)
-            grad = grad_J_r(sys, domain, r, frame.Z + v,
-                            nodes=params.quad_nodes)
-            res = basis.coords(grad)
+            res = residual(y)
             res_norm = np.linalg.norm(res)
             if res_norm <= params.newton_tol:
                 break
             op = assemble_L_r(sys, domain, r, frame, basis=basis,
-                              base=frame.Z + v)
-            step = -_linear_solver(op)(res)
+                              base=frame.Z + _filtered(basis.to_loop(y), params))
+            step = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(op.matrix), res)
             # backtracking on the projected residual
             alpha = 1.0
             for _ in range(8):
-                y_try = y + alpha * step
-                v_try = _filtered(basis.to_loop(y_try), params)
                 try:
-                    r_try = np.linalg.norm(basis.coords(
-                        grad_J_r(sys, domain, r, frame.Z + v_try,
-                                 nodes=params.quad_nodes)))
+                    r_try = np.linalg.norm(residual(y + alpha * step))
                 except (CollisionError, DomainExit):
                     r_try = np.inf
                 if r_try < res_norm:
@@ -421,10 +421,9 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             raise NoConvergence(
                 f"Newton not converged in {params.max_iter} iterations "
                 f"at r={r:.5g} (residual {res_norm:.3e})")
-        iters = it
 
     v = _filtered(basis.to_loop(y), params)
-    sol = _diagnostics(sys, domain, r, frame, v, iters, contraction)
+    sol = _diagnostics(sys, domain, r, frame, v, it, contraction)
     tol = params.fp_tol if params.mode == "FixedPoint" else params.newton_tol
     if sol.residual_grad > 10 * max(tol, 1e-13) * max(1.0, sol.vnorm + 1.0):
         raise PhaseDefect(

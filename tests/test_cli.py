@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nvortex
+from nvortex import loops as lp
 from nvortex.cli import main, load_config
 
 
@@ -35,6 +39,17 @@ def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
     return str(path)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Only `simulate` and `validate` integrate; the other commands should
+    not pay for importing scipy.integrate."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nvortex.__file__)))
+    code = "import sys, nvortex.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +171,26 @@ def test_quadratic_domain_matrix_key(tmp_path):
     cfg = load_config(_write(tmp_path / "q.ini",
                              "[domain]\nvariant = quadratic\nmatrix = 3,0;0,5\n"))
     assert np.array_equal(cfg.domain.a_matrix, [[3.0, 0.0], [0.0, 5.0]])
+
+
+def test_quadratic_domain_orbits_are_odd(tmp_path, capsys):
+    """h(a) = a.A a/2 is even, so F and H_r are even about a0 = 0 and the
+    seed turns to its negative after half a period: every orbit satisfies
+    u(t + pi) = -u(t), and only odd Fourier modes carry mass."""
+    out = tmp_path / "quad"
+    cfgfile = _write(tmp_path / "q.ini",
+                     "[system]\ngammas = 1,2\n"
+                     "[domain]\nvariant = quadratic\nmatrix = 3,0;0,5\n"
+                     f"[output]\ndir = {out}\n")
+    assert main(["continue", "--config", cfgfile]) == 0
+    capsys.readouterr()
+    files = sorted(out.glob("orbit_r*.json"))
+    assert len(files) == 30
+    for path in files:
+        with open(path) as fh:
+            u = lp.loop_from_dict(json.load(fh)["loop"])
+        flip = u + lp.time_shift(np.pi, u)
+        assert lp.h1_norm(flip) <= 1e-13 * lp.h1_norm(u)
 
 
 def test_quadratic_domain_non_finite_matrix_exits_2(tmp_path, capsys):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
-from nvortex.core import Plane, UnitDisk, VortexSystem
-from nvortex.errors import EmptyPath, SingularOperator, ZeroTotalVorticity
+from nvortex.core import Plane, TranslatedDomain, UnitDisk, VortexSystem
+from nvortex.errors import (DegenerateFrame, EmptyPath, SingularOperator,
+                            ZeroTotalVorticity)
 
 RNG = np.random.default_rng(99)
 M = 10
@@ -110,15 +111,30 @@ def test_x_basis_orthonormal(pair_setup):
     e1n = basis.column_loop(0)
     assert np.allclose(e1n.coeffs[0], np.tile(
         [1.0 / np.sqrt(2 * np.pi * 2), 0.0], 2))
+    # the basis is built mode by mode, so Z' must lie in mode 1
+    bent = lp.Loop(np.roll(frame.Zdot.coeffs, 2, axis=0))  # moved to mode 2
+    with pytest.raises(DegenerateFrame):
+        rd.build_x_basis(lp.LoopFrame(Z=frame.Z, Zdot=bent, e1=frame.e1,
+                                      e2=frame.e2))
 
 
 def test_operator_plane_blocks(pair_setup):
+    """On the plane H0 is translation-invariant, so the D block decouples
+    and vanishes at any base.  A mode-2 bump breaks the half-period symmetry
+    and keeps D in the operator; at the seed only the odd part is kept."""
     sys2, _, frame, basis = pair_setup
+    y = np.random.default_rng(2).normal(size=basis.dim)
+    bump = basis.to_loop(0.05 * y * (basis.col_modes == 2))
+    op = rd.assemble_L_r(sys2, Plane(), 0.0, frame, basis=basis,
+                         base=frame.Z + bump)
+    assert op.basis.dim == basis.dim
+    L = op.matrix
+    assert np.linalg.norm(L[:2, :2]) < 1e-14
+    assert np.linalg.norm(L[:2, 2:]) < 1e-14
+    assert np.linalg.norm(L[2:, :2]) < 1e-14
     op = rd.assemble_L_r(sys2, Plane(), 0.0, frame, basis=basis)
-    assert op.block_norms["D"] < 1e-14
-    assert op.block_norms["B"] < 1e-14
-    assert op.block_norms["C"] < 1e-14
-    assert np.linalg.cond(op.matrix[2:, 2:]) < 1e3
+    assert op.basis.d_dim == 0
+    assert np.linalg.cond(op.matrix) < 1e3
 
 
 def test_operator_matches_finite_differences(pair_setup):
@@ -126,13 +142,13 @@ def test_operator_matches_finite_differences(pair_setup):
     disk = UnitDisk()
     r = 0.08
     op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
-    y = RNG.normal(size=basis.dim)
+    y = RNG.normal(size=op.basis.dim)
     y /= np.linalg.norm(y)
-    w = basis.to_loop(y)
+    w = op.basis.to_loop(y)
     epsv = 1e-6
     fd = (rd.grad_J_r(sys2, disk, r, frame.Z + epsv * w).coeffs
           - rd.grad_J_r(sys2, disk, r, frame.Z - epsv * w).coeffs) / (2 * epsv)
-    fdc = basis.coords(lp.Loop(fd))
+    fdc = op.basis.coords(lp.Loop(fd))
     assert np.linalg.norm(op.matrix @ y - fdc) / np.linalg.norm(fdc) < 1e-5
 
 
@@ -204,9 +220,7 @@ def _reference_operator(sys, domain, r, basis, base):
     L = np.column_stack([image(hmats, j) for j in range(basis.dim)])
     L = 0.5 * (L + L.T)
     d0 = -np.column_stack([image(fmats, j)[:2] for j in range(2)])
-    blocks = {"D": np.linalg.norm(L[:2, :2]), "B": np.linalg.norm(L[:2, 2:]),
-              "C": np.linalg.norm(L[2:, :2]), "A": np.linalg.norm(L[2:, 2:])}
-    return L, blocks, d0
+    return L, d0
 
 
 @pytest.mark.parametrize("modes", [8, 16])
@@ -215,34 +229,64 @@ def _reference_operator(sys, domain, r, basis, base):
     ((1.0, 2.0, 3.0), lambda: eq.make_triangle(1.0, 2.0, 3.0, 1.0)),
 ], ids=["pair", "triangle123"])
 def test_operator_matches_per_column_reference(gammas, make, modes):
+    """At the rigid seed Z(t + pi) = -Z(t), and in the disk about 0 the
+    Hessians repeat after half a period, so the reference L couples odd
+    and even modes only by roundoff and the operator keeps the odd columns.
+    The random Newton base breaks the symmetry and keeps all of X."""
     vs = VortexSystem(list(gammas))
     seed = eq.normalize_period(make())
     frame = lp.build_frame(seed.z, seed.omega, vs.n, modes)
     basis = rd.build_x_basis(frame)
     y = np.random.default_rng(modes).normal(size=basis.dim)
     newton_base = frame.Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
+    odd = basis.col_modes % 2 == 1
     disk = UnitDisk()
     for r in (0.0, 0.1, 1e-3):
-        for base in (frame.Z, newton_base):
+        for base, kept in ((frame.Z, odd), (newton_base, np.ones_like(odd))):
             op = rd.assemble_L_r(vs, disk, r, frame, basis=basis, base=base)
-            L, blocks, d0 = _reference_operator(vs, disk, r, basis, base)
+            L, d0 = _reference_operator(vs, disk, r, basis, base)
             tol = 1e-13 * np.max(np.abs(L))
-            assert np.max(np.abs(op.matrix - L)) <= tol
-            assert all(abs(op.block_norms[k] - blocks[k]) <= tol for k in blocks)
+            assert np.abs(L[np.ix_(kept, ~kept)]).max(initial=0.0) <= tol
+            assert np.array_equal(op.basis.matrix, basis.matrix[:, kept])
+            assert np.max(np.abs(op.matrix - L[np.ix_(kept, kept)])) <= tol
             assert np.max(np.abs(op.d0_matrix - d0)) <= tol
 
 
 def test_singular_operator_guard(pair_setup):
-    """cond(A) = 10.1 and cond(D) = 1.0 for the equal pair at r = 1e-3, so a
-    limit of 5 trips the guard on the A block."""
+    """At r = 1e-3, L is the plane operator at the seed up to O(r^2).  On a
+    mode k >= 2 the plane operator of the equal pair has eigenvalues
+    +-k/(1+k^2): the rotation term -J M w' smoothed by (id-Lap)^{-1}.  The
+    largest |eigenvalue| is 1, on the seed direction in mode 1: H0 is
+    log-homogeneous, so H0''(Z) Z = -grad H0(Z), the equilibrium gives
+    grad H0(Z) = -J M Z' = -Z, and -J M Z' - H0''(Z) Z = -2Z is halved by
+    (id-Lap)^{-1}.  So cond(A) is
+    (1+K^2)/K for the top mode K kept: 82/9 = 9.11 on the odd part that the
+    symmetric pair keeps (K = M - 1), where 101/10 = 10.1 on all of X.
+    cond(D) = cond((Gamma^2/N) h''(0)) = 1.  A limit of 5 trips the guard
+    on the A block."""
     sys2, _, frame, basis = pair_setup
     disk = UnitDisk()
     op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
-    A, D = op.matrix[2:, 2:], op.matrix[:2, :2]
+    top = op.basis.col_modes.max()
+    assert op.basis.d_dim == 0 and top == M - 1
+    A = op.matrix
     assert rd._sym_cond(A) == pytest.approx(np.linalg.cond(A), rel=1e-10)
-    assert 5 < rd._sym_cond(A) < 11 and np.linalg.cond(D) < 5
-    with pytest.raises(SingularOperator, match=r"cond\(A\)=1\.010e\+01"):
+    assert rd._sym_cond(A) == pytest.approx((1 + top**2) / top, rel=1e-6)
+    assert np.linalg.cond(op.d0_matrix) == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(SingularOperator, match=r"cond\(A\)=9\.111e\+00"):
         rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis, cond_limit=5)
+
+
+def test_off_centre_disk_keeps_all_of_X(pair_setup):
+    """Recentred at a0 = (0.3, 0) the disk is not symmetric about the new
+    origin: F'' along r Z(t) differs from F'' along -r Z(t) at first order
+    in r, so all 2N(2M+1) - 1 columns of X stay, down to small r."""
+    sys2, _, frame, basis = pair_setup
+    domain = TranslatedDomain(UnitDisk(), (0.3, 0.0))
+    for r in (0.2, 1e-3):
+        op = rd.assemble_L_r(sys2, domain, r, frame, basis=basis)
+        assert op.basis.dim == basis.dim == 2 * sys2.n * (2 * M + 1) - 1
+        assert op.basis.d_dim == 2
 
 
 def test_center_of_vorticity_identity(pair_setup):
@@ -320,6 +364,56 @@ def test_sigma_filter_on_thomson():
     fixed = lp.sigma_act(np.array(sigma), sol.v)
     assert lp.h1_norm(fixed - sol.v) < 1e-10
     assert sol.residual_grad < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# orbits continued in the disk, against targets derived from its symmetry
+
+@pytest.fixture(scope="module", params=["equal", 0, 11, 21])
+def disk_path(request):
+    """Default continuation (modes 32, r from 0.2 down to 1e-3) of the equal
+    pair, or of pair-pool case k with Gamma from default_rng(k)."""
+    k = request.param
+    g = (1.0, 1.0) if k == "equal" else np.random.default_rng(k).uniform(
+        0.5, 2.0, 2)
+    vs = VortexSystem(list(g))
+    seed = eq.normalize_period(eq.make_pair(g[0], g[1], 2.0))
+    params = rd.SolverParams()
+    frame = lp.build_frame(seed.z, seed.omega, vs.n, params.modes)
+    return k, params, rd.continue_path(vs, UnitDisk(), np.zeros(2), frame,
+                                       params)
+
+
+def test_disk_orbits_are_rigid(disk_path):
+    """The disk is rotation-invariant about a0 = 0, so each continued orbit
+    is a relative equilibrium of H_r turning at the seed's rate: u is a
+    single Fourier mode, k = 1."""
+    _, params, path = disk_path
+    assert len(path.entries) == params.r_points
+    for e in path.entries:
+        rest = e.u.coeffs.copy()
+        rest[1:3] = 0.0
+        assert lp.h1_norm(lp.Loop(rest)) <= 1e-13 * lp.h1_norm(e.u)
+
+
+def test_pair_r4_law_and_one_step_per_r(disk_path):
+    """v decays like c r^4 with the same shape at every small r (criterion 4
+    derives the rate), so vnorm / r^4 is constant up to O(r^2) and roundoff,
+    to 1e-3 for r <= 5e-3.  The warm start is the previous solution, so the
+    first fixed-point step is v(r) - v(r_prev), of norm vnorm(r_prev) -
+    vnorm(r), and the frozen operator leaves a second step smaller by a
+    factor O(|v|): one iteration when the first step is within fp_tol, two
+    when it is not.  Noise in the solve would show in both."""
+    _, params, path = disk_path
+    rs, vs = path.r_values, path.vnorms
+    c = vs[rs <= 5e-3] / rs[rs <= 5e-3] ** 4
+    assert np.max(np.abs(c / np.median(c) - 1)) <= 1e-3
+    first_step = vs[:-1] - vs[1:]
+    iters = np.array([e.iterations for e in path.entries[1:]])
+    small = rs[1:] < 3e-3
+    assert np.all(iters[small & (first_step < 0.9 * params.fp_tol)] == 1)
+    assert np.all(iters[small & (first_step > 1.1 * params.fp_tol)] == 2)
+    assert np.all(iters[small] <= 2)
 
 
 # ---------------------------------------------------------------------------
