@@ -391,18 +391,29 @@ def domain_from_spec(variant: str, params: dict | None = None) -> DomainModel:
 # ---------------------------------------------------------------------------
 
 
+def _at_sample(bad):
+    """Message suffix " at sample i", i the first True of a per-configuration
+    mask (flat over the batch axes); empty for a single configuration."""
+    return f" at sample {int(np.argmax(bad))}" if bad.ndim else ""
+
+
 def _separated_pairs(p, tol=COLLISION_TOL):
     """``_pair_differences`` of points no two of which are within tol."""
     d, dist2 = _pair_differences(p)
     m = _min_dist2(dist2)
     if m <= tol * tol:
-        raise CollisionError(f"minimum separation {np.sqrt(m):.3e} <= {tol:.0e}")
+        off = dist2 + np.diag(np.full(p.shape[-2], np.inf))
+        raise CollisionError(
+            f"minimum separation {np.sqrt(m):.3e} <= {tol:.0e}"
+            + _at_sample(np.any(off <= tol * tol, axis=(-2, -1))))
     return d, dist2
 
 
 def _check_membership(domain, p):
-    if not np.all(domain.contains(p)):
-        raise DomainError("configuration has points outside the domain")
+    inside = domain.contains(p)
+    if not np.all(inside):
+        raise DomainError("configuration has points outside the domain"
+                          + _at_sample(~np.all(inside, axis=-1)))
 
 
 def eval_H0(sys: VortexSystem, z):

@@ -49,10 +49,6 @@ class PhaseDefect(VortexError):
     """Full gradient residual is not dominated by the projected residual."""
 
 
-class DomainExit(VortexError):
-    """An iterate or sample left the admissible set."""
-
-
 class EmptyPath(VortexError):
     pass
 

@@ -14,6 +14,7 @@ nonlinear maps.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -186,7 +187,7 @@ def sample(u: Loop, m: int) -> np.ndarray:
             f"{m} samples cannot resolve {u.modes} modes without aliasing",
             AliasWarning,
         )
-    return u.eval(sample_times(m))
+    return synthesis_matrix(u.modes, m) @ u.coeffs
 
 
 def _trig_table(t, modes: int) -> np.ndarray:
@@ -201,10 +202,13 @@ def _trig_table(t, modes: int) -> np.ndarray:
     return s
 
 
+@functools.lru_cache
 def synthesis_matrix(modes: int, m: int) -> np.ndarray:
     """Matrix S with S @ u.coeffs = sample(u, m) for loops of order `modes`,
-    shape (m, 2M+1)."""
-    return _trig_table(sample_times(m), modes)
+    shape (m, 2M+1); built once per (modes, m) and read-only."""
+    s = _trig_table(sample_times(m), modes)
+    s.flags.writeable = False
+    return s
 
 
 def from_samples(values: np.ndarray, modes: int) -> Loop:

@@ -36,7 +36,7 @@ from .errors import (
     CollisionError,
     ContractionFailure,
     DegenerateFrame,
-    DomainExit,
+    DomainError,
     EmptyPath,
     NoConvergence,
     PhaseDefect,
@@ -60,23 +60,27 @@ class SolverParams:
     r_min: float = 1e-3
     r_points: int = 30
     spectral_tail_tol: float = 1e-8
-    sigma: tuple | None = None  # optional permutation filter
 
     def __post_init__(self):
-        if self.fp_tol <= 0 or self.newton_tol <= 0:
+        if self.modes < 1:
+            raise ValueError(f"modes must be at least 1, got {self.modes}")
+        if self.fp_tol <= 0 or self.newton_tol <= 0 or self.spectral_tail_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (0 < self.contraction_guard < 1):
+            raise ValueError("contraction_guard must lie in (0, 1), got "
+                             f"{self.contraction_guard}")
         if not (0 < self.r_min < self.r_max):
             raise ValueError("r grid must be strictly decreasing and positive")
+        if self.r_points < 2:
+            raise ValueError(f"r_points must be at least 2, got {self.r_points}")
         if self.mode not in ("FixedPoint", "Newton"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
 
     def r_grid(self) -> np.ndarray:
         """Geometric sequence from r_max down to r_min."""
         return np.geomspace(self.r_max, self.r_min, self.r_points)
-
-    @property
-    def quad_nodes(self) -> int:
-        return loops.dealias_samples(self.modes)
 
 
 @dataclass(frozen=True)
@@ -128,29 +132,10 @@ def _symplectic_term(sys: VortexSystem, u: Loop) -> float:
     return float(np.pi * np.sum(k * np.einsum("kd,dc,kc->k", b, mj, a)))
 
 
-def _check_nodes(sys: VortexSystem, domain: DomainModel, pts: np.ndarray,
-                 r: float) -> None:
-    """pts: (m, 2N) rescaled loop samples; physical points are r*pts."""
-    z = pts.reshape(pts.shape[0], -1, 2)
-    d = z[:, :, None, :] - z[:, None, :, :]
-    dist = np.linalg.norm(d, axis=-1)
-    idx = np.arange(z.shape[1])
-    dist[:, idx, idx] = np.inf
-    if dist.min() <= core.COLLISION_TOL:
-        t_bad = 2 * np.pi * dist.min(axis=(1, 2)).argmin() / pts.shape[0]
-        raise CollisionError(f"loop samples collide near t = {t_bad:.6f}")
-    if r > 0 and not np.all(domain.contains(r * z)):
-        bad = np.argmin(np.all(domain.contains(r * z), axis=-1))
-        t_bad = 2 * np.pi * bad / pts.shape[0]
-        raise DomainExit(f"loop sample leaves the domain near t = {t_bad:.6f}")
-
-
-def action_J_r(sys: VortexSystem, domain: DomainModel, r: float, u: Loop,
-               nodes: int | None = None) -> float:
+def action_J_r(sys: VortexSystem, domain: DomainModel, r: float,
+               u: Loop) -> float:
     """Action of the rescaled system; H0/F terms by trapezoidal quadrature."""
-    m = nodes or loops.dealias_samples(u.modes)
-    pts = loops.sample(u, m)
-    _check_nodes(sys, domain, pts, r)
+    pts = loops.sample(u, loops.dealias_samples(u.modes))
     ham = core.eval_H0(sys, pts)
     if r > 0:
         ham = ham - core.eval_F(sys, domain, r * pts) + core.eval_F(
@@ -158,12 +143,14 @@ def action_J_r(sys: VortexSystem, domain: DomainModel, r: float, u: Loop,
     return _symplectic_term(sys, u) - 2 * np.pi * float(np.mean(ham))
 
 
-def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float, u: Loop,
-             nodes: int | None = None) -> Loop:
-    """H^1 gradient: (id-Lap)^{-1} of the L^2 field -J M u' - grad H_r(u)."""
-    m = nodes or loops.dealias_samples(u.modes)
-    pts = loops.sample(u, m)
-    _check_nodes(sys, domain, pts, r)
+def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
+             u: Loop) -> Loop:
+    """H^1 gradient: (id-Lap)^{-1} of the L^2 field -J M u' - grad H_r(u).
+
+    The core checks raise CollisionError or DomainError naming the first bad
+    sample i, at t = 2 pi i/m on the m = dealias_samples(modes) nodes.
+    """
+    pts = loops.sample(u, loops.dealias_samples(u.modes))
     field = -core.grad_H0(sys, pts)
     if r > 0:
         field = field + r * core.grad_F(sys, domain, r * pts)
@@ -281,7 +268,6 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     n, modes = sys.n, basis.modes
     m = loops.dealias_samples(modes)
     base_pts = loops.sample(base, m)
-    _check_nodes(sys, domain, base_pts, r)
     hmats = core.hess_H0(sys, base_pts)
     even = _repeats_after_pi(hmats)
     if r > 0:
@@ -363,9 +349,7 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
     basis = operator.basis
 
     def residual(y):
-        v = _filtered(basis.to_loop(y), params)
-        return basis.coords(grad_J_r(sys, domain, r, frame.Z + v,
-                                     nodes=params.quad_nodes))
+        return basis.coords(grad_J_r(sys, domain, r, frame.Z + basis.to_loop(y)))
 
     y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
     eps_ball = 0.5 * core.min_separation(frame.Z.a(1).reshape(-1, 2))
@@ -404,14 +388,14 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             if res_norm <= params.newton_tol:
                 break
             op = assemble_L_r(sys, domain, r, frame, basis=basis,
-                              base=frame.Z + _filtered(basis.to_loop(y), params))
+                              base=frame.Z + basis.to_loop(y))
             step = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(op.matrix), res)
             # backtracking on the projected residual
             alpha = 1.0
             for _ in range(8):
                 try:
                     r_try = np.linalg.norm(residual(y + alpha * step))
-                except (CollisionError, DomainExit):
+                except (CollisionError, DomainError):
                     r_try = np.inf
                 if r_try < res_norm:
                     break
@@ -422,7 +406,7 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                 f"Newton not converged in {params.max_iter} iterations "
                 f"at r={r:.5g} (residual {res_norm:.3e})")
 
-    v = _filtered(basis.to_loop(y), params)
+    v = basis.to_loop(y)
     sol = _diagnostics(sys, domain, r, frame, v, it, contraction)
     tol = params.fp_tol if params.mode == "FixedPoint" else params.newton_tol
     if sol.residual_grad > 10 * max(tol, 1e-13) * max(1.0, sol.vnorm + 1.0):
@@ -430,12 +414,6 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             f"full gradient {sol.residual_grad:.3e} exceeds 10x the solver "
             f"tolerance at r={r:.5g}; the phase component did not vanish")
     return sol
-
-
-def _filtered(v: Loop, params: SolverParams) -> Loop:
-    if params.sigma is not None:
-        return loops.sigma_project(np.asarray(params.sigma, dtype=int), v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +441,7 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
                     f"{params.spectral_tail_tol:g} at r={r:.5g}")
             entries.append(sol)
             warm = sol.v
-        except (ContractionFailure, NoConvergence, PhaseDefect, DomainExit,
+        except (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
                 CollisionError, SingularOperator) as exc:
             failures[float(r)] = f"{type(exc).__name__}: {exc}"
     if not entries:
@@ -482,7 +460,7 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
             if sol.spectral_tail >= params.spectral_tail_tol:
                 break
             r0, warm_up = r_probe, sol.v
-        except (ContractionFailure, NoConvergence, PhaseDefect, DomainExit,
+        except (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
                 CollisionError, SingularOperator):
             break
     return ContinuationPath(a0=a0, entries=entries, failures=failures,
@@ -500,7 +478,7 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
     if domain is not None:
         z = pts.reshape(samples, -1, 2)
         if not np.all(domain.contains(z)):
-            raise DomainExit("rescaled orbit leaves the domain")
+            raise DomainError("rescaled orbit leaves the domain")
     return PhysicalOrbit(a0=a0, r=r, period=period, times=times, samples=pts)
 
 

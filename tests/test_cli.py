@@ -167,6 +167,26 @@ def test_continue_flag_overrides(capsys, tmp_path):
     assert "r_points = 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, solver", [
+    (["--modes", "0"], ""),
+    (["--r-steps", "1"], ""),
+    (["--r-steps", "0"], ""),
+    ([], "max_iter = 0\n"),
+    ([], "contraction_guard = 0\n"),
+    ([], "contraction_guard = 1\n"),
+    ([], "contraction_guard = 1.5\n"),
+])
+def test_continue_unrunnable_solver_setting_exits_2(flags, solver, tmp_path,
+                                                     capsys):
+    cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
+        "[solver]\n", "[solver]\n" + solver)
+    cfgfile = _write(tmp_path / "bad.ini", cfg)
+    assert main(["continue", "--config", cfgfile, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: [solver]") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_quadratic_domain_matrix_key(tmp_path):
     cfg = load_config(_write(tmp_path / "q.ini",
                              "[domain]\nvariant = quadratic\nmatrix = 3,0;0,5\n"))

@@ -232,6 +232,16 @@ def test_sample_roundtrip():
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
 
 
+def test_sample_uses_one_read_only_table():
+    """sample is the cached synthesis table times the coefficients: the same
+    product that Loop.eval forms at the sample times."""
+    u = random_loop()
+    m = lp.dealias_samples(M)
+    assert np.array_equal(lp.sample(u, m), u.eval(lp.sample_times(m)))
+    s = lp.synthesis_matrix(M, m)
+    assert s is lp.synthesis_matrix(M, m) and not s.flags.writeable
+
+
 def test_sample_constant_and_cosine():
     const = lp.constant_loop(np.array([2.0, -1.0, 0.5, 0.0]), M)
     assert np.allclose(lp.sample(const, 18), np.tile(const.a0, (18, 1)))

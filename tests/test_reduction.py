@@ -2,14 +2,15 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import Plane, TranslatedDomain, UnitDisk, VortexSystem
-from nvortex.errors import (DegenerateFrame, EmptyPath, SingularOperator,
-                            ZeroTotalVorticity)
+from nvortex.errors import (CollisionError, DegenerateFrame, EmptyPath,
+                            SingularOperator, ZeroTotalVorticity)
 
 RNG = np.random.default_rng(99)
 M = 10
@@ -354,16 +355,23 @@ def test_local_uniqueness_probe(pair_setup):
     assert report["mismatch"][0.0] < 1e-12
 
 
-def test_sigma_filter_on_thomson():
+def test_thomson_solution_is_sigma_fixed():
+    """sigma relabels the equal vortices cyclically and shifts time by
+    2 pi/3.  Relabelling equal vorticities leaves H_r unchanged and a time
+    shift commutes with the action, so grad J_r, the operator at a sigma-fixed
+    base and hence the fixed-point and Newton maps are sigma-equivariant.
+    The Thomson seed Z is sigma-fixed (turning the ring by 2 pi/3 permutes
+    it), so sigma v solves wherever v does, and local uniqueness of the
+    solution near 0 gives sigma v = v without any filter."""
     th = eq.normalize_period(eq.make_thomson(3, 1.0, 1.0))
     sys3 = VortexSystem([1.0, 1.0, 1.0])
     frame = lp.build_frame(th.z, th.omega, 3, M)
-    sigma = (1, 2, 0)
-    params = rd.SolverParams(modes=M, sigma=sigma)
-    sol = rd.solve_reduced(sys3, UnitDisk(), 0.1, frame, params)
-    fixed = lp.sigma_act(np.array(sigma), sol.v)
-    assert lp.h1_norm(fixed - sol.v) < 1e-10
-    assert sol.residual_grad < 1e-10
+    sigma = np.array([1, 2, 0])
+    for mode in ("FixedPoint", "Newton"):
+        params = rd.SolverParams(modes=M, mode=mode)
+        sol = rd.solve_reduced(sys3, UnitDisk(), 0.1, frame, params)
+        assert lp.h1_norm(lp.sigma_act(sigma, sol.v) - sol.v) <= 1e-10
+        assert sol.residual_grad < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +447,35 @@ def test_continuation_vnorm_monotone(small_path):
     assert np.all(np.diff(vs[mask]) < 0)
 
 
+def test_domain_exit_is_recorded_and_probe_stops(pair_setup):
+    """Continued from r = 1.5 the orbit of the equal pair leaves the disk:
+    r = 1.5 fails with the core's DomainError naming the first sample outside,
+    r = 1.204 fails the contraction guard, and the four r values from 0.9666
+    down converge.  The upward r0 probe from 0.9666 meets the same failures
+    and stops there."""
+    sys2, _, frame, _ = pair_setup
+    params = rd.SolverParams(modes=M, r_max=1.5, r_min=0.5, r_points=6)
+    path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame, params)
+    grid = params.r_grid()
+    assert np.array_equal(path.r_values, grid[2:])
+    assert sorted(path.failures) == sorted(grid[:2])
+    msg = path.failures[1.5]
+    assert msg.startswith("DomainError: ") and re.search(r"at sample \d+$", msg)
+    assert path.failures[grid[1]].startswith("ContractionFailure: ")
+    assert path.r0_empirical == pytest.approx(0.96659, abs=5e-6)
+
+
+def test_colliding_loop_names_the_sample(pair_setup):
+    """z1 = (cos t, 0) and z2 = -z1 meet where cos t = 0; on the m = 84
+    nodes of M = 10 the first is sample 21, t = 2 pi 21/84 = pi/2."""
+    sys2 = pair_setup[0]
+    c = np.zeros((2 * M + 1, 4))
+    c[1] = [1.0, 0.0, -1.0, 0.0]
+    assert lp.dealias_samples(M) == 84
+    with pytest.raises(CollisionError, match=r"at sample 21$"):
+        rd.grad_J_r(sys2, UnitDisk(), 0.1, lp.Loop(c))
+
+
 def test_zero_vorticity_rejected(pair_setup):
     _, _, frame, _ = pair_setup
     with pytest.raises(ZeroTotalVorticity):
@@ -496,6 +533,8 @@ def test_solver_params_validation():
         rd.SolverParams(r_max=0.001, r_min=0.1)
     with pytest.raises(ValueError):
         rd.SolverParams(mode="bogus")
+    with pytest.raises(ValueError):
+        rd.SolverParams(spectral_tail_tol=0.0)
     grid = rd.SolverParams().r_grid()
     assert grid[0] == pytest.approx(0.2) and grid[-1] == pytest.approx(1e-3)
     assert np.all(np.diff(grid) < 0)
