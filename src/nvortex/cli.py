@@ -308,6 +308,10 @@ def cmd_simulate(args) -> int:
     if z0.size != 2 * vsys.n:
         print(f"--z0 needs {2 * vsys.n} numbers", file=sys.stderr)
         return EXIT_USAGE
+    if not (np.isfinite(args.time) and args.time > 0):
+        raise ValueError(f"--time must be finite and positive, got {args.time}")
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
     domain = cfg.domain if args.mode != "plane" else core.Plane()
     t_eval = np.linspace(0.0, args.time, args.samples)
     traj = dynamics.integrate(vsys, domain, args.mode, z0, args.time,
@@ -322,6 +326,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     try:
         doc = reduction.load_orbit(args.orbit)
         vsys = core.VortexSystem(doc["system"]["gammas"])

@@ -13,6 +13,7 @@ array of shape ``(..., 2N)`` holding the stacked planar positions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ def _as_points(z):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] % 2:
         raise ValueError("configuration length must be even")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("every configuration entry must be finite, got "
                          f"{z[~np.isfinite(z)][0]}")
     return z.reshape(z.shape[:-1] + (z.shape[-1] // 2, 2))
@@ -113,13 +114,23 @@ def _pair_differences(p):
     return d, np.einsum("...x,...x->...", d, d)
 
 
+@functools.lru_cache
+def _pair_indices(n: int):
+    """Row and column indices of the pairs j < k of n points, as
+    ``np.triu_indices(n, 1)``; built once per n and read-only."""
+    iu = np.triu_indices(n, 1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def _min_dist2(dist2):
     """Smallest off-diagonal entry of a (..., N, N) squared-distance array."""
     n = dist2.shape[-1]
     if n < 2:
         return np.inf
-    iu = np.triu_indices(n, 1)
-    return dist2[..., iu[0], iu[1]].min()
+    i, j = _pair_indices(n)
+    return dist2[..., i, j].min()
 
 
 def min_separation(z) -> float:
@@ -204,29 +215,29 @@ class UnitDisk(DomainModel):
 
     @staticmethod
     def _q(w, z):
+        """q = |w|^2 |z|^2 - 2 w.z + 1, returned with |w|^2 and |z|^2."""
         w = np.asarray(w, dtype=float)
         z = np.asarray(z, dtype=float)
         w2 = np.einsum("...x,...x->...", w, w)
         z2 = np.einsum("...x,...x->...", z, z)
         wz = np.einsum("...x,...x->...", w, z)
-        return w2 * z2 - 2.0 * wz + 1.0
+        return w2 * z2 - 2.0 * wz + 1.0, w2, z2
 
     def g(self, w, z):
-        return -np.log(self._q(w, z)) / (4.0 * np.pi)
+        return -np.log(self._q(w, z)[0]) / (4.0 * np.pi)
 
     def g_w(self, w, z):
         w = np.asarray(w, dtype=float)
         z = np.asarray(z, dtype=float)
-        q = self._q(w, z)
-        z2 = np.einsum("...x,...x->...", z, z)
+        q, _, z2 = self._q(w, z)
         q_w = 2.0 * z2[..., None] * w - 2.0 * z
         return -q_w / (4.0 * np.pi * q[..., None])
 
     def g_ww(self, w, z):
         w = np.asarray(w, dtype=float)
         z = np.asarray(z, dtype=float)
-        q = self._q(w, z)[..., None, None]
-        z2 = np.einsum("...x,...x->...", z, z)
+        q, _, z2 = self._q(w, z)
+        q = q[..., None, None]
         q_w = 2.0 * z2[..., None] * w - 2.0 * z
         q_ww = 2.0 * z2[..., None, None] * np.eye(2)
         outer = q_w[..., :, None] * q_w[..., None, :]
@@ -235,9 +246,8 @@ class UnitDisk(DomainModel):
     def g_wz(self, w, z):
         w = np.asarray(w, dtype=float)
         z = np.asarray(z, dtype=float)
-        q = self._q(w, z)[..., None, None]
-        z2 = np.einsum("...x,...x->...", z, z)
-        w2 = np.einsum("...x,...x->...", w, w)
+        q, w2, z2 = self._q(w, z)
+        q = q[..., None, None]
         q_w = 2.0 * z2[..., None] * w - 2.0 * z
         q_z = 2.0 * w2[..., None] * z - 2.0 * w
         # d(q_w)_a / dz_b = 4 w_a z_b - 2 delta_ab
@@ -411,7 +421,7 @@ def _separated_pairs(p, tol=COLLISION_TOL):
 
 def _check_membership(domain, p):
     inside = domain.contains(p)
-    if not np.all(inside):
+    if not inside.all():
         raise DomainError("configuration has points outside the domain"
                           + _at_sample(~np.all(inside, axis=-1)))
 
@@ -421,8 +431,8 @@ def eval_H0(sys: VortexSystem, z):
     p = _as_points(z)
     d, dist2 = _separated_pairs(p)
     gg = np.outer(sys.gammas, sys.gammas)
-    iu = np.triu_indices(sys.n, 1)
-    terms = gg[iu] * np.log(dist2[..., iu[0], iu[1]])
+    i, j = _pair_indices(sys.n)
+    terms = gg[i, j] * np.log(dist2[..., i, j])
     # each unordered pair appears twice; log|d| = log(d^2)/2
     return -terms.sum(axis=-1) / (2.0 * np.pi)
 
@@ -431,8 +441,8 @@ def grad_H0(sys: VortexSystem, z):
     """Gradient of ``eval_H0``; block k is -(G_k/pi) sum_j G_j d_kj/|d_kj|^2."""
     p = _as_points(z)
     d, dist2 = _separated_pairs(p)
+    # d_kk = p_k - p_k is exactly 0, so a unit |d_kk|^2 zeroes the k = j term
     idx = np.arange(sys.n)
-    d[..., idx, idx, :] = 0.0
     dist2[..., idx, idx] = 1.0
     field = np.einsum("j,...kjx->...kx", sys.gammas, d / dist2[..., None])
     out = -(sys.gammas[:, None] / np.pi) * field

@@ -66,7 +66,7 @@ def _events(sys: VortexSystem, domain: DomainModel, mode: str, r: float,
 
     if mode == "physical" and np.isfinite(domain.boundary_gap(np.zeros(2))):
         def boundary(t, z):
-            return float(np.min(domain.boundary_gap(z.reshape(-1, 2)))) \
+            return float(domain.boundary_gap(z.reshape(-1, 2)).min()) \
                 - boundary_guard
 
         boundary.terminal = True
@@ -81,7 +81,14 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
               t_eval: np.ndarray | None = None,
               collision_guard: float = COLLISION_GUARD,
               boundary_guard: float = BOUNDARY_GUARD) -> Trajectory:
-    """Integrate one of the vortex systems over [0, T]."""
+    """Integrate one of the vortex systems over [0, T]; ValueError unless T,
+    rtol and atol are finite and positive and t_eval has 2 or more times."""
+    for name, value in (("T", T), ("rtol", rtol), ("atol", atol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if t_eval is not None and np.size(t_eval) < 2:
+        raise ValueError("t_eval must hold at least 2 times, got "
+                         f"{np.size(t_eval)}")
     from scipy.integrate import solve_ivp  # slow import; most commands never integrate
     z0 = np.asarray(z0, dtype=float).ravel()
     if core.min_separation(z0) <= collision_guard:
@@ -119,11 +126,7 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
             f"vortex within {boundary_guard:g} of the boundary", t=t_fail)
     if not sol.success:
         raise MinStepReached(sol.message, t=float(sol.t[-1]))
-    times, states = sol.t, sol.y.T
-    if times[0] == times[-1] or len(times) < 2:
-        times = np.array([0.0, T])
-        states = np.vstack([z0, states[-1]])
-    return Trajectory(times=times, states=states, mode=mode)
+    return Trajectory(times=sol.t, states=sol.y.T, mode=mode)
 
 
 def _energy(sys: VortexSystem, domain: DomainModel, mode: str, r: float,

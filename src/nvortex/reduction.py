@@ -382,7 +382,8 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                 f"fixed point not converged in {params.max_iter} iterations "
                 f"at r={r:.5g} (last step {step_norm:.3e})")
     else:
-        for it in range(1, params.max_iter + 1):
+        # `it` counts the Newton steps taken; 0 when the seed already solves
+        for it in range(params.max_iter):
             res = residual(y)
             res_norm = np.linalg.norm(res)
             if res_norm <= params.newton_tol:
@@ -470,6 +471,8 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
               domain: DomainModel | None = None) -> PhysicalOrbit:
     """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     a0 = np.asarray(a0, dtype=float)
     period = 2 * np.pi * r**2
     times = np.arange(samples) * (period / samples)

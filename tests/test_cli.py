@@ -277,6 +277,23 @@ def test_validate_corrupted_file(tmp_path, capsys):
     assert "diagnostics" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--samples", "0"], "samples"),
+    (["--samples", "-3"], "samples"),
+    (["--rtol", "nan"], "rtol"),
+    (["--rtol", "-1"], "rtol"),
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "-1"], "--tol"),
+])
+def test_validate_bad_argument_exits_2(flags, named, cont_run, capsys):
+    _, out, _ = cont_run
+    fname = sorted(os.path.join(out, f) for f in os.listdir(out)
+                   if f.endswith(".json"))[0]
+    assert main(["validate", "--orbit", fname, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and named in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -298,6 +315,21 @@ def test_simulate_writes_csv_and_svg(tmp_path, capsys):
         body = fh.read()
     assert body.startswith("<svg") and "polyline" in body
     assert "energy_drift" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--time", "1", "--samples", "1"], "--samples"),
+    (["--time", "1", "--samples", "0"], "--samples"),
+    (["--time", "0"], "--time"),
+    (["--time", "inf"], "--time"),
+])
+def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    assert main(["simulate", "--z0", "0.3,0,-0.3,0", *flags,
+                 "--csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and named in err
+    assert not csv.exists()
 
 
 def test_simulate_collision_start_fails(tmp_path):

@@ -103,6 +103,14 @@ def test_velocity_matches_rigid_rotation():
     assert rhs == pytest.approx(expect, abs=1e-14)
 
 
+def test_pair_indices_cached_and_read_only():
+    for n in range(1, 7):
+        iu = core._pair_indices(n)
+        assert core._pair_indices(n) is iu
+        for got, ref in zip(iu, np.triu_indices(n, 1)):
+            assert np.array_equal(got, ref) and not got.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # domains and g
 

@@ -178,6 +178,26 @@ def test_validate_orbit_negative_control(pair_orbit):
     assert errs[0] < errs[1] < errs[2]
 
 
+@pytest.mark.parametrize("T, kwargs, match", [
+    (0.0, {}, "T must"),
+    (-1.0, {}, "T must"),
+    (np.inf, {}, "T must"),
+    (np.nan, {}, "T must"),
+    (1.0, {"t_eval": np.array([1.0])}, "t_eval"),
+    (1.0, {"t_eval": np.array([])}, "t_eval"),
+    (1.0, {"rtol": np.nan}, "rtol"),
+    (1.0, {"rtol": -1.0}, "rtol"),
+    (1.0, {"atol": 0.0}, "atol"),
+])
+def test_integrate_rejects_bad_span_and_tolerances(T, kwargs, match):
+    """No fabricated end state: a span or t_eval with no interval to
+    integrate over, or a tolerance that is not a positive number, is a
+    ValueError."""
+    with pytest.raises(ValueError, match=match):
+        dyn.integrate(VortexSystem([1.0, 1.0]), Plane(), "plane",
+                      np.array([0.3, 0.0, -0.3, 0.0]), T, **kwargs)
+
+
 def test_trajectory_dense_sampling():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))

@@ -82,3 +82,23 @@ def test_trajectory_min_separation_is_core_min_separation(case):
     assert traj.min_separation() == core.min_separation(z)
     per_state = min(core.min_separation(zi) for zi in z)
     assert traj.min_separation() == pytest.approx(per_state, rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: hnp.arrays(
+    float, st.tuples(st.integers(1, 3), st.just(2 * n)),
+    elements=st.floats(-10.0, 10.0))))
+def test_min_separation_is_brute_force_pair_minimum(z):
+    """Batched and single min_separation equal the minimum over i < j of
+    |p_i - p_j|, and inf for a single vortex."""
+    n = z.shape[-1] // 2
+    brute = []
+    for zi in z:
+        p = zi.reshape(n, 2)
+        dists = [np.sqrt((p[i, 0] - p[j, 0]) ** 2 + (p[i, 1] - p[j, 1]) ** 2)
+                 for i in range(n) for j in range(i + 1, n)]
+        brute.append(min(dists, default=np.inf))
+        assert core.min_separation(zi) == pytest.approx(brute[-1], rel=1e-15,
+                                                        abs=0.0)
+    assert core.min_separation(z) == pytest.approx(min(brute), rel=1e-15,
+                                                   abs=0.0)

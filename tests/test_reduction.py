@@ -332,6 +332,22 @@ def test_fixedpoint_newton_agree(pair_setup):
     assert lp.h1_norm(fp.v - nw.v) < 1e-9
 
 
+@pytest.mark.parametrize("r, steps", [(0.1, 2), (1e-3, 0)])
+def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
+    """Newton's `iterations` is the number of steps (LU solves) taken. At
+    r = 1e-3 the equal pair's correction is r^4/pi^2 = 1.0e-13 and the seed
+    residual is already below newton_tol = 1e-11, so no step is taken."""
+    sys2, _, frame, basis = pair_setup
+    solves = []
+    lu_solve = rd.scipy.linalg.lu_solve
+    monkeypatch.setattr(rd.scipy.linalg, "lu_solve",
+                        lambda *a, **k: solves.append(1) or lu_solve(*a, **k))
+    sol = rd.solve_reduced(sys2, UnitDisk(), r, frame,
+                           rd.SolverParams(modes=M, mode="Newton"),
+                           basis=basis)
+    assert sol.iterations == len(solves) == steps
+
+
 def test_solver_equivariance(pair_setup):
     sys2, _, frame, _ = pair_setup
     params = rd.SolverParams(modes=M)
@@ -502,6 +518,12 @@ def test_unrescale_roundtrip(small_path):
     back = orbit.samples / sol.r
     expect = sol.u.eval(orbit.times / sol.r**2)
     assert np.max(np.abs(back - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_unrescale_rejects_no_samples(samples, pair_setup):
+    with pytest.raises(ValueError, match="samples"):
+        rd.unrescale(np.zeros(2), 0.1, pair_setup[2].Z, samples)
 
 
 def test_orbit_file_roundtrip(small_path, pair_setup, tmp_path):
