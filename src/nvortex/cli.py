@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import os
 import sys
@@ -312,6 +313,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--time must be finite and positive, got {args.time}")
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    if not (np.isfinite(args.r) and args.r >= 0):
+        raise ValueError(f"--r must be finite and non-negative, got {args.r}")
     domain = cfg.domain if args.mode != "plane" else core.Plane()
     t_eval = np.linspace(0.0, args.time, args.samples)
     traj = dynamics.integrate(vsys, domain, args.mode, z0, args.time,
@@ -376,7 +379,10 @@ def cmd_robin(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nvortex` parser, built on the first call and shared after it;
+    parsing never changes it, so every `main` call parses afresh."""
     parser = argparse.ArgumentParser(
         prog="nvortex",
         description="Point-vortex equilibria, periodic orbits near an "

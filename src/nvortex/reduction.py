@@ -473,6 +473,8 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
     """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"r must be finite and positive, got {r}")
     a0 = np.asarray(a0, dtype=float)
     period = 2 * np.pi * r**2
     times = np.arange(samples) * (period / samples)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nvortex
+from nvortex import cli
 from nvortex import loops as lp
 from nvortex.cli import main, load_config
 
@@ -33,6 +34,15 @@ r_min = 0.01
 dir = {out}
 prefix = orb
 """
+
+
+# a well-formed orbit file by hand: two vortices circling a0 = 0 at r = 0.1
+ORBIT_DOC = {"schema_version": 1, "system": {"gammas": [1.0, 1.0]},
+             "domain": {"variant": "disk", "params": {}}, "a0": [0.0, 0.0],
+             "r": 0.1, "omega_seed": 1.0,
+             "loop": {"n": 2, "modes": 1,
+                      "coeffs": [[0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, -1]]},
+             "diagnostics": {}}
 
 
 def _write(path, text):
@@ -104,6 +114,43 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+PAIR_CHECK = ["equilibrium", "--type", "pair", "--gamma", "1,1",
+              "--sep", "2.0", "--check"]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_keeps_no_flag_from_an_earlier_call(capsys):
+    assert main(["continue", "--dump-config", "--modes", "8"]) == 0
+    assert "modes = 8\n" in capsys.readouterr().out
+    assert main(["continue", "--dump-config"]) == 0
+    assert "modes = 32\n" in capsys.readouterr().out
+
+    assert main(PAIR_CHECK) == 0
+    assert "verdict:" in capsys.readouterr().out
+    assert main(PAIR_CHECK[:-1]) == 0
+    assert "verdict:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["equilibrium", "--type", "pair", "--sep", "2.0"], 2),  # no --gamma
+    (["equilibrium", "--help"], 0),
+])
+def test_parser_exit_leaves_next_call_unchanged(argv, code, capsys):
+    cli.build_parser.cache_clear()
+    first = main(PAIR_CHECK), capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    capsys.readouterr()
+    assert (main(PAIR_CHECK), capsys.readouterr().out) == first
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +310,21 @@ def test_validate_corrupted_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["validate", "--orbit", missing]) == 2
     # a well-formed orbit file validates; without diagnostics it is rejected
-    doc = {"schema_version": 1, "system": {"gammas": [1.0, 1.0]},
-           "domain": {"variant": "disk", "params": {}}, "a0": [0.0, 0.0],
-           "r": 0.1, "omega_seed": 1.0,
-           "loop": {"n": 2, "modes": 1,
-                    "coeffs": [[0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, -1]]},
-           "diagnostics": {}}
+    doc = dict(ORBIT_DOC)
     orbit = _write(tmp_path / "orbit.json", json.dumps(doc))
     assert main(["validate", "--orbit", orbit, "--samples", "16"]) != 2
     del doc["diagnostics"]
     orbit = _write(tmp_path / "no_diag.json", json.dumps(doc))
     assert main(["validate", "--orbit", orbit, "--samples", "16"]) == 2
     assert "diagnostics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [0.0, -0.1, float("nan"), float("inf")])
+def test_validate_bad_orbit_r_exits_2(r, tmp_path, capsys):
+    orbit = _write(tmp_path / "orbit.json", json.dumps({**ORBIT_DOC, "r": r}))
+    assert main(["validate", "--orbit", orbit, "--samples", "16"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "r must be finite and positive" in err
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -322,6 +372,8 @@ def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     (["--time", "1", "--samples", "0"], "--samples"),
     (["--time", "0"], "--time"),
     (["--time", "inf"], "--time"),
+    *((["--time", "1", "--mode", mode, "--r", r], "--r")
+      for r in ("nan", "inf", "-1") for mode in ("physical", "rescaled")),
 ])
 def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys):
     csv = tmp_path / "t.csv"
@@ -330,6 +382,12 @@ def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid input" in err and named in err
     assert not csv.exists()
+
+
+def test_simulate_rescaled_at_r_zero(tmp_path):
+    assert main(["simulate", "--z0", "0.3,0,-0.3,0", "--time", "1",
+                 "--mode", "rescaled", "--r", "0",
+                 "--csv", str(tmp_path / "t.csv")]) == 0
 
 
 def test_simulate_collision_start_fails(tmp_path):

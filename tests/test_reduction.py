@@ -526,6 +526,12 @@ def test_unrescale_rejects_no_samples(samples, pair_setup):
         rd.unrescale(np.zeros(2), 0.1, pair_setup[2].Z, samples)
 
 
+@pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf])
+def test_unrescale_rejects_bad_r(r, pair_setup):
+    with pytest.raises(ValueError, match="r must be finite and positive"):
+        rd.unrescale(np.zeros(2), r, pair_setup[2].Z, 16)
+
+
 def test_orbit_file_roundtrip(small_path, pair_setup, tmp_path):
     sys2, pair, _, _ = pair_setup
     sol = small_path.entries[0]
