@@ -337,11 +337,17 @@ def cmd_validate(args) -> int:
         domain = core.domain_from_spec(doc["domain"]["variant"],
                                        doc["domain"]["params"])
         u = loops.loop_from_dict(doc["loop"])
-        a0 = np.array(doc["a0"])
+        a0 = np.array(doc["a0"], dtype=float)
+        if vsys.n != u.n:
+            raise ValueError(f"gammas has {vsys.n} entries for {u.n} vortices")
+        if a0.shape != (2,):
+            raise ValueError(f"a0 must be one point (2 numbers), got {doc['a0']}")
+        if not isinstance(doc["r"], (int, float)):
+            raise ValueError(f"r must be a number, got {doc['r']!r}")
         r = float(doc["r"])
         if "diagnostics" not in doc:  # part of the schema, though unread here
             raise KeyError("diagnostics")
-    except (VortexError, KeyError, ValueError, OSError) as exc:
+    except (VortexError, KeyError, TypeError, ValueError, OSError) as exc:
         print(f"cannot read orbit file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     orbit = reduction.unrescale(a0, r, u, args.samples, domain=domain)

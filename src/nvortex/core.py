@@ -69,14 +69,17 @@ class VortexSystem:
     gammas: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gammas, dtype=float))
+        g = np.array(self.gammas, dtype=float, ndmin=1)  # a private copy
         if g.ndim != 1 or g.size == 0:
             raise ValueError("gammas must be a nonempty vector")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"every vorticity must be finite, got {g}")
         if np.any(g == 0.0):
             raise ValueError("every vorticity must be nonzero")
-        object.__setattr__(self, "gammas", g)
+        # gammas and the columns scaling grad_H0 and grad_F, all read-only
+        for name, a in (("gammas", g), ("_h0_col", -(g[:, None] / np.pi)),
+                        ("_f_col", 2.0 * g[:, None])):
+            object.__setattr__(self, name, _read_only(a))
 
     @property
     def n(self) -> int:
@@ -94,8 +97,24 @@ class VortexSystem:
         return np.diag(self.m_gamma_diag())
 
     def j_n(self) -> np.ndarray:
-        """Block-diagonal symplectic matrix: N copies of J2."""
-        return np.kron(np.eye(self.n), J2)
+        """Block-diagonal symplectic matrix: N copies of J2 (read-only)."""
+        return _j_n(self.n)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache
+def _j_n(n: int):
+    return _read_only(np.kron(np.eye(n), J2))
+
+
+@functools.lru_cache
+def _eye(n: int):
+    """The n x n identity, built once per n and read-only."""
+    return _read_only(np.eye(n))
 
 
 def _as_points(z):
@@ -118,10 +137,7 @@ def _pair_differences(p):
 def _pair_indices(n: int):
     """Row and column indices of the pairs j < k of n points, as
     ``np.triu_indices(n, 1)``; built once per n and read-only."""
-    iu = np.triu_indices(n, 1)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
+    return tuple(_read_only(a) for a in np.triu_indices(n, 1))
 
 
 def _min_dist2(dist2):
@@ -305,11 +321,11 @@ class HalfPlane(DomainModel):
         return p[..., 1]
 
 
-class SyntheticQuadratic(DomainModel):
+class SyntheticQuadratic(Plane):
     """Synthetic regular part g(w, z) = w^T A z on the whole plane.
 
     Useful as an exactly-solvable test family: h(p) = p^T A p, and all
-    second derivatives are constant.
+    second derivatives are constant (``g_ww`` is the plane's zero).
     """
 
     variant = "quadratic"
@@ -333,17 +349,9 @@ class SyntheticQuadratic(DomainModel):
         out = z @ self.a_matrix.T
         return np.broadcast_to(out, np.broadcast_shapes(w.shape, out.shape)).copy()
 
-    def g_ww(self, w, z):
-        shape = np.broadcast_shapes(np.shape(w), np.shape(z))
-        return np.zeros(shape + (2,))
-
     def g_wz(self, w, z):
         shape = np.broadcast_shapes(np.shape(w), np.shape(z))
         return np.broadcast_to(self.a_matrix, shape + (2,)).copy()
-
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.ones(p.shape[:-1], dtype=bool)
 
     def params(self) -> dict:
         return {"a_matrix": self.a_matrix.tolist()}
@@ -439,14 +447,17 @@ def eval_H0(sys: VortexSystem, z):
 
 def grad_H0(sys: VortexSystem, z):
     """Gradient of ``eval_H0``; block k is -(G_k/pi) sum_j G_j d_kj/|d_kj|^2."""
-    p = _as_points(z)
+    z = np.asarray(z, dtype=float)
+    return _grad_H0(sys, _as_points(z)).reshape(z.shape)
+
+
+def _grad_H0(sys, p):
+    """``grad_H0`` at checked points p of shape (..., N, 2), in that shape."""
     d, dist2 = _separated_pairs(p)
     # d_kk = p_k - p_k is exactly 0, so a unit |d_kk|^2 zeroes the k = j term
-    idx = np.arange(sys.n)
-    dist2[..., idx, idx] = 1.0
-    field = np.einsum("j,...kjx->...kx", sys.gammas, d / dist2[..., None])
-    out = -(sys.gammas[:, None] / np.pi) * field
-    return out.reshape(np.asarray(z, dtype=float).shape)
+    field = np.einsum("j,...kjx->...kx", sys.gammas,
+                      d / (dist2 + _eye(sys.n))[..., None])
+    return sys._h0_col * field
 
 
 def _assemble_pairs(off, diag):
@@ -468,14 +479,14 @@ def hess_H0(sys: VortexSystem, z):
     p = _as_points(z)
     d, dist2 = _separated_pairs(p)
     n = sys.n
-    dist2[..., np.arange(n), np.arange(n)] = 1.0
+    dist2 = dist2 + _eye(n)
     # K(d) = I/|d|^2 - 2 d d^T / |d|^4, the Jacobian of d/|d|^2
     K = np.eye(2) / dist2[..., None, None] - 2.0 * (
         d[..., :, None] * d[..., None, :]
     ) / (dist2**2)[..., None, None]
     off = (np.outer(sys.gammas, sys.gammas)[..., None, None] / np.pi) * K
     # diagonal blocks are minus the row sums of the off-diagonal ones
-    diag = -np.einsum("...kjab,kj->...kab", off, 1.0 - np.eye(n))
+    diag = -np.einsum("...kjab,kj->...kab", off, 1.0 - _eye(n))
     return _assemble_pairs(off, diag)
 
 
@@ -488,11 +499,15 @@ def eval_F(sys: VortexSystem, domain: DomainModel, z):
 
 
 def grad_F(sys: VortexSystem, domain: DomainModel, z):
-    p = _as_points(z)
+    z = np.asarray(z, dtype=float)
+    return _grad_F(sys, domain, _as_points(z)).reshape(z.shape)
+
+
+def _grad_F(sys, domain, p):
+    """``grad_F`` at checked points p of shape (..., N, 2), in that shape."""
     _check_membership(domain, p)
     gw = domain.g_w(p[..., :, None, :], p[..., None, :, :])
-    out = 2.0 * sys.gammas[:, None] * np.einsum("k,...jkx->...jx", sys.gammas, gw)
-    return out.reshape(np.asarray(z, dtype=float).shape)
+    return sys._f_col * np.einsum("k,...jkx->...jx", sys.gammas, gw)
 
 
 def hess_F(sys: VortexSystem, domain: DomainModel, z):
@@ -508,7 +523,7 @@ def hess_F(sys: VortexSystem, domain: DomainModel, z):
     idx = np.arange(n)
 
     # diagonal blocks: cross terms with the other vortices plus the Robin term
-    cross = 2.0 * np.einsum("jk,...jkab->...jab", gg * (1.0 - np.eye(n)), gww)
+    cross = 2.0 * np.einsum("jk,...jkab->...jab", gg * (1.0 - _eye(n)), gww)
     gwz_d = gwz[..., idx, idx, :, :]
     gww_d = gww[..., idx, idx, :, :]
     hpp = 2.0 * (gww_d + 0.5 * (gwz_d + np.swapaxes(gwz_d, -1, -2)))
@@ -567,12 +582,17 @@ def eval_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
 
 
 def grad_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
+    u = np.asarray(u, dtype=float)
+    return _grad_Hr(sys, domain, r, _as_points(u)).reshape(u.shape)
+
+
+def _grad_Hr(sys, domain, r, p):
+    """``grad_Hr`` at checked points p of shape (..., N, 2), in that shape."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    out = grad_H0(sys, u)
+    out = _grad_H0(sys, p)
     if r > 0:
-        out = out - r * grad_F(sys, domain, r * u)
+        out = out - r * _grad_F(sys, domain, r * p)
     return out
 
 
@@ -584,13 +604,12 @@ def vortex_rhs(sys: VortexSystem, domain: DomainModel, z, r: float = 0.0,
     at actual domain positions; otherwise ``r`` selects H0 (r=0) or H_r.
     """
     z = np.asarray(z, dtype=float)
+    p = _as_points(z)  # the one conversion and finiteness check
     if physical:
-        grad = grad_H0(sys, z) - grad_F(sys, domain, z)
+        grad = _grad_H0(sys, p) - _grad_F(sys, domain, p)
     else:
-        grad = grad_Hr(sys, domain, r, z)
-    blocks = grad.reshape(grad.shape[:-1] + (sys.n, 2))
-    out = (blocks @ J2.T) / sys.gammas[:, None]
-    return out.reshape(z.shape)
+        grad = _grad_Hr(sys, domain, r, p)
+    return ((grad @ J2.T) / sys.gammas[:, None]).reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

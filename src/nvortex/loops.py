@@ -87,10 +87,6 @@ class Loop:
         return Loop(-self.coeffs)
 
 
-def zero_loop(n: int, modes: int) -> Loop:
-    return Loop(np.zeros((2 * modes + 1, 2 * n)))
-
-
 def constant_loop(value: np.ndarray, modes: int) -> Loop:
     value = np.asarray(value, dtype=float)
     c = np.zeros((2 * modes + 1, value.size))

@@ -470,7 +470,8 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
 
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
               domain: DomainModel | None = None) -> PhysicalOrbit:
-    """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2."""
+    """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2; ValueError
+    unless r > 0 and a0 and every sample are finite."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not (np.isfinite(r) and r > 0):
@@ -480,6 +481,8 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
     times = np.arange(samples) * (period / samples)
     phases = times / r**2
     pts = np.tile(a0, u.n) + r * u.eval(phases)
+    if not np.isfinite(pts).all():  # a non-finite a0 reaches every sample
+        raise ValueError(f"a0 and the loop must be finite, got a0 = {a0}")
     if domain is not None:
         z = pts.reshape(samples, -1, 2)
         if not np.all(domain.contains(z)):

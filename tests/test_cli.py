@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -319,12 +320,39 @@ def test_validate_corrupted_file(tmp_path, capsys):
     assert "diagnostics" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("r", [0.0, -0.1, float("nan"), float("inf")])
-def test_validate_bad_orbit_r_exits_2(r, tmp_path, capsys):
-    orbit = _write(tmp_path / "orbit.json", json.dumps({**ORBIT_DOC, "r": r}))
-    assert main(["validate", "--orbit", orbit, "--samples", "16"]) == 2
-    err = capsys.readouterr().err
-    assert "invalid input" in err and "r must be finite and positive" in err
+_NAN_COEFFS = [[0, 0, 0, 0], [1, 0, -1, float("nan")], [0, 1, 0, -1]]
+
+
+@pytest.mark.parametrize("changes, message", [
+    *(pytest.param({"r": r}, "invalid input: r must be finite and positive",
+                   id=str(r)) for r in (0.0, -0.1, float("nan"), float("inf"))),
+    pytest.param({"r": [0.1]}, "cannot read orbit file: r must be a number",
+                 id="r-list"),
+    pytest.param({"r": None}, "cannot read orbit file: r must be a number",
+                 id="r-null"),
+    pytest.param({"system": {"gammas": [1.0, 1.0, 1.0]}},
+                 "cannot read orbit file: gammas has 3 entries for 2 vortices",
+                 id="3-gammas"),
+    pytest.param({"system": {"gammas": [1.0]}},
+                 "cannot read orbit file: gammas has 1 entries for 2 vortices",
+                 id="1-gamma"),
+    pytest.param({"a0": [0.0, 0.0, 0.0]},
+                 "cannot read orbit file: a0 must be one point", id="a0-len3"),
+    pytest.param({"a0": {"x": 0.0}}, "cannot read orbit file", id="a0-dict"),
+    pytest.param({"a0": [float("nan"), 0.0]},
+                 "invalid input: a0 and the loop must be finite", id="a0-nan"),
+    pytest.param({"loop": {**ORBIT_DOC["loop"], "coeffs": _NAN_COEFFS}},
+                 "invalid input: a0 and the loop must be finite",
+                 id="coeff-nan"),
+])
+def test_validate_bad_orbit_r_exits_2(changes, message, tmp_path, capsys):
+    """An orbit file whose r, gammas, a0 or loop is malformed or disagrees
+    with the rest exits 2 with the field named, never 1 or a traceback."""
+    orbit = _write(tmp_path / "orbit.json", json.dumps({**ORBIT_DOC, **changes}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--orbit", orbit, "--samples", "16"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, named", [

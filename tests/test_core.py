@@ -104,11 +104,26 @@ def test_velocity_matches_rigid_rotation():
 
 
 def test_pair_indices_cached_and_read_only():
+    """The pair indices, the identity, J_N and the per-system columns are
+    built once (per n or per system), read-only and equal to fresh ones."""
     for n in range(1, 7):
         iu = core._pair_indices(n)
         assert core._pair_indices(n) is iu
         for got, ref in zip(iu, np.triu_indices(n, 1)):
             assert np.array_equal(got, ref) and not got.flags.writeable
+        assert core._eye(n) is core._eye(n)
+        gammas = RNG.uniform(0.2, 2.0, n) * RNG.choice([-1.0, 1.0], n)
+        vsys = VortexSystem(gammas)
+        assert vsys.j_n() is VortexSystem(gammas[::-1]).j_n()
+        for got, ref in [(core._eye(n), np.eye(n)),
+                         (vsys.j_n(), np.kron(np.eye(n), core.J2)),
+                         (vsys.gammas, gammas),
+                         (vsys._h0_col, -(gammas[:, None] / np.pi)),
+                         (vsys._f_col, 2.0 * gammas[:, None])]:
+            assert np.array_equal(got, ref) and not got.flags.writeable
+        # the system keeps its own copy: changing the input changes nothing
+        gammas[0] = 7.0
+        assert vsys.gammas[0] != 7.0 and vsys._f_col[0, 0] != 14.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from nvortex import core
 from nvortex.core import HalfPlane, Plane, SyntheticQuadratic, UnitDisk, VortexSystem
 from nvortex.dynamics import Trajectory
+from nvortex.errors import CollisionError, DomainError
 
 MIN_SEP = 0.05
 
@@ -71,6 +72,59 @@ def test_hessians_match_central_difference_of_gradients(case):
         zip(*(grads(sys_, domain, z0 - e) for e in steps)))]
     for H, ref in zip(hessians(sys_, domain, z0), fd):
         assert np.max(np.abs(H - ref)) <= 1e-5 * max(1.0, np.max(np.abs(H)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.just(0.0) | st.floats(1e-3, 1.0))
+def test_vortex_rhs_is_block_J_grad_over_gamma(case, r):
+    """In every mode vortex_rhs, which checks the configuration once, equals
+    block by block J grad_k / G_k built from the public gradients.  (Below
+    about r = 1e-150, r u in the half-plane is so near y = 0 that g_w
+    overflows.)"""
+    sys_, domain, z = case
+
+    def field(grad):
+        g = grad.reshape(grad.shape[:-1] + (sys_.n, 2))
+        # J2 (gx, gy) = (gy, -gx)
+        return (np.stack([g[..., 1], -g[..., 0]], axis=-1)
+                / sys_.gammas[:, None]).reshape(grad.shape)
+
+    for zz in (z, z[0]):
+        assert np.array_equal(
+            core.vortex_rhs(sys_, domain, zz, physical=True),
+            field(core.grad_H0(sys_, zz) - core.grad_F(sys_, domain, zz)))
+        assert np.array_equal(core.vortex_rhs(sys_, domain, zz, r=r),
+                              field(core.grad_Hr(sys_, domain, r, zz)))
+        assert np.array_equal(core.vortex_rhs(sys_, Plane(), zz),
+                              field(core.grad_H0(sys_, zz)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.floats(0.1, 1.0))
+def test_vortex_rhs_rejects_bad_configurations(case, r):
+    """A NaN, a collision or (in a bounded domain) a point outside still
+    stops vortex_rhs with its error in every mode that reads it."""
+    sys_, domain, z = case
+    modes = [dict(physical=True), dict(r=r), dict(r=0.0)]
+    bad = z.copy()
+    bad[-1, 0] = np.nan
+    for mode in modes:
+        with pytest.raises(ValueError, match="finite"):
+            core.vortex_rhs(sys_, domain, bad, **mode)
+    bad = z.copy()
+    bad[-1, 2:4] = bad[-1, 0:2]
+    for mode in modes:
+        with pytest.raises(CollisionError):
+            core.vortex_rhs(sys_, domain, bad, **mode)
+    outside = {"disk": [1.5, 0.0], "halfplane": [0.0, -1.0]}.get(domain.variant)
+    if outside is not None:
+        bad = z.copy()
+        bad[-1, 0:2] = outside
+        with pytest.raises(DomainError):
+            core.vortex_rhs(sys_, domain, bad, physical=True)
+        bad[-1, 0:2] = np.divide(outside, r)
+        with pytest.raises(DomainError):
+            core.vortex_rhs(sys_, domain, bad, r=r)
 
 
 @settings(max_examples=60, deadline=None)

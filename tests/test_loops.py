@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nvortex import equilibria as eq, loops as lp, reduction as rd
 from nvortex.errors import AliasWarning, DimensionMismatch, VorticityMismatch
@@ -16,6 +18,14 @@ def random_loop(modes=M, n=N, rng=RNG):
     return lp.Loop(rng.normal(size=(2 * modes + 1, 2 * n)))
 
 
+@st.composite
+def loops(draw):
+    """Loops with 1-16 modes, 1-4 vortices and coefficients in [-1, 1]."""
+    modes, n = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    return lp.Loop(draw(hnp.arrays(float, (2 * modes + 1, 2 * n),
+                                   elements=st.floats(-1.0, 1.0))))
+
+
 @pytest.fixture(scope="module")
 def frame():
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
@@ -25,13 +35,14 @@ def frame():
 # ---------------------------------------------------------------------------
 # inner products
 
-def test_parseval_vs_quadrature():
-    u = random_loop()
-    m = 8 * M
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_parseval_vs_quadrature(u):
+    m = 8 * u.modes
     t = lp.sample_times(m)
     vals, dvals = u.eval(t), lp.differentiate(u).eval(t)
     quad = 2 * np.pi / m * (np.sum(vals**2) + np.sum(dvals**2))
-    assert abs(quad - lp.h1_inner(u, u)) / quad < 1e-10
+    assert abs(quad - lp.h1_inner(u, u)) <= 1e-10 * quad
 
 
 def test_constant_loop_norms(frame):
@@ -83,13 +94,12 @@ def test_smoothing_adjoint_identity():
     assert abs(lhs - lp.l2_inner(u, v)) < 1e-10 * abs(lhs)
 
 
-def test_time_shift_isometry_and_eval():
-    u = random_loop()
-    theta = 1.234
+@settings(max_examples=60, deadline=None)
+@given(loops(), st.floats(-10.0, 10.0), st.floats(0.0, 2 * np.pi))
+def test_time_shift_isometry_and_eval(u, theta, t):
     shifted = lp.time_shift(theta, u)
     assert abs(lp.h1_norm(shifted) - lp.h1_norm(u)) < 1e-12
     assert abs(lp.l2_inner(shifted, shifted) - lp.l2_inner(u, u)) < 1e-10
-    t = 0.71
     assert np.allclose(shifted.eval(t), u.eval(t + theta), atol=1e-12)
     assert np.allclose(lp.time_shift(0.0, u).coeffs, u.coeffs)
 
