@@ -100,6 +100,13 @@ class VortexSystem:
         """Block-diagonal symplectic matrix: N copies of J2 (read-only)."""
         return _j_n(self.n)
 
+    def __eq__(self, other):  # value semantics on the read-only gammas
+        return (np.array_equal(self.gammas, other.gammas)
+                if isinstance(other, VortexSystem) else NotImplemented)
+
+    def __hash__(self):
+        return hash(self.gammas.tobytes())
+
 
 def _read_only(a):
     a.flags.writeable = False
@@ -286,25 +293,26 @@ class HalfPlane(DomainModel):
     variant = "halfplane"
 
     _R = np.array([[1.0, 0.0], [0.0, -1.0]])
+    _MIN_D2 = np.sqrt(np.finfo(float).tiny)  # 1/|d|^4 in g_ww stays finite
 
     def _d(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return w - z @ self._R
+        """d = w - Rz and |d|^2; BoundaryError if g_ww would not be finite."""
+        d = np.asarray(w, dtype=float) - np.asarray(z, dtype=float) @ self._R
+        d2 = np.einsum("...x,...x->...", d, d)
+        if d2.min() < self._MIN_D2:
+            raise BoundaryError("points too close to the boundary y = 0")
+        return d, d2
 
     def g(self, w, z):
-        d = self._d(w, z)
-        d2 = np.einsum("...x,...x->...", d, d)
-        return -np.log(d2) / (4.0 * np.pi)
+        return -np.log(self._d(w, z)[1]) / (4.0 * np.pi)
 
     def g_w(self, w, z):
-        d = self._d(w, z)
-        d2 = np.einsum("...x,...x->...", d, d)
+        d, d2 = self._d(w, z)
         return -d / (2.0 * np.pi * d2[..., None])
 
     def g_ww(self, w, z):
-        d = self._d(w, z)
-        d2 = np.einsum("...x,...x->...", d, d)[..., None, None]
+        d, d2 = self._d(w, z)
+        d2 = d2[..., None, None]
         outer = d[..., :, None] * d[..., None, :]
         return -(np.eye(2) / d2 - 2.0 * outer / d2**2) / (2.0 * np.pi)
 

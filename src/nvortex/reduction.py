@@ -10,8 +10,9 @@ as zeros of the H^1 gradient of the action
     J_r(u) = 1/2 int M_Gamma u' . J_N u  -  int H_r(u).
 
 Writing u = Z + v with Z the rigidly rotating seed, the correction v is
-found in the subspace X (H^1-orthogonal complement of the phase
-direction Z') either by the frozen-Jacobian fixed-point iteration
+found in the odd part of X, the H^1-orthogonal complement of the phase
+direction Z' (v(t + pi) = -v(t), as H_r is even about a0), either by the
+frozen-Jacobian fixed-point iteration
 
     v  <-  v - L_r^{-1} [P_X grad J_r(Z + v)]
 
@@ -166,12 +167,9 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
 
 @dataclass(frozen=True)
 class XBasis:
-    """H^1-orthonormal basis of X = (R Z')^perp, or of its part in some
-    Fourier modes, as flattened columns; column j lies in mode col_modes[j].
-
-    D (the normalized constant translations) is in the basis exactly when
-    mode 0 is, as its first two columns; the rest span N_Z.  weights is the
-    diagonal H^1 Gram in flat coordinates.
+    """H^1-orthonormal basis of the odd part of X = (R Z')^perp, the loops
+    of X with u(t + pi) = -u(t), as flattened columns; column j lies in
+    mode col_modes[j].  weights is the diagonal H^1 Gram in flat coordinates.
     """
 
     matrix: np.ndarray  # (dim_total, dim_X)
@@ -184,16 +182,6 @@ class XBasis:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def d_dim(self) -> int:
-        return 2 if self.col_modes[0] == 0 else 0
-
-    def odd_part(self) -> "XBasis":
-        """Columns in odd modes: they span the loops of X with u(t+pi) = -u(t)."""
-        keep = self.col_modes % 2 == 1
-        return XBasis(self.matrix[:, keep], self.weights, self.n, self.modes,
-                      self.col_modes[keep])
-
     def coords(self, u: Loop) -> np.ndarray:
         return self.matrix.T @ (self.weights * loops.flatten(u.pad(self.modes)))
 
@@ -205,27 +193,29 @@ class XBasis:
 
 
 def build_x_basis(frame: LoopFrame) -> XBasis:
-    """Mode by mode: e1, e2 and the rest of the constants in mode 0, the
-    complement of Z' in mode 1 (Z is a one-mode rotation), and the unit
-    coefficients in each mode k >= 2, all scaled to unit H^1 norm."""
+    """Mode by mode: the complement of Z' in mode 1 (Z is a one-mode
+    rotation), then the unit coefficients of each odd mode k >= 3, all
+    scaled to unit H^1 norm."""
     n, modes, zdot = frame.n, frame.modes, frame.Zdot.coeffs
     if np.any(zdot[0]) or np.any(zdot[3:]):
         raise DegenerateFrame("the phase direction Z' must lie in mode 1")
-    e = np.tile(np.eye(2), n).T / np.sqrt(n)
     w = loops.h1_weight_vector(n, modes)
-    mat = scipy.linalg.block_diag(
-        np.hstack([e, scipy.linalg.null_space(e.T)]),
-        scipy.linalg.null_space(zdot[1:3].reshape(1, -1)),
-        np.eye(w.size - 6 * n)) / np.sqrt(w)[:, None]
-    col_modes = np.repeat(np.arange(modes + 1),
-                          [2 * n, 4 * n - 1] + [4 * n] * (modes - 1))
+    flat_modes = (np.arange(w.size) // (2 * n) + 1) // 2
+    high = np.flatnonzero((flat_modes % 2 == 1) & (flat_modes >= 3))
+    k1 = 4 * n - 1  # columns in mode 1
+    # column-major: the Gram product B^T K B rounds differently on a
+    # row-major B, which moves orbit coefficients by about 1e-30
+    mat = np.zeros((w.size, k1 + high.size), order="F")
+    mat[2 * n:6 * n, :k1] = scipy.linalg.null_space(zdot[1:3].reshape(1, -1))
+    mat[high, k1 + np.arange(high.size)] = 1.0
+    mat /= np.sqrt(w)[:, None]
+    col_modes = np.concatenate([np.ones(k1, int), flat_modes[high]])
     return XBasis(matrix=mat, weights=w, n=n, modes=modes, col_modes=col_modes)
 
 
 @dataclass(frozen=True)
 class OperatorReport:
-    matrix: np.ndarray  # over the columns of `basis`
-    basis: XBasis  # the columns kept: all of X, or its odd part
+    matrix: np.ndarray  # over the columns of the odd X basis
     d0_matrix: np.ndarray  # 2x2 D-block of (L_r - L_0-part)/r^2 in the e-hat basis
 
 
@@ -258,10 +248,10 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     with S the synthesis matrix, plus -pi k JM at (a_k, b_k) and +pi k JM at
     (b_k, a_k) from the linear term, JM = J_N M_Gamma.
 
-    When H0'' along the base and F'' along r*base both repeat after half a
-    period, DPhi_r keeps odd and even modes apart, and the odd part of X
-    holds the orbit (u(t + pi) = -u(t) for an odd base): only the odd
-    columns of the basis are kept then.
+    H0'' along the base and F'' along r*base must both repeat after half a
+    period (H_r even about a0, and an odd base): then DPhi_r keeps odd and
+    even modes apart, and the odd part of X holds the orbit.  Otherwise
+    ValueError: no other subspace is solved on.
     """
     basis = basis or build_x_basis(frame)
     base = base or frame.Z
@@ -281,8 +271,9 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
         d0 = fmats.mean(axis=0).reshape(n, 2, n, 2).sum(axis=(0, 2)) / n
     else:
         d0 = np.zeros((2, 2))
-    if even:
-        basis = basis.odd_part()
+    if not even:
+        raise ValueError("H_r is not even about a0: its Hessians along the "
+                         "base do not repeat after half a period")
 
     # coefficient rows a0, a1, b1, ... of the modes that the basis uses
     rows = np.flatnonzero(np.isin(np.arange(1, 2 * modes + 2) // 2,
@@ -304,7 +295,7 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     L = B.T @ K @ B
     L = 0.5 * (L + L.T)  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
 
-    cond_A = _sym_cond(L[basis.d_dim:, basis.d_dim:])
+    cond_A = _sym_cond(L)
     # D tends to r^2 (Gamma^2/N) h''(a0), so cond(D) tests the nondegeneracy
     # of a0; it vanishes identically when F has no effect (plane, r = 0)
     cond_D = np.linalg.cond(d0) if d0.any() else 1.0
@@ -312,7 +303,7 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
         raise SingularOperator(
             f"ill-conditioned reduced operator: cond(A)={cond_A:.3e}, "
             f"cond(D)={cond_D:.3e}")
-    return OperatorReport(matrix=L, basis=basis, d0_matrix=d0)
+    return OperatorReport(matrix=L, d0_matrix=d0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +334,9 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                   frame: LoopFrame, params: SolverParams,
                   warm_start: Loop | None = None,
                   basis: XBasis | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for v over the columns of X that the
-    operator at the seed keeps (the odd part when H_r is even about a0)."""
+    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X."""
+    basis = basis or build_x_basis(frame)
     operator = assemble_L_r(sys, domain, r, frame, basis=basis)
-    basis = operator.basis
 
     def residual(y):
         return basis.coords(grad_J_r(sys, domain, r, frame.Z + basis.to_loop(y)))

@@ -384,6 +384,39 @@ def test_quadratic_domain_rejects_non_finite_matrix(bad):
         SyntheticQuadratic(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_halfplane_field_next_to_the_boundary_raises():
+    """At y = 1e-200 the image distance |w - Rz|^2 underflows to 0; both
+    fields raise BoundaryError instead of returning NaN with a warning."""
+    sys2 = VortexSystem([1.0, 1.0])
+    with pytest.raises(BoundaryError, match="too close to the boundary"):
+        core.vortex_rhs(sys2, HalfPlane(), [0.0, 1e-200, 1.0, 1e-200],
+                        physical=True)
+    for r in (3.8e-307, 1e-100):
+        with pytest.raises(BoundaryError, match="too close to the boundary"):
+            core.vortex_rhs(sys2, HalfPlane(), [0.0, 1.0, 1.0, 1.0], r=r)
+    # a little further out the field is finite: each vortex's own image,
+    # G_k^2 h(z_k) in F with h = -log(4 y^2)/4pi, drives it along the wall at
+    # (1/G_k) G_k^2 / (2 pi y), and the other vortex and its image (a
+    # distance 2y apart) cancel each other's vertical velocity up to O(y)
+    y = 1e-70
+    rhs = core.vortex_rhs(sys2, HalfPlane(), [0.0, y, 1.0, y], physical=True)
+    assert rhs == pytest.approx([1 / (2 * np.pi * y), 0.0] * 2, rel=1e-12,
+                                abs=1e-12)
+
+
+def test_vortex_system_value_semantics():
+    a = VortexSystem([1.0, 1.0])
+    assert a == VortexSystem(np.array([1.0, 1.0]))
+    assert hash(a) == hash(VortexSystem([1, 1]))
+    assert a != VortexSystem([1.0, 2.0])
+    assert a != VortexSystem([1.0, 1.0, 1.0])
+    assert a != (1.0, 1.0)
+    table = {a: "pair", VortexSystem([1.0, 1.0, 1.0]): "thomson"}
+    assert table[VortexSystem([1.0, 1.0])] == "pair"
+    assert len({a, VortexSystem([1.0, 1.0]), VortexSystem([1.0, 2.0])}) == 2
+
+
 def test_domain_serialization_roundtrip():
     for dom in (Plane(), UnitDisk(), HalfPlane(),
                 SyntheticQuadratic(np.array([[1.0, 0.2], [0.2, 3.0]]))):

@@ -126,8 +126,9 @@ def test_shift_commutes_with_operators():
 # projections: project_D and the solver's X projector P = B B^T diag(w)
 
 def x_projector(frame):
-    """Matrix of the H^1-orthogonal projection onto X = (R Zdot)^perp over
-    flattened coefficients, built from the solver's basis B."""
+    """Matrix of the H^1-orthogonal projection onto the odd part of
+    X = (R Zdot)^perp over flattened coefficients, built from the solver's
+    basis B."""
     basis = rd.build_x_basis(frame)
     return (basis.matrix @ basis.matrix.T) * basis.weights
 
@@ -136,20 +137,27 @@ def apply(mat, u):
     return lp.unflatten(mat @ lp.flatten(u), u.n, u.modes)
 
 
+def odd_modes(u):
+    """u with its even Fourier modes, the constants among them, removed."""
+    keep = (np.arange(2 * u.modes + 1) + 1) // 2 % 2 == 1
+    return lp.Loop(u.coeffs * keep[:, None])
+
+
 def test_projection_partition_and_orthogonality(frame):
+    """P keeps the odd modes of u less their phase component; the even
+    modes, and with them D, are dropped."""
     u = random_loop()
     pd = lp.project_D(u)
     px = apply(x_projector(frame), u)
-    pn = px - pd
-    rest = u - px
-    # (I - P) u is the phase component: parallel to Zdot
+    rest = odd_modes(u) - px
+    # the odd part of (I - P) u is the phase component: parallel to Zdot
     coef = lp.h1_inner(u, frame.Zdot) / lp.h1_inner(frame.Zdot, frame.Zdot)
     assert np.max(np.abs(rest.coeffs - coef * frame.Zdot.coeffs)) < 1e-10
+    assert np.max(np.abs(odd_modes(px).coeffs - px.coeffs)) == 0.0
     assert abs(lp.h1_inner(px, frame.Zdot)) < 1e-10
-    assert abs(lp.h1_inner(pn, frame.e1)) < 1e-10
-    assert abs(lp.h1_inner(pn, frame.e2)) < 1e-10
-    assert abs(lp.h1_inner(pn, frame.Zdot)) < 1e-10
-    assert abs(lp.h1_inner(pd, rest)) < 1e-10
+    assert abs(lp.h1_inner(px, frame.e1)) < 1e-10
+    assert abs(lp.h1_inner(px, frame.e2)) < 1e-10
+    assert abs(lp.h1_inner(pd, px)) < 1e-10
 
 
 def test_projections_idempotent_self_adjoint(frame):
@@ -170,8 +178,14 @@ def test_projection_fixed_points(frame):
                          - frame.e1.coeffs)) < 1e-14
     P = x_projector(frame)
     assert lp.h1_norm(apply(P, frame.Zdot)) < 1e-12
+    # the constant translations are even: P removes them
     for e in (frame.e1, frame.e2):
-        assert np.max(np.abs(apply(P, e).coeffs - e.coeffs)) < 1e-12
+        assert lp.h1_norm(apply(P, e)) < 1e-12
+    # an odd loop orthogonal to Zdot is fixed
+    w = odd_modes(random_loop())
+    w = w - (lp.h1_inner(w, frame.Zdot)
+             / lp.h1_inner(frame.Zdot, frame.Zdot)) * frame.Zdot
+    assert np.max(np.abs(apply(P, w).coeffs - w.coeffs)) < 1e-12
 
 
 def test_frame_orthogonality(frame):

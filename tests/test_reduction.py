@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import Plane, TranslatedDomain, UnitDisk, VortexSystem
@@ -108,10 +109,15 @@ def test_x_basis_orthonormal(pair_setup):
     _, _, frame, basis = pair_setup
     G = basis.matrix.T @ (basis.weights[:, None] * basis.matrix)
     assert np.max(np.abs(G - np.eye(basis.dim))) < 1e-12
-    # first two columns are the normalized constant translations
-    e1n = basis.column_loop(0)
-    assert np.allclose(e1n.coeffs[0], np.tile(
-        [1.0 / np.sqrt(2 * np.pi * 2), 0.0], 2))
+    # the odd modes 1, 3, ..., M - 1 less the phase direction
+    assert basis.dim == 4 * 2 * (M // 2) - 1
+    assert np.array_equal(np.unique(basis.col_modes), np.arange(1, M, 2))
+    assert np.abs(basis.coords(frame.Zdot)).max() < 1e-12
+    # first come the 4N - 1 columns of the complement of Z' in mode 1
+    assert np.all(basis.col_modes[:7] == 1) and basis.col_modes[7] == 3
+    for j in range(basis.dim):
+        w = basis.column_loop(j)
+        assert lp.h1_norm(lp.time_shift(np.pi, w) + w) < 1e-12
     # the basis is built mode by mode, so Z' must lie in mode 1
     bent = lp.Loop(np.roll(frame.Zdot.coeffs, 2, axis=0))  # moved to mode 2
     with pytest.raises(DegenerateFrame):
@@ -120,21 +126,18 @@ def test_x_basis_orthonormal(pair_setup):
 
 
 def test_operator_plane_blocks(pair_setup):
-    """On the plane H0 is translation-invariant, so the D block decouples
-    and vanishes at any base.  A mode-2 bump breaks the half-period symmetry
-    and keeps D in the operator; at the seed only the odd part is kept."""
+    """Only the odd part of X is solved on, so the operator needs H_r even
+    along the base.  A mode-2 bump breaks the half-period symmetry of H0''
+    even on the plane and is rejected; at the seed the plane operator is
+    well conditioned on the odd part."""
     sys2, _, frame, basis = pair_setup
-    y = np.random.default_rng(2).normal(size=basis.dim)
-    bump = basis.to_loop(0.05 * y * (basis.col_modes == 2))
-    op = rd.assemble_L_r(sys2, Plane(), 0.0, frame, basis=basis,
-                         base=frame.Z + bump)
-    assert op.basis.dim == basis.dim
-    L = op.matrix
-    assert np.linalg.norm(L[:2, :2]) < 1e-14
-    assert np.linalg.norm(L[:2, 2:]) < 1e-14
-    assert np.linalg.norm(L[2:, :2]) < 1e-14
+    bump = np.zeros_like(frame.Z.coeffs)
+    bump[3:5] = 0.05 * np.random.default_rng(2).normal(size=(2, 4))
+    with pytest.raises(ValueError, match="H_r is not even about a0"):
+        rd.assemble_L_r(sys2, Plane(), 0.0, frame, basis=basis,
+                        base=frame.Z + lp.Loop(bump))
     op = rd.assemble_L_r(sys2, Plane(), 0.0, frame, basis=basis)
-    assert op.basis.d_dim == 0
+    assert op.matrix.shape == (basis.dim, basis.dim)
     assert np.linalg.cond(op.matrix) < 1e3
 
 
@@ -143,13 +146,13 @@ def test_operator_matches_finite_differences(pair_setup):
     disk = UnitDisk()
     r = 0.08
     op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
-    y = RNG.normal(size=op.basis.dim)
+    y = RNG.normal(size=basis.dim)
     y /= np.linalg.norm(y)
-    w = op.basis.to_loop(y)
+    w = basis.to_loop(y)
     epsv = 1e-6
     fd = (rd.grad_J_r(sys2, disk, r, frame.Z + epsv * w).coeffs
           - rd.grad_J_r(sys2, disk, r, frame.Z - epsv * w).coeffs) / (2 * epsv)
-    fdc = op.basis.coords(lp.Loop(fd))
+    fdc = basis.coords(lp.Loop(fd))
     assert np.linalg.norm(op.matrix @ y - fdc) / np.linalg.norm(fdc) < 1e-5
 
 
@@ -195,32 +198,40 @@ def test_d_block_limit_closed_form(pair_setup):
         assert np.max(np.abs(op.d0_matrix - expect)) <= 1e-12
 
 
-def _reference_operator(sys, domain, r, basis, base):
+def _reference_operator(sys, domain, r, modes, base):
     """Per-column assembly of L_r, kept as the reference for the Gram form.
 
-    Each basis column is sampled, multiplied by H_r''(base) at the nodes,
-    projected back by rFFT, added to -J M w', smoothed by (id-Lap)^{-1} and
-    read in H^1 coordinates.  The D block of the F part is the same image
-    of the two constant columns under the hess_F stack alone (their
-    derivative vanishes, so the linear term drops out).
+    Each unit coefficient column, scaled to unit H^1 norm, is sampled,
+    multiplied by H_r''(base) at the nodes, projected back by rFFT, added to
+    -J M w', smoothed by (id-Lap)^{-1} and read in H^1 coordinates.  The
+    result is L over all coefficients, even modes and constants included.
+    The D block of the F part is the same image of the two normalized
+    constant loops under the hess_F stack alone (their derivative
+    vanishes, so the linear term drops out).
     """
-    m = lp.dealias_samples(basis.modes)
+    n = sys.n
+    w = lp.h1_weight_vector(n, modes)
+    m = lp.dealias_samples(modes)
     base_pts = lp.sample(base, m)
     fmats = (core.hess_F(sys, domain, r * base_pts) if r > 0
-             else np.zeros((m, 2 * sys.n, 2 * sys.n)))
+             else np.zeros((m, 2 * n, 2 * n)))
     hmats = core.hess_H0(sys, base_pts) - r**2 * fmats
     jm = sys.j_n() @ sys.m_gamma()
 
-    def image(hm, j):
-        w = basis.column_loop(j)
+    def image(hm, col):
+        u = lp.unflatten(col, n, modes)
         nonlin = lp.from_samples(
-            -np.einsum("tij,tj->ti", hm, lp.sample(w, m)), basis.modes)
-        lin = lp.Loop(-lp.differentiate(w).coeffs @ jm.T)
-        return basis.coords(lp.inv_id_minus_laplace(lin + nonlin))
+            -np.einsum("tij,tj->ti", hm, lp.sample(u, m)), modes)
+        lin = lp.Loop(-lp.differentiate(u).coeffs @ jm.T)
+        return lp.flatten(lp.inv_id_minus_laplace(lin + nonlin))
 
-    L = np.column_stack([image(hmats, j) for j in range(basis.dim)])
+    unit = np.diag(1 / np.sqrt(w))
+    L = unit @ (w[:, None] * np.column_stack([image(hmats, c) for c in unit]))
     L = 0.5 * (L + L.T)
-    d0 = -np.column_stack([image(fmats, j)[:2] for j in range(2)])
+    const = np.zeros((2, w.size))
+    const[:, :2 * n] = np.tile(np.eye(2), n) / np.sqrt(2 * np.pi * n)
+    d0 = -const @ (w[:, None] * np.column_stack([image(fmats, c)
+                                                  for c in const]))
     return L, d0
 
 
@@ -230,26 +241,27 @@ def _reference_operator(sys, domain, r, basis, base):
     ((1.0, 2.0, 3.0), lambda: eq.make_triangle(1.0, 2.0, 3.0, 1.0)),
 ], ids=["pair", "triangle123"])
 def test_operator_matches_per_column_reference(gammas, make, modes):
-    """At the rigid seed Z(t + pi) = -Z(t), and in the disk about 0 the
-    Hessians repeat after half a period, so the reference L couples odd
-    and even modes only by roundoff and the operator keeps the odd columns.
-    The random Newton base breaks the symmetry and keeps all of X."""
+    """At the rigid seed Z(t + pi) = -Z(t), and at a Newton base Z + v with
+    v in the odd part of X too.  In the disk about 0 the Hessians along an
+    odd base repeat after half a period, so the reference L over all
+    coefficients couples odd and even modes only by roundoff, and its odd
+    block read in the X basis is the operator."""
     vs = VortexSystem(list(gammas))
     seed = eq.normalize_period(make())
     frame = lp.build_frame(seed.z, seed.omega, vs.n, modes)
     basis = rd.build_x_basis(frame)
     y = np.random.default_rng(modes).normal(size=basis.dim)
     newton_base = frame.Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
-    odd = basis.col_modes % 2 == 1
+    odd = (np.arange(basis.weights.size) // (2 * vs.n) + 1) // 2 % 2 == 1
+    coords = np.sqrt(basis.weights)[:, None] * basis.matrix  # in unit columns
     disk = UnitDisk()
     for r in (0.0, 0.1, 1e-3):
-        for base, kept in ((frame.Z, odd), (newton_base, np.ones_like(odd))):
+        for base in (frame.Z, newton_base):
             op = rd.assemble_L_r(vs, disk, r, frame, basis=basis, base=base)
-            L, d0 = _reference_operator(vs, disk, r, basis, base)
+            L, d0 = _reference_operator(vs, disk, r, modes, base)
             tol = 1e-13 * np.max(np.abs(L))
-            assert np.abs(L[np.ix_(kept, ~kept)]).max(initial=0.0) <= tol
-            assert np.array_equal(op.basis.matrix, basis.matrix[:, kept])
-            assert np.max(np.abs(op.matrix - L[np.ix_(kept, kept)])) <= tol
+            assert np.abs(L[np.ix_(odd, ~odd)]).max() <= tol
+            assert np.max(np.abs(op.matrix - coords.T @ L @ coords)) <= tol
             assert np.max(np.abs(op.d0_matrix - d0)) <= tol
 
 
@@ -261,15 +273,14 @@ def test_singular_operator_guard(pair_setup):
     log-homogeneous, so H0''(Z) Z = -grad H0(Z), the equilibrium gives
     grad H0(Z) = -J M Z' = -Z, and -J M Z' - H0''(Z) Z = -2Z is halved by
     (id-Lap)^{-1}.  So cond(A) is
-    (1+K^2)/K for the top mode K kept: 82/9 = 9.11 on the odd part that the
-    symmetric pair keeps (K = M - 1), where 101/10 = 10.1 on all of X.
-    cond(D) = cond((Gamma^2/N) h''(0)) = 1.  A limit of 5 trips the guard
+    (1+K^2)/K for the top mode K of the basis: 82/9 = 9.11 on the odd part
+    of X (K = M - 1).  cond(D) = cond((Gamma^2/N) h''(0)) = 1.  A limit of 5 trips the guard
     on the A block."""
     sys2, _, frame, basis = pair_setup
     disk = UnitDisk()
     op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
-    top = op.basis.col_modes.max()
-    assert op.basis.d_dim == 0 and top == M - 1
+    top = basis.col_modes.max()
+    assert top == M - 1
     A = op.matrix
     assert rd._sym_cond(A) == pytest.approx(np.linalg.cond(A), rel=1e-10)
     assert rd._sym_cond(A) == pytest.approx((1 + top**2) / top, rel=1e-6)
@@ -278,16 +289,22 @@ def test_singular_operator_guard(pair_setup):
         rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis, cond_limit=5)
 
 
-def test_off_centre_disk_keeps_all_of_X(pair_setup):
+def test_off_centre_disk_is_rejected(pair_setup):
     """Recentred at a0 = (0.3, 0) the disk is not symmetric about the new
     origin: F'' along r Z(t) differs from F'' along -r Z(t) at first order
-    in r, so all 2N(2M+1) - 1 columns of X stay, down to small r."""
+    in r, so H_r is not even about a0 and the orbit need not be odd.  Only
+    the odd part of X is solved on, so the operator and the continuation
+    refuse it with ValueError at every r, and the continuation leaves at
+    its first r."""
     sys2, _, frame, basis = pair_setup
     domain = TranslatedDomain(UnitDisk(), (0.3, 0.0))
     for r in (0.2, 1e-3):
-        op = rd.assemble_L_r(sys2, domain, r, frame, basis=basis)
-        assert op.basis.dim == basis.dim == 2 * sys2.n * (2 * M + 1) - 1
-        assert op.basis.d_dim == 2
+        with pytest.raises(ValueError, match="H_r is not even about a0"):
+            rd.assemble_L_r(sys2, domain, r, frame, basis=basis)
+        params = rd.SolverParams(modes=M, r_max=r, r_min=r / 2)
+        with pytest.raises(ValueError, match="H_r is not even about a0"):
+            rd.continue_path(sys2, UnitDisk(), np.array([0.3, 0.0]), frame,
+                             params)
 
 
 def test_center_of_vorticity_identity(pair_setup):
@@ -330,6 +347,22 @@ def test_fixedpoint_newton_agree(pair_setup):
                           rd.SolverParams(modes=M, mode="Newton"),
                           basis=basis)
     assert lp.h1_norm(fp.v - nw.v) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(g1=st.floats(0.5, 2.0), ratio=st.floats(0.5, 2.0),
+       sign=st.sampled_from([1.0, -1.0]), r=st.floats(1e-3, 0.2))
+def test_fixedpoint_newton_agree_on_random_pairs(g1, ratio, sign, r):
+    """Both solvers find the same v to 1e-9 in H^1 (acceptance criterion
+    3's bound), over same-sign pairs in the disk at modes 8."""
+    g = (sign * g1, sign * g1 * ratio)
+    vs = VortexSystem(list(g))
+    seed = eq.normalize_period(eq.make_pair(g[0], g[1], 2.0))
+    frame = lp.build_frame(seed.z, seed.omega, vs.n, 8)
+    fp, nw = (rd.solve_reduced(vs, UnitDisk(), r, frame,
+                               rd.SolverParams(modes=8, mode=mode))
+              for mode in ("FixedPoint", "Newton"))
+    assert lp.h1_norm(fp.v - nw.v) <= 1e-9
 
 
 @pytest.mark.parametrize("r, steps", [(0.1, 2), (1e-3, 0)])
