@@ -41,6 +41,20 @@ DEFAULT_CONFIG = {
 }
 
 
+def make_seed(kind: str, gammas, size: float,
+              n: int | None) -> equilibria.RelativeEquilibrium:
+    """A pair at separation `size`, a triangle of side `size` or an n-gon of
+    radius `size`; ValueError unless `gammas` has 2, 3 or 1 entries respectively."""
+    count = {"pair": 2, "triangle": 3, "thomson": 1}[kind]
+    if len(gammas) != count:
+        raise ValueError(f"{kind} seed needs {count} gamma(s), got {len(gammas)}")
+    if kind == "pair":
+        return equilibria.make_pair(*gammas, size)
+    if kind == "triangle":
+        return equilibria.make_triangle(*gammas, size)
+    return equilibria.make_thomson(n, gammas[0], size)
+
+
 def _check_keys(parser: configparser.ConfigParser) -> None:
     """Reject sections and keys that no setting reads; `matrix` belongs to
     the quadratic domain only."""
@@ -48,8 +62,7 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
         if section not in DEFAULT_CONFIG:
             raise ValueError(f"unknown config section [{section}]")
         allowed = set(DEFAULT_CONFIG[section])
-        if section == "domain" and \
-                parser[section].get("variant", "").lower() == "quadratic":
+        if section == "domain" and parser[section]["variant"].lower() == "quadratic":
             allowed.add("matrix")
         unknown = sorted(set(parser[section]) - allowed)
         if unknown:
@@ -69,16 +82,15 @@ class RunConfig:
                 [float(x) for x in sysal["gammas"].split(",")])
         except ValueError as exc:
             raise ValueError(f"[system] gammas: {exc}") from exc
-        self.seed = sysal.get("seed", "pair").lower()
-        if self.seed not in ("pair", "triangle", "thomson"):
+        self.seed = sysal["seed"].lower()
+        size_key = {"pair": "separation", "triangle": "side", "thomson": "radius"}
+        if self.seed not in size_key:
             raise ValueError(f"[system] seed: unknown type {self.seed!r}")
-        self.separation = sysal.getfloat("separation", 2.0)
-        self.side = sysal.getfloat("side", 1.0)
-        self.radius = sysal.getfloat("radius", 1.0)
-        self.n = sysal.getint("n", len(self.gammas))
+        self.size = sysal.getfloat(size_key[self.seed])
+        self.n = sysal.getint("n")
 
         dom = parser["domain"]
-        variant = dom.get("variant", "disk").lower()
+        variant = dom["variant"].lower()
         params = {}
         if variant == "quadratic":
             try:
@@ -92,27 +104,27 @@ class RunConfig:
         except ValueError as exc:
             raise ValueError(f"[domain]: {exc}") from exc
         self.a0_guess = np.array(
-            [float(x) for x in dom.get("a0_guess", "0,0").split(",")])
+            [float(x) for x in dom["a0_guess"].split(",")])
 
         sol = parser["solver"]
         try:
             self.params = reduction.SolverParams(
-                modes=sol.getint("modes", 32),
-                fp_tol=sol.getfloat("fp_tol", 1e-11),
-                newton_tol=sol.getfloat("newton_tol", 1e-11),
-                max_iter=sol.getint("max_iter", 200),
-                contraction_guard=sol.getfloat("contraction_guard", 0.9),
-                mode=sol.get("mode", "FixedPoint"),
-                r_max=sol.getfloat("r_max", 0.2),
-                r_min=sol.getfloat("r_min", 1e-3),
-                r_points=sol.getint("r_points", 30),
+                modes=sol.getint("modes"),
+                fp_tol=sol.getfloat("fp_tol"),
+                newton_tol=sol.getfloat("newton_tol"),
+                max_iter=sol.getint("max_iter"),
+                contraction_guard=sol.getfloat("contraction_guard"),
+                mode=sol["mode"],
+                r_max=sol.getfloat("r_max"),
+                r_min=sol.getfloat("r_min"),
+                r_points=sol.getint("r_points"),
             )
         except ValueError as exc:
             raise ValueError(f"[solver]: {exc}") from exc
 
         out = parser["output"]
-        self.out_dir = out.get("dir", ".")
-        self.prefix = out.get("prefix", "orbit")
+        self.out_dir = out["dir"]
+        self.prefix = out["prefix"]
 
     def vortex_system(self) -> core.VortexSystem:
         if self.seed == "thomson":
@@ -120,15 +132,7 @@ class RunConfig:
         return core.VortexSystem(self.gammas)
 
     def seed_equilibrium(self) -> equilibria.RelativeEquilibrium:
-        if self.seed == "pair":
-            if len(self.gammas) != 2:
-                raise ValueError("[system] pair seed needs two gammas")
-            return equilibria.make_pair(*self.gammas, self.separation)
-        if self.seed == "triangle":
-            if len(self.gammas) != 3:
-                raise ValueError("[system] triangle seed needs three gammas")
-            return equilibria.make_triangle(*self.gammas, self.side)
-        return equilibria.make_thomson(self.n, self.gammas[0], self.radius)
+        return make_seed(self.seed, self.gammas, self.size, self.n)
 
     def dump(self) -> str:
         buf = io.StringIO()
@@ -206,21 +210,15 @@ def trajectory_svg(states: np.ndarray, domain: core.DomainModel,
 
 def cmd_equilibrium(args) -> int:
     gammas = [float(x) for x in args.gamma.split(",")]
-    if args.type == "pair":
-        if len(gammas) != 2 or args.sep is None:
-            print("pair needs --gamma g1,g2 and --sep", file=sys.stderr)
-            return EXIT_USAGE
-        eq = equilibria.make_pair(gammas[0], gammas[1], args.sep)
-    elif args.type == "triangle":
-        if len(gammas) != 3 or args.side is None:
-            print("triangle needs --gamma g1,g2,g3 and --side", file=sys.stderr)
-            return EXIT_USAGE
-        eq = equilibria.make_triangle(*gammas, args.side)
-    else:
-        if args.n is None or len(gammas) != 1 or args.radius is None:
-            print("thomson needs --n, --gamma g and --radius", file=sys.stderr)
-            return EXIT_USAGE
-        eq = equilibria.make_thomson(args.n, gammas[0], args.radius)
+    size, usage = {
+        "pair": (args.sep, "pair needs --gamma g1,g2 and --sep"),
+        "triangle": (args.side, "triangle needs --gamma g1,g2,g3 and --side"),
+        "thomson": (args.radius, "thomson needs --n, --gamma g and --radius"),
+    }[args.type]
+    if size is None or (args.type == "thomson" and args.n is None):
+        print(usage, file=sys.stderr)
+        return EXIT_USAGE
+    eq = make_seed(args.type, gammas, size, args.n)
 
     residual = equilibria.residual_HS0(eq)
     print(f"z     = {np.array2string(eq.z, precision=12)}")
@@ -262,23 +260,16 @@ def cmd_continue(args) -> int:
         print(cfg.dump(), end="")
         return EXIT_OK
 
-    vsys = cfg.vortex_system()
-    if abs(vsys.gamma_total) < 1e-14:
-        print("total vorticity is zero: hypothesis fails", file=sys.stderr)
-        return EXIT_USAGE
     seed = equilibria.normalize_period(cfg.seed_equilibrium())
+    vsys = seed.sys
     frame = loops.build_frame(seed.z, seed.omega, vsys.n, cfg.params.modes)
     crit = core.find_critical_point_h(cfg.domain, cfg.a0_guess)
     if not crit.nondegenerate:
         print("critical point of the regular part is degenerate",
               file=sys.stderr)
         return EXIT_FAIL
-    try:
-        path = reduction.continue_path(vsys, cfg.domain, crit.point, frame,
-                                       cfg.params)
-    except ZeroTotalVorticity as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    path = reduction.continue_path(vsys, cfg.domain, crit.point, frame,
+                                   cfg.params)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     lines = [f"{'r':>12} {'vnorm':>13} {'residual':>13} {'phase':>13} "
@@ -454,12 +445,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, ZeroTotalVorticity) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except VortexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

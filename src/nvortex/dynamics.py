@@ -54,7 +54,7 @@ def _rhs(sys: VortexSystem, domain: DomainModel, mode: str, r: float):
     raise ValueError(f"unknown integration mode {mode!r}")
 
 
-def _events(sys: VortexSystem, domain: DomainModel, mode: str, r: float,
+def _events(domain: DomainModel, mode: str,
             collision_guard: float = COLLISION_GUARD,
             boundary_guard: float = BOUNDARY_GUARD):
     def collision(t, z):
@@ -109,8 +109,7 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
     try:
         sol = solve_ivp(rhs, (0.0, T), z0,
                         method="DOP853", rtol=rtol, atol=atol,
-                        events=_events(sys, domain, mode, r,
-                                       collision_guard, boundary_guard),
+                        events=_events(domain, mode, collision_guard, boundary_guard),
                         t_eval=t_eval, dense_output=False)
     except CollisionError as exc:
         raise CollisionApproach(str(exc), t=last_t[0]) from exc

@@ -54,9 +54,6 @@ class Loop:
     def a(self, k: int) -> np.ndarray:
         return self.coeffs[0] if k == 0 else self.coeffs[2 * k - 1]
 
-    def b(self, k: int) -> np.ndarray:
-        return self.coeffs[2 * k]
-
     def eval(self, t) -> np.ndarray:
         """Evaluate u(t); t may be a scalar or an array of times."""
         return _trig_table(t, self.modes) @ self.coeffs

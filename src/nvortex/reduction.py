@@ -65,8 +65,10 @@ class SolverParams:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
-        if self.fp_tol <= 0 or self.newton_tol <= 0 or self.spectral_tail_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("fp_tol", "newton_tol", "spectral_tail_tol", "r_max"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not (0 < self.contraction_guard < 1):
@@ -410,6 +412,11 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
 # ---------------------------------------------------------------------------
 # continuation
 
+# what a failed solve at one r raises: the r is recorded and the sweep goes on
+_SOLVE_FAILURES = (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
+                   CollisionError, SingularOperator)
+
+
 def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
                   frame: LoopFrame, params: SolverParams) -> ContinuationPath:
     """Sweep the r grid downward with warm starts; probe upward for r0."""
@@ -420,40 +427,34 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
     work_domain = domain if np.allclose(a0, 0.0) else TranslatedDomain(domain, a0)
 
     basis = build_x_basis(frame)
+
+    def solve(r, warm):
+        sol = solve_reduced(sys, work_domain, r, frame, params,
+                            warm_start=warm, basis=basis)
+        if sol.spectral_tail >= params.spectral_tail_tol:
+            raise NoConvergence(
+                f"spectral tail {sol.spectral_tail:.3e} above "
+                f"{params.spectral_tail_tol:g} at r={r:.5g}")
+        return sol
+
     entries, failures = [], {}
-    warm = None
     for r in params.r_grid():
         try:
-            sol = solve_reduced(sys, work_domain, float(r), frame, params,
-                                warm_start=warm, basis=basis)
-            if sol.spectral_tail >= params.spectral_tail_tol:
-                raise NoConvergence(
-                    f"spectral tail {sol.spectral_tail:.3e} above "
-                    f"{params.spectral_tail_tol:g} at r={r:.5g}")
-            entries.append(sol)
-            warm = sol.v
-        except (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
-                CollisionError, SingularOperator) as exc:
+            entries.append(solve(float(r), entries[-1].v if entries else None))
+        except _SOLVE_FAILURES as exc:
             failures[float(r)] = f"{type(exc).__name__}: {exc}"
     if not entries:
         raise EmptyPath("no grid point converged")
 
     # probe upward from the largest converged r to estimate the empirical r0
     ratio = (params.r_max / params.r_min) ** (1.0 / (params.r_points - 1))
-    r0 = entries[0].r
-    warm_up = entries[0].v
-    r_probe = r0
+    r0, warm_up = entries[0].r, entries[0].v
     for _ in range(8):
-        r_probe *= ratio
         try:
-            sol = solve_reduced(sys, work_domain, r_probe, frame, params,
-                                warm_start=warm_up, basis=basis)
-            if sol.spectral_tail >= params.spectral_tail_tol:
-                break
-            r0, warm_up = r_probe, sol.v
-        except (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
-                CollisionError, SingularOperator):
+            warm_up = solve(r0 * ratio, warm_up).v
+        except _SOLVE_FAILURES:
             break
+        r0 *= ratio
     return ContinuationPath(a0=a0, entries=entries, failures=failures,
                             r0_empirical=r0)
 

@@ -12,6 +12,7 @@ import pytest
 import nvortex
 from nvortex import cli
 from nvortex import loops as lp
+from nvortex import reduction as rd
 from nvortex.cli import main, load_config
 
 
@@ -111,6 +112,20 @@ def test_equilibrium_non_finite_input_exits_2(argv, bad, capsys):
     assert "invalid input" in err and "finite" in err and bad in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--type", "pair", "--gamma", "1,-1", "--sep", "1"], "zero-sum"),
+    (["--type", "triangle", "--gamma", "1,1,-2", "--side", "1"], "nonzero"),
+    (["--type", "pair", "--gamma", "1,1,1", "--sep", "1"], "2 gamma"),
+    (["--type", "thomson", "--gamma", "1,2", "--n", "3", "--radius", "1"],
+     "1 gamma"),
+])
+def test_equilibrium_bad_gammas_exit_2(argv, named, capsys):
+    assert main(["equilibrium", *argv, "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input:") and named in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -203,6 +218,7 @@ def test_continue_dump_config_roundtrips(cont_run, capsys, tmp_path):
     a = load_config(cfgfile)
     b = load_config(echo)
     assert np.array_equal(a.gammas, b.gammas)
+    assert (a.seed, a.size, a.n) == (b.seed, b.size, b.n)
     assert a.params == b.params
     assert a.domain.variant == b.domain.variant
 
@@ -223,6 +239,10 @@ def test_continue_flag_overrides(capsys, tmp_path):
     ([], "contraction_guard = 0\n"),
     ([], "contraction_guard = 1\n"),
     ([], "contraction_guard = 1.5\n"),
+    *(([], f"{key} = {bad}\n") for key in ("fp_tol", "newton_tol")
+      for bad in ("nan", "inf")),
+    (["--r-max", "nan"], ""),
+    (["--r-max", "inf"], ""),
 ])
 def test_continue_unrunnable_solver_setting_exits_2(flags, solver, tmp_path,
                                                      capsys):
@@ -233,6 +253,18 @@ def test_continue_unrunnable_solver_setting_exits_2(flags, solver, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("invalid input: [solver]") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_default_config_is_the_library_default():
+    assert load_config(None).params == rd.SolverParams()
+
+
+@pytest.mark.parametrize("seed, key", [
+    ("pair", "separation"), ("triangle", "side"), ("thomson", "radius")])
+def test_seed_reads_its_own_size_key(seed, key, tmp_path):
+    cfg = load_config(_write(tmp_path / "s.ini", f"[system]\ngammas = 1\n"
+                             f"seed = {seed}\n{key} = 0.75\nn = 5\n"))
+    assert (cfg.size, cfg.n) == (0.75, 5)
 
 
 def test_quadratic_domain_matrix_key(tmp_path):
@@ -286,6 +318,21 @@ def test_continue_zero_vorticity_is_usage_error(tmp_path, capsys):
         "gammas = 1,1", "gammas = 1,-1")
     cfgfile = _write(tmp_path / "bad.ini", cfg)
     assert main(["continue", "--config", cfgfile]) == 2
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize("seed, gammas", [
+    ("thomson", "1,2"), ("pair", "1,1,1"), ("triangle", "1,1")])
+def test_continue_seed_gamma_count_exits_2(seed, gammas, tmp_path, capsys):
+    """Every seed kind takes its own number of gammas (thomson one, used for
+    all n vortices); any other count is rejected before an orbit is written."""
+    cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
+        "gammas = 1,1\nseed = pair", f"gammas = {gammas}\nseed = {seed}\nn = 3")
+    cfgfile = _write(tmp_path / "bad.ini", cfg)
+    assert main(["continue", "--config", cfgfile]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {seed} seed needs")
+    assert not (tmp_path / "x").exists()
 
 
 def test_continue_malformed_config_is_usage_error(tmp_path):

@@ -596,6 +596,10 @@ def test_solver_params_validation():
         rd.SolverParams(mode="bogus")
     with pytest.raises(ValueError):
         rd.SolverParams(spectral_tail_tol=0.0)
+    for field in ("fp_tol", "newton_tol", "spectral_tail_tol", "r_max"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                rd.SolverParams(**{field: bad})
     grid = rd.SolverParams().r_grid()
     assert grid[0] == pytest.approx(0.2) and grid[-1] == pytest.approx(1e-3)
     assert np.all(np.diff(grid) < 0)
