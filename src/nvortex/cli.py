@@ -55,6 +55,18 @@ def make_seed(kind: str, gammas, size: float,
     return equilibria.make_thomson(n, gammas[0], size)
 
 
+def _read(section, key, parse):
+    """parse(section[key]), with a ValueError that names [section] key."""
+    try:
+        return parse(section[key])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"[{section.name}] {key}: {exc}") from exc
+
+
+def _floats(text):
+    return np.array([float(x) for x in text.split(",")])
+
+
 def _check_keys(parser: configparser.ConfigParser) -> None:
     """Reject sections and keys that no setting reads; `matrix` belongs to
     the quadratic domain only."""
@@ -77,34 +89,26 @@ class RunConfig:
         self.parser = parser
         _check_keys(parser)
         sysal = parser["system"]
-        try:
-            self.gammas = np.array(
-                [float(x) for x in sysal["gammas"].split(",")])
-        except ValueError as exc:
-            raise ValueError(f"[system] gammas: {exc}") from exc
+        self.gammas = _read(sysal, "gammas", _floats)
         self.seed = sysal["seed"].lower()
         size_key = {"pair": "separation", "triangle": "side", "thomson": "radius"}
         if self.seed not in size_key:
             raise ValueError(f"[system] seed: unknown type {self.seed!r}")
-        self.size = sysal.getfloat(size_key[self.seed])
-        self.n = sysal.getint("n")
+        self.size = _read(sysal, size_key[self.seed], float)
+        self.n = _read(sysal, "n", int)
 
         dom = parser["domain"]
         variant = dom["variant"].lower()
         params = {}
         if variant == "quadratic":
-            try:
-                params["a_matrix"] = [
-                    [float(x) for x in row.split(",")]
-                    for row in dom["matrix"].split(";")]
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"[domain] matrix: {exc}") from exc
+            params["a_matrix"] = _read(dom, "matrix", lambda text: [
+                _floats(row) for row in text.split(";")])
         try:
             self.domain = core.domain_from_spec(variant, params)
         except ValueError as exc:
             raise ValueError(f"[domain]: {exc}") from exc
-        self.a0_guess = np.array(
-            [float(x) for x in dom["a0_guess"].split(",")])
+        self.a0_guess = _read(dom, "a0_guess",
+                              lambda text: _floats(text).reshape(2))
 
         sol = parser["solver"]
         try:
@@ -127,8 +131,8 @@ class RunConfig:
         self.prefix = out["prefix"]
 
     def vortex_system(self) -> core.VortexSystem:
-        if self.seed == "thomson":
-            return core.VortexSystem(np.full(self.n, self.gammas[0]))
+        if self.seed == "thomson":  # checked by the seed's own rules
+            return self.seed_equilibrium().sys
         return core.VortexSystem(self.gammas)
 
     def seed_equilibrium(self) -> equilibria.RelativeEquilibrium:
@@ -209,7 +213,7 @@ def trajectory_svg(states: np.ndarray, domain: core.DomainModel,
 # subcommands
 
 def cmd_equilibrium(args) -> int:
-    gammas = [float(x) for x in args.gamma.split(",")]
+    gammas = _floats(args.gamma)
     size, usage = {
         "pair": (args.sep, "pair needs --gamma g1,g2 and --sep"),
         "triangle": (args.side, "triangle needs --gamma g1,g2,g3 and --side"),
@@ -296,7 +300,7 @@ def cmd_continue(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     vsys = cfg.vortex_system()
-    z0 = np.array([float(x) for x in args.z0.split(",")])
+    z0 = _floats(args.z0)
     if z0.size != 2 * vsys.n:
         print(f"--z0 needs {2 * vsys.n} numbers", file=sys.stderr)
         return EXIT_USAGE
@@ -355,7 +359,7 @@ def cmd_validate(args) -> int:
 
 def cmd_robin(args) -> int:
     domain = core.domain_from_spec(args.domain)
-    guess = np.array([float(x) for x in args.guess.split(",")])
+    guess = _floats(args.guess)
     try:
         crit = core.find_critical_point_h(domain, guess)
     except (NoConvergence, LeftDomain) as exc:
@@ -445,7 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroTotalVorticity) as exc:
+    except (ValueError, ZeroTotalVorticity, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VortexError as exc:

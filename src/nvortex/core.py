@@ -170,9 +170,9 @@ class DomainModel:
     """Regular part g of a hydrodynamic Green function and its derivatives.
 
     Subclasses provide ``g``, the gradient ``g_w`` in the first argument, the
-    second derivatives ``g_ww`` and the mixed block ``g_wz`` with entries
-    ``d^2 g / dw_a dz_b``.  All methods broadcast over leading axes of the
-    two planar points ``w`` and ``z``.
+    second derivatives ``g_ww``, the mixed block ``g_wz`` with entries
+    ``d^2 g / dw_a dz_b``, and ``boundary_gap``.  All methods broadcast over
+    leading axes of the two planar points ``w`` and ``z``.
     """
 
     variant = "abstract"
@@ -190,8 +190,9 @@ class DomainModel:
         raise NotImplementedError
 
     def contains(self, p):
-        """Membership predicate for points of shape (..., 2)."""
-        raise NotImplementedError
+        """Membership of points of shape (..., 2): a positive boundary gap,
+        so a NaN point is outside a bounded domain."""
+        return self.boundary_gap(p) > 0.0
 
     def boundary_gap(self, p):
         """Distance-like gap to the boundary; +inf for unbounded variants."""
@@ -222,10 +223,6 @@ class Plane(DomainModel):
 
     g_wz = g_ww
 
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.ones(p.shape[:-1], dtype=bool)
-
 
 class UnitDisk(DomainModel):
     """Open unit disk with the method-of-images regular part.
@@ -238,49 +235,38 @@ class UnitDisk(DomainModel):
 
     @staticmethod
     def _q(w, z):
-        """q = |w|^2 |z|^2 - 2 w.z + 1, returned with |w|^2 and |z|^2."""
+        """q = |w|^2 |z|^2 - 2 w.z + 1 and its gradient q_w = 2|z|^2 w - 2z
+        in w, returned with |w|^2, |z|^2 and w and z as arrays."""
         w = np.asarray(w, dtype=float)
         z = np.asarray(z, dtype=float)
         w2 = np.einsum("...x,...x->...", w, w)
         z2 = np.einsum("...x,...x->...", z, z)
         wz = np.einsum("...x,...x->...", w, z)
-        return w2 * z2 - 2.0 * wz + 1.0, w2, z2
+        q_w = 2.0 * z2[..., None] * w - 2.0 * z
+        return w2 * z2 - 2.0 * wz + 1.0, q_w, w2, z2, w, z
 
     def g(self, w, z):
         return -np.log(self._q(w, z)[0]) / (4.0 * np.pi)
 
     def g_w(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        q, _, z2 = self._q(w, z)
-        q_w = 2.0 * z2[..., None] * w - 2.0 * z
+        q, q_w = self._q(w, z)[:2]
         return -q_w / (4.0 * np.pi * q[..., None])
 
     def g_ww(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        q, _, z2 = self._q(w, z)
+        q, q_w, _, z2 = self._q(w, z)[:4]
         q = q[..., None, None]
-        q_w = 2.0 * z2[..., None] * w - 2.0 * z
         q_ww = 2.0 * z2[..., None, None] * np.eye(2)
         outer = q_w[..., :, None] * q_w[..., None, :]
         return -(q_ww / q - outer / q**2) / (4.0 * np.pi)
 
     def g_wz(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        q, w2, z2 = self._q(w, z)
+        q, q_w, w2, _, w, z = self._q(w, z)
         q = q[..., None, None]
-        q_w = 2.0 * z2[..., None] * w - 2.0 * z
         q_z = 2.0 * w2[..., None] * z - 2.0 * w
         # d(q_w)_a / dz_b = 4 w_a z_b - 2 delta_ab
         q_wz = 4.0 * w[..., :, None] * z[..., None, :] - 2.0 * np.eye(2)
         outer = q_w[..., :, None] * q_z[..., None, :]
         return -(q_wz / q - outer / q**2) / (4.0 * np.pi)
-
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.einsum("...x,...x->...", p, p) < 1.0
 
     def boundary_gap(self, p):
         p = np.asarray(p, dtype=float)
@@ -319,10 +305,6 @@ class HalfPlane(DomainModel):
     def g_wz(self, w, z):
         # d depends on z through -R z, so the mixed block is -g_ww @ R.
         return -self.g_ww(w, z) @ self._R
-
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 1] > 0.0
 
     def boundary_gap(self, p):
         p = np.asarray(p, dtype=float)
@@ -384,9 +366,6 @@ class TranslatedDomain(DomainModel):
 
     def g_wz(self, w, z):
         return self.base.g_wz(np.asarray(w) + self.offset, np.asarray(z) + self.offset)
-
-    def contains(self, p):
-        return self.base.contains(np.asarray(p) + self.offset)
 
     def boundary_gap(self, p):
         return self.base.boundary_gap(np.asarray(p) + self.offset)
@@ -546,9 +525,9 @@ def hess_F(sys: VortexSystem, domain: DomainModel, z):
 
 def _check_point(domain, p):
     p = np.asarray(p, dtype=float)
-    if not np.all(domain.contains(p)):
-        raise DomainError("point outside the domain")
     gap = domain.boundary_gap(p)
+    if not np.all(gap > 0.0):  # NaN is outside
+        raise DomainError("point outside the domain")
     if np.any(gap < BOUNDARY_TOL):
         raise BoundaryError("point too close to the boundary")
     return p

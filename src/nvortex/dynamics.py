@@ -54,25 +54,26 @@ def _rhs(sys: VortexSystem, domain: DomainModel, mode: str, r: float):
     raise ValueError(f"unknown integration mode {mode!r}")
 
 
-def _events(domain: DomainModel, mode: str,
-            collision_guard: float = COLLISION_GUARD,
-            boundary_guard: float = BOUNDARY_GUARD):
+def _guards(domain: DomainModel, mode: str, collision_guard: float,
+            boundary_guard: float):
+    """(event, error, message) for each guard; the event is a distance minus
+    its guard, so the guard trips where the event is <= 0."""
     def collision(t, z):
         return core.min_separation(z) - collision_guard
 
-    collision.terminal = True
-    collision.direction = -1
-    events = [collision]
-
+    guards = [(collision, CollisionApproach,
+               f"vortices within {collision_guard:g} of collision")]
     if mode == "physical" and np.isfinite(domain.boundary_gap(np.zeros(2))):
         def boundary(t, z):
             return float(domain.boundary_gap(z.reshape(-1, 2)).min()) \
                 - boundary_guard
 
-        boundary.terminal = True
-        boundary.direction = -1
-        events.append(boundary)
-    return events
+        guards.append((boundary, BoundaryApproach,
+                       f"vortex within {boundary_guard:g} of the boundary"))
+    for event, _, _ in guards:
+        event.terminal = True
+        event.direction = -1
+    return guards
 
 
 def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
@@ -91,14 +92,10 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
                          f"{np.size(t_eval)}")
     from scipy.integrate import solve_ivp  # slow import; most commands never integrate
     z0 = np.asarray(z0, dtype=float).ravel()
-    if core.min_separation(z0) <= collision_guard:
-        raise CollisionApproach("initial state within the collision guard",
-                                t=0.0)
-    if mode == "physical":
-        gap = float(np.min(domain.boundary_gap(z0.reshape(-1, 2))))
-        if gap <= boundary_guard:
-            raise BoundaryApproach("initial state within the boundary guard",
-                                   t=0.0)
+    guards = _guards(domain, mode, collision_guard, boundary_guard)
+    for event, error, message in guards:
+        if event(0.0, z0) <= 0:
+            raise error(message, t=0.0)
     last_t = [0.0]
     base_rhs = _rhs(sys, domain, mode, r)
 
@@ -109,7 +106,7 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
     try:
         sol = solve_ivp(rhs, (0.0, T), z0,
                         method="DOP853", rtol=rtol, atol=atol,
-                        events=_events(domain, mode, collision_guard, boundary_guard),
+                        events=[event for event, _, _ in guards],
                         t_eval=t_eval, dense_output=False)
     except CollisionError as exc:
         raise CollisionApproach(str(exc), t=last_t[0]) from exc
@@ -117,12 +114,8 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
         raise BoundaryApproach(str(exc), t=last_t[0]) from exc
     if sol.status == 1:  # a terminal event fired
         which = next(i for i, te in enumerate(sol.t_events) if len(te))
-        t_fail = float(sol.t_events[which][0])
-        if which == 0:
-            raise CollisionApproach(
-                f"vortices within {collision_guard:g} of collision", t=t_fail)
-        raise BoundaryApproach(
-            f"vortex within {boundary_guard:g} of the boundary", t=t_fail)
+        _, error, message = guards[which]
+        raise error(message, t=float(sol.t_events[which][0]))
     if not sol.success:
         raise MinStepReached(sol.message, t=float(sol.t[-1]))
     return Trajectory(times=sol.t, states=sol.y.T, mode=mode)

@@ -92,8 +92,7 @@ def residual_HS0(eq: RelativeEquilibrium) -> float:
 
 def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquilibrium:
     """Two vortices rotating about their center of vorticity at the origin."""
-    if gamma1 == 0 or gamma2 == 0:
-        raise ValueError("vorticities must be nonzero")
+    sys = VortexSystem([gamma1, gamma2])
     if not separation > 0 or not np.isfinite(separation):
         raise ValueError(
             f"separation must be finite and positive, got {separation}")
@@ -104,7 +103,7 @@ def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquili
     z2 = np.array([-gamma1 * separation / total, 0.0])
     omega = total / (np.pi * separation**2)
     return RelativeEquilibrium(
-        sys=VortexSystem([gamma1, gamma2]),
+        sys=sys,
         z=np.concatenate([z1, z2]),
         omega=omega,
     )
@@ -117,9 +116,8 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
     The angular velocity is (gamma1+gamma2+gamma3) / (pi * side^2), which the
     residual check validates directly against the equations of motion.
     """
-    gammas = np.array([gamma1, gamma2, gamma3], dtype=float)
-    if np.any(gammas == 0):
-        raise ValueError("vorticities must be nonzero")
+    sys = VortexSystem([gamma1, gamma2, gamma3])
+    gammas = sys.gammas
     if not side > 0 or not np.isfinite(side):
         raise ValueError(f"side must be finite and positive, got {side}")
     total = gammas.sum()
@@ -130,22 +128,21 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
     verts = (side / np.sqrt(3.0)) * np.column_stack([np.cos(angles), np.sin(angles)])
     verts -= (gammas[:, None] * verts).sum(axis=0) / total
     omega = total / (np.pi * side**2)
-    return RelativeEquilibrium(sys=VortexSystem(gammas), z=verts.ravel(), omega=omega)
+    return RelativeEquilibrium(sys=sys, z=verts.ravel(), omega=omega)
 
 
 def make_thomson(n: int, gamma: float, radius: float) -> RelativeEquilibrium:
     """N identical vortices on a regular N-gon of the given radius."""
     if n < 2:
         raise ValueError("need at least two vortices")
-    if gamma == 0:
-        raise ValueError("vorticity must be nonzero")
+    sys = VortexSystem(np.full(n, float(gamma)))
     if not radius > 0 or not np.isfinite(radius):
         raise ValueError(f"radius must be finite and positive, got {radius}")
     angles = 2.0 * np.pi * np.arange(n) / n
     verts = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     omega = gamma * (n - 1) / (2.0 * np.pi * radius**2)
     return RelativeEquilibrium(
-        sys=VortexSystem(np.full(n, float(gamma))), z=verts.ravel(), omega=omega
+        sys=sys, z=verts.ravel(), omega=omega
     )
 
 

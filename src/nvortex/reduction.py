@@ -522,7 +522,10 @@ def orbit_to_dict(sys: VortexSystem, domain: DomainModel, a0, omega_seed: float,
 def atomic_write(path: str, text: str) -> None:
     """Write text to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

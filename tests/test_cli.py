@@ -335,6 +335,23 @@ def test_continue_seed_gamma_count_exits_2(seed, gammas, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[domain]\na0_guess = 0,0,0\n", "[domain] a0_guess:"),
+    ("[domain]\na0_guess = x\n", "[domain] a0_guess:"),
+    ("[system]\nseparation = abc\n", "[system] separation:"),
+    ("[system]\nseed = triangle\ngammas = 1,2,3\nside = abc\n",
+     "[system] side:"),
+    ("[system]\nseed = thomson\ngammas = 1\nradius = abc\n",
+     "[system] radius:"),
+    ("[system]\nn = x\n", "[system] n:"),
+], ids=["a0_guess-3", "a0_guess-x", "separation", "side", "radius", "n"])
+def test_config_value_that_fails_to_parse_names_its_key(text, named,
+                                                         tmp_path, capsys):
+    cfgfile = _write(tmp_path / "bad.ini", text)
+    assert main(["continue", "--config", cfgfile, "--dump-config"]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid input: {named}")
+
+
 def test_continue_malformed_config_is_usage_error(tmp_path):
     cfgfile = _write(tmp_path / "bad.ini",
                      "[system]\ngammas = one,two\n")
@@ -457,6 +474,51 @@ def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid input" in err and named in err
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp, orbit: ["simulate", "--z0", "0.3,0,-0.3,0", "--time", "1",
+                        "--csv", f"{tmp}/nodir/t.csv"],
+    lambda tmp, orbit: ["simulate", "--z0", "0.3,0,-0.3,0", "--time", "1",
+                        "--csv", f"{tmp}/t.csv", "--svg", f"{tmp}/nodir/t.svg"],
+    lambda tmp, orbit: ["validate", "--orbit", orbit,
+                        "--csv", f"{tmp}/nodir/t.csv"],
+    lambda tmp, orbit: ["validate", "--orbit", orbit,
+                        "--svg", f"{tmp}/nodir/t.svg"],
+    lambda tmp, orbit: ["continue", "--config", _write(
+        f"{tmp}/p.ini", CONT_CONFIG.format(out=tmp).replace(
+            "prefix = orb", "prefix = nodir/b/c"))],
+], ids=["simulate-csv", "simulate-svg", "validate-csv", "validate-svg",
+        "continue-prefix"])
+def test_unwritable_output_path_exits_2(argv, cont_run, tmp_path, capsys):
+    """A file that cannot be written is an input error naming the path,
+    not a traceback."""
+    _, out, _ = cont_run
+    orbit = sorted(os.path.join(out, f) for f in os.listdir(out)
+                   if f.endswith(".json"))[0]
+    assert main(argv(tmp_path, orbit)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: cannot write {tmp_path}/nodir/")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("system, code", [
+    ("seed = thomson\ngammas = 1,2\nn = 2\n", 2),
+    ("seed = thomson\ngammas = 1\nn = 2\n", 0),
+    ("seed = pair\ngammas = 1,2\n", 0),
+    ("seed = triangle\ngammas = 1,2\n", 0),
+], ids=["thomson-2-gammas", "thomson", "pair", "triangle-2-gammas"])
+def test_simulate_thomson_config_needs_one_gamma(system, code, tmp_path,
+                                                 capsys):
+    """A thomson config takes one gamma for its n vortices; pair and
+    triangle configs integrate their gammas as given."""
+    cfgfile = _write(tmp_path / "s.ini", "[system]\n" + system)
+    assert main(["simulate", "--config", cfgfile, "--z0", "0.3,0,-0.3,0",
+                 "--time", "0.1", "--samples", "4",
+                 "--csv", str(tmp_path / "t.csv")]) == code
+    if code:
+        assert capsys.readouterr().err.startswith(
+            "invalid input: thomson seed needs 1 gamma(s), got 2")
 
 
 def test_simulate_rescaled_at_r_zero(tmp_path):

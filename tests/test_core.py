@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nvortex import core
-from nvortex.core import (HalfPlane, Plane, SyntheticQuadratic, UnitDisk,
-                          VortexSystem)
+from nvortex.core import (HalfPlane, Plane, SyntheticQuadratic,
+                          TranslatedDomain, UnitDisk, VortexSystem)
 from nvortex.errors import (BoundaryError, CollisionError, DomainError,
                             LeftDomain, NoConvergence)
 
@@ -186,6 +186,37 @@ def test_h_chain_rule_from_g():
     assert np.allclose(core.grad_h(disk, p), 2 * disk.g_w(p, p), atol=1e-12)
     fd = fd_grad(lambda x: core.eval_h(disk, x), p)
     assert np.linalg.norm(core.grad_h(disk, p) - fd) < 1e-6
+
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("domain, outside, near, inside", [
+    (Plane(), [], [], [[1e300, -1e300]]),
+    (SyntheticQuadratic(np.eye(2)), [], [], [[-1e100, 1e100]]),
+    (UnitDisk(), [[1.0, 0.0], [0.0, -1.0], [2.0, 0.0], [np.nan, 0.0]],
+     [[_BELOW_ONE, 0.0]], [[0.0, 0.0]]),
+    (HalfPlane(), [[3.0, 0.0], [0.0, -1.0], [0.0, np.nan]],
+     [[-1e300, 5e-324]], [[0.0, 1.0]]),
+    (TranslatedDomain(UnitDisk(), [0.5, 0.0]),
+     [[0.5, 0.0], [-1.5, 0.0], [np.nan, np.nan]],
+     [[0.5 - 2.0**-52, 0.0]], [[-0.5, 0.0]]),
+], ids=["plane", "quadratic", "disk", "halfplane", "translated"])
+def test_membership_is_a_positive_boundary_gap(domain, outside, near, inside):
+    """Points on the boundary and NaN points are outside; points just inside
+    are inside, and too close to the boundary for the Robin function."""
+    pts = np.array(outside + near + inside).reshape(-1, 2)
+    assert domain.contains(pts).tolist() == (
+        [False] * len(outside) + [True] * (len(near) + len(inside)))
+    for p in outside:
+        with pytest.raises(DomainError) as info:
+            core.eval_h(domain, p)
+        assert info.type is DomainError
+    for p in near:
+        with pytest.raises(BoundaryError):
+            core.eval_h(domain, p)
+    for p in inside:
+        assert np.isfinite(core.eval_h(domain, p))
 
 
 def test_h_boundary_and_domain_errors():

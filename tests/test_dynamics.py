@@ -103,6 +103,7 @@ def test_collision_guard_trips_immediately():
     with pytest.raises(CollisionApproach) as info:
         dyn.integrate(sys2, Plane(), "plane", z0, 1.0)
     assert info.value.t == 0.0
+    assert "within 1e-09 of collision" in str(info.value)
 
 
 def test_boundary_guard_stops_dipole():
@@ -136,6 +137,7 @@ def test_initial_point_outside_guard_rejected():
         dyn.integrate(sys1, UnitDisk(), "physical",
                       np.array([0.9999999999, 0.0]), 1.0)
     assert info.value.t == 0.0
+    assert "within 1e-09 of the boundary" in str(info.value)
 
 
 def test_single_vortex_plane_is_stationary():

@@ -63,6 +63,16 @@ def test_non_finite_input_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: eq.make_pair(0.0, 1.0, 1.0),
+    lambda: eq.make_triangle(1.0, 0.0, 3.0, 1.0),
+    lambda: eq.make_thomson(4, 0.0, 1.0),
+], ids=["pair", "triangle", "thomson"])
+def test_zero_vorticity_rejected(build):
+    with pytest.raises(ValueError, match="every vorticity must be nonzero"):
+        build()
+
+
 def test_normalize_period():
     pair = eq.make_pair(1.0, 1.0, 2.0)
     norm = eq.normalize_period(pair)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvortex import equilibria as eq, loops as lp, reduction as rd
@@ -37,7 +37,11 @@ def frame():
 
 @settings(max_examples=60, deadline=None)
 @given(loops())
+@example(lp.Loop(np.full((33, 8), 1.6e-163)))  # squares underflow to 0
 def test_parseval_vs_quadrature(u):
+    # both sides are bilinear, so compare at unit scale: a relative bound
+    # cannot hold for results in the subnormal range
+    u = lp.Loop(u.coeffs / (np.abs(u.coeffs).max() or 1.0))
     m = 8 * u.modes
     t = lp.sample_times(m)
     vals, dvals = u.eval(t), lp.differentiate(u).eval(t)
