@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob = sub.add_parser("robin", help="critical point of the regular part")
     p_rob.add_argument("--domain", required=True,
                        choices=["disk", "halfplane"])
-    p_rob.add_argument("--guess", default="0.3,-0.2")
+    p_rob.add_argument("--guess", default="0.3,0.2")  # inside both domains
     p_rob.set_defaults(func=cmd_robin)
     return parser
 

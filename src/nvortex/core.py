@@ -72,8 +72,9 @@ class VortexSystem:
         g = np.array(self.gammas, dtype=float, ndmin=1)  # a private copy
         if g.ndim != 1 or g.size == 0:
             raise ValueError("gammas must be a nonempty vector")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"every vorticity must be finite, got {g}")
+        if not np.all(np.abs(g) <= np.finfo(float).max / 2):  # NaN fails too
+            raise ValueError("every vorticity must be finite, and small enough "
+                             f"that 2 gamma does not overflow, got {g}")
         if np.any(g == 0.0):
             raise ValueError("every vorticity must be nonzero")
         # gammas and the columns scaling grad_H0 and grad_F, all read-only
@@ -617,21 +618,20 @@ def find_critical_point_h(domain: DomainModel, guess, tol: float = 1e-10,
 
     The critical point is nondegenerate when the smaller singular value of
     h'' exceeds ``deg_tol`` times the larger one, so the verdict does not
-    depend on the scale of h; a zero Hessian is degenerate.
+    depend on the scale of h; a zero Hessian is degenerate.  A guess that
+    is not finite or not inside the domain raises ValueError.
     """
     p = np.asarray(guess, dtype=float).reshape(2)
     if not np.all(np.isfinite(p)):
         raise ValueError(f"initial guess must be finite, got {p}")
     if not domain.contains(p):
-        raise DomainError("initial guess outside the domain")
+        raise ValueError(f"initial guess {p} outside the domain")
     for _ in range(max_iter):
-        gh = grad_h(domain, p)
+        gh, hh = grad_h(domain, p), hess_h(domain, p)
         if np.linalg.norm(gh) <= tol:
-            hh = hess_h(domain, p)
             sv = np.linalg.svd(hh, compute_uv=False)
-            nondeg = bool(sv[1] > deg_tol * sv[0])
-            return CriticalPoint(point=p, hessian=hh, nondegenerate=nondeg)
-        hh = hess_h(domain, p)
+            return CriticalPoint(point=p, hessian=hh,
+                                 nondegenerate=bool(sv[1] > deg_tol * sv[0]))
         try:
             step = np.linalg.solve(hh, -gh)
         except np.linalg.LinAlgError as exc:

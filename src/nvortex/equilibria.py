@@ -5,8 +5,8 @@ Z(t) = e^{-omega J t} z applied blockwise, and solves the free-plane system.
 Constructors cover the co-rotating pair, the equilateral triangle and the
 regular N-gon of identical vortices; each output is validated through its
 defining residual.  In the rotating frame the linearized periodic system
-has the constant generator B of ``rotating_generator``, so ``monodromy``
-is the matrix exponential expm(2pi B), with no time stepping.  It counts
+has the constant generator B of ``rotating_generator``, so the monodromy
+is expm(2pi B), and ``monodromy`` reads its spectrum off B.  It counts
 the geometric multiplicity of the Floquet multiplier 1; for triangles,
 ``triangle_conditions`` also catches a lengthened Jordan chain at that
 multiplier, which the count cannot see.  The paper's abstract does not say
@@ -15,10 +15,10 @@ which of the two its "nondegenerate" means; the CLI requires both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import J2, VortexSystem, grad_H0, hess_H0
 from .errors import ZeroTotalVorticity
@@ -82,31 +82,35 @@ class RelativeEquilibrium:
         return (self.sys.gammas[:, None] * self.z.reshape(-1, 2)).sum(axis=0)
 
 
+def _finite(what: str, compute):
+    """compute(), or ValueError if any entry overflows to inf or NaN."""
+    with np.errstate(all="ignore"):
+        value = compute()
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{what} overflows: vorticities or size out of range")
+    return value
+
+
 def residual_HS0(eq: RelativeEquilibrium) -> float:
-    """Max block norm of Gamma_k Zdot_k(0) - J grad_k H0(z)."""
-    grad = grad_H0(eq.sys, eq.z).reshape(-1, 2)
-    lhs = eq.sys.gammas[:, None] * eq.zdot_at(0.0).reshape(-1, 2)
-    rhs = grad @ J2.T
-    return float(np.linalg.norm(lhs - rhs, axis=1).max())
+    """Max block norm of Gamma_k Zdot_k(0) - J grad_k H0(z), checked finite."""
+    return float(_finite("the residual", lambda: np.linalg.norm(
+        eq.sys.gammas[:, None] * eq.zdot_at(0.0).reshape(-1, 2)
+        - grad_H0(eq.sys, eq.z).reshape(-1, 2) @ J2.T, axis=1).max()))
 
 
 def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquilibrium:
     """Two vortices rotating about their center of vorticity at the origin."""
     sys = VortexSystem([gamma1, gamma2])
     if not separation > 0 or not np.isfinite(separation):
-        raise ValueError(
-            f"separation must be finite and positive, got {separation}")
+        raise ValueError(f"separation must be finite and positive, got {separation}")
     total = gamma1 + gamma2
     if total == 0:
         raise ZeroTotalVorticity("a zero-sum pair translates instead of rotating")
     z1 = np.array([gamma2 * separation / total, 0.0])
     z2 = np.array([-gamma1 * separation / total, 0.0])
-    omega = total / (np.pi * separation**2)
-    return RelativeEquilibrium(
-        sys=sys,
-        z=np.concatenate([z1, z2]),
-        omega=omega,
-    )
+    omega = _finite("the angular velocity",
+                    lambda: total / (np.pi * np.square(separation)))
+    return RelativeEquilibrium(sys=sys, z=np.concatenate([z1, z2]), omega=omega)
 
 
 def make_triangle(gamma1: float, gamma2: float, gamma3: float,
@@ -126,8 +130,10 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
     # unit-circumradius triangle, scaled so the side is as requested
     angles = 2.0 * np.pi * np.arange(3) / 3.0
     verts = (side / np.sqrt(3.0)) * np.column_stack([np.cos(angles), np.sin(angles)])
-    verts -= (gammas[:, None] * verts).sum(axis=0) / total
-    omega = total / (np.pi * side**2)
+    verts -= _finite("the center of vorticity",
+                     lambda: (gammas[:, None] * verts).sum(axis=0) / total)
+    omega = _finite("the angular velocity",
+                    lambda: total / (np.pi * np.square(side)))
     return RelativeEquilibrium(sys=sys, z=verts.ravel(), omega=omega)
 
 
@@ -140,10 +146,9 @@ def make_thomson(n: int, gamma: float, radius: float) -> RelativeEquilibrium:
         raise ValueError(f"radius must be finite and positive, got {radius}")
     angles = 2.0 * np.pi * np.arange(n) / n
     verts = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    omega = gamma * (n - 1) / (2.0 * np.pi * radius**2)
-    return RelativeEquilibrium(
-        sys=sys, z=verts.ravel(), omega=omega
-    )
+    omega = _finite("the angular velocity", lambda: gamma * (n - 1) / (
+        2.0 * np.pi * np.square(radius)))
+    return RelativeEquilibrium(sys=sys, z=verts.ravel(), omega=omega)
 
 
 def normalize_period(eq: RelativeEquilibrium) -> RelativeEquilibrium:
@@ -162,60 +167,65 @@ def normalize_period(eq: RelativeEquilibrium) -> RelativeEquilibrium:
 
 @dataclass(frozen=True)
 class MonodromyReport:
-    """Monodromy matrix W and the kernel of W - I.
+    """Floquet data read off the rotating-frame generator B (``generator``);
+    the monodromy W = expm(2pi B) (``matrix``) is built on first read.
 
-    ``kernel_dim`` is the geometric multiplicity of the multiplier 1 (the SVD
-    nullity of W - I), and ``nondegenerate`` means it is exactly 3.  Neither
-    sees generalized eigenvectors: the L = 0 triangle has kernel_dim 3 but a
-    six-dimensional generalized kernel.
+    ``multipliers`` are exp(2pi lambda) over the eigenvalues lambda of B.
+    ``kernel_dim`` is the geometric multiplicity of the multiplier 1, and
+    ``nondegenerate`` means it is exactly 3.  Neither sees generalized
+    eigenvectors: the L = 0 triangle has kernel_dim 3 but a six-dimensional
+    generalized kernel.
     """
 
-    matrix: np.ndarray
+    generator: np.ndarray
     multipliers: np.ndarray
     kernel_dim: int
     nondegenerate: bool
-    singular_values: np.ndarray
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        from scipy.linalg import expm  # slow import; the verdict needs no W
+        return expm(2.0 * np.pi * self.generator)
 
 
 def rotating_generator(eq: RelativeEquilibrium) -> np.ndarray:
-    """Constant generator B = M_Gamma^{-1} J_N H0''(z) + omega J_N.
+    """Constant generator B = M_Gamma^{-1} J_N H0''(z) + omega J_N, checked finite.
 
     In the frame that rotates with the equilibrium, W(t) = R(t) V(t), the
     linearized system Wdot = M_Gamma^{-1} J_N H0''(Z(t)) W becomes
     Vdot = B V: the blockwise rotation R(t) commutes with J_N and M_Gamma,
     and H0''(Z(t)) = R(t) H0''(z) R(t)^T.
     """
-    minv = 1.0 / eq.sys.m_gamma_diag()
     jn = eq.sys.j_n()
-    return minv[:, None] * (jn @ hess_H0(eq.sys, eq.z)) + eq.omega * jn
+    return _finite("the generator B", lambda: (1.0 / eq.sys.m_gamma_diag())[
+        :, None] * (jn @ hess_H0(eq.sys, eq.z)) + eq.omega * jn)
 
 
 def monodromy(eq: RelativeEquilibrium, svd_tol: float = 1e-6) -> MonodromyReport:
     """Monodromy of the linearized system over one period of a normalized
     equilibrium.
 
-    The monodromy is W = R(2pi) expm(2pi B) with B from
-    ``rotating_generator``, and R(2pi) = I because |omega| = 1, so
-    W = expm(2pi B) in closed form.  Nondegeneracy here means the
-    multiplier-1 eigenspace is exactly three-dimensional: two translations
-    plus the phase direction.  Only this geometric multiplicity is counted;
-    a Jordan chain that lengthens at the multiplier 1 (the L = 0 triangle)
-    leaves the verdict nondegenerate, and ``triangle_conditions`` is what
-    flags it.
+    W = R(2pi) expm(2pi B) = expm(2pi B), as |omega| = 1, so ker(W - I) is
+    the sum of ker(B - ikI) over integers k: nullity(B) plus, for real B,
+    nullity(B^2 + k^2 I) for k = 1 (translations) and each k >= 2 with an
+    eigenvalue of B within 0.1 of ik; each is an SVD count below
+    ``svd_tol`` times the largest singular value.  (On W - I, which grows
+    like e^{2pi Re lambda}, an unstable kernel drowns in roundoff.)
+    Nondegenerate means exactly 3: two translations and the phase.
     """
     if abs(abs(eq.omega) - 1.0) > 1e-9:
         raise ValueError("monodromy expects a normalized equilibrium; "
                          "call normalize_period first")
-    W = expm(2.0 * np.pi * rotating_generator(eq))
-    sv = np.linalg.svd(W - np.eye(W.shape[0]), compute_uv=False)
-    kernel_dim = int(np.count_nonzero(sv < svd_tol * sv[0]))
-    return MonodromyReport(
-        matrix=W,
-        multipliers=np.linalg.eigvals(W),
-        kernel_dim=kernel_dim,
-        nondegenerate=(kernel_dim == 3),
-        singular_values=sv,
-    )
+    B = rotating_generator(eq)
+    lam = np.linalg.eigvals(B)
+    freq = np.abs(lam.imag)
+    k = np.rint(freq)
+    ks = np.union1d(1.0, k[(k >= 1) & (np.hypot(lam.real, freq - k) < 0.1)])
+    stack = np.concatenate([B[None], B @ B + ks[:, None, None]**2 * np.eye(lam.size)])
+    sv = np.linalg.svd(stack, compute_uv=False)
+    kernel_dim = int(np.count_nonzero(sv < svd_tol * sv[:, :1]))
+    return MonodromyReport(generator=B, multipliers=np.exp(2.0 * np.pi * lam),
+                           kernel_dim=kernel_dim, nondegenerate=(kernel_dim == 3))
 
 
 @dataclass(frozen=True)

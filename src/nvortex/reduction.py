@@ -29,7 +29,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import core, loops
 from .core import DomainModel, TranslatedDomain, VortexSystem
@@ -196,8 +195,8 @@ class XBasis:
 
 def build_x_basis(frame: LoopFrame) -> XBasis:
     """Mode by mode: the complement of Z' in mode 1 (Z is a one-mode
-    rotation), then the unit coefficients of each odd mode k >= 3, all
-    scaled to unit H^1 norm."""
+    rotation; the SVD null space scipy.linalg.null_space returns), then the
+    unit coefficients of each odd mode k >= 3, all scaled to unit H^1 norm."""
     n, modes, zdot = frame.n, frame.modes, frame.Zdot.coeffs
     if np.any(zdot[0]) or np.any(zdot[3:]):
         raise DegenerateFrame("the phase direction Z' must lie in mode 1")
@@ -208,7 +207,7 @@ def build_x_basis(frame: LoopFrame) -> XBasis:
     # column-major: the Gram product B^T K B rounds differently on a
     # row-major B, which moves orbit coefficients by about 1e-30
     mat = np.zeros((w.size, k1 + high.size), order="F")
-    mat[2 * n:6 * n, :k1] = scipy.linalg.null_space(zdot[1:3].reshape(1, -1))
+    mat[2 * n:6 * n, :k1] = np.linalg.svd(zdot[1:3].reshape(1, -1))[2][1:].T
     mat[high, k1 + np.arange(high.size)] = 1.0
     mat /= np.sqrt(w)[:, None]
     col_modes = np.concatenate([np.ones(k1, int), flat_modes[high]])
@@ -337,6 +336,7 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                   warm_start: Loop | None = None,
                   basis: XBasis | None = None) -> ReducedSolution:
     """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X."""
+    import scipy.linalg  # slow import; only a solve needs the LU
     basis = basis or build_x_basis(frame)
     operator = assemble_L_r(sys, domain, r, frame, basis=basis)
 

@@ -53,15 +53,28 @@ def _write(path, text):
     return str(path)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    """Only `simulate` and `validate` integrate; the other commands should
-    not pay for importing scipy.integrate."""
+def _scipy_modules_after(code):
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nvortex.__file__)))
-    code = "import sys, nvortex.cli; print('scipy.integrate' in sys.modules)"
+    code += "\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing the CLI loads no scipy module: the LU, the matrix
+    exponential and the integrator are imported where they are used."""
+    assert _scipy_modules_after("import sys, nvortex.cli") == "[]"
+
+
+def test_equilibrium_check_loads_no_scipy():
+    """The Floquet verdict is read off the generator B with numpy alone."""
+    assert _scipy_modules_after(
+        "import sys\nfrom nvortex.cli import main\n"
+        "assert main(['equilibrium', '--type', 'triangle', '--gamma', '1,2,3',"
+        " '--side', '1', '--check']) == 0") == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +106,39 @@ def test_equilibrium_thomson_check_reports_degenerate(capsys):
     assert main(["equilibrium", "--type", "thomson", "--gamma", "1",
                  "--n", "4", "--radius", "1.0", "--check"]) == 1
     assert "DEGENERATE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gammas", ["1,1,-1.2", "1,1,-1.5", "1,1,-1.8",
+                                    "2,1,-2.5"])
+def test_equilibrium_unstable_triangle_is_nondegenerate(gammas, capsys):
+    """L < 0, so the shape modes grow like e^{2 pi lambda}, yet the triangle
+    conditions hold: the kernel is the derived 3 (translations and phase)."""
+    assert main(["equilibrium", "--type", "triangle", f"--gamma={gammas}",
+                 "--side", "1.0", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "kernel_dim = 3" in out and "verdict: nondegenerate" in out
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["--type", "pair", "--gamma=1e300,1e300", "--sep", "1"], "residual"),
+    (["--type", "pair", "--gamma=1e200,1e200", "--sep", "1", "--check"],
+     "residual"),
+    (["--type", "triangle", "--gamma=1e157,1,-2", "--side", "1e5", "--check"],
+     "generator B"),
+    (["--type", "pair", "--gamma=1,2", "--sep", "1e-200"], "angular velocity"),
+], ids=["pair-1e300", "pair-1e200-check", "triangle-B", "pair-sep-1e-200"])
+def test_equilibrium_overflow_exits_2(argv, what, capsys):
+    assert main(["equilibrium", *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"{what} overflows" in captured.err
+    assert "multipliers" not in captured.out
+
+
+def test_equilibrium_huge_size_exits_2(capsys):
+    """omega = Gamma / (pi sep^2) underflows to 0, which no equilibrium has."""
+    assert main(["equilibrium", "--type", "pair", "--gamma=1,2",
+                 "--sep", "1e200"]) == 2
+    assert "angular velocity must be nonzero" in capsys.readouterr().err
 
 
 def test_equilibrium_missing_args_usage():
@@ -551,6 +597,23 @@ def test_robin_disk_center(capsys):
 def test_robin_non_finite_guess_exits_2(capsys):
     assert main(["robin", "--domain", "disk", "--guess", "nan,0"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_robin_default_guess_lies_inside_each_domain(capsys):
+    assert main(["robin", "--domain", "disk"]) == 0
+    default = capsys.readouterr().out
+    assert main(["robin", "--domain", "disk", "--guess", "0.3,-0.2"]) == 0
+    assert capsys.readouterr().out == default
+    # inside the half plane, the search runs and finds no critical point
+    assert main(["robin", "--domain", "halfplane"]) == 1
+    assert "no critical point found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain, guess", [("halfplane", "0.3,-0.2"),
+                                           ("disk", "2,0")])
+def test_robin_guess_outside_domain_exits_2(domain, guess, capsys):
+    assert main(["robin", "--domain", domain, "--guess", guess]) == 2
+    assert "outside the domain" in capsys.readouterr().err
 
 
 def test_robin_halfplane_has_no_critical_point(capsys):

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
@@ -123,6 +124,23 @@ def test_x_basis_orthonormal(pair_setup):
     with pytest.raises(DegenerateFrame):
         rd.build_x_basis(lp.LoopFrame(Z=frame.Z, Zdot=bent, e1=frame.e1,
                                       e2=frame.e2))
+
+
+@pytest.mark.parametrize("seed", [eq.make_pair(1.0, 1.0, 2.0),
+                                  eq.make_triangle(1.0, 2.0, 3.0, 1.0),
+                                  eq.make_thomson(5, 1.0, 1.0)],
+                         ids=["pair", "triangle", "thomson-5"])
+def test_x_basis_mode_one_is_scipy_null_space(seed):
+    """The mode-1 columns are the null space of the one-row Z' as
+    scipy.linalg.null_space returns it, scaled to unit H^1 norm."""
+    seed = eq.normalize_period(seed)
+    n = seed.sys.n
+    frame = lp.build_frame(seed.z, seed.omega, n, M)
+    basis = rd.build_x_basis(frame)
+    want = scipy.linalg.null_space(frame.Zdot.coeffs[1:3].reshape(1, -1))
+    got = basis.matrix[2 * n:6 * n, :4 * n - 1] * np.sqrt(
+        basis.weights[2 * n:6 * n])[:, None]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_operator_plane_blocks(pair_setup):
@@ -372,8 +390,8 @@ def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
     residual is already below newton_tol = 1e-11, so no step is taken."""
     sys2, _, frame, basis = pair_setup
     solves = []
-    lu_solve = rd.scipy.linalg.lu_solve
-    monkeypatch.setattr(rd.scipy.linalg, "lu_solve",
+    lu_solve = scipy.linalg.lu_solve
+    monkeypatch.setattr(scipy.linalg, "lu_solve",
                         lambda *a, **k: solves.append(1) or lu_solve(*a, **k))
     sol = rd.solve_reduced(sys2, UnitDisk(), r, frame,
                            rd.SolverParams(modes=M, mode="Newton"),
