@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import io
 import os
@@ -29,14 +30,13 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 # configuration
 
+# the [solver] keys: one per SolverParams field, parsed by its default's type
+SOLVER_FIELDS = dataclasses.fields(reduction.SolverParams)
 DEFAULT_CONFIG = {
     "system": {"gammas": "1,1", "seed": "pair", "separation": "2.0",
                "side": "1.0", "radius": "1.0", "n": "2"},
     "domain": {"variant": "disk", "a0_guess": "0,0"},
-    "solver": {"modes": "32", "fp_tol": "1e-11", "newton_tol": "1e-11",
-               "max_iter": "200", "contraction_guard": "0.9",
-               "mode": "FixedPoint", "r_max": "0.2", "r_min": "1e-3",
-               "r_points": "30"},
+    "solver": {f.name: str(f.default) for f in SOLVER_FIELDS},
     "output": {"dir": ".", "prefix": "orbit"},
 }
 
@@ -111,18 +111,10 @@ class RunConfig:
                               lambda text: _floats(text).reshape(2))
 
         sol = parser["solver"]
+        values = {f.name: _read(sol, f.name, type(f.default))
+                  for f in SOLVER_FIELDS}
         try:
-            self.params = reduction.SolverParams(
-                modes=sol.getint("modes"),
-                fp_tol=sol.getfloat("fp_tol"),
-                newton_tol=sol.getfloat("newton_tol"),
-                max_iter=sol.getint("max_iter"),
-                contraction_guard=sol.getfloat("contraction_guard"),
-                mode=sol["mode"],
-                r_max=sol.getfloat("r_max"),
-                r_min=sol.getfloat("r_min"),
-                r_points=sol.getint("r_points"),
-            )
+            self.params = reduction.SolverParams(**values)
         except ValueError as exc:
             raise ValueError(f"[solver]: {exc}") from exc
 
@@ -163,10 +155,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 def trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     n = states.shape[1] // 2
     header = "t," + ",".join(f"x{k+1},y{k+1}" for k in range(n))
-    lines = [header]
-    for t, row in zip(times, states):
-        lines.append(",".join(f"{v:.17g}" for v in np.concatenate([[t], row])))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(f"{v:.17g}" for v in np.concatenate([[t], row]))
+             for t, row in zip(times, states)]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def trajectory_svg(states: np.ndarray, domain: core.DomainModel,

@@ -61,6 +61,11 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 COLLISION_TOL = 1e-12
 BOUNDARY_TOL = 1e-14
 
+# find_critical_point_h: stop at |grad h| <= tol, step cap, degeneracy ratio
+CRITICAL_GRAD_TOL = 1e-10
+CRITICAL_MAX_ITER = 50
+CRITICAL_SV_RATIO = 1e-10
+
 
 @dataclass(frozen=True)
 class VortexSystem:
@@ -107,6 +112,15 @@ class VortexSystem:
 
     def __hash__(self):
         return hash(self.gammas.tobytes())
+
+
+def finite(message: str, compute):
+    """compute(), or ValueError(message) if an entry overflows to inf or NaN."""
+    with np.errstate(all="ignore"):
+        value = compute()
+    if not np.all(np.isfinite(value)):
+        raise ValueError(message)
+    return value
 
 
 def _read_only(a):
@@ -210,17 +224,13 @@ class Plane(DomainModel):
     variant = "plane"
 
     def g(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return np.zeros(np.broadcast_shapes(w.shape[:-1], z.shape[:-1]))
+        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(z))[:-1])
 
     def g_w(self, w, z):
-        shape = np.broadcast_shapes(np.shape(w), np.shape(z))
-        return np.zeros(shape)
+        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(z)))
 
     def g_ww(self, w, z):
-        shape = np.broadcast_shapes(np.shape(w), np.shape(z))
-        return np.zeros(shape + (2,))
+        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(z)) + (2,))
 
     g_wz = g_ww
 
@@ -383,7 +393,7 @@ def domain_from_spec(variant: str, params: dict | None = None) -> DomainModel:
     variant = variant.lower()
     if variant == "plane":
         return Plane()
-    if variant in ("disk", "unitdisk"):
+    if variant == "disk":
         return UnitDisk()
     if variant == "halfplane":
         return HalfPlane()
@@ -612,26 +622,28 @@ class CriticalPoint:
     nondegenerate: bool
 
 
-def find_critical_point_h(domain: DomainModel, guess, tol: float = 1e-10,
-                          max_iter: int = 50, deg_tol: float = 1e-10) -> CriticalPoint:
+def find_critical_point_h(domain: DomainModel, guess) -> CriticalPoint:
     """Newton iteration on grad h with step halving to stay inside the domain.
 
     The critical point is nondegenerate when the smaller singular value of
-    h'' exceeds ``deg_tol`` times the larger one, so the verdict does not
-    depend on the scale of h; a zero Hessian is degenerate.  A guess that
-    is not finite or not inside the domain raises ValueError.
+    h'' exceeds ``CRITICAL_SV_RATIO`` times the larger one, so the verdict
+    does not depend on the scale of h; a zero Hessian is degenerate.  A
+    guess that is not finite or not inside the domain, or an iterate where
+    grad h or h'' overflows, raises ValueError.
     """
     p = np.asarray(guess, dtype=float).reshape(2)
     if not np.all(np.isfinite(p)):
         raise ValueError(f"initial guess must be finite, got {p}")
     if not domain.contains(p):
         raise ValueError(f"initial guess {p} outside the domain")
-    for _ in range(max_iter):
-        gh, hh = grad_h(domain, p), hess_h(domain, p)
-        if np.linalg.norm(gh) <= tol:
+    for _ in range(CRITICAL_MAX_ITER):
+        at = f"at ({p[0]:g}, {p[1]:g}) overflows: point out of range"
+        gh = finite(f"grad h {at}", lambda: grad_h(domain, p))
+        hh = finite(f"h'' {at}", lambda: hess_h(domain, p))
+        if np.linalg.norm(gh) <= CRITICAL_GRAD_TOL:
             sv = np.linalg.svd(hh, compute_uv=False)
-            return CriticalPoint(point=p, hessian=hh,
-                                 nondegenerate=bool(sv[1] > deg_tol * sv[0]))
+            return CriticalPoint(point=p, hessian=hh, nondegenerate=bool(
+                sv[1] > CRITICAL_SV_RATIO * sv[0]))
         try:
             step = np.linalg.solve(hh, -gh)
         except np.linalg.LinAlgError as exc:
@@ -644,4 +656,4 @@ def find_critical_point_h(domain: DomainModel, guess, tol: float = 1e-10,
         else:
             raise LeftDomain("Newton step left the domain despite damping")
         p = cand
-    raise NoConvergence(f"no critical point after {max_iter} iterations")
+    raise NoConvergence(f"no critical point after {CRITICAL_MAX_ITER} iterations")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import J2, VortexSystem, grad_H0, hess_H0
+from .core import J2, VortexSystem, finite, grad_H0, hess_H0
 from .errors import ZeroTotalVorticity
 
 __all__ = [
@@ -36,6 +36,12 @@ __all__ = [
     "monodromy",
     "triangle_conditions",
 ]
+
+# singular values below KERNEL_SV_RATIO times the largest count as kernel
+KERNEL_SV_RATIO = 1e-6
+# |total|, |L| and |L - sumsq| at most TRIANGLE_TOL fail the triangle test
+TRIANGLE_TOL = 1e-9
+_OVERFLOWS = "overflows: vorticities or size out of range"
 
 
 def _rot(angle: float) -> np.ndarray:
@@ -53,7 +59,9 @@ class RelativeEquilibrium:
     omega: float
 
     def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float).ravel())
+        z = np.array(self.z, dtype=float).ravel()  # a private copy
+        z.flags.writeable = False  # so that the hash cannot change
+        object.__setattr__(self, "z", z)
         if not np.all(np.isfinite(self.z)):
             raise ValueError(f"configuration must be finite, got {self.z}")
         if not np.isfinite(self.omega):
@@ -63,6 +71,15 @@ class RelativeEquilibrium:
             raise ValueError("angular velocity must be nonzero")
         if self.z.size != 2 * self.sys.n:
             raise ValueError("configuration size does not match the system")
+
+    def __eq__(self, other):  # value semantics; z is an array
+        if not isinstance(other, RelativeEquilibrium):
+            return NotImplemented
+        return (self.sys == other.sys and np.array_equal(self.z, other.z)
+                and self.omega == other.omega)
+
+    def __hash__(self):
+        return hash((self.sys, self.z.tobytes(), self.omega))
 
     @property
     def period(self) -> float:
@@ -82,18 +99,9 @@ class RelativeEquilibrium:
         return (self.sys.gammas[:, None] * self.z.reshape(-1, 2)).sum(axis=0)
 
 
-def _finite(what: str, compute):
-    """compute(), or ValueError if any entry overflows to inf or NaN."""
-    with np.errstate(all="ignore"):
-        value = compute()
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{what} overflows: vorticities or size out of range")
-    return value
-
-
 def residual_HS0(eq: RelativeEquilibrium) -> float:
     """Max block norm of Gamma_k Zdot_k(0) - J grad_k H0(z), checked finite."""
-    return float(_finite("the residual", lambda: np.linalg.norm(
+    return float(finite(f"the residual {_OVERFLOWS}", lambda: np.linalg.norm(
         eq.sys.gammas[:, None] * eq.zdot_at(0.0).reshape(-1, 2)
         - grad_H0(eq.sys, eq.z).reshape(-1, 2) @ J2.T, axis=1).max()))
 
@@ -108,8 +116,8 @@ def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquili
         raise ZeroTotalVorticity("a zero-sum pair translates instead of rotating")
     z1 = np.array([gamma2 * separation / total, 0.0])
     z2 = np.array([-gamma1 * separation / total, 0.0])
-    omega = _finite("the angular velocity",
-                    lambda: total / (np.pi * np.square(separation)))
+    omega = finite(f"the angular velocity {_OVERFLOWS}",
+                   lambda: total / (np.pi * np.square(separation)))
     return RelativeEquilibrium(sys=sys, z=np.concatenate([z1, z2]), omega=omega)
 
 
@@ -130,10 +138,10 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
     # unit-circumradius triangle, scaled so the side is as requested
     angles = 2.0 * np.pi * np.arange(3) / 3.0
     verts = (side / np.sqrt(3.0)) * np.column_stack([np.cos(angles), np.sin(angles)])
-    verts -= _finite("the center of vorticity",
-                     lambda: (gammas[:, None] * verts).sum(axis=0) / total)
-    omega = _finite("the angular velocity",
-                    lambda: total / (np.pi * np.square(side)))
+    verts -= finite(f"the center of vorticity {_OVERFLOWS}",
+                    lambda: (gammas[:, None] * verts).sum(axis=0) / total)
+    omega = finite(f"the angular velocity {_OVERFLOWS}",
+                   lambda: total / (np.pi * np.square(side)))
     return RelativeEquilibrium(sys=sys, z=verts.ravel(), omega=omega)
 
 
@@ -146,8 +154,8 @@ def make_thomson(n: int, gamma: float, radius: float) -> RelativeEquilibrium:
         raise ValueError(f"radius must be finite and positive, got {radius}")
     angles = 2.0 * np.pi * np.arange(n) / n
     verts = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    omega = _finite("the angular velocity", lambda: gamma * (n - 1) / (
-        2.0 * np.pi * np.square(radius)))
+    omega = finite(f"the angular velocity {_OVERFLOWS}",
+                   lambda: gamma * (n - 1) / (2.0 * np.pi * np.square(radius)))
     return RelativeEquilibrium(sys=sys, z=verts.ravel(), omega=omega)
 
 
@@ -165,7 +173,7 @@ def normalize_period(eq: RelativeEquilibrium) -> RelativeEquilibrium:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonodromyReport:
     """Floquet data read off the rotating-frame generator B (``generator``);
     the monodromy W = expm(2pi B) (``matrix``) is built on first read.
@@ -197,11 +205,12 @@ def rotating_generator(eq: RelativeEquilibrium) -> np.ndarray:
     and H0''(Z(t)) = R(t) H0''(z) R(t)^T.
     """
     jn = eq.sys.j_n()
-    return _finite("the generator B", lambda: (1.0 / eq.sys.m_gamma_diag())[
-        :, None] * (jn @ hess_H0(eq.sys, eq.z)) + eq.omega * jn)
+    return finite(f"the generator B {_OVERFLOWS}", lambda: (
+        (1.0 / eq.sys.m_gamma_diag())[:, None] * (jn @ hess_H0(eq.sys, eq.z))
+        + eq.omega * jn))
 
 
-def monodromy(eq: RelativeEquilibrium, svd_tol: float = 1e-6) -> MonodromyReport:
+def monodromy(eq: RelativeEquilibrium) -> MonodromyReport:
     """Monodromy of the linearized system over one period of a normalized
     equilibrium.
 
@@ -209,8 +218,8 @@ def monodromy(eq: RelativeEquilibrium, svd_tol: float = 1e-6) -> MonodromyReport
     the sum of ker(B - ikI) over integers k: nullity(B) plus, for real B,
     nullity(B^2 + k^2 I) for k = 1 (translations) and each k >= 2 with an
     eigenvalue of B within 0.1 of ik; each is an SVD count below
-    ``svd_tol`` times the largest singular value.  (On W - I, which grows
-    like e^{2pi Re lambda}, an unstable kernel drowns in roundoff.)
+    ``KERNEL_SV_RATIO`` times the largest singular value.  (On W - I, which
+    grows like e^{2pi Re lambda}, an unstable kernel drowns in roundoff.)
     Nondegenerate means exactly 3: two translations and the phase.
     """
     if abs(abs(eq.omega) - 1.0) > 1e-9:
@@ -223,7 +232,7 @@ def monodromy(eq: RelativeEquilibrium, svd_tol: float = 1e-6) -> MonodromyReport
     ks = np.union1d(1.0, k[(k >= 1) & (np.hypot(lam.real, freq - k) < 0.1)])
     stack = np.concatenate([B[None], B @ B + ks[:, None, None]**2 * np.eye(lam.size)])
     sv = np.linalg.svd(stack, compute_uv=False)
-    kernel_dim = int(np.count_nonzero(sv < svd_tol * sv[:, :1]))
+    kernel_dim = int(np.count_nonzero(sv < KERNEL_SV_RATIO * sv[:, :1]))
     return MonodromyReport(generator=B, multipliers=np.exp(2.0 * np.pi * lam),
                            kernel_dim=kernel_dim, nondegenerate=(kernel_dim == 3))
 
@@ -242,8 +251,8 @@ class TriangleConditions:
         return self.gamma_ok and self.L_ok and self.L_neq_sumsq
 
 
-def triangle_conditions(gamma1: float, gamma2: float, gamma3: float,
-                        tol: float = 1e-9) -> TriangleConditions:
+def triangle_conditions(gamma1: float, gamma2: float,
+                        gamma3: float) -> TriangleConditions:
     """Algebraic nondegeneracy conditions for the equilateral triangle.
 
     L is the total vortex angular momentum gamma1*gamma2 + gamma1*gamma3 +
@@ -265,9 +274,9 @@ def triangle_conditions(gamma1: float, gamma2: float, gamma3: float,
     L = gamma1 * gamma2 + gamma1 * gamma3 + gamma2 * gamma3
     sumsq = gamma1**2 + gamma2**2 + gamma3**2
     return TriangleConditions(
-        gamma_ok=abs(total) > tol,
-        L_ok=abs(L) > tol,
-        L_neq_sumsq=abs(L - sumsq) > tol,
+        gamma_ok=abs(total) > TRIANGLE_TOL,
+        L_ok=abs(L) > TRIANGLE_TOL,
+        L_neq_sumsq=abs(L - sumsq) > TRIANGLE_TOL,
         gamma=total,
         L=L,
         sumsq=sumsq,

@@ -37,10 +37,6 @@ class DegenerateFrame(VortexError):
     pass
 
 
-class VorticityMismatch(VortexError):
-    pass
-
-
 class ContractionFailure(VortexError):
     """Estimated Lipschitz factor of the fixed-point map exceeded the guard."""
 

@@ -7,9 +7,8 @@ A loop u(t) in R^{2N} is stored by its real Fourier coefficients
 each coefficient a 2N-vector.  The class provides the H^1 and L^2 inner
 products, differentiation, the smoothing operator (id - Laplacian)^{-1},
 time shifts, the geometric frame of the reduction solver and the
-projection onto its translation subspace D, the permutation-symmetry
-averaging projector, and a pseudo-spectral sampling bridge for evaluating
-nonlinear maps.
+projection onto its translation subspace D, and a pseudo-spectral sampling
+bridge for evaluating nonlinear maps.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasWarning, DegenerateFrame, DimensionMismatch, VorticityMismatch
+from .errors import AliasWarning, DegenerateFrame, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,15 @@ def _aligned(u: Loop, v: Loop) -> tuple[Loop, Loop]:
     return u.pad(m), v.pad(m)
 
 
+def _one_plus_k2(modes: int) -> np.ndarray:
+    """1 + k^2 for the rows a0, a1, b1, ..., aM, bM, k the mode of the row."""
+    return 1.0 + ((np.arange(2 * modes + 1) + 1) // 2) ** 2
+
+
 def h1_weights(modes: int) -> np.ndarray:
     """Per-row weights w such that <u,v>_{H^1} = sum_rows w * (row_u . row_v)."""
-    w = np.empty(2 * modes + 1)
+    w = np.pi * _one_plus_k2(modes)
     w[0] = 2.0 * np.pi
-    k = np.arange(1, modes + 1)
-    w[1::2] = np.pi * (1.0 + k**2)
-    w[2::2] = np.pi * (1.0 + k**2)
     return w
 
 
@@ -138,21 +139,11 @@ def differentiate(u: Loop) -> Loop:
 
 def id_minus_laplace(u: Loop) -> Loop:
     """Apply w -> w - w'' mode-wise: mode k scales by (1 + k^2)."""
-    c = u.coeffs.copy()
-    k = np.arange(1, u.modes + 1)[:, None]
-    scale = 1.0 + k**2
-    c[1::2] *= scale
-    c[2::2] *= scale
-    return Loop(c)
+    return Loop(u.coeffs * _one_plus_k2(u.modes)[:, None])
 
 
 def inv_id_minus_laplace(u: Loop) -> Loop:
-    c = u.coeffs.copy()
-    k = np.arange(1, u.modes + 1)[:, None]
-    scale = 1.0 + k**2
-    c[1::2] /= scale
-    c[2::2] /= scale
-    return Loop(c)
+    return Loop(u.coeffs / _one_plus_k2(u.modes)[:, None])
 
 
 def time_shift(theta: float, u: Loop) -> Loop:
@@ -270,47 +261,6 @@ def project_D(u: Loop) -> Loop:
     c = np.zeros_like(u.coeffs)
     c[0] = np.tile(mean, u.n)
     return Loop(c)
-
-
-# ---------------------------------------------------------------------------
-# permutation symmetry
-
-def permutation_order(sigma) -> int:
-    sigma = np.asarray(sigma, dtype=int)
-    k, p = 1, sigma
-    ident = np.arange(sigma.size)
-    while not np.array_equal(p, ident):
-        p = sigma[p]
-        k += 1
-        if k > sigma.size + 1:
-            raise VorticityMismatch("sigma is not a permutation")
-    return k
-
-
-def sigma_act(sigma, u: Loop) -> Loop:
-    """(sigma * u)(t)_j = u_{sigma^{-1}(j)}(t + 2 pi / ord(sigma))."""
-    sigma = np.asarray(sigma, dtype=int)
-    k = permutation_order(sigma)
-    shifted = time_shift(2.0 * np.pi / k, u)
-    inv = np.empty_like(sigma)
-    inv[sigma] = np.arange(sigma.size)
-    blocks = shifted.coeffs.reshape(shifted.coeffs.shape[0], -1, 2)
-    return Loop(blocks[:, inv, :].reshape(shifted.coeffs.shape))
-
-
-def sigma_project(sigma, u: Loop, gammas=None) -> Loop:
-    """Average of the cyclic group orbit of u; fixes the symmetric subspace."""
-    sigma = np.asarray(sigma, dtype=int)
-    if gammas is not None:
-        g = np.asarray(gammas, dtype=float)
-        if g.size != sigma.size or not np.allclose(g[sigma], g):
-            raise VorticityMismatch("permutation does not preserve the vorticities")
-    k = permutation_order(sigma)
-    acc, cur = u, u
-    for _ in range(k - 1):
-        cur = sigma_act(sigma, cur)
-        acc = acc + cur
-    return (1.0 / k) * acc
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,14 @@ from .loops import Loop, LoopFrame
 
 ORBIT_SCHEMA_VERSION = 1
 
+# an r fails if the top quarter of modes holds this share of the H^1 mass
+MAX_SPECTRAL_TAIL = 1e-8
+
 
 @dataclass(frozen=True)
 class SolverParams:
+    """The solver settings: each field is a [solver] key with its default."""
+
     modes: int = 32
     fp_tol: float = 1e-11
     newton_tol: float = 1e-11
@@ -59,12 +64,11 @@ class SolverParams:
     r_max: float = 0.2
     r_min: float = 1e-3
     r_points: int = 30
-    spectral_tail_tol: float = 1e-8
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
-        for name in ("fp_tol", "newton_tol", "spectral_tail_tol", "r_max"):
+        for name in ("fp_tol", "newton_tol", "r_max"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {getattr(self, name)}")
@@ -73,8 +77,11 @@ class SolverParams:
         if not (0 < self.contraction_guard < 1):
             raise ValueError("contraction_guard must lie in (0, 1), got "
                              f"{self.contraction_guard}")
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("r grid must be strictly decreasing and positive")
+        if not (0 < self.r_min < self.r_max
+                and np.isfinite(self.r_max / self.r_min)):
+            raise ValueError("r grid needs 0 < r_min < r_max and a finite "
+                             f"r_max / r_min, got r_max = {self.r_max}, "
+                             f"r_min = {self.r_min}")
         if self.r_points < 2:
             raise ValueError(f"r_points must be at least 2, got {self.r_points}")
         if self.mode not in ("FixedPoint", "Newton"):
@@ -431,14 +438,14 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
     def solve(r, warm):
         sol = solve_reduced(sys, work_domain, r, frame, params,
                             warm_start=warm, basis=basis)
-        if sol.spectral_tail >= params.spectral_tail_tol:
+        if sol.spectral_tail >= MAX_SPECTRAL_TAIL:
             raise NoConvergence(
                 f"spectral tail {sol.spectral_tail:.3e} above "
-                f"{params.spectral_tail_tol:g} at r={r:.5g}")
+                f"{MAX_SPECTRAL_TAIL:g} at r={r:.5g}")
         return sol
 
-    entries, failures = [], {}
-    for r in params.r_grid():
+    entries, failures, grid = [], {}, params.r_grid()
+    for r in grid:
         try:
             entries.append(solve(float(r), entries[-1].v if entries else None))
         except _SOLVE_FAILURES as exc:
@@ -447,7 +454,7 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
         raise EmptyPath("no grid point converged")
 
     # probe upward from the largest converged r to estimate the empirical r0
-    ratio = (params.r_max / params.r_min) ** (1.0 / (params.r_points - 1))
+    ratio = float(grid[0] / grid[1])
     r0, warm_up = entries[0].r, entries[0].v
     for _ in range(8):
         try:

@@ -1,5 +1,6 @@
 """End-to-end command line interface tests via main(argv)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -390,12 +391,38 @@ def test_continue_seed_gamma_count_exits_2(seed, gammas, tmp_path, capsys):
     ("[system]\nseed = thomson\ngammas = 1\nradius = abc\n",
      "[system] radius:"),
     ("[system]\nn = x\n", "[system] n:"),
-], ids=["a0_guess-3", "a0_guess-x", "separation", "side", "radius", "n"])
+    ("[solver]\nmodes = abc\n", "[solver] modes:"),
+    ("[solver]\nfp_tol = x\n", "[solver] fp_tol:"),
+], ids=["a0_guess-3", "a0_guess-x", "separation", "side", "radius", "n",
+        "modes", "fp_tol"])
 def test_config_value_that_fails_to_parse_names_its_key(text, named,
                                                          tmp_path, capsys):
     cfgfile = _write(tmp_path / "bad.ini", text)
     assert main(["continue", "--config", cfgfile, "--dump-config"]) == 2
-    assert capsys.readouterr().err.startswith(f"invalid input: {named}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {named}")
+    assert err.count(named.split()[0]) == 1  # the section is named once
+
+
+def test_solver_section_is_derived_from_solver_params(capsys):
+    fields = dataclasses.fields(rd.SolverParams)
+    assert cli.DEFAULT_CONFIG["solver"] == {f.name: str(f.default)
+                                            for f in fields}
+    assert main(["continue", "--dump-config"]) == 0
+    assert "r_min = 0.001\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("r_min", ["1e-309", "1e-320"])
+def test_continue_r_grid_ratio_that_overflows_exits_2(r_min, tmp_path, capsys):
+    """r_max / r_min = inf would send the upward r0 probe to r = inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["continue", f"--r-min={r_min}", "--modes", "4",
+                     "--r-steps", "3", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: [solver]: r grid needs 0 < r_min "
+                          "< r_max and a finite r_max / r_min, got r_max = 0.2")
+    assert not (tmp_path / "x").exists()
 
 
 def test_continue_malformed_config_is_usage_error(tmp_path):
@@ -597,6 +624,14 @@ def test_robin_disk_center(capsys):
 def test_robin_non_finite_guess_exits_2(capsys):
     assert main(["robin", "--domain", "disk", "--guess", "nan,0"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_robin_guess_where_h_overflows_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["robin", "--domain", "halfplane", "--guess=0,1e300"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "invalid input: h'' at (0, 1e+300) overflows")
 
 
 def test_robin_default_guess_lies_inside_each_domain(capsys):

@@ -1,12 +1,14 @@
 """Direct integration, invariants, event guards, orbit validation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nvortex import dynamics as dyn, equilibria as eq, loops as lp
 from nvortex import reduction as rd
 from nvortex.core import Plane, UnitDisk, VortexSystem
-from nvortex.errors import BoundaryApproach, CollisionApproach
+from nvortex.errors import BoundaryApproach, CollisionApproach, MinStepReached
 
 M = 10
 
@@ -138,6 +140,24 @@ def test_initial_point_outside_guard_rejected():
                       np.array([0.9999999999, 0.0]), 1.0)
     assert info.value.t == 0.0
     assert "within 1e-09 of the boundary" in str(info.value)
+
+
+def test_solver_failure_raises_min_step_reached(monkeypatch):
+    """A solve_ivp result with status -1 (step size below the spacing of
+    floats, say) raises MinStepReached at the last time reached."""
+    import scipy.integrate
+
+    def failed(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(
+            t=np.array([0.0, 0.25]), y=np.stack([y0, y0], axis=1),
+            t_events=[np.empty(0)], status=-1, success=False,
+            message="Required step size is less than spacing between numbers.")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    with pytest.raises(MinStepReached, match="Required step size") as info:
+        dyn.integrate(pair.sys, Plane(), "plane", pair.z, pair.period)
+    assert info.value.t == 0.25
 
 
 def test_single_vortex_plane_is_stationary():

@@ -92,8 +92,24 @@ def test_rotation_solves_flow():
     assert np.allclose(rhs, tri.zdot_at(t), atol=1e-12)
 
 
+def test_relative_equilibria_compare_by_value():
+    a, b = eq.make_pair(1.0, 1.0, 2.0), eq.make_pair(1.0, 1.0, 2.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != eq.make_pair(1.0, 1.0, 3.0) and a != eq.make_pair(1.0, 2.0, 2.0)
+    assert a != eq.normalize_period(a) and a != a.sys
+    assert a != eq.RelativeEquilibrium(a.sys, -a.z, a.omega)  # turned by pi
+    with pytest.raises(ValueError, match="read-only"):
+        a.z[0] = 5.0
+
+
 # ---------------------------------------------------------------------------
 # monodromy
+
+def test_monodromy_reports_compare_by_identity():
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    rep = eq.monodromy(pair)
+    assert rep == rep and rep != eq.monodromy(pair)
+    assert len({rep, rep}) == 1
 
 def test_monodromy_pair_nondegenerate():
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvortex import equilibria as eq, loops as lp, reduction as rd
-from nvortex.errors import AliasWarning, DimensionMismatch, VorticityMismatch
+from nvortex.errors import AliasWarning, DimensionMismatch
 
 RNG = np.random.default_rng(2024)
 M, N = 8, 2
@@ -208,46 +208,6 @@ def test_projection_equivariance_with_shifted_frame(frame):
     a = lp.time_shift(theta, apply(x_projector(frame), u))
     b = apply(x_projector(shifted_frame), lp.time_shift(theta, u))
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# permutation symmetry
-
-def test_sigma_identity_is_noop():
-    u = random_loop(n=3)
-    out = lp.sigma_project(np.array([0, 1, 2]), u)
-    assert np.allclose(out.coeffs, u.coeffs)
-
-
-def test_sigma_thomson_loop_is_fixed():
-    th = eq.normalize_period(eq.make_thomson(3, 1.0, 1.0))
-    fr = lp.build_frame(th.z, th.omega, 3, M)
-    sigma = np.array([1, 2, 0])
-    out = lp.sigma_project(sigma, fr.Z, gammas=[1.0, 1.0, 1.0])
-    assert np.max(np.abs(out.coeffs - fr.Z.coeffs)) < 1e-12
-
-
-def test_sigma_projector_idempotent_and_fixed():
-    u = random_loop(n=3)
-    sigma = np.array([1, 2, 0])
-    w = lp.sigma_project(sigma, u)
-    assert np.max(np.abs(lp.sigma_project(sigma, w).coeffs - w.coeffs)) < 1e-12
-    assert np.max(np.abs(lp.sigma_act(sigma, w).coeffs - w.coeffs)) < 1e-12
-
-
-def test_sigma_vorticity_mismatch():
-    u = random_loop(n=3)
-    with pytest.raises(VorticityMismatch):
-        lp.sigma_project(np.array([1, 2, 0]), u, gammas=[1.0, 2.0, 3.0])
-
-
-def test_sigma_commutes_with_subperiod_shift():
-    u = random_loop(n=3)
-    sigma = np.array([1, 2, 0])
-    theta = 2 * np.pi / 3
-    a = lp.sigma_act(sigma, lp.time_shift(theta, u))
-    b = lp.time_shift(theta, lp.sigma_act(sigma, u))
-    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

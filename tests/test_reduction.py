@@ -433,11 +433,16 @@ def test_thomson_solution_is_sigma_fixed():
     th = eq.normalize_period(eq.make_thomson(3, 1.0, 1.0))
     sys3 = VortexSystem([1.0, 1.0, 1.0])
     frame = lp.build_frame(th.z, th.omega, 3, M)
-    sigma = np.array([1, 2, 0])
+
+    def sigma_act(u):
+        """(sigma u)(t)_j = u_{j-1}(t + 2 pi/3), indices mod 3."""
+        c = lp.time_shift(2 * np.pi / 3, u).coeffs.reshape(2 * M + 1, 3, 2)
+        return lp.Loop(c[:, [2, 0, 1], :].reshape(2 * M + 1, 6))
+
     for mode in ("FixedPoint", "Newton"):
         params = rd.SolverParams(modes=M, mode=mode)
         sol = rd.solve_reduced(sys3, UnitDisk(), 0.1, frame, params)
-        assert lp.h1_norm(lp.sigma_act(sigma, sol.v) - sol.v) <= 1e-10
+        assert lp.h1_norm(sigma_act(sol.v) - sol.v) <= 1e-10
         assert sol.residual_grad < 1e-10
 
 
@@ -505,7 +510,11 @@ def test_continuation_all_points(small_path):
     assert len(small_path.entries) == 12
     assert not small_path.failures
     assert all(e.residual_grad < 1e-10 for e in small_path.entries)
-    assert small_path.r0_empirical >= small_path.entries[0].r
+    # the r0 probe climbs by the grid's ratio: 0.324, 0.524 and 0.848
+    # converge, and at 1.37 the orbit leaves the disk
+    grid = rd.SolverParams(modes=M, r_points=12).r_grid()
+    assert small_path.r0_empirical == pytest.approx(
+        grid[0] * (grid[0] / grid[1]) ** 3, rel=1e-12)
 
 
 def test_continuation_vnorm_monotone(small_path):
@@ -530,6 +539,50 @@ def test_domain_exit_is_recorded_and_probe_stops(pair_setup):
     assert msg.startswith("DomainError: ") and re.search(r"at sample \d+$", msg)
     assert path.failures[grid[1]].startswith("ContractionFailure: ")
     assert path.r0_empirical == pytest.approx(0.96659, abs=5e-6)
+
+
+class _QuarticDomain(core.SyntheticQuadratic):
+    """g(w, z) = w.z + (w_x z_x)^2 / 2 on the plane: even about 0, so the
+    orbits are odd, but not rotation-invariant, so with growing r they
+    carry mass beyond mode 1."""
+
+    def g(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        return super().g(w, z) + 0.5 * (w[..., 0] * z[..., 0]) ** 2
+
+    def g_w(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        out = super().g_w(w, z)
+        out[..., 0] += w[..., 0] * z[..., 0] ** 2
+        return out
+
+    def g_ww(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        out = np.zeros(w.shape + (2,))
+        out[..., 0, 0] = z[..., 0] ** 2
+        return out
+
+    def g_wz(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        out = super().g_wz(w, z)
+        out[..., 0, 0] += 2 * w[..., 0] * z[..., 0]
+        return out
+
+
+def test_spectral_tail_guard_records_the_r(pair_setup):
+    """At 5 modes the tail is the H^1 share of mode 5: about 1.5e-6 at
+    r = 0.5 and 1e-14 at r = 0.05, so only r = 0.5 is under-resolved, both
+    on the grid and in the upward r0 probe."""
+    pair = pair_setup[1]
+    frame = lp.build_frame(pair.z, pair.omega, 2, 5)
+    params = rd.SolverParams(modes=5, r_max=0.5, r_min=0.005, r_points=3)
+    path = rd.continue_path(pair.sys, _QuarticDomain(), np.zeros(2), frame,
+                            params)
+    assert list(path.failures) == [0.5]
+    assert path.failures[0.5].startswith("NoConvergence: spectral tail ")
+    assert np.array_equal(path.r_values, params.r_grid()[1:])
+    assert all(e.spectral_tail < rd.MAX_SPECTRAL_TAIL for e in path.entries)
+    assert path.r0_empirical == path.entries[0].r
 
 
 def test_colliding_loop_names_the_sample(pair_setup):
@@ -612,12 +665,17 @@ def test_solver_params_validation():
         rd.SolverParams(r_max=0.001, r_min=0.1)
     with pytest.raises(ValueError):
         rd.SolverParams(mode="bogus")
-    with pytest.raises(ValueError):
-        rd.SolverParams(spectral_tail_tol=0.0)
-    for field in ("fp_tol", "newton_tol", "spectral_tail_tol", "r_max"):
+    for field in ("fp_tol", "newton_tol", "r_max"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 rd.SolverParams(**{field: bad})
     grid = rd.SolverParams().r_grid()
     assert grid[0] == pytest.approx(0.2) and grid[-1] == pytest.approx(1e-3)
     assert np.all(np.diff(grid) < 0)
+
+
+@pytest.mark.parametrize("r_min", [1e-309, 1e-320])
+def test_solver_params_reject_r_grid_ratio_that_overflows(r_min):
+    with pytest.raises(ValueError, match=r"finite r_max / r_min, "
+                       r"got r_max = 0\.2, r_min = 1e-3\d\d$"):
+        rd.SolverParams(r_min=r_min)
