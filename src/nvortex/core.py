@@ -615,7 +615,7 @@ def vortex_rhs(sys: VortexSystem, domain: DomainModel, z, r: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compares by identity
 class CriticalPoint:
     point: np.ndarray
     hessian: np.ndarray

@@ -22,7 +22,7 @@ COLLISION_GUARD = 1e-9
 BOUNDARY_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compares by identity
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (len(times), 2N)

@@ -22,9 +22,12 @@ import numpy as np
 from .errors import AliasWarning, DegenerateFrame, DimensionMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Loop:
-    """Band-limited loop: coeffs has shape (2M+1, 2N), rows a0,a1,b1,...,aM,bM."""
+    """Band-limited loop: coeffs has shape (2M+1, 2N), rows a0,a1,b1,...,aM,bM.
+
+    Loops compare by value (same shape and coefficients) and are not
+    hashable: coeffs may share memory with a caller's writable array."""
 
     coeffs: np.ndarray
 
@@ -65,6 +68,10 @@ class Loop:
         rows = min(c.shape[0], self.coeffs.shape[0])
         c[:rows] = self.coeffs[:rows]
         return Loop(c)
+
+    def __eq__(self, other):
+        return (np.array_equal(self.coeffs, other.coeffs)
+                if isinstance(other, Loop) else NotImplemented)
 
     def __add__(self, other: "Loop") -> "Loop":
         a, b = _aligned(self, other)

@@ -92,7 +92,9 @@ class SolverParams:
         return np.geomspace(self.r_max, self.r_min, self.r_points)
 
 
-@dataclass(frozen=True)
+# the result containers hold arrays: they compare by identity, as
+# equilibria.MonodromyReport does
+@dataclass(frozen=True, eq=False)
 class ReducedSolution:
     r: float
     v: Loop
@@ -105,7 +107,7 @@ class ReducedSolution:
     contraction_estimate: float = float("nan")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalOrbit:
     a0: np.ndarray
     r: float
@@ -114,7 +116,7 @@ class PhysicalOrbit:
     samples: np.ndarray  # (m, 2N)
 
 
-@dataclass
+@dataclass(eq=False)
 class ContinuationPath:
     a0: np.ndarray
     entries: list  # ReducedSolution, r descending
@@ -173,7 +175,7 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
 # ---------------------------------------------------------------------------
 # the X-space basis and the preconditioned operator
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XBasis:
     """H^1-orthonormal basis of the odd part of X = (R Z')^perp, the loops
     of X with u(t + pi) = -u(t), as flattened columns; column j lies in
@@ -211,9 +213,7 @@ def build_x_basis(frame: LoopFrame) -> XBasis:
     flat_modes = (np.arange(w.size) // (2 * n) + 1) // 2
     high = np.flatnonzero((flat_modes % 2 == 1) & (flat_modes >= 3))
     k1 = 4 * n - 1  # columns in mode 1
-    # column-major: the Gram product B^T K B rounds differently on a
-    # row-major B, which moves orbit coefficients by about 1e-30
-    mat = np.zeros((w.size, k1 + high.size), order="F")
+    mat = np.zeros((w.size, k1 + high.size))
     mat[2 * n:6 * n, :k1] = np.linalg.svd(zdot[1:3].reshape(1, -1))[2][1:].T
     mat[high, k1 + np.arange(high.size)] = 1.0
     mat /= np.sqrt(w)[:, None]
@@ -221,7 +221,7 @@ def build_x_basis(frame: LoopFrame) -> XBasis:
     return XBasis(matrix=mat, weights=w, n=n, modes=modes, col_modes=col_modes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorReport:
     matrix: np.ndarray  # over the columns of the odd X basis
     d0_matrix: np.ndarray  # 2x2 D-block of (L_r - L_0-part)/r^2 in the e-hat basis
@@ -240,10 +240,36 @@ def _sym_cond(a: np.ndarray) -> float:
     return float(lam.max() / lam.min()) if lam.min() > 0 else np.inf
 
 
+def h0_hessians(sys: VortexSystem, base_pts: np.ndarray) -> tuple:
+    """hess_H0 along the sampled base and whether it repeats after pi: the
+    r-independent part of L_r, which a continuation builds once at Z."""
+    hmats = core.hess_H0(sys, base_pts)
+    return hmats, _repeats_after_pi(hmats)
+
+
+def _hessian_gram(hmats: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(2 pi/m) S^T diag(h_ij) S over the cos/sin rows of the modes ks, read
+    off one rFFT of the m-sample stack.  With c_n - i s_n = rfft(h)_n / m,
+    extended to n < 0 by conjugation (c is even in n, s odd),
+
+        (2 pi/m) sum_t cos kt h cos lt = pi (c_{k-l} + c_{k+l}),
+        (2 pi/m) sum_t sin kt h sin lt = pi (c_{k-l} - c_{k+l}),
+        (2 pi/m) sum_t cos kt h sin lt = pi (s_{k+l} - s_{k-l}),
+
+    and the sin-cos block is the transpose: Toeplitz plus Hankel in (k, l).
+    Exact whenever k + l <= m/2; axes (cos|sin, cos|sin, k, l, i, j)."""
+    spec = np.fft.rfft(hmats, axis=0) / hmats.shape[0]
+    spec = np.concatenate([spec, spec[:0:-1].conj()])  # entry -n: frequency -n
+    c, s = spec.real, -spec.imag
+    diff, total = np.subtract.outer(ks, ks), np.add.outer(ks, ks)
+    c_d, s_d, c_t, s_t = c[diff], s[diff], c[total], s[total]
+    return np.pi * np.array([[c_d + c_t, s_t - s_d], [s_t + s_d, c_d - c_t]])
+
+
 def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
                  frame: LoopFrame, basis: XBasis | None = None,
-                 base: Loop | None = None,
-                 cond_limit: float = 1e12) -> OperatorReport:
+                 base: Loop | None = None, cond_limit: float = 1e12,
+                 h0: tuple | None = None) -> OperatorReport:
     """Dense matrix of P_X DPhi_r at the base loop over the X basis.
 
     DPhi_r w = (id-Lap)^{-1}(-J M w' - H_r''(base) w), with the H-term taken
@@ -253,21 +279,25 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
 
         L = B^T K B,  K[:, i, :, j] = -(2 pi/m) S^T diag(H_r''(base)_ij) S,
 
-    with S the synthesis matrix, plus -pi k JM at (a_k, b_k) and +pi k JM at
-    (b_k, a_k) from the linear term, JM = J_N M_Gamma.
+    with S the synthesis matrix (read off one rFFT by `_hessian_gram`), plus
+    -pi k JM at (a_k, b_k) and +pi k JM at (b_k, a_k) from the linear term,
+    JM = J_N M_Gamma.  B is 1/sqrt(w) on each unit column of a mode k >= 3
+    and the null space of Z' over sqrt(w_1) in mode 1, so K is scaled and
+    only its mode-1 rows and columns are contracted.
 
     H0'' along the base and F'' along r*base must both repeat after half a
     period (H_r even about a0, and an odd base): then DPhi_r keeps odd and
     even modes apart, and the odd part of X holds the orbit.  Otherwise
-    ValueError: no other subspace is solved on.
+    ValueError: no other subspace is solved on.  h0, what `h0_hessians`
+    returns along the same base, may be passed by a caller that assembles
+    at one base for many r.
     """
     basis = basis or build_x_basis(frame)
     base = base or frame.Z
     n, modes = sys.n, basis.modes
     m = loops.dealias_samples(modes)
     base_pts = loops.sample(base, m)
-    hmats = core.hess_H0(sys, base_pts)
-    even = _repeats_after_pi(hmats)
+    hmats, even = h0 or h0_hessians(sys, base_pts)
     if r > 0:
         fmats = core.hess_F(sys, domain, r * base_pts)
         # tested apart: in the sum the asymmetry of F'' is scaled by r^2
@@ -283,24 +313,20 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
         raise ValueError("H_r is not even about a0: its Hessians along the "
                          "base do not repeat after half a period")
 
-    # coefficient rows a0, a1, b1, ... of the modes that the basis uses
-    rows = np.flatnonzero(np.isin(np.arange(1, 2 * modes + 2) // 2,
-                                  basis.col_modes))
-    s = loops.synthesis_matrix(modes, m)[:, rows]
-    dim = 2 * n
-    K = np.empty((rows.size, dim, rows.size, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            K[:, i, :, j] = K[:, j, :, i] = (-2 * np.pi / m) * (
-                s.T @ (hmats[:, i, j, None] * s))
-    a = np.flatnonzero(rows % 2 == 1)  # the a_k rows, each followed by b_k
-    k = (rows[a, None, None] + 1) // 2
-    kjm = np.pi * k * (sys.j_n() @ sys.m_gamma())
-    K[a, :, a + 1, :] -= kjm
-    K[a + 1, :, a, :] += kjm
-    K = K.reshape(rows.size * dim, rows.size * dim)
-    B = basis.matrix.reshape(2 * modes + 1, dim, -1)[rows].reshape(K.shape[0], -1)
-    L = B.T @ K @ B
+    ks = np.arange(1, modes + 1, 2)  # the odd modes the basis spans
+    at = np.arange(ks.size)
+    G = -_hessian_gram(hmats, ks)
+    kjm = np.pi * ks[:, None, None] * (sys.j_n() @ sys.m_gamma())
+    G[0, 1, at, at] -= kjm
+    G[1, 0, at, at] += kjm
+    scale = 1 / np.sqrt(loops.h1_weights(modes)[2 * ks - 1])
+    scale[0] = 1.0  # mode 1 is contracted with its null-space block below
+    G *= np.multiply.outer(scale, scale)[:, :, None, None]
+    K = G.transpose(2, 0, 4, 3, 1, 5).reshape(4 * n * ks.size, -1)
+    h = 4 * n  # the coefficients of a_1 and b_1
+    v1 = basis.matrix[2 * n:2 * n + h, basis.col_modes == 1]
+    L = np.vstack([v1.T @ K[:h], K[h:]])  # contract the mode-1 rows,
+    L = np.hstack([L[:, :h] @ v1, L[:, h:]])  # then the mode-1 columns
     L = 0.5 * (L + L.T)  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
 
     cond_A = _sym_cond(L)
@@ -341,11 +367,13 @@ def _spectral_tail(u: Loop) -> float:
 def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                   frame: LoopFrame, params: SolverParams,
                   warm_start: Loop | None = None,
-                  basis: XBasis | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X."""
+                  basis: XBasis | None = None,
+                  h0: tuple | None = None) -> ReducedSolution:
+    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X; basis and
+    h0 (see assemble_L_r) may come from a caller that solves for many r."""
     import scipy.linalg  # slow import; only a solve needs the LU
     basis = basis or build_x_basis(frame)
-    operator = assemble_L_r(sys, domain, r, frame, basis=basis)
+    operator = assemble_L_r(sys, domain, r, frame, basis=basis, h0=h0)
 
     def residual(y):
         return basis.coords(grad_J_r(sys, domain, r, frame.Z + basis.to_loop(y)))
@@ -434,10 +462,12 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
     work_domain = domain if np.allclose(a0, 0.0) else TranslatedDomain(domain, a0)
 
     basis = build_x_basis(frame)
+    h0 = h0_hessians(sys, loops.sample(frame.Z, loops.dealias_samples(
+        basis.modes)))
 
     def solve(r, warm):
         sol = solve_reduced(sys, work_domain, r, frame, params,
-                            warm_start=warm, basis=basis)
+                            warm_start=warm, basis=basis, h0=h0)
         if sol.spectral_tail >= MAX_SPECTRAL_TAIL:
             raise NoConvergence(
                 f"spectral tail {sol.spectral_tail:.3e} above "
@@ -544,7 +574,7 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def save_orbit(path: str, doc: dict) -> None:
-    atomic_write(path, json.dumps(doc, indent=1) + "\n")
+    atomic_write(path, json.dumps(doc) + "\n")  # compact: the C encoder
 
 
 def load_orbit(path: str) -> dict:

@@ -340,6 +340,12 @@ def test_critical_point_disk():
     assert np.allclose(crit.hessian, np.eye(2) / np.pi, atol=1e-10)
 
 
+def test_critical_points_compare_by_identity():
+    a, b = (core.find_critical_point_h(UnitDisk(), np.array([0.3, -0.2]))
+            for _ in range(2))
+    assert a == a and a != b and len({a, a, b}) == 2
+
+
 def test_critical_point_disk_trivial_guess():
     crit = core.find_critical_point_h(UnitDisk(), np.zeros(2))
     assert np.linalg.norm(crit.point) == 0.0

@@ -23,6 +23,12 @@ def pair_orbit():
     return sys2, pair, sol
 
 
+def test_trajectories_compare_by_identity():
+    a, b = (dyn.Trajectory(np.arange(3.0), np.zeros((3, 2)), "plane")
+            for _ in range(2))
+    assert a == a and a != b and len({a, a, b}) == 2
+
+
 def test_pair_closure_on_plane():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))

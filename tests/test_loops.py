@@ -245,6 +245,18 @@ def test_alias_warning():
         lp.sample(u, 2 * M)  # fewer than 2M+1 samples
 
 
+def test_loops_compare_by_value():
+    """Same shape and coefficients; a loop is not hashable, because its
+    coeffs may share memory with a caller's writable array."""
+    c = np.random.default_rng(5).normal(size=(5, 4))
+    a, b = lp.Loop(c), lp.Loop(c.copy())
+    assert a == b and not a != b
+    assert a != lp.Loop(np.nextafter(c, 1)) and a != a.pad(3) and a != "loop"
+    assert lp.build_frame(c[1], 1.0, 2, 2) == lp.build_frame(c[1], 1.0, 2, 2)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def test_serialization_roundtrip():
     u = random_loop()
     doc = lp.loop_to_dict(u)

@@ -174,6 +174,73 @@ def test_operator_matches_finite_differences(pair_setup):
     assert np.linalg.norm(op.matrix @ y - fdc) / np.linalg.norm(fdc) < 1e-5
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), modes=st.integers(2, 16), band=st.integers(0, 32),
+       seed=st.integers(0, 2**32 - 1))
+def test_spectral_gram_is_quadrature_gram(n, modes, band, seed):
+    """The Toeplitz-plus-Hankel gather from the rFFT of a Hessian stack
+    equals the quadrature Gram (2 pi/m) S^T diag(h_ij) S on the cos/sin rows
+    of every mode 1..M, odd and even, for random symmetric stacks with
+    `band` harmonics, below and above the 2M that k + l reaches."""
+    rng = np.random.default_rng(seed)
+    m = lp.dealias_samples(modes)
+    coef = rng.normal(size=(2 * band + 1, 2 * n, 2 * n))
+    hmats = lp.synthesis_matrix(band, m) @ (coef + coef.transpose(0, 2, 1)
+                                             ).reshape(2 * band + 1, -1)
+    hmats = hmats.reshape(m, 2 * n, 2 * n)
+    s = lp.synthesis_matrix(modes, m)[:, 1:]  # rows a1, b1, ..., aM, bM
+    want = (2 * np.pi / m) * np.einsum("tp,tij,tq->piqj", s, hmats, s)
+    got = rd._hessian_gram(hmats, np.arange(1, modes + 1))
+    got = got.transpose(2, 0, 4, 3, 1, 5).reshape(want.shape)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
+    """FixedPoint assembles every r of a continuation, and every upward r0
+    probe, at the seed Z, so hess_H0 runs once per continuation.  Newton
+    assembles at its own base Z + v, once per step, through the same
+    assemble_L_r."""
+    sys2, _, frame, _ = pair_setup
+    calls, assemblies = [], []
+    real, real_assemble = core.hess_H0, rd.assemble_L_r
+    monkeypatch.setattr(core, "hess_H0",
+                        lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(rd, "assemble_L_r", lambda *args, **kw: (
+        assemblies.append(1) or real_assemble(*args, **kw)))
+    path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame,
+                            rd.SolverParams(modes=M, r_points=4))
+    assert len(path.entries) == 4 and len(assemblies) == 5  # one r0 probe
+    assert len(calls) == 1
+    newton = rd.SolverParams(modes=M, mode="Newton")
+    h0 = rd.h0_hessians(sys2, lp.sample(frame.Z, lp.dealias_samples(M)))
+    calls.clear()
+    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, newton, h0=h0)
+    assert sol.iterations == 2 and len(calls) == 2
+    calls.clear()
+    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, newton)
+    assert sol.iterations == 2 and len(calls) == 3  # and one at the seed
+
+
+def test_result_containers_compare_by_identity(pair_setup, small_path):
+    """Containers that hold arrays compare by identity and hash by it, as
+    equilibria.MonodromyReport does; == never raises on them."""
+    sys2, _, frame, basis = pair_setup
+    disk = UnitDisk()
+    sol = small_path.entries[0]
+    twins = [
+        [rd.assemble_L_r(sys2, disk, 0.1, frame, basis=basis)
+         for _ in range(2)],
+        [rd.solve_reduced(sys2, disk, 0.1, frame, rd.SolverParams(modes=M),
+                          basis=basis) for _ in range(2)],
+        [rd.unrescale(np.zeros(2), sol.r, sol.u, 8) for _ in range(2)],
+        [rd.ContinuationPath(np.zeros(2), [sol], {}, 0.2) for _ in range(2)],
+        [basis, rd.build_x_basis(frame)],
+    ]
+    for a, b in twins:
+        assert a == a and a != b and not a == b
+        assert len({a, a, b}) == 2
+
+
 def test_operator_symmetric(pair_setup):
     sys2, _, frame, basis = pair_setup
     op = rd.assemble_L_r(sys2, UnitDisk(), 0.1, frame, basis=basis)
