@@ -54,22 +54,21 @@ def _rhs(sys: VortexSystem, domain: DomainModel, mode: str, r: float):
     raise ValueError(f"unknown integration mode {mode!r}")
 
 
-def _guards(domain: DomainModel, mode: str, collision_guard: float,
-            boundary_guard: float):
+def _guards(domain: DomainModel, mode: str):
     """(event, error, message) for each guard; the event is a distance minus
     its guard, so the guard trips where the event is <= 0."""
     def collision(t, z):
-        return core.min_separation(z) - collision_guard
+        return core.min_separation(z) - COLLISION_GUARD
 
     guards = [(collision, CollisionApproach,
-               f"vortices within {collision_guard:g} of collision")]
+               f"vortices within {COLLISION_GUARD:g} of collision")]
     if mode == "physical" and np.isfinite(domain.boundary_gap(np.zeros(2))):
         def boundary(t, z):
             return float(domain.boundary_gap(z.reshape(-1, 2)).min()) \
-                - boundary_guard
+                - BOUNDARY_GUARD
 
         guards.append((boundary, BoundaryApproach,
-                       f"vortex within {boundary_guard:g} of the boundary"))
+                       f"vortex within {BOUNDARY_GUARD:g} of the boundary"))
     for event, _, _ in guards:
         event.terminal = True
         event.direction = -1
@@ -79,9 +78,7 @@ def _guards(domain: DomainModel, mode: str, collision_guard: float,
 def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
               z0: np.ndarray, T: float, rtol: float = 1e-10,
               atol: float = 1e-12, r: float = 0.0,
-              t_eval: np.ndarray | None = None,
-              collision_guard: float = COLLISION_GUARD,
-              boundary_guard: float = BOUNDARY_GUARD) -> Trajectory:
+              t_eval: np.ndarray | None = None) -> Trajectory:
     """Integrate one of the vortex systems over [0, T]; ValueError unless T,
     rtol and atol are finite and positive and t_eval has 2 or more times."""
     for name, value in (("T", T), ("rtol", rtol), ("atol", atol)):
@@ -92,7 +89,7 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
                          f"{np.size(t_eval)}")
     from scipy.integrate import solve_ivp  # slow import; most commands never integrate
     z0 = np.asarray(z0, dtype=float).ravel()
-    guards = _guards(domain, mode, collision_guard, boundary_guard)
+    guards = _guards(domain, mode)
     for event, error, message in guards:
         if event(0.0, z0) <= 0:
             raise error(message, t=0.0)

@@ -49,6 +49,8 @@ ORBIT_SCHEMA_VERSION = 1
 
 # an r fails if the top quarter of modes holds this share of the H^1 mass
 MAX_SPECTRAL_TAIL = 1e-8
+# an operator whose cond(A) or cond(D) exceeds this raises SingularOperator
+MAX_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,8 @@ class XBasis:
     """H^1-orthonormal basis of the odd part of X = (R Z')^perp, the loops
     of X with u(t + pi) = -u(t), as flattened columns; column j lies in
     mode col_modes[j].  weights is the diagonal H^1 Gram in flat coordinates.
+    h0 is H0'' along the seed Z on the dealias_samples(modes) nodes: the
+    r-independent part of every operator assembled at Z.
     """
 
     matrix: np.ndarray  # (dim_total, dim_X)
@@ -187,6 +191,7 @@ class XBasis:
     n: int
     modes: int
     col_modes: np.ndarray
+    h0: np.ndarray  # (m, 2N, 2N)
 
     @property
     def dim(self) -> int:
@@ -202,10 +207,11 @@ class XBasis:
         return loops.unflatten(self.matrix[:, j], self.n, self.modes)
 
 
-def build_x_basis(frame: LoopFrame) -> XBasis:
+def build_x_basis(sys: VortexSystem, frame: LoopFrame) -> XBasis:
     """Mode by mode: the complement of Z' in mode 1 (Z is a one-mode
     rotation; the SVD null space scipy.linalg.null_space returns), then the
-    unit coefficients of each odd mode k >= 3, all scaled to unit H^1 norm."""
+    unit coefficients of each odd mode k >= 3, all scaled to unit H^1 norm;
+    with them, hess_H0 along Z."""
     n, modes, zdot = frame.n, frame.modes, frame.Zdot.coeffs
     if np.any(zdot[0]) or np.any(zdot[3:]):
         raise DegenerateFrame("the phase direction Z' must lie in mode 1")
@@ -218,7 +224,9 @@ def build_x_basis(frame: LoopFrame) -> XBasis:
     mat[high, k1 + np.arange(high.size)] = 1.0
     mat /= np.sqrt(w)[:, None]
     col_modes = np.concatenate([np.ones(k1, int), flat_modes[high]])
-    return XBasis(matrix=mat, weights=w, n=n, modes=modes, col_modes=col_modes)
+    h0 = core.hess_H0(sys, loops.sample(frame.Z, loops.dealias_samples(modes)))
+    return XBasis(matrix=mat, weights=w, n=n, modes=modes, col_modes=col_modes,
+                  h0=h0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,13 +246,6 @@ def _sym_cond(a: np.ndarray) -> float:
     """2-norm condition number of a symmetric matrix, max|lambda|/min|lambda|."""
     lam = np.abs(np.linalg.eigvalsh(a))
     return float(lam.max() / lam.min()) if lam.min() > 0 else np.inf
-
-
-def h0_hessians(sys: VortexSystem, base_pts: np.ndarray) -> tuple:
-    """hess_H0 along the sampled base and whether it repeats after pi: the
-    r-independent part of L_r, which a continuation builds once at Z."""
-    hmats = core.hess_H0(sys, base_pts)
-    return hmats, _repeats_after_pi(hmats)
 
 
 def _hessian_gram(hmats: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -268,8 +269,7 @@ def _hessian_gram(hmats: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
                  frame: LoopFrame, basis: XBasis | None = None,
-                 base: Loop | None = None, cond_limit: float = 1e12,
-                 h0: tuple | None = None) -> OperatorReport:
+                 base: Loop | None = None) -> OperatorReport:
     """Dense matrix of P_X DPhi_r at the base loop over the X basis.
 
     DPhi_r w = (id-Lap)^{-1}(-J M w' - H_r''(base) w), with the H-term taken
@@ -288,16 +288,14 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     H0'' along the base and F'' along r*base must both repeat after half a
     period (H_r even about a0, and an odd base): then DPhi_r keeps odd and
     even modes apart, and the odd part of X holds the orbit.  Otherwise
-    ValueError: no other subspace is solved on.  h0, what `h0_hessians`
-    returns along the same base, may be passed by a caller that assembles
-    at one base for many r.
+    ValueError: no other subspace is solved on.  At the seed (base None)
+    H0'' is read from basis.h0; a given base evaluates hess_H0.
     """
-    basis = basis or build_x_basis(frame)
-    base = base or frame.Z
+    basis = basis or build_x_basis(sys, frame)
     n, modes = sys.n, basis.modes
-    m = loops.dealias_samples(modes)
-    base_pts = loops.sample(base, m)
-    hmats, even = h0 or h0_hessians(sys, base_pts)
+    base_pts = loops.sample(base or frame.Z, loops.dealias_samples(modes))
+    hmats = basis.h0 if base is None else core.hess_H0(sys, base_pts)
+    even = _repeats_after_pi(hmats)
     if r > 0:
         fmats = core.hess_F(sys, domain, r * base_pts)
         # tested apart: in the sum the asymmetry of F'' is scaled by r^2
@@ -333,7 +331,7 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     # D tends to r^2 (Gamma^2/N) h''(a0), so cond(D) tests the nondegeneracy
     # of a0; it vanishes identically when F has no effect (plane, r = 0)
     cond_D = np.linalg.cond(d0) if d0.any() else 1.0
-    if max(cond_A, cond_D) > cond_limit:
+    if max(cond_A, cond_D) > MAX_COND:
         raise SingularOperator(
             f"ill-conditioned reduced operator: cond(A)={cond_A:.3e}, "
             f"cond(D)={cond_D:.3e}")
@@ -367,13 +365,11 @@ def _spectral_tail(u: Loop) -> float:
 def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                   frame: LoopFrame, params: SolverParams,
                   warm_start: Loop | None = None,
-                  basis: XBasis | None = None,
-                  h0: tuple | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X; basis and
-    h0 (see assemble_L_r) may come from a caller that solves for many r."""
+                  basis: XBasis | None = None) -> ReducedSolution:
+    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X; the basis
+    may come from a caller that solves for many r."""
     import scipy.linalg  # slow import; only a solve needs the LU
-    basis = basis or build_x_basis(frame)
-    operator = assemble_L_r(sys, domain, r, frame, basis=basis, h0=h0)
+    basis = basis or build_x_basis(sys, frame)
 
     def residual(y):
         return basis.coords(grad_J_r(sys, domain, r, frame.Z + basis.to_loop(y)))
@@ -382,6 +378,7 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
     eps_ball = 0.5 * core.min_separation(frame.Z.a(1).reshape(-1, 2))
     contraction = float("nan")
     if params.mode == "FixedPoint":
+        operator = assemble_L_r(sys, domain, r, frame, basis=basis)
         lu = scipy.linalg.lu_factor(operator.matrix)
         prev_step, guard_strikes = None, 0
         for it in range(1, params.max_iter + 1):
@@ -409,9 +406,10 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                 f"fixed point not converged in {params.max_iter} iterations "
                 f"at r={r:.5g} (last step {step_norm:.3e})")
     else:
-        # `it` counts the Newton steps taken; 0 when the seed already solves
+        # `it` counts the Newton steps taken; 0 when the seed already solves.
+        # The accepted line-search trial's residual serves the next step.
+        res = residual(y)
         for it in range(params.max_iter):
-            res = residual(y)
             res_norm = np.linalg.norm(res)
             if res_norm <= params.newton_tol:
                 break
@@ -421,14 +419,19 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             # backtracking on the projected residual
             alpha = 1.0
             for _ in range(8):
+                y_try = y + alpha * step
                 try:
-                    r_try = np.linalg.norm(residual(y + alpha * step))
+                    res_try = residual(y_try)
+                    if np.linalg.norm(res_try) < res_norm:
+                        break
                 except (CollisionError, DomainError):
-                    r_try = np.inf
-                if r_try < res_norm:
-                    break
+                    pass
                 alpha *= 0.5
-            y = y + alpha * step
+            else:
+                raise NoConvergence(
+                    f"Newton line search failed at r={r:.5g}: 8 halvings of "
+                    f"the step did not lower the residual {res_norm:.3e}")
+            y, res = y_try, res_try
         else:
             raise NoConvergence(
                 f"Newton not converged in {params.max_iter} iterations "
@@ -461,13 +464,11 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
     a0 = np.asarray(a0, dtype=float)
     work_domain = domain if np.allclose(a0, 0.0) else TranslatedDomain(domain, a0)
 
-    basis = build_x_basis(frame)
-    h0 = h0_hessians(sys, loops.sample(frame.Z, loops.dealias_samples(
-        basis.modes)))
+    basis = build_x_basis(sys, frame)
 
     def solve(r, warm):
         sol = solve_reduced(sys, work_domain, r, frame, params,
-                            warm_start=warm, basis=basis, h0=h0)
+                            warm_start=warm, basis=basis)
         if sol.spectral_tail >= MAX_SPECTRAL_TAIL:
             raise NoConvergence(
                 f"spectral tail {sol.spectral_tail:.3e} above "

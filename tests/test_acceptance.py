@@ -184,7 +184,7 @@ def test_criterion_3_block_operator_identities(pair_frame):
     # is the identity on constants.  As r -> 0 it tends to F''(0) on them:
     # (1/N) sum_{j,k} G_j G_k h''(0) = (Gamma^2 / N) h''(0), approached at
     # the rate O(r^4) (test_d_block_limit_closed_form), ~1e-14 at r = 1e-3.
-    basis = rd.build_x_basis(frame)
+    basis = rd.build_x_basis(sys2, frame)
     op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
     d0_limit = (sys2.gamma_total**2 / sys2.n) * hpp0
     checks["D0 full form"] = np.max(np.abs(op.d0_matrix - d0_limit)) <= 1e-8

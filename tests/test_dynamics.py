@@ -114,18 +114,18 @@ def test_collision_guard_trips_immediately():
     assert "within 1e-09 of collision" in str(info.value)
 
 
-def test_boundary_guard_stops_dipole():
+def test_boundary_guard_stops_dipole(monkeypatch):
     """A dipole aimed at the disk wall trips the boundary event."""
     sys2 = VortexSystem([1.0, -1.0])
     z0 = np.array([0.0, 0.1, 0.0, -0.1])
+    monkeypatch.setattr(dyn, "BOUNDARY_GUARD", 0.25)
     with pytest.raises(BoundaryApproach) as info:
-        dyn.integrate(sys2, UnitDisk(), "physical", z0, 50.0,
-                      boundary_guard=0.25)
+        dyn.integrate(sys2, UnitDisk(), "physical", z0, 50.0)
     assert info.value.t is not None and info.value.t > 0.0
     assert "within 0.25 of the boundary" in str(info.value)
 
 
-def test_collision_guard_message_reports_given_guard():
+def test_collision_guard_message_reports_given_guard(monkeypatch):
     """Self-similar collapse: Gamma = (2, 2, -1) has L = 0, and the sides
     satisfy 4 d12^2 = 2 d13^2 + 2 d23^2, so with this orientation the
     triangle shrinks to a point in finite time and crosses the guard."""
@@ -133,8 +133,9 @@ def test_collision_guard_message_reports_given_guard():
     d13, d23 = 1.2, np.sqrt(2.0 - 1.2**2)
     x = (d13**2 - d23**2 + 1.0) / 2.0
     z0 = np.array([0.0, 0.0, 1.0, 0.0, x, np.sqrt(d13**2 - x**2)])
+    monkeypatch.setattr(dyn, "COLLISION_GUARD", 1e-3)
     with pytest.raises(CollisionApproach) as info:
-        dyn.integrate(sys3, Plane(), "plane", z0, 20.0, collision_guard=1e-3)
+        dyn.integrate(sys3, Plane(), "plane", z0, 20.0)
     assert info.value.t > 0.0
     assert "within 0.001 of collision" in str(info.value)
 

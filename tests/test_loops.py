@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvortex import equilibria as eq, loops as lp, reduction as rd
+from nvortex.core import VortexSystem
 from nvortex.errors import AliasWarning, DimensionMismatch
 
 RNG = np.random.default_rng(2024)
@@ -133,7 +134,7 @@ def x_projector(frame):
     """Matrix of the H^1-orthogonal projection onto the odd part of
     X = (R Zdot)^perp over flattened coefficients, built from the solver's
     basis B."""
-    basis = rd.build_x_basis(frame)
+    basis = rd.build_x_basis(VortexSystem([1.0, 1.0]), frame)
     return (basis.matrix @ basis.matrix.T) * basis.weights
 
 

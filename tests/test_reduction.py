@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import Plane, TranslatedDomain, UnitDisk, VortexSystem
 from nvortex.errors import (CollisionError, DegenerateFrame, EmptyPath,
-                            SingularOperator, ZeroTotalVorticity)
+                            NoConvergence, SingularOperator,
+                            ZeroTotalVorticity)
 
 RNG = np.random.default_rng(99)
 M = 10
@@ -23,7 +24,7 @@ def pair_setup():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     frame = lp.build_frame(pair.z, pair.omega, 2, M)
-    basis = rd.build_x_basis(frame)
+    basis = rd.build_x_basis(sys2, frame)
     return sys2, pair, frame, basis
 
 
@@ -107,7 +108,7 @@ def test_grad_at_seed_vanishes_with_r(pair_setup):
 # the operator on X
 
 def test_x_basis_orthonormal(pair_setup):
-    _, _, frame, basis = pair_setup
+    sys2, _, frame, basis = pair_setup
     G = basis.matrix.T @ (basis.weights[:, None] * basis.matrix)
     assert np.max(np.abs(G - np.eye(basis.dim))) < 1e-12
     # the odd modes 1, 3, ..., M - 1 less the phase direction
@@ -122,8 +123,8 @@ def test_x_basis_orthonormal(pair_setup):
     # the basis is built mode by mode, so Z' must lie in mode 1
     bent = lp.Loop(np.roll(frame.Zdot.coeffs, 2, axis=0))  # moved to mode 2
     with pytest.raises(DegenerateFrame):
-        rd.build_x_basis(lp.LoopFrame(Z=frame.Z, Zdot=bent, e1=frame.e1,
-                                      e2=frame.e2))
+        rd.build_x_basis(sys2, lp.LoopFrame(Z=frame.Z, Zdot=bent,
+                                            e1=frame.e1, e2=frame.e2))
 
 
 @pytest.mark.parametrize("seed", [eq.make_pair(1.0, 1.0, 2.0),
@@ -136,7 +137,7 @@ def test_x_basis_mode_one_is_scipy_null_space(seed):
     seed = eq.normalize_period(seed)
     n = seed.sys.n
     frame = lp.build_frame(seed.z, seed.omega, n, M)
-    basis = rd.build_x_basis(frame)
+    basis = rd.build_x_basis(seed.sys, frame)
     want = scipy.linalg.null_space(frame.Zdot.coeffs[1:3].reshape(1, -1))
     got = basis.matrix[2 * n:6 * n, :4 * n - 1] * np.sqrt(
         basis.weights[2 * n:6 * n])[:, None]
@@ -196,29 +197,56 @@ def test_spectral_gram_is_quadrature_gram(n, modes, band, seed):
 
 
 def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
-    """FixedPoint assembles every r of a continuation, and every upward r0
-    probe, at the seed Z, so hess_H0 runs once per continuation.  Newton
-    assembles at its own base Z + v, once per step, through the same
-    assemble_L_r."""
-    sys2, _, frame, _ = pair_setup
-    calls, assemblies = [], []
-    real, real_assemble = core.hess_H0, rd.assemble_L_r
-    monkeypatch.setattr(core, "hess_H0",
-                        lambda *args: calls.append(1) or real(*args))
-    monkeypatch.setattr(rd, "assemble_L_r", lambda *args, **kw: (
-        assemblies.append(1) or real_assemble(*args, **kw)))
+    """The basis holds hess_H0 along the seed Z, and FixedPoint assembles
+    every r of a continuation, and every upward r0 probe, at Z, so hess_H0
+    runs once per continuation.  Newton assembles only at its own base
+    Z + v, once per step, and evaluates one residual per step: the one of
+    the accepted line-search trial, plus the seed's and the diagnostics'."""
+    sys2, _, frame, basis = pair_setup
+    counts = dict.fromkeys(("hess_H0", "assemble_L_r", "grad_J_r"), 0)
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kw):
+            counts[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(core, "hess_H0")
+    count(rd, "assemble_L_r")
+    count(rd, "grad_J_r")
     path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame,
                             rd.SolverParams(modes=M, r_points=4))
-    assert len(path.entries) == 4 and len(assemblies) == 5  # one r0 probe
-    assert len(calls) == 1
-    newton = rd.SolverParams(modes=M, mode="Newton")
-    h0 = rd.h0_hessians(sys2, lp.sample(frame.Z, lp.dealias_samples(M)))
-    calls.clear()
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, newton, h0=h0)
-    assert sol.iterations == 2 and len(calls) == 2
-    calls.clear()
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, newton)
-    assert sol.iterations == 2 and len(calls) == 3  # and one at the seed
+    assert len(path.entries) == 4 and counts["assemble_L_r"] == 5  # one probe
+    assert counts["hess_H0"] == 1
+    counts.update(dict.fromkeys(counts, 0))
+    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
+                           rd.SolverParams(modes=M, mode="Newton"),
+                           basis=basis)
+    assert sol.iterations == 2
+    assert counts == {"hess_H0": 2, "assemble_L_r": 2, "grad_J_r": 4}
+
+
+def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
+    """A Newton step that no halving makes descend ends the solve with
+    NoConvergence naming the line search, after one assembly, instead of
+    taking step/256 and going on.  Here the operator's sign is flipped, so
+    every step points uphill."""
+    sys2, _, frame, basis = pair_setup
+    real = rd.assemble_L_r
+    assemblies = []
+
+    def flipped(*args, **kw):
+        op = real(*args, **kw)
+        assemblies.append(1)
+        return rd.OperatorReport(matrix=-op.matrix, d0_matrix=op.d0_matrix)
+
+    monkeypatch.setattr(rd, "assemble_L_r", flipped)
+    with pytest.raises(NoConvergence, match="line search failed at r=0.1"):
+        rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
+                         rd.SolverParams(modes=M, mode="Newton"), basis=basis)
+    assert len(assemblies) == 1
 
 
 def test_result_containers_compare_by_identity(pair_setup, small_path):
@@ -234,7 +262,7 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
                           basis=basis) for _ in range(2)],
         [rd.unrescale(np.zeros(2), sol.r, sol.u, 8) for _ in range(2)],
         [rd.ContinuationPath(np.zeros(2), [sol], {}, 0.2) for _ in range(2)],
-        [basis, rd.build_x_basis(frame)],
+        [basis, rd.build_x_basis(sys2, frame)],
     ]
     for a, b in twins:
         assert a == a and a != b and not a == b
@@ -334,7 +362,7 @@ def test_operator_matches_per_column_reference(gammas, make, modes):
     vs = VortexSystem(list(gammas))
     seed = eq.normalize_period(make())
     frame = lp.build_frame(seed.z, seed.omega, vs.n, modes)
-    basis = rd.build_x_basis(frame)
+    basis = rd.build_x_basis(vs, frame)
     y = np.random.default_rng(modes).normal(size=basis.dim)
     newton_base = frame.Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
     odd = (np.arange(basis.weights.size) // (2 * vs.n) + 1) // 2 % 2 == 1
@@ -350,7 +378,7 @@ def test_operator_matches_per_column_reference(gammas, make, modes):
             assert np.max(np.abs(op.d0_matrix - d0)) <= tol
 
 
-def test_singular_operator_guard(pair_setup):
+def test_singular_operator_guard(pair_setup, monkeypatch):
     """At r = 1e-3, L is the plane operator at the seed up to O(r^2).  On a
     mode k >= 2 the plane operator of the equal pair has eigenvalues
     +-k/(1+k^2): the rotation term -J M w' smoothed by (id-Lap)^{-1}.  The
@@ -359,8 +387,8 @@ def test_singular_operator_guard(pair_setup):
     grad H0(Z) = -J M Z' = -Z, and -J M Z' - H0''(Z) Z = -2Z is halved by
     (id-Lap)^{-1}.  So cond(A) is
     (1+K^2)/K for the top mode K of the basis: 82/9 = 9.11 on the odd part
-    of X (K = M - 1).  cond(D) = cond((Gamma^2/N) h''(0)) = 1.  A limit of 5 trips the guard
-    on the A block."""
+    of X (K = M - 1).  cond(D) = cond((Gamma^2/N) h''(0)) = 1.  A MAX_COND
+    of 5 trips the guard on the A block."""
     sys2, _, frame, basis = pair_setup
     disk = UnitDisk()
     op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
@@ -370,8 +398,9 @@ def test_singular_operator_guard(pair_setup):
     assert rd._sym_cond(A) == pytest.approx(np.linalg.cond(A), rel=1e-10)
     assert rd._sym_cond(A) == pytest.approx((1 + top**2) / top, rel=1e-6)
     assert np.linalg.cond(op.d0_matrix) == pytest.approx(1.0, abs=1e-6)
+    monkeypatch.setattr(rd, "MAX_COND", 5)
     with pytest.raises(SingularOperator, match=r"cond\(A\)=9\.111e\+00"):
-        rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis, cond_limit=5)
+        rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
 
 
 def test_off_centre_disk_is_rejected(pair_setup):
