@@ -235,49 +235,49 @@ class Plane(DomainModel):
     g_wz = g_ww
 
 
+def _planar(a):
+    """Complex numbers of shape (...) as planar points of shape (..., 2)."""
+    return np.asarray(a)[..., None].view(float)
+
+
 class UnitDisk(DomainModel):
     """Open unit disk with the method-of-images regular part.
 
-    g(w, z) = -(1/4pi) * log(|w|^2 |z|^2 - 2 w.z + 1), which is symmetric and
-    gives the Robin function h(p) = -(1/2pi) * log(1 - |p|^2).
+    Over complex points g(w, z) = -(1/2pi) log|f|, f = conj(w) z - 1, is
+    symmetric, and h(p) = -(1/2pi) log(1 - |p|^2).  g_x + i g_y = -z/(2pi f);
+    g_ww has the columns P and -iP with P = z^2/(2pi f^2); g_x + i g_y is
+    holomorphic in z, so g_wz has the columns Q and iQ with Q = 1/(2pi f^2).
     """
 
     variant = "disk"
 
     @staticmethod
-    def _q(w, z):
-        """q = |w|^2 |z|^2 - 2 w.z + 1 and its gradient q_w = 2|z|^2 w - 2z
-        in w, returned with |w|^2, |z|^2 and w and z as arrays."""
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        w2 = np.einsum("...x,...x->...", w, w)
-        z2 = np.einsum("...x,...x->...", z, z)
-        wz = np.einsum("...x,...x->...", w, z)
-        q_w = 2.0 * z2[..., None] * w - 2.0 * z
-        return w2 * z2 - 2.0 * wz + 1.0, q_w, w2, z2, w, z
+    def _f(w, z):
+        """f = conj(w) z - 1 and z, over complex views of the points."""
+        w, z = (np.ascontiguousarray(p, dtype=float).view(complex)[..., 0]
+                for p in (w, z))
+        return w.conj() * z - 1.0, z
+
+    @staticmethod
+    def _columns(a, b):
+        """The 2x2 blocks [[Re a, Re b], [Im a, Im b]] of columns a and b."""
+        return np.stack([_planar(a), _planar(b)], axis=-1)
 
     def g(self, w, z):
-        return -np.log(self._q(w, z)[0]) / (4.0 * np.pi)
+        return -np.log(np.abs(self._f(w, z)[0]) ** 2) / (4.0 * np.pi)
 
     def g_w(self, w, z):
-        q, q_w = self._q(w, z)[:2]
-        return -q_w / (4.0 * np.pi * q[..., None])
+        f, z = self._f(w, z)
+        return _planar(z / (-2.0 * np.pi * f))
 
     def g_ww(self, w, z):
-        q, q_w, _, z2 = self._q(w, z)[:4]
-        q = q[..., None, None]
-        q_ww = 2.0 * z2[..., None, None] * np.eye(2)
-        outer = q_w[..., :, None] * q_w[..., None, :]
-        return -(q_ww / q - outer / q**2) / (4.0 * np.pi)
+        f, z = self._f(w, z)
+        p = (z / f) ** 2 / (2.0 * np.pi)
+        return self._columns(p, -1j * p)
 
     def g_wz(self, w, z):
-        q, q_w, w2, _, w, z = self._q(w, z)
-        q = q[..., None, None]
-        q_z = 2.0 * w2[..., None] * z - 2.0 * w
-        # d(q_w)_a / dz_b = 4 w_a z_b - 2 delta_ab
-        q_wz = 4.0 * w[..., :, None] * z[..., None, :] - 2.0 * np.eye(2)
-        outer = q_w[..., :, None] * q_z[..., None, :]
-        return -(q_wz / q - outer / q**2) / (4.0 * np.pi)
+        q = 1.0 / (2.0 * np.pi * self._f(w, z)[0] ** 2)
+        return self._columns(q, 1j * q)
 
     def boundary_gap(self, p):
         p = np.asarray(p, dtype=float)

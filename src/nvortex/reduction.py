@@ -414,7 +414,7 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             if res_norm <= params.newton_tol:
                 break
             op = assemble_L_r(sys, domain, r, frame, basis=basis,
-                              base=frame.Z + basis.to_loop(y))
+                              base=frame.Z + basis.to_loop(y) if y.any() else None)
             step = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(op.matrix), res)
             # backtracking on the projected residual
             alpha = 1.0

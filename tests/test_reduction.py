@@ -201,7 +201,8 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     every r of a continuation, and every upward r0 probe, at Z, so hess_H0
     runs once per continuation.  Newton assembles only at its own base
     Z + v, once per step, and evaluates one residual per step: the one of
-    the accepted line-search trial, plus the seed's and the diagnostics'."""
+    the accepted line-search trial, plus the seed's and the diagnostics'.
+    This solve starts cold, so its first step reads H0'' off the basis."""
     sys2, _, frame, basis = pair_setup
     counts = dict.fromkeys(("hess_H0", "assemble_L_r", "grad_J_r"), 0)
 
@@ -225,7 +226,32 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
                            rd.SolverParams(modes=M, mode="Newton"),
                            basis=basis)
     assert sol.iterations == 2
-    assert counts == {"hess_H0": 2, "assemble_L_r": 2, "grad_J_r": 4}
+    assert counts == {"hess_H0": 1, "assemble_L_r": 2, "grad_J_r": 4}
+
+
+def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
+    """A Newton step from y = 0 assembles at the seed itself: the operator
+    equals the one assembled at the base Z + 0, without a hess_H0 call.  So
+    a cold solve makes one hess_H0 call fewer than it takes steps, and a
+    warm one makes one per step."""
+    sys2, _, frame, basis = pair_setup
+    disk = UnitDisk()
+    at_zero = frame.Z + basis.to_loop(np.zeros(basis.dim))
+    assert np.array_equal(
+        rd.assemble_L_r(sys2, disk, 0.1, frame, basis=basis).matrix,
+        rd.assemble_L_r(sys2, disk, 0.1, frame, basis=basis,
+                        base=at_zero).matrix)
+    calls = []
+    hess_H0 = core.hess_H0
+    monkeypatch.setattr(core, "hess_H0",
+                        lambda *a: calls.append(1) or hess_H0(*a))
+    params = rd.SolverParams(modes=M, mode="Newton")
+    cold = rd.solve_reduced(sys2, disk, 0.1, frame, params, basis=basis)
+    assert cold.iterations >= 2 and len(calls) == cold.iterations - 1
+    calls.clear()
+    warm = rd.solve_reduced(sys2, disk, 0.12, frame, params,
+                            warm_start=cold.v, basis=basis)
+    assert warm.iterations >= 1 and len(calls) == warm.iterations
 
 
 def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
