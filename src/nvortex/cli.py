@@ -160,9 +160,9 @@ def trajectory_csv(times: np.ndarray, states: np.ndarray) -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
-def trajectory_svg(states: np.ndarray, domain: core.DomainModel,
-                   size: int = 480) -> str:
+def trajectory_svg(states: np.ndarray, domain: core.DomainModel) -> str:
     """Minimal SVG: one polyline per vortex plus the domain boundary."""
+    size = 480  # pixels per side
     n = states.shape[1] // 2
     pts = states.reshape(len(states), n, 2)
     lo = pts.reshape(-1, 2).min(axis=0)

@@ -413,15 +413,15 @@ def _at_sample(bad):
     return f" at sample {int(np.argmax(bad))}" if bad.ndim else ""
 
 
-def _separated_pairs(p, tol=COLLISION_TOL):
-    """``_pair_differences`` of points no two of which are within tol."""
+def _separated_pairs(p):
+    """``_pair_differences`` of points no two within COLLISION_TOL."""
     d, dist2 = _pair_differences(p)
     m = _min_dist2(dist2)
-    if m <= tol * tol:
+    if m <= COLLISION_TOL**2:
         off = dist2 + np.diag(np.full(p.shape[-2], np.inf))
         raise CollisionError(
-            f"minimum separation {np.sqrt(m):.3e} <= {tol:.0e}"
-            + _at_sample(np.any(off <= tol * tol, axis=(-2, -1))))
+            f"minimum separation {np.sqrt(m):.3e} <= {COLLISION_TOL:.0e}"
+            + _at_sample(np.any(off <= COLLISION_TOL**2, axis=(-2, -1))))
     return d, dist2
 
 
@@ -567,10 +567,15 @@ def hess_h(domain: DomainModel, p):
 # ---------------------------------------------------------------------------
 
 
+def check_r(r: float) -> None:
+    """The one rule for the scale parameter r: finite and nonnegative."""
+    if not 0 <= r < np.inf:
+        raise ValueError(f"r must be finite and nonnegative, got {r}")
+
+
 def eval_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
     """Rescaled Hamiltonian H_r(u) = H0(u) - F(ru) + F(0)."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    check_r(r)
     u = np.asarray(u, dtype=float)
     h0 = eval_H0(sys, u)
     if r == 0:
@@ -586,8 +591,7 @@ def grad_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
 
 def _grad_Hr(sys, domain, r, p):
     """``grad_Hr`` at checked points p of shape (..., N, 2), in that shape."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    check_r(r)
     out = _grad_H0(sys, p)
     if r > 0:
         out = out - r * _grad_F(sys, domain, r * p)

@@ -51,6 +51,14 @@ ORBIT_SCHEMA_VERSION = 1
 MAX_SPECTRAL_TAIL = 1e-8
 # an operator whose cond(A) or cond(D) exceeds this raises SingularOperator
 MAX_COND = 1e12
+# FixedPoint stops once a step's norm is at most this
+FP_TOL = 1e-11
+# Newton stops once the projected residual's norm is at most this
+NEWTON_TOL = 1e-11
+# either solver raises NoConvergence after this many steps
+MAX_ITER = 200
+# FixedPoint raises ContractionFailure after 3 straight step ratios above this
+CONTRACTION_GUARD = 0.9
 
 
 @dataclass(frozen=True)
@@ -58,10 +66,6 @@ class SolverParams:
     """The solver settings: each field is a [solver] key with its default."""
 
     modes: int = 32
-    fp_tol: float = 1e-11
-    newton_tol: float = 1e-11
-    max_iter: int = 200
-    contraction_guard: float = 0.9
     mode: str = "FixedPoint"  # or "Newton"
     r_max: float = 0.2
     r_min: float = 1e-3
@@ -70,15 +74,8 @@ class SolverParams:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
-        for name in ("fp_tol", "newton_tol", "r_max"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, "
-                                 f"got {getattr(self, name)}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not (0 < self.contraction_guard < 1):
-            raise ValueError("contraction_guard must lie in (0, 1), got "
-                             f"{self.contraction_guard}")
+        if not 0 < self.r_max < np.inf:
+            raise ValueError(f"r_max must be finite and positive, got {self.r_max}")
         if not (0 < self.r_min < self.r_max
                 and np.isfinite(self.r_max / self.r_min)):
             raise ValueError("r grid needs 0 < r_min < r_max and a finite "
@@ -149,10 +146,7 @@ def action_J_r(sys: VortexSystem, domain: DomainModel, r: float,
                u: Loop) -> float:
     """Action of the rescaled system; H0/F terms by trapezoidal quadrature."""
     pts = loops.sample(u, loops.dealias_samples(u.modes))
-    ham = core.eval_H0(sys, pts)
-    if r > 0:
-        ham = ham - core.eval_F(sys, domain, r * pts) + core.eval_F(
-            sys, domain, np.zeros(2 * sys.n))
+    ham = core.eval_Hr(sys, domain, r, pts)
     return _symplectic_term(sys, u) - 2 * np.pi * float(np.mean(ham))
 
 
@@ -163,6 +157,7 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
     The core checks raise CollisionError or DomainError naming the first bad
     sample i, at t = 2 pi i/m on the m = dealias_samples(modes) nodes.
     """
+    core.check_r(r)
     pts = loops.sample(u, loops.dealias_samples(u.modes))
     field = -core.grad_H0(sys, pts)
     if r > 0:
@@ -291,6 +286,7 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     ValueError: no other subspace is solved on.  At the seed (base None)
     H0'' is read from basis.h0; a given base evaluates hess_H0.
     """
+    core.check_r(r)
     basis = basis or build_x_basis(sys, frame)
     n, modes = sys.n, basis.modes
     base_pts = loops.sample(base or frame.Z, loops.dealias_samples(modes))
@@ -381,37 +377,37 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
         operator = assemble_L_r(sys, domain, r, frame, basis=basis)
         lu = scipy.linalg.lu_factor(operator.matrix)
         prev_step, guard_strikes = None, 0
-        for it in range(1, params.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             step = -scipy.linalg.lu_solve(lu, residual(y))
             y = y + step
             step_norm = np.linalg.norm(step)
             if prev_step is not None and prev_step > 1e-15:
                 contraction = step_norm / prev_step
-                if contraction > params.contraction_guard and step_norm > params.fp_tol:
+                if contraction > CONTRACTION_GUARD and step_norm > FP_TOL:
                     guard_strikes += 1
                     if guard_strikes >= 3:
                         raise ContractionFailure(
                             f"contraction estimate {contraction:.3f} exceeds "
-                            f"guard {params.contraction_guard} at r={r:.5g}")
+                            f"guard {CONTRACTION_GUARD} at r={r:.5g}")
                 else:
                     guard_strikes = 0
             prev_step = step_norm
             if np.linalg.norm(y) > max(10 * eps_ball, 1e3):
                 raise ContractionFailure(
                     f"iterates diverge at r={r:.5g} (|v| = {np.linalg.norm(y):.3e})")
-            if step_norm <= params.fp_tol:
+            if step_norm <= FP_TOL:
                 break
         else:
             raise NoConvergence(
-                f"fixed point not converged in {params.max_iter} iterations "
+                f"fixed point not converged in {MAX_ITER} iterations "
                 f"at r={r:.5g} (last step {step_norm:.3e})")
     else:
         # `it` counts the Newton steps taken; 0 when the seed already solves.
         # The accepted line-search trial's residual serves the next step.
         res = residual(y)
-        for it in range(params.max_iter):
+        for it in range(MAX_ITER):
             res_norm = np.linalg.norm(res)
-            if res_norm <= params.newton_tol:
+            if res_norm <= NEWTON_TOL:
                 break
             op = assemble_L_r(sys, domain, r, frame, basis=basis,
                               base=frame.Z + basis.to_loop(y) if y.any() else None)
@@ -434,13 +430,13 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             y, res = y_try, res_try
         else:
             raise NoConvergence(
-                f"Newton not converged in {params.max_iter} iterations "
+                f"Newton not converged in {MAX_ITER} iterations "
                 f"at r={r:.5g} (residual {res_norm:.3e})")
 
     v = basis.to_loop(y)
     sol = _diagnostics(sys, domain, r, frame, v, it, contraction)
-    tol = params.fp_tol if params.mode == "FixedPoint" else params.newton_tol
-    if sol.residual_grad > 10 * max(tol, 1e-13) * max(1.0, sol.vnorm + 1.0):
+    tol = FP_TOL if params.mode == "FixedPoint" else NEWTON_TOL
+    if sol.residual_grad > 10 * tol * (sol.vnorm + 1.0):
         raise PhaseDefect(
             f"full gradient {sol.residual_grad:.3e} exceeds 10x the solver "
             f"tolerance at r={r:.5g}; the phase component did not vanish")

@@ -282,12 +282,6 @@ def test_continue_flag_overrides(capsys, tmp_path):
     (["--modes", "0"], ""),
     (["--r-steps", "1"], ""),
     (["--r-steps", "0"], ""),
-    ([], "max_iter = 0\n"),
-    ([], "contraction_guard = 0\n"),
-    ([], "contraction_guard = 1\n"),
-    ([], "contraction_guard = 1.5\n"),
-    *(([], f"{key} = {bad}\n") for key in ("fp_tol", "newton_tol")
-      for bad in ("nan", "inf")),
     (["--r-max", "nan"], ""),
     (["--r-max", "inf"], ""),
 ])
@@ -299,6 +293,21 @@ def test_continue_unrunnable_solver_setting_exits_2(flags, solver, tmp_path,
     assert main(["continue", "--config", cfgfile, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: [solver]") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key", ["fp_tol", "newton_tol", "max_iter",
+                                 "contraction_guard"])
+def test_removed_solver_key_exits_2(key, tmp_path, capsys):
+    """fp_tol, newton_tol, max_iter and contraction_guard are constants in
+    reduction, not keys: a config that sets one is rejected as unknown."""
+    cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
+        "[solver]\n", f"[solver]\n{key} = 1\n")
+    cfgfile = _write(tmp_path / "old.ini", cfg)
+    assert main(["continue", "--config", cfgfile]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid input: unknown key(s) in [solver]: {key}\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -392,9 +401,8 @@ def test_continue_seed_gamma_count_exits_2(seed, gammas, tmp_path, capsys):
      "[system] radius:"),
     ("[system]\nn = x\n", "[system] n:"),
     ("[solver]\nmodes = abc\n", "[solver] modes:"),
-    ("[solver]\nfp_tol = x\n", "[solver] fp_tol:"),
 ], ids=["a0_guess-3", "a0_guess-x", "separation", "side", "radius", "n",
-        "modes", "fp_tol"])
+        "modes"])
 def test_config_value_that_fails_to_parse_names_its_key(text, named,
                                                          tmp_path, capsys):
     cfgfile = _write(tmp_path / "bad.ini", text)

@@ -509,7 +509,7 @@ def test_fixedpoint_newton_agree_on_random_pairs(g1, ratio, sign, r):
 def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
     """Newton's `iterations` is the number of steps (LU solves) taken. At
     r = 1e-3 the equal pair's correction is r^4/pi^2 = 1.0e-13 and the seed
-    residual is already below newton_tol = 1e-11, so no step is taken."""
+    residual is already below NEWTON_TOL = 1e-11, so no step is taken."""
     sys2, _, frame, basis = pair_setup
     solves = []
     lu_solve = scipy.linalg.lu_solve
@@ -519,6 +519,20 @@ def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
                            rd.SolverParams(modes=M, mode="Newton"),
                            basis=basis)
     assert sol.iterations == len(solves) == steps
+
+
+@pytest.mark.parametrize("mode, solver", [("FixedPoint", "fixed point"),
+                                          ("Newton", "Newton")])
+def test_max_iter_ends_the_solve(mode, solver, pair_setup, monkeypatch):
+    """Each solver takes more than one step on the equal pair at r = 0.1
+    (Newton takes 2, test_newton_iterations_count_steps), so a MAX_ITER of
+    1 ends either with NoConvergence."""
+    sys2, _, frame, basis = pair_setup
+    monkeypatch.setattr(rd, "MAX_ITER", 1)
+    with pytest.raises(NoConvergence,
+                       match=f"{solver} not converged in 1 iterations at r=0.1"):
+        rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
+                         rd.SolverParams(modes=M, mode=mode), basis=basis)
 
 
 def test_solver_equivariance(pair_setup):
@@ -604,17 +618,17 @@ def test_pair_r4_law_and_one_step_per_r(disk_path):
     to 1e-3 for r <= 5e-3.  The warm start is the previous solution, so the
     first fixed-point step is v(r) - v(r_prev), of norm vnorm(r_prev) -
     vnorm(r), and the frozen operator leaves a second step smaller by a
-    factor O(|v|): one iteration when the first step is within fp_tol, two
+    factor O(|v|): one iteration when the first step is within FP_TOL, two
     when it is not.  Noise in the solve would show in both."""
-    _, params, path = disk_path
+    _, _, path = disk_path
     rs, vs = path.r_values, path.vnorms
     c = vs[rs <= 5e-3] / rs[rs <= 5e-3] ** 4
     assert np.max(np.abs(c / np.median(c) - 1)) <= 1e-3
     first_step = vs[:-1] - vs[1:]
     iters = np.array([e.iterations for e in path.entries[1:]])
     small = rs[1:] < 3e-3
-    assert np.all(iters[small & (first_step < 0.9 * params.fp_tol)] == 1)
-    assert np.all(iters[small & (first_step > 1.1 * params.fp_tol)] == 2)
+    assert np.all(iters[small & (first_step < 0.9 * rd.FP_TOL)] == 1)
+    assert np.all(iters[small & (first_step > 1.1 * rd.FP_TOL)] == 2)
     assert np.all(iters[small] <= 2)
 
 
@@ -758,6 +772,32 @@ def test_unrescale_rejects_bad_r(r, pair_setup):
         rd.unrescale(np.zeros(2), r, pair_setup[2].Z, 16)
 
 
+@pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
+def test_every_r_entry_rejects_bad_r(r, pair_setup):
+    """core.check_r is the one rule for r: a negative or non-finite r raises
+    ValueError in H_r, its gradient, the rescaled field, the action, the
+    reduced gradient, the operator and both solvers."""
+    sys2, _, frame, basis = pair_setup
+    disk, z = UnitDisk(), np.array([0.3, 0.0, -0.3, 0.0])
+    calls = [
+        lambda: core.check_r(r),
+        lambda: core.eval_Hr(sys2, disk, r, z),
+        lambda: core.grad_Hr(sys2, disk, r, z),
+        lambda: core.vortex_rhs(sys2, disk, z, r=r),
+        lambda: rd.action_J_r(sys2, disk, r, frame.Z),
+        lambda: rd.grad_J_r(sys2, disk, r, frame.Z),
+        lambda: rd.assemble_L_r(sys2, disk, r, frame, basis=basis),
+        lambda: rd.solve_reduced(sys2, disk, r, frame,
+                                 rd.SolverParams(modes=M), basis=basis),
+        lambda: rd.solve_reduced(sys2, disk, r, frame,
+                                 rd.SolverParams(modes=M, mode="Newton"),
+                                 basis=basis),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="r must be finite and nonnegative"):
+            call()
+
+
 def test_orbit_file_roundtrip(small_path, pair_setup, tmp_path):
     sys2, pair, _, _ = pair_setup
     sol = small_path.entries[0]
@@ -782,15 +822,12 @@ def test_orbit_schema_version_checked(tmp_path):
 
 def test_solver_params_validation():
     with pytest.raises(ValueError):
-        rd.SolverParams(fp_tol=-1.0)
-    with pytest.raises(ValueError):
         rd.SolverParams(r_max=0.001, r_min=0.1)
     with pytest.raises(ValueError):
         rd.SolverParams(mode="bogus")
-    for field in ("fp_tol", "newton_tol", "r_max"):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                rd.SolverParams(**{field: bad})
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="r_max must be finite and positive"):
+            rd.SolverParams(r_max=bad)
     grid = rd.SolverParams().r_grid()
     assert grid[0] == pytest.approx(0.2) and grid[-1] == pytest.approx(1e-3)
     assert np.all(np.diff(grid) < 0)
