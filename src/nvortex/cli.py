@@ -277,7 +277,6 @@ def cmd_continue(args) -> int:
         lines.append(f"{entry.r:12.6g} {entry.vnorm:13.6e} "
                      f"{entry.residual_grad:13.6e} {entry.phase_defect:13.6e} "
                      f"{entry.iterations:5d}")
-    lines.append(f"empirical r0 = {path.r0_empirical:.6g}")
     for r, msg in path.failures.items():
         lines.append(f"FAILED r={r:.6g}: {msg}")
     summary = "\n".join(lines) + "\n"

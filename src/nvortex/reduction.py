@@ -16,7 +16,8 @@ frozen-Jacobian fixed-point iteration
 
     v  <-  v - L_r^{-1} [P_X grad J_r(Z + v)]
 
-or by a damped Newton method, and continued in the scale parameter r.
+or by a damped Newton method, and continued down a geometric grid of the
+scale parameter r.
 Un-rescaling z(t) = a0 + r u(t / r^2) produces orbits of the physical
 system with period 2*pi*r^2.
 """
@@ -120,7 +121,6 @@ class ContinuationPath:
     a0: np.ndarray
     entries: list  # ReducedSolution, r descending
     failures: dict  # r -> message
-    r0_empirical: float
 
     @property
     def r_values(self) -> np.ndarray:
@@ -453,7 +453,8 @@ _SOLVE_FAILURES = (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
 
 def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
                   frame: LoopFrame, params: SolverParams) -> ContinuationPath:
-    """Sweep the r grid downward with warm starts; probe upward for r0."""
+    """Solve each r of the grid, from r_max down, each warm-started from the
+    last converged r; a failed r is recorded in `failures`."""
     if abs(sys.gamma_total) < 1e-14:
         raise ZeroTotalVorticity(
             "total vorticity vanishes: the reduction hypothesis fails")
@@ -461,36 +462,22 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
     work_domain = domain if np.allclose(a0, 0.0) else TranslatedDomain(domain, a0)
 
     basis = build_x_basis(sys, frame)
-
-    def solve(r, warm):
-        sol = solve_reduced(sys, work_domain, r, frame, params,
-                            warm_start=warm, basis=basis)
-        if sol.spectral_tail >= MAX_SPECTRAL_TAIL:
-            raise NoConvergence(
-                f"spectral tail {sol.spectral_tail:.3e} above "
-                f"{MAX_SPECTRAL_TAIL:g} at r={r:.5g}")
-        return sol
-
-    entries, failures, grid = [], {}, params.r_grid()
-    for r in grid:
+    entries, failures = [], {}
+    for r in map(float, params.r_grid()):
         try:
-            entries.append(solve(float(r), entries[-1].v if entries else None))
+            sol = solve_reduced(sys, work_domain, r, frame, params,
+                                warm_start=entries[-1].v if entries else None,
+                                basis=basis)
+            if sol.spectral_tail >= MAX_SPECTRAL_TAIL:
+                raise NoConvergence(
+                    f"spectral tail {sol.spectral_tail:.3e} above "
+                    f"{MAX_SPECTRAL_TAIL:g} at r={r:.5g}")
+            entries.append(sol)
         except _SOLVE_FAILURES as exc:
-            failures[float(r)] = f"{type(exc).__name__}: {exc}"
+            failures[r] = f"{type(exc).__name__}: {exc}"
     if not entries:
         raise EmptyPath("no grid point converged")
-
-    # probe upward from the largest converged r to estimate the empirical r0
-    ratio = float(grid[0] / grid[1])
-    r0, warm_up = entries[0].r, entries[0].v
-    for _ in range(8):
-        try:
-            warm_up = solve(r0 * ratio, warm_up).v
-        except _SOLVE_FAILURES:
-            break
-        r0 *= ratio
-    return ContinuationPath(a0=a0, entries=entries, failures=failures,
-                            r0_empirical=r0)
+    return ContinuationPath(a0=a0, entries=entries, failures=failures)
 
 
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,

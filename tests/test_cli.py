@@ -242,7 +242,12 @@ def test_continue_summary_contents(cont_run):
     _, out, _ = cont_run
     with open(os.path.join(out, "orb_summary.txt")) as fh:
         text = fh.read()
-    assert "empirical r0" in text
+    header, *rows = text.splitlines()
+    assert header.split() == ["r", "vnorm", "residual", "phase", "iters"]
+    written = sorted(f"orb_r{float(row.split()[0]):.6g}.json" for row in rows)
+    assert written == sorted(f for f in os.listdir(out)
+                             if f.startswith("orb_r") and f.endswith(".json"))
+    assert "r0" not in text
     assert "FAILED" not in text
 
 
@@ -278,18 +283,16 @@ def test_continue_flag_overrides(capsys, tmp_path):
     assert "r_points = 3" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags, solver", [
-    (["--modes", "0"], ""),
-    (["--r-steps", "1"], ""),
-    (["--r-steps", "0"], ""),
-    (["--r-max", "nan"], ""),
-    (["--r-max", "inf"], ""),
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--modes", "0"], id="modes-0"),
+    pytest.param(["--r-steps", "1"], id="r-steps-1"),
+    pytest.param(["--r-steps", "0"], id="r-steps-0"),
+    pytest.param(["--r-max", "nan"], id="r-max-nan"),
+    pytest.param(["--r-max", "inf"], id="r-max-inf"),
 ])
-def test_continue_unrunnable_solver_setting_exits_2(flags, solver, tmp_path,
-                                                     capsys):
-    cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
-        "[solver]\n", "[solver]\n" + solver)
-    cfgfile = _write(tmp_path / "bad.ini", cfg)
+def test_continue_unrunnable_solver_setting_exits_2(flags, tmp_path, capsys):
+    cfgfile = _write(tmp_path / "bad.ini",
+                     CONT_CONFIG.format(out=tmp_path / "x"))
     assert main(["continue", "--config", cfgfile, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: [solver]") and "Traceback" not in err
@@ -422,7 +425,9 @@ def test_solver_section_is_derived_from_solver_params(capsys):
 
 @pytest.mark.parametrize("r_min", ["1e-309", "1e-320"])
 def test_continue_r_grid_ratio_that_overflows_exits_2(r_min, tmp_path, capsys):
-    """r_max / r_min = inf would send the upward r0 probe to r = inf."""
+    """r_max / r_min = inf has no finite grid ratio, and an r_min below about
+    1e-308 is subnormal: the grid would not even end at it (np.geomspace
+    ends at 9.99989e-321 for 1e-320)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["continue", f"--r-min={r_min}", "--modes", "4",

@@ -197,14 +197,19 @@ def test_spectral_gram_is_quadrature_gram(n, modes, band, seed):
 
 
 def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
-    """The basis holds hess_H0 along the seed Z, and FixedPoint assembles
-    every r of a continuation, and every upward r0 probe, at Z, so hess_H0
+    """A continuation in either mode solves each r of its grid once, from
+    r_max down, and no other r.  The basis holds hess_H0 along the seed Z,
+    and FixedPoint assembles every r of a continuation at Z, so hess_H0
     runs once per continuation.  Newton assembles only at its own base
     Z + v, once per step, and evaluates one residual per step: the one of
     the accepted line-search trial, plus the seed's and the diagnostics'.
     This solve starts cold, so its first step reads H0'' off the basis."""
     sys2, _, frame, basis = pair_setup
     counts = dict.fromkeys(("hess_H0", "assemble_L_r", "grad_J_r"), 0)
+    solved_at = []
+    solve = rd.solve_reduced
+    monkeypatch.setattr(rd, "solve_reduced",
+                        lambda *a, **k: solved_at.append(a[2]) or solve(*a, **k))
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -217,10 +222,15 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     count(core, "hess_H0")
     count(rd, "assemble_L_r")
     count(rd, "grad_J_r")
-    path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame,
-                            rd.SolverParams(modes=M, r_points=4))
-    assert len(path.entries) == 4 and counts["assemble_L_r"] == 5  # one probe
-    assert counts["hess_H0"] == 1
+    for mode in ("FixedPoint", "Newton"):
+        params = rd.SolverParams(modes=M, mode=mode, r_points=4)
+        counts.update(dict.fromkeys(counts, 0))
+        solved_at.clear()
+        path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame, params)
+        assert len(path.entries) == 4
+        assert solved_at == list(params.r_grid())
+        if mode == "FixedPoint":
+            assert counts["assemble_L_r"] == 4 and counts["hess_H0"] == 1
     counts.update(dict.fromkeys(counts, 0))
     sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
                            rd.SolverParams(modes=M, mode="Newton"),
@@ -287,7 +297,7 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
         [rd.solve_reduced(sys2, disk, 0.1, frame, rd.SolverParams(modes=M),
                           basis=basis) for _ in range(2)],
         [rd.unrescale(np.zeros(2), sol.r, sol.u, 8) for _ in range(2)],
-        [rd.ContinuationPath(np.zeros(2), [sol], {}, 0.2) for _ in range(2)],
+        [rd.ContinuationPath(np.zeros(2), [sol], {}) for _ in range(2)],
         [basis, rd.build_x_basis(sys2, frame)],
     ]
     for a, b in twins:
@@ -507,18 +517,19 @@ def test_fixedpoint_newton_agree_on_random_pairs(g1, ratio, sign, r):
 
 @pytest.mark.parametrize("r, steps", [(0.1, 2), (1e-3, 0)])
 def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
-    """Newton's `iterations` is the number of steps (LU solves) taken. At
-    r = 1e-3 the equal pair's correction is r^4/pi^2 = 1.0e-13 and the seed
-    residual is already below NEWTON_TOL = 1e-11, so no step is taken."""
+    """Newton's `iterations` is the number of steps taken, and it assembles
+    the operator once per step. At r = 1e-3 the equal pair's correction is
+    r^4/pi^2 = 1.0e-13 and the seed residual is already below
+    NEWTON_TOL = 1e-11, so no step is taken."""
     sys2, _, frame, basis = pair_setup
-    solves = []
-    lu_solve = scipy.linalg.lu_solve
-    monkeypatch.setattr(scipy.linalg, "lu_solve",
-                        lambda *a, **k: solves.append(1) or lu_solve(*a, **k))
+    assemblies = []
+    assemble = rd.assemble_L_r
+    monkeypatch.setattr(rd, "assemble_L_r",
+                        lambda *a, **k: assemblies.append(1) or assemble(*a, **k))
     sol = rd.solve_reduced(sys2, UnitDisk(), r, frame,
                            rd.SolverParams(modes=M, mode="Newton"),
                            basis=basis)
-    assert sol.iterations == len(solves) == steps
+    assert sol.iterations == len(assemblies) == steps
 
 
 @pytest.mark.parametrize("mode, solver", [("FixedPoint", "fixed point"),
@@ -646,11 +657,6 @@ def test_continuation_all_points(small_path):
     assert len(small_path.entries) == 12
     assert not small_path.failures
     assert all(e.residual_grad < 1e-10 for e in small_path.entries)
-    # the r0 probe climbs by the grid's ratio: 0.324, 0.524 and 0.848
-    # converge, and at 1.37 the orbit leaves the disk
-    grid = rd.SolverParams(modes=M, r_points=12).r_grid()
-    assert small_path.r0_empirical == pytest.approx(
-        grid[0] * (grid[0] / grid[1]) ** 3, rel=1e-12)
 
 
 def test_continuation_vnorm_monotone(small_path):
@@ -659,12 +665,11 @@ def test_continuation_vnorm_monotone(small_path):
     assert np.all(np.diff(vs[mask]) < 0)
 
 
-def test_domain_exit_is_recorded_and_probe_stops(pair_setup):
+def test_domain_exit_is_recorded(pair_setup):
     """Continued from r = 1.5 the orbit of the equal pair leaves the disk:
     r = 1.5 fails with the core's DomainError naming the first sample outside,
     r = 1.204 fails the contraction guard, and the four r values from 0.9666
-    down converge.  The upward r0 probe from 0.9666 meets the same failures
-    and stops there."""
+    down converge."""
     sys2, _, frame, _ = pair_setup
     params = rd.SolverParams(modes=M, r_max=1.5, r_min=0.5, r_points=6)
     path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame, params)
@@ -674,7 +679,6 @@ def test_domain_exit_is_recorded_and_probe_stops(pair_setup):
     msg = path.failures[1.5]
     assert msg.startswith("DomainError: ") and re.search(r"at sample \d+$", msg)
     assert path.failures[grid[1]].startswith("ContractionFailure: ")
-    assert path.r0_empirical == pytest.approx(0.96659, abs=5e-6)
 
 
 class _QuarticDomain(core.SyntheticQuadratic):
@@ -707,8 +711,7 @@ class _QuarticDomain(core.SyntheticQuadratic):
 
 def test_spectral_tail_guard_records_the_r(pair_setup):
     """At 5 modes the tail is the H^1 share of mode 5: about 1.5e-6 at
-    r = 0.5 and 1e-14 at r = 0.05, so only r = 0.5 is under-resolved, both
-    on the grid and in the upward r0 probe."""
+    r = 0.5 and 1e-14 at r = 0.05, so only r = 0.5 is under-resolved."""
     pair = pair_setup[1]
     frame = lp.build_frame(pair.z, pair.omega, 2, 5)
     params = rd.SolverParams(modes=5, r_max=0.5, r_min=0.005, r_points=3)
@@ -718,7 +721,6 @@ def test_spectral_tail_guard_records_the_r(pair_setup):
     assert path.failures[0.5].startswith("NoConvergence: spectral tail ")
     assert np.array_equal(path.r_values, params.r_grid()[1:])
     assert all(e.spectral_tail < rd.MAX_SPECTRAL_TAIL for e in path.entries)
-    assert path.r0_empirical == path.entries[0].r
 
 
 def test_colliding_loop_names_the_sample(pair_setup):
