@@ -298,16 +298,19 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--time must be finite and positive, got {args.time}")
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
-    if not (np.isfinite(args.r) and args.r >= 0):
-        raise ValueError(f"--r must be finite and non-negative, got {args.r}")
+    if args.r is not None and args.mode != "rescaled":
+        raise ValueError(f"--r applies to --mode rescaled only, not {args.mode}")
+    r = 0.0 if args.r is None else args.r
+    if not (np.isfinite(r) and r >= 0):
+        raise ValueError(f"--r must be finite and non-negative, got {r}")
     domain = cfg.domain if args.mode != "plane" else core.Plane()
     t_eval = np.linspace(0.0, args.time, args.samples)
     traj = dynamics.integrate(vsys, domain, args.mode, z0, args.time,
-                              r=args.r, t_eval=t_eval)
+                              r=r, t_eval=t_eval)
     reduction.atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
     if args.svg:
         reduction.atomic_write(args.svg, trajectory_svg(traj.states, domain))
-    inv = dynamics.invariants_along(vsys, domain, traj, r=args.r)
+    inv = dynamics.invariants_along(vsys, domain, traj, r=r)
     for key, value in inv.items():
         print(f"{key} = {value:.3e}")
     return EXIT_OK
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--time", type=float, required=True)
     p_sim.add_argument("--mode", default="physical",
                        choices=["physical", "rescaled", "plane"])
-    p_sim.add_argument("--r", type=float, default=0.0)
+    p_sim.add_argument("--r", type=float)  # 0 in rescaled mode, else refused
     p_sim.add_argument("--samples", type=int, default=512)
     p_sim.add_argument("--csv", default="trajectory.csv")
     p_sim.add_argument("--svg")

@@ -3,9 +3,9 @@
 The interaction energy of N vortices with strengths ``gammas`` splits into a
 free-plane logarithmic part ``H0`` and a boundary correction ``F`` built from
 the regular part ``g(w, z)`` of the domain's Green function.  The Robin
-function is ``h(p) = g(p, p)``.  Both sums run over *ordered* index pairs, so
-every unordered pair contributes twice and ``F`` keeps its diagonal
-``gamma_k**2 * h(z_k)`` terms.
+function ``h(p) = g(p, p)`` is ``F`` of one vortex with strength 1.  Both
+sums run over *ordered* index pairs, so every unordered pair contributes
+twice and ``F`` keeps its diagonal ``gamma_k**2 * h(z_k)`` terms.
 
 All evaluation functions broadcast over leading axes: a configuration is an
 array of shape ``(..., 2N)`` holding the stacked planar positions.
@@ -544,22 +544,20 @@ def _check_point(domain, p):
     return p
 
 
+_UNIT_VORTEX = VortexSystem(np.ones(1))
+
+
 def eval_h(domain: DomainModel, p):
-    """Robin function h(p) = g(p, p)."""
-    p = _check_point(domain, p)
-    return domain.g(p, p)
+    """Robin function h(p) = g(p, p), the ``eval_F`` of a unit vortex at p."""
+    return eval_F(_UNIT_VORTEX, domain, _check_point(domain, p))
 
 
 def grad_h(domain: DomainModel, p):
-    """Gradient of the Robin function: 2 g_w(p, p) by symmetry of g."""
-    p = _check_point(domain, p)
-    return 2.0 * domain.g_w(p, p)
+    return grad_F(_UNIT_VORTEX, domain, _check_point(domain, p))
 
 
 def hess_h(domain: DomainModel, p):
-    p = _check_point(domain, p)
-    gwz = domain.g_wz(p, p)
-    return 2.0 * (domain.g_ww(p, p) + 0.5 * (gwz + np.swapaxes(gwz, -1, -2)))
+    return hess_F(_UNIT_VORTEX, domain, _check_point(domain, p))
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,6 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
 
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-    def min_separation(self) -> float:
-        return core.min_separation(self.states)
-
 
 def _rhs(sys: VortexSystem, domain: DomainModel, mode: str, r: float):
     if mode == "physical":
@@ -120,11 +109,11 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
 
 def _energy(sys: VortexSystem, domain: DomainModel, mode: str, r: float,
             states: np.ndarray) -> np.ndarray:
-    if mode == "physical":
-        return core.eval_H0(sys, states) - core.eval_F(sys, domain, states)
-    if mode == "rescaled":
-        return core.eval_Hr(sys, domain, r, states)
-    return core.eval_H0(sys, states)
+    """H0(z) - F(s z), with s = 1 (physical), r (rescaled) or 0 (plane): the
+    mode's Hamiltonian up to its constant F(0), which no drift sees."""
+    s = {"physical": 1.0, "rescaled": r}.get(mode, 0.0)
+    return core.eval_H0(sys, states) - core.eval_F(
+        sys, domain if s else core.Plane(), s * states)
 
 
 def invariants_along(sys: VortexSystem, domain: DomainModel,

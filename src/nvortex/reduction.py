@@ -122,14 +122,6 @@ class ContinuationPath:
     entries: list  # ReducedSolution, r descending
     failures: dict  # r -> message
 
-    @property
-    def r_values(self) -> np.ndarray:
-        return np.array([e.r for e in self.entries])
-
-    @property
-    def vnorms(self) -> np.ndarray:
-        return np.array([e.vnorm for e in self.entries])
-
 
 # ---------------------------------------------------------------------------
 # action and gradient

@@ -283,6 +283,31 @@ def test_continue_flag_overrides(capsys, tmp_path):
     assert "r_points = 3" in capsys.readouterr().out
 
 
+def test_continue_failed_grid_points_exit_1(tmp_path, capsys):
+    """Continued from r = 1.5 the equal pair's orbit leaves the disk, and at
+    r = 1.204 the contraction guard stops it: the summary ends with one
+    FAILED line per failed r, and 4 orbits of 6 miss the quota."""
+    out = tmp_path / "fail"
+    assert main(["continue", "--modes", "10", "--r-max", "1.5", "--r-min",
+                 "0.5", "--r-steps", "6", "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    *rows, failed_domain, failed_contraction = text.splitlines()[1:]
+    assert len(rows) == 4 and len(list(out.glob("orbit_r*.json"))) == 4
+    assert failed_domain == ("FAILED r=1.5: DomainError: configuration has "
+                             "points outside the domain at sample 0")
+    assert failed_contraction.startswith(
+        "FAILED r=1.20411: ContractionFailure: contraction estimate ")
+    assert (out / "orbit_summary.txt").read_text() == text
+
+
+def test_continue_with_no_converged_grid_point_exits_1(tmp_path, capsys):
+    out = tmp_path / "empty"
+    assert main(["continue", "--modes", "8", "--r-max", "3", "--r-min", "2",
+                 "--r-steps", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no grid point converged\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     pytest.param(["--modes", "0"], id="modes-0"),
     pytest.param(["--r-steps", "1"], id="r-steps-1"),
@@ -552,6 +577,10 @@ def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     (["--time", "inf"], "--time"),
     *((["--time", "1", "--mode", mode, "--r", r], "--r")
       for r in ("nan", "inf", "-1") for mode in ("physical", "rescaled")),
+    # --r applies to the rescaled system only
+    *((["--time", "1", "--mode", mode, "--r", r], "--r")
+      for r in ("5", "0") for mode in ("physical", "plane")),
+    (["--time", "1", "--r", "0.2"], "--r"),
 ])
 def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys):
     csv = tmp_path / "t.csv"
@@ -611,6 +640,18 @@ def test_simulate_rescaled_at_r_zero(tmp_path):
     assert main(["simulate", "--z0", "0.3,0,-0.3,0", "--time", "1",
                  "--mode", "rescaled", "--r", "0",
                  "--csv", str(tmp_path / "t.csv")]) == 0
+
+
+def test_simulate_rescaled_in_the_half_plane(tmp_path, capsys):
+    """The rescaled energy H0(u) - F(ru) never evaluates F at the origin,
+    which lies on the half plane's boundary."""
+    cfgfile = _write(tmp_path / "hp.ini",
+                     "[domain]\nvariant = halfplane\na0_guess = 0.3,0.5\n")
+    assert main(["simulate", "--config", cfgfile, "--mode", "rescaled",
+                 "--r", "0.1", "--z0=0.1,0.5,-0.1,0.5", "--time", "0.1",
+                 "--csv", str(tmp_path / "t.csv")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("energy_drift = ") and float(out.split()[-1]) < 1e-8
 
 
 def test_simulate_collision_start_fails(tmp_path):

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nvortex import dynamics as dyn, equilibria as eq, loops as lp
+from nvortex import core, dynamics as dyn, equilibria as eq, loops as lp
 from nvortex import reduction as rd
 from nvortex.core import Plane, UnitDisk, VortexSystem
-from nvortex.errors import BoundaryApproach, CollisionApproach, MinStepReached
+from nvortex.errors import (BoundaryApproach, BoundaryError, CollisionApproach,
+                            CollisionError, DomainError, MinStepReached)
 
 M = 10
 
@@ -34,7 +35,7 @@ def test_pair_closure_on_plane():
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     traj = dyn.integrate(sys2, Plane(), "plane", pair.z.ravel(), pair.period,
                          rtol=1e-12, atol=1e-12)
-    assert np.max(np.abs(traj.final - traj.initial)) < 1e-8
+    assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-8
 
 
 def test_thomson_closure_on_plane():
@@ -42,7 +43,7 @@ def test_thomson_closure_on_plane():
     sys4 = VortexSystem([1.0] * 4)
     traj = dyn.integrate(sys4, Plane(), "plane", th.z.ravel(), th.period,
                          rtol=1e-12, atol=1e-12)
-    assert np.max(np.abs(traj.final - traj.initial)) < 1e-8
+    assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-8
 
 
 def test_dipole_translates_linearly():
@@ -56,7 +57,7 @@ def test_dipole_translates_linearly():
                          rtol=1e-12, atol=1e-12)
     speed = 1.0 / (np.pi * d)
     expect = z0 + T * np.array([speed, 0.0, speed, 0.0])
-    assert np.max(np.abs(traj.final - expect)) < 1e-9
+    assert np.max(np.abs(traj.states[-1] - expect)) < 1e-9
     inv = dyn.invariants_along(sys2, Plane(), traj)
     assert inv["energy_drift"] < 1e-10
 
@@ -88,7 +89,7 @@ def test_tolerance_halving_reduces_error():
     for tol in (1e-6, 1e-9, 1e-12):
         traj = dyn.integrate(sys2, Plane(), "plane", pair.z.ravel(),
                              pair.period, rtol=tol, atol=tol)
-        errs.append(np.max(np.abs(traj.final - traj.initial)))
+        errs.append(np.max(np.abs(traj.states[-1] - traj.states[0])))
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -100,9 +101,9 @@ def test_reversal_by_negating_vorticities():
     fwd = dyn.integrate(sys2, Plane(), "plane", z0, 4.0,
                         rtol=1e-12, atol=1e-12)
     flipped = VortexSystem([-1.0, -2.0])
-    back = dyn.integrate(flipped, Plane(), "plane", fwd.final, 4.0,
+    back = dyn.integrate(flipped, Plane(), "plane", fwd.states[-1], 4.0,
                          rtol=1e-12, atol=1e-12)
-    assert np.max(np.abs(back.final - z0)) < 1e-8
+    assert np.max(np.abs(back.states[-1] - z0)) < 1e-8
 
 
 def test_collision_guard_trips_immediately():
@@ -167,6 +168,40 @@ def test_solver_failure_raises_min_step_reached(monkeypatch):
     assert info.value.t == 0.25
 
 
+@pytest.mark.parametrize("raised, expected", [
+    (CollisionError, CollisionApproach),
+    (DomainError, BoundaryApproach),
+    (BoundaryError, BoundaryApproach),
+])
+def test_field_error_mid_run_stops_at_the_time_of_that_call(
+        raised, expected, monkeypatch):
+    """An error the field raises after the start becomes the integration
+    error of its kind, at the t of the field call that raised it."""
+    field, make_rhs = core.vortex_rhs, dyn._rhs
+    calls = []  # the t of each field call
+
+    def failing_field(*args, **kwargs):
+        if len(calls) == 20:
+            raise raised("injected")
+        return field(*args, **kwargs)
+
+    def timed_rhs(*args):
+        rhs = make_rhs(*args)
+
+        def timed(t, z):
+            calls.append(t)
+            return rhs(t, z)
+        return timed
+
+    monkeypatch.setattr(core, "vortex_rhs", failing_field)
+    monkeypatch.setattr(dyn, "_rhs", timed_rhs)
+    with pytest.raises(expected, match="injected") as info:
+        dyn.integrate(VortexSystem([1.0, 1.0]), UnitDisk(), "physical",
+                      np.array([0.3, 0.0, -0.3, 0.0]), 5.0)
+    assert isinstance(info.value.__cause__, raised)
+    assert len(calls) == 20 and info.value.t == calls[-1] > 0.0
+
+
 def test_single_vortex_plane_is_stationary():
     sys1 = VortexSystem([1.0])
     traj = dyn.integrate(sys1, Plane(), "plane", np.array([0.4, -0.2]), 5.0)
@@ -180,7 +215,7 @@ def test_min_separation_along_trajectory():
                          rtol=1e-12, atol=1e-12)
     pts = pair.z.reshape(2, 2)
     sep = np.linalg.norm(pts[0] - pts[1])
-    assert traj.min_separation() == pytest.approx(sep, rel=1e-6)
+    assert core.min_separation(traj.states) == pytest.approx(sep, rel=1e-6)
 
 
 def test_validate_orbit_positive(pair_orbit):

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvortex import core
-from nvortex.core import HalfPlane, Plane, SyntheticQuadratic, UnitDisk, VortexSystem
-from nvortex.dynamics import Trajectory
+from nvortex.core import (HalfPlane, Plane, SyntheticQuadratic,
+                          TranslatedDomain, UnitDisk, VortexSystem)
 from nvortex.errors import CollisionError, DomainError
 
 MIN_SEP = 0.05
@@ -127,15 +127,61 @@ def test_vortex_rhs_rejects_bad_configurations(case, r):
             core.vortex_rhs(sys_, domain, bad, r=r)
 
 
+@st.composite
+def robin_cases(draw):
+    """(domain, points of shape (B, 2) inside it) over the disk, the half
+    plane, a quadratic domain and a translated disk."""
+    variant = draw(st.sampled_from(["disk", "halfplane", "quadratic",
+                                    "translated"]))
+    unit = draw(hnp.arrays(float, (draw(st.integers(1, 3)), 2),
+                           elements=st.floats(-1.0, 1.0)))
+    if variant == "disk":
+        return UnitDisk(), 0.6 * unit  # |p| <= 0.85
+    if variant == "halfplane":
+        return HalfPlane(), unit + [0.0, 1.5]  # y >= 0.5
+    if variant == "quadratic":
+        a, b, c = (draw(st.floats(-2.0, 2.0)) for _ in range(3))
+        return SyntheticQuadratic([[a, b], [b, c]]), unit
+    offset = draw(hnp.arrays(float, 2, elements=st.floats(-0.25, 0.25)))
+    return TranslatedDomain(UnitDisk(), offset), 0.4 * unit  # |p + offset| <= 0.92
+
+
+def robin_formulas(domain, p):
+    """g(p, p), 2 g_w(p, p) and 2 (g_ww + (g_wz + g_wz^T) / 2) at p, the
+    formulas that h, grad h and h'' evaluated before they became F of one
+    unit vortex."""
+    gwz = domain.g_wz(p, p)
+    return (domain.g(p, p), 2.0 * domain.g_w(p, p),
+            2.0 * (domain.g_ww(p, p) + 0.5 * (gwz + np.swapaxes(gwz, -1, -2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(robin_cases())
+def test_robin_function_is_the_formulas_of_g(case):
+    """h, grad h and h'' equal the Robin formulas bit for bit when g is
+    evaluated on the pair layout (..., N, N, 2) of F with N = 1: the unit
+    vortex only multiplies by 1, and the 2x2 blocks are already symmetric.
+    In p's own layout numpy's vector loops may round g an ulp apart."""
+    domain, pts = case
+    for p in (pts, pts[0]):
+        got = (core.eval_h(domain, p), core.grad_h(domain, p),
+               core.hess_h(domain, p))
+        pair = robin_formulas(domain, p[..., None, None, :])
+        for value, exact, near in zip(got, pair, robin_formulas(domain, p)):
+            assert value.shape == np.shape(near)
+            assert np.array_equal(value, exact.reshape(value.shape))
+            assert np.abs(value - near).max() <= 4 * np.finfo(float).eps * max(
+                1.0, np.abs(near).max())
+
+
 @settings(max_examples=60, deadline=None)
 @given(cases())
 def test_trajectory_min_separation_is_core_min_separation(case):
+    """The minimum separation along a trajectory is core.min_separation of
+    its state batch, which is the minimum over the states."""
     _, _, z = case
-    traj = Trajectory(times=np.arange(len(z), dtype=float), states=z,
-                      mode="plane")
-    assert traj.min_separation() == core.min_separation(z)
     per_state = min(core.min_separation(zi) for zi in z)
-    assert traj.min_separation() == pytest.approx(per_state, rel=1e-15)
+    assert core.min_separation(z) == pytest.approx(per_state, rel=1e-15)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,12 @@ def pair_setup():
     return sys2, pair, frame, basis
 
 
+def _r_and_vnorm(path):
+    """The r values and vnorms of a path's entries, as two arrays."""
+    return (np.array([e.r for e in path.entries]),
+            np.array([e.vnorm for e in path.entries]))
+
+
 # ---------------------------------------------------------------------------
 # action and gradient
 
@@ -632,7 +638,7 @@ def test_pair_r4_law_and_one_step_per_r(disk_path):
     factor O(|v|): one iteration when the first step is within FP_TOL, two
     when it is not.  Noise in the solve would show in both."""
     _, _, path = disk_path
-    rs, vs = path.r_values, path.vnorms
+    rs, vs = _r_and_vnorm(path)
     c = vs[rs <= 5e-3] / rs[rs <= 5e-3] ** 4
     assert np.max(np.abs(c / np.median(c) - 1)) <= 1e-3
     first_step = vs[:-1] - vs[1:]
@@ -660,7 +666,7 @@ def test_continuation_all_points(small_path):
 
 
 def test_continuation_vnorm_monotone(small_path):
-    rs, vs = small_path.r_values, small_path.vnorms
+    rs, vs = _r_and_vnorm(small_path)
     mask = rs <= 0.05
     assert np.all(np.diff(vs[mask]) < 0)
 
@@ -674,7 +680,7 @@ def test_domain_exit_is_recorded(pair_setup):
     params = rd.SolverParams(modes=M, r_max=1.5, r_min=0.5, r_points=6)
     path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame, params)
     grid = params.r_grid()
-    assert np.array_equal(path.r_values, grid[2:])
+    assert np.array_equal(_r_and_vnorm(path)[0], grid[2:])
     assert sorted(path.failures) == sorted(grid[:2])
     msg = path.failures[1.5]
     assert msg.startswith("DomainError: ") and re.search(r"at sample \d+$", msg)
@@ -719,7 +725,7 @@ def test_spectral_tail_guard_records_the_r(pair_setup):
                             params)
     assert list(path.failures) == [0.5]
     assert path.failures[0.5].startswith("NoConvergence: spectral tail ")
-    assert np.array_equal(path.r_values, params.r_grid()[1:])
+    assert np.array_equal(_r_and_vnorm(path)[0], params.r_grid()[1:])
     assert all(e.spectral_tail < rd.MAX_SPECTRAL_TAIL for e in path.entries)
 
 
@@ -812,6 +818,23 @@ def test_orbit_file_roundtrip(small_path, pair_setup, tmp_path):
     back = lp.loop_from_dict(loaded["loop"])
     assert np.array_equal(back.coeffs, sol.u.coeffs)
     assert loaded["diagnostics"]["residual_grad"] == sol.residual_grad
+
+
+def test_atomic_write_removes_its_temporary_file_when_rename_fails(
+        tmp_path, monkeypatch):
+    """If the rename fails, the error propagates, the temporary file is
+    gone and the file already at the path is left as it was."""
+    target = tmp_path / "orbit.json"
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(PermissionError):
+        rd.atomic_write(str(target), "new\n")
+    assert os.listdir(tmp_path) == ["orbit.json"]
+    assert target.read_text() == "old\n"
 
 
 def test_orbit_schema_version_checked(tmp_path):
