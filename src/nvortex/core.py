@@ -510,7 +510,11 @@ def _grad_F(sys, domain, p):
 
 def hess_F(sys: VortexSystem, domain: DomainModel, z):
     """Dense symmetric Hessian of ``eval_F``, shape (..., 2N, 2N)."""
-    p = _as_points(z)
+    return _hess_F(sys, domain, _as_points(z))
+
+
+def _hess_F(sys, domain, p):
+    """``hess_F`` at points p of shape (..., N, 2)."""
     _check_membership(domain, p)
     n = sys.n
     wp = p[..., :, None, :]
@@ -553,11 +557,12 @@ def eval_h(domain: DomainModel, p):
 
 
 def grad_h(domain: DomainModel, p):
-    return grad_F(_UNIT_VORTEX, domain, _check_point(domain, p))
+    p = _check_point(domain, p)
+    return _grad_F(_UNIT_VORTEX, domain, _as_points(p)).reshape(p.shape)
 
 
 def hess_h(domain: DomainModel, p):
-    return hess_F(_UNIT_VORTEX, domain, _check_point(domain, p))
+    return _hess_F(_UNIT_VORTEX, domain, _as_points(_check_point(domain, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +577,13 @@ def check_r(r: float) -> None:
 
 
 def eval_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
-    """Rescaled Hamiltonian H_r(u) = H0(u) - F(ru) + F(0)."""
+    """Rescaled Hamiltonian H_r(u) = H0(u) - F(ru), without the constant F(0)."""
     check_r(r)
     u = np.asarray(u, dtype=float)
     h0 = eval_H0(sys, u)
     if r == 0:
         return h0
-    return (h0 - eval_F(sys, domain, r * u)
-            + eval_F(sys, domain, np.zeros_like(u)))
+    return h0 - eval_F(sys, domain, r * u)
 
 
 def grad_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):

@@ -107,21 +107,14 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
     return Trajectory(times=sol.t, states=sol.y.T, mode=mode)
 
 
-def _energy(sys: VortexSystem, domain: DomainModel, mode: str, r: float,
-            states: np.ndarray) -> np.ndarray:
-    """H0(z) - F(s z), with s = 1 (physical), r (rescaled) or 0 (plane): the
-    mode's Hamiltonian up to its constant F(0), which no drift sees."""
-    s = {"physical": 1.0, "rescaled": r}.get(mode, 0.0)
-    return core.eval_H0(sys, states) - core.eval_F(
-        sys, domain if s else core.Plane(), s * states)
-
-
 def invariants_along(sys: VortexSystem, domain: DomainModel,
                      traj: Trajectory, r: float = 0.0) -> dict:
     """Max drift of the conserved quantities along a trajectory."""
     if len(traj.times) == 0:
         return {"energy_drift": 0.0}
-    energy = _energy(sys, domain, traj.mode, r, traj.states)
+    # each mode conserves H_s, s = 1 (physical), r (rescaled) or 0 (plane)
+    s = {"physical": 1.0, "rescaled": r}.get(traj.mode, 0.0)
+    energy = core.eval_Hr(sys, domain, s, traj.states)
     report = {"energy_drift": float(np.max(np.abs(energy - energy[0])))}
     if traj.mode == "plane":
         z = traj.states.reshape(len(traj.times), -1, 2)

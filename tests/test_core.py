@@ -301,6 +301,14 @@ def test_Hr_composition():
     assert core.eval_Hr(sys2, disk, r, u) == pytest.approx(expect, rel=1e-14)
 
 
+def test_Hr_in_the_half_plane_leaves_out_F_at_the_origin():
+    # the origin lies on the half plane's boundary, where F is undefined
+    sys2 = VortexSystem([1.0, -0.5])
+    u = np.array([0.1, 0.5, -0.1, 0.5])
+    expect = core.eval_H0(sys2, u) - core.eval_F(sys2, HalfPlane(), 0.3 * u)
+    assert core.eval_Hr(sys2, HalfPlane(), 0.3, u) == expect
+
+
 def test_Hr_limit_linear_in_r():
     sys2 = VortexSystem([1.0, -0.5])
     disk = UnitDisk()

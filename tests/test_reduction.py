@@ -10,7 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
-from nvortex.core import Plane, TranslatedDomain, UnitDisk, VortexSystem
+from nvortex.core import (HalfPlane, Plane, TranslatedDomain, UnitDisk,
+                          VortexSystem)
 from nvortex.errors import (CollisionError, DegenerateFrame, EmptyPath,
                             NoConvergence, SingularOperator,
                             ZeroTotalVorticity)
@@ -56,6 +57,14 @@ def test_action_constant_loop_is_minus_energy(pair_setup):
     val = rd.action_J_r(sys2, Plane(), 0.0, c)
     assert val == pytest.approx(-2 * np.pi * core.eval_H0(sys2, c.a0),
                                 rel=1e-12)
+
+
+def test_action_in_the_half_plane_is_minus_energy(pair_setup):
+    sys2, *_ = pair_setup
+    a0 = np.array([0.2, 0.6, -0.2, 0.7])
+    val = rd.action_J_r(sys2, HalfPlane(), 0.3, lp.constant_loop(a0, M))
+    ham = core.eval_H0(sys2, a0) - core.eval_F(sys2, HalfPlane(), 0.3 * a0)
+    assert val == pytest.approx(-2 * np.pi * ham, rel=1e-12)
 
 
 def test_action_r_dependence_linear(pair_setup):
