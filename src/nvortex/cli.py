@@ -303,14 +303,14 @@ def cmd_simulate(args) -> int:
     r = 0.0 if args.r is None else args.r
     if not (np.isfinite(r) and r >= 0):
         raise ValueError(f"--r must be finite and non-negative, got {r}")
+    s = {"physical": 1.0, "rescaled": r, "plane": 0.0}[args.mode]
     domain = cfg.domain if args.mode != "plane" else core.Plane()
     t_eval = np.linspace(0.0, args.time, args.samples)
-    traj = dynamics.integrate(vsys, domain, args.mode, z0, args.time,
-                              r=r, t_eval=t_eval)
+    traj = dynamics.integrate(vsys, domain, s, z0, args.time, t_eval=t_eval)
     reduction.atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
     if args.svg:
         reduction.atomic_write(args.svg, trajectory_svg(traj.states, domain))
-    inv = dynamics.invariants_along(vsys, domain, traj, r=r)
+    inv = dynamics.invariants_along(vsys, domain, traj)
     for key, value in inv.items():
         print(f"{key} = {value:.3e}")
     return EXIT_OK

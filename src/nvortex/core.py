@@ -593,6 +593,8 @@ def grad_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
 
 def _grad_Hr(sys, domain, r, p):
     """``grad_Hr`` at checked points p of shape (..., N, 2), in that shape."""
+    if r == 1:  # the physical field: bitwise the general case (1.0 * x == x)
+        return _grad_H0(sys, p) - _grad_F(sys, domain, p)  # without 2 products
     check_r(r)
     out = _grad_H0(sys, p)
     if r > 0:
@@ -600,19 +602,12 @@ def _grad_Hr(sys, domain, r, p):
     return out
 
 
-def vortex_rhs(sys: VortexSystem, domain: DomainModel, z, r: float = 0.0,
-               physical: bool = False):
-    """Right-hand side of the vortex equations.
-
-    ``physical=True`` evaluates the un-rescaled field (1/G_k) J grad_k (H0-F)
-    at actual domain positions; otherwise ``r`` selects H0 (r=0) or H_r.
-    """
+def vortex_rhs(sys: VortexSystem, domain: DomainModel, z, r: float = 0.0):
+    """Right-hand side (1/G_k) J grad_k H_r of the vortex equations: the
+    physical field at r = 1, the plane field at r = 0."""
     z = np.asarray(z, dtype=float)
     p = _as_points(z)  # the one conversion and finiteness check
-    if physical:
-        grad = _grad_H0(sys, p) - _grad_F(sys, domain, p)
-    else:
-        grad = _grad_Hr(sys, domain, r, p)
+    grad = _grad_Hr(sys, domain, r, p)
     return ((grad @ J2.T) / sys.gammas[:, None]).reshape(z.shape)
 
 

@@ -1,9 +1,10 @@
 """Direct time integration of the vortex equations and orbit validation.
 
-Wraps scipy's adaptive Dormand-Prince integrators with per-step validity
-guards (collision and boundary approach stop the run with the failure
-time), conserved-quantity drift reports, and a period-closure check used
-to validate output of the reduction solver independently.
+Integrates the field of H_s (physical at s = 1, plane at s = 0) with scipy's
+adaptive Dormand-Prince integrators and per-step validity guards (collision
+and boundary approach stop the run with the failure time), drift reports of
+the conserved quantities, and a period-closure check that validates the
+reduction solver's orbits independently.
 """
 
 from __future__ import annotations
@@ -26,34 +27,30 @@ BOUNDARY_GUARD = 1e-9
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (len(times), 2N)
-    mode: str
+    s: float  # the scale of the integrated field H_s
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
+        if (len(self.times) == 0 or len(self.states) != len(self.times)
+                or np.any(np.diff(self.times) <= 0)):
+            raise ValueError("a trajectory needs one state per time, and one "
+                             "or more strictly increasing times")
 
 
-def _rhs(sys: VortexSystem, domain: DomainModel, mode: str, r: float):
-    if mode == "physical":
-        return lambda t, z: core.vortex_rhs(sys, domain, z, physical=True)
-    if mode == "rescaled":
-        return lambda t, z: core.vortex_rhs(sys, domain, z, r=r)
-    if mode == "plane":
-        return lambda t, z: core.vortex_rhs(sys, core.Plane(), z, r=0.0)
-    raise ValueError(f"unknown integration mode {mode!r}")
+def _field(sys: VortexSystem, domain: DomainModel, s: float):
+    return lambda t, z: core.vortex_rhs(sys, domain, z, r=s)
 
 
-def _guards(domain: DomainModel, mode: str):
-    """(event, error, message) for each guard; the event is a distance minus
-    its guard, so the guard trips where the event is <= 0."""
+def _guards(domain: DomainModel, s: float):
+    """(event, error, message) for each guard.  Each event is a distance minus
+    its guard, <= 0 where it trips; the boundary's is measured at s*z."""
     def collision(t, z):
         return core.min_separation(z) - COLLISION_GUARD
 
     guards = [(collision, CollisionApproach,
                f"vortices within {COLLISION_GUARD:g} of collision")]
-    if mode == "physical" and np.isfinite(domain.boundary_gap(np.zeros(2))):
+    if s > 0 and np.isfinite(domain.boundary_gap(np.zeros(2))):
         def boundary(t, z):
-            return float(domain.boundary_gap(z.reshape(-1, 2)).min()) \
+            return float(domain.boundary_gap((s * z).reshape(-1, 2)).min()) \
                 - BOUNDARY_GUARD
 
         guards.append((boundary, BoundaryApproach,
@@ -64,12 +61,12 @@ def _guards(domain: DomainModel, mode: str):
     return guards
 
 
-def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
-              z0: np.ndarray, T: float, rtol: float = 1e-10,
-              atol: float = 1e-12, r: float = 0.0,
+def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
+              T: float, rtol: float = 1e-10, atol: float = 1e-12,
               t_eval: np.ndarray | None = None) -> Trajectory:
-    """Integrate one of the vortex systems over [0, T]; ValueError unless T,
-    rtol and atol are finite and positive and t_eval has 2 or more times."""
+    """Integrate the field of H_s over [0, T]; ValueError unless s passes
+    ``check_r``, T, rtol, atol are finite and > 0, and t_eval has 2+ times."""
+    core.check_r(s)
     for name, value in (("T", T), ("rtol", rtol), ("atol", atol)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -78,16 +75,15 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
                          f"{np.size(t_eval)}")
     from scipy.integrate import solve_ivp  # slow import; most commands never integrate
     z0 = np.asarray(z0, dtype=float).ravel()
-    guards = _guards(domain, mode)
+    guards = _guards(domain, s)
     for event, error, message in guards:
         if event(0.0, z0) <= 0:
             raise error(message, t=0.0)
-    last_t = [0.0]
-    base_rhs = _rhs(sys, domain, mode, r)
+    field, last_t = _field(sys, domain, s), [0.0]
 
     def rhs(t, z):
         last_t[0] = t
-        return base_rhs(t, z)
+        return field(t, z)
 
     try:
         sol = solve_ivp(rhs, (0.0, T), z0,
@@ -104,19 +100,16 @@ def integrate(sys: VortexSystem, domain: DomainModel, mode: str,
         raise error(message, t=float(sol.t_events[which][0]))
     if not sol.success:
         raise MinStepReached(sol.message, t=float(sol.t[-1]))
-    return Trajectory(times=sol.t, states=sol.y.T, mode=mode)
+    return Trajectory(times=sol.t, states=sol.y.T, s=s)
 
 
 def invariants_along(sys: VortexSystem, domain: DomainModel,
-                     traj: Trajectory, r: float = 0.0) -> dict:
-    """Max drift of the conserved quantities along a trajectory."""
-    if len(traj.times) == 0:
-        return {"energy_drift": 0.0}
-    # each mode conserves H_s, s = 1 (physical), r (rescaled) or 0 (plane)
-    s = {"physical": 1.0, "rescaled": r}.get(traj.mode, 0.0)
-    energy = core.eval_Hr(sys, domain, s, traj.states)
+                     traj: Trajectory) -> dict:
+    """Max drift of the conserved quantities along a trajectory: H_s, and in
+    the plane (s = 0) also the centre of vorticity and angular impulse."""
+    energy = core.eval_Hr(sys, domain, traj.s, traj.states)
     report = {"energy_drift": float(np.max(np.abs(energy - energy[0])))}
-    if traj.mode == "plane":
+    if traj.s == 0:
         z = traj.states.reshape(len(traj.times), -1, 2)
         cov = np.einsum("k,tkx->tx", sys.gammas, z)
         imp = np.einsum("k,tk->t", sys.gammas, np.sum(z**2, axis=-1))
@@ -129,7 +122,7 @@ def invariants_along(sys: VortexSystem, domain: DomainModel,
 def validate_orbit(sys: VortexSystem, domain: DomainModel,
                    orbit: PhysicalOrbit, rtol: float = 1e-10) -> dict:
     """Re-integrate the physical system over one period from sample 0."""
-    traj = integrate(sys, domain, "physical", orbit.samples[0], orbit.period,
+    traj = integrate(sys, domain, 1.0, orbit.samples[0], orbit.period,
                      rtol=rtol, atol=rtol * 1e-2,
                      t_eval=np.append(orbit.times, orbit.period))
     closure = float(np.linalg.norm(traj.states[-1] - orbit.samples[0]))

@@ -324,7 +324,7 @@ def test_criterion_7_numerical_hygiene(pair_frame):
     # integrator drifts on a plane benchmark
     sys3 = VortexSystem([1.0, 2.0, 0.5])
     z0 = np.array([1.0, 0.0, -0.5, 0.8, 0.2, -0.9])
-    traj = dyn.integrate(sys3, Plane(), "plane", z0, 10.0,
+    traj = dyn.integrate(sys3, Plane(), 0.0, z0, 10.0,
                          rtol=1e-12, atol=1e-12)
     inv = dyn.invariants_along(sys3, Plane(), traj)
     checks["energy drift"] = inv["energy_drift"] <= 1e-9

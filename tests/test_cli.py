@@ -642,6 +642,26 @@ def test_simulate_rescaled_at_r_zero(tmp_path):
                  "--csv", str(tmp_path / "t.csv")]) == 0
 
 
+def test_simulate_modes_are_scales_of_one_family(tmp_path, capsys):
+    """Each mode integrates H_s: physical is s = 1, plane is s = 0 and
+    rescaled is s = --r, 0 when --r is not given.  So rescaled at r = 1
+    writes the physical CSV byte for byte, and rescaled without --r reports
+    the plane's centre of vorticity and angular impulse."""
+    def run(*mode):
+        csv = tmp_path / "t.csv"
+        assert main(["simulate", "--z0=0.3,0,-0.3,0.1", "--time", "2",
+                     "--samples", "5", *mode, "--csv", str(csv)]) == 0
+        return csv.read_bytes(), capsys.readouterr().out.splitlines()
+
+    physical_csv, _ = run("--mode", "physical")
+    assert run("--mode", "rescaled", "--r", "1")[0] == physical_csv
+    _, plane_out = run("--mode", "plane")
+    _, rescaled_out = run("--mode", "rescaled")
+    drifts = [line for line in plane_out if line.startswith(
+        ("center_of_vorticity_drift = ", "angular_impulse_drift = "))]
+    assert len(drifts) == 2 and set(drifts) <= set(rescaled_out)
+
+
 def test_simulate_rescaled_in_the_half_plane(tmp_path, capsys):
     """The rescaled energy H0(u) - F(ru) never evaluates F at the origin,
     which lies on the half plane's boundary."""

@@ -333,7 +333,7 @@ def test_rhs_tangent_to_energy_level():
     sys3 = VortexSystem([1.0, 2.0, -0.7])
     disk = UnitDisk()
     z = random_disk_config(3, radius=0.5)
-    rhs = core.vortex_rhs(sys3, disk, z, physical=True)
+    rhs = core.vortex_rhs(sys3, disk, z, r=1.0)
     grad = core.grad_H0(sys3, z) - core.grad_F(sys3, disk, z)
     assert abs(grad @ rhs) < 1e-12 * np.linalg.norm(grad) * np.linalg.norm(rhs)
 
@@ -362,6 +362,20 @@ def test_critical_point_disk_trivial_guess():
 def test_critical_point_halfplane_fails():
     with pytest.raises((NoConvergence, LeftDomain)):
         core.find_critical_point_h(HalfPlane(), np.array([0.0, 1.0]))
+
+
+def test_critical_point_newton_kept_outside_raises_left_domain():
+    """Newton's step is halved until it lands inside; when 20 halvings all
+    land outside, the search ends with LeftDomain.  This disk holds only
+    the guess, which is not critical (h is least at 0)."""
+    guess = np.array([0.3, -0.2])
+
+    class OnlyTheGuess(UnitDisk):
+        def contains(self, p):
+            return np.all(np.asarray(p) == guess, axis=-1)
+
+    with pytest.raises(LeftDomain, match="left the domain despite damping"):
+        core.find_critical_point_h(OnlyTheGuess(), guess)
 
 
 def test_critical_point_quadratic():
@@ -414,7 +428,7 @@ def test_hamiltonians_reject_non_finite_configuration(bad):
         lambda: core.eval_F(sys3, UnitDisk(), z3),
         lambda: core.hess_F(sys3, Plane(), z3),
         lambda: core.eval_Hr(sys3, UnitDisk(), 0.1, z3),
-        lambda: core.vortex_rhs(sys3, UnitDisk(), z3, physical=True),
+        lambda: core.vortex_rhs(sys3, UnitDisk(), z3, r=1.0),
         lambda: core.vortex_rhs(sys3, Plane(), z3),
         lambda: core.min_separation(np.stack([z3 / 2, z3])),
     ]
@@ -435,8 +449,7 @@ def test_halfplane_field_next_to_the_boundary_raises():
     fields raise BoundaryError instead of returning NaN with a warning."""
     sys2 = VortexSystem([1.0, 1.0])
     with pytest.raises(BoundaryError, match="too close to the boundary"):
-        core.vortex_rhs(sys2, HalfPlane(), [0.0, 1e-200, 1.0, 1e-200],
-                        physical=True)
+        core.vortex_rhs(sys2, HalfPlane(), [0.0, 1e-200, 1.0, 1e-200], r=1.0)
     for r in (3.8e-307, 1e-100):
         with pytest.raises(BoundaryError, match="too close to the boundary"):
             core.vortex_rhs(sys2, HalfPlane(), [0.0, 1.0, 1.0, 1.0], r=r)
@@ -445,7 +458,7 @@ def test_halfplane_field_next_to_the_boundary_raises():
     # (1/G_k) G_k^2 / (2 pi y), and the other vortex and its image (a
     # distance 2y apart) cancel each other's vertical velocity up to O(y)
     y = 1e-70
-    rhs = core.vortex_rhs(sys2, HalfPlane(), [0.0, y, 1.0, y], physical=True)
+    rhs = core.vortex_rhs(sys2, HalfPlane(), [0.0, y, 1.0, y], r=1.0)
     assert rhs == pytest.approx([1 / (2 * np.pi * y), 0.0] * 2, rel=1e-12,
                                 abs=1e-12)
 

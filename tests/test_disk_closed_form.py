@@ -157,5 +157,5 @@ def test_disk_vector_field_is_the_image_vortex_velocity(case):
     images = c[:, None] - 1 / np.conj(c)[None, :]
     conj_vel = ((g / diff).sum(axis=1) - (g / images).sum(axis=1)) / (np.pi * 1j)
     want = np.conj(conj_vel).view(float)
-    got = core.vortex_rhs(sys_, DISK, z, physical=True)
+    got = core.vortex_rhs(sys_, DISK, z, r=1.0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

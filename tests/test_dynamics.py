@@ -25,15 +25,26 @@ def pair_orbit():
 
 
 def test_trajectories_compare_by_identity():
-    a, b = (dyn.Trajectory(np.arange(3.0), np.zeros((3, 2)), "plane")
+    a, b = (dyn.Trajectory(np.arange(3.0), np.zeros((3, 2)), 0.0)
             for _ in range(2))
     assert a == a and a != b and len({a, a, b}) == 2
+
+
+@pytest.mark.parametrize("times, states", [
+    (np.empty(0), np.empty((0, 2))),
+    (np.arange(3.0), np.zeros((2, 2))),
+], ids=["no samples", "states not one per time"])
+def test_trajectory_rejects_samples_that_measure_nothing(times, states):
+    """No drift is reported from a trajectory without samples, and no state
+    is read at a time it does not belong to."""
+    with pytest.raises(ValueError, match="one state per time"):
+        dyn.Trajectory(times, states, 0.0)
 
 
 def test_pair_closure_on_plane():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    traj = dyn.integrate(sys2, Plane(), "plane", pair.z.ravel(), pair.period,
+    traj = dyn.integrate(sys2, Plane(), 0.0, pair.z.ravel(), pair.period,
                          rtol=1e-12, atol=1e-12)
     assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-8
 
@@ -41,7 +52,7 @@ def test_pair_closure_on_plane():
 def test_thomson_closure_on_plane():
     th = eq.normalize_period(eq.make_thomson(4, 1.0, 1.0))
     sys4 = VortexSystem([1.0] * 4)
-    traj = dyn.integrate(sys4, Plane(), "plane", th.z.ravel(), th.period,
+    traj = dyn.integrate(sys4, Plane(), 0.0, th.z.ravel(), th.period,
                          rtol=1e-12, atol=1e-12)
     assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-8
 
@@ -53,7 +64,7 @@ def test_dipole_translates_linearly():
     d = 0.5
     z0 = np.array([0.0, d / 2, 0.0, -d / 2])
     T = 3.0
-    traj = dyn.integrate(sys2, Plane(), "plane", z0, T,
+    traj = dyn.integrate(sys2, Plane(), 0.0, z0, T,
                          rtol=1e-12, atol=1e-12)
     speed = 1.0 / (np.pi * d)
     expect = z0 + T * np.array([speed, 0.0, speed, 0.0])
@@ -65,7 +76,7 @@ def test_dipole_translates_linearly():
 def test_plane_invariants_conserved():
     sys3 = VortexSystem([1.0, 2.0, 0.5])
     z0 = np.array([1.0, 0.0, -0.5, 0.8, 0.2, -0.9])
-    traj = dyn.integrate(sys3, Plane(), "plane", z0, 10.0,
+    traj = dyn.integrate(sys3, Plane(), 0.0, z0, 10.0,
                          rtol=1e-12, atol=1e-12)
     inv = dyn.invariants_along(sys3, Plane(), traj)
     assert inv["energy_drift"] < 1e-9
@@ -76,7 +87,7 @@ def test_plane_invariants_conserved():
 def test_disk_energy_conserved():
     sys2 = VortexSystem([1.0, 1.0])
     z0 = np.array([0.3, 0.0, -0.3, 0.0])
-    traj = dyn.integrate(sys2, UnitDisk(), "physical", z0, 5.0,
+    traj = dyn.integrate(sys2, UnitDisk(), 1.0, z0, 5.0,
                          rtol=1e-12, atol=1e-12)
     inv = dyn.invariants_along(sys2, UnitDisk(), traj)
     assert inv["energy_drift"] < 1e-9
@@ -87,7 +98,7 @@ def test_tolerance_halving_reduces_error():
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     errs = []
     for tol in (1e-6, 1e-9, 1e-12):
-        traj = dyn.integrate(sys2, Plane(), "plane", pair.z.ravel(),
+        traj = dyn.integrate(sys2, Plane(), 0.0, pair.z.ravel(),
                              pair.period, rtol=tol, atol=tol)
         errs.append(np.max(np.abs(traj.states[-1] - traj.states[0])))
     assert errs[2] < errs[1] < errs[0]
@@ -98,10 +109,10 @@ def test_reversal_by_negating_vorticities():
     flipped system from the endpoint retraces the path."""
     sys2 = VortexSystem([1.0, 2.0])
     z0 = np.array([0.7, 0.1, -0.4, -0.3])
-    fwd = dyn.integrate(sys2, Plane(), "plane", z0, 4.0,
+    fwd = dyn.integrate(sys2, Plane(), 0.0, z0, 4.0,
                         rtol=1e-12, atol=1e-12)
     flipped = VortexSystem([-1.0, -2.0])
-    back = dyn.integrate(flipped, Plane(), "plane", fwd.states[-1], 4.0,
+    back = dyn.integrate(flipped, Plane(), 0.0, fwd.states[-1], 4.0,
                          rtol=1e-12, atol=1e-12)
     assert np.max(np.abs(back.states[-1] - z0)) < 1e-8
 
@@ -110,7 +121,7 @@ def test_collision_guard_trips_immediately():
     sys2 = VortexSystem([1.0, 1.0])
     z0 = np.array([0.0, 0.0, 1e-10, 0.0])
     with pytest.raises(CollisionApproach) as info:
-        dyn.integrate(sys2, Plane(), "plane", z0, 1.0)
+        dyn.integrate(sys2, Plane(), 0.0, z0, 1.0)
     assert info.value.t == 0.0
     assert "within 1e-09 of collision" in str(info.value)
 
@@ -121,9 +132,35 @@ def test_boundary_guard_stops_dipole(monkeypatch):
     z0 = np.array([0.0, 0.1, 0.0, -0.1])
     monkeypatch.setattr(dyn, "BOUNDARY_GUARD", 0.25)
     with pytest.raises(BoundaryApproach) as info:
-        dyn.integrate(sys2, UnitDisk(), "physical", z0, 50.0)
+        dyn.integrate(sys2, UnitDisk(), 1.0, z0, 50.0)
     assert info.value.t is not None and info.value.t > 0.0
     assert "within 0.25 of the boundary" in str(info.value)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.2])
+def test_boundary_guard_stops_rescaled_dipole(s, monkeypatch):
+    """The field of H_s at u is the physical field in other units: z = s u
+    and t_phys = s^2 t.  With atol scaled by 1/s, DOP853's error norm and
+    steps scale the same way, so the run from u0 = z0/s trips the guard on
+    s u at s^2 t = t1, the physical trip time, up to the integration error.
+    Each run places its trip within rtol * t1 of the exact time (checked on
+    t1 against a run at rtol / 10), so the two differ by at most
+    2 rtol * t1."""
+    sys2 = VortexSystem([1.0, -1.0])
+    z0 = np.array([0.0, 0.1, 0.0, -0.1])
+    rtol, atol = 1e-12, 1e-14
+    monkeypatch.setattr(dyn, "BOUNDARY_GUARD", 0.25)
+
+    def trip_time(scale, rtol, atol):
+        with pytest.raises(BoundaryApproach, match="within 0.25 of the "
+                           "boundary") as info:
+            dyn.integrate(sys2, UnitDisk(), scale, z0 / scale,
+                          50.0 / scale**2, rtol=rtol, atol=atol / scale)
+        return scale**2 * info.value.t
+
+    t1 = trip_time(1.0, rtol, atol)
+    assert abs(t1 - trip_time(1.0, rtol / 10, atol / 10)) <= rtol * t1
+    assert abs(trip_time(s, rtol, atol) - t1) <= 2 * rtol * t1
 
 
 def test_collision_guard_message_reports_given_guard(monkeypatch):
@@ -136,7 +173,7 @@ def test_collision_guard_message_reports_given_guard(monkeypatch):
     z0 = np.array([0.0, 0.0, 1.0, 0.0, x, np.sqrt(d13**2 - x**2)])
     monkeypatch.setattr(dyn, "COLLISION_GUARD", 1e-3)
     with pytest.raises(CollisionApproach) as info:
-        dyn.integrate(sys3, Plane(), "plane", z0, 20.0)
+        dyn.integrate(sys3, Plane(), 0.0, z0, 20.0)
     assert info.value.t > 0.0
     assert "within 0.001 of collision" in str(info.value)
 
@@ -144,7 +181,7 @@ def test_collision_guard_message_reports_given_guard(monkeypatch):
 def test_initial_point_outside_guard_rejected():
     sys1 = VortexSystem([1.0])
     with pytest.raises(BoundaryApproach) as info:
-        dyn.integrate(sys1, UnitDisk(), "physical",
+        dyn.integrate(sys1, UnitDisk(), 1.0,
                       np.array([0.9999999999, 0.0]), 1.0)
     assert info.value.t == 0.0
     assert "within 1e-09 of the boundary" in str(info.value)
@@ -164,7 +201,7 @@ def test_solver_failure_raises_min_step_reached(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     with pytest.raises(MinStepReached, match="Required step size") as info:
-        dyn.integrate(pair.sys, Plane(), "plane", pair.z, pair.period)
+        dyn.integrate(pair.sys, Plane(), 0.0, pair.z, pair.period)
     assert info.value.t == 0.25
 
 
@@ -177,7 +214,7 @@ def test_field_error_mid_run_stops_at_the_time_of_that_call(
         raised, expected, monkeypatch):
     """An error the field raises after the start becomes the integration
     error of its kind, at the t of the field call that raised it."""
-    field, make_rhs = core.vortex_rhs, dyn._rhs
+    field, make_field = core.vortex_rhs, dyn._field
     calls = []  # the t of each field call
 
     def failing_field(*args, **kwargs):
@@ -185,18 +222,18 @@ def test_field_error_mid_run_stops_at_the_time_of_that_call(
             raise raised("injected")
         return field(*args, **kwargs)
 
-    def timed_rhs(*args):
-        rhs = make_rhs(*args)
+    def timed_field(*args):
+        f = make_field(*args)
 
         def timed(t, z):
             calls.append(t)
-            return rhs(t, z)
+            return f(t, z)
         return timed
 
     monkeypatch.setattr(core, "vortex_rhs", failing_field)
-    monkeypatch.setattr(dyn, "_rhs", timed_rhs)
+    monkeypatch.setattr(dyn, "_field", timed_field)
     with pytest.raises(expected, match="injected") as info:
-        dyn.integrate(VortexSystem([1.0, 1.0]), UnitDisk(), "physical",
+        dyn.integrate(VortexSystem([1.0, 1.0]), UnitDisk(), 1.0,
                       np.array([0.3, 0.0, -0.3, 0.0]), 5.0)
     assert isinstance(info.value.__cause__, raised)
     assert len(calls) == 20 and info.value.t == calls[-1] > 0.0
@@ -204,14 +241,14 @@ def test_field_error_mid_run_stops_at_the_time_of_that_call(
 
 def test_single_vortex_plane_is_stationary():
     sys1 = VortexSystem([1.0])
-    traj = dyn.integrate(sys1, Plane(), "plane", np.array([0.4, -0.2]), 5.0)
+    traj = dyn.integrate(sys1, Plane(), 0.0, np.array([0.4, -0.2]), 5.0)
     assert np.max(np.abs(traj.states - traj.states[0])) < 1e-12
 
 
 def test_min_separation_along_trajectory():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    traj = dyn.integrate(sys2, Plane(), "plane", pair.z.ravel(), pair.period,
+    traj = dyn.integrate(sys2, Plane(), 0.0, pair.z.ravel(), pair.period,
                          rtol=1e-12, atol=1e-12)
     pts = pair.z.reshape(2, 2)
     sep = np.linalg.norm(pts[0] - pts[1])
@@ -258,7 +295,7 @@ def test_integrate_rejects_bad_span_and_tolerances(T, kwargs, match):
     integrate over, or a tolerance that is not a positive number, is a
     ValueError."""
     with pytest.raises(ValueError, match=match):
-        dyn.integrate(VortexSystem([1.0, 1.0]), Plane(), "plane",
+        dyn.integrate(VortexSystem([1.0, 1.0]), Plane(), 0.0,
                       np.array([0.3, 0.0, -0.3, 0.0]), T, **kwargs)
 
 
@@ -266,7 +303,7 @@ def test_trajectory_dense_sampling():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     t_eval = np.linspace(0.0, pair.period, 100)
-    traj = dyn.integrate(sys2, Plane(), "plane", pair.z.ravel(), pair.period,
+    traj = dyn.integrate(sys2, Plane(), 0.0, pair.z.ravel(), pair.period,
                          rtol=1e-12, atol=1e-12, t_eval=t_eval)
     assert traj.times.shape == (100,)
     assert traj.states.shape == (100, 4)

@@ -91,7 +91,7 @@ def test_vortex_rhs_is_block_J_grad_over_gamma(case, r):
 
     for zz in (z, z[0]):
         assert np.array_equal(
-            core.vortex_rhs(sys_, domain, zz, physical=True),
+            core.vortex_rhs(sys_, domain, zz, r=1.0),
             field(core.grad_H0(sys_, zz) - core.grad_F(sys_, domain, zz)))
         assert np.array_equal(core.vortex_rhs(sys_, domain, zz, r=r),
                               field(core.grad_Hr(sys_, domain, r, zz)))
@@ -105,7 +105,7 @@ def test_vortex_rhs_rejects_bad_configurations(case, r):
     """A NaN, a collision or (in a bounded domain) a point outside still
     stops vortex_rhs with its error in every mode that reads it."""
     sys_, domain, z = case
-    modes = [dict(physical=True), dict(r=r), dict(r=0.0)]
+    modes = [dict(r=1.0), dict(r=r), dict(r=0.0)]
     bad = z.copy()
     bad[-1, 0] = np.nan
     for mode in modes:
@@ -121,7 +121,7 @@ def test_vortex_rhs_rejects_bad_configurations(case, r):
         bad = z.copy()
         bad[-1, 0:2] = outside
         with pytest.raises(DomainError):
-            core.vortex_rhs(sys_, domain, bad, physical=True)
+            core.vortex_rhs(sys_, domain, bad, r=1.0)
         bad[-1, 0:2] = np.divide(outside, r)
         with pytest.raises(DomainError):
             core.vortex_rhs(sys_, domain, bad, r=r)

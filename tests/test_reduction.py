@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import (HalfPlane, Plane, TranslatedDomain, UnitDisk,
                           VortexSystem)
-from nvortex.errors import (CollisionError, DegenerateFrame, EmptyPath,
-                            NoConvergence, SingularOperator,
+from nvortex.errors import (CollisionError, DegenerateFrame, DomainError,
+                            EmptyPath, NoConvergence, SingularOperator,
                             ZeroTotalVorticity)
 
 RNG = np.random.default_rng(99)
@@ -298,6 +298,35 @@ def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
         rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
                          rd.SolverParams(modes=M, mode="Newton"), basis=basis)
     assert len(assemblies) == 1
+
+
+def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
+                                                           monkeypatch):
+    """A line-search trial whose residual raises DomainError is halved like
+    one that does not descend, and the halved step is taken.  Here the
+    first trial, the full step from the seed, raises; the solve still
+    reaches the solution of an undisturbed one."""
+    sys2, _, frame, basis = pair_setup
+    params = rd.SolverParams(modes=M, mode="Newton")
+    clean = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params, basis=basis)
+    grad, assemble = rd.grad_J_r, rd.assemble_L_r
+    trials, bases = [], []
+
+    def failing_grad(*args):
+        trials.append(args[-1])
+        if len(trials) == 2:  # 1 is the seed's residual, 2 the full step
+            raise DomainError("injected")
+        return grad(*args)
+
+    monkeypatch.setattr(rd, "grad_J_r", failing_grad)
+    monkeypatch.setattr(rd, "assemble_L_r", lambda *a, **k:
+                        bases.append(k["base"]) or assemble(*a, **k))
+    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params, basis=basis)
+    seed, full, half = trials[:3]
+    assert seed == frame.Z and bases[0] is None and bases[1] == half
+    assert np.allclose((half - seed).coeffs, 0.5 * (full - seed).coeffs,
+                       rtol=0, atol=1e-15)
+    assert lp.h1_norm(sol.v - clean.v) <= 1e-9
 
 
 def test_result_containers_compare_by_identity(pair_setup, small_path):
