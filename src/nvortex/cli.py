@@ -300,12 +300,13 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     if args.r is not None and args.mode != "rescaled":
         raise ValueError(f"--r applies to --mode rescaled only, not {args.mode}")
-    r = 0.0 if args.r is None else args.r
-    if not (np.isfinite(r) and r >= 0):
-        raise ValueError(f"--r must be finite and non-negative, got {r}")
-    s = {"physical": 1.0, "rescaled": r, "plane": 0.0}[args.mode]
+    s = {"physical": 1.0, "rescaled": args.r or 0.0, "plane": 0.0}[args.mode]
     domain = cfg.domain if args.mode != "plane" else core.Plane()
     t_eval = np.linspace(0.0, args.time, args.samples)
+    try:
+        core.check_r(s)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
     traj = dynamics.integrate(vsys, domain, s, z0, args.time, t_eval=t_eval)
     reduction.atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
     if args.svg:

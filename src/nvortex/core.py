@@ -593,8 +593,6 @@ def grad_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
 
 def _grad_Hr(sys, domain, r, p):
     """``grad_Hr`` at checked points p of shape (..., N, 2), in that shape."""
-    if r == 1:  # the physical field: bitwise the general case (1.0 * x == x)
-        return _grad_H0(sys, p) - _grad_F(sys, domain, p)  # without 2 products
     check_r(r)
     out = _grad_H0(sys, p)
     if r > 0:

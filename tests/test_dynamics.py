@@ -7,7 +7,7 @@ import pytest
 
 from nvortex import core, dynamics as dyn, equilibria as eq, loops as lp
 from nvortex import reduction as rd
-from nvortex.core import Plane, UnitDisk, VortexSystem
+from nvortex.core import HalfPlane, Plane, UnitDisk, VortexSystem
 from nvortex.errors import (BoundaryApproach, BoundaryError, CollisionApproach,
                             CollisionError, DomainError, MinStepReached)
 
@@ -183,6 +183,20 @@ def test_initial_point_outside_guard_rejected():
     with pytest.raises(BoundaryApproach) as info:
         dyn.integrate(sys1, UnitDisk(), 1.0,
                       np.array([0.9999999999, 0.0]), 1.0)
+    assert info.value.t == 0.0
+    assert "within 1e-09 of the boundary" in str(info.value)
+
+
+@pytest.mark.parametrize("domain, u0", [
+    pytest.param(UnitDisk(), [1.9999999996, 0.0], id="disk"),
+    pytest.param(HalfPlane(), [0.0, 1e-9], id="halfplane"),
+])
+def test_rescaled_start_inside_boundary_guard_rejected(domain, u0):
+    """The boundary guard of a rescaled run is taken on s u, in every domain
+    with a boundary, the unbounded half plane included: at s = 0.5 both
+    starts lie within 1e-9 of the wall in physical units."""
+    with pytest.raises(BoundaryApproach) as info:
+        dyn.integrate(VortexSystem([1.0]), domain, 0.5, np.array(u0), 1.0)
     assert info.value.t == 0.0
     assert "within 1e-09 of the boundary" in str(info.value)
 
