@@ -25,7 +25,7 @@ from .equilibria import (
     normalize_period,
     triangle_conditions,
 )
-from .loops import Loop, LoopFrame, build_frame
+from .loops import Loop, build_frame
 from .reduction import (
     ContinuationPath,
     PhysicalOrbit,

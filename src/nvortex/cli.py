@@ -256,22 +256,19 @@ def cmd_continue(args) -> int:
         return EXIT_OK
 
     seed = equilibria.normalize_period(cfg.seed_equilibrium())
-    vsys = seed.sys
-    frame = loops.build_frame(seed.z, seed.omega, vsys.n, cfg.params.modes)
     crit = core.find_critical_point_h(cfg.domain, cfg.a0_guess)
     if not crit.nondegenerate:
         print("critical point of the regular part is degenerate",
               file=sys.stderr)
         return EXIT_FAIL
-    path = reduction.continue_path(vsys, cfg.domain, crit.point, frame,
-                                   cfg.params)
+    path = reduction.continue_path(seed, cfg.domain, crit.point, cfg.params)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     lines = [f"{'r':>12} {'vnorm':>13} {'residual':>13} {'phase':>13} "
              f"{'iters':>5}"]
     for entry in path.entries:
-        doc = reduction.orbit_to_dict(vsys, cfg.domain, path.a0, seed.omega,
-                                      entry)
+        doc = reduction.orbit_to_dict(seed.sys, cfg.domain, path.a0,
+                                      seed.omega, entry)
         fname = os.path.join(cfg.out_dir, f"{cfg.prefix}_r{entry.r:.6g}.json")
         reduction.save_orbit(fname, doc)
         lines.append(f"{entry.r:12.6g} {entry.vnorm:13.6e} "
@@ -331,7 +328,7 @@ def cmd_validate(args) -> int:
             raise ValueError(f"gammas has {vsys.n} entries for {u.n} vortices")
         if a0.shape != (2,):
             raise ValueError(f"a0 must be one point (2 numbers), got {doc['a0']}")
-        if not isinstance(doc["r"], (int, float)):
+        if type(doc["r"]) not in (int, float):  # a bool is an int
             raise ValueError(f"r must be a number, got {doc['r']!r}")
         r = float(doc["r"])
         if "diagnostics" not in doc:  # part of the schema, though unread here
@@ -339,7 +336,7 @@ def cmd_validate(args) -> int:
     except (VortexError, KeyError, TypeError, ValueError, OSError) as exc:
         print(f"cannot read orbit file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    orbit = reduction.unrescale(a0, r, u, args.samples, domain=domain)
+    orbit = reduction.unrescale(a0, r, u, args.samples, domain)
     report = dynamics.validate_orbit(vsys, domain, orbit, rtol=args.rtol)
     print(f"closure_error = {report['closure_error']:.6e}")
     print(f"max_pointwise_defect = {report['max_pointwise_defect']:.6e}")

@@ -6,9 +6,10 @@ A loop u(t) in R^{2N} is stored by its real Fourier coefficients
 
 each coefficient a 2N-vector.  The class provides the H^1 and L^2 inner
 products, differentiation, the smoothing operator (id - Laplacian)^{-1},
-time shifts, the geometric frame of the reduction solver and the
-projection onto its translation subspace D, and a pseudo-spectral sampling
-bridge for evaluating nonlinear maps.
+time shifts, the one-mode seed loop of a relative equilibrium, the
+projection onto the translation subspace D (constant loops with equal
+2-blocks), and a pseudo-spectral sampling bridge for evaluating nonlinear
+maps.
 """
 
 from __future__ import annotations
@@ -221,45 +222,19 @@ def dealias_samples(modes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# geometric frame and projections
+# the seed loop and the translation projection
 
-@dataclass(frozen=True)
-class LoopFrame:
-    """Reference loop Z (one-mode rotation), its derivative, and the
-    constant translation loops e1_hat, e2_hat spanning D."""
-
-    Z: Loop
-    Zdot: Loop
-    e1: Loop
-    e2: Loop
-
-    @property
-    def n(self) -> int:
-        return self.Z.n
-
-    @property
-    def modes(self) -> int:
-        return self.Z.modes
-
-
-def loop_from_equilibrium(z: np.ndarray, omega: float, modes: int) -> Loop:
-    """Z(t) with blocks e^{-J omega t} z_k as a one-mode loop."""
+def build_frame(z: np.ndarray, omega: float, modes: int) -> Loop:
+    """The seed loop Z(t), blocks e^{-J omega t} z_k, as a one-mode loop of
+    order `modes`; DegenerateFrame unless the equilibrium is period-normalized."""
+    if abs(abs(omega) - 1.0) > 1e-12:
+        raise DegenerateFrame("frame requires a period-normalized equilibrium")
     z = np.asarray(z, dtype=float).reshape(-1, 2)
     c = np.zeros((2 * modes + 1, z.size))
     c[1] = z.ravel()
     # Z(t) = cos t z + sin t Zdot(0) for |omega| = 1, with Zdot(0) = -omega J z
     c[2] = np.stack([-omega * z[:, 1], omega * z[:, 0]], axis=1).ravel()
     return Loop(c)
-
-
-def build_frame(z: np.ndarray, omega: float, n: int, modes: int) -> LoopFrame:
-    if abs(abs(omega) - 1.0) > 1e-12:
-        raise DegenerateFrame("frame requires a period-normalized equilibrium")
-    Z = loop_from_equilibrium(z, omega, modes)
-    Zdot = differentiate(Z)
-    e1 = constant_loop(np.tile([1.0, 0.0], n), modes)
-    e2 = constant_loop(np.tile([0.0, 1.0], n), modes)
-    return LoopFrame(Z=Z, Zdot=Zdot, e1=e1, e2=e2)
 
 
 def project_D(u: Loop) -> Loop:

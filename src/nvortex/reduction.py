@@ -33,6 +33,7 @@ import numpy as np
 
 from . import core, loops
 from .core import DomainModel, TranslatedDomain, VortexSystem
+from .equilibria import RelativeEquilibrium
 from .errors import (
     CollisionError,
     ContractionFailure,
@@ -44,7 +45,7 @@ from .errors import (
     SingularOperator,
     ZeroTotalVorticity,
 )
-from .loops import Loop, LoopFrame
+from .loops import Loop
 
 ORBIT_SCHEMA_VERSION = 1
 
@@ -166,17 +167,20 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
 
 @dataclass(frozen=True, eq=False)
 class XBasis:
-    """H^1-orthonormal basis of the odd part of X = (R Z')^perp, the loops
-    of X with u(t + pi) = -u(t), as flattened columns; column j lies in
-    mode col_modes[j].  weights is the diagonal H^1 Gram in flat coordinates.
-    h0 is H0'' along the seed Z on the dealias_samples(modes) nodes: the
-    r-independent part of every operator assembled at Z.
+    """The seed of the solver: the system sys, the seed loop Z (a one-mode
+    rotation) and zdot = Z', with the H^1-orthonormal basis of the odd part
+    of X = (R Z')^perp, the loops of X with u(t + pi) = -u(t), as flattened
+    columns; column j lies in mode col_modes[j].  weights is the diagonal
+    H^1 Gram in flat coordinates.  h0 is H0'' along Z on the
+    dealias_samples(modes) nodes: the r-independent part of every operator
+    assembled at Z.
     """
 
+    sys: VortexSystem
+    Z: Loop
+    zdot: Loop
     matrix: np.ndarray  # (dim_total, dim_X)
     weights: np.ndarray
-    n: int
-    modes: int
     col_modes: np.ndarray
     h0: np.ndarray  # (m, 2N, 2N)
 
@@ -185,35 +189,35 @@ class XBasis:
         return self.matrix.shape[1]
 
     def coords(self, u: Loop) -> np.ndarray:
-        return self.matrix.T @ (self.weights * loops.flatten(u.pad(self.modes)))
+        return self.matrix.T @ (self.weights * loops.flatten(u.pad(self.Z.modes)))
 
     def to_loop(self, y: np.ndarray) -> Loop:
-        return loops.unflatten(self.matrix @ y, self.n, self.modes)
+        return loops.unflatten(self.matrix @ y, self.Z.n, self.Z.modes)
 
     def column_loop(self, j: int) -> Loop:
-        return loops.unflatten(self.matrix[:, j], self.n, self.modes)
+        return loops.unflatten(self.matrix[:, j], self.Z.n, self.Z.modes)
 
 
-def build_x_basis(sys: VortexSystem, frame: LoopFrame) -> XBasis:
-    """Mode by mode: the complement of Z' in mode 1 (Z is a one-mode
-    rotation; the SVD null space scipy.linalg.null_space returns), then the
-    unit coefficients of each odd mode k >= 3, all scaled to unit H^1 norm;
-    with them, hess_H0 along Z."""
-    n, modes, zdot = frame.n, frame.modes, frame.Zdot.coeffs
-    if np.any(zdot[0]) or np.any(zdot[3:]):
-        raise DegenerateFrame("the phase direction Z' must lie in mode 1")
+def build_x_basis(sys: VortexSystem, Z: Loop) -> XBasis:
+    """Mode by mode: the complement of Z' in mode 1 (the SVD null space
+    scipy.linalg.null_space returns), then the unit coefficients of each odd
+    mode k >= 3, all scaled to unit H^1 norm; with them, hess_H0 along Z.
+    DegenerateFrame unless the seed Z is a one-mode loop."""
+    n, modes, zdot = Z.n, Z.modes, loops.differentiate(Z)
+    if np.any(Z.coeffs[0]) or np.any(Z.coeffs[3:]):
+        raise DegenerateFrame("the seed Z must be a one-mode loop")
     w = loops.h1_weight_vector(n, modes)
     flat_modes = (np.arange(w.size) // (2 * n) + 1) // 2
     high = np.flatnonzero((flat_modes % 2 == 1) & (flat_modes >= 3))
     k1 = 4 * n - 1  # columns in mode 1
     mat = np.zeros((w.size, k1 + high.size))
-    mat[2 * n:6 * n, :k1] = np.linalg.svd(zdot[1:3].reshape(1, -1))[2][1:].T
+    mat[2 * n:6 * n, :k1] = np.linalg.svd(zdot.coeffs[1:3].reshape(1, -1))[2][1:].T
     mat[high, k1 + np.arange(high.size)] = 1.0
     mat /= np.sqrt(w)[:, None]
     col_modes = np.concatenate([np.ones(k1, int), flat_modes[high]])
-    h0 = core.hess_H0(sys, loops.sample(frame.Z, loops.dealias_samples(modes)))
-    return XBasis(matrix=mat, weights=w, n=n, modes=modes, col_modes=col_modes,
-                  h0=h0)
+    h0 = core.hess_H0(sys, loops.sample(Z, loops.dealias_samples(modes)))
+    return XBasis(sys=sys, Z=Z, zdot=zdot, matrix=mat, weights=w,
+                  col_modes=col_modes, h0=h0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +258,7 @@ def _hessian_gram(hmats: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return np.pi * np.array([[c_d + c_t, s_t - s_d], [s_t + s_d, c_d - c_t]])
 
 
-def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
-                 frame: LoopFrame, basis: XBasis | None = None,
+def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
                  base: Loop | None = None) -> OperatorReport:
     """Dense matrix of P_X DPhi_r at the base loop over the X basis.
 
@@ -279,9 +282,8 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
     H0'' is read from basis.h0; a given base evaluates hess_H0.
     """
     core.check_r(r)
-    basis = basis or build_x_basis(sys, frame)
-    n, modes = sys.n, basis.modes
-    base_pts = loops.sample(base or frame.Z, loops.dealias_samples(modes))
+    sys, n, modes = basis.sys, basis.Z.n, basis.Z.modes
+    base_pts = loops.sample(base or basis.Z, loops.dealias_samples(modes))
     hmats = basis.h0 if base is None else core.hess_H0(sys, base_pts)
     even = _repeats_after_pi(hmats)
     if r > 0:
@@ -329,11 +331,11 @@ def assemble_L_r(sys: VortexSystem, domain: DomainModel, r: float,
 # ---------------------------------------------------------------------------
 # reduced solve
 
-def _diagnostics(sys, domain, r, frame, v, iters, contraction):
-    u = frame.Z + v
-    grad = grad_J_r(sys, domain, r, u)
+def _diagnostics(domain, r, basis, v, iters, contraction):
+    u = basis.Z + v
+    grad = grad_J_r(basis.sys, domain, r, u)
     residual = loops.h1_norm(grad)
-    phase = abs(loops.h1_inner(grad, frame.Zdot))
+    phase = abs(loops.h1_inner(grad, basis.zdot))
     tail = _spectral_tail(u)
     return ReducedSolution(r=r, v=v, u=u, residual_grad=residual,
                            phase_defect=phase, vnorm=loops.h1_norm(v),
@@ -350,23 +352,23 @@ def _spectral_tail(u: Loop) -> float:
     return float(per_row[cutoff:].sum() / total) if total > 0 else 0.0
 
 
-def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
-                  frame: LoopFrame, params: SolverParams,
-                  warm_start: Loop | None = None,
-                  basis: XBasis | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X; the basis
-    may come from a caller that solves for many r."""
+def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
+                  params: SolverParams,
+                  warm_start: Loop | None = None) -> ReducedSolution:
+    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X, with the
+    seed, its system and the basis read from `basis` and the solver from
+    params.mode."""
     import scipy.linalg  # slow import; only a solve needs the LU
-    basis = basis or build_x_basis(sys, frame)
+    Z = basis.Z
 
     def residual(y):
-        return basis.coords(grad_J_r(sys, domain, r, frame.Z + basis.to_loop(y)))
+        return basis.coords(grad_J_r(basis.sys, domain, r, Z + basis.to_loop(y)))
 
     y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
-    eps_ball = 0.5 * core.min_separation(frame.Z.a(1).reshape(-1, 2))
+    eps_ball = 0.5 * core.min_separation(Z.a(1).reshape(-1, 2))
     contraction = float("nan")
     if params.mode == "FixedPoint":
-        operator = assemble_L_r(sys, domain, r, frame, basis=basis)
+        operator = assemble_L_r(domain, r, basis)
         lu = scipy.linalg.lu_factor(operator.matrix)
         prev_step, guard_strikes = None, 0
         for it in range(1, MAX_ITER + 1):
@@ -401,8 +403,8 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
             res_norm = np.linalg.norm(res)
             if res_norm <= NEWTON_TOL:
                 break
-            op = assemble_L_r(sys, domain, r, frame, basis=basis,
-                              base=frame.Z + basis.to_loop(y) if y.any() else None)
+            op = assemble_L_r(domain, r, basis,
+                              base=Z + basis.to_loop(y) if y.any() else None)
             step = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(op.matrix), res)
             # backtracking on the projected residual
             alpha = 1.0
@@ -426,7 +428,7 @@ def solve_reduced(sys: VortexSystem, domain: DomainModel, r: float,
                 f"at r={r:.5g} (residual {res_norm:.3e})")
 
     v = basis.to_loop(y)
-    sol = _diagnostics(sys, domain, r, frame, v, it, contraction)
+    sol = _diagnostics(domain, r, basis, v, it, contraction)
     tol = FP_TOL if params.mode == "FixedPoint" else NEWTON_TOL
     if sol.residual_grad > 10 * tol * (sol.vnorm + 1.0):
         raise PhaseDefect(
@@ -443,23 +445,24 @@ _SOLVE_FAILURES = (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
                    CollisionError, SingularOperator)
 
 
-def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
-                  frame: LoopFrame, params: SolverParams) -> ContinuationPath:
+def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
+                  a0: np.ndarray, params: SolverParams) -> ContinuationPath:
     """Solve each r of the grid, from r_max down, each warm-started from the
-    last converged r; a failed r is recorded in `failures`."""
-    if abs(sys.gamma_total) < 1e-14:
+    last converged r, on the basis of the period-normalized equilibrium
+    `seed` at params.modes; a failed r is recorded in `failures`."""
+    if abs(seed.sys.gamma_total) < 1e-14:
         raise ZeroTotalVorticity(
             "total vorticity vanishes: the reduction hypothesis fails")
     a0 = np.asarray(a0, dtype=float)
     work_domain = domain if np.allclose(a0, 0.0) else TranslatedDomain(domain, a0)
 
-    basis = build_x_basis(sys, frame)
+    basis = build_x_basis(
+        seed.sys, loops.build_frame(seed.z, seed.omega, params.modes))
     entries, failures = [], {}
     for r in map(float, params.r_grid()):
         try:
-            sol = solve_reduced(sys, work_domain, r, frame, params,
-                                warm_start=entries[-1].v if entries else None,
-                                basis=basis)
+            sol = solve_reduced(work_domain, r, basis, params,
+                                warm_start=entries[-1].v if entries else None)
             if sol.spectral_tail >= MAX_SPECTRAL_TAIL:
                 raise NoConvergence(
                     f"spectral tail {sol.spectral_tail:.3e} above "
@@ -473,9 +476,10 @@ def continue_path(sys: VortexSystem, domain: DomainModel, a0: np.ndarray,
 
 
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
-              domain: DomainModel | None = None) -> PhysicalOrbit:
+              domain: DomainModel) -> PhysicalOrbit:
     """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2; ValueError
-    unless r > 0 and a0 and every sample are finite."""
+    unless r > 0 and a0 and every sample are finite, DomainError unless
+    every sample lies in the domain."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not (np.isfinite(r) and r > 0):
@@ -487,24 +491,19 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
     pts = np.tile(a0, u.n) + r * u.eval(phases)
     if not np.isfinite(pts).all():  # a non-finite a0 reaches every sample
         raise ValueError(f"a0 and the loop must be finite, got a0 = {a0}")
-    if domain is not None:
-        z = pts.reshape(samples, -1, 2)
-        if not np.all(domain.contains(z)):
-            raise DomainError("rescaled orbit leaves the domain")
+    if not np.all(domain.contains(pts.reshape(samples, -1, 2))):
+        raise DomainError("rescaled orbit leaves the domain")
     return PhysicalOrbit(a0=a0, r=r, period=period, times=times, samples=pts)
 
 
-def local_uniqueness_probe(sys: VortexSystem, domain: DomainModel, r: float,
-                           frame: LoopFrame, params: SolverParams,
-                           solution: ReducedSolution,
+def local_uniqueness_probe(domain: DomainModel, r: float, basis: XBasis,
+                           params: SolverParams, solution: ReducedSolution,
                            thetas) -> dict:
-    """Re-solve with time-shifted frames; the result must be the shifted v."""
+    """Re-solve from time-shifted seeds; the result must be the shifted v."""
     mismatches = {}
     for theta in thetas:
-        shifted = LoopFrame(Z=loops.time_shift(theta, frame.Z),
-                            Zdot=loops.time_shift(theta, frame.Zdot),
-                            e1=frame.e1, e2=frame.e2)
-        sol = solve_reduced(sys, domain, r, shifted, params)
+        shifted = build_x_basis(basis.sys, loops.time_shift(theta, basis.Z))
+        sol = solve_reduced(domain, r, shifted, params)
         expected = loops.time_shift(theta, solution.v)
         mismatches[float(theta)] = loops.h1_norm(sol.v - expected)
     return {"mismatch": mismatches, "max": max(mismatches.values())}

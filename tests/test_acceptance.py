@@ -28,19 +28,19 @@ def _verdict(n: int, checks: dict):
 
 
 @pytest.fixture(scope="module")
-def pair_frame():
+def pair_seed():
+    """The equal pair, its system and its solver basis at 32 modes."""
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    frame = lp.build_frame(pair.z, pair.omega, 2, 32)
-    return sys2, pair, frame
+    basis = rd.build_x_basis(sys2, lp.build_frame(pair.z, pair.omega, 32))
+    return sys2, pair, basis
 
 
 @pytest.fixture(scope="module")
-def reference_path(pair_frame):
+def reference_path(pair_seed):
     """Reference continuation: unit disk, equal pair, defaults."""
-    sys2, _, frame = pair_frame
     params = rd.SolverParams()  # modes=32, r grid 0.2 -> 1e-3, 30 points
-    return params, rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame,
+    return params, rd.continue_path(pair_seed[1], UnitDisk(), np.zeros(2),
                                     params)
 
 
@@ -138,8 +138,8 @@ def test_criterion_2_nondegeneracy():
     _verdict(2, checks)
 
 
-def test_criterion_3_block_operator_identities(pair_frame):
-    sys2, _, frame = pair_frame
+def test_criterion_3_block_operator_identities(pair_seed):
+    sys2, _, basis = pair_seed
     disk = UnitDisk()
     checks = {}
 
@@ -184,21 +184,20 @@ def test_criterion_3_block_operator_identities(pair_frame):
     # is the identity on constants.  As r -> 0 it tends to F''(0) on them:
     # (1/N) sum_{j,k} G_j G_k h''(0) = (Gamma^2 / N) h''(0), approached at
     # the rate O(r^4) (test_d_block_limit_closed_form), ~1e-14 at r = 1e-3.
-    basis = rd.build_x_basis(sys2, frame)
-    op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
+    op = rd.assemble_L_r(disk, 1e-3, basis)
     d0_limit = (sys2.gamma_total**2 / sys2.n) * hpp0
     checks["D0 full form"] = np.max(np.abs(op.d0_matrix - d0_limit)) <= 1e-8
 
     # the constant-mode projection of the smoothed F''(0) image of the
     # mean-free seed loop vanishes
-    img = lp.Loop(frame.Z.coeffs @ hess0.T)
+    img = lp.Loop(basis.Z.coeffs @ hess0.T)
     out = lp.project_D(lp.inv_id_minus_laplace(img))
     checks["P_D identity"] = lp.h1_norm(out) <= 1e-10
     _verdict(3, checks)
 
 
-def test_criterion_4_reduction_reference_run(pair_frame, reference_path):
-    sys2, _, frame = pair_frame
+def test_criterion_4_reduction_reference_run(pair_seed, reference_path):
+    basis = pair_seed[2]
     params, path = reference_path
     checks = {}
     n_grid = len(params.r_grid())
@@ -238,20 +237,20 @@ def test_criterion_4_reduction_reference_run(pair_frame, reference_path):
     checks["vnorm/r^4 = 1/pi^2"] = bool(near.any()) and np.max(np.abs(
         vs[near] * np.pi**2 / rs[near]**4 - 1.0)) <= 1e-3
 
-    fp = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params)
-    nw = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
+    fp = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
+    nw = rd.solve_reduced(UnitDisk(), 0.1, basis,
                           rd.SolverParams(mode="Newton"))
     checks["FixedPoint/Newton agree"] = lp.h1_norm(fp.v - nw.v) <= 1e-9
     _verdict(4, checks)
 
 
-def test_criterion_5_physical_validation(pair_frame):
-    sys2, _, frame = pair_frame
+def test_criterion_5_physical_validation(pair_seed):
+    sys2, _, basis = pair_seed
     disk = UnitDisk()
     params = rd.SolverParams()
     checks = {}
     for r in (0.1, 0.05, 0.02):
-        sol = rd.solve_reduced(sys2, disk, r, frame, params)
+        sol = rd.solve_reduced(disk, r, basis, params)
         orbit = rd.unrescale(np.zeros(2), r, sol.u, 256, domain=disk)
         report = dyn.validate_orbit(sys2, disk, orbit, rtol=1e-12)
         checks[f"r={r} closure"] = report["closure_error"] <= 1e-6
@@ -263,18 +262,18 @@ def test_criterion_5_physical_validation(pair_frame):
     _verdict(5, checks)
 
 
-def test_criterion_6_uniqueness_probe(pair_frame):
-    sys2, _, frame = pair_frame
+def test_criterion_6_uniqueness_probe(pair_seed):
+    basis = pair_seed[2]
     params = rd.SolverParams()
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params)
+    sol = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     thetas = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-    report = rd.local_uniqueness_probe(sys2, UnitDisk(), 0.1, frame, params,
-                                       sol, thetas)
+    report = rd.local_uniqueness_probe(UnitDisk(), 0.1, basis, params, sol,
+                                       thetas)
     _verdict(6, {"8-point theta mismatch": report["max"] <= 1e-8})
 
 
-def test_criterion_7_numerical_hygiene(pair_frame):
-    sys2, _, frame = pair_frame
+def test_criterion_7_numerical_hygiene(pair_seed):
+    sys2, _, basis = pair_seed
     disk = UnitDisk()
     rng = np.random.default_rng(3)
     checks = {}
@@ -297,8 +296,8 @@ def test_criterion_7_numerical_hygiene(pair_frame):
                                         / np.linalg.norm(hess @ w)) <= 1e-5
 
     # loop gradient against the action
-    u = frame.Z + lp.Loop(0.05 * rng.normal(size=frame.Z.coeffs.shape))
-    w = lp.Loop(rng.normal(size=frame.Z.coeffs.shape))
+    u = basis.Z + lp.Loop(0.05 * rng.normal(size=basis.Z.coeffs.shape))
+    w = lp.Loop(rng.normal(size=basis.Z.coeffs.shape))
     fd = (rd.action_J_r(sys2, disk, 0.08, u + step * w)
           - rd.action_J_r(sys2, disk, 0.08, u - step * w)) / (2 * step)
     an = lp.h1_inner(rd.grad_J_r(sys2, disk, 0.08, u), w)

@@ -505,6 +505,8 @@ _NAN_COEFFS = [[0, 0, 0, 0], [1, 0, -1, float("nan")], [0, 1, 0, -1]]
                  id="r-list"),
     pytest.param({"r": None}, "cannot read orbit file: r must be a number",
                  id="r-null"),
+    pytest.param({"r": True}, "cannot read orbit file: r must be a number",
+                 id="r-true"),  # a bool is an int, but not an r
     pytest.param({"system": {"gammas": [1.0, 1.0, 1.0]}},
                  "cannot read orbit file: gammas has 3 entries for 2 vortices",
                  id="3-gammas"),

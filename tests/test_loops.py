@@ -27,10 +27,16 @@ def loops(draw):
                                    elements=st.floats(-1.0, 1.0))))
 
 
+# the constant translation loops, which span D
+E1 = lp.constant_loop(np.tile([1.0, 0.0], N), M)
+E2 = lp.constant_loop(np.tile([0.0, 1.0], N), M)
+
+
 @pytest.fixture(scope="module")
-def frame():
+def seed():
+    """The one-mode seed loop Z of the equal pair."""
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    return lp.build_frame(pair.z, pair.omega, 2, M)
+    return lp.build_frame(pair.z, pair.omega, M)
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +56,9 @@ def test_parseval_vs_quadrature(u):
     assert abs(quad - lp.h1_inner(u, u)) <= 1e-10 * quad
 
 
-def test_constant_loop_norms(frame):
-    assert lp.h1_inner(frame.e1, frame.e1) == pytest.approx(2 * np.pi * N,
-                                                            rel=1e-14)
-    assert lp.h1_inner(frame.e1, frame.e2) == 0.0
+def test_constant_loop_norms():
+    assert lp.h1_inner(E1, E1) == pytest.approx(2 * np.pi * N, rel=1e-14)
+    assert lp.h1_inner(E1, E2) == 0.0
 
 
 def test_single_cosine_norm():
@@ -130,11 +135,11 @@ def test_shift_commutes_with_operators():
 # ---------------------------------------------------------------------------
 # projections: project_D and the solver's X projector P = B B^T diag(w)
 
-def x_projector(frame):
+def x_projector(seed):
     """Matrix of the H^1-orthogonal projection onto the odd part of
     X = (R Zdot)^perp over flattened coefficients, built from the solver's
-    basis B."""
-    basis = rd.build_x_basis(VortexSystem([1.0, 1.0]), frame)
+    basis B around the seed loop Z."""
+    basis = rd.build_x_basis(VortexSystem([1.0, 1.0]), seed)
     return (basis.matrix @ basis.matrix.T) * basis.weights
 
 
@@ -148,66 +153,63 @@ def odd_modes(u):
     return lp.Loop(u.coeffs * keep[:, None])
 
 
-def test_projection_partition_and_orthogonality(frame):
+def test_projection_partition_and_orthogonality(seed):
     """P keeps the odd modes of u less their phase component; the even
     modes, and with them D, are dropped."""
-    u = random_loop()
+    u, zdot = random_loop(), lp.differentiate(seed)
     pd = lp.project_D(u)
-    px = apply(x_projector(frame), u)
+    px = apply(x_projector(seed), u)
     rest = odd_modes(u) - px
     # the odd part of (I - P) u is the phase component: parallel to Zdot
-    coef = lp.h1_inner(u, frame.Zdot) / lp.h1_inner(frame.Zdot, frame.Zdot)
-    assert np.max(np.abs(rest.coeffs - coef * frame.Zdot.coeffs)) < 1e-10
+    coef = lp.h1_inner(u, zdot) / lp.h1_inner(zdot, zdot)
+    assert np.max(np.abs(rest.coeffs - coef * zdot.coeffs)) < 1e-10
     assert np.max(np.abs(odd_modes(px).coeffs - px.coeffs)) == 0.0
-    assert abs(lp.h1_inner(px, frame.Zdot)) < 1e-10
-    assert abs(lp.h1_inner(px, frame.e1)) < 1e-10
-    assert abs(lp.h1_inner(px, frame.e2)) < 1e-10
+    assert abs(lp.h1_inner(px, zdot)) < 1e-10
+    assert abs(lp.h1_inner(px, E1)) < 1e-10
+    assert abs(lp.h1_inner(px, E2)) < 1e-10
     assert abs(lp.h1_inner(pd, px)) < 1e-10
 
 
-def test_projections_idempotent_self_adjoint(frame):
+def test_projections_idempotent_self_adjoint(seed):
     u, v = random_loop(), random_loop()
     pd = lp.project_D(u)
     assert np.max(np.abs(lp.project_D(pd).coeffs - pd.coeffs)) < 1e-12
     assert abs(lp.h1_inner(lp.project_D(u), v)
                - lp.h1_inner(u, lp.project_D(v))) < 1e-10
-    P = x_projector(frame)
+    P = x_projector(seed)
     w = lp.h1_weight_vector(N, M)
     assert np.max(np.abs(P @ P - P)) < 1e-12
     wp = w[:, None] * P  # diag(w) P, the H^1 Gram of the projection
     assert np.max(np.abs(wp - wp.T)) < 1e-10 * np.max(np.abs(wp))
 
 
-def test_projection_fixed_points(frame):
-    assert np.max(np.abs(lp.project_D(frame.e1).coeffs
-                         - frame.e1.coeffs)) < 1e-14
-    P = x_projector(frame)
-    assert lp.h1_norm(apply(P, frame.Zdot)) < 1e-12
+def test_projection_fixed_points(seed):
+    zdot = lp.differentiate(seed)
+    assert np.max(np.abs(lp.project_D(E1).coeffs - E1.coeffs)) < 1e-14
+    P = x_projector(seed)
+    assert lp.h1_norm(apply(P, zdot)) < 1e-12
     # the constant translations are even: P removes them
-    for e in (frame.e1, frame.e2):
+    for e in (E1, E2):
         assert lp.h1_norm(apply(P, e)) < 1e-12
     # an odd loop orthogonal to Zdot is fixed
     w = odd_modes(random_loop())
-    w = w - (lp.h1_inner(w, frame.Zdot)
-             / lp.h1_inner(frame.Zdot, frame.Zdot)) * frame.Zdot
+    w = w - (lp.h1_inner(w, zdot) / lp.h1_inner(zdot, zdot)) * zdot
     assert np.max(np.abs(apply(P, w).coeffs - w.coeffs)) < 1e-12
 
 
-def test_frame_orthogonality(frame):
+def test_frame_orthogonality(seed):
     # zero center of vorticity makes Z mean-free, so Zdot is h1-orthogonal
     # to the constant loops
-    assert abs(lp.h1_inner(frame.Zdot, frame.e1)) < 1e-13
-    assert abs(lp.h1_inner(frame.Zdot, frame.e2)) < 1e-13
+    zdot = lp.differentiate(seed)
+    assert abs(lp.h1_inner(zdot, E1)) < 1e-13
+    assert abs(lp.h1_inner(zdot, E2)) < 1e-13
 
 
-def test_projection_equivariance_with_shifted_frame(frame):
+def test_projection_equivariance_with_shifted_frame(seed):
     u = random_loop()
     theta = 0.77
-    shifted_frame = lp.LoopFrame(Z=lp.time_shift(theta, frame.Z),
-                                 Zdot=lp.time_shift(theta, frame.Zdot),
-                                 e1=frame.e1, e2=frame.e2)
-    a = lp.time_shift(theta, apply(x_projector(frame), u))
-    b = apply(x_projector(shifted_frame), lp.time_shift(theta, u))
+    a = lp.time_shift(theta, apply(x_projector(seed), u))
+    b = apply(x_projector(lp.time_shift(theta, seed)), lp.time_shift(theta, u))
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 
@@ -253,7 +255,7 @@ def test_loops_compare_by_value():
     a, b = lp.Loop(c), lp.Loop(c.copy())
     assert a == b and not a != b
     assert a != lp.Loop(np.nextafter(c, 1)) and a != a.pad(3) and a != "loop"
-    assert lp.build_frame(c[1], 1.0, 2, 2) == lp.build_frame(c[1], 1.0, 2, 2)
+    assert lp.build_frame(c[1], 1.0, 2) == lp.build_frame(c[1], 1.0, 2)
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
 

@@ -24,9 +24,9 @@ M = 10
 def pair_setup():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    frame = lp.build_frame(pair.z, pair.omega, 2, M)
-    basis = rd.build_x_basis(sys2, frame)
-    return sys2, pair, frame, basis
+    Z = lp.build_frame(pair.z, pair.omega, M)
+    basis = rd.build_x_basis(sys2, Z)
+    return sys2, pair, Z, basis
 
 
 def _r_and_vnorm(path):
@@ -39,8 +39,8 @@ def _r_and_vnorm(path):
 # action and gradient
 
 def test_action_symplectic_coefficient_vs_quadrature(pair_setup):
-    sys2, _, frame, _ = pair_setup
-    u = frame.Z + lp.Loop(0.1 * RNG.normal(size=(2 * M + 1, 4)))
+    sys2, _, Z, _ = pair_setup
+    u = Z + lp.Loop(0.1 * RNG.normal(size=(2 * M + 1, 4)))
     m = 8 * (2 * M + 1)
     t = lp.sample_times(m)
     vals, dvals = u.eval(t), lp.differentiate(u).eval(t)
@@ -68,9 +68,9 @@ def test_action_in_the_half_plane_is_minus_energy(pair_setup):
 
 
 def test_action_r_dependence_linear(pair_setup):
-    sys2, _, frame, _ = pair_setup
+    sys2, _, Z, _ = pair_setup
     disk = UnitDisk()
-    u = frame.Z
+    u = Z
     j0 = rd.action_J_r(sys2, Plane(), 0.0, u)
     vals = [abs(rd.action_J_r(sys2, disk, r, u) - j0)
             for r in (0.2, 0.1, 0.05)]
@@ -79,15 +79,15 @@ def test_action_r_dependence_linear(pair_setup):
 
 
 def test_grad_zero_at_seed_on_plane(pair_setup):
-    sys2, _, frame, _ = pair_setup
-    g = rd.grad_J_r(sys2, Plane(), 0.0, frame.Z)
+    sys2, _, Z, _ = pair_setup
+    g = rd.grad_J_r(sys2, Plane(), 0.0, Z)
     assert lp.h1_norm(g) < 1e-10
 
 
 def test_grad_matches_directional_derivative(pair_setup):
-    sys2, _, frame, _ = pair_setup
+    sys2, _, Z, _ = pair_setup
     disk = UnitDisk()
-    u = frame.Z + lp.Loop(0.05 * RNG.normal(size=(2 * M + 1, 4)))
+    u = Z + lp.Loop(0.05 * RNG.normal(size=(2 * M + 1, 4)))
     w = lp.Loop(RNG.normal(size=(2 * M + 1, 4)))
     r, epsv = 0.08, 1e-6
     fd = (rd.action_J_r(sys2, disk, r, u + epsv * w)
@@ -99,21 +99,21 @@ def test_grad_matches_directional_derivative(pair_setup):
 def test_grad_at_seed_is_smoothed_F_gradient(pair_setup):
     """At the seed the plane part cancels and only the domain forcing
     survives: grad = r (id-Lap)^{-1} grad F(r Z) as a loop."""
-    sys2, _, frame, _ = pair_setup
+    sys2, _, Z, _ = pair_setup
     disk = UnitDisk()
     r = 0.1
-    g = rd.grad_J_r(sys2, disk, r, frame.Z)
+    g = rd.grad_J_r(sys2, disk, r, Z)
     m = lp.dealias_samples(M)
-    pts = lp.sample(frame.Z, m)
+    pts = lp.sample(Z, m)
     forcing = lp.from_samples(r * core.grad_F(sys2, disk, r * pts), M)
     expect = lp.inv_id_minus_laplace(forcing)
     assert lp.h1_norm(g - expect) < 1e-12
 
 
 def test_grad_at_seed_vanishes_with_r(pair_setup):
-    sys2, _, frame, _ = pair_setup
+    sys2, _, Z, _ = pair_setup
     disk = UnitDisk()
-    norms = [lp.h1_norm(rd.grad_J_r(sys2, disk, r, frame.Z))
+    norms = [lp.h1_norm(rd.grad_J_r(sys2, disk, r, Z))
              for r in (0.2, 0.1, 0.05)]
     assert norms[0] < 1e-2
     assert all(n2 < 0.5 * n1 for n1, n2 in zip(norms, norms[1:]))
@@ -123,23 +123,29 @@ def test_grad_at_seed_vanishes_with_r(pair_setup):
 # the operator on X
 
 def test_x_basis_orthonormal(pair_setup):
-    sys2, _, frame, basis = pair_setup
+    basis = pair_setup[3]
     G = basis.matrix.T @ (basis.weights[:, None] * basis.matrix)
     assert np.max(np.abs(G - np.eye(basis.dim))) < 1e-12
     # the odd modes 1, 3, ..., M - 1 less the phase direction
     assert basis.dim == 4 * 2 * (M // 2) - 1
     assert np.array_equal(np.unique(basis.col_modes), np.arange(1, M, 2))
-    assert np.abs(basis.coords(frame.Zdot)).max() < 1e-12
+    assert np.abs(basis.coords(basis.zdot)).max() < 1e-12
     # first come the 4N - 1 columns of the complement of Z' in mode 1
     assert np.all(basis.col_modes[:7] == 1) and basis.col_modes[7] == 3
     for j in range(basis.dim):
         w = basis.column_loop(j)
         assert lp.h1_norm(lp.time_shift(np.pi, w) + w) < 1e-12
-    # the basis is built mode by mode, so Z' must lie in mode 1
-    bent = lp.Loop(np.roll(frame.Zdot.coeffs, 2, axis=0))  # moved to mode 2
-    with pytest.raises(DegenerateFrame):
-        rd.build_x_basis(sys2, lp.LoopFrame(Z=frame.Z, Zdot=bent,
-                                            e1=frame.e1, e2=frame.e2))
+
+
+@pytest.mark.parametrize("shift", [2, 4, -1], ids=["mode2", "mode3", "mean"])
+def test_x_basis_rejects_a_seed_beyond_mode_one(shift, pair_setup):
+    """The basis is built mode by mode around a one-mode seed, so a seed
+    loop with a copy of its mode-1 block in mode 2 or 3, or in the mean,
+    raises DegenerateFrame."""
+    sys2, _, Z, _ = pair_setup
+    bent = Z + lp.Loop(np.roll(Z.coeffs, shift, axis=0))
+    with pytest.raises(DegenerateFrame, match="one-mode loop"):
+        rd.build_x_basis(sys2, bent)
 
 
 @pytest.mark.parametrize("seed", [eq.make_pair(1.0, 1.0, 2.0),
@@ -151,9 +157,8 @@ def test_x_basis_mode_one_is_scipy_null_space(seed):
     scipy.linalg.null_space returns it, scaled to unit H^1 norm."""
     seed = eq.normalize_period(seed)
     n = seed.sys.n
-    frame = lp.build_frame(seed.z, seed.omega, n, M)
-    basis = rd.build_x_basis(seed.sys, frame)
-    want = scipy.linalg.null_space(frame.Zdot.coeffs[1:3].reshape(1, -1))
+    basis = rd.build_x_basis(seed.sys, lp.build_frame(seed.z, seed.omega, M))
+    want = scipy.linalg.null_space(basis.zdot.coeffs[1:3].reshape(1, -1))
     got = basis.matrix[2 * n:6 * n, :4 * n - 1] * np.sqrt(
         basis.weights[2 * n:6 * n])[:, None]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -164,28 +169,27 @@ def test_operator_plane_blocks(pair_setup):
     along the base.  A mode-2 bump breaks the half-period symmetry of H0''
     even on the plane and is rejected; at the seed the plane operator is
     well conditioned on the odd part."""
-    sys2, _, frame, basis = pair_setup
-    bump = np.zeros_like(frame.Z.coeffs)
+    _, _, Z, basis = pair_setup
+    bump = np.zeros_like(Z.coeffs)
     bump[3:5] = 0.05 * np.random.default_rng(2).normal(size=(2, 4))
     with pytest.raises(ValueError, match="H_r is not even about a0"):
-        rd.assemble_L_r(sys2, Plane(), 0.0, frame, basis=basis,
-                        base=frame.Z + lp.Loop(bump))
-    op = rd.assemble_L_r(sys2, Plane(), 0.0, frame, basis=basis)
+        rd.assemble_L_r(Plane(), 0.0, basis, base=Z + lp.Loop(bump))
+    op = rd.assemble_L_r(Plane(), 0.0, basis)
     assert op.matrix.shape == (basis.dim, basis.dim)
     assert np.linalg.cond(op.matrix) < 1e3
 
 
 def test_operator_matches_finite_differences(pair_setup):
-    sys2, _, frame, basis = pair_setup
+    sys2, _, Z, basis = pair_setup
     disk = UnitDisk()
     r = 0.08
-    op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
+    op = rd.assemble_L_r(disk, r, basis)
     y = RNG.normal(size=basis.dim)
     y /= np.linalg.norm(y)
     w = basis.to_loop(y)
     epsv = 1e-6
-    fd = (rd.grad_J_r(sys2, disk, r, frame.Z + epsv * w).coeffs
-          - rd.grad_J_r(sys2, disk, r, frame.Z - epsv * w).coeffs) / (2 * epsv)
+    fd = (rd.grad_J_r(sys2, disk, r, Z + epsv * w).coeffs
+          - rd.grad_J_r(sys2, disk, r, Z - epsv * w).coeffs) / (2 * epsv)
     fdc = basis.coords(lp.Loop(fd))
     assert np.linalg.norm(op.matrix @ y - fdc) / np.linalg.norm(fdc) < 1e-5
 
@@ -219,12 +223,12 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     Z + v, once per step, and evaluates one residual per step: the one of
     the accepted line-search trial, plus the seed's and the diagnostics'.
     This solve starts cold, so its first step reads H0'' off the basis."""
-    sys2, _, frame, basis = pair_setup
+    _, pair, _, basis = pair_setup
     counts = dict.fromkeys(("hess_H0", "assemble_L_r", "grad_J_r"), 0)
     solved_at = []
     solve = rd.solve_reduced
     monkeypatch.setattr(rd, "solve_reduced",
-                        lambda *a, **k: solved_at.append(a[2]) or solve(*a, **k))
+                        lambda *a, **k: solved_at.append(a[1]) or solve(*a, **k))
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -241,15 +245,14 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
         params = rd.SolverParams(modes=M, mode=mode, r_points=4)
         counts.update(dict.fromkeys(counts, 0))
         solved_at.clear()
-        path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame, params)
+        path = rd.continue_path(pair, UnitDisk(), np.zeros(2), params)
         assert len(path.entries) == 4
         assert solved_at == list(params.r_grid())
         if mode == "FixedPoint":
             assert counts["assemble_L_r"] == 4 and counts["hess_H0"] == 1
     counts.update(dict.fromkeys(counts, 0))
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
-                           rd.SolverParams(modes=M, mode="Newton"),
-                           basis=basis)
+    sol = rd.solve_reduced(UnitDisk(), 0.1, basis,
+                           rd.SolverParams(modes=M, mode="Newton"))
     assert sol.iterations == 2
     assert counts == {"hess_H0": 1, "assemble_L_r": 2, "grad_J_r": 4}
 
@@ -259,23 +262,21 @@ def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
     equals the one assembled at the base Z + 0, without a hess_H0 call.  So
     a cold solve makes one hess_H0 call fewer than it takes steps, and a
     warm one makes one per step."""
-    sys2, _, frame, basis = pair_setup
+    _, _, Z, basis = pair_setup
     disk = UnitDisk()
-    at_zero = frame.Z + basis.to_loop(np.zeros(basis.dim))
+    at_zero = Z + basis.to_loop(np.zeros(basis.dim))
     assert np.array_equal(
-        rd.assemble_L_r(sys2, disk, 0.1, frame, basis=basis).matrix,
-        rd.assemble_L_r(sys2, disk, 0.1, frame, basis=basis,
-                        base=at_zero).matrix)
+        rd.assemble_L_r(disk, 0.1, basis).matrix,
+        rd.assemble_L_r(disk, 0.1, basis, base=at_zero).matrix)
     calls = []
     hess_H0 = core.hess_H0
     monkeypatch.setattr(core, "hess_H0",
                         lambda *a: calls.append(1) or hess_H0(*a))
     params = rd.SolverParams(modes=M, mode="Newton")
-    cold = rd.solve_reduced(sys2, disk, 0.1, frame, params, basis=basis)
+    cold = rd.solve_reduced(disk, 0.1, basis, params)
     assert cold.iterations >= 2 and len(calls) == cold.iterations - 1
     calls.clear()
-    warm = rd.solve_reduced(sys2, disk, 0.12, frame, params,
-                            warm_start=cold.v, basis=basis)
+    warm = rd.solve_reduced(disk, 0.12, basis, params, warm_start=cold.v)
     assert warm.iterations >= 1 and len(calls) == warm.iterations
 
 
@@ -284,7 +285,7 @@ def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
     NoConvergence naming the line search, after one assembly, instead of
     taking step/256 and going on.  Here the operator's sign is flipped, so
     every step points uphill."""
-    sys2, _, frame, basis = pair_setup
+    basis = pair_setup[3]
     real = rd.assemble_L_r
     assemblies = []
 
@@ -295,8 +296,8 @@ def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
 
     monkeypatch.setattr(rd, "assemble_L_r", flipped)
     with pytest.raises(NoConvergence, match="line search failed at r=0.1"):
-        rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
-                         rd.SolverParams(modes=M, mode="Newton"), basis=basis)
+        rd.solve_reduced(UnitDisk(), 0.1, basis,
+                         rd.SolverParams(modes=M, mode="Newton"))
     assert len(assemblies) == 1
 
 
@@ -306,9 +307,9 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
     one that does not descend, and the halved step is taken.  Here the
     first trial, the full step from the seed, raises; the solve still
     reaches the solution of an undisturbed one."""
-    sys2, _, frame, basis = pair_setup
+    _, _, Z, basis = pair_setup
     params = rd.SolverParams(modes=M, mode="Newton")
-    clean = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params, basis=basis)
+    clean = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     grad, assemble = rd.grad_J_r, rd.assemble_L_r
     trials, bases = [], []
 
@@ -321,9 +322,9 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
     monkeypatch.setattr(rd, "grad_J_r", failing_grad)
     monkeypatch.setattr(rd, "assemble_L_r", lambda *a, **k:
                         bases.append(k["base"]) or assemble(*a, **k))
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params, basis=basis)
+    sol = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     seed, full, half = trials[:3]
-    assert seed == frame.Z and bases[0] is None and bases[1] == half
+    assert seed == Z and bases[0] is None and bases[1] == half
     assert np.allclose((half - seed).coeffs, 0.5 * (full - seed).coeffs,
                        rtol=0, atol=1e-15)
     assert lp.h1_norm(sol.v - clean.v) <= 1e-9
@@ -332,17 +333,16 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
 def test_result_containers_compare_by_identity(pair_setup, small_path):
     """Containers that hold arrays compare by identity and hash by it, as
     equilibria.MonodromyReport does; == never raises on them."""
-    sys2, _, frame, basis = pair_setup
+    sys2, _, Z, basis = pair_setup
     disk = UnitDisk()
     sol = small_path.entries[0]
     twins = [
-        [rd.assemble_L_r(sys2, disk, 0.1, frame, basis=basis)
+        [rd.assemble_L_r(disk, 0.1, basis) for _ in range(2)],
+        [rd.solve_reduced(disk, 0.1, basis, rd.SolverParams(modes=M))
          for _ in range(2)],
-        [rd.solve_reduced(sys2, disk, 0.1, frame, rd.SolverParams(modes=M),
-                          basis=basis) for _ in range(2)],
-        [rd.unrescale(np.zeros(2), sol.r, sol.u, 8) for _ in range(2)],
+        [rd.unrescale(np.zeros(2), sol.r, sol.u, 8, disk) for _ in range(2)],
         [rd.ContinuationPath(np.zeros(2), [sol], {}) for _ in range(2)],
-        [basis, rd.build_x_basis(sys2, frame)],
+        [basis, rd.build_x_basis(sys2, Z)],
     ]
     for a, b in twins:
         assert a == a and a != b and not a == b
@@ -350,8 +350,8 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
 
 
 def test_operator_symmetric(pair_setup):
-    sys2, _, frame, basis = pair_setup
-    op = rd.assemble_L_r(sys2, UnitDisk(), 0.1, frame, basis=basis)
+    basis = pair_setup[3]
+    op = rd.assemble_L_r(UnitDisk(), 0.1, basis)
     assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12
 
 
@@ -372,22 +372,22 @@ def test_d_block_limit_closed_form(pair_setup):
     therefore 3 r^4 |p_2(z)|^2 / (pi N) I plus terms smaller by a factor
     O(r^2 |z|^2).
     """
-    sys2, pair, frame, basis = pair_setup
+    sys2, pair, _, basis = pair_setup
     disk = UnitDisk()
     expect = (sys2.gamma_total**2 / sys2.n) * core.hess_h(disk, np.zeros(2))
     pts = pair.z[0::2] + 1j * pair.z[1::2]
     c4 = 3 * abs(np.sum(sys2.gammas * pts**2))**2 / (np.pi * sys2.n)
     for r in (0.1, 0.02):
-        op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
+        op = rd.assemble_L_r(disk, r, basis)
         lead = c4 * r**4
         assert np.max(np.abs(op.d0_matrix - expect - lead * np.eye(2))) \
             < 1e-3 * lead
-    op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
+    op = rd.assemble_L_r(disk, 1e-3, basis)
     assert np.max(np.abs(op.d0_matrix - expect)) < 1e-6
     # below r = 1e-4 the r^4 term is under 1e-15: only roundoff is left, and
     # it must not grow like eps / r^2
     for r in (1e-4, 1e-5):
-        op = rd.assemble_L_r(sys2, disk, r, frame, basis=basis)
+        op = rd.assemble_L_r(disk, r, basis)
         assert np.max(np.abs(op.d0_matrix - expect)) <= 1e-12
 
 
@@ -441,16 +441,16 @@ def test_operator_matches_per_column_reference(gammas, make, modes):
     block read in the X basis is the operator."""
     vs = VortexSystem(list(gammas))
     seed = eq.normalize_period(make())
-    frame = lp.build_frame(seed.z, seed.omega, vs.n, modes)
-    basis = rd.build_x_basis(vs, frame)
+    Z = lp.build_frame(seed.z, seed.omega, modes)
+    basis = rd.build_x_basis(vs, Z)
     y = np.random.default_rng(modes).normal(size=basis.dim)
-    newton_base = frame.Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
+    newton_base = Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
     odd = (np.arange(basis.weights.size) // (2 * vs.n) + 1) // 2 % 2 == 1
     coords = np.sqrt(basis.weights)[:, None] * basis.matrix  # in unit columns
     disk = UnitDisk()
     for r in (0.0, 0.1, 1e-3):
-        for base in (frame.Z, newton_base):
-            op = rd.assemble_L_r(vs, disk, r, frame, basis=basis, base=base)
+        for base in (Z, newton_base):
+            op = rd.assemble_L_r(disk, r, basis, base=base)
             L, d0 = _reference_operator(vs, disk, r, modes, base)
             tol = 1e-13 * np.max(np.abs(L))
             assert np.abs(L[np.ix_(odd, ~odd)]).max() <= tol
@@ -469,9 +469,9 @@ def test_singular_operator_guard(pair_setup, monkeypatch):
     (1+K^2)/K for the top mode K of the basis: 82/9 = 9.11 on the odd part
     of X (K = M - 1).  cond(D) = cond((Gamma^2/N) h''(0)) = 1.  A MAX_COND
     of 5 trips the guard on the A block."""
-    sys2, _, frame, basis = pair_setup
+    basis = pair_setup[3]
     disk = UnitDisk()
-    op = rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
+    op = rd.assemble_L_r(disk, 1e-3, basis)
     top = basis.col_modes.max()
     assert top == M - 1
     A = op.matrix
@@ -480,7 +480,7 @@ def test_singular_operator_guard(pair_setup, monkeypatch):
     assert np.linalg.cond(op.d0_matrix) == pytest.approx(1.0, abs=1e-6)
     monkeypatch.setattr(rd, "MAX_COND", 5)
     with pytest.raises(SingularOperator, match=r"cond\(A\)=9\.111e\+00"):
-        rd.assemble_L_r(sys2, disk, 1e-3, frame, basis=basis)
+        rd.assemble_L_r(disk, 1e-3, basis)
 
 
 def test_off_centre_disk_is_rejected(pair_setup):
@@ -490,23 +490,22 @@ def test_off_centre_disk_is_rejected(pair_setup):
     the odd part of X is solved on, so the operator and the continuation
     refuse it with ValueError at every r, and the continuation leaves at
     its first r."""
-    sys2, _, frame, basis = pair_setup
+    _, pair, _, basis = pair_setup
     domain = TranslatedDomain(UnitDisk(), (0.3, 0.0))
     for r in (0.2, 1e-3):
         with pytest.raises(ValueError, match="H_r is not even about a0"):
-            rd.assemble_L_r(sys2, domain, r, frame, basis=basis)
+            rd.assemble_L_r(domain, r, basis)
         params = rd.SolverParams(modes=M, r_max=r, r_min=r / 2)
         with pytest.raises(ValueError, match="H_r is not even about a0"):
-            rd.continue_path(sys2, UnitDisk(), np.array([0.3, 0.0]), frame,
-                             params)
+            rd.continue_path(pair, UnitDisk(), np.array([0.3, 0.0]), params)
 
 
 def test_center_of_vorticity_identity(pair_setup):
     """P_D[(id-Lap)^{-1} F''(0)[Z]] = 0 for a mean-free seed."""
-    sys2, _, frame, _ = pair_setup
+    sys2, _, Z, _ = pair_setup
     disk = UnitDisk()
     hess0 = core.hess_F(sys2, disk, np.zeros(4))
-    img = lp.Loop(frame.Z.coeffs @ hess0.T)
+    img = lp.Loop(Z.coeffs @ hess0.T)
     out = lp.project_D(lp.inv_id_minus_laplace(img))
     assert lp.h1_norm(out) < 1e-10
 
@@ -515,31 +514,30 @@ def test_center_of_vorticity_identity(pair_setup):
 # reduced solve
 
 def test_plane_solution_is_zero(pair_setup):
-    sys2, _, frame, basis = pair_setup
-    sol = rd.solve_reduced(sys2, Plane(), 0.1, frame,
-                           rd.SolverParams(modes=M), basis=basis)
+    basis = pair_setup[3]
+    sol = rd.solve_reduced(Plane(), 0.1, basis,
+                           rd.SolverParams(modes=M))
     assert sol.vnorm < 1e-12
     assert sol.residual_grad < 1e-12
 
 
 def test_disk_solution_diagnostics(pair_setup):
-    sys2, _, frame, basis = pair_setup
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
-                           rd.SolverParams(modes=M), basis=basis)
+    basis = pair_setup[3]
+    sol = rd.solve_reduced(UnitDisk(), 0.1, basis,
+                           rd.SolverParams(modes=M))
     assert sol.residual_grad < 1e-10
     assert sol.phase_defect < 1e-10
-    assert abs(lp.h1_inner(sol.v, frame.Zdot)) < 1e-10
+    assert abs(lp.h1_inner(sol.v, basis.zdot)) < 1e-10
     assert sol.spectral_tail < 1e-8
     assert 0 < sol.vnorm < 1e-3
 
 
 def test_fixedpoint_newton_agree(pair_setup):
-    sys2, _, frame, basis = pair_setup
-    fp = rd.solve_reduced(sys2, UnitDisk(), 0.15, frame,
-                          rd.SolverParams(modes=M), basis=basis)
-    nw = rd.solve_reduced(sys2, UnitDisk(), 0.15, frame,
-                          rd.SolverParams(modes=M, mode="Newton"),
-                          basis=basis)
+    basis = pair_setup[3]
+    fp = rd.solve_reduced(UnitDisk(), 0.15, basis,
+                          rd.SolverParams(modes=M))
+    nw = rd.solve_reduced(UnitDisk(), 0.15, basis,
+                          rd.SolverParams(modes=M, mode="Newton"))
     assert lp.h1_norm(fp.v - nw.v) < 1e-9
 
 
@@ -552,8 +550,8 @@ def test_fixedpoint_newton_agree_on_random_pairs(g1, ratio, sign, r):
     g = (sign * g1, sign * g1 * ratio)
     vs = VortexSystem(list(g))
     seed = eq.normalize_period(eq.make_pair(g[0], g[1], 2.0))
-    frame = lp.build_frame(seed.z, seed.omega, vs.n, 8)
-    fp, nw = (rd.solve_reduced(vs, UnitDisk(), r, frame,
+    basis = rd.build_x_basis(vs, lp.build_frame(seed.z, seed.omega, 8))
+    fp, nw = (rd.solve_reduced(UnitDisk(), r, basis,
                                rd.SolverParams(modes=8, mode=mode))
               for mode in ("FixedPoint", "Newton"))
     assert lp.h1_norm(fp.v - nw.v) <= 1e-9
@@ -565,14 +563,13 @@ def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
     the operator once per step. At r = 1e-3 the equal pair's correction is
     r^4/pi^2 = 1.0e-13 and the seed residual is already below
     NEWTON_TOL = 1e-11, so no step is taken."""
-    sys2, _, frame, basis = pair_setup
+    basis = pair_setup[3]
     assemblies = []
     assemble = rd.assemble_L_r
     monkeypatch.setattr(rd, "assemble_L_r",
                         lambda *a, **k: assemblies.append(1) or assemble(*a, **k))
-    sol = rd.solve_reduced(sys2, UnitDisk(), r, frame,
-                           rd.SolverParams(modes=M, mode="Newton"),
-                           basis=basis)
+    sol = rd.solve_reduced(UnitDisk(), r, basis,
+                           rd.SolverParams(modes=M, mode="Newton"))
     assert sol.iterations == len(assemblies) == steps
 
 
@@ -582,32 +579,30 @@ def test_max_iter_ends_the_solve(mode, solver, pair_setup, monkeypatch):
     """Each solver takes more than one step on the equal pair at r = 0.1
     (Newton takes 2, test_newton_iterations_count_steps), so a MAX_ITER of
     1 ends either with NoConvergence."""
-    sys2, _, frame, basis = pair_setup
+    basis = pair_setup[3]
     monkeypatch.setattr(rd, "MAX_ITER", 1)
     with pytest.raises(NoConvergence,
                        match=f"{solver} not converged in 1 iterations at r=0.1"):
-        rd.solve_reduced(sys2, UnitDisk(), 0.1, frame,
-                         rd.SolverParams(modes=M, mode=mode), basis=basis)
+        rd.solve_reduced(UnitDisk(), 0.1, basis,
+                         rd.SolverParams(modes=M, mode=mode))
 
 
 def test_solver_equivariance(pair_setup):
-    sys2, _, frame, _ = pair_setup
+    sys2, _, Z, basis = pair_setup
     params = rd.SolverParams(modes=M)
-    base = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params)
+    base = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     theta = np.pi / 2
-    shifted = lp.LoopFrame(Z=lp.time_shift(theta, frame.Z),
-                           Zdot=lp.time_shift(theta, frame.Zdot),
-                           e1=frame.e1, e2=frame.e2)
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, shifted, params)
+    shifted = rd.build_x_basis(sys2, lp.time_shift(theta, Z))
+    sol = rd.solve_reduced(UnitDisk(), 0.1, shifted, params)
     assert lp.h1_norm(sol.v - lp.time_shift(theta, base.v)) < 1e-9
 
 
 def test_local_uniqueness_probe(pair_setup):
-    sys2, _, frame, _ = pair_setup
+    basis = pair_setup[3]
     params = rd.SolverParams(modes=M)
-    sol = rd.solve_reduced(sys2, UnitDisk(), 0.1, frame, params)
+    sol = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     report = rd.local_uniqueness_probe(
-        sys2, UnitDisk(), 0.1, frame, params, sol,
+        UnitDisk(), 0.1, basis, params, sol,
         np.linspace(0.0, 2 * np.pi, 8, endpoint=False))
     assert report["max"] < 1e-8
     assert report["mismatch"][0.0] < 1e-12
@@ -623,7 +618,7 @@ def test_thomson_solution_is_sigma_fixed():
     solution near 0 gives sigma v = v without any filter."""
     th = eq.normalize_period(eq.make_thomson(3, 1.0, 1.0))
     sys3 = VortexSystem([1.0, 1.0, 1.0])
-    frame = lp.build_frame(th.z, th.omega, 3, M)
+    basis = rd.build_x_basis(sys3, lp.build_frame(th.z, th.omega, M))
 
     def sigma_act(u):
         """(sigma u)(t)_j = u_{j-1}(t + 2 pi/3), indices mod 3."""
@@ -632,7 +627,7 @@ def test_thomson_solution_is_sigma_fixed():
 
     for mode in ("FixedPoint", "Newton"):
         params = rd.SolverParams(modes=M, mode=mode)
-        sol = rd.solve_reduced(sys3, UnitDisk(), 0.1, frame, params)
+        sol = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
         assert lp.h1_norm(sigma_act(sol.v) - sol.v) <= 1e-10
         assert sol.residual_grad < 1e-10
 
@@ -647,12 +642,9 @@ def disk_path(request):
     k = request.param
     g = (1.0, 1.0) if k == "equal" else np.random.default_rng(k).uniform(
         0.5, 2.0, 2)
-    vs = VortexSystem(list(g))
     seed = eq.normalize_period(eq.make_pair(g[0], g[1], 2.0))
     params = rd.SolverParams()
-    frame = lp.build_frame(seed.z, seed.omega, vs.n, params.modes)
-    return k, params, rd.continue_path(vs, UnitDisk(), np.zeros(2), frame,
-                                       params)
+    return k, params, rd.continue_path(seed, UnitDisk(), np.zeros(2), params)
 
 
 def test_disk_orbits_are_rigid(disk_path):
@@ -692,9 +684,8 @@ def test_pair_r4_law_and_one_step_per_r(disk_path):
 
 @pytest.fixture(scope="module")
 def small_path(pair_setup):
-    sys2, _, frame, _ = pair_setup
     params = rd.SolverParams(modes=M, r_points=12)
-    return rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame, params)
+    return rd.continue_path(pair_setup[1], UnitDisk(), np.zeros(2), params)
 
 
 def test_continuation_all_points(small_path):
@@ -714,9 +705,8 @@ def test_domain_exit_is_recorded(pair_setup):
     r = 1.5 fails with the core's DomainError naming the first sample outside,
     r = 1.204 fails the contraction guard, and the four r values from 0.9666
     down converge."""
-    sys2, _, frame, _ = pair_setup
     params = rd.SolverParams(modes=M, r_max=1.5, r_min=0.5, r_points=6)
-    path = rd.continue_path(sys2, UnitDisk(), np.zeros(2), frame, params)
+    path = rd.continue_path(pair_setup[1], UnitDisk(), np.zeros(2), params)
     grid = params.r_grid()
     assert np.array_equal(_r_and_vnorm(path)[0], grid[2:])
     assert sorted(path.failures) == sorted(grid[:2])
@@ -756,10 +746,8 @@ class _QuarticDomain(core.SyntheticQuadratic):
 def test_spectral_tail_guard_records_the_r(pair_setup):
     """At 5 modes the tail is the H^1 share of mode 5: about 1.5e-6 at
     r = 0.5 and 1e-14 at r = 0.05, so only r = 0.5 is under-resolved."""
-    pair = pair_setup[1]
-    frame = lp.build_frame(pair.z, pair.omega, 2, 5)
     params = rd.SolverParams(modes=5, r_max=0.5, r_min=0.005, r_points=3)
-    path = rd.continue_path(pair.sys, _QuarticDomain(), np.zeros(2), frame,
+    path = rd.continue_path(pair_setup[1], _QuarticDomain(), np.zeros(2),
                             params)
     assert list(path.failures) == [0.5]
     assert path.failures[0.5].startswith("NoConvergence: spectral tail ")
@@ -778,11 +766,23 @@ def test_colliding_loop_names_the_sample(pair_setup):
         rd.grad_J_r(sys2, UnitDisk(), 0.1, lp.Loop(c))
 
 
-def test_zero_vorticity_rejected(pair_setup):
-    _, _, frame, _ = pair_setup
+def test_zero_vorticity_rejected():
+    """A zero-sum seed built by hand (a (1, -1) pair turns at no rate, so
+    make_pair cannot give one) is refused before any basis is built."""
+    seed = eq.RelativeEquilibrium(VortexSystem([1.0, -1.0]),
+                                  [1.0, 0.0, -1.0, 0.0], 1.0)
     with pytest.raises(ZeroTotalVorticity):
-        rd.continue_path(VortexSystem([1.0, -1.0]), UnitDisk(), np.zeros(2),
-                         frame, rd.SolverParams(modes=M))
+        rd.continue_path(seed, UnitDisk(), np.zeros(2), rd.SolverParams(modes=M))
+
+
+@pytest.mark.parametrize("modes", [4, 12])
+def test_continuation_solves_at_params_modes(modes, pair_setup):
+    """continue_path builds its seed loop at params.modes, so every orbit
+    it returns has that truncation order."""
+    params = rd.SolverParams(modes=modes, r_points=3)
+    path = rd.continue_path(pair_setup[1], UnitDisk(), np.zeros(2), params)
+    assert len(path.entries) == 3
+    assert all(e.u.modes == e.v.modes == modes for e in path.entries)
 
 
 def test_unrescale_geometry(small_path, pair_setup):
@@ -800,7 +800,7 @@ def test_unrescale_geometry(small_path, pair_setup):
 
 def test_unrescale_roundtrip(small_path):
     sol = small_path.entries[0]
-    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 32)
+    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 32, UnitDisk())
     back = orbit.samples / sol.r
     expect = sol.u.eval(orbit.times / sol.r**2)
     assert np.max(np.abs(back - expect)) < 1e-10
@@ -809,13 +809,13 @@ def test_unrescale_roundtrip(small_path):
 @pytest.mark.parametrize("samples", [0, -3])
 def test_unrescale_rejects_no_samples(samples, pair_setup):
     with pytest.raises(ValueError, match="samples"):
-        rd.unrescale(np.zeros(2), 0.1, pair_setup[2].Z, samples)
+        rd.unrescale(np.zeros(2), 0.1, pair_setup[2], samples, UnitDisk())
 
 
 @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf])
 def test_unrescale_rejects_bad_r(r, pair_setup):
     with pytest.raises(ValueError, match="r must be finite and positive"):
-        rd.unrescale(np.zeros(2), r, pair_setup[2].Z, 16)
+        rd.unrescale(np.zeros(2), r, pair_setup[2], 16, UnitDisk())
 
 
 @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
@@ -823,21 +823,20 @@ def test_every_r_entry_rejects_bad_r(r, pair_setup):
     """core.check_r is the one rule for r: a negative or non-finite r raises
     ValueError in H_r, its gradient, the rescaled field, the action, the
     reduced gradient, the operator and both solvers."""
-    sys2, _, frame, basis = pair_setup
+    sys2, _, Z, basis = pair_setup
     disk, z = UnitDisk(), np.array([0.3, 0.0, -0.3, 0.0])
     calls = [
         lambda: core.check_r(r),
         lambda: core.eval_Hr(sys2, disk, r, z),
         lambda: core.grad_Hr(sys2, disk, r, z),
         lambda: core.vortex_rhs(sys2, disk, z, r=r),
-        lambda: rd.action_J_r(sys2, disk, r, frame.Z),
-        lambda: rd.grad_J_r(sys2, disk, r, frame.Z),
-        lambda: rd.assemble_L_r(sys2, disk, r, frame, basis=basis),
-        lambda: rd.solve_reduced(sys2, disk, r, frame,
-                                 rd.SolverParams(modes=M), basis=basis),
-        lambda: rd.solve_reduced(sys2, disk, r, frame,
-                                 rd.SolverParams(modes=M, mode="Newton"),
-                                 basis=basis),
+        lambda: rd.action_J_r(sys2, disk, r, Z),
+        lambda: rd.grad_J_r(sys2, disk, r, Z),
+        lambda: rd.assemble_L_r(disk, r, basis),
+        lambda: rd.solve_reduced(disk, r, basis,
+                                 rd.SolverParams(modes=M)),
+        lambda: rd.solve_reduced(disk, r, basis,
+                                 rd.SolverParams(modes=M, mode="Newton")),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="r must be finite and nonnegative"):
