@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import core, dynamics, equilibria, loops, reduction
+from . import core, dynamics, equilibria, reduction
 from .errors import LeftDomain, NoConvergence, VortexError, ZeroTotalVorticity
 
 EXIT_OK = 0
@@ -267,10 +267,8 @@ def cmd_continue(args) -> int:
     lines = [f"{'r':>12} {'vnorm':>13} {'residual':>13} {'phase':>13} "
              f"{'iters':>5}"]
     for entry in path.entries:
-        doc = reduction.orbit_to_dict(seed.sys, cfg.domain, path.a0,
-                                      seed.omega, entry)
         fname = os.path.join(cfg.out_dir, f"{cfg.prefix}_r{entry.r:.6g}.json")
-        reduction.save_orbit(fname, doc)
+        reduction.save_orbit(fname, seed.sys, cfg.domain, path.a0, seed.omega, entry)
         lines.append(f"{entry.r:12.6g} {entry.vnorm:13.6e} "
                      f"{entry.residual_grad:13.6e} {entry.phase_defect:13.6e} "
                      f"{entry.iterations:5d}")
@@ -318,22 +316,8 @@ def cmd_validate(args) -> int:
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     try:
-        doc = reduction.load_orbit(args.orbit)
-        vsys = core.VortexSystem(doc["system"]["gammas"])
-        domain = core.domain_from_spec(doc["domain"]["variant"],
-                                       doc["domain"]["params"])
-        u = loops.loop_from_dict(doc["loop"])
-        a0 = np.array(doc["a0"], dtype=float)
-        if vsys.n != u.n:
-            raise ValueError(f"gammas has {vsys.n} entries for {u.n} vortices")
-        if a0.shape != (2,):
-            raise ValueError(f"a0 must be one point (2 numbers), got {doc['a0']}")
-        if type(doc["r"]) not in (int, float):  # a bool is an int
-            raise ValueError(f"r must be a number, got {doc['r']!r}")
-        r = float(doc["r"])
-        if "diagnostics" not in doc:  # part of the schema, though unread here
-            raise KeyError("diagnostics")
-    except (VortexError, KeyError, TypeError, ValueError, OSError) as exc:
+        vsys, domain, a0, r, u = reduction.load_orbit(args.orbit)
+    except (VortexError, ValueError, OSError, RecursionError) as exc:
         print(f"cannot read orbit file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     orbit = reduction.unrescale(a0, r, u, args.samples, domain)

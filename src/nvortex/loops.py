@@ -259,14 +259,3 @@ def unflatten(vec: np.ndarray, n: int, modes: int) -> Loop:
 def h1_weight_vector(n: int, modes: int) -> np.ndarray:
     """Diagonal of the H^1 Gram matrix in flattened coordinates."""
     return np.repeat(h1_weights(modes), 2 * n)
-
-
-def loop_to_dict(u: Loop) -> dict:
-    return {"n": u.n, "modes": u.modes, "coeffs": u.coeffs.tolist()}
-
-
-def loop_from_dict(d: dict) -> Loop:
-    u = Loop(np.asarray(d["coeffs"], dtype=float))
-    if u.n != d["n"] or u.modes != d["modes"]:
-        raise DimensionMismatch("loop metadata disagrees with coefficient array")
-    return u

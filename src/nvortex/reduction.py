@@ -110,8 +110,6 @@ class ReducedSolution:
 
 @dataclass(frozen=True, eq=False)
 class PhysicalOrbit:
-    a0: np.ndarray
-    r: float
     period: float
     times: np.ndarray
     samples: np.ndarray  # (m, 2N)
@@ -493,7 +491,7 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
         raise ValueError(f"a0 and the loop must be finite, got a0 = {a0}")
     if not np.all(domain.contains(pts.reshape(samples, -1, 2))):
         raise DomainError("rescaled orbit leaves the domain")
-    return PhysicalOrbit(a0=a0, r=r, period=period, times=times, samples=pts)
+    return PhysicalOrbit(period=period, times=times, samples=pts)
 
 
 def local_uniqueness_probe(domain: DomainModel, r: float, basis: XBasis,
@@ -512,25 +510,6 @@ def local_uniqueness_probe(domain: DomainModel, r: float, basis: XBasis,
 # ---------------------------------------------------------------------------
 # orbit persistence
 
-def orbit_to_dict(sys: VortexSystem, domain: DomainModel, a0, omega_seed: float,
-                  solution: ReducedSolution) -> dict:
-    return {
-        "schema_version": ORBIT_SCHEMA_VERSION,
-        "system": {"gammas": list(map(float, sys.gammas))},
-        "domain": {"variant": domain.variant, "params": domain.params()},
-        "a0": list(map(float, np.asarray(a0, dtype=float))),
-        "r": float(solution.r),
-        "omega_seed": float(omega_seed),
-        "loop": loops.loop_to_dict(solution.u),
-        "diagnostics": {
-            "residual_grad": solution.residual_grad,
-            "phase_defect": solution.phase_defect,
-            "vnorm": solution.vnorm,
-            "iterations": solution.iterations,
-        },
-    }
-
-
 def atomic_write(path: str, text: str) -> None:
     """Write text to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -548,13 +527,63 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def save_orbit(path: str, doc: dict) -> None:
+def save_orbit(path: str, sys: VortexSystem, domain: DomainModel, a0,
+               omega_seed: float, solution: ReducedSolution) -> None:
+    u = solution.u
+    doc = {
+        "schema_version": ORBIT_SCHEMA_VERSION,
+        "system": {"gammas": list(map(float, sys.gammas))},
+        "domain": {"variant": domain.variant, "params": domain.params()},
+        "a0": list(map(float, np.asarray(a0, dtype=float))),
+        "r": float(solution.r),
+        "omega_seed": float(omega_seed),
+        "loop": {"n": u.n, "modes": u.modes, "coeffs": u.coeffs.tolist()},
+        "diagnostics": {k: getattr(solution, k) for k in (
+            "residual_grad", "phase_defect", "vnorm", "iterations")},
+    }
     atomic_write(path, json.dumps(doc) + "\n")  # compact: the C encoder
 
 
-def load_orbit(path: str) -> dict:
+def _read(doc, path: str, kind=float):
+    """Field `path` (dotted) of an orbit document if of JSON type `kind`, a
+    float being a number or even nested list of them, read as an array."""
+    for key in path.split("."):
+        if not (isinstance(doc, dict) and key in doc):
+            raise ValueError(f"orbit file has no field {path}")
+        doc = doc[key]
+    if kind is not float and type(doc) is kind:
+        return doc
+    try:  # a ragged list's leaves are lists, and a bool is an int, not a number
+        leaves = np.array(doc, dtype=object)
+        if kind is float and all(type(v) in (int, float) for v in leaves.ravel()):
+            return leaves.astype(float)
+    except (ValueError, OverflowError):  # over 64 axes, or an int beyond float range
+        pass
+    what = (f"of JSON type {kind.__name__}" if kind is not float
+            else "a number in float range or an even nested list of them")
+    raise ValueError(f"{path} must be {what}")
+
+
+def load_orbit(path: str) -> tuple:
+    """The checked contents (sys, domain, a0, r, u) of an orbit file;
+    ValueError, OSError or VortexError naming what is malformed."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != ORBIT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported orbit schema {doc.get('schema_version')}")
-    return doc
+    if _read(doc, "schema_version", int) != ORBIT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported orbit schema {doc['schema_version']}")
+    params = _read(doc, "domain.params", dict)
+    domain = core.domain_from_spec(_read(doc, "domain.variant", str),
+                                   {k: _read(params, k) for k in params})
+    sys = VortexSystem(_read(doc, "system.gammas"))
+    u = Loop(_read(doc, "loop.coeffs"))
+    if [_read(doc, "loop.n", int), _read(doc, "loop.modes", int)] != [u.n, u.modes]:
+        raise ValueError("loop.n and loop.modes disagree with loop.coeffs")
+    if sys.n != u.n:
+        raise ValueError(f"gammas has {sys.n} entries for {u.n} vortices")
+    a0, r = _read(doc, "a0"), _read(doc, "r")
+    if a0.shape != (2,):
+        raise ValueError(f"a0 must be one point (2 numbers), got {doc['a0']}")
+    if r.ndim:
+        raise ValueError(f"r must be a number, got {doc['r']!r}")
+    _read(doc, "diagnostics", dict)  # part of the schema, though unread here
+    return sys, domain, a0, float(r), u

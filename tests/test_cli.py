@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import nvortex
 from nvortex import cli
@@ -371,8 +372,7 @@ def test_quadratic_domain_orbits_are_odd(tmp_path, capsys):
     files = sorted(out.glob("orbit_r*.json"))
     assert len(files) == 30
     for path in files:
-        with open(path) as fh:
-            u = lp.loop_from_dict(json.load(fh)["loop"])
+        u = rd.load_orbit(str(path))[-1]
         flip = u + lp.time_shift(np.pi, u)
         assert lp.h1_norm(flip) <= 1e-13 * lp.h1_norm(u)
 
@@ -485,6 +485,9 @@ def test_validate_corrupted_file(tmp_path, capsys):
     assert main(["validate", "--orbit", bad]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["validate", "--orbit", missing]) == 2
+    # nesting deeper than the JSON decoder's recursion limit
+    deep = _write(tmp_path / "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--orbit", deep]) == 2
     # a well-formed orbit file validates; without diagnostics it is rejected
     doc = dict(ORBIT_DOC)
     orbit = _write(tmp_path / "orbit.json", json.dumps(doc))
@@ -496,6 +499,8 @@ def test_validate_corrupted_file(tmp_path, capsys):
 
 
 _NAN_COEFFS = [[0, 0, 0, 0], [1, 0, -1, float("nan")], [0, 1, 0, -1]]
+_BOOL_COEFFS = [[0, 0, 0, 0], [1, 0, -1, 0], [0, 1, 0, True]]
+_RAGGED_COEFFS = [[0, 0, 0, 0], [1, 0, -1], [0, 1, 0, -1]]
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -521,15 +526,89 @@ _NAN_COEFFS = [[0, 0, 0, 0], [1, 0, -1, float("nan")], [0, 1, 0, -1]]
     pytest.param({"loop": {**ORBIT_DOC["loop"], "coeffs": _NAN_COEFFS}},
                  "invalid input: a0 and the loop must be finite",
                  id="coeff-nan"),
+    # a JSON true or false is not a number, a count or a schema version
+    pytest.param({"a0": [False, False]}, "cannot read orbit file: a0 must be "
+                 "a number", id="a0-bool"),
+    pytest.param({"system": {"gammas": [True, True]}},
+                 "cannot read orbit file: system.gammas must be a number",
+                 id="gammas-bool"),
+    pytest.param({"loop": {**ORBIT_DOC["loop"], "coeffs": _BOOL_COEFFS}},
+                 "cannot read orbit file: loop.coeffs must be a number",
+                 id="coeff-bool"),
+    pytest.param({"loop": {**ORBIT_DOC["loop"], "modes": True}},
+                 "cannot read orbit file: loop.modes must be of JSON type int",
+                 id="modes-bool"),
+    pytest.param({"schema_version": True}, "cannot read orbit file: "
+                 "schema_version must be of JSON type int", id="schema-bool"),
+    pytest.param({"domain": {"variant": 5, "params": {}}},
+                 "cannot read orbit file: domain.variant must be of JSON type "
+                 "str", id="variant-int"),
+    pytest.param({"domain": {"variant": "disk", "params": []}},
+                 "cannot read orbit file: domain.params must be of JSON type "
+                 "dict", id="params-list"),
+    pytest.param({"domain": {"variant": "quadratic",
+                             "params": {"a_matrix": [[1, 0], [0, True]]}}},
+                 "cannot read orbit file: a_matrix must be a number",
+                 id="a-matrix-bool"),
+    pytest.param([ORBIT_DOC], "cannot read orbit file: orbit file has no "
+                 "field schema_version", id="top-level-list"),
+    pytest.param({"r": 10**400}, "cannot read orbit file: r must be a number "
+                 "in float range", id="r-huge-int"),
+    pytest.param({"loop": {**ORBIT_DOC["loop"], "coeffs": _RAGGED_COEFFS}},
+                 "cannot read orbit file: loop.coeffs must be a number",
+                 id="coeffs-ragged"),
 ])
 def test_validate_bad_orbit_r_exits_2(changes, message, tmp_path, capsys):
-    """An orbit file whose r, gammas, a0 or loop is malformed or disagrees
-    with the rest exits 2 with the field named, never 1 or a traceback."""
-    orbit = _write(tmp_path / "orbit.json", json.dumps({**ORBIT_DOC, **changes}))
+    """An orbit file whose r, gammas, a0, loop, domain or schema version is
+    malformed or disagrees with the rest, or whose top level is not a JSON
+    object, exits 2 with the field named, never 1 or a traceback."""
+    doc = {**ORBIT_DOC, **changes} if isinstance(changes, dict) else changes
+    orbit = _write(tmp_path / "orbit.json", json.dumps(doc))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["validate", "--orbit", orbit, "--samples", "16"]) == 2
     assert message in capsys.readouterr().err
+
+
+def _json_kind(value):
+    """The JSON type of a value, with an int beyond float range apart."""
+    if type(value) in (int, float):
+        return "huge" if abs(value) > 1e308 else "number"
+    return type(value).__name__
+
+
+# the fields of ORBIT_DOC at the top level and one level down
+_ORBIT_FIELDS = [(key,) for key in ORBIT_DOC] + [
+    (key, sub) for key, value in ORBIT_DOC.items() if isinstance(value, dict)
+    for sub in value] + [
+    (key, i) for key, value in ORBIT_DOC.items() if isinstance(value, list)
+    for i in range(len(value))]
+_JSON_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4),
+    st.lists(st.integers(-2, 2) | st.booleans(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+    st.integers(10**309, 10**400))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(_ORBIT_FIELDS), value=_JSON_VALUES)
+def test_validate_orbit_field_of_another_type_never_raises(field, value,
+                                                           tmp_path, capsys):
+    """Any field of a good orbit file, replaced by a value of another JSON
+    type, gives exit 0, 1 or 2 with no warning or traceback; 2 says that
+    the file cannot be read."""
+    doc = json.loads(json.dumps(ORBIT_DOC))
+    parent = doc if len(field) == 1 else doc[field[0]]
+    assume(_json_kind(value) != _json_kind(parent[field[-1]]))
+    parent[field[-1]] = value
+    orbit = _write(tmp_path / "orbit.json", json.dumps(doc))
+    capsys.readouterr()  # drop what earlier examples printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["validate", "--orbit", orbit, "--samples", "16"])
+    assert code in (0, 1, 2)
+    assert code != 2 or "cannot read orbit file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, named", [

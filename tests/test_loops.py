@@ -258,11 +258,3 @@ def test_loops_compare_by_value():
     assert lp.build_frame(c[1], 1.0, 2) == lp.build_frame(c[1], 1.0, 2)
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
-
-
-def test_serialization_roundtrip():
-    u = random_loop()
-    doc = lp.loop_to_dict(u)
-    back = lp.loop_from_dict(doc)
-    assert np.array_equal(back.coeffs, u.coeffs)
-    assert back.n == u.n and back.modes == u.modes

@@ -846,15 +846,18 @@ def test_every_r_entry_rejects_bad_r(r, pair_setup):
 def test_orbit_file_roundtrip(small_path, pair_setup, tmp_path):
     sys2, pair, _, _ = pair_setup
     sol = small_path.entries[0]
-    doc = rd.orbit_to_dict(sys2, UnitDisk(), np.zeros(2), pair.omega, sol)
     path = os.path.join(tmp_path, "orbit.json")
-    rd.save_orbit(path, doc)
-    loaded = rd.load_orbit(path)
-    assert loaded["schema_version"] == rd.ORBIT_SCHEMA_VERSION
-    assert loaded["system"]["gammas"] == [1.0, 1.0]
-    back = lp.loop_from_dict(loaded["loop"])
-    assert np.array_equal(back.coeffs, sol.u.coeffs)
-    assert loaded["diagnostics"]["residual_grad"] == sol.residual_grad
+    rd.save_orbit(path, sys2, UnitDisk(), np.zeros(2), pair.omega, sol)
+    vsys, domain, a0, r, u = rd.load_orbit(path)
+    assert vsys == sys2 and domain.variant == "disk"
+    assert np.array_equal(a0, np.zeros(2)) and r == sol.r
+    assert u == sol.u  # same shape and coefficients, bit for bit
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert list(doc) == ["schema_version", "system", "domain", "a0", "r",
+                         "omega_seed", "loop", "diagnostics"]
+    assert doc["schema_version"] == rd.ORBIT_SCHEMA_VERSION
+    assert doc["diagnostics"]["residual_grad"] == sol.residual_grad
 
 
 def test_atomic_write_removes_its_temporary_file_when_rename_fails(
