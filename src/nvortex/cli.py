@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import core, dynamics, equilibria, reduction
-from .errors import LeftDomain, NoConvergence, VortexError, ZeroTotalVorticity
+from .errors import LeftDomain, NoConvergence, SingularOperator, VortexError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -219,7 +219,7 @@ def cmd_equilibrium(args) -> int:
     print(f"z     = {np.array2string(eq.z, precision=12)}")
     print(f"omega = {eq.omega:.12g}")
     print(f"residual = {residual:.3e}")
-    code = EXIT_OK if residual < 1e-10 else EXIT_FAIL
+    code = EXIT_OK if residual < equilibria.RESIDUAL_TOL else EXIT_FAIL
     if args.check:
         report = equilibria.monodromy(equilibria.normalize_period(eq))
         print("multipliers:")
@@ -257,10 +257,8 @@ def cmd_continue(args) -> int:
 
     seed = equilibria.normalize_period(cfg.seed_equilibrium())
     crit = core.find_critical_point_h(cfg.domain, cfg.a0_guess)
-    if not crit.nondegenerate:
-        print("critical point of the regular part is degenerate",
-              file=sys.stderr)
-        return EXIT_FAIL
+    if not crit.nondegenerate:  # the type the cond(D) guard raises for it
+        raise SingularOperator("critical point of the regular part is degenerate")
     path = reduction.continue_path(seed, cfg.domain, crit.point, cfg.params)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -268,7 +266,8 @@ def cmd_continue(args) -> int:
              f"{'iters':>5}"]
     for entry in path.entries:
         fname = os.path.join(cfg.out_dir, f"{cfg.prefix}_r{entry.r:.6g}.json")
-        reduction.save_orbit(fname, seed.sys, cfg.domain, path.a0, seed.omega, entry)
+        reduction.save_orbit(fname, seed.sys, cfg.domain, crit.point, seed.omega,
+                             entry)
         lines.append(f"{entry.r:12.6g} {entry.vnorm:13.6e} "
                      f"{entry.residual_grad:13.6e} {entry.phase_defect:13.6e} "
                      f"{entry.iterations:5d}")
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroTotalVorticity, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ZeroTotalVorticity is a ValueError
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VortexError as exc:

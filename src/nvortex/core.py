@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     LeftDomain,
     NoConvergence,
+    ZeroTotalVorticity,
 )
 
 __all__ = [
@@ -91,9 +92,20 @@ class VortexSystem:
     def n(self) -> int:
         return self.gammas.size
 
-    @property
-    def gamma_total(self) -> float:
-        return float(self.gammas.sum())
+    def nonzero_total(self) -> float:
+        """Gamma, or ZeroTotalVorticity if Gamma is zero to rounding,
+        |Gamma| <= (N-1) eps sum|gamma_k|: a float sum of N terms errs by at
+        most (N-1)u sum|gamma_k| to first order, u = eps/2, in any order
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        ch. 4), and rounding the gamma_k from decimal input by u sum|gamma_k|.
+        A zero-sum system translates instead of rotating."""
+        total = finite("the total vorticity overflows", self.gammas.sum)
+        bound = np.sum((self.n - 1) * np.finfo(float).eps * np.abs(self.gammas))
+        if abs(total) <= bound:  # each term scaled before the sum: no overflow
+            raise ZeroTotalVorticity(
+                f"zero-sum vorticities: a rotating seed needs a nonzero total, "
+                f"got {total:.3g}, within the rounding bound {bound:.3g} of 0")
+        return float(total)
 
     def m_gamma_diag(self) -> np.ndarray:
         """Diagonal of M_Gamma: each vorticity repeated twice."""
@@ -363,7 +375,9 @@ class TranslatedDomain(DomainModel):
 
     def __init__(self, base: DomainModel, offset):
         self.base = base
-        self.offset = np.asarray(offset, dtype=float).reshape(2)
+        self.offset = np.asarray(offset, dtype=float)
+        if self.offset.shape != (2,) or not np.all(np.isfinite(self.offset)):
+            raise ValueError(f"offset must be one finite point, got {offset}")
         self.variant = base.variant + "+offset"
 
     def g(self, w, z):
@@ -382,15 +396,16 @@ class TranslatedDomain(DomainModel):
         return self.base.boundary_gap(np.asarray(p) + self.offset)
 
     def params(self) -> dict:
-        d = dict(self.base.params())
-        d["offset"] = self.offset.tolist()
-        return d
+        return {**self.base.params(), "offset": self.offset.tolist()}
 
 
 def domain_from_spec(variant: str, params: dict | None = None) -> DomainModel:
     """Build a domain from its serialized (variant, params) description."""
-    params = params or {}
+    params = dict(params or {})
     variant = variant.lower()
+    if variant.endswith("+offset"):  # a TranslatedDomain; None is no point
+        offset = params.pop("offset", None)
+        return TranslatedDomain(domain_from_spec(variant[:-7], params), offset)
     if variant == "plane":
         return Plane()
     if variant == "disk":

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import J2, VortexSystem, finite, grad_H0, hess_H0
-from .errors import ZeroTotalVorticity
 
 __all__ = [
     "RelativeEquilibrium",
@@ -41,6 +40,8 @@ __all__ = [
 KERNEL_SV_RATIO = 1e-6
 # |total|, |L| and |L - sumsq| at most TRIANGLE_TOL fail the triangle test
 TRIANGLE_TOL = 1e-9
+# residual_HS0 below RESIDUAL_TOL certifies an equilibrium
+RESIDUAL_TOL = 1e-10
 _OVERFLOWS = "overflows: vorticities or size out of range"
 
 
@@ -100,10 +101,15 @@ class RelativeEquilibrium:
 
 
 def residual_HS0(eq: RelativeEquilibrium) -> float:
-    """Max block norm of Gamma_k Zdot_k(0) - J grad_k H0(z), checked finite."""
-    return float(finite(f"the residual {_OVERFLOWS}", lambda: np.linalg.norm(
-        eq.sys.gammas[:, None] * eq.zdot_at(0.0).reshape(-1, 2)
-        - grad_H0(eq.sys, eq.z).reshape(-1, 2) @ J2.T, axis=1).max()))
+    """Max block norm of Gamma_k Zdot_k(0) - J grad_k H0(z) over that of
+    grad H0(z), checked finite.  Both grow like gamma^2/d, so the ratio is
+    free of scale: roundoff leaves it near eps, an omega off by delta
+    (relative) leaves delta, and below RESIDUAL_TOL certifies z."""
+    def ratio():
+        grad = grad_H0(eq.sys, eq.z).reshape(-1, 2)
+        defect = eq.sys.gammas[:, None] * eq.zdot_at(0.0).reshape(-1, 2) - grad @ J2.T
+        return np.hypot(*defect.T).max() / np.hypot(*grad.T).max()
+    return float(finite(f"the residual {_OVERFLOWS}", ratio))
 
 
 def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquilibrium:
@@ -111,9 +117,7 @@ def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquili
     sys = VortexSystem([gamma1, gamma2])
     if not separation > 0 or not np.isfinite(separation):
         raise ValueError(f"separation must be finite and positive, got {separation}")
-    total = gamma1 + gamma2
-    if total == 0:
-        raise ZeroTotalVorticity("a zero-sum pair translates instead of rotating")
+    total = sys.nonzero_total()
     z1 = np.array([gamma2 * separation / total, 0.0])
     z2 = np.array([-gamma1 * separation / total, 0.0])
     omega = finite(f"the angular velocity {_OVERFLOWS}",
@@ -129,17 +133,14 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
     residual check validates directly against the equations of motion.
     """
     sys = VortexSystem([gamma1, gamma2, gamma3])
-    gammas = sys.gammas
     if not side > 0 or not np.isfinite(side):
         raise ValueError(f"side must be finite and positive, got {side}")
-    total = gammas.sum()
-    if total == 0:
-        raise ZeroTotalVorticity("equilateral triangle needs nonzero total vorticity")
+    total = sys.nonzero_total()
     # unit-circumradius triangle, scaled so the side is as requested
     angles = 2.0 * np.pi * np.arange(3) / 3.0
     verts = (side / np.sqrt(3.0)) * np.column_stack([np.cos(angles), np.sin(angles)])
     verts -= finite(f"the center of vorticity {_OVERFLOWS}",
-                    lambda: (gammas[:, None] * verts).sum(axis=0) / total)
+                    lambda: (sys.gammas[:, None] * verts).sum(axis=0) / total)
     omega = finite(f"the angular velocity {_OVERFLOWS}",
                    lambda: total / (np.pi * np.square(side)))
     return RelativeEquilibrium(sys=sys, z=verts.ravel(), omega=omega)

@@ -25,8 +25,8 @@ class LeftDomain(VortexError):
     """A Newton iterate left the domain and damping could not recover it."""
 
 
-class ZeroTotalVorticity(VortexError):
-    """The total vorticity vanishes; this construction requires it nonzero."""
+class ZeroTotalVorticity(VortexError, ValueError):
+    """Total vorticity zero to rounding (VortexSystem.nonzero_total)."""
 
 
 class DimensionMismatch(VortexError):

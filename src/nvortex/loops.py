@@ -87,9 +87,6 @@ class Loop:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Loop":
-        return Loop(-self.coeffs)
-
 
 def constant_loop(value: np.ndarray, modes: int) -> Loop:
     value = np.asarray(value, dtype=float)

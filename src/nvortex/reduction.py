@@ -3,7 +3,7 @@ interior equilibrium point of the regular part.
 
 The rescaled problem looks for 2*pi-periodic loops u with
 
-    M_Gamma u' = J_N grad H_r(u),      H_r(u) = H0(u) - F(ru) + F(0),
+    M_Gamma u' = J_N grad H_r(u),      H_r(u) = H0(u) - F(ru),
 
 as zeros of the H^1 gradient of the action
 
@@ -43,7 +43,6 @@ from .errors import (
     NoConvergence,
     PhaseDefect,
     SingularOperator,
-    ZeroTotalVorticity,
 )
 from .loops import Loop
 
@@ -117,7 +116,6 @@ class PhysicalOrbit:
 
 @dataclass(eq=False)
 class ContinuationPath:
-    a0: np.ndarray
     entries: list  # ReducedSolution, r descending
     failures: dict  # r -> message
 
@@ -329,25 +327,12 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
 # ---------------------------------------------------------------------------
 # reduced solve
 
-def _diagnostics(domain, r, basis, v, iters, contraction):
-    u = basis.Z + v
-    grad = grad_J_r(basis.sys, domain, r, u)
-    residual = loops.h1_norm(grad)
-    phase = abs(loops.h1_inner(grad, basis.zdot))
-    tail = _spectral_tail(u)
-    return ReducedSolution(r=r, v=v, u=u, residual_grad=residual,
-                           phase_defect=phase, vnorm=loops.h1_norm(v),
-                           iterations=iters, spectral_tail=tail,
-                           contraction_estimate=contraction)
-
-
 def _spectral_tail(u: Loop) -> float:
     """Relative H^1 mass carried by the top quarter of the mode range."""
     w = loops.h1_weights(u.modes)
     per_row = w * np.sum(u.coeffs**2, axis=1)
     cutoff = 2 * int(np.ceil(0.75 * u.modes)) + 1
-    total = per_row.sum()
-    return float(per_row[cutoff:].sum() / total) if total > 0 else 0.0
+    return float(per_row[cutoff:].sum() / per_row.sum())  # u = 0 is a collision
 
 
 def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
@@ -355,7 +340,8 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
                   warm_start: Loop | None = None) -> ReducedSolution:
     """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X, with the
     seed, its system and the basis read from `basis` and the solver from
-    params.mode."""
+    params.mode.  The one verdict on r: PhaseDefect or NoConvergence
+    refuses a v whose full gradient or spectral tail is too large."""
     import scipy.linalg  # slow import; only a solve needs the LU
     Z = basis.Z
 
@@ -363,7 +349,7 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
         return basis.coords(grad_J_r(basis.sys, domain, r, Z + basis.to_loop(y)))
 
     y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
-    eps_ball = 0.5 * core.min_separation(Z.a(1).reshape(-1, 2))
+    eps_ball = 0.5 * core.min_separation(Z.a(1))  # a flat 2N-vector, not a batch
     contraction = float("nan")
     if params.mode == "FixedPoint":
         operator = assemble_L_r(domain, r, basis)
@@ -426,13 +412,21 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
                 f"at r={r:.5g} (residual {res_norm:.3e})")
 
     v = basis.to_loop(y)
-    sol = _diagnostics(domain, r, basis, v, it, contraction)
+    u = Z + v
+    grad = grad_J_r(basis.sys, domain, r, u)
+    residual, vnorm, tail = loops.h1_norm(grad), loops.h1_norm(v), _spectral_tail(u)
     tol = FP_TOL if params.mode == "FixedPoint" else NEWTON_TOL
-    if sol.residual_grad > 10 * tol * (sol.vnorm + 1.0):
+    if residual > 10 * tol * (vnorm + 1.0):
         raise PhaseDefect(
-            f"full gradient {sol.residual_grad:.3e} exceeds 10x the solver "
+            f"full gradient {residual:.3e} exceeds 10x the solver "
             f"tolerance at r={r:.5g}; the phase component did not vanish")
-    return sol
+    if tail >= MAX_SPECTRAL_TAIL:
+        raise NoConvergence(
+            f"spectral tail {tail:.3e} above {MAX_SPECTRAL_TAIL:g} at r={r:.5g}")
+    return ReducedSolution(r=r, v=v, u=u, residual_grad=residual,
+                           phase_defect=abs(loops.h1_inner(grad, basis.zdot)),
+                           vnorm=vnorm, iterations=it, spectral_tail=tail,
+                           contraction_estimate=contraction)
 
 
 # ---------------------------------------------------------------------------
@@ -447,30 +441,23 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
                   a0: np.ndarray, params: SolverParams) -> ContinuationPath:
     """Solve each r of the grid, from r_max down, each warm-started from the
     last converged r, on the basis of the period-normalized equilibrium
-    `seed` at params.modes; a failed r is recorded in `failures`."""
-    if abs(seed.sys.gamma_total) < 1e-14:
-        raise ZeroTotalVorticity(
-            "total vorticity vanishes: the reduction hypothesis fails")
-    a0 = np.asarray(a0, dtype=float)
-    work_domain = domain if np.allclose(a0, 0.0) else TranslatedDomain(domain, a0)
-
+    `seed` at params.modes, in `domain` recentred at a0; a failed r is
+    recorded in `failures`.  ZeroTotalVorticity for a zero-sum seed."""
+    seed.sys.nonzero_total()
+    work_domain = TranslatedDomain(domain, a0)
     basis = build_x_basis(
         seed.sys, loops.build_frame(seed.z, seed.omega, params.modes))
     entries, failures = [], {}
     for r in map(float, params.r_grid()):
         try:
-            sol = solve_reduced(work_domain, r, basis, params,
-                                warm_start=entries[-1].v if entries else None)
-            if sol.spectral_tail >= MAX_SPECTRAL_TAIL:
-                raise NoConvergence(
-                    f"spectral tail {sol.spectral_tail:.3e} above "
-                    f"{MAX_SPECTRAL_TAIL:g} at r={r:.5g}")
-            entries.append(sol)
+            entries.append(solve_reduced(
+                work_domain, r, basis, params,
+                warm_start=entries[-1].v if entries else None))
         except _SOLVE_FAILURES as exc:
             failures[r] = f"{type(exc).__name__}: {exc}"
     if not entries:
         raise EmptyPath("no grid point converged")
-    return ContinuationPath(a0=a0, entries=entries, failures=failures)
+    return ContinuationPath(entries=entries, failures=failures)
 
 
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import nvortex
-from nvortex import cli
+from nvortex import cli, core, equilibria
 from nvortex import loops as lp
 from nvortex import reduction as rd
 from nvortex.cli import main, load_config
@@ -166,12 +167,51 @@ def test_equilibrium_non_finite_input_exits_2(argv, bad, capsys):
     (["--type", "pair", "--gamma", "1,1,1", "--sep", "1"], "2 gamma"),
     (["--type", "thomson", "--gamma", "1,2", "--n", "3", "--radius", "1"],
      "1 gamma"),
+    (["--type", "triangle", "--gamma=0.1,0.2,-0.3", "--side", "1"], "zero-sum"),
 ])
 def test_equilibrium_bad_gammas_exit_2(argv, named, capsys):
     assert main(["equilibrium", *argv, "--check"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid input:") and named in captured.err
     assert captured.out == ""
+
+
+def test_zero_total_is_refused_alike_by_equilibrium_and_continue(tmp_path,
+                                                                 capsys):
+    """0.1 + 0.2 - 0.3 is 5.6e-17, zero to rounding: both commands refuse
+    the triangle with one message, before any number overflows."""
+    cfgfile = _write(tmp_path / "t.ini",
+                     "[system]\ngammas = 0.1,0.2,-0.3\nseed = triangle\n")
+    errs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["equilibrium", "--type", "triangle", "--side", "1",
+                      "--gamma=0.1,0.2,-0.3", "--check"],
+                     ["continue", "--config", cfgfile,
+                      "--out", str(tmp_path / "x")]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("invalid input: zero-sum vorticities: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_equilibrium_residual_is_free_of_scale(monkeypatch, capsys):
+    """The (1e8, 2e8) pair's absolute residual is 1.0, roundoff on blocks
+    of grad H0 near 6e15: relative to them it passes.  A pair whose omega
+    is off by 1e-6 reads 1e-6 and fails."""
+    assert main(["equilibrium", "--type", "pair", "--gamma=1e8,2e8",
+                 "--sep", "1", "--check"]) == 0
+    assert "verdict: nondegenerate" in capsys.readouterr().out
+    pair = equilibria.make_pair(1.0, 2.0, 1.0)
+    bent = equilibria.RelativeEquilibrium(pair.sys, pair.z,
+                                          pair.omega * (1 + 1e-6))
+    monkeypatch.setattr(cli, "make_seed", lambda *args: bent)
+    assert main(["equilibrium", "--type", "pair", "--gamma=1,2",
+                 "--sep", "1"]) == 1
+    assert "residual = 1.000e-06" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_2():
@@ -397,6 +437,35 @@ def test_continue_unknown_config_key_exits_2(text, named, tmp_path, capsys):
     assert "unknown" in err and named in err
 
 
+def test_continue_tiny_total_vorticity_exits_0(tmp_path, capsys):
+    """(1e-15, 1e-15) sums to 2e-15, far above the rounding bound 4.4e-31
+    of its sum: the pair rotates, and its orbits continue."""
+    cfgfile = _write(tmp_path / "p.ini", "[system]\ngammas = 1e-15,1e-15\n")
+    assert main(["continue", "--config", cfgfile, "--modes", "8",
+                 "--r-steps", "3", "--out", str(tmp_path / "x")]) == 0
+    assert len(list((tmp_path / "x").glob("orbit_r*.json"))) == 3
+    assert "FAILED" not in capsys.readouterr().out
+
+
+def test_continue_degenerate_a0_is_an_error(tmp_path, capsys):
+    """h(p) = p.A p with A = diag(1, 1e-12) has a degenerate critical point
+    at 0: continue refuses it through main's one error exit."""
+    cfgfile = _write(tmp_path / "q.ini", "[domain]\nvariant = quadratic\n"
+                                         "matrix = 1,0;0,1e-12\n")
+    assert main(["continue", "--config", cfgfile,
+                 "--out", str(tmp_path / "x")]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: critical point of the regular part is degenerate\n"
+    assert out == "" and not (tmp_path / "x").exists()
+
+
+def test_continue_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "none.ini")
+    assert main(["continue", "--config", missing]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid input: config file not found: {missing}\n")
+
+
 def test_continue_zero_vorticity_is_usage_error(tmp_path, capsys):
     cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
         "gammas = 1,1", "gammas = 1,-1")
@@ -429,8 +498,9 @@ def test_continue_seed_gamma_count_exits_2(seed, gammas, tmp_path, capsys):
      "[system] radius:"),
     ("[system]\nn = x\n", "[system] n:"),
     ("[solver]\nmodes = abc\n", "[solver] modes:"),
+    ("[system]\nseed = square\n", "[system] seed: unknown type 'square'"),
 ], ids=["a0_guess-3", "a0_guess-x", "separation", "side", "radius", "n",
-        "modes"])
+        "modes", "seed"])
 def test_config_value_that_fails_to_parse_names_its_key(text, named,
                                                          tmp_path, capsys):
     cfgfile = _write(tmp_path / "bad.ini", text)
@@ -753,6 +823,16 @@ def test_simulate_rescaled_in_the_half_plane(tmp_path, capsys):
                  "--csv", str(tmp_path / "t.csv")]) == 0
     out = capsys.readouterr().out
     assert out.startswith("energy_drift = ") and float(out.split()[-1]) < 1e-8
+
+
+def test_svg_draws_the_half_plane_boundary():
+    """The half plane's boundary y = 0 is one horizontal line."""
+    states = np.array([[0.1, 0.5, -0.1, 0.5], [0.2, 0.6, -0.2, 0.4]])
+    svg = cli.trajectory_svg(states, core.HalfPlane())
+    lines = re.findall(r'<line x1="[-\d.]+" y1="([-\d.]+)" '
+                       r'x2="[-\d.]+" y2="([-\d.]+)"', svg)
+    assert len(lines) == 1 and lines[0][0] == lines[0][1]
+    assert "<circle" not in svg
 
 
 def test_simulate_collision_start_fails(tmp_path):

@@ -1,5 +1,7 @@
 """Energy functions, domain models, and Robin critical points."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from nvortex import core
 from nvortex.core import (HalfPlane, Plane, SyntheticQuadratic,
                           TranslatedDomain, UnitDisk, VortexSystem)
 from nvortex.errors import (BoundaryError, CollisionError, DomainError,
-                            LeftDomain, NoConvergence)
+                            LeftDomain, NoConvergence, ZeroTotalVorticity)
 
 RNG = np.random.default_rng(12345)
 
@@ -477,8 +479,53 @@ def test_vortex_system_value_semantics():
 
 def test_domain_serialization_roundtrip():
     for dom in (Plane(), UnitDisk(), HalfPlane(),
-                SyntheticQuadratic(np.array([[1.0, 0.2], [0.2, 3.0]]))):
+                SyntheticQuadratic(np.array([[1.0, 0.2], [0.2, 3.0]])),
+                TranslatedDomain(SyntheticQuadratic([[1.0, 0.2], [0.2, 3.0]]),
+                                 [0.5, -0.25])):
         clone = core.domain_from_spec(dom.variant, dom.params())
         w = np.array([0.2, 0.3])
         z = np.array([-0.1, 0.4])
         assert clone.g(w, z) == dom.g(w, z)
+
+
+@pytest.mark.parametrize("variant, params, named", [
+    ("annulus", {}, "unknown domain variant: 'annulus'"),
+    ("disk+offset", {}, "offset must be one finite point, got None"),
+    ("disk+offset", {"offset": [0.1, np.nan]}, "offset must be one finite"),
+    ("disk+offset", {"offset": [0.1, 0.0, 0.0]}, "offset must be one finite"),
+    ("torus+offset", {"offset": [0.1, 0.0]}, "unknown domain variant: 'torus'"),
+])
+def test_domain_from_spec_rejects_what_no_domain_writes(variant, params,
+                                                       named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        core.domain_from_spec(variant, params)
+
+
+@pytest.mark.parametrize("gammas, total", [
+    ((1e-15, 1e-15), 2e-15),
+    ((1.0, 2.0, 3.0), 6.0),
+    ((1.0, -1.0 + 2.0**-50), 2.0**-50),
+    ((1.0, -1.0), None),
+    ((1.0, -1.0 + 2.0**-52), None),
+    ((0.1, 0.2, -0.3), None),
+    ((1.0, 1.0, -2.0), None),
+], ids=["tiny-pair", "triangle", "above-bound", "zero", "below-bound",
+        "decimal-triangle", "zero-triangle"])
+def test_zero_total_rule(gammas, total):
+    """Gamma counts as zero within (N-1) eps sum|gamma_k| of 0, the rounding
+    error of its own sum: 0.1 + 0.2 - 0.3 = 5.6e-17 is within 2.7e-16, and
+    a (1, -1 + 2^-52) pair within 4.4e-16, while (1e-15, 1e-15), small as it
+    is, lies far above its bound 4.4e-31."""
+    system = VortexSystem(gammas)
+    if total is None:
+        with pytest.raises(ZeroTotalVorticity, match="^zero-sum vorticities: "
+                           "a rotating seed needs a nonzero total"):
+            system.nonzero_total()
+    else:
+        assert system.nonzero_total() == total
+
+
+def test_zero_total_rule_reports_an_overflowing_sum():
+    """Three vorticities of 8e307 are each finite, but their sum is not."""
+    with pytest.raises(ValueError, match="total vorticity overflows"):
+        VortexSystem([8e307] * 3).nonzero_total()

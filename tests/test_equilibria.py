@@ -31,6 +31,27 @@ def test_pair_zero_total_vorticity_rejected():
         eq.make_pair(1.0, -1.0, 2.0)
 
 
+def test_triangle_with_total_zero_to_rounding_rejected():
+    """0.1 + 0.2 - 0.3 is 5.6e-17, roundoff: dividing by it would put every
+    vertex near 4.5e15."""
+    with pytest.raises(ZeroTotalVorticity, match="zero-sum vorticities"):
+        eq.make_triangle(0.1, 0.2, -0.3, 1.0)
+
+
+@pytest.mark.parametrize("seed", [
+    eq.make_pair(1e8, 2e8, 1.0), eq.make_pair(1e-8, 3e-8, 1e3),
+    eq.make_triangle(1.0, 2.0, 3.0, 1.3), eq.make_thomson(5, 1.0, 0.5)],
+    ids=["pair-1e8", "pair-1e-8", "triangle", "thomson-5"])
+def test_residual_is_free_of_scale(seed):
+    """The residual is relative to the largest block of grad H0, which grows
+    like gamma^2/d: roundoff at any vorticity scale, and exactly the
+    relative error of an omega off by 1e-6."""
+    assert eq.residual_HS0(seed) < 1e-14
+    bent = eq.RelativeEquilibrium(seed.sys, seed.z, seed.omega * (1 + 1e-6))
+    assert eq.residual_HS0(bent) == pytest.approx(1e-6, rel=1e-6)
+    assert eq.residual_HS0(bent) > eq.RESIDUAL_TOL
+
+
 @pytest.mark.parametrize("gammas", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0),
                                     (1.0, 1.0, -0.5), (0.3, -0.2, 1.7)])
 def test_triangle_residual_and_omega(gammas):
@@ -110,6 +131,11 @@ def test_monodromy_reports_compare_by_identity():
     rep = eq.monodromy(pair)
     assert rep == rep and rep != eq.monodromy(pair)
     assert len({rep, rep}) == 1
+
+def test_monodromy_needs_a_normalized_equilibrium():
+    with pytest.raises(ValueError, match="call normalize_period first"):
+        eq.monodromy(eq.make_pair(1.0, 1.0, 2.0))
+
 
 def test_monodromy_pair_nondegenerate():
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from nvortex import equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import VortexSystem
-from nvortex.errors import AliasWarning, DimensionMismatch
+from nvortex.errors import AliasWarning, DegenerateFrame, DimensionMismatch
 
 RNG = np.random.default_rng(2024)
 M, N = 8, 2
@@ -258,3 +258,9 @@ def test_loops_compare_by_value():
     assert lp.build_frame(c[1], 1.0, 2) == lp.build_frame(c[1], 1.0, 2)
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
+
+
+def test_build_frame_needs_a_normalized_equilibrium():
+    pair = eq.make_pair(1.0, 1.0, 2.0)  # omega = 1/(2 pi)
+    with pytest.raises(DegenerateFrame, match="period-normalized"):
+        lp.build_frame(pair.z, pair.omega, 4)

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from nvortex import core, equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import (HalfPlane, Plane, TranslatedDomain, UnitDisk,
                           VortexSystem)
-from nvortex.errors import (CollisionError, DegenerateFrame, DomainError,
-                            EmptyPath, NoConvergence, SingularOperator,
+from nvortex.errors import (CollisionError, ContractionFailure,
+                            DegenerateFrame, DomainError, EmptyPath,
+                            NoConvergence, PhaseDefect, SingularOperator,
                             ZeroTotalVorticity)
 
 RNG = np.random.default_rng(99)
@@ -341,7 +342,7 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
         [rd.solve_reduced(disk, 0.1, basis, rd.SolverParams(modes=M))
          for _ in range(2)],
         [rd.unrescale(np.zeros(2), sol.r, sol.u, 8, disk) for _ in range(2)],
-        [rd.ContinuationPath(np.zeros(2), [sol], {}) for _ in range(2)],
+        [rd.ContinuationPath([sol], {}) for _ in range(2)],
         [basis, rd.build_x_basis(sys2, Z)],
     ]
     for a, b in twins:
@@ -374,7 +375,7 @@ def test_d_block_limit_closed_form(pair_setup):
     """
     sys2, pair, _, basis = pair_setup
     disk = UnitDisk()
-    expect = (sys2.gamma_total**2 / sys2.n) * core.hess_h(disk, np.zeros(2))
+    expect = (sys2.nonzero_total()**2 / sys2.n) * core.hess_h(disk, np.zeros(2))
     pts = pair.z[0::2] + 1j * pair.z[1::2]
     c4 = 3 * abs(np.sum(sys2.gammas * pts**2))**2 / (np.pi * sys2.n)
     for r in (0.1, 0.02):
@@ -775,6 +776,48 @@ def test_zero_vorticity_rejected():
         rd.continue_path(seed, UnitDisk(), np.zeros(2), rd.SolverParams(modes=M))
 
 
+def test_continuation_solves_about_a0_itself(pair_setup):
+    """The domain is recentred at a0 however near the origin a0 lies: 1e-9
+    off the disk's centre, a0 is no critical point of h, H_r is not even
+    about it, and the solve refuses it rather than move to the origin."""
+    params = rd.SolverParams(modes=4, r_points=2)
+    with pytest.raises(ValueError, match="H_r is not even about a0"):
+        rd.continue_path(pair_setup[1], UnitDisk(), np.array([1e-9, 0.0]),
+                         params)
+
+
+def test_solve_reduced_owns_the_spectral_tail_verdict(pair_setup):
+    """At 5 modes the converged loop at r = 0.5 keeps 1.5e-6 of its H^1
+    mass in mode 5: solve_reduced itself refuses it."""
+    pair = pair_setup[1]
+    basis = rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega, 5))
+    with pytest.raises(NoConvergence, match=r"^spectral tail 1\.\d+e-06 above"):
+        rd.solve_reduced(_QuarticDomain(), 0.5, basis, rd.SolverParams(modes=5))
+
+
+def test_phase_component_of_the_gradient_is_refused(pair_setup, monkeypatch):
+    """A gradient along Z', which the projected solve cannot see, lets the
+    iteration converge but fails the full-gradient check."""
+    basis = pair_setup[3]
+    grad = rd.grad_J_r
+    monkeypatch.setattr(rd, "grad_J_r",
+                        lambda *args: grad(*args) + 1e-6 * basis.zdot)
+    with pytest.raises(PhaseDefect, match="phase component did not vanish"):
+        rd.solve_reduced(UnitDisk(), 0.1, basis, rd.SolverParams(modes=M))
+
+
+def test_diverging_iterates_are_refused(pair_setup, monkeypatch):
+    """In the quartic domain v has H^1 norm 5.5e-5 at r = 0.1; an operator
+    1e12 times too small throws the first step far past max(10 eps_ball,
+    1e3)."""
+    basis = pair_setup[3]
+    assemble = rd.assemble_L_r
+    monkeypatch.setattr(rd, "assemble_L_r", lambda *args: rd.OperatorReport(
+        matrix=1e-12 * assemble(*args).matrix, d0_matrix=None))
+    with pytest.raises(ContractionFailure, match="iterates diverge at r=0.1 "):
+        rd.solve_reduced(_QuarticDomain(), 0.1, basis, rd.SolverParams(modes=M))
+
+
 @pytest.mark.parametrize("modes", [4, 12])
 def test_continuation_solves_at_params_modes(modes, pair_setup):
     """continue_path builds its seed loop at params.modes, so every orbit
@@ -804,6 +847,12 @@ def test_unrescale_roundtrip(small_path):
     back = orbit.samples / sol.r
     expect = sol.u.eval(orbit.times / sol.r**2)
     assert np.max(np.abs(back - expect)) < 1e-10
+
+
+def test_unrescale_rejects_an_orbit_outside_the_domain(small_path):
+    sol = small_path.entries[0]
+    with pytest.raises(DomainError, match="rescaled orbit leaves the domain"):
+        rd.unrescale(np.array([0.99, 0.0]), sol.r, sol.u, 16, UnitDisk())
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -858,6 +907,21 @@ def test_orbit_file_roundtrip(small_path, pair_setup, tmp_path):
                          "omega_seed", "loop", "diagnostics"]
     assert doc["schema_version"] == rd.ORBIT_SCHEMA_VERSION
     assert doc["diagnostics"]["residual_grad"] == sol.residual_grad
+
+
+def test_translated_domain_orbit_file_roundtrip(small_path, pair_setup,
+                                                 tmp_path):
+    """An orbit file names a TranslatedDomain as its base variant plus an
+    offset param, and reads it back as the same regular part g."""
+    sys2, pair, _, _ = pair_setup
+    shifted = TranslatedDomain(UnitDisk(), [0.1, 0.0])
+    path = os.path.join(tmp_path, "orbit.json")
+    rd.save_orbit(path, sys2, shifted, np.zeros(2), pair.omega,
+                  small_path.entries[0])
+    domain = rd.load_orbit(path)[1]
+    assert domain.variant == "disk+offset" and domain.params() == shifted.params()
+    w, z = np.random.default_rng(7).uniform(-0.6, 0.6, (2, 16, 2))
+    assert np.array_equal(domain.g(w, z), shifted.g(w, z))
 
 
 def test_atomic_write_removes_its_temporary_file_when_rename_fails(
