@@ -117,6 +117,7 @@ class RunConfig:
             self.params = reduction.SolverParams(**values)
         except ValueError as exc:
             raise ValueError(f"[solver]: {exc}") from exc
+        sol["mode"] = self.params.mode  # dumped in its canonical spelling
 
         out = parser["output"]
         self.out_dir = out["dir"]
@@ -246,8 +247,7 @@ def cmd_continue(args) -> int:
         ("solver", "r_min"): args.r_min,
         ("solver", "r_points"): args.r_steps,
         ("solver", "modes"): args.modes,
-        ("solver", "mode"): {"fixedpoint": "FixedPoint", "newton": "Newton",
-                             None: None}[args.mode],
+        ("solver", "mode"): args.mode,
         ("output", "dir"): args.out,
     }
     cfg = load_config(args.config, overrides)
@@ -288,19 +288,14 @@ def cmd_simulate(args) -> int:
     if z0.size != 2 * vsys.n:
         print(f"--z0 needs {2 * vsys.n} numbers", file=sys.stderr)
         return EXIT_USAGE
-    if not (np.isfinite(args.time) and args.time > 0):
-        raise ValueError(f"--time must be finite and positive, got {args.time}")
-    if args.samples < 2:
-        raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    core.check_positive(args.time, "--time")
+    core.check_at_least(args.samples, "--samples", 2)
     if args.r is not None and args.mode != "rescaled":
         raise ValueError(f"--r applies to --mode rescaled only, not {args.mode}")
     s = {"physical": 1.0, "rescaled": args.r or 0.0, "plane": 0.0}[args.mode]
     domain = cfg.domain if args.mode != "plane" else core.Plane()
     t_eval = np.linspace(0.0, args.time, args.samples)
-    try:
-        core.check_r(s)
-    except ValueError as exc:
-        raise ValueError(f"--{exc}") from None
+    core.check_r(s, "--r")
     traj = dynamics.integrate(vsys, domain, s, z0, args.time, t_eval=t_eval)
     reduction.atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
     if args.svg:
@@ -312,8 +307,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    core.check_positive(args.tol, "--tol")
     try:
         vsys, domain, a0, r, u = reduction.load_orbit(args.orbit)
     except (VortexError, ValueError, OSError, RecursionError) as exc:

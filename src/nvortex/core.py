@@ -21,40 +21,12 @@ import numpy as np
 from .errors import (
     BoundaryError,
     CollisionError,
+    DegenerateFrame,
     DomainError,
     LeftDomain,
     NoConvergence,
     ZeroTotalVorticity,
 )
-
-__all__ = [
-    "J2",
-    "COLLISION_TOL",
-    "BOUNDARY_TOL",
-    "VortexSystem",
-    "DomainModel",
-    "Plane",
-    "UnitDisk",
-    "HalfPlane",
-    "SyntheticQuadratic",
-    "TranslatedDomain",
-    "domain_from_spec",
-    "min_separation",
-    "eval_H0",
-    "grad_H0",
-    "hess_H0",
-    "eval_F",
-    "grad_F",
-    "hess_F",
-    "eval_h",
-    "grad_h",
-    "hess_h",
-    "eval_Hr",
-    "grad_Hr",
-    "vortex_rhs",
-    "CriticalPoint",
-    "find_critical_point_h",
-]
 
 # Standard symplectic 2x2 matrix, rows (0, 1), (-1, 0).
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -585,10 +557,38 @@ def hess_h(domain: DomainModel, p):
 # ---------------------------------------------------------------------------
 
 
-def check_r(r: float) -> None:
+# The input rules, one owner each; each is a single test on a valid value,
+# as check_r runs in every vector field and operator assembly.
+
+def check_r(r: float, name: str = "r") -> None:
     """The one rule for the scale parameter r: finite and nonnegative."""
     if not 0 <= r < np.inf:
-        raise ValueError(f"r must be finite and nonnegative, got {r}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {r}")
+
+
+def check_positive(value: float, name: str) -> None:
+    """The one rule for a size, a span or a tolerance: finite and positive."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def check_at_least(value, name: str, least) -> None:
+    """The one rule for a count, or for a floor on a tolerance."""
+    if not value >= least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+# |omega| within PERIOD_TOL of 1 is period-normalized.  The seed loop of
+# loops.build_frame takes |omega| = 1, so an omega off by delta turns it
+# 2 pi delta |z| off after a period: below the solvers' 1e-11 for |z| <= 1.
+PERIOD_TOL = 1e-12
+
+
+def check_period_normalized(omega: float) -> None:
+    """The one rule for the seeds of the Floquet check and of the frame."""
+    if not abs(abs(omega) - 1.0) <= PERIOD_TOL:
+        raise DegenerateFrame(f"expects a period-normalized equilibrium, got "
+                              f"omega = {omega}: call normalize_period first")
 
 
 def eval_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):

@@ -21,6 +21,9 @@ from .reduction import PhysicalOrbit
 
 COLLISION_GUARD = 1e-9
 BOUNDARY_GUARD = 1e-9
+# solve_ivp raises an rtol below 100 eps to 100 eps with a warning; integrate
+# refuses it, before atol, so validate_orbit's atol = rtol / 100 is >= eps
+RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compares by identity
@@ -65,14 +68,15 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
               T: float, rtol: float = 1e-10, atol: float = 1e-12,
               t_eval: np.ndarray | None = None) -> Trajectory:
     """Integrate the field of H_s over [0, T]; ValueError unless s passes
-    ``check_r``, T, rtol, atol are finite and > 0, and t_eval has 2+ times."""
+    ``check_r``, T, rtol, atol are finite and > 0, rtol is at least
+    RTOL_FLOOR, and t_eval has 2+ times."""
     core.check_r(s)
-    for name, value in (("T", T), ("rtol", rtol), ("atol", atol)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    if t_eval is not None and np.size(t_eval) < 2:
-        raise ValueError("t_eval must hold at least 2 times, got "
-                         f"{np.size(t_eval)}")
+    core.check_positive(T, "T")
+    core.check_positive(rtol, "rtol")
+    core.check_at_least(rtol, "rtol", RTOL_FLOOR)
+    core.check_positive(atol, "atol")
+    if t_eval is not None:
+        core.check_at_least(np.size(t_eval), "len(t_eval)", 2)
     from scipy.integrate import solve_ivp  # slow import; most commands never integrate
     z0 = np.asarray(z0, dtype=float).ravel()
     guards = _guards(domain, s)

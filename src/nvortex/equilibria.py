@@ -20,25 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import J2, VortexSystem, finite, grad_H0, hess_H0
-
-__all__ = [
-    "RelativeEquilibrium",
-    "MonodromyReport",
-    "TriangleConditions",
-    "make_pair",
-    "make_triangle",
-    "make_thomson",
-    "normalize_period",
-    "residual_HS0",
-    "rotating_generator",
-    "monodromy",
-    "triangle_conditions",
-]
+from .core import (J2, VortexSystem, check_at_least, check_period_normalized,
+                   check_positive, finite, grad_H0, hess_H0)
+from .errors import ZeroTotalVorticity
 
 # singular values below KERNEL_SV_RATIO times the largest count as kernel
 KERNEL_SV_RATIO = 1e-6
-# |total|, |L| and |L - sumsq| at most TRIANGLE_TOL fail the triangle test
+# |L| and sumsq - L at most TRIANGLE_TOL * sumsq fail the triangle test.  All
+# three scale as c^2 under gamma -> c gamma, which only rescales time, so the
+# test is free of scale.  Both are sums of three products, each off by a few
+# eps * sumsq; sumsq - L = 1/2 sum (gamma_i - gamma_j)^2 >= 0 is summed from
+# the differences, so it is 0 exactly for equal vorticities.
 TRIANGLE_TOL = 1e-9
 # residual_HS0 below RESIDUAL_TOL certifies an equilibrium
 RESIDUAL_TOL = 1e-10
@@ -115,8 +107,7 @@ def residual_HS0(eq: RelativeEquilibrium) -> float:
 def make_pair(gamma1: float, gamma2: float, separation: float) -> RelativeEquilibrium:
     """Two vortices rotating about their center of vorticity at the origin."""
     sys = VortexSystem([gamma1, gamma2])
-    if not separation > 0 or not np.isfinite(separation):
-        raise ValueError(f"separation must be finite and positive, got {separation}")
+    check_positive(separation, "separation")
     total = sys.nonzero_total()
     z1 = np.array([gamma2 * separation / total, 0.0])
     z2 = np.array([-gamma1 * separation / total, 0.0])
@@ -133,8 +124,7 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
     residual check validates directly against the equations of motion.
     """
     sys = VortexSystem([gamma1, gamma2, gamma3])
-    if not side > 0 or not np.isfinite(side):
-        raise ValueError(f"side must be finite and positive, got {side}")
+    check_positive(side, "side")
     total = sys.nonzero_total()
     # unit-circumradius triangle, scaled so the side is as requested
     angles = 2.0 * np.pi * np.arange(3) / 3.0
@@ -148,11 +138,9 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
 
 def make_thomson(n: int, gamma: float, radius: float) -> RelativeEquilibrium:
     """N identical vortices on a regular N-gon of the given radius."""
-    if n < 2:
-        raise ValueError("need at least two vortices")
+    check_at_least(n, "n", 2)
     sys = VortexSystem(np.full(n, float(gamma)))
-    if not radius > 0 or not np.isfinite(radius):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
+    check_positive(radius, "radius")
     angles = 2.0 * np.pi * np.arange(n) / n
     verts = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     omega = finite(f"the angular velocity {_OVERFLOWS}",
@@ -161,13 +149,12 @@ def make_thomson(n: int, gamma: float, radius: float) -> RelativeEquilibrium:
 
 
 def normalize_period(eq: RelativeEquilibrium) -> RelativeEquilibrium:
-    """Rescale to |omega| = 1 (2pi-periodic); idempotent.
+    """Rescale to |omega| = 1 (2pi-periodic); idempotent, as the scale of
+    a normalized equilibrium is 1.
 
     Scaling the configuration by sqrt|omega| divides the angular velocity of
     the logarithmic interaction by |omega|.
     """
-    if abs(eq.omega) == 1.0:
-        return eq
     scale = np.sqrt(abs(eq.omega))
     return RelativeEquilibrium(
         sys=eq.sys, z=scale * eq.z, omega=float(np.sign(eq.omega))
@@ -223,9 +210,7 @@ def monodromy(eq: RelativeEquilibrium) -> MonodromyReport:
     grows like e^{2pi Re lambda}, an unstable kernel drowns in roundoff.)
     Nondegenerate means exactly 3: two translations and the phase.
     """
-    if abs(abs(eq.omega) - 1.0) > 1e-9:
-        raise ValueError("monodromy expects a normalized equilibrium; "
-                         "call normalize_period first")
+    check_period_normalized(eq.omega)
     B = rotating_generator(eq)
     lam = np.linalg.eigvals(B)
     freq = np.abs(lam.imag)
@@ -269,15 +254,19 @@ def triangle_conditions(gamma1: float, gamma2: float,
     which ``monodromy`` alone reports as nondegenerate.  ``L_neq_sumsq``
     excludes the shape pair reaching +-i (3L = Gamma^2 is L = sumsq).
     """
-    if gamma1 == 0 or gamma2 == 0 or gamma3 == 0:
-        raise ValueError("vorticities must be nonzero")
-    total = gamma1 + gamma2 + gamma3
-    L = gamma1 * gamma2 + gamma1 * gamma3 + gamma2 * gamma3
-    sumsq = gamma1**2 + gamma2**2 + gamma3**2
+    g = VortexSystem([gamma1, gamma2, gamma3])
+    try:
+        total, gamma_ok = g.nonzero_total(), True
+    except ZeroTotalVorticity:
+        total, gamma_ok = float(g.gammas.sum()), False
+    g1, g2, g3 = map(float, g.gammas)
+    L = g1 * g2 + g1 * g3 + g2 * g3
+    sumsq = g1**2 + g2**2 + g3**2
+    spread = ((g1 - g2)**2 + (g1 - g3)**2 + (g2 - g3)**2) / 2  # sumsq - L
     return TriangleConditions(
-        gamma_ok=abs(total) > TRIANGLE_TOL,
-        L_ok=abs(L) > TRIANGLE_TOL,
-        L_neq_sumsq=abs(L - sumsq) > TRIANGLE_TOL,
+        gamma_ok=gamma_ok,
+        L_ok=abs(L) > TRIANGLE_TOL * sumsq,
+        L_neq_sumsq=spread > TRIANGLE_TOL * sumsq,
         gamma=total,
         L=L,
         sumsq=sumsq,

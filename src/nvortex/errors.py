@@ -33,8 +33,8 @@ class DimensionMismatch(VortexError):
     pass
 
 
-class DegenerateFrame(VortexError):
-    pass
+class DegenerateFrame(VortexError, ValueError):
+    """A seed that is not period-normalized, or not a one-mode loop."""
 
 
 class ContractionFailure(VortexError):

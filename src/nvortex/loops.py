@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasWarning, DegenerateFrame, DimensionMismatch
+from .core import check_period_normalized
+from .errors import AliasWarning, DimensionMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +225,7 @@ def dealias_samples(modes: int) -> int:
 def build_frame(z: np.ndarray, omega: float, modes: int) -> Loop:
     """The seed loop Z(t), blocks e^{-J omega t} z_k, as a one-mode loop of
     order `modes`; DegenerateFrame unless the equilibrium is period-normalized."""
-    if abs(abs(omega) - 1.0) > 1e-12:
-        raise DegenerateFrame("frame requires a period-normalized equilibrium")
+    check_period_normalized(omega)
     z = np.asarray(z, dtype=float).reshape(-1, 2)
     c = np.zeros((2 * modes + 1, z.size))
     c[1] = z.ravel()

@@ -67,25 +67,25 @@ class SolverParams:
     """The solver settings: each field is a [solver] key with its default."""
 
     modes: int = 32
-    mode: str = "FixedPoint"  # or "Newton"
+    mode: str = "FixedPoint"  # or "Newton", in any case
     r_max: float = 0.2
     r_min: float = 1e-3
     r_points: int = 30
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError(f"modes must be at least 1, got {self.modes}")
-        if not 0 < self.r_max < np.inf:
-            raise ValueError(f"r_max must be finite and positive, got {self.r_max}")
+        core.check_at_least(self.modes, "modes", 1)
+        core.check_positive(self.r_max, "r_max")
         if not (0 < self.r_min < self.r_max
                 and np.isfinite(self.r_max / self.r_min)):
             raise ValueError("r grid needs 0 < r_min < r_max and a finite "
                              f"r_max / r_min, got r_max = {self.r_max}, "
                              f"r_min = {self.r_min}")
-        if self.r_points < 2:
-            raise ValueError(f"r_points must be at least 2, got {self.r_points}")
-        if self.mode not in ("FixedPoint", "Newton"):
+        core.check_at_least(self.r_points, "r_points", 2)
+        mode = {"fixedpoint": "FixedPoint", "newton": "Newton"}.get(
+            str(self.mode).lower())
+        if mode is None:
             raise ValueError(f"unknown solver mode {self.mode!r}")
+        object.__setattr__(self, "mode", mode)  # the canonical spelling
 
     def r_grid(self) -> np.ndarray:
         """Geometric sequence from r_max down to r_min."""
@@ -465,10 +465,8 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
     """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2; ValueError
     unless r > 0 and a0 and every sample are finite, DomainError unless
     every sample lies in the domain."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError(f"r must be finite and positive, got {r}")
+    core.check_at_least(samples, "samples", 1)
+    core.check_positive(r, "r")
     a0 = np.asarray(a0, dtype=float)
     period = 2 * np.pi * r**2
     times = np.arange(samples) * (period / samples)

@@ -111,6 +111,20 @@ def test_equilibrium_thomson_check_reports_degenerate(capsys):
     assert "DEGENERATE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gammas, verdict", [
+    ("1e-5,2e-5,3e-5", "nondegenerate"), ("1e5,2e5,3e5", "nondegenerate"),
+    ("1e-5,1e-5,-0.5e-5", "DEGENERATE"), ("1e-5,1e-5,1e-5", "DEGENERATE"),
+])
+def test_equilibrium_triangle_verdict_is_free_of_scale(gammas, verdict,
+                                                       capsys):
+    """(1, 2, 3), (1, 1, -1/2) and (1, 1, 1) scaled by 1e-5 or 1e5 keep
+    their verdicts: the triangle test compares L and sumsq - L with sumsq."""
+    code = main(["equilibrium", "--type", "triangle", f"--gamma={gammas}",
+                 "--side", "1", "--check"])
+    assert code == (0 if verdict == "nondegenerate" else 1)
+    assert f"verdict: {verdict}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("gammas", ["1,1,-1.2", "1,1,-1.5", "1,1,-1.8",
                                     "2,1,-2.5"])
 def test_equilibrium_unstable_triangle_is_nondegenerate(gammas, capsys):
@@ -363,6 +377,30 @@ def test_continue_unrunnable_solver_setting_exits_2(flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid input: [solver]") and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_solver_mode_key_takes_the_flag_spelling(tmp_path, capsys):
+    """[solver] mode takes the --mode spelling, in any case, and runs as the
+    flag does, orbit files and summary byte for byte; a dumped config
+    reloads to the same canonical mode."""
+    small = CONT_CONFIG.replace("modes = 12\nr_points = 6",
+                                "modes = 8\nr_points = 3")
+    by_flag, by_key = tmp_path / "flag", tmp_path / "key"
+    flag_ini = _write(tmp_path / "flag.ini", small.format(out=by_flag))
+    key_ini = _write(tmp_path / "key.ini", small.format(out=by_key).replace(
+        "[solver]\n", "[solver]\nmode = newton\n"))
+    assert main(["continue", "--config", flag_ini, "--mode", "newton"]) == 0
+    assert main(["continue", "--config", key_ini]) == 0
+    names = sorted(os.listdir(by_flag))
+    assert names == sorted(os.listdir(by_key)) and len(names) == 4
+    for name in names:
+        assert (by_flag / name).read_bytes() == (by_key / name).read_bytes()
+    for spelling, mode in [("NEWTON", "Newton"), ("fixedPoint", "FixedPoint")]:
+        assert rd.SolverParams(mode=spelling).mode == mode
+    capsys.readouterr()
+    assert main(["continue", "--mode", "newton", "--dump-config"]) == 0
+    dumped = _write(tmp_path / "dumped.ini", capsys.readouterr().out)
+    assert load_config(dumped).params == rd.SolverParams(mode="Newton")
 
 
 @pytest.mark.parametrize("key", ["fp_tol", "newton_tol", "max_iter",
@@ -688,6 +726,8 @@ def test_validate_orbit_field_of_another_type_never_raises(field, value,
     (["--rtol", "-1"], "rtol"),
     (["--tol", "nan"], "--tol"),
     (["--tol", "-1"], "--tol"),
+    (["--rtol", "1e-20"], "rtol must be at least"),  # scipy would use 2.2e-14
+    (["--rtol", "5e-324"], "rtol must be at least"),  # not its atol, 0
 ])
 def test_validate_bad_argument_exits_2(flags, named, cont_run, capsys):
     _, out, _ = cont_run

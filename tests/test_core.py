@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from nvortex import core
+from nvortex import cli, core, dynamics as dyn, equilibria as eq, loops as lp
+from nvortex import reduction as rd
 from nvortex.core import (HalfPlane, Plane, SyntheticQuadratic,
                           TranslatedDomain, UnitDisk, VortexSystem)
-from nvortex.errors import (BoundaryError, CollisionError, DomainError,
-                            LeftDomain, NoConvergence, ZeroTotalVorticity)
+from nvortex.errors import (BoundaryError, CollisionError, DegenerateFrame,
+                            DomainError, LeftDomain, NoConvergence,
+                            ZeroTotalVorticity)
 
 RNG = np.random.default_rng(12345)
 
@@ -529,3 +531,108 @@ def test_zero_total_rule_reports_an_overflowing_sum():
     """Three vorticities of 8e307 are each finite, but their sum is not."""
     with pytest.raises(ValueError, match="total vorticity overflows"):
         VortexSystem([8e307] * 3).nonzero_total()
+
+
+# ---------------------------------------------------------------------------
+# input rules: each has one owner in core, and every site that takes such an
+# input meets the same bad values with the same error and message
+
+
+def _cli(*argv):
+    """Run one subcommand without main's catch, so its error propagates."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+_Z0 = np.array([0.3, 0.0, -0.3, 0.0])
+_PAIR = VortexSystem([1.0, 1.0])
+
+
+def _basis():
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    return rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega, 4))
+
+
+_POSITIVE_SITES = {
+    "r_max": lambda v: rd.SolverParams(r_max=v),
+    "separation": lambda v: eq.make_pair(1.0, 1.0, v),
+    "side": lambda v: eq.make_triangle(1.0, 2.0, 3.0, v),
+    "radius": lambda v: eq.make_thomson(4, 1.0, v),
+    "--time": lambda v: _cli("simulate", "--z0=0.3,0,-0.3,0", f"--time={v}"),
+    "--tol": lambda v: _cli("validate", "--orbit", "unread.json", f"--tol={v}"),
+    "T": lambda v: dyn.integrate(_PAIR, Plane(), 0.0, _Z0, v),
+    "rtol": lambda v: dyn.integrate(_PAIR, Plane(), 0.0, _Z0, 1.0, rtol=v),
+    "atol": lambda v: dyn.integrate(_PAIR, Plane(), 0.0, _Z0, 1.0, atol=v),
+    "r": lambda v: rd.unrescale(np.zeros(2), v, lp.constant_loop(_Z0, 1), 4,
+                                UnitDisk()),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", _POSITIVE_SITES)
+def test_finite_and_positive_rule_at_every_site(name, bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and positive, got {bad}") + "$"):
+        _POSITIVE_SITES[name](bad)
+
+
+_R_SITES = {
+    "eval_Hr": lambda v: core.eval_Hr(_PAIR, UnitDisk(), v, _Z0),
+    "vortex_rhs": lambda v: core.vortex_rhs(_PAIR, UnitDisk(), _Z0, r=v),
+    "grad_J_r": lambda v: rd.grad_J_r(_PAIR, UnitDisk(), v, _basis().Z),
+    "assemble_L_r": lambda v: rd.assemble_L_r(UnitDisk(), v, _basis()),
+    "integrate": lambda v: dyn.integrate(_PAIR, UnitDisk(), v, _Z0, 1.0),
+    "simulate": lambda v: _cli("simulate", "--z0=0.3,0,-0.3,0", "--time=1",
+                               "--mode=rescaled", f"--r={v}"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("site", _R_SITES)
+def test_finite_and_nonnegative_r_rule_at_every_site(site, bad):
+    name = "--r" if site == "simulate" else "r"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and nonnegative, got {bad}") + "$"):
+        _R_SITES[site](bad)
+
+
+_COUNT_SITES = [
+    ("modes", 1, lambda k: rd.SolverParams(modes=k)),
+    ("r_points", 2, lambda k: rd.SolverParams(r_points=k)),
+    ("--samples", 2, lambda k: _cli("simulate", "--z0=0.3,0,-0.3,0",
+                                    "--time=1", f"--samples={k}")),
+    ("samples", 1, lambda k: rd.unrescale(
+        np.zeros(2), 0.1, lp.constant_loop(_Z0, 1), k, UnitDisk())),
+    ("n", 2, lambda k: eq.make_thomson(k, 1.0, 1.0)),
+    ("len(t_eval)", 2, lambda k: dyn.integrate(
+        _PAIR, Plane(), 0.0, _Z0, 1.0, t_eval=np.linspace(0.0, 1.0, k))),
+]
+
+
+@pytest.mark.parametrize("name, least, site", _COUNT_SITES,
+                         ids=[name for name, _, _ in _COUNT_SITES])
+def test_count_rule_at_every_site(name, least, site):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be at least {least}, got {least - 1}") + "$"):
+        site(least - 1)
+
+
+def test_period_normalized_rule_at_every_site():
+    """An omega 1e-6 off 1 is refused by the frame, the continuation that
+    builds it and the Floquet check alike, with one error that is also a
+    ValueError; normalize_period takes it to exactly 1."""
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    near = eq.RelativeEquilibrium(pair.sys, pair.z, 1.0 + 1e-6)
+    sites = [
+        lambda: lp.build_frame(near.z, near.omega, 4),
+        lambda: rd.continue_path(near, UnitDisk(), np.zeros(2),
+                                 rd.SolverParams(modes=4)),
+        lambda: eq.monodromy(near),
+    ]
+    assert issubclass(DegenerateFrame, ValueError)
+    for site in sites:
+        with pytest.raises(DegenerateFrame, match="period-normalized.*call "
+                           "normalize_period first"):
+            site()
+    assert eq.normalize_period(near).omega == 1.0
+    assert eq.monodromy(eq.normalize_period(near)).nondegenerate

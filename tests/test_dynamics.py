@@ -302,6 +302,9 @@ def test_validate_orbit_negative_control(pair_orbit):
     (1.0, {"rtol": np.nan}, "rtol"),
     (1.0, {"rtol": -1.0}, "rtol"),
     (1.0, {"atol": 0.0}, "atol"),
+    # below 100 eps solve_ivp would raise rtol itself, with a warning
+    (1.0, {"rtol": 1e-20}, "rtol must be at least 2.22"),
+    (1.0, {"rtol": 5e-324, "atol": 5e-326}, "rtol must be at least 2.22"),
 ])
 def test_integrate_rejects_bad_span_and_tolerances(T, kwargs, match):
     """No fabricated end state: a span or t_eval with no interval to

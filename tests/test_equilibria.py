@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nvortex import core, equilibria as eq
 from nvortex.core import VortexSystem
@@ -253,6 +254,22 @@ def test_triangle_conditions_arithmetic():
 
     with pytest.raises(ValueError):
         eq.triangle_conditions(0.0, 1.0, 1.0)
+
+
+def _flags(cond):
+    return cond.gamma_ok, cond.L_ok, cond.L_neq_sumsq
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.tuples(*3 * [st.integers(-9, 9).filter(bool)]),
+       k=st.floats(-6.0, 6.0))
+def test_triangle_conditions_are_free_of_scale(g, k):
+    """gamma -> c gamma only rescales time, so no condition moves for c in
+    10^[-6, 6].  At c = 1 the integer vorticities make Gamma, L and
+    sumsq - L integers: each condition is exactly 0 or at least 1 from it."""
+    c = 10.0**k
+    assert _flags(eq.triangle_conditions(*(c * x for x in g))) == \
+        _flags(eq.triangle_conditions(*g))
 
 
 def test_monodromy_det_one():
