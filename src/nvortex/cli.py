@@ -289,7 +289,7 @@ def cmd_simulate(args) -> int:
         print(f"--z0 needs {2 * vsys.n} numbers", file=sys.stderr)
         return EXIT_USAGE
     core.check_positive(args.time, "--time")
-    core.check_at_least(args.samples, "--samples", 2)
+    core.check_count(args.samples, "--samples", 2)
     if args.r is not None and args.mode != "rescaled":
         raise ValueError(f"--r applies to --mode rescaled only, not {args.mode}")
     s = {"physical": 1.0, "rescaled": args.r or 0.0, "plane": 0.0}[args.mode]

@@ -573,9 +573,17 @@ def check_positive(value: float, name: str) -> None:
 
 
 def check_at_least(value, name: str, least) -> None:
-    """The one rule for a count, or for a floor on a tolerance."""
+    """The one rule for a floor on a tolerance, and the bound of a count."""
     if not value >= least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def check_count(value, name: str, least: int) -> None:
+    """The one rule for a count: an integer (a numpy one too, not a bool)
+    of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    check_at_least(value, name, least)
 
 
 # |omega| within PERIOD_TOL of 1 is period-normalized.  The seed loop of

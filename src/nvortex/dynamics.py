@@ -76,7 +76,7 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
     core.check_at_least(rtol, "rtol", RTOL_FLOOR)
     core.check_positive(atol, "atol")
     if t_eval is not None:
-        core.check_at_least(np.size(t_eval), "len(t_eval)", 2)
+        core.check_count(np.size(t_eval), "len(t_eval)", 2)
     from scipy.integrate import solve_ivp  # slow import; most commands never integrate
     z0 = np.asarray(z0, dtype=float).ravel()
     guards = _guards(domain, s)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (J2, VortexSystem, check_at_least, check_period_normalized,
+from .core import (J2, VortexSystem, check_count, check_period_normalized,
                    check_positive, finite, grad_H0, hess_H0)
 from .errors import ZeroTotalVorticity
 
@@ -28,7 +28,8 @@ from .errors import ZeroTotalVorticity
 KERNEL_SV_RATIO = 1e-6
 # |L| and sumsq - L at most TRIANGLE_TOL * sumsq fail the triangle test.  All
 # three scale as c^2 under gamma -> c gamma, which only rescales time, so the
-# test is free of scale.  Both are sums of three products, each off by a few
+# test reads them for gamma / max|gamma|, where no product under- or
+# overflows.  Both are sums of three products, each off by a few
 # eps * sumsq; sumsq - L = 1/2 sum (gamma_i - gamma_j)^2 >= 0 is summed from
 # the differences, so it is 0 exactly for equal vorticities.
 TRIANGLE_TOL = 1e-9
@@ -138,7 +139,7 @@ def make_triangle(gamma1: float, gamma2: float, gamma3: float,
 
 def make_thomson(n: int, gamma: float, radius: float) -> RelativeEquilibrium:
     """N identical vortices on a regular N-gon of the given radius."""
-    check_at_least(n, "n", 2)
+    check_count(n, "n", 2)
     sys = VortexSystem(np.full(n, float(gamma)))
     check_positive(radius, "radius")
     angles = 2.0 * np.pi * np.arange(n) / n
@@ -253,21 +254,23 @@ def triangle_conditions(gamma1: float, gamma2: float,
     generalized kernel of W - I grows from 4 to 6 while its kernel stays 3,
     which ``monodromy`` alone reports as nondegenerate.  ``L_neq_sumsq``
     excludes the shape pair reaching +-i (3L = Gamma^2 is L = sumsq).
+    The flags are read off gamma / max|gamma|; the fields L and sumsq are
+    in the input's units, 0 or inf past the float range.
     """
     g = VortexSystem([gamma1, gamma2, gamma3])
     try:
         total, gamma_ok = g.nonzero_total(), True
     except ZeroTotalVorticity:
         total, gamma_ok = float(g.gammas.sum()), False
+
+    def moments(g1, g2, g3):  # float products: inf or 0 past the range, no raise
+        return g1 * g2 + g1 * g3 + g2 * g3, g1 * g1 + g2 * g2 + g3 * g3
+
     g1, g2, g3 = map(float, g.gammas)
-    L = g1 * g2 + g1 * g3 + g2 * g3
-    sumsq = g1**2 + g2**2 + g3**2
-    spread = ((g1 - g2)**2 + (g1 - g3)**2 + (g2 - g3)**2) / 2  # sumsq - L
-    return TriangleConditions(
-        gamma_ok=gamma_ok,
-        L_ok=abs(L) > TRIANGLE_TOL * sumsq,
-        L_neq_sumsq=spread > TRIANGLE_TOL * sumsq,
-        gamma=total,
-        L=L,
-        sumsq=sumsq,
-    )
+    top = max(abs(g1), abs(g2), abs(g3))
+    x1, x2, x3 = g1 / top, g2 / top, g3 / top
+    L, sumsq = moments(x1, x2, x3)
+    spread = ((x1 - x2)**2 + (x1 - x3)**2 + (x2 - x3)**2) / 2  # sumsq - L
+    return TriangleConditions(gamma_ok, abs(L) > TRIANGLE_TOL * sumsq,
+                              spread > TRIANGLE_TOL * sumsq, total,
+                              *moments(g1, g2, g3))  # in the input's units

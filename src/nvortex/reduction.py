@@ -16,8 +16,8 @@ frozen-Jacobian fixed-point iteration
 
     v  <-  v - L_r^{-1} [P_X grad J_r(Z + v)]
 
-or by a damped Newton method, and continued down a geometric grid of the
-scale parameter r.
+or by damped Newton, the same loop with L_r assembled at each iterate,
+and continued down a geometric grid of the scale parameter r.
 Un-rescaling z(t) = a0 + r u(t / r^2) produces orbits of the physical
 system with period 2*pi*r^2.
 """
@@ -52,10 +52,9 @@ ORBIT_SCHEMA_VERSION = 1
 MAX_SPECTRAL_TAIL = 1e-8
 # an operator whose cond(A) or cond(D) exceeds this raises SingularOperator
 MAX_COND = 1e12
-# FixedPoint stops once a step's norm is at most this
-FP_TOL = 1e-11
-# Newton stops once the projected residual's norm is at most this
-NEWTON_TOL = 1e-11
+# the one stop: FixedPoint ends once the step it just took, Newton once the
+# projected residual at its iterate, has norm at most this
+SOLVE_TOL = 1e-11
 # either solver raises NoConvergence after this many steps
 MAX_ITER = 200
 # FixedPoint raises ContractionFailure after 3 straight step ratios above this
@@ -73,14 +72,14 @@ class SolverParams:
     r_points: int = 30
 
     def __post_init__(self):
-        core.check_at_least(self.modes, "modes", 1)
+        core.check_count(self.modes, "modes", 1)
         core.check_positive(self.r_max, "r_max")
         if not (0 < self.r_min < self.r_max
                 and np.isfinite(self.r_max / self.r_min)):
             raise ValueError("r grid needs 0 < r_min < r_max and a finite "
                              f"r_max / r_min, got r_max = {self.r_max}, "
                              f"r_min = {self.r_min}")
-        core.check_at_least(self.r_points, "r_points", 2)
+        core.check_count(self.r_points, "r_points", 2)
         mode = {"fixedpoint": "FixedPoint", "newton": "Newton"}.get(
             str(self.mode).lower())
         if mode is None:
@@ -338,30 +337,59 @@ def _spectral_tail(u: Loop) -> float:
 def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
                   params: SolverParams,
                   warm_start: Loop | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X, with the
-    seed, its system and the basis read from `basis` and the solver from
-    params.mode.  The one verdict on r: PhaseDefect or NoConvergence
-    refuses a v whose full gradient or spectral tail is too large."""
+    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X from the
+    seed in `basis`.  FixedPoint (the chord method) and Newton run one loop
+    with three settings: the operator is assembled once at the seed, or at
+    each iterate; the stop reads the step just taken, or the projected
+    residual at the iterate (so Newton may take 0 steps); the guards are
+    contraction and divergence, or an 8-halving line search.  The one
+    verdict on r: PhaseDefect or NoConvergence refuses a v whose full
+    gradient or spectral tail is too large."""
     import scipy.linalg  # slow import; only a solve needs the LU
-    Z = basis.Z
+    Z, newton = basis.Z, params.mode == "Newton"
 
-    def residual(y):
-        return basis.coords(grad_J_r(basis.sys, domain, r, Z + basis.to_loop(y)))
+    def gradient(y):  # at Z + v, with its coordinates P_X grad in the basis
+        grad = grad_J_r(basis.sys, domain, r, Z + basis.to_loop(y))
+        return grad, basis.coords(grad)
 
     y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
+    (grad, res), lu = gradient(y), None  # one gradient per iterate, read by all
     eps_ball = 0.5 * core.min_separation(Z.a(1))  # a flat 2N-vector, not a batch
-    contraction = float("nan")
-    if params.mode == "FixedPoint":
-        operator = assemble_L_r(domain, r, basis)
-        lu = scipy.linalg.lu_factor(operator.matrix)
-        prev_step, guard_strikes = None, 0
-        for it in range(1, MAX_ITER + 1):
-            step = -scipy.linalg.lu_solve(lu, residual(y))
-            y = y + step
-            step_norm = np.linalg.norm(step)
-            if prev_step is not None and prev_step > 1e-15:
+    contraction, step_norm, guard_strikes = float("nan"), np.inf, 0
+    for it in range(MAX_ITER + 1):  # `it` steps taken
+        size = np.linalg.norm(res) if newton else step_norm
+        if size <= SOLVE_TOL:
+            break
+        if it == MAX_ITER:
+            solver, measure = (("Newton", "residual") if newton
+                               else ("fixed point", "step norm"))
+            raise NoConvergence(
+                f"{solver} not converged in {MAX_ITER} iterations at "
+                f"r={r:.5g} ({measure} {size:.3e} after the last step)")
+        if newton or lu is None:
+            op = assemble_L_r(domain, r, basis,
+                              base=Z + basis.to_loop(y) if newton and y.any() else None)
+            lu = scipy.linalg.lu_factor(op.matrix)
+        step = -scipy.linalg.lu_solve(lu, res)
+        if newton:  # backtracking on the projected residual
+            for alpha in 0.5 ** np.arange(8):
+                y_try = y + alpha * step
+                try:
+                    grad_try, res_try = gradient(y_try)
+                    if np.linalg.norm(res_try) < size:
+                        break
+                except (CollisionError, DomainError):
+                    pass
+            else:
+                raise NoConvergence(
+                    f"Newton line search failed at r={r:.5g}: 8 halvings of "
+                    f"the step did not lower the residual {size:.3e}")
+            y, grad, res = y_try, grad_try, res_try
+        else:
+            y, prev_step, step_norm = y + step, step_norm, np.linalg.norm(step)
+            if 1e-15 < prev_step < np.inf:
                 contraction = step_norm / prev_step
-                if contraction > CONTRACTION_GUARD and step_norm > FP_TOL:
+                if contraction > CONTRACTION_GUARD and step_norm > SOLVE_TOL:
                     guard_strikes += 1
                     if guard_strikes >= 3:
                         raise ContractionFailure(
@@ -369,54 +397,15 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
                             f"guard {CONTRACTION_GUARD} at r={r:.5g}")
                 else:
                     guard_strikes = 0
-            prev_step = step_norm
             if np.linalg.norm(y) > max(10 * eps_ball, 1e3):
                 raise ContractionFailure(
                     f"iterates diverge at r={r:.5g} (|v| = {np.linalg.norm(y):.3e})")
-            if step_norm <= FP_TOL:
-                break
-        else:
-            raise NoConvergence(
-                f"fixed point not converged in {MAX_ITER} iterations "
-                f"at r={r:.5g} (last step {step_norm:.3e})")
-    else:
-        # `it` counts the Newton steps taken; 0 when the seed already solves.
-        # The accepted line-search trial's residual serves the next step.
-        res = residual(y)
-        for it in range(MAX_ITER):
-            res_norm = np.linalg.norm(res)
-            if res_norm <= NEWTON_TOL:
-                break
-            op = assemble_L_r(domain, r, basis,
-                              base=Z + basis.to_loop(y) if y.any() else None)
-            step = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(op.matrix), res)
-            # backtracking on the projected residual
-            alpha = 1.0
-            for _ in range(8):
-                y_try = y + alpha * step
-                try:
-                    res_try = residual(y_try)
-                    if np.linalg.norm(res_try) < res_norm:
-                        break
-                except (CollisionError, DomainError):
-                    pass
-                alpha *= 0.5
-            else:
-                raise NoConvergence(
-                    f"Newton line search failed at r={r:.5g}: 8 halvings of "
-                    f"the step did not lower the residual {res_norm:.3e}")
-            y, res = y_try, res_try
-        else:
-            raise NoConvergence(
-                f"Newton not converged in {MAX_ITER} iterations "
-                f"at r={r:.5g} (residual {res_norm:.3e})")
+            grad, res = gradient(y)
 
     v = basis.to_loop(y)
     u = Z + v
-    grad = grad_J_r(basis.sys, domain, r, u)
     residual, vnorm, tail = loops.h1_norm(grad), loops.h1_norm(v), _spectral_tail(u)
-    tol = FP_TOL if params.mode == "FixedPoint" else NEWTON_TOL
-    if residual > 10 * tol * (vnorm + 1.0):
+    if residual > 10 * SOLVE_TOL * (vnorm + 1.0):
         raise PhaseDefect(
             f"full gradient {residual:.3e} exceeds 10x the solver "
             f"tolerance at r={r:.5g}; the phase component did not vanish")
@@ -465,7 +454,7 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
     """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2; ValueError
     unless r > 0 and a0 and every sample are finite, DomainError unless
     every sample lies in the domain."""
-    core.check_at_least(samples, "samples", 1)
+    core.check_count(samples, "samples", 1)
     core.check_positive(r, "r")
     a0 = np.asarray(a0, dtype=float)
     period = 2 * np.pi * r**2

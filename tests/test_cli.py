@@ -404,10 +404,11 @@ def test_solver_mode_key_takes_the_flag_spelling(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["fp_tol", "newton_tol", "max_iter",
-                                 "contraction_guard"])
+                                 "contraction_guard", "solve_tol"])
 def test_removed_solver_key_exits_2(key, tmp_path, capsys):
-    """fp_tol, newton_tol, max_iter and contraction_guard are constants in
-    reduction, not keys: a config that sets one is rejected as unknown."""
+    """The stops (solve_tol, max_iter, contraction_guard, and the former
+    fp_tol and newton_tol) are constants in reduction, not keys: a config
+    that sets one is rejected as unknown."""
     cfg = CONT_CONFIG.format(out=tmp_path / "x").replace(
         "[solver]\n", f"[solver]\n{key} = 1\n")
     cfgfile = _write(tmp_path / "old.ini", cfg)

@@ -617,6 +617,19 @@ def test_count_rule_at_every_site(name, least, site):
         site(least - 1)
 
 
+@pytest.mark.parametrize("name, least, site", [
+    s for s in _COUNT_SITES if s[0] in ("modes", "r_points", "samples", "n")],
+    ids=["modes", "r_points", "samples", "n"])
+def test_count_must_be_an_integer(name, least, site):
+    """A count is an integer: a float or a bool is refused with one message
+    at each site, and a numpy integer is taken."""
+    for bad in (least + 0.5, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {bad}") + "$"):
+            site(bad)
+    site(np.int64(least))
+
+
 def test_period_normalized_rule_at_every_site():
     """An omega 1e-6 off 1 is refused by the frame, the continuation that
     builds it and the Floquet check alike, with one error that is also a

@@ -221,9 +221,10 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     r_max down, and no other r.  The basis holds hess_H0 along the seed Z,
     and FixedPoint assembles every r of a continuation at Z, so hess_H0
     runs once per continuation.  Newton assembles only at its own base
-    Z + v, once per step, and evaluates one residual per step: the one of
-    the accepted line-search trial, plus the seed's and the diagnostics'.
-    This solve starts cold, so its first step reads H0'' off the basis."""
+    Z + v, once per step, and evaluates one gradient per iterate: the
+    seed's and the accepted line-search trial's, which the stop test, the
+    next step and the diagnostics all read.  This solve starts cold, so
+    its first step reads H0'' off the basis."""
     _, pair, _, basis = pair_setup
     counts = dict.fromkeys(("hess_H0", "assemble_L_r", "grad_J_r"), 0)
     solved_at = []
@@ -255,7 +256,7 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis,
                            rd.SolverParams(modes=M, mode="Newton"))
     assert sol.iterations == 2
-    assert counts == {"hess_H0": 1, "assemble_L_r": 2, "grad_J_r": 4}
+    assert counts == {"hess_H0": 1, "assemble_L_r": 2, "grad_J_r": 3}
 
 
 def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
@@ -563,7 +564,7 @@ def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
     """Newton's `iterations` is the number of steps taken, and it assembles
     the operator once per step. At r = 1e-3 the equal pair's correction is
     r^4/pi^2 = 1.0e-13 and the seed residual is already below
-    NEWTON_TOL = 1e-11, so no step is taken."""
+    SOLVE_TOL = 1e-11, so no step is taken."""
     basis = pair_setup[3]
     assemblies = []
     assemble = rd.assemble_L_r
@@ -585,6 +586,42 @@ def test_max_iter_ends_the_solve(mode, solver, pair_setup, monkeypatch):
     with pytest.raises(NoConvergence,
                        match=f"{solver} not converged in 1 iterations at r=0.1"):
         rd.solve_reduced(UnitDisk(), 0.1, basis,
+                         rd.SolverParams(modes=M, mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["FixedPoint", "Newton"])
+def test_last_allowed_step_is_tested(mode, pair_setup, monkeypatch):
+    """A MAX_ITER equal to the steps a solve takes still converges, to the
+    same v in the same steps: the stop is tested after the last allowed
+    step in either mode (the equal pair at r = 0.1 takes 2 Newton steps)."""
+    basis = pair_setup[3]
+    params = rd.SolverParams(modes=M, mode=mode)
+    free = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
+    monkeypatch.setattr(rd, "MAX_ITER", free.iterations)
+    capped = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
+    assert capped.iterations == free.iterations
+    assert np.array_equal(capped.v.coeffs, free.v.coeffs)
+
+
+@pytest.mark.parametrize("mode, measure", [("FixedPoint", "step norm"),
+                                           ("Newton", "residual")])
+def test_max_iter_message_names_the_norm_after_the_last_step(
+        mode, measure, pair_setup, monkeypatch):
+    """With MAX_ITER = 1 a cold solve takes one full step from the seed,
+    y1 = -A^{-1} P_X grad J_r(Z) with A assembled at Z (Newton's line
+    search accepts it), and reports the norm its stop reads after that
+    step: FixedPoint the step's, Newton the projected residual at y1."""
+    basis, r = pair_setup[3], 0.1
+    grad = rd.grad_J_r(basis.sys, UnitDisk(), r, basis.Z)
+    A = rd.assemble_L_r(UnitDisk(), r, basis).matrix
+    y1 = -np.linalg.solve(A, basis.coords(grad))
+    after = {"step norm": np.linalg.norm(y1),
+             "residual": np.linalg.norm(basis.coords(rd.grad_J_r(
+                 basis.sys, UnitDisk(), r, basis.Z + basis.to_loop(y1))))}
+    monkeypatch.setattr(rd, "MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match=re.escape(
+            f"({measure} {after[measure]:.3e} after the last step)")):
+        rd.solve_reduced(UnitDisk(), r, basis,
                          rd.SolverParams(modes=M, mode=mode))
 
 
@@ -666,7 +703,7 @@ def test_pair_r4_law_and_one_step_per_r(disk_path):
     to 1e-3 for r <= 5e-3.  The warm start is the previous solution, so the
     first fixed-point step is v(r) - v(r_prev), of norm vnorm(r_prev) -
     vnorm(r), and the frozen operator leaves a second step smaller by a
-    factor O(|v|): one iteration when the first step is within FP_TOL, two
+    factor O(|v|): one iteration when the first step is within SOLVE_TOL, two
     when it is not.  Noise in the solve would show in both."""
     _, _, path = disk_path
     rs, vs = _r_and_vnorm(path)
@@ -675,8 +712,8 @@ def test_pair_r4_law_and_one_step_per_r(disk_path):
     first_step = vs[:-1] - vs[1:]
     iters = np.array([e.iterations for e in path.entries[1:]])
     small = rs[1:] < 3e-3
-    assert np.all(iters[small & (first_step < 0.9 * rd.FP_TOL)] == 1)
-    assert np.all(iters[small & (first_step > 1.1 * rd.FP_TOL)] == 2)
+    assert np.all(iters[small & (first_step < 0.9 * rd.SOLVE_TOL)] == 1)
+    assert np.all(iters[small & (first_step > 1.1 * rd.SOLVE_TOL)] == 2)
     assert np.all(iters[small] <= 2)
 
 
@@ -812,8 +849,8 @@ def test_diverging_iterates_are_refused(pair_setup, monkeypatch):
     1e3)."""
     basis = pair_setup[3]
     assemble = rd.assemble_L_r
-    monkeypatch.setattr(rd, "assemble_L_r", lambda *args: rd.OperatorReport(
-        matrix=1e-12 * assemble(*args).matrix, d0_matrix=None))
+    monkeypatch.setattr(rd, "assemble_L_r", lambda *args, **kw: rd.OperatorReport(
+        matrix=1e-12 * assemble(*args, **kw).matrix, d0_matrix=None))
     with pytest.raises(ContractionFailure, match="iterates diverge at r=0.1 "):
         rd.solve_reduced(_QuarticDomain(), 0.1, basis, rd.SolverParams(modes=M))
 
