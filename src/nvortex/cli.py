@@ -13,7 +13,6 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import io
 import os
 import sys
 
@@ -39,13 +38,16 @@ DEFAULT_CONFIG = {
     "solver": {f.name: str(f.default) for f in SOLVER_FIELDS},
     "output": {"dir": ".", "prefix": "orbit"},
 }
+# seed kind: (gamma count, its [system] size key, its `equilibrium` size flag)
+SEEDS = {"pair": (2, "separation", "sep"), "triangle": (3, "side", "side"),
+         "thomson": (1, "radius", "radius")}
 
 
 def make_seed(kind: str, gammas, size: float,
               n: int | None) -> equilibria.RelativeEquilibrium:
     """A pair at separation `size`, a triangle of side `size` or an n-gon of
     radius `size`; ValueError unless `gammas` has 2, 3 or 1 entries respectively."""
-    count = {"pair": 2, "triangle": 3, "thomson": 1}[kind]
+    count = SEEDS[kind][0]
     if len(gammas) != count:
         raise ValueError(f"{kind} seed needs {count} gamma(s), got {len(gammas)}")
     if kind == "pair":
@@ -63,7 +65,8 @@ def _read(section, key, parse):
         raise ValueError(f"[{section.name}] {key}: {exc}") from exc
 
 
-def _floats(text):
+def float_list(text):
+    """A comma-separated number list: an argparse `type` and a `_read` parse."""
     return np.array([float(x) for x in text.split(",")])
 
 
@@ -89,12 +92,11 @@ class RunConfig:
         self.parser = parser
         _check_keys(parser)
         sysal = parser["system"]
-        self.gammas = _read(sysal, "gammas", _floats)
+        self.gammas = _read(sysal, "gammas", float_list)
         self.seed = sysal["seed"].lower()
-        size_key = {"pair": "separation", "triangle": "side", "thomson": "radius"}
-        if self.seed not in size_key:
+        if self.seed not in SEEDS:
             raise ValueError(f"[system] seed: unknown type {self.seed!r}")
-        self.size = _read(sysal, size_key[self.seed], float)
+        self.size = _read(sysal, SEEDS[self.seed][1], float)
         self.n = _read(sysal, "n", int)
 
         dom = parser["domain"]
@@ -102,13 +104,13 @@ class RunConfig:
         params = {}
         if variant == "quadratic":
             params["a_matrix"] = _read(dom, "matrix", lambda text: [
-                _floats(row) for row in text.split(";")])
+                float_list(row) for row in text.split(";")])
         try:
             self.domain = core.domain_from_spec(variant, params)
         except ValueError as exc:
             raise ValueError(f"[domain]: {exc}") from exc
         self.a0_guess = _read(dom, "a0_guess",
-                              lambda text: _floats(text).reshape(2))
+                              lambda text: float_list(text).reshape(2))
 
         sol = parser["solver"]
         values = {f.name: _read(sol, f.name, type(f.default))
@@ -131,19 +133,20 @@ class RunConfig:
     def seed_equilibrium(self) -> equilibria.RelativeEquilibrium:
         return make_seed(self.seed, self.gammas, self.size, self.n)
 
-    def dump(self) -> str:
-        buf = io.StringIO()
-        self.parser.write(buf)
-        return buf.getvalue()
-
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    parser = configparser.ConfigParser()
+    """The defaults, then the file at `path` read verbatim (`%` is literal),
+    then the non-None `overrides`; an unreadable file's error names it."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULT_CONFIG)
     if path is not None:
         if not os.path.exists(path):
             raise ValueError(f"config file not found: {path}")
-        parser.read(path)
+        with open(path) as fh:
+            try:
+                parser.read_file(fh)
+            except (configparser.Error, UnicodeError) as exc:
+                raise ValueError(f"config file {path}: {exc}") from exc
     for (section, key), value in (overrides or {}).items():
         if value is not None:
             parser[section][key] = str(value)
@@ -205,16 +208,11 @@ def trajectory_svg(states: np.ndarray, domain: core.DomainModel) -> str:
 # subcommands
 
 def cmd_equilibrium(args) -> int:
-    gammas = _floats(args.gamma)
-    size, usage = {
-        "pair": (args.sep, "pair needs --gamma g1,g2 and --sep"),
-        "triangle": (args.side, "triangle needs --gamma g1,g2,g3 and --side"),
-        "thomson": (args.radius, "thomson needs --n, --gamma g and --radius"),
-    }[args.type]
-    if size is None or (args.type == "thomson" and args.n is None):
-        print(usage, file=sys.stderr)
-        return EXIT_USAGE
-    eq = make_seed(args.type, gammas, size, args.n)
+    flags = [SEEDS[args.type][2]] + (["n"] if args.type == "thomson" else [])
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"{args.type} needs " + " and ".join(missing))
+    eq = make_seed(args.type, args.gamma, getattr(args, flags[0]), args.n)
 
     residual = equilibria.residual_HS0(eq)
     print(f"z     = {np.array2string(eq.z, precision=12)}")
@@ -231,7 +229,7 @@ def cmd_equilibrium(args) -> int:
         if args.type == "triangle":
             # the algebraic conditions also catch degeneracy that appears
             # only in generalized eigenvectors of the monodromy
-            cond = equilibria.triangle_conditions(*gammas)
+            cond = equilibria.triangle_conditions(*args.gamma)
             print(f"triangle conditions: gamma_ok={cond.gamma_ok} "
                   f"L_ok={cond.L_ok} L_neq_sumsq={cond.L_neq_sumsq}")
             verdict = verdict and cond.predicted_nondegenerate
@@ -252,7 +250,7 @@ def cmd_continue(args) -> int:
     }
     cfg = load_config(args.config, overrides)
     if args.dump_config:
-        print(cfg.dump(), end="")
+        cfg.parser.write(sys.stdout)
         return EXIT_OK
 
     seed = equilibria.normalize_period(cfg.seed_equilibrium())
@@ -284,10 +282,8 @@ def cmd_continue(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     vsys = cfg.vortex_system()
-    z0 = _floats(args.z0)
-    if z0.size != 2 * vsys.n:
-        print(f"--z0 needs {2 * vsys.n} numbers", file=sys.stderr)
-        return EXIT_USAGE
+    if args.z0.size != 2 * vsys.n:
+        raise ValueError(f"--z0 needs {2 * vsys.n} numbers, got {args.z0.size}")
     core.check_positive(args.time, "--time")
     core.check_count(args.samples, "--samples", 2)
     if args.r is not None and args.mode != "rescaled":
@@ -296,7 +292,8 @@ def cmd_simulate(args) -> int:
     domain = cfg.domain if args.mode != "plane" else core.Plane()
     t_eval = np.linspace(0.0, args.time, args.samples)
     core.check_r(s, "--r")
-    traj = dynamics.integrate(vsys, domain, s, z0, args.time, t_eval=t_eval)
+    traj = dynamics.integrate(vsys, domain, s, args.z0, args.time,
+                              t_eval=t_eval)
     reduction.atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
     if args.svg:
         reduction.atomic_write(args.svg, trajectory_svg(traj.states, domain))
@@ -327,9 +324,8 @@ def cmd_validate(args) -> int:
 
 def cmd_robin(args) -> int:
     domain = core.domain_from_spec(args.domain)
-    guess = _floats(args.guess)
     try:
-        crit = core.find_critical_point_h(domain, guess)
+        crit = core.find_critical_point_h(domain, args.guess)
     except (NoConvergence, LeftDomain) as exc:
         print(f"no critical point found: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -360,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", help="construct and check a "
                           "relative equilibrium")
-    p_eq.add_argument("--type", required=True,
-                      choices=["pair", "triangle", "thomson"])
-    p_eq.add_argument("--gamma", required=True)
+    p_eq.add_argument("--type", required=True, choices=list(SEEDS))
+    p_eq.add_argument("--gamma", type=float_list, required=True)
     p_eq.add_argument("--n", type=int)
     p_eq.add_argument("--sep", type=float)
     p_eq.add_argument("--side", type=float)
@@ -384,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="direct time integration")
     p_sim.add_argument("--config")
-    p_sim.add_argument("--z0", required=True)
+    p_sim.add_argument("--z0", type=float_list, required=True)
     p_sim.add_argument("--time", type=float, required=True)
     p_sim.add_argument("--mode", default="physical",
                        choices=["physical", "rescaled", "plane"])
@@ -407,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob = sub.add_parser("robin", help="critical point of the regular part")
     p_rob.add_argument("--domain", required=True,
                        choices=["disk", "halfplane"])
-    p_rob.add_argument("--guess", default="0.3,0.2")  # inside both domains
+    p_rob.add_argument("--guess", type=float_list,
+                       default="0.3,0.2")  # inside both domains
     p_rob.set_defaults(func=cmd_robin)
     return parser
 

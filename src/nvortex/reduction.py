@@ -103,7 +103,6 @@ class ReducedSolution:
     vnorm: float
     iterations: int
     spectral_tail: float
-    contraction_estimate: float = float("nan")
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +354,7 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
     y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
     (grad, res), lu = gradient(y), None  # one gradient per iterate, read by all
     eps_ball = 0.5 * core.min_separation(Z.a(1))  # a flat 2N-vector, not a batch
-    contraction, step_norm, guard_strikes = float("nan"), np.inf, 0
+    step_norm, guard_strikes = np.inf, 0
     for it in range(MAX_ITER + 1):  # `it` steps taken
         size = np.linalg.norm(res) if newton else step_norm
         if size <= SOLVE_TOL:
@@ -414,8 +413,7 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
             f"spectral tail {tail:.3e} above {MAX_SPECTRAL_TAIL:g} at r={r:.5g}")
     return ReducedSolution(r=r, v=v, u=u, residual_grad=residual,
                            phase_defect=abs(loops.h1_inner(grad, basis.zdot)),
-                           vnorm=vnorm, iterations=it, spectral_tail=tail,
-                           contraction_estimate=contraction)
+                           vnorm=vnorm, iterations=it, spectral_tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +483,21 @@ def local_uniqueness_probe(domain: DomainModel, r: float, basis: XBasis,
 # orbit persistence
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text to a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write text to a temp file in the target directory, then rename; an
+    OSError keeps its type but names `path`, not the temporary file, which
+    is removed."""
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError as exc:  # name the file asked for, not the temporary one
-        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def save_orbit(path: str, sys: VortexSystem, domain: DomainModel, a0,

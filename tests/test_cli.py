@@ -56,6 +56,11 @@ def _write(path, text):
     return str(path)
 
 
+def _mkdir(path):
+    os.makedirs(path)
+    return str(path)
+
+
 def _scipy_modules_after(code):
     """The scipy modules loaded once `code` has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nvortex.__file__)))
@@ -158,8 +163,35 @@ def test_equilibrium_huge_size_exits_2(capsys):
     assert "angular velocity must be nonzero" in capsys.readouterr().err
 
 
-def test_equilibrium_missing_args_usage():
-    assert main(["equilibrium", "--type", "pair", "--gamma", "1,1"]) == 2
+def test_equilibrium_missing_args_usage(capsys):
+    """A missing size (or ring count) is an input error naming its flag."""
+    cases = [(["--type", "pair", "--gamma", "1,1"], "pair needs --sep"),
+             (["--type", "triangle", "--gamma", "1,2,3"],
+              "triangle needs --side"),
+             (["--type", "thomson", "--gamma", "1", "--n", "3"],
+              "thomson needs --radius"),
+             (["--type", "thomson", "--gamma", "1", "--radius", "1"],
+              "thomson needs --n"),
+             (["--type", "thomson", "--gamma", "1"],
+              "thomson needs --radius and --n")]
+    for argv, named in cases:
+        assert main(["equilibrium", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"invalid input: {named}\n" and out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["equilibrium", "--type", "pair", "--gamma=x,1", "--sep", "1"],
+     "--gamma"),
+    (["simulate", "--z0=a,b,c,d", "--time", "1"], "--z0"),
+    (["robin", "--domain", "disk", "--guess=x"], "--guess"),
+], ids=["gamma", "z0", "guess"])
+def test_number_list_that_fails_to_parse_names_its_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid float_list value" in err
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -538,8 +570,9 @@ def test_continue_seed_gamma_count_exits_2(seed, gammas, tmp_path, capsys):
     ("[system]\nn = x\n", "[system] n:"),
     ("[solver]\nmodes = abc\n", "[solver] modes:"),
     ("[system]\nseed = square\n", "[system] seed: unknown type 'square'"),
+    ("[system]\ngammas = %(x)s\n", "[system] gammas:"),  # `%` is literal
 ], ids=["a0_guess-3", "a0_guess-x", "separation", "side", "radius", "n",
-        "modes", "seed"])
+        "modes", "seed", "gammas-percent"])
 def test_config_value_that_fails_to_parse_names_its_key(text, named,
                                                          tmp_path, capsys):
     cfgfile = _write(tmp_path / "bad.ini", text)
@@ -576,6 +609,44 @@ def test_continue_malformed_config_is_usage_error(tmp_path):
     cfgfile = _write(tmp_path / "bad.ini",
                      "[system]\ngammas = one,two\n")
     assert main(["continue", "--config", cfgfile]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "gammas = 1,1\n",
+    "[system]\ngammas = 1,1\n[system]\nseed = pair\n",
+    "[system]\ngammas = 1,1\ngammas = 1,2\n",
+    "[system]\n  gammas\n",
+    b"\xff\xfe\n[system]\n",  # no header in an encoding that decodes it
+    None,
+], ids=["no-header", "duplicate-section", "duplicate-key",
+        "bad-continuation", "not-text", "directory"])
+def test_config_file_that_cannot_be_read_exits_2(text, tmp_path, capsys):
+    """A config file that cannot be opened or parsed is an input error that
+    names the file; no run starts on the defaults."""
+    cfgfile = tmp_path / "bad.ini"
+    if text is None:
+        cfgfile.mkdir()
+    elif isinstance(text, bytes):
+        cfgfile.write_bytes(text)
+    else:
+        cfgfile.write_text(text)
+    assert main(["continue", "--config", str(cfgfile), "--modes", "4",
+                 "--r-steps", "2", "--out", str(tmp_path / "x")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("invalid input:") and str(cfgfile) in err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("prefix, out", [("run%1", "x"), ("orbit", "p%1")])
+def test_percent_in_config_value_or_flag_is_literal(prefix, out, tmp_path,
+                                                    capsys):
+    cfgfile = _write(tmp_path / "p.ini", f"[output]\nprefix = {prefix}\n")
+    assert main(["continue", "--config", cfgfile, "--modes", "4",
+                 "--r-steps", "2", "--out", str(tmp_path / out)]) == 0
+    files = sorted(os.listdir(tmp_path / out))
+    assert f"{prefix}_summary.txt" in files
+    assert sum(f.startswith(f"{prefix}_r") for f in files) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -795,11 +866,13 @@ def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys):
     lambda tmp, orbit: ["continue", "--config", _write(
         f"{tmp}/p.ini", CONT_CONFIG.format(out=tmp).replace(
             "prefix = orb", "prefix = nodir/b/c"))],
+    lambda tmp, orbit: ["simulate", "--z0", "0.3,0,-0.3,0", "--time", "1",
+                        "--csv", _mkdir(f"{tmp}/nodir/isdir")],
 ], ids=["simulate-csv", "simulate-svg", "validate-csv", "validate-svg",
-        "continue-prefix"])
+        "continue-prefix", "simulate-csv-is-a-directory"])
 def test_unwritable_output_path_exits_2(argv, cont_run, tmp_path, capsys):
     """A file that cannot be written is an input error naming the path,
-    not a traceback."""
+    not a traceback, and leaves no temporary file behind."""
     _, out, _ = cont_run
     orbit = sorted(os.path.join(out, f) for f in os.listdir(out)
                    if f.endswith(".json"))[0]
@@ -807,6 +880,7 @@ def test_unwritable_output_path_exits_2(argv, cont_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: cannot write {tmp_path}/nodir/")
     assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("system, code", [
@@ -882,9 +956,11 @@ def test_simulate_collision_start_fails(tmp_path):
                  "--csv", str(tmp_path / "t.csv")]) == 1
 
 
-def test_simulate_wrong_z0_length(tmp_path):
+def test_simulate_wrong_z0_length(tmp_path, capsys):
     assert main(["simulate", "--z0", "0.3,0", "--time", "1.0",
                  "--csv", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: --z0 needs 4 numbers, got 2\n")
 
 
 # ---------------------------------------------------------------------------
