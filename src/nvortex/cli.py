@@ -229,7 +229,7 @@ def cmd_equilibrium(args) -> int:
         if args.type == "triangle":
             # the algebraic conditions also catch degeneracy that appears
             # only in generalized eigenvectors of the monodromy
-            cond = equilibria.triangle_conditions(*args.gamma)
+            cond = equilibria.triangle_conditions(eq.sys)
             print(f"triangle conditions: gamma_ok={cond.gamma_ok} "
                   f"L_ok={cond.L_ok} L_neq_sumsq={cond.L_neq_sumsq}")
             verdict = verdict and cond.predicted_nondegenerate

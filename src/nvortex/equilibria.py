@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (J2, VortexSystem, check_count, check_period_normalized,
+from .core import (VortexSystem, check_count, check_period_normalized,
                    check_positive, finite, grad_H0, hess_H0)
 from .errors import ZeroTotalVorticity
 
@@ -36,12 +36,6 @@ TRIANGLE_TOL = 1e-9
 # residual_HS0 below RESIDUAL_TOL certifies an equilibrium
 RESIDUAL_TOL = 1e-10
 _OVERFLOWS = "overflows: vorticities or size out of range"
-
-
-def _rot(angle: float) -> np.ndarray:
-    """Counter-clockwise rotation e^{-J angle} acting on column points."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -79,28 +73,17 @@ class RelativeEquilibrium:
     def period(self) -> float:
         return 2.0 * np.pi / abs(self.omega)
 
-    def config_at(self, t: float) -> np.ndarray:
-        """Configuration at time t (blockwise rotation by omega * t)."""
-        R = _rot(self.omega * t)
-        return (self.z.reshape(-1, 2) @ R.T).ravel()
-
-    def zdot_at(self, t: float) -> np.ndarray:
-        """Velocity at time t, i.e. -omega J applied blockwise."""
-        blocks = self.config_at(t).reshape(-1, 2)
-        return (-self.omega * blocks @ J2.T).ravel()
-
-    def center_of_vorticity(self) -> np.ndarray:
-        return (self.sys.gammas[:, None] * self.z.reshape(-1, 2)).sum(axis=0)
-
 
 def residual_HS0(eq: RelativeEquilibrium) -> float:
     """Max block norm of Gamma_k Zdot_k(0) - J grad_k H0(z) over that of
-    grad H0(z), checked finite.  Both grow like gamma^2/d, so the ratio is
-    free of scale: roundoff leaves it near eps, an omega off by delta
-    (relative) leaves delta, and below RESIDUAL_TOL certifies z."""
+    grad H0(z), checked finite.  Zdot_k(0) = -omega J z_k and J is a
+    rotation, so the numerator is max_k |omega Gamma_k z_k + grad_k H0(z)|.
+    Both grow like gamma^2/d, so the ratio is free of scale: roundoff leaves
+    it near eps, an omega off by delta (relative) leaves delta, and below
+    RESIDUAL_TOL certifies z."""
     def ratio():
         grad = grad_H0(eq.sys, eq.z).reshape(-1, 2)
-        defect = eq.sys.gammas[:, None] * eq.zdot_at(0.0).reshape(-1, 2) - grad @ J2.T
+        defect = eq.sys.gammas[:, None] * (eq.omega * eq.z.reshape(-1, 2)) + grad
         return np.hypot(*defect.T).max() / np.hypot(*grad.T).max()
     return float(finite(f"the residual {_OVERFLOWS}", ratio))
 
@@ -167,7 +150,9 @@ class MonodromyReport:
     """Floquet data read off the rotating-frame generator B (``generator``);
     the monodromy W = expm(2pi B) (``matrix``) is built on first read.
 
-    ``multipliers`` are exp(2pi lambda) over the eigenvalues lambda of B.
+    ``multipliers`` are exp(2pi lambda) over the eigenvalues lambda of B;
+    one beyond the float range (Re lambda above about 113) reads inf, with
+    no warning, and the verdict, read off B, does not depend on it.
     ``kernel_dim`` is the geometric multiplicity of the multiplier 1, and
     ``nondegenerate`` means it is exactly 3.  Neither sees generalized
     eigenvectors: the L = 0 triangle has kernel_dim 3 but a six-dimensional
@@ -220,7 +205,9 @@ def monodromy(eq: RelativeEquilibrium) -> MonodromyReport:
     stack = np.concatenate([B[None], B @ B + ks[:, None, None]**2 * np.eye(lam.size)])
     sv = np.linalg.svd(stack, compute_uv=False)
     kernel_dim = int(np.count_nonzero(sv < KERNEL_SV_RATIO * sv[:, :1]))
-    return MonodromyReport(generator=B, multipliers=np.exp(2.0 * np.pi * lam),
+    with np.errstate(over="ignore"):  # past the float range reads inf
+        multipliers = np.exp(2.0 * np.pi * lam)
+    return MonodromyReport(generator=B, multipliers=multipliers,
                            kernel_dim=kernel_dim, nondegenerate=(kernel_dim == 3))
 
 
@@ -238,9 +225,9 @@ class TriangleConditions:
         return self.gamma_ok and self.L_ok and self.L_neq_sumsq
 
 
-def triangle_conditions(gamma1: float, gamma2: float,
-                        gamma3: float) -> TriangleConditions:
-    """Algebraic nondegeneracy conditions for the equilateral triangle.
+def triangle_conditions(sys: VortexSystem) -> TriangleConditions:
+    """Algebraic nondegeneracy conditions for the equilateral triangle of
+    the three vortices of `sys`; ValueError unless sys has three.
 
     L is the total vortex angular momentum gamma1*gamma2 + gamma1*gamma3 +
     gamma2*gamma3; the triangle is predicted nondegenerate when the total
@@ -257,16 +244,17 @@ def triangle_conditions(gamma1: float, gamma2: float,
     The flags are read off gamma / max|gamma|; the fields L and sumsq are
     in the input's units, 0 or inf past the float range.
     """
-    g = VortexSystem([gamma1, gamma2, gamma3])
+    if sys.n != 3:
+        raise ValueError(f"a triangle has 3 vortices, got {sys.n}")
     try:
-        total, gamma_ok = g.nonzero_total(), True
+        total, gamma_ok = sys.nonzero_total(), True
     except ZeroTotalVorticity:
-        total, gamma_ok = float(g.gammas.sum()), False
+        total, gamma_ok = float(sys.gammas.sum()), False
 
     def moments(g1, g2, g3):  # float products: inf or 0 past the range, no raise
         return g1 * g2 + g1 * g3 + g2 * g3, g1 * g1 + g2 * g2 + g3 * g3
 
-    g1, g2, g3 = map(float, g.gammas)
+    g1, g2, g3 = map(float, sys.gammas)
     top = max(abs(g1), abs(g2), abs(g3))
     x1, x2, x3 = g1 / top, g2 / top, g3 / top
     L, sumsq = moments(x1, x2, x3)

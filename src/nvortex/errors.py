@@ -45,10 +45,6 @@ class PhaseDefect(VortexError):
     """Full gradient residual is not dominated by the projected residual."""
 
 
-class EmptyPath(VortexError):
-    pass
-
-
 class SingularOperator(VortexError):
     pass
 

@@ -39,7 +39,6 @@ from .errors import (
     ContractionFailure,
     DegenerateFrame,
     DomainError,
-    EmptyPath,
     NoConvergence,
     PhaseDefect,
     SingularOperator,
@@ -429,7 +428,8 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
     """Solve each r of the grid, from r_max down, each warm-started from the
     last converged r, on the basis of the period-normalized equilibrium
     `seed` at params.modes, in `domain` recentred at a0; a failed r is
-    recorded in `failures`.  ZeroTotalVorticity for a zero-sum seed."""
+    recorded in `failures`, so a path where none converges has only
+    failures.  ZeroTotalVorticity for a zero-sum seed."""
     seed.sys.nonzero_total()
     work_domain = TranslatedDomain(domain, a0)
     basis = build_x_basis(
@@ -442,8 +442,6 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
                 warm_start=entries[-1].v if entries else None))
         except _SOLVE_FAILURES as exc:
             failures[r] = f"{type(exc).__name__}: {exc}"
-    if not entries:
-        raise EmptyPath("no grid point converged")
     return ContinuationPath(entries=entries, failures=failures)
 
 

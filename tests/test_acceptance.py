@@ -114,7 +114,7 @@ def test_criterion_2_nondegeneracy():
     checks["L=0 generalized kernel 6"] = zero_l_alg == 6
     checks["triangle generalized kernel 4"] = \
         _multiplier_one_dims(tri) == (3, 4)
-    zero_l_cond = eq.triangle_conditions(1.0, 1.0, -0.5)
+    zero_l_cond = eq.triangle_conditions(VortexSystem([1.0, 1.0, -0.5]))
     checks["L=0 verdict degenerate"] = not (
         zero_l_mono.nondegenerate and zero_l_cond.predicted_nondegenerate)
 
@@ -125,7 +125,7 @@ def test_criterion_2_nondegeneracy():
     agree, count = True, 0
     while count < 20:
         g = rng.uniform(-2.0, 2.0, size=3)
-        cond = eq.triangle_conditions(*g)
+        cond = eq.triangle_conditions(VortexSystem(g))
         margins = (abs(cond.gamma), cond.L,
                    abs(cond.L - cond.sumsq), *np.abs(g))
         if min(margins) <= 0.1:

@@ -156,6 +156,41 @@ def test_equilibrium_overflow_exits_2(argv, what, capsys):
     assert "multipliers" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gamma=1.9796693926436713,-0.7362258185291992,-1.2691504842937502",
+     "--side", "2.676264927520988"],
+    ["--gamma=4.804514059157343e-07,-2.5676726281675534e-07,"
+     "-2.1871444823363987e-07", "--side", "67.18000813294154"],
+], ids=["side-2.7", "gamma-1e-7"])
+def test_equilibrium_multiplier_past_the_float_range_reads_inf(argv, capsys):
+    """A shape pair lambda = +-117.4 puts e^{2 pi lambda} past the float
+    range: that multiplier reads inf, with no warning, and the verdict read
+    off B stands."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["equilibrium", "--type", "triangle", *argv,
+                     "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: nondegenerate" in out
+    assert out.count("|mu| = inf)") == 1
+
+
+def test_triangle_certification_builds_one_vortex_system(monkeypatch, capsys):
+    """The triangle conditions read the seed's own VortexSystem."""
+    built = []
+    post_init = core.VortexSystem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(core.VortexSystem, "__post_init__", counted)
+    assert main(["equilibrium", "--type", "triangle", "--gamma=1,2,3",
+                 "--side", "1", "--check"]) == 0
+    assert "verdict: nondegenerate" in capsys.readouterr().out
+    assert len(built) == 1
+
+
 def test_equilibrium_huge_size_exits_2(capsys):
     """omega = Gamma / (pi sep^2) underflows to 0, which no equilibrium has."""
     assert main(["equilibrium", "--type", "pair", "--gamma=1,2",
@@ -388,11 +423,19 @@ def test_continue_failed_grid_points_exit_1(tmp_path, capsys):
 
 
 def test_continue_with_no_converged_grid_point_exits_1(tmp_path, capsys):
+    """No r converges: the summary still names each r and its reason, and
+    the 80% quota sets the exit code."""
     out = tmp_path / "empty"
     assert main(["continue", "--modes", "8", "--r-max", "3", "--r-min", "2",
                  "--r-steps", "3", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: no grid point converged\n"
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].split() == ["r", "vnorm", "residual", "phase", "iters"]
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "FAILED r=3", "FAILED r=2.44949", "FAILED r=2"]
+    assert (out / "orbit_summary.txt").read_text() == captured.out
+    assert sorted(os.listdir(out)) == ["orbit_summary.txt"]
 
 
 @pytest.mark.parametrize("flags", [

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from nvortex import core, equilibria as eq
+from nvortex import core, equilibria as eq, loops as lp
 from nvortex.core import VortexSystem
 from nvortex.errors import ZeroTotalVorticity
 
@@ -17,14 +17,14 @@ def test_pair_omega_and_residual():
     pair = eq.make_pair(1.0, 1.0, 2.0)
     assert pair.omega == pytest.approx(2.0 / (np.pi * 4.0), rel=1e-14)
     assert eq.residual_HS0(pair) < 1e-12
-    assert np.linalg.norm(pair.center_of_vorticity()) < 1e-14
+    assert np.linalg.norm(pair.sys.gammas @ pair.z.reshape(-1, 2)) < 1e-14
 
 
 def test_pair_asymmetric():
     pair = eq.make_pair(2.0, 0.5, 1.5)
     assert pair.omega == pytest.approx(2.5 / (np.pi * 1.5**2), rel=1e-14)
     assert eq.residual_HS0(pair) < 1e-12
-    assert np.linalg.norm(pair.center_of_vorticity()) < 1e-14
+    assert np.linalg.norm(pair.sys.gammas @ pair.z.reshape(-1, 2)) < 1e-14
 
 
 def test_pair_zero_total_vorticity_rejected():
@@ -53,6 +53,40 @@ def test_residual_is_free_of_scale(seed):
     assert eq.residual_HS0(bent) > eq.RESIDUAL_TOL
 
 
+def _residual_by_rotation(rel):
+    """The residual's defining form: the block norm of
+    Gamma_k Zdot_k(0) - J grad_k H0(z), with Z(t) = e^{-omega J t} z built
+    from the explicit rotation, over the largest block of grad H0."""
+    c, s = np.cos(rel.omega * 0.0), np.sin(rel.omega * 0.0)
+    blocks = rel.z.reshape(-1, 2) @ np.array([[c, -s], [s, c]]).T
+    zdot = -rel.omega * blocks @ core.J2.T
+    grad = core.grad_H0(rel.sys, rel.z).reshape(-1, 2)
+    defect = rel.sys.gammas[:, None] * zdot - grad @ core.J2.T
+    return float(np.hypot(*defect.T).max() / np.hypot(*grad.T).max())
+
+
+_vorticity = st.floats(0.05, 5.0) | st.floats(-5.0, -0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["pair", "triangle", "thomson"]),
+       g=st.tuples(_vorticity, _vorticity, _vorticity),
+       size=st.floats(0.1, 10.0), n=st.integers(2, 8),
+       bend=st.sampled_from([0.0, 1e-9, -1e-6, 0.3]))
+def test_residual_equals_its_rotation_form_bitwise(kind, g, size, n, bend):
+    """omega Gamma_k z_k + grad_k H0 is -J (Gamma_k Zdot_k(0) - J grad_k H0)
+    term by term, and J only swaps and negates: the two forms agree to the
+    bit on seeds whose omega is not normalized, and on bent omegas."""
+    try:
+        seed = {"pair": lambda: eq.make_pair(g[0], g[1], size),
+                "triangle": lambda: eq.make_triangle(*g, size),
+                "thomson": lambda: eq.make_thomson(n, g[0], size)}[kind]()
+    except ZeroTotalVorticity:
+        assume(False)
+    rel = eq.RelativeEquilibrium(seed.sys, seed.z, seed.omega * (1 + bend))
+    assert eq.residual_HS0(rel).hex() == _residual_by_rotation(rel).hex()
+
+
 @pytest.mark.parametrize("gammas", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0),
                                     (1.0, 1.0, -0.5), (0.3, -0.2, 1.7)])
 def test_triangle_residual_and_omega(gammas):
@@ -60,7 +94,7 @@ def test_triangle_residual_and_omega(gammas):
     total = sum(gammas)
     assert tri.omega == pytest.approx(total / (np.pi * 1.3**2), rel=1e-13)
     assert eq.residual_HS0(tri) < 1e-12
-    assert np.linalg.norm(tri.center_of_vorticity()) < 1e-13
+    assert np.linalg.norm(tri.sys.gammas @ tri.z.reshape(-1, 2)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -107,11 +141,12 @@ def test_normalize_period():
 
 
 def test_rotation_solves_flow():
-    tri = eq.make_triangle(1.0, 2.0, 3.0, 1.0)
+    tri = eq.normalize_period(eq.make_triangle(1.0, 2.0, 3.0, 1.0))
+    frame = lp.build_frame(tri.z, tri.omega, 1)
     t = 0.37
-    z_t = tri.config_at(t)
+    z_t = frame.eval(t)
     rhs = core.vortex_rhs(tri.sys, core.Plane(), z_t)
-    assert np.allclose(rhs, tri.zdot_at(t), atol=1e-12)
+    assert np.allclose(rhs, lp.differentiate(frame).eval(t), atol=1e-12)
 
 
 def test_relative_equilibria_compare_by_value():
@@ -150,8 +185,9 @@ def test_monodromy_fixes_known_kernel_vectors():
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     rep = eq.monodromy(pair)
     W = rep.matrix
+    zdot = lp.differentiate(lp.build_frame(pair.z, pair.omega, 1)).eval(0.0)
     for e in (np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]),
-              pair.zdot_at(0.0)):
+              zdot):
         assert np.linalg.norm(W @ e - e) < 1e-6 * max(1.0, np.linalg.norm(e))
 
 
@@ -239,21 +275,28 @@ def test_L_zero_triangle_jordan_structure():
 
 
 def test_triangle_conditions_arithmetic():
-    ok = eq.triangle_conditions(1.0, 2.0, 3.0)
+    ok = eq.triangle_conditions(VortexSystem([1.0, 2.0, 3.0]))
     assert ok.predicted_nondegenerate
     assert ok.L == pytest.approx(11.0)
     assert ok.sumsq == pytest.approx(14.0)
 
-    l_zero = eq.triangle_conditions(1.0, 1.0, -0.5)
+    l_zero = eq.triangle_conditions(VortexSystem([1.0, 1.0, -0.5]))
     assert not l_zero.L_ok
     assert not l_zero.predicted_nondegenerate
 
-    equal = eq.triangle_conditions(1.0, 1.0, 1.0)
+    equal = eq.triangle_conditions(VortexSystem([1.0, 1.0, 1.0]))
     assert not equal.L_neq_sumsq
     assert not equal.predicted_nondegenerate
 
     with pytest.raises(ValueError):
-        eq.triangle_conditions(0.0, 1.0, 1.0)
+        eq.triangle_conditions(VortexSystem([0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("gammas", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+def test_triangle_conditions_refuse_other_counts(gammas):
+    with pytest.raises(ValueError, match=f"a triangle has 3 vortices, "
+                                         f"got {len(gammas)}"):
+        eq.triangle_conditions(VortexSystem(gammas))
 
 
 def _flags(cond):
@@ -269,8 +312,8 @@ def test_triangle_conditions_are_free_of_scale(g, k):
     c = 1 the integer vorticities make Gamma, L and sumsq - L integers:
     each condition is exactly 0 or at least 1 from it."""
     c = 10.0**k
-    assert _flags(eq.triangle_conditions(*(c * x for x in g))) == \
-        _flags(eq.triangle_conditions(*g))
+    assert _flags(eq.triangle_conditions(VortexSystem([c * x for x in g]))) \
+        == _flags(eq.triangle_conditions(VortexSystem(g)))
 
 
 def test_monodromy_det_one():
@@ -338,7 +381,7 @@ def test_unstable_triangle_kernel_is_three(g):
     """L < 0, so the shape pair lambda^2 = -3L/Gamma^2 is real and W grows
     like e^{2 pi lambda}.  The triangle conditions hold, so ker(W - I) is
     the two translations and the phase: 3."""
-    assert eq.triangle_conditions(*g).predicted_nondegenerate
+    assert eq.triangle_conditions(VortexSystem(g)).predicted_nondegenerate
     rep = eq.monodromy(eq.normalize_period(eq.make_triangle(*g, 1.0)))
     assert np.abs(rep.multipliers).max() > 1e3
     assert rep.kernel_dim == 3 and rep.nondegenerate

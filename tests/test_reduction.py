@@ -13,7 +13,7 @@ from nvortex import core, equilibria as eq, loops as lp, reduction as rd
 from nvortex.core import (HalfPlane, Plane, TranslatedDomain, UnitDisk,
                           VortexSystem)
 from nvortex.errors import (CollisionError, ContractionFailure,
-                            DegenerateFrame, DomainError, EmptyPath,
+                            DegenerateFrame, DomainError,
                             NoConvergence, PhaseDefect, SingularOperator,
                             ZeroTotalVorticity)
 
