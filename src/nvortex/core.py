@@ -14,6 +14,7 @@ array of shape ``(..., 2N)`` holding the stacked planar positions.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ CRITICAL_GRAD_TOL = 1e-10
 CRITICAL_MAX_ITER = 50
 CRITICAL_SV_RATIO = 1e-10
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class VortexSystem:
@@ -59,6 +62,12 @@ class VortexSystem:
         for name, a in (("gammas", g), ("_h0_col", -(g[:, None] / np.pi)),
                         ("_f_col", 2.0 * g[:, None])):
             object.__setattr__(self, name, _read_only(a))
+        # the total and its rounding bound, each term scaled before the sum
+        # so the bound cannot overflow; the total may, and nonzero_total says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(g.sum())
+        bound = float(((g.size - 1) * _EPS * np.abs(g)).sum())
+        object.__setattr__(self, "_total", (total, bound))
 
     @property
     def n(self) -> int:
@@ -70,14 +79,16 @@ class VortexSystem:
         most (N-1)u sum|gamma_k| to first order, u = eps/2, in any order
         (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
         ch. 4), and rounding the gamma_k from decimal input by u sum|gamma_k|.
-        A zero-sum system translates instead of rotating."""
-        total = finite("the total vorticity overflows", self.gammas.sum)
-        bound = np.sum((self.n - 1) * np.finfo(float).eps * np.abs(self.gammas))
-        if abs(total) <= bound:  # each term scaled before the sum: no overflow
+        A zero-sum system translates instead of rotating.  Both numbers are
+        computed once, with the system."""
+        total, bound = self._total
+        if not math.isfinite(total):
+            raise ValueError("the total vorticity overflows")
+        if abs(total) <= bound:
             raise ZeroTotalVorticity(
                 f"zero-sum vorticities: a rotating seed needs a nonzero total, "
                 f"got {total:.3g}, within the rounding bound {bound:.3g} of 0")
-        return float(total)
+        return total
 
     def m_gamma_diag(self) -> np.ndarray:
         """Diagonal of M_Gamma: each vorticity repeated twice."""
@@ -443,6 +454,31 @@ def _grad_H0(sys, p):
     field = np.einsum("j,...kjx->...kx", sys.gammas,
                       d / (dist2 + _eye(sys.n))[..., None])
     return sys._h0_col * field
+
+
+def grad_H0_increment(sys: VortexSystem, z, dz):
+    """grad_H0(z + dz) - grad_H0(z) without cancellation.  Per pair, with
+    d = z_k - z_j and delta = dz_k - dz_j,
+
+        (d + delta)/|d + delta|^2 - d/|d|^2
+            = (delta |d|^2 - d (2 d.delta + |delta|^2)) / (|d + delta|^2 |d|^2),
+
+    every term of which is O(|delta|), so the increment keeps its digits
+    relative to |delta| where the difference of two grad_H0 calls loses
+    them to the O(1) terms that cancel.  CollisionError unless z and z + dz
+    are both separated; z and dz broadcast."""
+    z, dz = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                np.asarray(dz, dtype=float))
+    p, dp = _as_points(z), _as_points(dz)
+    d, dist2 = _separated_pairs(p)
+    new2 = _separated_pairs(p + dp)[1]
+    e, e2 = _pair_differences(dp)
+    de = np.einsum("...x,...x->...", d, e)
+    num = e * dist2[..., None] - d * (2.0 * de + e2)[..., None]
+    # on the diagonal num is 0 and the unit keeps the quotient finite
+    field = np.einsum("j,...kjx->...kx", sys.gammas,
+                      num / (new2 * dist2 + _eye(sys.n))[..., None])
+    return (sys._h0_col * field).reshape(z.shape)
 
 
 def _assemble_pairs(off, diag):

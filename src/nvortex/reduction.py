@@ -17,13 +17,17 @@ frozen-Jacobian fixed-point iteration
     v  <-  v - L_r^{-1} [P_X grad J_r(Z + v)]
 
 or by damped Newton, the same loop with L_r assembled at each iterate,
-and continued down a geometric grid of the scale parameter r.
+and continued down a geometric grid of the scale parameter r.  The
+iterates read grad J_r in increment form about the seed, and each r is
+solved at the fewest modes, doubling up to a cap, whose residual tail
+shows the truncation to be resolved.
 Un-rescaling z(t) = a0 + r u(t / r^2) produces orbits of the physical
 system with period 2*pi*r^2.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -47,13 +51,25 @@ from .loops import Loop
 
 ORBIT_SCHEMA_VERSION = 1
 
-# an r fails if the top quarter of modes holds this share of the H^1 mass
-MAX_SPECTRAL_TAIL = 1e-8
 # an operator whose cond(A) or cond(D) exceeds this raises SingularOperator
 MAX_COND = 1e12
 # the one stop: FixedPoint ends once the step it just took, Newton once the
 # projected residual at its iterate, has norm at most this
 SOLVE_TOL = 1e-11
+# each r is solved first at this many modes (or the cap, if smaller): 15
+# columns for a pair, where the default cap's 32 modes are 127.  Measured in
+# process (medians of 6, 2 vCPU) at a start of 1, 2 and 4 modes: the default
+# disk pair 75, 84 and 85 ms, where every orbit lies in mode 1; the (1, 3)
+# pair in a quartic domain, whose orbits use modes 3 to 31, 107, 98 and 75
+# ms.  4 gives the disk up about a tenth to save the other a third.
+START_MODES = 4
+# the seed's own plane residual -J M Z' - grad H0(Z), which the increment
+# form drops, over the largest block of grad H0(Z), may be at most this times
+# kappa = sum|gamma_k| / |Gamma|, the condition of the total vorticity.
+# Roundoff leaves at most 20 eps kappa (measured over 4000 random pairs and
+# triangles, the perfbench pools and Thomson rings of 2 to 20, 32 modes);
+# an omega off by delta (relative) leaves delta.
+SEED_TOL = 1e-13
 # either solver raises NoConvergence after this many steps
 MAX_ITER = 200
 # FixedPoint raises ContractionFailure after 3 straight step ratios above this
@@ -101,7 +117,7 @@ class ReducedSolution:
     phase_defect: float
     vnorm: float
     iterations: int
-    spectral_tail: float
+    residual_tail: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +164,32 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
     field = -core.grad_H0(sys, pts)
     if r > 0:
         field = field + r * core.grad_F(sys, domain, r * pts)
-    nonlin = loops.from_samples(field, u.modes)
-    du = loops.differentiate(u)
-    jm = (sys.j_n() @ sys.m_gamma())
-    lin = Loop(-du.coeffs @ jm.T)
-    return loops.inv_id_minus_laplace(lin + nonlin)
+    return _smoothed_gradient(sys, u, field)
+
+
+def _smoothed_gradient(sys: VortexSystem, w: Loop, field: np.ndarray) -> Loop:
+    """(id-Lap)^{-1} of -J M w' plus the field sampled on the dealias nodes."""
+    jm = sys.j_n() @ sys.m_gamma()
+    lin = Loop(-loops.differentiate(w).coeffs @ jm.T)
+    return loops.inv_id_minus_laplace(lin + loops.from_samples(field, w.modes))
+
+
+def grad_J_r_increment(domain: DomainModel, r: float, basis: XBasis,
+                       v: Loop) -> Loop:
+    """grad_J_r at Z + v less the seed's plane residual -J M Z' - grad H0(Z),
+    which is 0 in exact arithmetic (build_x_basis checks it):
+
+        (id-Lap)^{-1} [-J M v' - (grad H0(Z + v) - grad H0(Z)) + r grad F(r u)],
+
+    with the bracket from core.grad_H0_increment, so no O(1) terms cancel
+    and the residual stays accurate relative to |v| as r -> 0.  v has the
+    basis's mode count."""
+    core.check_r(r)
+    dv = loops.sample(v, loops.dealias_samples(v.modes))
+    field = -core.grad_H0_increment(basis.sys, basis.pts, dv)
+    if r > 0:
+        field = field + r * core.grad_F(basis.sys, domain, r * (basis.pts + dv))
+    return _smoothed_gradient(basis.sys, v, field)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +201,10 @@ class XBasis:
     rotation) and zdot = Z', with the H^1-orthonormal basis of the odd part
     of X = (R Z')^perp, the loops of X with u(t + pi) = -u(t), as flattened
     columns; column j lies in mode col_modes[j].  weights is the diagonal
-    H^1 Gram in flat coordinates.  h0 is H0'' along Z on the
-    dealias_samples(modes) nodes: the r-independent part of every operator
-    assembled at Z.
+    H^1 Gram in flat coordinates.  pts is Z on the dealias_samples(modes)
+    nodes, and h0 is H0'' there: the r-independent part of every operator
+    assembled at Z.  family holds the bases of the same seed by mode count,
+    shared by all of them, so `at` builds each mode count once.
     """
 
     sys: VortexSystem
@@ -175,11 +213,25 @@ class XBasis:
     matrix: np.ndarray  # (dim_total, dim_X)
     weights: np.ndarray
     col_modes: np.ndarray
+    pts: np.ndarray  # (m, 2N)
     h0: np.ndarray  # (m, 2N, 2N)
+    family: dict = dataclasses.field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def modes(self) -> int:
+        return self.Z.modes
+
+    def at(self, modes: int) -> XBasis:
+        """The basis of the same seed at `modes`, built once for the family."""
+        self.family.setdefault(self.modes, self)
+        if modes not in self.family:
+            self.family[modes] = dataclasses.replace(
+                build_x_basis(self.sys, self.Z.pad(modes)), family=self.family)
+        return self.family[modes]
 
     def coords(self, u: Loop) -> np.ndarray:
         return self.matrix.T @ (self.weights * loops.flatten(u.pad(self.Z.modes)))
@@ -191,14 +243,35 @@ class XBasis:
         return loops.unflatten(self.matrix[:, j], self.Z.n, self.Z.modes)
 
 
+def _check_seed(sys: VortexSystem, zdot: Loop, pts: np.ndarray) -> None:
+    """DegenerateFrame unless the plane residual -J M Z' - grad H0(Z) on the
+    nodes pts, over the largest block of grad H0(Z), is at most SEED_TOL
+    kappa: the increment form drops it as 0."""
+    grad = core.grad_H0(sys, pts)
+    jm = sys.j_n() @ sys.m_gamma()
+    defect = -loops.sample(zdot, pts.shape[0]) @ jm.T - grad
+
+    def largest_block(a):
+        return np.hypot(a[:, 0::2], a[:, 1::2]).max()
+    ratio = largest_block(defect) / largest_block(grad)
+    bound = SEED_TOL * np.abs(sys.gammas).sum() / abs(sys.nonzero_total())
+    if not ratio <= bound:
+        raise DegenerateFrame(
+            f"the seed is not a relative equilibrium of its system: plane "
+            f"residual {ratio:.3e} of grad H0, above {bound:.3e}")
+
+
 def build_x_basis(sys: VortexSystem, Z: Loop) -> XBasis:
     """Mode by mode: the complement of Z' in mode 1 (the SVD null space
     scipy.linalg.null_space returns), then the unit coefficients of each odd
-    mode k >= 3, all scaled to unit H^1 norm; with them, hess_H0 along Z.
-    DegenerateFrame unless the seed Z is a one-mode loop."""
+    mode k >= 3, all scaled to unit H^1 norm; with them, Z and hess_H0 on
+    the dealias nodes.  DegenerateFrame unless the seed Z is a one-mode loop
+    whose plane residual passes the seed check."""
     n, modes, zdot = Z.n, Z.modes, loops.differentiate(Z)
     if np.any(Z.coeffs[0]) or np.any(Z.coeffs[3:]):
         raise DegenerateFrame("the seed Z must be a one-mode loop")
+    pts = loops.sample(Z, loops.dealias_samples(modes))
+    _check_seed(sys, zdot, pts)
     w = loops.h1_weight_vector(n, modes)
     flat_modes = (np.arange(w.size) // (2 * n) + 1) // 2
     high = np.flatnonzero((flat_modes % 2 == 1) & (flat_modes >= 3))
@@ -208,9 +281,8 @@ def build_x_basis(sys: VortexSystem, Z: Loop) -> XBasis:
     mat[high, k1 + np.arange(high.size)] = 1.0
     mat /= np.sqrt(w)[:, None]
     col_modes = np.concatenate([np.ones(k1, int), flat_modes[high]])
-    h0 = core.hess_H0(sys, loops.sample(Z, loops.dealias_samples(modes)))
     return XBasis(sys=sys, Z=Z, zdot=zdot, matrix=mat, weights=w,
-                  col_modes=col_modes, h0=h0)
+                  col_modes=col_modes, pts=pts, h0=core.hess_H0(sys, pts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +348,11 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
     """
     core.check_r(r)
     sys, n, modes = basis.sys, basis.Z.n, basis.Z.modes
-    base_pts = loops.sample(base or basis.Z, loops.dealias_samples(modes))
-    hmats = basis.h0 if base is None else core.hess_H0(sys, base_pts)
+    if base is None:
+        base_pts, hmats = basis.pts, basis.h0
+    else:
+        base_pts = loops.sample(base, loops.dealias_samples(modes))
+        hmats = core.hess_H0(sys, base_pts)
     even = _repeats_after_pi(hmats)
     if r > 0:
         fmats = core.hess_F(sys, domain, r * base_pts)
@@ -324,40 +399,39 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
 # ---------------------------------------------------------------------------
 # reduced solve
 
-def _spectral_tail(u: Loop) -> float:
-    """Relative H^1 mass carried by the top quarter of the mode range."""
-    w = loops.h1_weights(u.modes)
-    per_row = w * np.sum(u.coeffs**2, axis=1)
-    cutoff = 2 * int(np.ceil(0.75 * u.modes)) + 1
-    return float(per_row[cutoff:].sum() / per_row.sum())  # u = 0 is a collision
+def tail_bound(modes: int) -> float:
+    """The most residual tail an M-mode solution may leave: SOLVE_TOL/(2M+1).
+
+    The tail is the H^1 norm above mode M of grad J_r at u padded to 2M+1
+    modes.  Every mode above 1 lies wholly in X, so the tail is the part of
+    the padded problem's projected residual that the M-mode solve cannot
+    see, and the step a solve on 2M+1 modes would take from the padded u is
+    about L^{-1} of it.  On mode k the operator is the rotation term
+    (id-Lap)^{-1} J M d/dt, of size k/(1+k^2), plus O(1/k^2), so |L^{-1}|
+    grows like the top mode 2M+1 (7.2, 15.1, 31.1 and 63.0 at 8, 16, 32 and
+    64 modes for the equal pair).  A tail at this bound thus asks for a step
+    of about SOLVE_TOL, the size at which FixedPoint stops."""
+    return SOLVE_TOL / (2 * modes + 1)
 
 
-def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
-                  params: SolverParams,
-                  warm_start: Loop | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X from the
-    seed in `basis`.  FixedPoint (the chord method) and Newton run one loop
-    with three settings: the operator is assembled once at the seed, or at
-    each iterate; the stop reads the step just taken, or the projected
-    residual at the iterate (so Newton may take 0 steps); the guards are
-    contraction and divergence, or an 8-halving line search.  The one
-    verdict on r: PhaseDefect or NoConvergence refuses a v whose full
-    gradient or spectral tail is too large."""
+def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
+              y: np.ndarray) -> tuple:
+    """The solve loop on one basis, from the coordinates y: (y, steps).
+    One residual per iterate, P_X grad J_r in increment form at Z + v in
+    the basis, read by the stop and the next step."""
     import scipy.linalg  # slow import; only a solve needs the LU
-    Z, newton = basis.Z, params.mode == "Newton"
+    Z = basis.Z
 
-    def gradient(y):  # at Z + v, with its coordinates P_X grad in the basis
-        grad = grad_J_r(basis.sys, domain, r, Z + basis.to_loop(y))
-        return grad, basis.coords(grad)
+    def residual(y):
+        return basis.coords(grad_J_r_increment(domain, r, basis, basis.to_loop(y)))
 
-    y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
-    (grad, res), lu = gradient(y), None  # one gradient per iterate, read by all
+    res, lu = residual(y), None
     eps_ball = 0.5 * core.min_separation(Z.a(1))  # a flat 2N-vector, not a batch
     step_norm, guard_strikes = np.inf, 0
     for it in range(MAX_ITER + 1):  # `it` steps taken
         size = np.linalg.norm(res) if newton else step_norm
         if size <= SOLVE_TOL:
-            break
+            return y, it
         if it == MAX_ITER:
             solver, measure = (("Newton", "residual") if newton
                                else ("fixed point", "step norm"))
@@ -373,7 +447,7 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
             for alpha in 0.5 ** np.arange(8):
                 y_try = y + alpha * step
                 try:
-                    grad_try, res_try = gradient(y_try)
+                    res_try = residual(y_try)
                     if np.linalg.norm(res_try) < size:
                         break
                 except (CollisionError, DomainError):
@@ -382,7 +456,7 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
                 raise NoConvergence(
                     f"Newton line search failed at r={r:.5g}: 8 halvings of "
                     f"the step did not lower the residual {size:.3e}")
-            y, grad, res = y_try, grad_try, res_try
+            y, res = y_try, res_try
         else:
             y, prev_step, step_norm = y + step, step_norm, np.linalg.norm(step)
             if 1e-15 < prev_step < np.inf:
@@ -398,21 +472,50 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
             if np.linalg.norm(y) > max(10 * eps_ball, 1e3):
                 raise ContractionFailure(
                     f"iterates diverge at r={r:.5g} (|v| = {np.linalg.norm(y):.3e})")
-            grad, res = gradient(y)
+            res = residual(y)
 
-    v = basis.to_loop(y)
-    u = Z + v
-    residual, vnorm, tail = loops.h1_norm(grad), loops.h1_norm(v), _spectral_tail(u)
+
+def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
+                  params: SolverParams,
+                  warm_start: Loop | None = None) -> ReducedSolution:
+    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X from the
+    seed in `basis`, first at the basis's mode count M.  FixedPoint (the
+    chord method) and Newton run one loop with three settings: the operator
+    is assembled once at the seed, or at each iterate; the stop reads the
+    step just taken, or the projected residual at the iterate (so Newton may
+    take 0 steps); the guards are contraction and divergence, or an
+    8-halving line search.  Each converged v is checked once in full form,
+    by grad_J_r at Z + v padded to 2M+1 modes: while the residual tail above
+    mode M exceeds tail_bound(M), M doubles, up to params.modes, and the
+    solve goes on from the padded v.  The one verdict on r: NoConvergence
+    for a tail at the cap, or PhaseDefect for a full gradient up to mode M,
+    that is too large; `iterations` counts the steps over every M."""
+    newton = params.mode == "Newton"
+    y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
+    steps = 0
+    while True:
+        y, it = _converge(domain, r, basis, newton, y)
+        steps += it
+        v = basis.to_loop(y)
+        grad = grad_J_r(basis.sys, domain, r, (basis.Z + v).pad(2 * basis.modes + 1))
+        head = grad.pad(basis.modes)
+        tail = loops.h1_norm(grad - head)
+        if tail <= tail_bound(basis.modes) or basis.modes >= params.modes:
+            break
+        basis = basis.at(min(2 * basis.modes, params.modes))
+        y = basis.coords(v)
+    if tail > tail_bound(basis.modes):
+        raise NoConvergence(
+            f"residual tail {tail:.3e} above {tail_bound(basis.modes):.3e} "
+            f"at {basis.modes} modes, r={r:.5g}")
+    residual, vnorm = loops.h1_norm(head), loops.h1_norm(v)
     if residual > 10 * SOLVE_TOL * (vnorm + 1.0):
         raise PhaseDefect(
             f"full gradient {residual:.3e} exceeds 10x the solver "
             f"tolerance at r={r:.5g}; the phase component did not vanish")
-    if tail >= MAX_SPECTRAL_TAIL:
-        raise NoConvergence(
-            f"spectral tail {tail:.3e} above {MAX_SPECTRAL_TAIL:g} at r={r:.5g}")
-    return ReducedSolution(r=r, v=v, u=u, residual_grad=residual,
-                           phase_defect=abs(loops.h1_inner(grad, basis.zdot)),
-                           vnorm=vnorm, iterations=it, spectral_tail=tail)
+    return ReducedSolution(r=r, v=v, u=basis.Z + v, residual_grad=residual,
+                           phase_defect=abs(loops.h1_inner(head, basis.zdot)),
+                           vnorm=vnorm, iterations=steps, residual_tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +529,16 @@ _SOLVE_FAILURES = (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
 def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
                   a0: np.ndarray, params: SolverParams) -> ContinuationPath:
     """Solve each r of the grid, from r_max down, each warm-started from the
-    last converged r, on the basis of the period-normalized equilibrium
-    `seed` at params.modes, in `domain` recentred at a0; a failed r is
-    recorded in `failures`, so a path where none converges has only
-    failures.  ZeroTotalVorticity for a zero-sum seed."""
+    last converged r, in `domain` recentred at a0, on the basis of the
+    period-normalized equilibrium `seed` at START_MODES (or params.modes if
+    fewer), which solve_reduced doubles up to params.modes as the residual
+    tail asks; the bases of every mode count are built once for the path.
+    A failed r is recorded in `failures`, so a path where none converges
+    has only failures.  ZeroTotalVorticity for a zero-sum seed."""
     seed.sys.nonzero_total()
     work_domain = TranslatedDomain(domain, a0)
-    basis = build_x_basis(
-        seed.sys, loops.build_frame(seed.z, seed.omega, params.modes))
+    basis = build_x_basis(seed.sys, loops.build_frame(
+        seed.z, seed.omega, min(START_MODES, params.modes)))
     entries, failures = [], {}
     for r in map(float, params.r_grid()):
         try:

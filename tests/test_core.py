@@ -1,9 +1,12 @@
 """Energy functions, domain models, and Robin critical points."""
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nvortex import cli, core, dynamics as dyn, equilibria as eq, loops as lp
 from nvortex import reduction as rd
@@ -72,6 +75,77 @@ def test_grad_H0_matches_fd():
     g = core.grad_H0(sys3, z)
     fd = fd_grad(lambda x: core.eval_H0(sys3, x), z)
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def _exact_pair_sums(gammas, z, dz):
+    """sum_j G_j [(d + delta)/|d + delta|^2 - d/|d|^2] per vortex k, in exact
+    rational arithmetic on the float inputs, with d = z_k - z_j and
+    delta = dz_k - dz_j; and the scale sum_j |G_j| |delta|/(|d||d + delta|)
+    of its terms, each of which has exactly that size."""
+    p = [[Fraction(x) for x in row] for row in np.reshape(z, (-1, 2))]
+    q = [[Fraction(x) for x in row] for row in np.reshape(dz, (-1, 2))]
+    sums, scales = np.zeros((len(p), 2)), np.zeros(len(p))
+    for k in range(len(p)):
+        acc = [Fraction(0), Fraction(0)]
+        for j in range(len(p)):
+            if j == k:
+                continue
+            d = [p[k][a] - p[j][a] for a in (0, 1)]
+            e = [d[a] + q[k][a] - q[j][a] for a in (0, 1)]
+            nd, ne = d[0] ** 2 + d[1] ** 2, e[0] ** 2 + e[1] ** 2
+            g = Fraction(gammas[j])
+            acc = [acc[a] + g * (e[a] / ne - d[a] / nd) for a in (0, 1)]
+            delta = float((e[0] - d[0]) ** 2 + (e[1] - d[1]) ** 2) ** 0.5
+            scales[k] += abs(gammas[j]) * delta / float(nd * ne) ** 0.5
+        sums[k] = [float(a) for a in acc]
+    return sums, scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       size=st.floats(-12, 0))
+def test_grad_H0_increment_is_exact_to_rounding(n, seed, size):
+    """The increment of grad H0 from z to z + dz, for random vorticities,
+    separated z and |dz| = 10^size from 1e-12 to O(1), equals the exact
+    difference block by block to 64 eps of the size of its terms, a scale
+    proportional to |delta|: it keeps its digits where the difference of
+    two grad_H0 calls, which agrees with it to that difference's own
+    rounding, loses them."""
+    rng = np.random.default_rng(seed)
+    gammas = rng.uniform(0.2, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    sys = VortexSystem(gammas)
+    z = rng.uniform(-1.0, 1.0, 2 * n)
+    dz = rng.normal(size=2 * n)
+    dz *= 10.0 ** size / np.linalg.norm(dz)
+    assume(core.min_separation(z) > 0.2 and core.min_separation(z + dz) > 0.05)
+    got = core.grad_H0_increment(sys, z, dz).reshape(n, 2)
+    sums, scales = _exact_pair_sums(gammas, z, dz)
+    col = np.abs(sys._h0_col)
+    exact = sys._h0_col * sums
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - exact) <= 64 * eps * col * scales[:, None])
+    # the difference of two calls errs by eps times its O(1) terms
+    diff = (core.grad_H0(sys, z + dz) - core.grad_H0(sys, z)).reshape(n, 2)
+    d = z.reshape(-1, 1, 2) - z.reshape(1, -1, 2)
+    big = np.abs(gammas) @ (1 / (np.linalg.norm(d, axis=-1) + np.eye(n)))
+    spread = 1 + np.abs(z).max() / core.min_separation(z + dz)
+    assert np.all(np.abs(got - diff) <= 64 * eps * col * (big * spread)[:, None])
+
+
+def test_grad_H0_increment_broadcasts_and_guards_collisions():
+    """A batch of increments about one z, as the solver's sample stack,
+    equals the increments one by one; z + dz within COLLISION_TOL raises."""
+    sys = VortexSystem([1.0, 2.0, -0.5])
+    z = np.array([0.3, 0.0, -0.2, 0.1, 0.0, -0.4])
+    dz = 1e-3 * RNG.normal(size=(5, 6))
+    batch = core.grad_H0_increment(sys, z, dz)
+    assert batch.shape == (5, 6)
+    for row, step in zip(batch, dz):
+        assert np.array_equal(row, core.grad_H0_increment(sys, z, step))
+    merge = np.zeros(6)
+    merge[0:2] = z[2:4] - z[0:2]
+    with pytest.raises(CollisionError):
+        core.grad_H0_increment(sys, z, merge)
 
 
 def test_hess_H0_matches_fd_and_symmetric():
@@ -525,6 +599,50 @@ def test_zero_total_rule(gammas, total):
             system.nonzero_total()
     else:
         assert system.nonzero_total() == total
+
+
+def _total_and_bound(gammas):
+    """The total and its rounding bound as the rule first computed them."""
+    with np.errstate(all="ignore"):
+        total = gammas.sum()
+    return total, np.sum((gammas.size - 1) * np.finfo(float).eps * np.abs(gammas))
+
+
+def _nonzero_total_reference(gammas):
+    """The zero-total rule as first written, with np.sum at each call."""
+    total = core.finite("the total vorticity overflows", gammas.sum)
+    bound = _total_and_bound(gammas)[1]
+    if abs(total) <= bound:
+        raise ZeroTotalVorticity(
+            f"zero-sum vorticities: a rotating seed needs a nonzero total, "
+            f"got {total:.3g}, within the rounding bound {bound:.3g} of 0")
+    return float(total)
+
+
+_VORTICITY = st.floats(-8e307, 8e307, allow_nan=False).filter(lambda g: g != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gammas=st.lists(_VORTICITY, min_size=1, max_size=12),
+       close=st.sampled_from([None, 0.0, 1.0, -1.0, 2.0**-52, 0.5]))
+def test_zero_total_rule_matches_its_reference(gammas, close):
+    """nonzero_total, computed once with the system, gives the verdict, the
+    value and the message of the rule evaluated at each call: on random
+    vorticities, and on lists closed to a total near 0 by one more term;
+    the stored total and bound are those numbers, bit for bit."""
+    if close is not None and math.isfinite(sum(gammas)) and sum(gammas) != close:
+        gammas = gammas + [close - sum(gammas)]
+        assume(0 < abs(gammas[-1]) <= 8e307)
+    system = VortexSystem(gammas)
+    np.testing.assert_array_equal(system._total, _total_and_bound(system.gammas))
+
+    def outcome(rule):
+        try:
+            return rule()
+        except (ValueError, ZeroTotalVorticity) as exc:
+            return type(exc), str(exc)
+    assert outcome(system.nonzero_total) == outcome(
+        lambda: _nonzero_total_reference(system.gammas))
 
 
 def test_zero_total_rule_reports_an_overflowing_sum():

@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from nvortex import core, equilibria as eq, loops as lp, reduction as rd
+from nvortex import (core, dynamics as dyn, equilibria as eq, loops as lp,
+                     reduction as rd)
 from nvortex.core import (HalfPlane, Plane, TranslatedDomain, UnitDisk,
                           VortexSystem)
 from nvortex.errors import (CollisionError, ContractionFailure,
@@ -218,15 +219,18 @@ def test_spectral_gram_is_quadrature_gram(n, modes, band, seed):
 
 def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     """A continuation in either mode solves each r of its grid once, from
-    r_max down, and no other r.  The basis holds hess_H0 along the seed Z,
-    and FixedPoint assembles every r of a continuation at Z, so hess_H0
-    runs once per continuation.  Newton assembles only at its own base
-    Z + v, once per step, and evaluates one gradient per iterate: the
-    seed's and the accepted line-search trial's, which the stop test, the
-    next step and the diagnostics all read.  This solve starts cold, so
-    its first step reads H0'' off the basis."""
+    r_max down, and no other r.  Each basis holds hess_H0 along the seed Z,
+    and a disk orbit is rigid, so every r of a continuation is resolved on
+    the START_MODES basis: hess_H0 runs once per continuation, FixedPoint
+    assembles once per r at Z, and each r ends with one full-form grad_J_r
+    (the residual-tail check).  Newton assembles only at its own base
+    Z + v, once per step, and evaluates one residual in increment form per
+    iterate: the seed's and the accepted line-search trial's, which the stop
+    test and the next step read.  This solve starts cold, so its first step
+    reads H0'' off the basis."""
     _, pair, _, basis = pair_setup
-    counts = dict.fromkeys(("hess_H0", "assemble_L_r", "grad_J_r"), 0)
+    names = ("hess_H0", "assemble_L_r", "grad_J_r", "grad_J_r_increment")
+    counts = dict.fromkeys(names, 0)
     solved_at = []
     solve = rd.solve_reduced
     monkeypatch.setattr(rd, "solve_reduced",
@@ -241,8 +245,8 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(core, "hess_H0")
-    count(rd, "assemble_L_r")
-    count(rd, "grad_J_r")
+    for name in names[1:]:
+        count(rd, name)
     for mode in ("FixedPoint", "Newton"):
         params = rd.SolverParams(modes=M, mode=mode, r_points=4)
         counts.update(dict.fromkeys(counts, 0))
@@ -250,13 +254,17 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
         path = rd.continue_path(pair, UnitDisk(), np.zeros(2), params)
         assert len(path.entries) == 4
         assert solved_at == list(params.r_grid())
+        assert counts["grad_J_r"] == 4
         if mode == "FixedPoint":
             assert counts["assemble_L_r"] == 4 and counts["hess_H0"] == 1
+            assert counts["grad_J_r_increment"] == sum(
+                e.iterations + 1 for e in path.entries)
     counts.update(dict.fromkeys(counts, 0))
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis,
                            rd.SolverParams(modes=M, mode="Newton"))
     assert sol.iterations == 2
-    assert counts == {"hess_H0": 1, "assemble_L_r": 2, "grad_J_r": 3}
+    assert counts == {"hess_H0": 1, "assemble_L_r": 2, "grad_J_r": 1,
+                      "grad_J_r_increment": 3}
 
 
 def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
@@ -307,12 +315,12 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
                                                            monkeypatch):
     """A line-search trial whose residual raises DomainError is halved like
     one that does not descend, and the halved step is taken.  Here the
-    first trial, the full step from the seed, raises; the solve still
-    reaches the solution of an undisturbed one."""
+    first trial, the full step from the seed (v = 0), raises; the solve
+    still reaches the solution of an undisturbed one."""
     _, _, Z, basis = pair_setup
     params = rd.SolverParams(modes=M, mode="Newton")
     clean = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
-    grad, assemble = rd.grad_J_r, rd.assemble_L_r
+    grad, assemble = rd.grad_J_r_increment, rd.assemble_L_r
     trials, bases = [], []
 
     def failing_grad(*args):
@@ -321,14 +329,13 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
             raise DomainError("injected")
         return grad(*args)
 
-    monkeypatch.setattr(rd, "grad_J_r", failing_grad)
+    monkeypatch.setattr(rd, "grad_J_r_increment", failing_grad)
     monkeypatch.setattr(rd, "assemble_L_r", lambda *a, **k:
                         bases.append(k["base"]) or assemble(*a, **k))
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     seed, full, half = trials[:3]
-    assert seed == Z and bases[0] is None and bases[1] == half
-    assert np.allclose((half - seed).coeffs, 0.5 * (full - seed).coeffs,
-                       rtol=0, atol=1e-15)
+    assert not seed.coeffs.any() and bases[0] is None and bases[1] == Z + half
+    assert np.allclose(half.coeffs, 0.5 * full.coeffs, rtol=0, atol=1e-15)
     assert lp.h1_norm(sol.v - clean.v) <= 1e-9
 
 
@@ -530,7 +537,7 @@ def test_disk_solution_diagnostics(pair_setup):
     assert sol.residual_grad < 1e-10
     assert sol.phase_defect < 1e-10
     assert abs(lp.h1_inner(sol.v, basis.zdot)) < 1e-10
-    assert sol.spectral_tail < 1e-8
+    assert sol.residual_tail <= rd.tail_bound(M)
     assert 0 < sol.vnorm < 1e-3
 
 
@@ -781,16 +788,75 @@ class _QuarticDomain(core.SyntheticQuadratic):
         return out
 
 
-def test_spectral_tail_guard_records_the_r(pair_setup):
-    """At 5 modes the tail is the H^1 share of mode 5: about 1.5e-6 at
-    r = 0.5 and 1e-14 at r = 0.05, so only r = 0.5 is under-resolved."""
-    params = rd.SolverParams(modes=5, r_max=0.5, r_min=0.005, r_points=3)
+def test_residual_tail_guard_records_the_r(pair_setup):
+    """Under a cap of 8 modes the residual tail above mode 8 is 6.3e-7 at
+    r = 0.5, far above tail_bound(8) = 5.9e-13, while at r = 0.05 and 0.005
+    it is at most 4.8e-15: only r = 0.5 is under-resolved, and its failure
+    names the tail and the mode count."""
+    params = rd.SolverParams(modes=8, r_max=0.5, r_min=0.005, r_points=3)
     path = rd.continue_path(pair_setup[1], _QuarticDomain(), np.zeros(2),
                             params)
     assert list(path.failures) == [0.5]
-    assert path.failures[0.5].startswith("NoConvergence: spectral tail ")
+    assert re.match(r"NoConvergence: residual tail \S+ above 5\.882e-13 at 8 "
+                    r"modes, r=0\.5$", path.failures[0.5])
     assert np.array_equal(_r_and_vnorm(path)[0], params.r_grid()[1:])
-    assert all(e.spectral_tail < rd.MAX_SPECTRAL_TAIL for e in path.entries)
+    assert all(e.u.modes == 8 and e.residual_tail <= rd.tail_bound(8)
+               for e in path.entries)
+
+
+def test_adaptive_modes_match_the_cap_basis(pair_setup):
+    """Solved from START_MODES under the default cap of 32, each r of the
+    quartic domain gives the orbit of a solve on the 32-mode basis alone to
+    1e-12 relative H^1 (measured: 5e-14 at most).  At r = 0.5 the tail is
+    6.3e-7 at 8 modes and 2.4e-12 at 16, above tail_bound(16) = 3.0e-13, so
+    M doubles twice past START_MODES; at r = 0.05 it stops at 8."""
+    pair = pair_setup[1]
+    start = rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega,
+                                                      rd.START_MODES))
+    full = start.at(32)
+    params = rd.SolverParams()
+    modes = {}
+    for r in (0.5, 0.2, 0.05):
+        adaptive = rd.solve_reduced(_QuarticDomain(), r, start, params)
+        alone = rd.solve_reduced(_QuarticDomain(), r, full, params)
+        assert lp.h1_norm(adaptive.u - alone.u) <= 1e-12 * lp.h1_norm(alone.u)
+        modes[r] = adaptive.u.modes
+    assert modes == {0.5: 32, 0.2: 16, 0.05: 8}
+    assert set(start.family) == {4, 8, 16, 32}  # each basis built once
+
+
+@pytest.mark.parametrize("modes, r, tail, bound", [
+    (4, 0.2, r"1\.18\de-05", r"1\.111e-12"),
+    (1, 0.05, r"9\.17\de-07", r"3\.333e-12"),
+], ids=["cap4", "cap1"])
+def test_solve_reduced_owns_the_residual_tail_verdict(modes, r, tail, bound,
+                                                      pair_setup):
+    """Under a cap of 4 modes the converged v at r = 0.2 has vnorm 8.749e-4
+    against 8.743e-4 at 32 modes; its residual tail above mode 4 shows it,
+    and solve_reduced itself refuses it, naming the tail and M.  At one
+    mode the tail window, modes 2 and 3, holds the odd mode 3, so the
+    one-mode solution at r = 0.05 is refused too."""
+    pair = pair_setup[1]
+    basis = rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega, modes))
+    with pytest.raises(NoConvergence, match=f"^residual tail {tail} above "
+                       f"{bound} at {modes} modes, r={r}$"):
+        rd.solve_reduced(_QuarticDomain(), r, basis, rd.SolverParams(modes=modes))
+
+
+def test_one_mode_cap_continues_in_the_disk(pair_setup):
+    """The disk's orbits are rigid, so a cap of 1 mode resolves them: the
+    tail window, modes 2 and 3, holds the odd mode 3, and reads roundoff.
+    Every r converges, on one mode, and each orbit re-integrates to the
+    `validate` defaults (rtol 1e-10, closure within 1e-6)."""
+    pair = pair_setup[1]
+    params = rd.SolverParams(modes=1, r_points=3)
+    path = rd.continue_path(pair, UnitDisk(), np.zeros(2), params)
+    assert not path.failures and len(path.entries) == 3
+    for e in path.entries:
+        assert e.u.modes == 1 and e.residual_tail <= rd.tail_bound(1)
+        orbit = rd.unrescale(np.zeros(2), e.r, e.u, 64, UnitDisk())
+        report = dyn.validate_orbit(pair.sys, UnitDisk(), orbit)
+        assert report["closure_error"] <= 1e-6
 
 
 def test_colliding_loop_names_the_sample(pair_setup):
@@ -802,6 +868,27 @@ def test_colliding_loop_names_the_sample(pair_setup):
     assert lp.dealias_samples(M) == 84
     with pytest.raises(CollisionError, match=r"at sample 21$"):
         rd.grad_J_r(sys2, UnitDisk(), 0.1, lp.Loop(c))
+
+
+def test_seed_that_is_no_equilibrium_is_refused(pair_setup, monkeypatch):
+    """The iterates drop the seed's plane residual -J M Z' - grad H0(Z), so
+    each basis checks it against SEED_TOL kappa of grad H0.  The equal pair
+    shrunk by sqrt(1 + 1e-8) turns at an omega 1e-8 faster than the frame
+    it is given: it leaves 1e-8 and is refused before any solve.  The
+    triangle (-0.416, 1.127, -0.71), whose total 0.001 is small against
+    its vorticities (kappa = 2253), leaves 1.9e-13 from roundoff alone and
+    is accepted."""
+    pair = pair_setup[1]
+    bent = eq.RelativeEquilibrium(pair.sys, pair.z / np.sqrt(1 + 1e-8),
+                                  pair.omega)
+    monkeypatch.setattr(rd, "solve_reduced", lambda *a, **k: pytest.fail())
+    with pytest.raises(DegenerateFrame, match=r"not a relative equilibrium "
+                       r"of its system: plane residual 1\.00\de-08 of grad "
+                       r"H0, above 1\.000e-13$"):
+        rd.continue_path(bent, UnitDisk(), np.zeros(2), rd.SolverParams())
+    tri = eq.normalize_period(eq.make_triangle(-0.416, 1.127, -0.71, 1.0))
+    basis = rd.build_x_basis(tri.sys, lp.build_frame(tri.z, tri.omega, 4))
+    assert basis.modes == 4
 
 
 def test_zero_vorticity_rejected():
@@ -821,15 +908,6 @@ def test_continuation_solves_about_a0_itself(pair_setup):
     with pytest.raises(ValueError, match="H_r is not even about a0"):
         rd.continue_path(pair_setup[1], UnitDisk(), np.array([1e-9, 0.0]),
                          params)
-
-
-def test_solve_reduced_owns_the_spectral_tail_verdict(pair_setup):
-    """At 5 modes the converged loop at r = 0.5 keeps 1.5e-6 of its H^1
-    mass in mode 5: solve_reduced itself refuses it."""
-    pair = pair_setup[1]
-    basis = rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega, 5))
-    with pytest.raises(NoConvergence, match=r"^spectral tail 1\.\d+e-06 above"):
-        rd.solve_reduced(_QuarticDomain(), 0.5, basis, rd.SolverParams(modes=5))
 
 
 def test_phase_component_of_the_gradient_is_refused(pair_setup, monkeypatch):
@@ -857,12 +935,14 @@ def test_diverging_iterates_are_refused(pair_setup, monkeypatch):
 
 @pytest.mark.parametrize("modes", [4, 12])
 def test_continuation_solves_at_params_modes(modes, pair_setup):
-    """continue_path builds its seed loop at params.modes, so every orbit
-    it returns has that truncation order."""
+    """params.modes caps the truncation: continue_path solves each r first
+    at START_MODES, or at the cap if that is fewer, and the disk's rigid
+    orbits never ask for more, so every orbit has that order."""
     params = rd.SolverParams(modes=modes, r_points=3)
     path = rd.continue_path(pair_setup[1], UnitDisk(), np.zeros(2), params)
     assert len(path.entries) == 3
-    assert all(e.u.modes == e.v.modes == modes for e in path.entries)
+    order = min(rd.START_MODES, modes)
+    assert all(e.u.modes == e.v.modes == order for e in path.entries)
 
 
 def test_unrescale_geometry(small_path, pair_setup):
