@@ -218,7 +218,7 @@ def cmd_equilibrium(args) -> int:
     print(f"z     = {np.array2string(eq.z, precision=12)}")
     print(f"omega = {eq.omega:.12g}")
     print(f"residual = {residual:.3e}")
-    code = EXIT_OK if residual < equilibria.RESIDUAL_TOL else EXIT_FAIL
+    code = EXIT_OK if residual <= equilibria.residual_bound(eq.sys) else EXIT_FAIL
     if args.check:
         report = equilibria.monodromy(equilibria.normalize_period(eq))
         print("multipliers:")

@@ -34,7 +34,7 @@ class DimensionMismatch(VortexError):
 
 
 class DegenerateFrame(VortexError, ValueError):
-    """A seed that is not period-normalized, or not a one-mode loop."""
+    """A seed that is not period-normalized, or no relative equilibrium."""
 
 
 class ContractionFailure(VortexError):

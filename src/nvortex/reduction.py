@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, loops
+from . import core, equilibria, loops
 from .core import DomainModel, TranslatedDomain, VortexSystem
 from .equilibria import RelativeEquilibrium
 from .errors import (
@@ -53,8 +53,8 @@ ORBIT_SCHEMA_VERSION = 1
 
 # an operator whose cond(A) or cond(D) exceeds this raises SingularOperator
 MAX_COND = 1e12
-# the one stop: FixedPoint ends once the step it just took, Newton once the
-# projected residual at its iterate, has norm at most this
+# the one stop, after each step: FixedPoint ends once the step it just took,
+# Newton once the projected residual at its new iterate, has norm at most this
 SOLVE_TOL = 1e-11
 # each r is solved first at this many modes (or the cap, if smaller): 15
 # columns for a pair, where the default cap's 32 modes are 127.  Measured in
@@ -63,13 +63,6 @@ SOLVE_TOL = 1e-11
 # pair in a quartic domain, whose orbits use modes 3 to 31, 107, 98 and 75
 # ms.  4 gives the disk up about a tenth to save the other a third.
 START_MODES = 4
-# the seed's own plane residual -J M Z' - grad H0(Z), which the increment
-# form drops, over the largest block of grad H0(Z), may be at most this times
-# kappa = sum|gamma_k| / |Gamma|, the condition of the total vorticity.
-# Roundoff leaves at most 20 eps kappa (measured over 4000 random pairs and
-# triangles, the perfbench pools and Thomson rings of 2 to 20, 32 modes);
-# an omega off by delta (relative) leaves delta.
-SEED_TOL = 1e-13
 # either solver raises NoConvergence after this many steps
 MAX_ITER = 200
 # FixedPoint raises ContractionFailure after 3 straight step ratios above this
@@ -197,17 +190,18 @@ def grad_J_r_increment(domain: DomainModel, r: float, basis: XBasis,
 
 @dataclass(frozen=True, eq=False)
 class XBasis:
-    """The seed of the solver: the system sys, the seed loop Z (a one-mode
-    rotation) and zdot = Z', with the H^1-orthonormal basis of the odd part
-    of X = (R Z')^perp, the loops of X with u(t + pi) = -u(t), as flattened
-    columns; column j lies in mode col_modes[j].  weights is the diagonal
-    H^1 Gram in flat coordinates.  pts is Z on the dealias_samples(modes)
-    nodes, and h0 is H0'' there: the r-independent part of every operator
-    assembled at Z.  family holds the bases of the same seed by mode count,
-    shared by all of them, so `at` builds each mode count once.
+    """The seed of the solver: the period-normalized equilibrium `seed`, its
+    loop Z (a one-mode rotation) and zdot = Z', with the H^1-orthonormal
+    basis of the odd part of X = (R Z')^perp, the loops of X with
+    u(t + pi) = -u(t), as flattened columns; column j lies in mode
+    col_modes[j].  weights is the diagonal H^1 Gram in flat coordinates.
+    pts is Z on the dealias_samples(modes) nodes, and h0 is H0'' there: the
+    r-independent part of every operator assembled at Z.  family holds the
+    bases of the same seed by mode count, shared by all of them, so `at`
+    builds each mode count once.
     """
 
-    sys: VortexSystem
+    seed: RelativeEquilibrium
     Z: Loop
     zdot: Loop
     matrix: np.ndarray  # (dim_total, dim_X)
@@ -216,6 +210,10 @@ class XBasis:
     pts: np.ndarray  # (m, 2N)
     h0: np.ndarray  # (m, 2N, 2N)
     family: dict = dataclasses.field(default_factory=dict, repr=False)
+
+    @property
+    def sys(self) -> VortexSystem:
+        return self.seed.sys
 
     @property
     def dim(self) -> int:
@@ -230,7 +228,7 @@ class XBasis:
         self.family.setdefault(self.modes, self)
         if modes not in self.family:
             self.family[modes] = dataclasses.replace(
-                build_x_basis(self.sys, self.Z.pad(modes)), family=self.family)
+                build_x_basis(self.seed, modes), family=self.family)
         return self.family[modes]
 
     def coords(self, u: Loop) -> np.ndarray:
@@ -243,35 +241,24 @@ class XBasis:
         return loops.unflatten(self.matrix[:, j], self.Z.n, self.Z.modes)
 
 
-def _check_seed(sys: VortexSystem, zdot: Loop, pts: np.ndarray) -> None:
-    """DegenerateFrame unless the plane residual -J M Z' - grad H0(Z) on the
-    nodes pts, over the largest block of grad H0(Z), is at most SEED_TOL
-    kappa: the increment form drops it as 0."""
-    grad = core.grad_H0(sys, pts)
-    jm = sys.j_n() @ sys.m_gamma()
-    defect = -loops.sample(zdot, pts.shape[0]) @ jm.T - grad
-
-    def largest_block(a):
-        return np.hypot(a[:, 0::2], a[:, 1::2]).max()
-    ratio = largest_block(defect) / largest_block(grad)
-    bound = SEED_TOL * np.abs(sys.gammas).sum() / abs(sys.nonzero_total())
-    if not ratio <= bound:
+def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
+    """The basis about the seed loop Z = loops.build_frame of the
+    period-normalized `seed` at `modes` modes, mode by mode: the complement
+    of Z' in mode 1 (the SVD null space scipy.linalg.null_space returns),
+    then the unit coefficients of each odd mode k >= 3, all scaled to unit
+    H^1 norm; with them, Z and hess_H0 on the dealias nodes.  The iterates
+    drop the seed's plane residual, so a seed whose residual_HS0 exceeds
+    equilibria.residual_bound raises DegenerateFrame, as does one that is
+    not period-normalized (ZeroTotalVorticity for a zero-sum seed)."""
+    bound = equilibria.residual_bound(seed.sys)
+    Z = loops.build_frame(seed.z, seed.omega, modes)
+    residual = equilibria.residual_HS0(seed)
+    if not residual <= bound:
         raise DegenerateFrame(
             f"the seed is not a relative equilibrium of its system: plane "
-            f"residual {ratio:.3e} of grad H0, above {bound:.3e}")
-
-
-def build_x_basis(sys: VortexSystem, Z: Loop) -> XBasis:
-    """Mode by mode: the complement of Z' in mode 1 (the SVD null space
-    scipy.linalg.null_space returns), then the unit coefficients of each odd
-    mode k >= 3, all scaled to unit H^1 norm; with them, Z and hess_H0 on
-    the dealias nodes.  DegenerateFrame unless the seed Z is a one-mode loop
-    whose plane residual passes the seed check."""
-    n, modes, zdot = Z.n, Z.modes, loops.differentiate(Z)
-    if np.any(Z.coeffs[0]) or np.any(Z.coeffs[3:]):
-        raise DegenerateFrame("the seed Z must be a one-mode loop")
+            f"residual {residual:.3e} of grad H0, above {bound:.3e}")
+    n, zdot = Z.n, loops.differentiate(Z)
     pts = loops.sample(Z, loops.dealias_samples(modes))
-    _check_seed(sys, zdot, pts)
     w = loops.h1_weight_vector(n, modes)
     flat_modes = (np.arange(w.size) // (2 * n) + 1) // 2
     high = np.flatnonzero((flat_modes % 2 == 1) & (flat_modes >= 3))
@@ -281,8 +268,8 @@ def build_x_basis(sys: VortexSystem, Z: Loop) -> XBasis:
     mat[high, k1 + np.arange(high.size)] = 1.0
     mat /= np.sqrt(w)[:, None]
     col_modes = np.concatenate([np.ones(k1, int), flat_modes[high]])
-    return XBasis(sys=sys, Z=Z, zdot=zdot, matrix=mat, weights=w,
-                  col_modes=col_modes, pts=pts, h0=core.hess_H0(sys, pts))
+    return XBasis(seed=seed, Z=Z, zdot=zdot, matrix=mat, weights=w,
+                  col_modes=col_modes, pts=pts, h0=core.hess_H0(seed.sys, pts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,28 +414,21 @@ def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
 
     res, lu = residual(y), None
     eps_ball = 0.5 * core.min_separation(Z.a(1))  # a flat 2N-vector, not a batch
-    step_norm, guard_strikes = np.inf, 0
-    for it in range(MAX_ITER + 1):  # `it` steps taken
-        size = np.linalg.norm(res) if newton else step_norm
-        if size <= SOLVE_TOL:
-            return y, it
-        if it == MAX_ITER:
-            solver, measure = (("Newton", "residual") if newton
-                               else ("fixed point", "step norm"))
-            raise NoConvergence(
-                f"{solver} not converged in {MAX_ITER} iterations at "
-                f"r={r:.5g} ({measure} {size:.3e} after the last step)")
+    # what the stop reads: the last step's norm, or the residual's at the iterate
+    size, guard_strikes = np.linalg.norm(res) if newton else np.inf, 0
+    for it in range(1, MAX_ITER + 1):  # step `it`, then the stop
         if newton or lu is None:
             op = assemble_L_r(domain, r, basis,
                               base=Z + basis.to_loop(y) if newton and y.any() else None)
             lu = scipy.linalg.lu_factor(op.matrix)
         step = -scipy.linalg.lu_solve(lu, res)
-        if newton:  # backtracking on the projected residual
+        if newton:  # backtracking: a trial must lower the residual or meet the stop
             for alpha in 0.5 ** np.arange(8):
                 y_try = y + alpha * step
                 try:
                     res_try = residual(y_try)
-                    if np.linalg.norm(res_try) < size:
+                    trial = np.linalg.norm(res_try)
+                    if trial < size or trial <= SOLVE_TOL:
                         break
                 except (CollisionError, DomainError):
                     pass
@@ -456,12 +436,12 @@ def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
                 raise NoConvergence(
                     f"Newton line search failed at r={r:.5g}: 8 halvings of "
                     f"the step did not lower the residual {size:.3e}")
-            y, res = y_try, res_try
+            y, res, size = y_try, res_try, trial
         else:
-            y, prev_step, step_norm = y + step, step_norm, np.linalg.norm(step)
+            y, prev_step, size = y + step, size, np.linalg.norm(step)
             if 1e-15 < prev_step < np.inf:
-                contraction = step_norm / prev_step
-                if contraction > CONTRACTION_GUARD and step_norm > SOLVE_TOL:
+                contraction = size / prev_step
+                if contraction > CONTRACTION_GUARD and size > SOLVE_TOL:
                     guard_strikes += 1
                     if guard_strikes >= 3:
                         raise ContractionFailure(
@@ -473,6 +453,12 @@ def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
                 raise ContractionFailure(
                     f"iterates diverge at r={r:.5g} (|v| = {np.linalg.norm(y):.3e})")
             res = residual(y)
+        if size <= SOLVE_TOL:
+            return y, it
+    solver, measure = ("Newton", "residual") if newton else ("fixed point", "step norm")
+    raise NoConvergence(
+        f"{solver} not converged in {MAX_ITER} iterations at "
+        f"r={r:.5g} ({measure} {size:.3e} after the last step)")
 
 
 def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
@@ -481,10 +467,11 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
     """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X from the
     seed in `basis`, first at the basis's mode count M.  FixedPoint (the
     chord method) and Newton run one loop with three settings: the operator
-    is assembled once at the seed, or at each iterate; the stop reads the
-    step just taken, or the projected residual at the iterate (so Newton may
-    take 0 steps); the guards are contraction and divergence, or an
-    8-halving line search.  Each converged v is checked once in full form,
+    is assembled once at the seed, or at each iterate; the stop, tested
+    after each step, reads the step just taken, or the projected residual at
+    the new iterate; the guards are contraction and divergence, or an
+    8-halving line search, whose trial must lower the residual or meet the
+    stop (a start already at the solution, residual 0, takes a 0 step).  Each converged v is checked once in full form,
     by grad_J_r at Z + v padded to 2M+1 modes: while the residual tail above
     mode M exceeds tail_bound(M), M doubles, up to params.modes, and the
     solve goes on from the padded v.  The one verdict on r: NoConvergence
@@ -534,11 +521,9 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
     fewer), which solve_reduced doubles up to params.modes as the residual
     tail asks; the bases of every mode count are built once for the path.
     A failed r is recorded in `failures`, so a path where none converges
-    has only failures.  ZeroTotalVorticity for a zero-sum seed."""
-    seed.sys.nonzero_total()
+    has only failures.  build_x_basis refuses the seed before any solve."""
+    basis = build_x_basis(seed, min(START_MODES, params.modes))
     work_domain = TranslatedDomain(domain, a0)
-    basis = build_x_basis(seed.sys, loops.build_frame(
-        seed.z, seed.omega, min(START_MODES, params.modes)))
     entries, failures = [], {}
     for r in map(float, params.r_grid()):
         try:
@@ -572,10 +557,11 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
 def local_uniqueness_probe(domain: DomainModel, r: float, basis: XBasis,
                            params: SolverParams, solution: ReducedSolution,
                            thetas) -> dict:
-    """Re-solve from time-shifted seeds; the result must be the shifted v."""
+    """Re-solve from the seeds z = Z(theta); the result must be the shifted v."""
     mismatches = {}
     for theta in thetas:
-        shifted = build_x_basis(basis.sys, loops.time_shift(theta, basis.Z))
+        shifted = build_x_basis(RelativeEquilibrium(
+            basis.sys, basis.Z.eval(theta), basis.seed.omega), basis.modes)
         sol = solve_reduced(domain, r, shifted, params)
         expected = loops.time_shift(theta, solution.v)
         mismatches[float(theta)] = loops.h1_norm(sol.v - expected)

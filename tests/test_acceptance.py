@@ -32,7 +32,7 @@ def pair_seed():
     """The equal pair, its system and its solver basis at 32 modes."""
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    basis = rd.build_x_basis(sys2, lp.build_frame(pair.z, pair.omega, 32))
+    basis = rd.build_x_basis(pair, 32)
     return sys2, pair, basis
 
 

@@ -295,6 +295,18 @@ def test_equilibrium_residual_is_free_of_scale(monkeypatch, capsys):
     assert "residual = 1.000e-06" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("side", ["0.3", "1", "2.7"])
+@pytest.mark.parametrize("gamma3", ["-1.999999", "-1.9999999"])
+def test_equilibrium_certifies_a_triangle_of_small_total(gamma3, side):
+    """The equilateral triangle is an equilibrium for every gamma.  At
+    (1, 1, -2 + delta), delta = 1e-6 or 1e-7, kappa is 4e6 or 4e7, and omega,
+    made from Gamma = delta, carries its rounding: the residual reaches
+    1.6e-9 (delta = 1e-7, side 0.3), above the old absolute 1e-10 but far
+    below RESIDUAL_TOL kappa, so the triangle certifies."""
+    assert main(["equilibrium", "--type", "triangle", f"--gamma=1,1,{gamma3}",
+                 "--side", side]) == 0
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -668,7 +668,7 @@ _PAIR = VortexSystem([1.0, 1.0])
 
 def _basis():
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    return rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega, 4))
+    return rd.build_x_basis(pair, 4)
 
 
 _POSITIVE_SITES = {

@@ -18,7 +18,7 @@ M = 10
 def pair_orbit():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    basis = rd.build_x_basis(sys2, lp.build_frame(pair.z, pair.omega, M))
+    basis = rd.build_x_basis(pair, M)
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis, rd.SolverParams(modes=M))
     return sys2, pair, sol
 

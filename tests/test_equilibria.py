@@ -50,7 +50,7 @@ def test_residual_is_free_of_scale(seed):
     assert eq.residual_HS0(seed) < 1e-14
     bent = eq.RelativeEquilibrium(seed.sys, seed.z, seed.omega * (1 + 1e-6))
     assert eq.residual_HS0(bent) == pytest.approx(1e-6, rel=1e-6)
-    assert eq.residual_HS0(bent) > eq.RESIDUAL_TOL
+    assert eq.residual_HS0(bent) > eq.residual_bound(seed.sys)
 
 
 def _residual_by_rotation(rel):

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvortex import equilibria as eq, loops as lp, reduction as rd
-from nvortex.core import VortexSystem
 from nvortex.errors import AliasWarning, DegenerateFrame, DimensionMismatch
 
 RNG = np.random.default_rng(2024)
@@ -32,11 +31,13 @@ E1 = lp.constant_loop(np.tile([1.0, 0.0], N), M)
 E2 = lp.constant_loop(np.tile([0.0, 1.0], N), M)
 
 
+PAIR = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+
+
 @pytest.fixture(scope="module")
 def seed():
     """The one-mode seed loop Z of the equal pair."""
-    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    return lp.build_frame(pair.z, pair.omega, M)
+    return lp.build_frame(PAIR.z, PAIR.omega, M)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +136,12 @@ def test_shift_commutes_with_operators():
 # ---------------------------------------------------------------------------
 # projections: project_D and the solver's X projector P = B B^T diag(w)
 
-def x_projector(seed):
+def x_projector(theta=0.0):
     """Matrix of the H^1-orthogonal projection onto the odd part of
     X = (R Zdot)^perp over flattened coefficients, built from the solver's
-    basis B around the seed loop Z."""
-    basis = rd.build_x_basis(VortexSystem([1.0, 1.0]), seed)
+    basis B around the seed loop Z(t + theta) of the equal pair."""
+    z = lp.build_frame(PAIR.z, PAIR.omega, M).eval(theta)
+    basis = rd.build_x_basis(eq.RelativeEquilibrium(PAIR.sys, z, PAIR.omega), M)
     return (basis.matrix @ basis.matrix.T) * basis.weights
 
 
@@ -158,7 +160,7 @@ def test_projection_partition_and_orthogonality(seed):
     modes, and with them D, are dropped."""
     u, zdot = random_loop(), lp.differentiate(seed)
     pd = lp.project_D(u)
-    px = apply(x_projector(seed), u)
+    px = apply(x_projector(), u)
     rest = odd_modes(u) - px
     # the odd part of (I - P) u is the phase component: parallel to Zdot
     coef = lp.h1_inner(u, zdot) / lp.h1_inner(zdot, zdot)
@@ -170,13 +172,13 @@ def test_projection_partition_and_orthogonality(seed):
     assert abs(lp.h1_inner(pd, px)) < 1e-10
 
 
-def test_projections_idempotent_self_adjoint(seed):
+def test_projections_idempotent_self_adjoint():
     u, v = random_loop(), random_loop()
     pd = lp.project_D(u)
     assert np.max(np.abs(lp.project_D(pd).coeffs - pd.coeffs)) < 1e-12
     assert abs(lp.h1_inner(lp.project_D(u), v)
                - lp.h1_inner(u, lp.project_D(v))) < 1e-10
-    P = x_projector(seed)
+    P = x_projector()
     w = lp.h1_weight_vector(N, M)
     assert np.max(np.abs(P @ P - P)) < 1e-12
     wp = w[:, None] * P  # diag(w) P, the H^1 Gram of the projection
@@ -186,7 +188,7 @@ def test_projections_idempotent_self_adjoint(seed):
 def test_projection_fixed_points(seed):
     zdot = lp.differentiate(seed)
     assert np.max(np.abs(lp.project_D(E1).coeffs - E1.coeffs)) < 1e-14
-    P = x_projector(seed)
+    P = x_projector()
     assert lp.h1_norm(apply(P, zdot)) < 1e-12
     # the constant translations are even: P removes them
     for e in (E1, E2):
@@ -205,11 +207,11 @@ def test_frame_orthogonality(seed):
     assert abs(lp.h1_inner(zdot, E2)) < 1e-13
 
 
-def test_projection_equivariance_with_shifted_frame(seed):
+def test_projection_equivariance_with_shifted_frame():
     u = random_loop()
     theta = 0.77
-    a = lp.time_shift(theta, apply(x_projector(seed), u))
-    b = apply(x_projector(lp.time_shift(theta, seed)), lp.time_shift(theta, u))
+    a = lp.time_shift(theta, apply(x_projector(), u))
+    b = apply(x_projector(theta), lp.time_shift(theta, u))
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 

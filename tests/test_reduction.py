@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from nvortex import (core, dynamics as dyn, equilibria as eq, loops as lp,
                      reduction as rd)
-from nvortex.core import (HalfPlane, Plane, TranslatedDomain, UnitDisk,
-                          VortexSystem)
+from nvortex.core import (HalfPlane, Plane, SyntheticQuadratic,
+                          TranslatedDomain, UnitDisk, VortexSystem)
 from nvortex.errors import (CollisionError, ContractionFailure,
                             DegenerateFrame, DomainError,
                             NoConvergence, PhaseDefect, SingularOperator,
@@ -27,7 +27,7 @@ def pair_setup():
     sys2 = VortexSystem([1.0, 1.0])
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     Z = lp.build_frame(pair.z, pair.omega, M)
-    basis = rd.build_x_basis(sys2, Z)
+    basis = rd.build_x_basis(pair, M)
     return sys2, pair, Z, basis
 
 
@@ -139,17 +139,6 @@ def test_x_basis_orthonormal(pair_setup):
         assert lp.h1_norm(lp.time_shift(np.pi, w) + w) < 1e-12
 
 
-@pytest.mark.parametrize("shift", [2, 4, -1], ids=["mode2", "mode3", "mean"])
-def test_x_basis_rejects_a_seed_beyond_mode_one(shift, pair_setup):
-    """The basis is built mode by mode around a one-mode seed, so a seed
-    loop with a copy of its mode-1 block in mode 2 or 3, or in the mean,
-    raises DegenerateFrame."""
-    sys2, _, Z, _ = pair_setup
-    bent = Z + lp.Loop(np.roll(Z.coeffs, shift, axis=0))
-    with pytest.raises(DegenerateFrame, match="one-mode loop"):
-        rd.build_x_basis(sys2, bent)
-
-
 @pytest.mark.parametrize("seed", [eq.make_pair(1.0, 1.0, 2.0),
                                   eq.make_triangle(1.0, 2.0, 3.0, 1.0),
                                   eq.make_thomson(5, 1.0, 1.0)],
@@ -159,7 +148,7 @@ def test_x_basis_mode_one_is_scipy_null_space(seed):
     scipy.linalg.null_space returns it, scaled to unit H^1 norm."""
     seed = eq.normalize_period(seed)
     n = seed.sys.n
-    basis = rd.build_x_basis(seed.sys, lp.build_frame(seed.z, seed.omega, M))
+    basis = rd.build_x_basis(seed, M)
     want = scipy.linalg.null_space(basis.zdot.coeffs[1:3].reshape(1, -1))
     got = basis.matrix[2 * n:6 * n, :4 * n - 1] * np.sqrt(
         basis.weights[2 * n:6 * n])[:, None]
@@ -342,7 +331,7 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
 def test_result_containers_compare_by_identity(pair_setup, small_path):
     """Containers that hold arrays compare by identity and hash by it, as
     equilibria.MonodromyReport does; == never raises on them."""
-    sys2, _, Z, basis = pair_setup
+    _, pair, _, basis = pair_setup
     disk = UnitDisk()
     sol = small_path.entries[0]
     twins = [
@@ -351,7 +340,7 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
          for _ in range(2)],
         [rd.unrescale(np.zeros(2), sol.r, sol.u, 8, disk) for _ in range(2)],
         [rd.ContinuationPath([sol], {}) for _ in range(2)],
-        [basis, rd.build_x_basis(sys2, Z)],
+        [basis, rd.build_x_basis(pair, M)],
     ]
     for a, b in twins:
         assert a == a and a != b and not a == b
@@ -450,8 +439,8 @@ def test_operator_matches_per_column_reference(gammas, make, modes):
     block read in the X basis is the operator."""
     vs = VortexSystem(list(gammas))
     seed = eq.normalize_period(make())
-    Z = lp.build_frame(seed.z, seed.omega, modes)
-    basis = rd.build_x_basis(vs, Z)
+    basis = rd.build_x_basis(seed, modes)
+    Z = basis.Z
     y = np.random.default_rng(modes).normal(size=basis.dim)
     newton_base = Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
     odd = (np.arange(basis.weights.size) // (2 * vs.n) + 1) // 2 % 2 == 1
@@ -557,21 +546,62 @@ def test_fixedpoint_newton_agree_on_random_pairs(g1, ratio, sign, r):
     """Both solvers find the same v to 1e-9 in H^1 (acceptance criterion
     3's bound), over same-sign pairs in the disk at modes 8."""
     g = (sign * g1, sign * g1 * ratio)
-    vs = VortexSystem(list(g))
     seed = eq.normalize_period(eq.make_pair(g[0], g[1], 2.0))
-    basis = rd.build_x_basis(vs, lp.build_frame(seed.z, seed.omega, 8))
+    basis = rd.build_x_basis(seed, 8)
     fp, nw = (rd.solve_reduced(UnitDisk(), r, basis,
                                rd.SolverParams(modes=8, mode=mode))
               for mode in ("FixedPoint", "Newton"))
     assert lp.h1_norm(fp.v - nw.v) <= 1e-9
 
 
-@pytest.mark.parametrize("r, steps", [(0.1, 2), (1e-3, 0)])
+@pytest.mark.parametrize("points", [3, 6, 10])
+@pytest.mark.parametrize("seed", [
+    eq.make_pair(1.0, 1.0, 2.0), eq.make_pair(1.0, 3.0, 2.0),
+    eq.make_triangle(1.0, 2.0, 3.0, 1.0), eq.make_thomson(3, 1.0, 1.0),
+], ids=["pair-1-1", "pair-1-3", "triangle-1-2-3", "thomson-3"])
+def test_fixedpoint_and_newton_continue_to_the_same_orbits(seed, points):
+    """Newton tests its stop after each step, as FixedPoint does, so once
+    vnorm falls below SOLVE_TOL it does not hand the previous r's orbit on
+    as its own.  Down a continuation in the disk at 8 modes both solvers
+    converge at every r and agree to 1e-2 relative H^1 (measured: 6.9e-4
+    at most, on the triangle's 3-point grid); returning the warm start was
+    off by up to 4.7e7 (Thomson-3, 10 points)."""
+    seed = eq.normalize_period(seed)
+    fp, nw = (rd.continue_path(seed, UnitDisk(), np.zeros(2),
+                               rd.SolverParams(modes=8, mode=mode,
+                                               r_points=points))
+              for mode in ("FixedPoint", "Newton"))
+    assert not fp.failures and not nw.failures
+    for a, b in zip(fp.entries, nw.entries, strict=True):
+        assert a.r == b.r
+        assert lp.h1_norm(a.v - b.v) <= 1e-2 * lp.h1_norm(a.v)
+
+
+@pytest.mark.parametrize("seed", [eq.make_pair(1.0, 1.0, 2.0),
+                                  eq.make_triangle(1.0, 2.0, 3.0, 1.0)],
+                         ids=["pair", "triangle"])
+def test_newton_steps_from_a_start_at_the_solution(seed):
+    """In a quadratic domain grad F is 2 gamma_k A times the centre of
+    vorticity, which is 0 along the seed, so v = 0 solves at every r and
+    the projected residual at the cold start is 0 (the equal pair) or
+    roundoff (the triangle, whose centre is 0 to rounding).  Newton's step
+    from there cannot lower it, but its trial meets the stop and is
+    taken: one step at each r, and nothing fails."""
+    path = rd.continue_path(
+        eq.normalize_period(seed), SyntheticQuadratic([[3.0, 0.0], [0.0, 5.0]]),
+        np.zeros(2), rd.SolverParams(modes=8, mode="Newton", r_points=3))
+    assert not path.failures
+    assert [e.iterations for e in path.entries] == [1, 1, 1]
+    assert max(e.vnorm for e in path.entries) <= 1e-14
+
+
+@pytest.mark.parametrize("r, steps", [(0.1, 2), (1e-3, 1)])
 def test_newton_iterations_count_steps(r, steps, pair_setup, monkeypatch):
     """Newton's `iterations` is the number of steps taken, and it assembles
     the operator once per step. At r = 1e-3 the equal pair's correction is
     r^4/pi^2 = 1.0e-13 and the seed residual is already below
-    SOLVE_TOL = 1e-11, so no step is taken."""
+    SOLVE_TOL = 1e-11, but Newton tests its stop only after a step, so it
+    takes one and does not return the seed itself."""
     basis = pair_setup[3]
     assemblies = []
     assemble = rd.assemble_L_r
@@ -633,11 +663,12 @@ def test_max_iter_message_names_the_norm_after_the_last_step(
 
 
 def test_solver_equivariance(pair_setup):
-    sys2, _, Z, basis = pair_setup
+    sys2, pair, Z, basis = pair_setup
     params = rd.SolverParams(modes=M)
     base = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     theta = np.pi / 2
-    shifted = rd.build_x_basis(sys2, lp.time_shift(theta, Z))
+    shifted = rd.build_x_basis(
+        eq.RelativeEquilibrium(sys2, Z.eval(theta), pair.omega), M)
     sol = rd.solve_reduced(UnitDisk(), 0.1, shifted, params)
     assert lp.h1_norm(sol.v - lp.time_shift(theta, base.v)) < 1e-9
 
@@ -662,8 +693,7 @@ def test_thomson_solution_is_sigma_fixed():
     it), so sigma v solves wherever v does, and local uniqueness of the
     solution near 0 gives sigma v = v without any filter."""
     th = eq.normalize_period(eq.make_thomson(3, 1.0, 1.0))
-    sys3 = VortexSystem([1.0, 1.0, 1.0])
-    basis = rd.build_x_basis(sys3, lp.build_frame(th.z, th.omega, M))
+    basis = rd.build_x_basis(th, M)
 
     def sigma_act(u):
         """(sigma u)(t)_j = u_{j-1}(t + 2 pi/3), indices mod 3."""
@@ -811,8 +841,7 @@ def test_adaptive_modes_match_the_cap_basis(pair_setup):
     6.3e-7 at 8 modes and 2.4e-12 at 16, above tail_bound(16) = 3.0e-13, so
     M doubles twice past START_MODES; at r = 0.05 it stops at 8."""
     pair = pair_setup[1]
-    start = rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega,
-                                                      rd.START_MODES))
+    start = rd.build_x_basis(pair, rd.START_MODES)
     full = start.at(32)
     params = rd.SolverParams()
     modes = {}
@@ -837,7 +866,7 @@ def test_solve_reduced_owns_the_residual_tail_verdict(modes, r, tail, bound,
     mode the tail window, modes 2 and 3, holds the odd mode 3, so the
     one-mode solution at r = 0.05 is refused too."""
     pair = pair_setup[1]
-    basis = rd.build_x_basis(pair.sys, lp.build_frame(pair.z, pair.omega, modes))
+    basis = rd.build_x_basis(pair, modes)
     with pytest.raises(NoConvergence, match=f"^residual tail {tail} above "
                        f"{bound} at {modes} modes, r={r}$"):
         rd.solve_reduced(_QuarticDomain(), r, basis, rd.SolverParams(modes=modes))
@@ -872,7 +901,8 @@ def test_colliding_loop_names_the_sample(pair_setup):
 
 def test_seed_that_is_no_equilibrium_is_refused(pair_setup, monkeypatch):
     """The iterates drop the seed's plane residual -J M Z' - grad H0(Z), so
-    each basis checks it against SEED_TOL kappa of grad H0.  The equal pair
+    each basis checks it by the rule `equilibrium` certifies with:
+    residual_HS0 at most residual_bound, RESIDUAL_TOL kappa.  The equal pair
     shrunk by sqrt(1 + 1e-8) turns at an omega 1e-8 faster than the frame
     it is given: it leaves 1e-8 and is refused before any solve.  The
     triangle (-0.416, 1.127, -0.71), whose total 0.001 is small against
@@ -886,8 +916,9 @@ def test_seed_that_is_no_equilibrium_is_refused(pair_setup, monkeypatch):
                        r"of its system: plane residual 1\.00\de-08 of grad "
                        r"H0, above 1\.000e-13$"):
         rd.continue_path(bent, UnitDisk(), np.zeros(2), rd.SolverParams())
+    assert eq.residual_HS0(bent) > eq.residual_bound(bent.sys)
     tri = eq.normalize_period(eq.make_triangle(-0.416, 1.127, -0.71, 1.0))
-    basis = rd.build_x_basis(tri.sys, lp.build_frame(tri.z, tri.omega, 4))
+    basis = rd.build_x_basis(tri, 4)
     assert basis.modes == 4
 
 
