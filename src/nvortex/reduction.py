@@ -18,7 +18,8 @@ frozen-Jacobian fixed-point iteration
 
 or by damped Newton, the same loop with L_r assembled at each iterate,
 and continued down a geometric grid of the scale parameter r.  The
-iterates read grad J_r in increment form about the seed, and each r is
+iterates read P_X grad J_r in increment form about the seed, in the
+coordinates of a basis sampled once per mode count, and each r is
 solved at the fewest modes, doubling up to a cap, whose residual tail
 shows the truncation to be resolved.
 Un-rescaling z(t) = a0 + r u(t / r^2) produces orbits of the physical
@@ -157,32 +158,32 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
     field = -core.grad_H0(sys, pts)
     if r > 0:
         field = field + r * core.grad_F(sys, domain, r * pts)
-    return _smoothed_gradient(sys, u, field)
-
-
-def _smoothed_gradient(sys: VortexSystem, w: Loop, field: np.ndarray) -> Loop:
-    """(id-Lap)^{-1} of -J M w' plus the field sampled on the dealias nodes."""
     jm = sys.j_n() @ sys.m_gamma()
-    lin = Loop(-loops.differentiate(w).coeffs @ jm.T)
-    return loops.inv_id_minus_laplace(lin + loops.from_samples(field, w.modes))
+    lin = Loop(-loops.differentiate(u).coeffs @ jm.T)
+    return loops.inv_id_minus_laplace(lin + loops.from_samples(field, u.modes))
 
 
-def grad_J_r_increment(domain: DomainModel, r: float, basis: XBasis,
-                       v: Loop) -> Loop:
-    """grad_J_r at Z + v less the seed's plane residual -J M Z' - grad H0(Z),
-    which is 0 in exact arithmetic (build_x_basis checks it):
+def projected_residual(domain: DomainModel, r: float, basis: XBasis,
+                       y: np.ndarray) -> np.ndarray:
+    """basis.coords of grad_J_r at Z + v, v = basis.to_loop(y), less the
+    seed's plane residual -J M Z' - grad H0(Z), which is 0 in exact
+    arithmetic (build_x_basis checks it).  Read in H^1 the weight
+    pi(1+k^2) of mode k cancels (id-Lap)^{-1}, and on m > 2M nodes the
+    rFFT projection onto the modes <= M is the trapezoid rule, so over the
+    sampled basis phi this is
 
-        (id-Lap)^{-1} [-J M v' - (grad H0(Z + v) - grad H0(Z)) + r grad F(r u)],
+        rot y + (2 pi/m) sum_t phi_t^T f_t,
+        f = -(grad H0(Z + v) - grad H0(Z)) + r grad F(r (Z + v))  at the nodes,
 
     with the bracket from core.grad_H0_increment, so no O(1) terms cancel
-    and the residual stays accurate relative to |v| as r -> 0.  v has the
-    basis's mode count."""
+    and the residual stays accurate relative to |v| as r -> 0."""
     core.check_r(r)
-    dv = loops.sample(v, loops.dealias_samples(v.modes))
+    dv = basis.phi @ y
     field = -core.grad_H0_increment(basis.sys, basis.pts, dv)
     if r > 0:
         field = field + r * core.grad_F(basis.sys, domain, r * (basis.pts + dv))
-    return _smoothed_gradient(basis.sys, v, field)
+    phi = basis.phi.reshape(-1, basis.dim)
+    return basis.rot @ y + (2 * np.pi / len(field)) * (phi.T @ field.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +194,13 @@ class XBasis:
     """The seed of the solver: the period-normalized equilibrium `seed`, its
     loop Z (a one-mode rotation) and zdot = Z', with the H^1-orthonormal
     basis of the odd part of X = (R Z')^perp, the loops of X with
-    u(t + pi) = -u(t), as flattened columns; column j lies in mode
-    col_modes[j].  weights is the diagonal H^1 Gram in flat coordinates.
-    pts is Z on the dealias_samples(modes) nodes, and h0 is H0'' there: the
-    r-independent part of every operator assembled at Z.  family holds the
-    bases of the same seed by mode count, shared by all of them, so `at`
-    builds each mode count once.
+    u(t + pi) = -u(t), as flattened columns.  weights is the diagonal H^1
+    Gram in flat coordinates.  On the m = dealias_samples(modes) nodes, pts
+    is Z, h0 is H0'' (the r-independent part of every operator assembled at
+    Z) and phi is the basis, phi[t] @ y = v(t) for v = to_loop(y); rot is
+    the linear term -J M d/dt read in the basis.  family holds the bases of
+    the same seed by mode count, shared by all of them, so `at` builds each
+    mode count once.
     """
 
     seed: RelativeEquilibrium
@@ -206,9 +208,10 @@ class XBasis:
     zdot: Loop
     matrix: np.ndarray  # (dim_total, dim_X)
     weights: np.ndarray
-    col_modes: np.ndarray
     pts: np.ndarray  # (m, 2N)
     h0: np.ndarray  # (m, 2N, 2N)
+    phi: np.ndarray  # (m, 2N, dim_X)
+    rot: np.ndarray  # (dim_X, dim_X)
     family: dict = dataclasses.field(default_factory=dict, repr=False)
 
     @property
@@ -246,10 +249,12 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
     period-normalized `seed` at `modes` modes, mode by mode: the complement
     of Z' in mode 1 (the SVD null space scipy.linalg.null_space returns),
     then the unit coefficients of each odd mode k >= 3, all scaled to unit
-    H^1 norm; with them, Z and hess_H0 on the dealias nodes.  The iterates
-    drop the seed's plane residual, so a seed whose residual_HS0 exceeds
-    equilibria.residual_bound raises DegenerateFrame, as does one that is
-    not period-normalized (ZeroTotalVorticity for a zero-sum seed)."""
+    H^1 norm; with them, Z, hess_H0 and the basis on the dealias nodes, and
+    rot = -pi B^T (D x J M) B for the basis matrix B and the derivative D
+    on the coefficient rows.  The iterates drop the seed's plane residual,
+    so a seed whose residual_HS0 exceeds equilibria.residual_bound raises
+    DegenerateFrame, as does one that is not period-normalized
+    (ZeroTotalVorticity for a zero-sum seed)."""
     bound = equilibria.residual_bound(seed.sys)
     Z = loops.build_frame(seed.z, seed.omega, modes)
     residual = equilibria.residual_HS0(seed)
@@ -257,8 +262,8 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
         raise DegenerateFrame(
             f"the seed is not a relative equilibrium of its system: plane "
             f"residual {residual:.3e} of grad H0, above {bound:.3e}")
-    n, zdot = Z.n, loops.differentiate(Z)
-    pts = loops.sample(Z, loops.dealias_samples(modes))
+    n, zdot, m = Z.n, loops.differentiate(Z), loops.dealias_samples(modes)
+    pts = loops.sample(Z, m)
     w = loops.h1_weight_vector(n, modes)
     flat_modes = (np.arange(w.size) // (2 * n) + 1) // 2
     high = np.flatnonzero((flat_modes % 2 == 1) & (flat_modes >= 3))
@@ -267,9 +272,14 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
     mat[2 * n:6 * n, :k1] = np.linalg.svd(zdot.coeffs[1:3].reshape(1, -1))[2][1:].T
     mat[high, k1 + np.arange(high.size)] = 1.0
     mat /= np.sqrt(w)[:, None]
-    col_modes = np.concatenate([np.ones(k1, int), flat_modes[high]])
-    return XBasis(seed=seed, Z=Z, zdot=zdot, matrix=mat, weights=w,
-                  col_modes=col_modes, pts=pts, h0=core.hess_H0(seed.sys, pts))
+    # the columns side by side as one loop of 2N * dim_X coordinates
+    cols = mat.reshape(2 * modes + 1, -1)
+    phi = (loops.synthesis_matrix(modes, m) @ cols).reshape(m, 2 * n, -1)
+    dcols = loops.differentiate(Loop(cols)).coeffs.reshape(2 * modes + 1, 2 * n, -1)
+    jm = seed.sys.j_n() @ seed.sys.m_gamma()
+    rot = -np.pi * mat.T @ (jm @ dcols).reshape(w.size, -1)
+    return XBasis(seed=seed, Z=Z, zdot=zdot, matrix=mat, weights=w, pts=pts,
+                  h0=core.hess_H0(seed.sys, pts), phi=phi, rot=rot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,41 +301,13 @@ def _sym_cond(a: np.ndarray) -> float:
     return float(lam.max() / lam.min()) if lam.min() > 0 else np.inf
 
 
-def _hessian_gram(hmats: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """(2 pi/m) S^T diag(h_ij) S over the cos/sin rows of the modes ks, read
-    off one rFFT of the m-sample stack.  With c_n - i s_n = rfft(h)_n / m,
-    extended to n < 0 by conjugation (c is even in n, s odd),
-
-        (2 pi/m) sum_t cos kt h cos lt = pi (c_{k-l} + c_{k+l}),
-        (2 pi/m) sum_t sin kt h sin lt = pi (c_{k-l} - c_{k+l}),
-        (2 pi/m) sum_t cos kt h sin lt = pi (s_{k+l} - s_{k-l}),
-
-    and the sin-cos block is the transpose: Toeplitz plus Hankel in (k, l).
-    Exact whenever k + l <= m/2; axes (cos|sin, cos|sin, k, l, i, j)."""
-    spec = np.fft.rfft(hmats, axis=0) / hmats.shape[0]
-    spec = np.concatenate([spec, spec[:0:-1].conj()])  # entry -n: frequency -n
-    c, s = spec.real, -spec.imag
-    diff, total = np.subtract.outer(ks, ks), np.add.outer(ks, ks)
-    c_d, s_d, c_t, s_t = c[diff], s[diff], c[total], s[total]
-    return np.pi * np.array([[c_d + c_t, s_t - s_d], [s_t + s_d, c_d - c_t]])
-
-
 def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
                  base: Loop | None = None) -> OperatorReport:
-    """Dense matrix of P_X DPhi_r at the base loop over the X basis.
+    """Dense matrix of P_X DPhi_r at the base loop over the X basis: the
+    derivative in y of projected_residual, whose field has Jacobian
+    -H_r''(base) at each node, so over the sampled basis
 
-    DPhi_r w = (id-Lap)^{-1}(-J M w' - H_r''(base) w), with the H-term taken
-    pseudo-spectrally on m = 4(2M+1) > 2M nodes.  There the rFFT projection
-    onto modes <= M is the trapezoid rule with weight 2 pi/m, and the H^1
-    weight pi(1+k^2) cancels (id-Lap)^{-1}, so over the basis matrix B
-
-        L = B^T K B,  K[:, i, :, j] = -(2 pi/m) S^T diag(H_r''(base)_ij) S,
-
-    with S the synthesis matrix (read off one rFFT by `_hessian_gram`), plus
-    -pi k JM at (a_k, b_k) and +pi k JM at (b_k, a_k) from the linear term,
-    JM = J_N M_Gamma.  B is 1/sqrt(w) on each unit column of a mode k >= 3
-    and the null space of Z' over sqrt(w_1) in mode 1, so K is scaled and
-    only its mode-1 rows and columns are contracted.
+        L = rot - (2 pi/m) sum_t phi_t^T H_r''(base_t) phi_t.
 
     H0'' along the base and F'' along r*base must both repeat after half a
     period (H_r even about a0, and an odd base): then DPhi_r keeps odd and
@@ -334,11 +316,11 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
     H0'' is read from basis.h0; a given base evaluates hess_H0.
     """
     core.check_r(r)
-    sys, n, modes = basis.sys, basis.Z.n, basis.Z.modes
+    sys, n = basis.sys, basis.Z.n
     if base is None:
         base_pts, hmats = basis.pts, basis.h0
     else:
-        base_pts = loops.sample(base, loops.dealias_samples(modes))
+        base_pts = loops.sample(base, len(basis.pts))
         hmats = core.hess_H0(sys, base_pts)
     even = _repeats_after_pi(hmats)
     if r > 0:
@@ -356,20 +338,9 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
         raise ValueError("H_r is not even about a0: its Hessians along the "
                          "base do not repeat after half a period")
 
-    ks = np.arange(1, modes + 1, 2)  # the odd modes the basis spans
-    at = np.arange(ks.size)
-    G = -_hessian_gram(hmats, ks)
-    kjm = np.pi * ks[:, None, None] * (sys.j_n() @ sys.m_gamma())
-    G[0, 1, at, at] -= kjm
-    G[1, 0, at, at] += kjm
-    scale = 1 / np.sqrt(loops.h1_weights(modes)[2 * ks - 1])
-    scale[0] = 1.0  # mode 1 is contracted with its null-space block below
-    G *= np.multiply.outer(scale, scale)[:, :, None, None]
-    K = G.transpose(2, 0, 4, 3, 1, 5).reshape(4 * n * ks.size, -1)
-    h = 4 * n  # the coefficients of a_1 and b_1
-    v1 = basis.matrix[2 * n:2 * n + h, basis.col_modes == 1]
-    L = np.vstack([v1.T @ K[:h], K[h:]])  # contract the mode-1 rows,
-    L = np.hstack([L[:, :h] @ v1, L[:, h:]])  # then the mode-1 columns
+    phi = basis.phi.reshape(-1, basis.dim)
+    L = basis.rot - (2 * np.pi / len(hmats)) * (
+        phi.T @ (hmats @ basis.phi).reshape(phi.shape))
     L = 0.5 * (L + L.T)  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
 
     cond_A = _sym_cond(L)
@@ -404,15 +375,12 @@ def tail_bound(modes: int) -> float:
 def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
               y: np.ndarray) -> tuple:
     """The solve loop on one basis, from the coordinates y: (y, steps).
-    One residual per iterate, P_X grad J_r in increment form at Z + v in
-    the basis, read by the stop and the next step."""
+    FixedPoint evaluates projected_residual once before each step, none
+    after its last; Newton once per line-search trial, and its stop and
+    next step read the accepted one."""
     import scipy.linalg  # slow import; only a solve needs the LU
     Z = basis.Z
-
-    def residual(y):
-        return basis.coords(grad_J_r_increment(domain, r, basis, basis.to_loop(y)))
-
-    res, lu = residual(y), None
+    res, lu = projected_residual(domain, r, basis, y), None
     eps_ball = 0.5 * core.min_separation(Z.a(1))  # a flat 2N-vector, not a batch
     # what the stop reads: the last step's norm, or the residual's at the iterate
     size, guard_strikes = np.linalg.norm(res) if newton else np.inf, 0
@@ -426,7 +394,7 @@ def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
             for alpha in 0.5 ** np.arange(8):
                 y_try = y + alpha * step
                 try:
-                    res_try = residual(y_try)
+                    res_try = projected_residual(domain, r, basis, y_try)
                     trial = np.linalg.norm(res_try)
                     if trial < size or trial <= SOLVE_TOL:
                         break
@@ -452,9 +420,10 @@ def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
             if np.linalg.norm(y) > max(10 * eps_ball, 1e3):
                 raise ContractionFailure(
                     f"iterates diverge at r={r:.5g} (|v| = {np.linalg.norm(y):.3e})")
-            res = residual(y)
         if size <= SOLVE_TOL:
             return y, it
+        if not newton:
+            res = projected_residual(domain, r, basis, y)
     solver, measure = ("Newton", "residual") if newton else ("fixed point", "step norm")
     raise NoConvergence(
         f"{solver} not converged in {MAX_ITER} iterations at "
