@@ -148,16 +148,14 @@ def action_J_r(sys: VortexSystem, domain: DomainModel, r: float,
 
 def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
              u: Loop) -> Loop:
-    """H^1 gradient: (id-Lap)^{-1} of the L^2 field -J M u' - grad H_r(u).
+    """H^1 gradient: (id-Lap)^{-1} of the L^2 field -J M u' - grad H_r(u),
+    with grad H_r read from core.grad_Hr, the vector field's own.
 
     The core checks raise CollisionError or DomainError naming the first bad
     sample i, at t = 2 pi i/m on the m = dealias_samples(modes) nodes.
     """
-    core.check_r(r)
     pts = loops.sample(u, loops.dealias_samples(u.modes))
-    field = -core.grad_H0(sys, pts)
-    if r > 0:
-        field = field + r * core.grad_F(sys, domain, r * pts)
+    field = -core.grad_Hr(sys, domain, r, pts)
     jm = sys.j_n() @ sys.m_gamma()
     lin = Loop(-loops.differentiate(u).coeffs @ jm.T)
     return loops.inv_id_minus_laplace(lin + loops.from_samples(field, u.modes))
@@ -196,9 +194,10 @@ class XBasis:
     basis of the odd part of X = (R Z')^perp, the loops of X with
     u(t + pi) = -u(t), as flattened columns.  weights is the diagonal H^1
     Gram in flat coordinates.  On the m = dealias_samples(modes) nodes, pts
-    is Z, h0 is H0'' (the r-independent part of every operator assembled at
-    Z) and phi is the basis, phi[t] @ y = v(t) for v = to_loop(y); rot is
-    the linear term -J M d/dt read in the basis.  family holds the bases of
+    is Z and phi is the basis, phi[t] @ y = v(t) for v = to_loop(y), so the
+    residual and the operator at y both read the nodes pts + phi @ y; h0 is
+    H0'' along pts, the r-independent part of the operator at the seed; rot
+    is the linear term -J M d/dt read in the basis.  family holds the bases of
     the same seed by mode count, shared by all of them, so `at` builds each
     mode count once.
     """
@@ -302,41 +301,39 @@ def _sym_cond(a: np.ndarray) -> float:
 
 
 def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
-                 base: Loop | None = None) -> OperatorReport:
-    """Dense matrix of P_X DPhi_r at the base loop over the X basis: the
+                 y: np.ndarray | None = None) -> OperatorReport:
+    """Dense matrix of P_X DPhi_r at the coordinates y over the X basis: the
     derivative in y of projected_residual, whose field has Jacobian
-    -H_r''(base) at each node, so over the sampled basis
+    -H_r''(u_t) at its nodes u_t = pts_t + phi_t y, so
 
-        L = rot - (2 pi/m) sum_t phi_t^T H_r''(base_t) phi_t.
+        L = rot - (2 pi/m) sum_t phi_t^T H_r''(u_t) phi_t.
 
-    H0'' along the base and F'' along r*base must both repeat after half a
-    period (H_r even about a0, and an odd base): then DPhi_r keeps odd and
-    even modes apart, and the odd part of X holds the orbit.  Otherwise
-    ValueError: no other subspace is solved on.  At the seed (base None)
-    H0'' is read from basis.h0; a given base evaluates hess_H0.
+    The odd part of X holds the orbit only if DPhi_r keeps odd and even
+    modes apart, that is if H_r'' along the nodes repeats after half a
+    period.  Every u = Z + v here is odd, u(t + pi) = -u(t), as Z and the
+    basis columns are, and H0 is even, H0(-u) = H0(u), so H0'' repeats and
+    needs no test.  F'' along r u repeats only in a domain symmetric about
+    a0; else ValueError: no other subspace is solved on.  At the seed (y
+    None or 0) H0'' is read from basis.h0; any other y evaluates hess_H0.
     """
     core.check_r(r)
     sys, n = basis.sys, basis.Z.n
-    if base is None:
-        base_pts, hmats = basis.pts, basis.h0
+    if y is None or not y.any():
+        pts, hmats = basis.pts, basis.h0
     else:
-        base_pts = loops.sample(base, len(basis.pts))
-        hmats = core.hess_H0(sys, base_pts)
-    even = _repeats_after_pi(hmats)
+        pts = basis.pts + basis.phi @ y  # projected_residual's nodes, bit for bit
+        hmats = core.hess_H0(sys, pts)
     if r > 0:
-        fmats = core.hess_F(sys, domain, r * base_pts)
-        # tested apart: in the sum the asymmetry of F'' is scaled by r^2
-        # and lost in roundoff at small r
-        even = even and _repeats_after_pi(fmats)
+        fmats = core.hess_F(sys, domain, r * pts)
+        if not _repeats_after_pi(fmats):
+            raise ValueError("H_r is not even about a0: F'' along the nodes "
+                             "does not repeat after half a period")
         hmats = hmats - r**2 * fmats
         # D-block of the F-contribution alone, scaled by 1/r^2 (finite limit):
         # the e-hat columns are constant, so only the time mean of F'' enters
         d0 = fmats.mean(axis=0).reshape(n, 2, n, 2).sum(axis=(0, 2)) / n
     else:
         d0 = np.zeros((2, 2))
-    if not even:
-        raise ValueError("H_r is not even about a0: its Hessians along the "
-                         "base do not repeat after half a period")
 
     phi = basis.phi.reshape(-1, basis.dim)
     L = basis.rot - (2 * np.pi / len(hmats)) * (
@@ -375,19 +372,19 @@ def tail_bound(modes: int) -> float:
 def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
               y: np.ndarray) -> tuple:
     """The solve loop on one basis, from the coordinates y: (y, steps).
-    FixedPoint evaluates projected_residual once before each step, none
-    after its last; Newton once per line-search trial, and its stop and
-    next step read the accepted one."""
+    FixedPoint assembles the operator once, at the seed (y None), Newton at
+    each iterate's y; neither builds a Loop.  FixedPoint evaluates
+    projected_residual once before each step, none after its last; Newton
+    once per line-search trial, and its stop and next step read the
+    accepted one."""
     import scipy.linalg  # slow import; only a solve needs the LU
-    Z = basis.Z
     res, lu = projected_residual(domain, r, basis, y), None
-    eps_ball = 0.5 * core.min_separation(Z.a(1))  # a flat 2N-vector, not a batch
+    eps_ball = 0.5 * core.min_separation(basis.seed.z)
     # what the stop reads: the last step's norm, or the residual's at the iterate
     size, guard_strikes = np.linalg.norm(res) if newton else np.inf, 0
     for it in range(1, MAX_ITER + 1):  # step `it`, then the stop
         if newton or lu is None:
-            op = assemble_L_r(domain, r, basis,
-                              base=Z + basis.to_loop(y) if newton and y.any() else None)
+            op = assemble_L_r(domain, r, basis, y=y if newton else None)
             lu = scipy.linalg.lu_factor(op.matrix)
         step = -scipy.linalg.lu_solve(lu, res)
         if newton:  # backtracking: a trial must lower the residual or meet the stop
@@ -507,14 +504,16 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
               domain: DomainModel) -> PhysicalOrbit:
     """Physical orbit z(t) = a0 + r u(t/r^2), period 2 pi r^2; ValueError
-    unless r > 0 and a0 and every sample are finite, DomainError unless
-    every sample lies in the domain."""
+    unless r > 0, the period neither underflows to 0 nor overflows, and a0
+    and every sample are finite, DomainError unless every sample lies in
+    the domain."""
     core.check_count(samples, "samples", 1)
     core.check_positive(r, "r")
     a0 = np.asarray(a0, dtype=float)
-    period = 2 * np.pi * r**2
+    period = 2 * np.pi * (r * r)  # r**2 would raise OverflowError, not give inf
+    core.check_positive(period, "the period 2 pi r^2")
     times = np.arange(samples) * (period / samples)
-    phases = times / r**2
+    phases = times / (r * r)
     pts = np.tile(a0, u.n) + r * u.eval(phases)
     if not np.isfinite(pts).all():  # a non-finite a0 reaches every sample
         raise ValueError(f"a0 and the loop must be finite, got a0 = {a0}")

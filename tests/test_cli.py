@@ -741,6 +741,9 @@ _RAGGED_COEFFS = [[0, 0, 0, 0], [1, 0, -1], [0, 1, 0, -1]]
 @pytest.mark.parametrize("changes, message", [
     *(pytest.param({"r": r}, "invalid input: r must be finite and positive",
                    id=str(r)) for r in (0.0, -0.1, float("nan"), float("inf"))),
+    # 2 pi r^2 underflows to 0 or overflows: not a 0/0 or an OverflowError
+    *(pytest.param({"r": r}, "invalid input: the period 2 pi r^2 must be "
+                   "finite and positive", id=str(r)) for r in (1e-170, 1e-200, 1e160)),
     pytest.param({"r": [0.1]}, "cannot read orbit file: r must be a number",
                  id="r-list"),
     pytest.param({"r": None}, "cannot read orbit file: r must be a number",

@@ -194,15 +194,8 @@ def test_x_basis_mode_one_is_scipy_null_space(seed):
 
 
 def test_operator_plane_blocks(pair_setup):
-    """Only the odd part of X is solved on, so the operator needs H_r even
-    along the base.  A mode-2 bump breaks the half-period symmetry of H0''
-    even on the plane and is rejected; at the seed the plane operator is
-    well conditioned on the odd part."""
-    _, _, Z, basis = pair_setup
-    bump = np.zeros_like(Z.coeffs)
-    bump[3:5] = 0.05 * np.random.default_rng(2).normal(size=(2, 4))
-    with pytest.raises(ValueError, match="H_r is not even about a0"):
-        rd.assemble_L_r(Plane(), 0.0, basis, base=Z + lp.Loop(bump))
+    """At the seed the plane operator is well conditioned on the odd part."""
+    basis = pair_setup[3]
     op = rd.assemble_L_r(Plane(), 0.0, basis)
     assert op.matrix.shape == (basis.dim, basis.dim)
     assert np.linalg.cond(op.matrix) < 1e3
@@ -231,7 +224,7 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     assembles once per r at Z, and each r ends with one full-form grad_J_r
     (the residual-tail check).  A FixedPoint solve of k steps evaluates k
     projected residuals, one before each step: none after the step its stop
-    accepts.  Newton assembles only at its own base Z + v, once per step,
+    accepts.  Newton assembles only at its own iterate y, once per step,
     and evaluates one projected residual per iterate: the seed's and the
     accepted line-search trial's, which the stop test and the next step
     read.  This solve starts cold, so its first step reads H0'' off the
@@ -276,20 +269,22 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
 
 
 def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
-    """A Newton step from y = 0 assembles at the seed itself: the operator
-    equals the one assembled at the base Z + 0, without a hess_H0 call.  So
-    a cold solve makes one hess_H0 call fewer than it takes steps, and a
-    warm one makes one per step."""
-    _, _, Z, basis = pair_setup
-    disk = UnitDisk()
-    at_zero = Z + basis.to_loop(np.zeros(basis.dim))
-    assert np.array_equal(
-        rd.assemble_L_r(disk, 0.1, basis).matrix,
-        rd.assemble_L_r(disk, 0.1, basis, base=at_zero).matrix)
+    """A Newton step from y = 0 assembles at the seed itself: its nodes
+    pts + phi @ 0 are the seed's, H0'' along them is basis.h0 bit for bit,
+    and the operator equals the chord operator (y None) without a hess_H0
+    call.  So a cold solve makes one hess_H0 call fewer than it takes
+    steps, and a warm one makes one per step."""
+    basis = pair_setup[3]
+    disk, zero = UnitDisk(), np.zeros(basis.dim)
+    assert np.array_equal(core.hess_H0(basis.sys, basis.pts + basis.phi @ zero),
+                          basis.h0)
     calls = []
     hess_H0 = core.hess_H0
     monkeypatch.setattr(core, "hess_H0",
                         lambda *a: calls.append(1) or hess_H0(*a))
+    assert np.array_equal(rd.assemble_L_r(disk, 0.1, basis).matrix,
+                          rd.assemble_L_r(disk, 0.1, basis, zero).matrix)
+    assert not calls
     params = rd.SolverParams(modes=M, mode="Newton")
     cold = rd.solve_reduced(disk, 0.1, basis, params)
     assert cold.iterations >= 2 and len(calls) == cold.iterations - 1
@@ -325,7 +320,7 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
     one that does not descend, and the halved step is taken.  Here the
     first trial, the full step from the seed (y = 0), raises; the solve
     still reaches the solution of an undisturbed one."""
-    _, _, Z, basis = pair_setup
+    basis = pair_setup[3]
     params = rd.SolverParams(modes=M, mode="Newton")
     clean = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     residual, assemble = rd.projected_residual, rd.assemble_L_r
@@ -339,11 +334,11 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
 
     monkeypatch.setattr(rd, "projected_residual", failing_residual)
     monkeypatch.setattr(rd, "assemble_L_r", lambda *a, **k:
-                        bases.append(k["base"]) or assemble(*a, **k))
+                        bases.append(k["y"]) or assemble(*a, **k))
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     seed, full, half = trials[:3]
-    assert not seed.any() and bases[0] is None
-    assert bases[1] == Z + basis.to_loop(half)
+    assert not seed.any() and not bases[0].any()
+    assert np.array_equal(bases[1], half)
     assert np.allclose(half, 0.5 * full, rtol=0, atol=1e-15)
     assert lp.h1_norm(sol.v - clean.v) <= 1e-9
 
@@ -451,19 +446,36 @@ def _reference_operator(sys, domain, r, modes, base):
                                   lambda: eq.make_triangle(1.0, 2.0, 3.0, 1.0)],
                          ids=["pair", "triangle123"])
 def test_operator_is_the_derivative_of_the_projected_residual(make, modes):
-    """assemble_L_r at the seed and at a Newton base Z + v equals central
-    differences of projected_residual in y, column by column, to 1e-10 of
-    its largest entry (at step 1e-5 the truncation is 1.8e-12 at most)."""
+    """assemble_L_r at y0 equals central differences of projected_residual
+    in y, column by column, relative to its largest entry.  At the seed and
+    at a Newton iterate of norm 0.05, step 1e-5 leaves a truncation of
+    1.8e-12 at most, under a tolerance of 1e-10.
+
+    From 3 modes on, one more y0 sets mode 3 to -(1 - 1e-4) times mode 1,
+    so at t = 0 the vortices are at 1e-4 Z(0): 8.0e-5 apart for the pair,
+    1.4e-4 at the closest for the triangle.  An odd base, where H0'' repeats
+    after half a period only to roundoff; a test on H0'' refused it.  At 4
+    modes cond(A) is 5.3e9 (pair) and 1.7e10 (triangle), under MAX_COND.
+    The truncation error, h^2 times the third derivative, grows like
+    1/distance^2 there: 2.5e-3 (pair) and 8.9e-4 (triangle) of max|L| at
+    step 1e-5, falling as h^2 to 2.5e-7 and 9.0e-8 at step 1e-7, while the
+    roundoff, about 2.5e-16/h, is 2.5e-9.  So step 1e-7, tolerance 1e-6."""
     basis = rd.build_x_basis(eq.normalize_period(make()), modes)
-    disk, r, h = UnitDisk(), 0.1, 1e-5
+    disk, r = UnitDisk(), 0.1
     y = np.random.default_rng(modes).normal(size=basis.dim)
-    for y0 in (np.zeros(basis.dim), 0.05 * y / np.linalg.norm(y)):
-        L = rd.assemble_L_r(disk, r, basis, base=basis.Z + basis.to_loop(y0)).matrix
+    cases = [(np.zeros(basis.dim), 1e-5, 1e-10),
+             (0.05 * y / np.linalg.norm(y), 1e-5, 1e-10)]
+    if modes >= 3:
+        c = np.zeros_like(basis.Z.coeffs)
+        c[5] = -(1 - 1e-4) * basis.Z.coeffs[1]  # the cosine of mode 3
+        cases.append((basis.coords(lp.Loop(c)), 1e-7, 1e-6))
+    for y0, h, tol in cases:
+        L = rd.assemble_L_r(disk, r, basis, y0).matrix
         fd = np.column_stack([
             (rd.projected_residual(disk, r, basis, y0 + h * e)
              - rd.projected_residual(disk, r, basis, y0 - h * e)) / (2 * h)
             for e in np.eye(basis.dim)])
-        assert np.abs(L - fd).max() <= 1e-10 * np.abs(L).max()
+        assert np.abs(L - fd).max() <= tol * np.abs(L).max()
 
 
 @pytest.mark.parametrize("modes", [8, 16])
@@ -472,23 +484,25 @@ def test_operator_is_the_derivative_of_the_projected_residual(make, modes):
     ((1.0, 2.0, 3.0), lambda: eq.make_triangle(1.0, 2.0, 3.0, 1.0)),
 ], ids=["pair", "triangle123"])
 def test_operator_matches_per_column_reference(gammas, make, modes):
-    """At the rigid seed Z(t + pi) = -Z(t), and at a Newton base Z + v with
-    v in the odd part of X too.  In the disk about 0 the Hessians along an
-    odd base repeat after half a period, so the reference L over all
-    coefficients couples odd and even modes only by roundoff, and its odd
-    block read in the X basis is the operator."""
+    """At the rigid seed Z(t + pi) = -Z(t), and at a Newton iterate y, base
+    Z + v with v = to_loop(y) in the odd part of X, too.  In the disk about
+    0 the Hessians along an odd base repeat after half a period, so the
+    reference L over all coefficients, built from that Loop, couples odd
+    and even modes only by roundoff, and its odd block read in the X basis
+    is the operator at y."""
     vs = VortexSystem(list(gammas))
     seed = eq.normalize_period(make())
     basis = rd.build_x_basis(seed, modes)
     Z = basis.Z
     y = np.random.default_rng(modes).normal(size=basis.dim)
-    newton_base = Z + basis.to_loop(0.05 * y / np.linalg.norm(y))
+    y = 0.05 * y / np.linalg.norm(y)
     odd = (np.arange(basis.weights.size) // (2 * vs.n) + 1) // 2 % 2 == 1
     coords = np.sqrt(basis.weights)[:, None] * basis.matrix  # in unit columns
     disk = UnitDisk()
     for r in (0.0, 0.1, 1e-3):
-        for base in (Z, newton_base):
-            op = rd.assemble_L_r(disk, r, basis, base=base)
+        for y0 in (None, y):
+            op = rd.assemble_L_r(disk, r, basis, y0)
+            base = Z if y0 is None else Z + basis.to_loop(y0)
             L, d0 = _reference_operator(vs, disk, r, modes, base)
             tol = 1e-13 * np.max(np.abs(L))
             assert np.abs(L[np.ix_(odd, ~odd)]).max() <= tol
@@ -1052,6 +1066,16 @@ def test_unrescale_rejects_no_samples(samples, pair_setup):
 @pytest.mark.parametrize("r", [0.0, -0.1, np.nan, np.inf])
 def test_unrescale_rejects_bad_r(r, pair_setup):
     with pytest.raises(ValueError, match="r must be finite and positive"):
+        rd.unrescale(np.zeros(2), r, pair_setup[2], 16, UnitDisk())
+
+
+@pytest.mark.parametrize("r", [1e-170, 1e-200, 1e160])
+def test_unrescale_rejects_a_period_out_of_range(r, pair_setup):
+    """A finite positive r whose period 2 pi r^2 underflows to 0 (r below
+    about 1e-162) or overflows (above about 1e154) raises ValueError naming
+    the period, before the phases t/r^2 divide by it."""
+    with pytest.raises(ValueError, match=re.escape(
+            "the period 2 pi r^2 must be finite and positive")):
         rd.unrescale(np.zeros(2), r, pair_setup[2], 16, UnitDisk())
 
 
