@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import core, dynamics, equilibria, reduction
-from .errors import LeftDomain, NoConvergence, SingularOperator, VortexError
+from .errors import LeftDomain, NoConvergence, VortexError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -255,8 +255,6 @@ def cmd_continue(args) -> int:
 
     seed = equilibria.normalize_period(cfg.seed_equilibrium())
     crit = core.find_critical_point_h(cfg.domain, cfg.a0_guess)
-    if not crit.nondegenerate:  # the type the cond(D) guard raises for it
-        raise SingularOperator("critical point of the regular part is degenerate")
     path = reduction.continue_path(seed, cfg.domain, crit.point, cfg.params)
 
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -15,7 +15,6 @@ which of the two its "nondegenerate" means; the CLI requires both.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +90,7 @@ def residual_HS0(eq: RelativeEquilibrium) -> float:
         grad = grad_H0(eq.sys, eq.z).reshape(-1, 2)
         defect = eq.sys.gammas[:, None] * (eq.omega * eq.z.reshape(-1, 2)) + grad
         return np.hypot(*defect.T).max() / np.hypot(*grad.T).max()
-    return float(finite(f"the residual {_OVERFLOWS}", ratio))
+    return float(finite(f"the residual under- or {_OVERFLOWS}", ratio))
 
 
 def residual_bound(sys: VortexSystem) -> float:
@@ -161,7 +160,7 @@ def normalize_period(eq: RelativeEquilibrium) -> RelativeEquilibrium:
 @dataclass(frozen=True, eq=False)
 class MonodromyReport:
     """Floquet data read off the rotating-frame generator B (``generator``);
-    the monodromy W = expm(2pi B) (``matrix``) is built on first read.
+    the monodromy W = expm(2pi B) is not built, as the verdict needs none.
 
     ``multipliers`` are exp(2pi lambda) over the eigenvalues lambda of B;
     one beyond the float range (Re lambda above about 113) reads inf, with
@@ -176,11 +175,6 @@ class MonodromyReport:
     multipliers: np.ndarray
     kernel_dim: int
     nondegenerate: bool
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        from scipy.linalg import expm  # slow import; the verdict needs no W
-        return expm(2.0 * np.pi * self.generator)
 
 
 def rotating_generator(eq: RelativeEquilibrium) -> np.ndarray:

@@ -52,7 +52,7 @@ from .loops import Loop
 
 ORBIT_SCHEMA_VERSION = 1
 
-# an operator whose cond(A) or cond(D) exceeds this raises SingularOperator
+# an operator whose condition number exceeds this raises SingularOperator
 MAX_COND = 1e12
 # the one stop, after each step: FixedPoint ends once the step it just took,
 # Newton once the projected residual at its new iterate, has norm at most this
@@ -281,12 +281,6 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
                   h0=core.hess_H0(seed.sys, pts), phi=phi, rot=rot)
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorReport:
-    matrix: np.ndarray  # over the columns of the odd X basis
-    d0_matrix: np.ndarray  # 2x2 D-block of (L_r - L_0-part)/r^2 in the e-hat basis
-
-
 def _repeats_after_pi(stack: np.ndarray) -> bool:
     """Whether m (even) samples over [0, 2 pi) repeat after half a period, to
     1e-12 of the largest entry; symmetric cases measure at most 2e-15."""
@@ -301,54 +295,46 @@ def _sym_cond(a: np.ndarray) -> float:
 
 
 def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
-                 y: np.ndarray | None = None) -> OperatorReport:
+                 y: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of P_X DPhi_r at the coordinates y over the X basis: the
     derivative in y of projected_residual, whose field has Jacobian
     -H_r''(u_t) at its nodes u_t = pts_t + phi_t y, so
 
-        L = rot - (2 pi/m) sum_t phi_t^T H_r''(u_t) phi_t.
+        L = rot - (2 pi/m) sum_t phi_t^T H_r''(u_t) phi_t,
 
-    The odd part of X holds the orbit only if DPhi_r keeps odd and even
-    modes apart, that is if H_r'' along the nodes repeats after half a
-    period.  Every u = Z + v here is odd, u(t + pi) = -u(t), as Z and the
-    basis columns are, and H0 is even, H0(-u) = H0(u), so H0'' repeats and
-    needs no test.  F'' along r u repeats only in a domain symmetric about
-    a0; else ValueError: no other subspace is solved on.  At the seed (y
-    None or 0) H0'' is read from basis.h0; any other y evaluates hess_H0.
+    symmetrized; SingularOperator if its condition exceeds MAX_COND.  The
+    odd part of X holds the orbit only if DPhi_r keeps odd and even modes
+    apart, that is if H_r'' along the nodes repeats after half a period.
+    Every u = Z + v here is odd, u(t + pi) = -u(t), as Z and the basis
+    columns are, and H0 is even, H0(-u) = H0(u), so H0'' repeats and needs
+    no test.  F'' along r u repeats only in a domain symmetric about a0;
+    else ValueError: no other subspace is solved on.  That part holds no
+    constant loop, so the translation block, which reads the nondegeneracy
+    of a0 (checked by continue_path), is not in L.  At the seed (y None or
+    0) H0'' is read from basis.h0; any other y evaluates hess_H0.
     """
     core.check_r(r)
-    sys, n = basis.sys, basis.Z.n
     if y is None or not y.any():
         pts, hmats = basis.pts, basis.h0
     else:
         pts = basis.pts + basis.phi @ y  # projected_residual's nodes, bit for bit
-        hmats = core.hess_H0(sys, pts)
+        hmats = core.hess_H0(basis.sys, pts)
     if r > 0:
-        fmats = core.hess_F(sys, domain, r * pts)
+        fmats = core.hess_F(basis.sys, domain, r * pts)
         if not _repeats_after_pi(fmats):
             raise ValueError("H_r is not even about a0: F'' along the nodes "
                              "does not repeat after half a period")
         hmats = hmats - r**2 * fmats
-        # D-block of the F-contribution alone, scaled by 1/r^2 (finite limit):
-        # the e-hat columns are constant, so only the time mean of F'' enters
-        d0 = fmats.mean(axis=0).reshape(n, 2, n, 2).sum(axis=(0, 2)) / n
-    else:
-        d0 = np.zeros((2, 2))
 
     phi = basis.phi.reshape(-1, basis.dim)
     L = basis.rot - (2 * np.pi / len(hmats)) * (
         phi.T @ (hmats @ basis.phi).reshape(phi.shape))
     L = 0.5 * (L + L.T)  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
-
-    cond_A = _sym_cond(L)
-    # D tends to r^2 (Gamma^2/N) h''(a0), so cond(D) tests the nondegeneracy
-    # of a0; it vanishes identically when F has no effect (plane, r = 0)
-    cond_D = np.linalg.cond(d0) if d0.any() else 1.0
-    if max(cond_A, cond_D) > MAX_COND:
+    cond = _sym_cond(L)
+    if cond > MAX_COND:
         raise SingularOperator(
-            f"ill-conditioned reduced operator: cond(A)={cond_A:.3e}, "
-            f"cond(D)={cond_D:.3e}")
-    return OperatorReport(matrix=L, d0_matrix=d0)
+            f"ill-conditioned reduced operator: cond(A)={cond:.3e}")
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +370,8 @@ def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
     size, guard_strikes = np.linalg.norm(res) if newton else np.inf, 0
     for it in range(1, MAX_ITER + 1):  # step `it`, then the stop
         if newton or lu is None:
-            op = assemble_L_r(domain, r, basis, y=y if newton else None)
-            lu = scipy.linalg.lu_factor(op.matrix)
+            lu = scipy.linalg.lu_factor(
+                assemble_L_r(domain, r, basis, y=y if newton else None))
         step = -scipy.linalg.lu_solve(lu, res)
         if newton:  # backtracking: a trial must lower the residual or meet the stop
             for alpha in 0.5 ** np.arange(8):
@@ -487,7 +473,11 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
     fewer), which solve_reduced doubles up to params.modes as the residual
     tail asks; the bases of every mode count are built once for the path.
     A failed r is recorded in `failures`, so a path where none converges
-    has only failures.  build_x_basis refuses the seed before any solve."""
+    has only failures.  Before any solve, SingularOperator unless h''(a0)
+    is nondegenerate by find_critical_point_h's rule (an a0 outside the
+    domain raises DomainError), and build_x_basis refuses the seed."""
+    if not np.linalg.cond(core.hess_h(domain, a0)) < 1 / core.CRITICAL_SV_RATIO:
+        raise SingularOperator("critical point of the regular part is degenerate")
     basis = build_x_basis(seed, min(START_MODES, params.modes))
     work_domain = TranslatedDomain(domain, a0)
     entries, failures = [], {}

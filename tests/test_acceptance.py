@@ -184,9 +184,10 @@ def test_criterion_3_block_operator_identities(pair_seed):
     # is the identity on constants.  As r -> 0 it tends to F''(0) on them:
     # (1/N) sum_{j,k} G_j G_k h''(0) = (Gamma^2 / N) h''(0), approached at
     # the rate O(r^4) (test_d_block_limit_closed_form), ~1e-14 at r = 1e-3.
-    op = rd.assemble_L_r(disk, 1e-3, basis)
+    fmats = core.hess_F(sys2, disk, 1e-3 * basis.pts)
+    d0 = fmats.mean(axis=0).reshape(2, 2, 2, 2).sum(axis=(0, 2)) / sys2.n
     d0_limit = (sys2.nonzero_total()**2 / sys2.n) * hpp0
-    checks["D0 full form"] = np.max(np.abs(op.d0_matrix - d0_limit)) <= 1e-8
+    checks["D0 full form"] = np.max(np.abs(d0 - d0_limit)) <= 1e-8
 
     # the constant-mode projection of the smoothed F''(0) image of the
     # mean-free seed loop vanishes

@@ -142,14 +142,20 @@ def test_equilibrium_unstable_triangle_is_nondegenerate(gammas, capsys):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["--type", "pair", "--gamma=1e300,1e300", "--sep", "1"], "residual"),
+    (["--type", "pair", "--gamma=1e300,1e300", "--sep", "1"],
+     "residual under- or"),
     (["--type", "pair", "--gamma=1e200,1e200", "--sep", "1", "--check"],
-     "residual"),
+     "residual under- or"),
+    (["--type", "triangle", "--gamma=1e-170,2e-170,3e-170", "--side", "1",
+      "--check"], "residual under- or"),
     (["--type", "triangle", "--gamma=1e157,1,-2", "--side", "1e5", "--check"],
      "generator B"),
     (["--type", "pair", "--gamma=1,2", "--sep", "1e-200"], "angular velocity"),
-], ids=["pair-1e300", "pair-1e200-check", "triangle-B", "pair-sep-1e-200"])
+], ids=["pair-1e300", "pair-1e200-check", "triangle-1e-170-check",
+        "triangle-B", "pair-sep-1e-200"])
 def test_equilibrium_overflow_exits_2(argv, what, capsys):
+    """Each names what went out of range.  For the 1e-170 triangle grad H0
+    underflows to 0, so the residual, relative to it, is 0/0."""
     assert main(["equilibrium", *argv]) == 2
     captured = capsys.readouterr()
     assert f"{what} overflows" in captured.err

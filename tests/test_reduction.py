@@ -196,16 +196,16 @@ def test_x_basis_mode_one_is_scipy_null_space(seed):
 def test_operator_plane_blocks(pair_setup):
     """At the seed the plane operator is well conditioned on the odd part."""
     basis = pair_setup[3]
-    op = rd.assemble_L_r(Plane(), 0.0, basis)
-    assert op.matrix.shape == (basis.dim, basis.dim)
-    assert np.linalg.cond(op.matrix) < 1e3
+    L = rd.assemble_L_r(Plane(), 0.0, basis)
+    assert L.shape == (basis.dim, basis.dim)
+    assert np.linalg.cond(L) < 1e3
 
 
 def test_operator_matches_finite_differences(pair_setup):
     sys2, _, Z, basis = pair_setup
     disk = UnitDisk()
     r = 0.08
-    op = rd.assemble_L_r(disk, r, basis)
+    L = rd.assemble_L_r(disk, r, basis)
     y = RNG.normal(size=basis.dim)
     y /= np.linalg.norm(y)
     w = basis.to_loop(y)
@@ -213,7 +213,7 @@ def test_operator_matches_finite_differences(pair_setup):
     fd = (rd.grad_J_r(sys2, disk, r, Z + epsv * w).coeffs
           - rd.grad_J_r(sys2, disk, r, Z - epsv * w).coeffs) / (2 * epsv)
     fdc = basis.coords(lp.Loop(fd))
-    assert np.linalg.norm(op.matrix @ y - fdc) / np.linalg.norm(fdc) < 1e-5
+    assert np.linalg.norm(L @ y - fdc) / np.linalg.norm(fdc) < 1e-5
 
 
 def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
@@ -282,8 +282,8 @@ def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
     hess_H0 = core.hess_H0
     monkeypatch.setattr(core, "hess_H0",
                         lambda *a: calls.append(1) or hess_H0(*a))
-    assert np.array_equal(rd.assemble_L_r(disk, 0.1, basis).matrix,
-                          rd.assemble_L_r(disk, 0.1, basis, zero).matrix)
+    assert np.array_equal(rd.assemble_L_r(disk, 0.1, basis),
+                          rd.assemble_L_r(disk, 0.1, basis, zero))
     assert not calls
     params = rd.SolverParams(modes=M, mode="Newton")
     cold = rd.solve_reduced(disk, 0.1, basis, params)
@@ -303,9 +303,8 @@ def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
     assemblies = []
 
     def flipped(*args, **kw):
-        op = real(*args, **kw)
         assemblies.append(1)
-        return rd.OperatorReport(matrix=-op.matrix, d0_matrix=op.d0_matrix)
+        return -real(*args, **kw)
 
     monkeypatch.setattr(rd, "assemble_L_r", flipped)
     with pytest.raises(NoConvergence, match="line search failed at r=0.1"):
@@ -350,7 +349,6 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
     disk = UnitDisk()
     sol = small_path.entries[0]
     twins = [
-        [rd.assemble_L_r(disk, 0.1, basis) for _ in range(2)],
         [rd.solve_reduced(disk, 0.1, basis, rd.SolverParams(modes=M))
          for _ in range(2)],
         [rd.unrescale(np.zeros(2), sol.r, sol.u, 8, disk) for _ in range(2)],
@@ -364,8 +362,8 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
 
 def test_operator_symmetric(pair_setup):
     basis = pair_setup[3]
-    op = rd.assemble_L_r(UnitDisk(), 0.1, basis)
-    assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12
+    L = rd.assemble_L_r(UnitDisk(), 0.1, basis)
+    assert np.max(np.abs(L - L.T)) < 1e-12
 
 
 def test_d_block_limit_closed_form(pair_setup):
@@ -383,25 +381,27 @@ def test_d_block_limit_closed_form(pair_setup):
     The n = 1 term is (Gamma^2/N) h''(0) with h''(0) = I/pi; the r^2 term
     vanishes because p_1(z), the centre of vorticity, is 0.  The error is
     therefore 3 r^4 |p_2(z)|^2 / (pi N) I plus terms smaller by a factor
-    O(r^2 |z|^2).
+    O(r^2 |z|^2).  The odd basis holds no constant loop, so the operator
+    has no D block: it is read here off the nodes, as the mean of F''.
     """
     sys2, pair, _, basis = pair_setup
-    disk = UnitDisk()
-    expect = (sys2.nonzero_total()**2 / sys2.n) * core.hess_h(disk, np.zeros(2))
+    disk, n = UnitDisk(), sys2.n
+    expect = (sys2.nonzero_total()**2 / n) * core.hess_h(disk, np.zeros(2))
     pts = pair.z[0::2] + 1j * pair.z[1::2]
-    c4 = 3 * abs(np.sum(sys2.gammas * pts**2))**2 / (np.pi * sys2.n)
+    c4 = 3 * abs(np.sum(sys2.gammas * pts**2))**2 / (np.pi * n)
+
+    def d0(r):
+        fmats = core.hess_F(sys2, disk, r * basis.pts)
+        return fmats.mean(axis=0).reshape(n, 2, n, 2).sum(axis=(0, 2)) / n
+
     for r in (0.1, 0.02):
-        op = rd.assemble_L_r(disk, r, basis)
         lead = c4 * r**4
-        assert np.max(np.abs(op.d0_matrix - expect - lead * np.eye(2))) \
-            < 1e-3 * lead
-    op = rd.assemble_L_r(disk, 1e-3, basis)
-    assert np.max(np.abs(op.d0_matrix - expect)) < 1e-6
+        assert np.max(np.abs(d0(r) - expect - lead * np.eye(2))) < 1e-3 * lead
+    assert np.max(np.abs(d0(1e-3) - expect)) < 1e-6
     # below r = 1e-4 the r^4 term is under 1e-15: only roundoff is left, and
     # it must not grow like eps / r^2
     for r in (1e-4, 1e-5):
-        op = rd.assemble_L_r(disk, r, basis)
-        assert np.max(np.abs(op.d0_matrix - expect)) <= 1e-12
+        assert np.max(np.abs(d0(r) - expect)) <= 1e-12
 
 
 def _reference_operator(sys, domain, r, modes, base):
@@ -411,9 +411,6 @@ def _reference_operator(sys, domain, r, modes, base):
     multiplied by H_r''(base) at the nodes, projected back by rFFT, added to
     -J M w', smoothed by (id-Lap)^{-1} and read in H^1 coordinates.  The
     result is L over all coefficients, even modes and constants included.
-    The D block of the F part is the same image of the two normalized
-    constant loops under the hess_F stack alone (their derivative
-    vanishes, so the linear term drops out).
     """
     n = sys.n
     w = lp.h1_weight_vector(n, modes)
@@ -433,12 +430,7 @@ def _reference_operator(sys, domain, r, modes, base):
 
     unit = np.diag(1 / np.sqrt(w))
     L = unit @ (w[:, None] * np.column_stack([image(hmats, c) for c in unit]))
-    L = 0.5 * (L + L.T)
-    const = np.zeros((2, w.size))
-    const[:, :2 * n] = np.tile(np.eye(2), n) / np.sqrt(2 * np.pi * n)
-    d0 = -const @ (w[:, None] * np.column_stack([image(fmats, c)
-                                                  for c in const]))
-    return L, d0
+    return 0.5 * (L + L.T)
 
 
 @pytest.mark.parametrize("modes", [1, 4, 16])
@@ -470,7 +462,7 @@ def test_operator_is_the_derivative_of_the_projected_residual(make, modes):
         c[5] = -(1 - 1e-4) * basis.Z.coeffs[1]  # the cosine of mode 3
         cases.append((basis.coords(lp.Loop(c)), 1e-7, 1e-6))
     for y0, h, tol in cases:
-        L = rd.assemble_L_r(disk, r, basis, y0).matrix
+        L = rd.assemble_L_r(disk, r, basis, y0)
         fd = np.column_stack([
             (rd.projected_residual(disk, r, basis, y0 + h * e)
              - rd.projected_residual(disk, r, basis, y0 - h * e)) / (2 * h)
@@ -503,11 +495,10 @@ def test_operator_matches_per_column_reference(gammas, make, modes):
         for y0 in (None, y):
             op = rd.assemble_L_r(disk, r, basis, y0)
             base = Z if y0 is None else Z + basis.to_loop(y0)
-            L, d0 = _reference_operator(vs, disk, r, modes, base)
+            L = _reference_operator(vs, disk, r, modes, base)
             tol = 1e-13 * np.max(np.abs(L))
             assert np.abs(L[np.ix_(odd, ~odd)]).max() <= tol
-            assert np.max(np.abs(op.matrix - coords.T @ L @ coords)) <= tol
-            assert np.max(np.abs(op.d0_matrix - d0)) <= tol
+            assert np.max(np.abs(op - coords.T @ L @ coords)) <= tol
 
 
 def test_singular_operator_guard(pair_setup, monkeypatch):
@@ -519,17 +510,14 @@ def test_singular_operator_guard(pair_setup, monkeypatch):
     grad H0(Z) = -J M Z' = -Z, and -J M Z' - H0''(Z) Z = -2Z is halved by
     (id-Lap)^{-1}.  So cond(A) is
     (1+K^2)/K for the top mode K of the basis: 82/9 = 9.11 on the odd part
-    of X (K = M - 1).  cond(D) = cond((Gamma^2/N) h''(0)) = 1.  A MAX_COND
-    of 5 trips the guard on the A block."""
+    of X (K = M - 1).  A MAX_COND of 5 trips the guard."""
     basis = pair_setup[3]
     disk = UnitDisk()
-    op = rd.assemble_L_r(disk, 1e-3, basis)
+    A = rd.assemble_L_r(disk, 1e-3, basis)
     top = _col_modes(basis).max()
     assert top == M - 1
-    A = op.matrix
     assert rd._sym_cond(A) == pytest.approx(np.linalg.cond(A), rel=1e-10)
     assert rd._sym_cond(A) == pytest.approx((1 + top**2) / top, rel=1e-6)
-    assert np.linalg.cond(op.d0_matrix) == pytest.approx(1.0, abs=1e-6)
     monkeypatch.setattr(rd, "MAX_COND", 5)
     with pytest.raises(SingularOperator, match=r"cond\(A\)=9\.111e\+00"):
         rd.assemble_L_r(disk, 1e-3, basis)
@@ -704,7 +692,7 @@ def test_max_iter_message_names_the_norm_after_the_last_step(
     step: FixedPoint the step's, Newton the projected residual at y1."""
     basis, r = pair_setup[3], 0.1
     grad = rd.grad_J_r(basis.sys, UnitDisk(), r, basis.Z)
-    A = rd.assemble_L_r(UnitDisk(), r, basis).matrix
+    A = rd.assemble_L_r(UnitDisk(), r, basis)
     y1 = -np.linalg.solve(A, basis.coords(grad))
     after = {"step norm": np.linalg.norm(y1),
              "residual": np.linalg.norm(basis.coords(rd.grad_J_r(
@@ -985,6 +973,42 @@ def test_zero_vorticity_rejected():
         rd.continue_path(seed, UnitDisk(), np.zeros(2), rd.SolverParams(modes=M))
 
 
+def test_degenerate_a0_is_refused_before_any_solve(pair_setup, monkeypatch):
+    """h(p) = p.A p with A = diag(1, 1e-12) has a degenerate critical point
+    at 0: cond(h''(0)) = 1e12 is past 1/CRITICAL_SV_RATIO = 1e10, so the
+    continuation raises SingularOperator once, before any solve."""
+    solves = []
+    monkeypatch.setattr(rd, "solve_reduced", lambda *a, **k: solves.append(a))
+    with pytest.raises(SingularOperator, match="^critical point of the "
+                       "regular part is degenerate$"):
+        rd.continue_path(pair_setup[1], SyntheticQuadratic([[1, 0], [0, 1e-12]]),
+                         np.zeros(2), rd.SolverParams(modes=M))
+    assert solves == []
+
+
+@pytest.mark.parametrize("k", [-8, -9.9, -10.1, -12])
+def test_a0_rule_is_the_critical_point_verdict(k, pair_setup, monkeypatch):
+    """The continuation refuses a0 = 0 of h(p) = p.A p, A = diag(1, 10^k),
+    exactly when find_critical_point_h calls it degenerate: cond(h''(0)) is
+    10^-k either side of 1/CRITICAL_SV_RATIO (k = -10 is the edge itself,
+    where the two roundings may differ).  An accepted a0 reaches the solve,
+    here stubbed to fail each r."""
+    domain = SyntheticQuadratic(np.diag([1.0, 10.0**k]))
+    crit = core.find_critical_point_h(domain, np.zeros(2))
+    assert crit.nondegenerate == (k > -10)
+
+    def failing_solve(*args, **kw):
+        raise NoConvergence("stub")
+    monkeypatch.setattr(rd, "solve_reduced", failing_solve)
+    params = rd.SolverParams(modes=M, r_points=2)
+    if crit.nondegenerate:
+        path = rd.continue_path(pair_setup[1], domain, np.zeros(2), params)
+        assert len(path.failures) == 2 and not path.entries
+    else:
+        with pytest.raises(SingularOperator, match="degenerate"):
+            rd.continue_path(pair_setup[1], domain, np.zeros(2), params)
+
+
 def test_continuation_solves_about_a0_itself(pair_setup):
     """The domain is recentred at a0 however near the origin a0 lies: 1e-9
     off the disk's centre, a0 is no critical point of h, H_r is not even
@@ -1012,8 +1036,8 @@ def test_diverging_iterates_are_refused(pair_setup, monkeypatch):
     1e3)."""
     basis = pair_setup[3]
     assemble = rd.assemble_L_r
-    monkeypatch.setattr(rd, "assemble_L_r", lambda *args, **kw: rd.OperatorReport(
-        matrix=1e-12 * assemble(*args, **kw).matrix, d0_matrix=None))
+    monkeypatch.setattr(rd, "assemble_L_r",
+                        lambda *args, **kw: 1e-12 * assemble(*args, **kw))
     with pytest.raises(ContractionFailure, match="iterates diverge at r=0.1 "):
         rd.solve_reduced(_QuarticDomain(), 0.1, basis, rd.SolverParams(modes=M))
 
