@@ -284,18 +284,13 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--z0 needs {2 * vsys.n} numbers, got {args.z0.size}")
     core.check_positive(args.time, "--time")
     core.check_count(args.samples, "--samples", 2)
-    if args.r is not None and args.mode != "rescaled":
-        raise ValueError(f"--r applies to --mode rescaled only, not {args.mode}")
-    s = {"physical": 1.0, "rescaled": args.r or 0.0, "plane": 0.0}[args.mode]
-    domain = cfg.domain if args.mode != "plane" else core.Plane()
-    t_eval = np.linspace(0.0, args.time, args.samples)
-    core.check_r(s, "--r")
-    traj = dynamics.integrate(vsys, domain, s, args.z0, args.time,
-                              t_eval=t_eval)
+    core.check_r(args.r, "--r")
+    traj = dynamics.integrate(vsys, cfg.domain, args.r, args.z0, args.time,
+                              t_eval=np.linspace(0.0, args.time, args.samples))
     reduction.atomic_write(args.csv, trajectory_csv(traj.times, traj.states))
     if args.svg:
-        reduction.atomic_write(args.svg, trajectory_svg(traj.states, domain))
-    inv = dynamics.invariants_along(vsys, domain, traj)
+        reduction.atomic_write(args.svg, trajectory_svg(traj.states, cfg.domain))
+    inv = dynamics.invariants_along(vsys, cfg.domain, traj)
     for key, value in inv.items():
         print(f"{key} = {value:.3e}")
     return EXIT_OK
@@ -379,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config")
     p_sim.add_argument("--z0", type=float_list, required=True)
     p_sim.add_argument("--time", type=float, required=True)
-    p_sim.add_argument("--mode", default="physical",
-                       choices=["physical", "rescaled", "plane"])
-    p_sim.add_argument("--r", type=float)  # 0 in rescaled mode, else refused
+    p_sim.add_argument("--r", type=float, default=1.0)  # the scale s of H_s
     p_sim.add_argument("--samples", type=int, default=512)
     p_sim.add_argument("--csv", default="trajectory.csv")
     p_sim.add_argument("--svg")

@@ -683,9 +683,10 @@ class CriticalPoint:
 def find_critical_point_h(domain: DomainModel, guess) -> CriticalPoint:
     """Newton iteration on grad h with step halving to stay inside the domain.
 
-    The critical point is nondegenerate when the smaller singular value of
-    h'' exceeds ``CRITICAL_SV_RATIO`` times the larger one, so the verdict
-    does not depend on the scale of h; a zero Hessian is degenerate.  A
+    The critical point is nondegenerate when the condition number of h''
+    is below 1 / ``CRITICAL_SV_RATIO``, the rule `continue_path` refuses
+    a0 by, so the verdict does not depend on the scale of h; a zero
+    Hessian (condition inf) is degenerate.  A
     guess that is not finite or not inside the domain, or an iterate where
     grad h or h'' overflows, raises ValueError.
     """
@@ -699,9 +700,8 @@ def find_critical_point_h(domain: DomainModel, guess) -> CriticalPoint:
         gh = finite(f"grad h {at}", lambda: grad_h(domain, p))
         hh = finite(f"h'' {at}", lambda: hess_h(domain, p))
         if np.linalg.norm(gh) <= CRITICAL_GRAD_TOL:
-            sv = np.linalg.svd(hh, compute_uv=False)
             return CriticalPoint(point=p, hessian=hh, nondegenerate=bool(
-                sv[1] > CRITICAL_SV_RATIO * sv[0]))
+                np.linalg.cond(hh) < 1 / CRITICAL_SV_RATIO))
         try:
             step = np.linalg.solve(hh, -gh)
         except np.linalg.LinAlgError as exc:

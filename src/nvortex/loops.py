@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_period_normalized
+from .core import check_at_least, check_period_normalized
 from .errors import AliasWarning, DimensionMismatch
 
 
@@ -54,9 +54,6 @@ class Loop:
     @property
     def a0(self) -> np.ndarray:
         return self.coeffs[0]
-
-    def a(self, k: int) -> np.ndarray:
-        return self.coeffs[0] if k == 0 else self.coeffs[2 * k - 1]
 
     def eval(self, t) -> np.ndarray:
         """Evaluate u(t); t may be a scalar or an array of times."""
@@ -202,15 +199,15 @@ def synthesis_matrix(modes: int, m: int) -> np.ndarray:
 
 
 def from_samples(values: np.ndarray, modes: int) -> Loop:
-    """Least-aliased loop of order `modes` through equispaced samples (rFFT)."""
+    """The loop of order `modes` whose coefficients are the trapezoid rule
+    on m equispaced samples, (2/m) S^T values with the constant row halved,
+    for S = synthesis_matrix(modes, m): the transpose of `sample`, exact on
+    loops of order `modes`; ValueError unless m >= 2 modes + 1."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    spec = np.fft.rfft(values, axis=0) / m
-    c = np.zeros((2 * modes + 1, values.shape[1]))
-    c[0] = spec[0].real
-    kmax = min(modes, spec.shape[0] - 1)
-    c[1 : 2 * kmax : 2] = 2.0 * spec[1 : kmax + 1].real
-    c[2 : 2 * kmax + 1 : 2] = -2.0 * spec[1 : kmax + 1].imag
+    check_at_least(m, "len(values)", 2 * modes + 1)
+    c = (2.0 / m) * (synthesis_matrix(modes, m).T @ values)
+    c[0] *= 0.5
     return Loop(c)
 
 

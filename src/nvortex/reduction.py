@@ -88,6 +88,9 @@ class SolverParams:
             raise ValueError("r grid needs 0 < r_min < r_max and a finite "
                              f"r_max / r_min, got r_max = {self.r_max}, "
                              f"r_min = {self.r_min}")
+        for name in ("r_min", "r_max"):  # unrescale's rule for the period
+            r = getattr(self, name)
+            core.check_positive(2 * np.pi * (r * r), f"the period 2 pi {name}^2")
         core.check_count(self.r_points, "r_points", 2)
         mode = {"fixedpoint": "FixedPoint", "newton": "Newton"}.get(
             str(self.mode).lower())
@@ -166,9 +169,9 @@ def projected_residual(domain: DomainModel, r: float, basis: XBasis,
     """basis.coords of grad_J_r at Z + v, v = basis.to_loop(y), less the
     seed's plane residual -J M Z' - grad H0(Z), which is 0 in exact
     arithmetic (build_x_basis checks it).  Read in H^1 the weight
-    pi(1+k^2) of mode k cancels (id-Lap)^{-1}, and on m > 2M nodes the
-    rFFT projection onto the modes <= M is the trapezoid rule, so over the
-    sampled basis phi this is
+    pi(1+k^2) of mode k cancels (id-Lap)^{-1}, and loops.from_samples, the
+    projection onto the modes <= M, is the trapezoid rule on the m nodes,
+    so over the sampled basis phi this is
 
         rot y + (2 pi/m) sum_t phi_t^T f_t,
         f = -(grad H0(Z + v) - grad H0(Z)) + r grad F(r (Z + v))  at the nodes,

@@ -666,6 +666,18 @@ def test_continue_r_grid_ratio_that_overflows_exits_2(r_min, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_continue_r_grid_whose_period_underflows_exits_2(tmp_path, capsys):
+    """At r_min = 1e-200 the period 2 pi r_min^2 underflows to 0, so the
+    orbit could not be validated: the grid is refused before any solve and
+    before the output directory is made."""
+    assert main(["continue", "--r-min=1e-200", "--modes", "4",
+                 "--r-steps", "3", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: [solver]: the period 2 pi r_min^2 must be finite "
+        "and positive, got 0.0\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_continue_malformed_config_is_usage_error(tmp_path):
     cfgfile = _write(tmp_path / "bad.ini",
                      "[system]\ngammas = one,two\n")
@@ -881,7 +893,7 @@ def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     csv = str(tmp_path / "traj.csv")
     svg = str(tmp_path / "traj.svg")
     assert main(["simulate", "--z0", "0.3,0,-0.3,0", "--time", "2.0",
-                 "--mode", "physical", "--samples", "50",
+                 "--samples", "50",
                  "--csv", csv, "--svg", svg]) == 0
     with open(csv) as fh:
         header = fh.readline().strip()
@@ -902,20 +914,19 @@ def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     (["--time", "1", "--samples", "0"], "--samples"),
     (["--time", "0"], "--time"),
     (["--time", "inf"], "--time"),
-    *((["--time", "1", "--mode", mode, "--r", r], "--r")
-      for r in ("nan", "inf", "-1") for mode in ("physical", "rescaled")),
-    # --r applies to the rescaled system only
-    *((["--time", "1", "--mode", mode, "--r", r], "--r")
-      for r in ("5", "0") for mode in ("physical", "plane")),
-    (["--time", "1", "--r", "0.2"], "--r"),
+    # a refused --r writes no file, with or without an SVG asked for
+    *((["--time", "1", "--r", r, *svg], "--r")
+      for r in ("nan", "inf", "-1") for svg in ([], ["--svg", "t.svg"])),
 ])
-def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys):
+def test_simulate_bad_time_or_samples_exits_2(flags, named, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
     csv = tmp_path / "t.csv"
     assert main(["simulate", "--z0", "0.3,0,-0.3,0", *flags,
                  "--csv", str(csv)]) == 2
     err = capsys.readouterr().err
     assert "invalid input" in err and named in err
-    assert not csv.exists()
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -966,30 +977,43 @@ def test_simulate_thomson_config_needs_one_gamma(system, code, tmp_path,
             "invalid input: thomson seed needs 1 gamma(s), got 2")
 
 
-def test_simulate_rescaled_at_r_zero(tmp_path):
+def test_simulate_rescaled_at_r_zero(tmp_path, capsys):
+    """At --r 0 simulate integrates H0, the plane, and reports its centre of
+    vorticity and angular impulse besides the energy."""
     assert main(["simulate", "--z0", "0.3,0,-0.3,0", "--time", "1",
-                 "--mode", "rescaled", "--r", "0",
-                 "--csv", str(tmp_path / "t.csv")]) == 0
+                 "--r", "0", "--csv", str(tmp_path / "t.csv")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in out] == [
+        "energy_drift", "center_of_vorticity_drift", "angular_impulse_drift"]
 
 
 def test_simulate_modes_are_scales_of_one_family(tmp_path, capsys):
-    """Each mode integrates H_s: physical is s = 1, plane is s = 0 and
-    rescaled is s = --r, 0 when --r is not given.  So rescaled at r = 1
-    writes the physical CSV byte for byte, and rescaled without --r reports
-    the plane's centre of vorticity and angular impulse."""
-    def run(*mode):
+    """simulate integrates H_s at s = --r, the physical system s = 1 by
+    default: with no --r it writes the --r 1 CSV byte for byte, and only
+    s = 0 reports the plane's centre of vorticity and angular impulse."""
+    def run(*scale):
         csv = tmp_path / "t.csv"
         assert main(["simulate", "--z0=0.3,0,-0.3,0.1", "--time", "2",
-                     "--samples", "5", *mode, "--csv", str(csv)]) == 0
-        return csv.read_bytes(), capsys.readouterr().out.splitlines()
+                     "--samples", "5", *scale, "--csv", str(csv)]) == 0
+        return csv.read_bytes(), capsys.readouterr().out
 
-    physical_csv, _ = run("--mode", "physical")
-    assert run("--mode", "rescaled", "--r", "1")[0] == physical_csv
-    _, plane_out = run("--mode", "plane")
-    _, rescaled_out = run("--mode", "rescaled")
-    drifts = [line for line in plane_out if line.startswith(
-        ("center_of_vorticity_drift = ", "angular_impulse_drift = "))]
-    assert len(drifts) == 2 and set(drifts) <= set(rescaled_out)
+    default_csv, default_out = run()
+    assert run("--r", "1") == (default_csv, default_out)
+    assert "angular_impulse_drift" not in default_out
+    assert "angular_impulse_drift" in run("--r", "0")[1]
+
+
+def test_simulate_at_a_scale_past_the_boundary_stops_at_its_guard(tmp_path,
+                                                                  capsys):
+    """--r 5 integrates H_5, whose boundary guard watches 5 z: a pair at
+    0.3 from the centre lies outside the unit disk there, so the run stops
+    at t = 0 with exit 1 and writes no CSV."""
+    csv = tmp_path / "t.csv"
+    assert main(["simulate", "--z0", "0.3,0,-0.3,0", "--time", "1",
+                 "--r", "5", "--csv", str(csv)]) == 1
+    assert capsys.readouterr().err == (
+        "error: vortex within 1e-09 of the boundary\n")
+    assert not csv.exists()
 
 
 def test_simulate_rescaled_in_the_half_plane(tmp_path, capsys):
@@ -997,8 +1021,8 @@ def test_simulate_rescaled_in_the_half_plane(tmp_path, capsys):
     which lies on the half plane's boundary."""
     cfgfile = _write(tmp_path / "hp.ini",
                      "[domain]\nvariant = halfplane\na0_guess = 0.3,0.5\n")
-    assert main(["simulate", "--config", cfgfile, "--mode", "rescaled",
-                 "--r", "0.1", "--z0=0.1,0.5,-0.1,0.5", "--time", "0.1",
+    assert main(["simulate", "--config", cfgfile, "--r", "0.1",
+                 "--z0=0.1,0.5,-0.1,0.5", "--time", "0.1",
                  "--csv", str(tmp_path / "t.csv")]) == 0
     out = capsys.readouterr().out
     assert out.startswith("energy_drift = ") and float(out.split()[-1]) < 1e-8
@@ -1016,7 +1040,7 @@ def test_svg_draws_the_half_plane_boundary():
 
 def test_simulate_collision_start_fails(tmp_path):
     assert main(["simulate", "--z0", "0,0,0,1e-12", "--time", "1.0",
-                 "--mode", "plane",
+                 "--r", "0",
                  "--csv", str(tmp_path / "t.csv")]) == 1
 
 

@@ -701,7 +701,7 @@ _R_SITES = {
     "assemble_L_r": lambda v: rd.assemble_L_r(UnitDisk(), v, _basis()),
     "integrate": lambda v: dyn.integrate(_PAIR, UnitDisk(), v, _Z0, 1.0),
     "simulate": lambda v: _cli("simulate", "--z0=0.3,0,-0.3,0", "--time=1",
-                               "--mode=rescaled", f"--r={v}"),
+                               f"--r={v}"),
 }
 
 

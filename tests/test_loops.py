@@ -225,6 +225,23 @@ def test_sample_roundtrip():
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
 
 
+def test_from_samples_is_exact_on_2m_plus_1_samples():
+    """The trapezoid rule recovers a loop of order M from the fewest samples
+    that from_samples accepts for it, 2M + 1."""
+    u = random_loop(modes=4)
+    back = lp.from_samples(lp.sample(u, 9), 4)
+    assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-14
+
+
+def test_from_samples_refuses_too_few_samples():
+    """On 8 nodes sin 4t vanishes and cos 4t is the alternating sign, the
+    Nyquist mode, so mode 4 is not resolved: 4 modes need 9 samples."""
+    vals = np.cos(4 * lp.sample_times(8))[:, None] * np.ones(2)
+    with pytest.raises(ValueError, match=r"^len\(values\) must be at least "
+                       r"9, got 8$"):
+        lp.from_samples(vals, 4)
+
+
 def test_sample_uses_one_read_only_table():
     """sample is the cached synthesis table times the coefficients: the same
     product that Loop.eval forms at the sample times."""

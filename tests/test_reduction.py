@@ -986,13 +986,13 @@ def test_degenerate_a0_is_refused_before_any_solve(pair_setup, monkeypatch):
     assert solves == []
 
 
-@pytest.mark.parametrize("k", [-8, -9.9, -10.1, -12])
+@pytest.mark.parametrize("k", [-8, -9.9, -10, -10.1, -12])
 def test_a0_rule_is_the_critical_point_verdict(k, pair_setup, monkeypatch):
     """The continuation refuses a0 = 0 of h(p) = p.A p, A = diag(1, 10^k),
-    exactly when find_critical_point_h calls it degenerate: cond(h''(0)) is
-    10^-k either side of 1/CRITICAL_SV_RATIO (k = -10 is the edge itself,
-    where the two roundings may differ).  An accepted a0 reaches the solve,
-    here stubbed to fail each r."""
+    exactly when find_critical_point_h calls it degenerate: both read
+    cond(h''(0)) = 10^-k < 1/CRITICAL_SV_RATIO, so they agree either side
+    of the edge and at k = -10, the edge itself.  An accepted a0 reaches
+    the solve, here stubbed to fail each r."""
     domain = SyntheticQuadratic(np.diag([1.0, 10.0**k]))
     crit = core.find_critical_point_h(domain, np.zeros(2))
     assert crit.nondegenerate == (k > -10)
@@ -1193,6 +1193,11 @@ def test_solver_params_validation():
     for bad in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="r_max must be finite and positive"):
             rd.SolverParams(r_max=bad)
+    # unrescale's period rule: 2 pi r^2 neither underflows nor overflows
+    for key, r in (("r_min", 1e-200), ("r_max", 1e200)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the period 2 pi {key}^2 must be finite and positive, got ")):
+            rd.SolverParams(**{key: r})
     grid = rd.SolverParams().r_grid()
     assert grid[0] == pytest.approx(0.2) and grid[-1] == pytest.approx(1e-3)
     assert np.all(np.diff(grid) < 0)
