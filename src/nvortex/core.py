@@ -144,10 +144,26 @@ def _as_points(z):
     return z.reshape(z.shape[:-1] + (z.shape[-1] // 2, 2))
 
 
+def _complex(p):
+    """Planar points of shape (..., 2) as complex numbers of shape (...)."""
+    return np.ascontiguousarray(p, dtype=float).view(complex)[..., 0]
+
+
+def _planar(a):
+    """Complex numbers of shape (...) as planar points of shape (..., 2)."""
+    return np.asarray(a)[..., None].view(float)
+
+
+def _columns(a, b):
+    """The 2x2 blocks [[Re a, Re b], [Im a, Im b]] of complex columns a, b."""
+    return np.stack([_planar(a), _planar(b)], axis=-1)
+
+
 def _pair_differences(p):
-    """d[..., k, j] = p_k - p_j and |d|^2 for points of shape (..., N, 2)."""
+    """c[..., k, j] = p_k - p_j, complex, and |c|^2 for points of shape
+    (..., N, 2); the einsum keeps |c|^2 silent where it overflows to inf."""
     d = p[..., :, None, :] - p[..., None, :, :]
-    return d, np.einsum("...x,...x->...", d, d)
+    return _complex(d), np.einsum("...x,...x->...", d, d)
 
 
 @functools.lru_cache
@@ -157,18 +173,18 @@ def _pair_indices(n: int):
     return tuple(_read_only(a) for a in np.triu_indices(n, 1))
 
 
-def _min_dist2(dist2):
-    """Smallest off-diagonal entry of a (..., N, N) squared-distance array."""
-    n = dist2.shape[-1]
-    if n < 2:
-        return np.inf
-    i, j = _pair_indices(n)
-    return dist2[..., i, j].min()
+@functools.lru_cache
+def _inf_diagonal(n: int):
+    """+inf on the diagonal and 0 off it, so that |c|^2 plus it holds only
+    the pairs; built once per n and read-only."""
+    return _read_only(np.diag(np.full(n, np.inf)))
 
 
 def min_separation(z) -> float:
-    """Minimum pairwise distance over the (batched) configuration."""
-    return float(np.sqrt(_min_dist2(_pair_differences(_as_points(z))[1])))
+    """Minimum pairwise distance over the (batched) configuration; inf for
+    one vortex."""
+    dist2 = _pair_differences(_as_points(z))[1]
+    return float(np.sqrt((dist2 + _inf_diagonal(dist2.shape[-1])).min()))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +246,6 @@ class Plane(DomainModel):
     g_wz = g_ww
 
 
-def _planar(a):
-    """Complex numbers of shape (...) as planar points of shape (..., 2)."""
-    return np.asarray(a)[..., None].view(float)
-
-
 class UnitDisk(DomainModel):
     """Open unit disk with the method-of-images regular part.
 
@@ -249,14 +260,8 @@ class UnitDisk(DomainModel):
     @staticmethod
     def _f(w, z):
         """f = conj(w) z - 1 and z, over complex views of the points."""
-        w, z = (np.ascontiguousarray(p, dtype=float).view(complex)[..., 0]
-                for p in (w, z))
-        return w.conj() * z - 1.0, z
-
-    @staticmethod
-    def _columns(a, b):
-        """The 2x2 blocks [[Re a, Re b], [Im a, Im b]] of columns a and b."""
-        return np.stack([_planar(a), _planar(b)], axis=-1)
+        z = _complex(z)
+        return _complex(w).conj() * z - 1.0, z
 
     def g(self, w, z):
         return -np.log(np.abs(self._f(w, z)[0]) ** 2) / (4.0 * np.pi)
@@ -268,11 +273,11 @@ class UnitDisk(DomainModel):
     def g_ww(self, w, z):
         f, z = self._f(w, z)
         p = (z / f) ** 2 / (2.0 * np.pi)
-        return self._columns(p, -1j * p)
+        return _columns(p, -1j * p)
 
     def g_wz(self, w, z):
         q = 1.0 / (2.0 * np.pi * self._f(w, z)[0] ** 2)
-        return self._columns(q, 1j * q)
+        return _columns(q, 1j * q)
 
     def boundary_gap(self, p):
         p = np.asarray(p, dtype=float)
@@ -412,15 +417,20 @@ def _at_sample(bad):
 
 
 def _separated_pairs(p):
-    """``_pair_differences`` of points no two within COLLISION_TOL."""
-    d, dist2 = _pair_differences(p)
-    m = _min_dist2(dist2)
+    """``_pair_differences`` of points no two within COLLISION_TOL, and
+    ValueError where a squared distance overflows."""
+    c, dist2 = _pair_differences(p)
+    if not dist2.max() < np.inf:
+        raise ValueError("a squared pair distance overflows: configuration "
+                         "out of range" + _at_sample(
+                             np.isinf(dist2).any(axis=(-2, -1))))
+    off = dist2 + _inf_diagonal(p.shape[-2])
+    m = off.min()
     if m <= COLLISION_TOL**2:
-        off = dist2 + np.diag(np.full(p.shape[-2], np.inf))
         raise CollisionError(
             f"minimum separation {np.sqrt(m):.3e} <= {COLLISION_TOL:.0e}"
             + _at_sample(np.any(off <= COLLISION_TOL**2, axis=(-2, -1))))
-    return d, dist2
+    return c, dist2
 
 
 def _check_membership(domain, p):
@@ -432,8 +442,7 @@ def _check_membership(domain, p):
 
 def eval_H0(sys: VortexSystem, z):
     """Logarithmic pair interaction, summed over ordered pairs j != k."""
-    p = _as_points(z)
-    d, dist2 = _separated_pairs(p)
+    dist2 = _separated_pairs(_as_points(z))[1]
     gg = np.outer(sys.gammas, sys.gammas)
     i, j = _pair_indices(sys.n)
     terms = gg[i, j] * np.log(dist2[..., i, j])
@@ -442,43 +451,38 @@ def eval_H0(sys: VortexSystem, z):
 
 
 def grad_H0(sys: VortexSystem, z):
-    """Gradient of ``eval_H0``; block k is -(G_k/pi) sum_j G_j d_kj/|d_kj|^2."""
+    """Gradient of ``eval_H0``; block k is -(G_k/pi) sum_j G_j/conj(z_k - z_j)."""
     z = np.asarray(z, dtype=float)
     return _grad_H0(sys, _as_points(z)).reshape(z.shape)
 
 
 def _grad_H0(sys, p):
     """``grad_H0`` at checked points p of shape (..., N, 2), in that shape."""
-    d, dist2 = _separated_pairs(p)
-    # d_kk = p_k - p_k is exactly 0, so a unit |d_kk|^2 zeroes the k = j term
-    field = np.einsum("j,...kjx->...kx", sys.gammas,
-                      d / (dist2 + _eye(sys.n))[..., None])
-    return sys._h0_col * field
+    c, dist2 = _separated_pairs(p)
+    # c/|c|^2 = conj(1/c); c_kk is exactly 0, so a unit |c_kk|^2 zeroes it
+    return sys._h0_col * _planar((c / (dist2 + _eye(sys.n))) @ sys.gammas)
 
 
 def grad_H0_increment(sys: VortexSystem, z, dz):
     """grad_H0(z + dz) - grad_H0(z) without cancellation.  Per pair, with
-    d = z_k - z_j and delta = dz_k - dz_j,
+    c = z_k - z_j and e = dz_k - dz_j as complex numbers,
 
-        (d + delta)/|d + delta|^2 - d/|d|^2
-            = (delta |d|^2 - d (2 d.delta + |delta|^2)) / (|d + delta|^2 |d|^2),
+        conj(1/(c + e)) - conj(1/c) = -conj(e / (c (c + e))),
 
-    every term of which is O(|delta|), so the increment keeps its digits
-    relative to |delta| where the difference of two grad_H0 calls loses
-    them to the O(1) terms that cancel.  CollisionError unless z and z + dz
-    are both separated; z and dz broadcast."""
+    which is O(|e|), so the increment keeps its digits relative to |e|
+    where the difference of two grad_H0 calls loses them to the O(1) terms
+    that cancel.  CollisionError unless z and z + dz are both separated;
+    z and dz broadcast."""
     z, dz = np.broadcast_arrays(np.asarray(z, dtype=float),
                                 np.asarray(dz, dtype=float))
     p, dp = _as_points(z), _as_points(dz)
-    d, dist2 = _separated_pairs(p)
-    new2 = _separated_pairs(p + dp)[1]
-    e, e2 = _pair_differences(dp)
-    de = np.einsum("...x,...x->...", d, e)
-    num = e * dist2[..., None] - d * (2.0 * de + e2)[..., None]
-    # on the diagonal num is 0 and the unit keeps the quotient finite
-    field = np.einsum("j,...kjx->...kx", sys.gammas,
-                      num / (new2 * dist2 + _eye(sys.n))[..., None])
-    return (sys._h0_col * field).reshape(z.shape)
+    c = _separated_pairs(p)[0]
+    ce = _separated_pairs(p + dp)[0]
+    e = _pair_differences(dp)[0]
+    # ce is c + e as the check on z + dz forms it; on the diagonal e is 0
+    # and the unit keeps the quotient finite
+    field = -np.conj(e / (c * ce + _eye(sys.n))) @ sys.gammas
+    return (sys._h0_col * _planar(field)).reshape(z.shape)
 
 
 def _assemble_pairs(off, diag):
@@ -497,18 +501,15 @@ def _assemble_pairs(off, diag):
 
 def hess_H0(sys: VortexSystem, z):
     """Dense symmetric Hessian of ``eval_H0``, shape (..., 2N, 2N)."""
-    p = _as_points(z)
-    d, dist2 = _separated_pairs(p)
-    n = sys.n
-    dist2 = dist2 + _eye(n)
-    # K(d) = I/|d|^2 - 2 d d^T / |d|^4, the Jacobian of d/|d|^2
-    K = np.eye(2) / dist2[..., None, None] - 2.0 * (
-        d[..., :, None] * d[..., None, :]
-    ) / (dist2**2)[..., None, None]
-    off = (np.outer(sys.gammas, sys.gammas)[..., None, None] / np.pi) * K
+    c, dist2 = _separated_pairs(_as_points(z))
+    # conj(1/c) is antiholomorphic in c with derivative conj(-1/c^2), so
+    # the block (k, j) has the columns P and -iP, P = -conj(1/c)^2 G_k G_j/pi;
+    # conj(1/c) = c/|c|^2 is 0 on the diagonal, as in _grad_H0
+    w = c / (dist2 + _eye(sys.n))
+    P = -(w * w) * (np.outer(sys.gammas, sys.gammas) / np.pi)
+    off = _columns(P, -1j * P)
     # diagonal blocks are minus the row sums of the off-diagonal ones
-    diag = -np.einsum("...kjab,kj->...kab", off, 1.0 - _eye(n))
-    return _assemble_pairs(off, diag)
+    return _assemble_pairs(off, -off.sum(axis=-3))
 
 
 def eval_F(sys: VortexSystem, domain: DomainModel, z):
@@ -539,20 +540,16 @@ def hess_F(sys: VortexSystem, domain: DomainModel, z):
 def _hess_F(sys, domain, p):
     """``hess_F`` at points p of shape (..., N, 2)."""
     _check_membership(domain, p)
-    n = sys.n
-    wp = p[..., :, None, :]
-    zp = p[..., None, :, :]
-    gww = domain.g_ww(wp, zp)
+    wp, zp = p[..., :, None, :], p[..., None, :, :]
     gwz = domain.g_wz(wp, zp)
     gg = np.outer(sys.gammas, sys.gammas)
-    idx = np.arange(n)
-
-    # diagonal blocks: cross terms with the other vortices plus the Robin term
-    cross = 2.0 * np.einsum("jk,...jkab->...jab", gg * (1.0 - _eye(n)), gww)
+    idx = np.arange(sys.n)
+    # diagonal blocks: 2 G_k sum_j G_j g_ww(z_k, z_j) over every j, k
+    # included, plus G_k^2 (g_wz + g_wz^T)(z_k, z_k)
     gwz_d = gwz[..., idx, idx, :, :]
-    gww_d = gww[..., idx, idx, :, :]
-    hpp = 2.0 * (gww_d + 0.5 * (gwz_d + np.swapaxes(gwz_d, -1, -2)))
-    diag = cross + (sys.gammas**2)[:, None, None] * hpp
+    diag = (2.0 * np.einsum("jk,...jkab->...jab", gg, domain.g_ww(wp, zp))
+            + (sys.gammas**2)[:, None, None]
+            * (gwz_d + np.swapaxes(gwz_d, -1, -2)))
     return _assemble_pairs(2.0 * gg[..., None, None] * gwz, diag)
 
 

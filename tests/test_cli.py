@@ -1044,6 +1044,16 @@ def test_simulate_collision_start_fails(tmp_path):
                  "--csv", str(tmp_path / "t.csv")]) == 1
 
 
+def test_simulate_where_pair_distances_overflow_exits_2(tmp_path, capsys):
+    """At (1e154, 0, -1e154, 0) |d|^2 = 4e308 overflows: refused, where the
+    energy of log(inf) would print NaN drifts."""
+    assert main(["simulate", "--r", "0", "--z0=1e154,0,-1e154,0", "--time",
+                 "1", "--csv", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: a squared pair distance overflows: configuration "
+        "out of range\n")
+
+
 def test_simulate_wrong_z0_length(tmp_path, capsys):
     assert main(["simulate", "--z0", "0.3,0", "--time", "1.0",
                  "--csv", str(tmp_path / "t.csv")]) == 2

@@ -182,18 +182,21 @@ def test_velocity_matches_rigid_rotation():
 
 
 def test_pair_indices_cached_and_read_only():
-    """The pair indices, the identity, J_N and the per-system columns are
-    built once (per n or per system), read-only and equal to fresh ones."""
+    """The pair indices, the identity, the +inf diagonal, J_N and the
+    per-system columns are built once (per n or per system), read-only and
+    equal to fresh ones."""
     for n in range(1, 7):
         iu = core._pair_indices(n)
         assert core._pair_indices(n) is iu
         for got, ref in zip(iu, np.triu_indices(n, 1)):
             assert np.array_equal(got, ref) and not got.flags.writeable
         assert core._eye(n) is core._eye(n)
+        assert core._inf_diagonal(n) is core._inf_diagonal(n)
         gammas = RNG.uniform(0.2, 2.0, n) * RNG.choice([-1.0, 1.0], n)
         vsys = VortexSystem(gammas)
         assert vsys.j_n() is VortexSystem(gammas[::-1]).j_n()
         for got, ref in [(core._eye(n), np.eye(n)),
+                         (core._inf_diagonal(n), np.diag(np.full(n, np.inf))),
                          (vsys.j_n(), np.kron(np.eye(n), core.J2)),
                          (vsys.gammas, gammas),
                          (vsys._h0_col, -(gammas[:, None] / np.pi)),
@@ -513,6 +516,27 @@ def test_hamiltonians_reject_non_finite_configuration(bad):
     for call in calls:
         with pytest.raises(ValueError, match="finite.*(nan|inf)"):
             call()
+
+
+def test_hamiltonians_reject_overflowing_pair_distances():
+    """Finite points 2e154 apart, |d|^2 = 4e308: a ValueError, not the
+    inf and NaN of log(inf) and inf - inf; on a batch it names the sample."""
+    sys2 = VortexSystem([1.0, 1.0])
+    z = np.array([1e154, 0.0, -1e154, 0.0])
+    calls = [
+        lambda: core.eval_H0(sys2, z),
+        lambda: core.grad_H0(sys2, z),
+        lambda: core.grad_H0_increment(sys2, z, np.zeros(4)),
+        lambda: core.grad_H0_increment(sys2, z / 2, z / 2),
+        lambda: core.hess_H0(sys2, z),
+        lambda: core.vortex_rhs(sys2, Plane(), z),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="pair distance overflows"):
+            call()
+    with pytest.raises(ValueError, match="overflows.* at sample 1"):
+        core.grad_H0(sys2, np.stack([z / 2, z]))
+    assert core.min_separation(z) == np.inf
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

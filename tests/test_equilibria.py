@@ -356,11 +356,49 @@ def _multiplier_gap(a, b):
     return gap
 
 
+def _jordan_kappa(B):
+    """kappa = |y| |v1| of the 4x4 nilpotent Jordan block of B: a chain
+    B v4 = v3, B v3 = v2, B v2 = v1, B v1 = 0 with v4 in ker B^4, and the
+    left null vector y of B scaled so that y.v4 = 1.  Another chain
+    changes v4 by a factor t and multiples of v1..v3, so v1 by t and y by
+    1/t: kappa depends on B alone."""
+    null4 = np.linalg.svd(np.linalg.matrix_power(B, 4))[2][-4:].T
+    v4 = null4 @ np.linalg.svd(np.linalg.matrix_power(B, 3) @ null4)[2][0]
+    v1 = np.linalg.matrix_power(B, 3) @ v4
+    y = np.linalg.svd(B)[0][:, -1]
+    return np.linalg.norm(y) * np.linalg.norm(v1) / abs(y @ v4)
+
+
+def _cluster_at_one(multipliers, rho):
+    """The six multipliers within 0.05 of 1 have mean 1 to 1e-12, and
+    each lies within rho of 1."""
+    near = multipliers[np.abs(multipliers - 1.0) < 0.05]
+    return (near.size == 6 and abs(near.mean() - 1.0) <= 1e-12
+            and np.abs(near - 1.0).max() <= rho)
+
+
 def test_multipliers_match_eigvals_of_W():
     """exp(2 pi lambda(B)) against eigvals(expm(2 pi B)).  Both sides are
     perturbed where B has a Jordan block: the 2x2 phase/scaling block of
-    every equilibrium (about 4e-6 measured over 2000 draws), and the 4x4
-    block of the L = 0 triangle (about eps^(1/4); 1.5e-4 measured)."""
+    every equilibrium (about 4e-6 measured over 2000 draws).
+
+    At L = 0 the triangle's B has one 4x4 nilpotent block (phase, scaling
+    and the merged shape pair) and the translations +-i, so each side has
+    six multipliers at 1, and the two sides' splittings of the block need
+    not line up.  What the mathematics fixes on each side:
+    (a) the cluster mean is the trace of the spectral projector times the
+        matrix, over 6, which is well-conditioned: 1 to 1e-12;
+    (b) eig returns the exact eigenvalues of A + E, |E|_2 <= n eps |A|_2
+        (backward stability, n = 6).  Where A is upper triangular on a
+        Jordan chain with superdiagonal s, the eigenvalues split off the
+        4x4 block solve mu^4 = s^3 y^H E v1 to first order (Lidskii), so
+        |mu| <= (s^3 kappa |E|_2)^(1/4), kappa from ``_jordan_kappa``.
+        For B, s = 1 and |lambda| <= rho_B = (kappa n eps |B|_2)^(1/4), so
+        |exp(2 pi lambda) - 1| <= expm1(2 pi rho_B).  On the same chain
+        expm(2 pi B) is I + 2 pi N + ..., so s = 2 pi, and E holds eig's
+        backward error and expm's rounding of W, each n eps |W|_2.
+    With kappa = 4 sqrt(2), |B|_2 = 2.66 and |W|_2 = 248 the bounds are
+    2.4e-3 and 5.5e-3; measured 7.8e-4 and 1.8e-3."""
     rng = np.random.default_rng(15)
     for _ in range(200):
         rep = eq.monodromy(eq.normalize_period(_draw(rng)))
@@ -368,8 +406,14 @@ def test_multipliers_match_eigvals_of_W():
         assert _multiplier_gap(rep.multipliers,
                                np.linalg.eigvals(_monodromy_matrix(rep))) <= 1e-5
     zero_l = eq.monodromy(eq.normalize_period(eq.make_triangle(1.0, 1.0, -0.5, 1.0)))
-    assert _multiplier_gap(zero_l.multipliers,
-                           np.linalg.eigvals(_monodromy_matrix(zero_l))) <= 5e-4
+    B, W = zero_l.generator, _monodromy_matrix(zero_l)
+    n, eps, kappa = B.shape[0], np.finfo(float).eps, _jordan_kappa(B)
+    rho_b = np.expm1(2 * np.pi * (kappa * n * eps * np.linalg.norm(B, 2)) ** 0.25)
+    rho_w = ((2 * np.pi) ** 3 * kappa * 2 * n * eps * np.linalg.norm(W, 2)) ** 0.25
+    assert _cluster_at_one(zero_l.multipliers, rho_b)
+    assert _cluster_at_one(np.linalg.eigvals(W), rho_w)
+    # a relative error of 1e-9 in every multiplier moves the mean past 1e-12
+    assert not _cluster_at_one(zero_l.multipliers * (1 + 1e-9), rho_b)
 
 
 @pytest.mark.parametrize("g", [(1.0, 1.0, -1.2), (1.0, 1.0, -1.5),
