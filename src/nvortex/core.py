@@ -41,6 +41,7 @@ CRITICAL_MAX_ITER = 50
 CRITICAL_SV_RATIO = 1e-10
 
 _EPS = np.finfo(float).eps
+_HALF_MAX = np.finfo(float).max / 2
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class VortexSystem:
         g = np.array(self.gammas, dtype=float, ndmin=1)  # a private copy
         if g.ndim != 1 or g.size == 0:
             raise ValueError("gammas must be a nonempty vector")
-        if not np.all(np.abs(g) <= np.finfo(float).max / 2):  # NaN fails too
+        if not np.all(np.abs(g) <= _HALF_MAX):  # NaN fails too
             raise ValueError("every vorticity must be finite, and small enough "
                              f"that 2 gamma does not overflow, got {g}")
         if np.any(g == 0.0):
@@ -138,9 +139,14 @@ def _as_points(z):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] % 2:
         raise ValueError("configuration length must be even")
-    if not np.isfinite(z).all():
-        raise ValueError("every configuration entry must be finite, got "
-                         f"{z[~np.isfinite(z)][0]}")
+    if not np.abs(z).max() <= _HALF_MAX:  # one reduction; NaN fails it too
+        bad = ~np.isfinite(z)
+        if bad.any():
+            raise ValueError("every configuration entry must be finite, got "
+                             f"{z[bad][0]}")
+        raise ValueError(f"every configuration entry must be at most "
+                         f"{_HALF_MAX:.6g} in magnitude, so that no pair difference "
+                         f"overflows, got {z[np.abs(z) > _HALF_MAX][0]:.6g}")
     return z.reshape(z.shape[:-1] + (z.shape[-1] // 2, 2))
 
 
@@ -164,13 +170,6 @@ def _pair_differences(p):
     (..., N, 2); the einsum keeps |c|^2 silent where it overflows to inf."""
     d = p[..., :, None, :] - p[..., None, :, :]
     return _complex(d), np.einsum("...x,...x->...", d, d)
-
-
-@functools.lru_cache
-def _pair_indices(n: int):
-    """Row and column indices of the pairs j < k of n points, as
-    ``np.triu_indices(n, 1)``; built once per n and read-only."""
-    return tuple(_read_only(a) for a in np.triu_indices(n, 1))
 
 
 @functools.lru_cache
@@ -443,11 +442,9 @@ def _check_membership(domain, p):
 def eval_H0(sys: VortexSystem, z):
     """Logarithmic pair interaction, summed over ordered pairs j != k."""
     dist2 = _separated_pairs(_as_points(z))[1]
-    gg = np.outer(sys.gammas, sys.gammas)
-    i, j = _pair_indices(sys.n)
-    terms = gg[i, j] * np.log(dist2[..., i, j])
-    # each unordered pair appears twice; log|d| = log(d^2)/2
-    return -terms.sum(axis=-1) / (2.0 * np.pi)
+    # log|c| = log(|c|^2)/2, and the unit diagonal contributes log 1 = 0
+    logs = np.log(dist2 + _eye(sys.n))
+    return -np.einsum("j,k,...jk->...", sys.gammas, sys.gammas, logs) / (4.0 * np.pi)
 
 
 def grad_H0(sys: VortexSystem, z):

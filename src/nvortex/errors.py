@@ -67,7 +67,3 @@ class BoundaryApproach(IntegrationError):
 
 class MinStepReached(IntegrationError):
     pass
-
-
-class AliasWarning(UserWarning):
-    """Sample count too low for alias-free treatment of nonlinear terms."""

@@ -15,13 +15,12 @@ maps.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import check_at_least, check_period_normalized
-from .errors import AliasWarning, DimensionMismatch
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +167,8 @@ def sample_times(m: int) -> np.ndarray:
 
 
 def sample(u: Loop, m: int) -> np.ndarray:
-    """Values of u at m equispaced times; rows are time samples."""
-    if m < 2 * u.modes + 1:
-        warnings.warn(
-            f"{m} samples cannot resolve {u.modes} modes without aliasing",
-            AliasWarning,
-        )
+    """Values of u at m equispaced times; rows are time samples.  Exact at
+    any m: only the projection back, from_samples, can alias."""
     return synthesis_matrix(u.modes, m) @ u.coeffs
 
 

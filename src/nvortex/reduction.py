@@ -11,7 +11,8 @@ as zeros of the H^1 gradient of the action
 
 Writing u = Z + v with Z the rigidly rotating seed, the correction v is
 found in the odd part of X, the H^1-orthogonal complement of the phase
-direction Z' (v(t + pi) = -v(t), as H_r is even about a0), either by the
+direction Z' (v(t + pi) = -v(t), where the orbit lies if H_r is even about
+a0; the full-form check of each solution judges the rest), either by the
 frozen-Jacobian fixed-point iteration
 
     v  <-  v - L_r^{-1} [P_X grad J_r(Z + v)]
@@ -284,13 +285,6 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
                   h0=core.hess_H0(seed.sys, pts), phi=phi, rot=rot)
 
 
-def _repeats_after_pi(stack: np.ndarray) -> bool:
-    """Whether m (even) samples over [0, 2 pi) repeat after half a period, to
-    1e-12 of the largest entry; symmetric cases measure at most 2e-15."""
-    half = stack.shape[0] // 2
-    return np.abs(stack[:half] - stack[half:]).max() <= 1e-12 * np.abs(stack).max()
-
-
 def _sym_cond(a: np.ndarray) -> float:
     """2-norm condition number of a symmetric matrix, max|lambda|/min|lambda|."""
     lam = np.abs(np.linalg.eigvalsh(a))
@@ -306,15 +300,10 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
         L = rot - (2 pi/m) sum_t phi_t^T H_r''(u_t) phi_t,
 
     symmetrized; SingularOperator if its condition exceeds MAX_COND.  The
-    odd part of X holds the orbit only if DPhi_r keeps odd and even modes
-    apart, that is if H_r'' along the nodes repeats after half a period.
-    Every u = Z + v here is odd, u(t + pi) = -u(t), as Z and the basis
-    columns are, and H0 is even, H0(-u) = H0(u), so H0'' repeats and needs
-    no test.  F'' along r u repeats only in a domain symmetric about a0;
-    else ValueError: no other subspace is solved on.  That part holds no
-    constant loop, so the translation block, which reads the nondegeneracy
-    of a0 (checked by continue_path), is not in L.  At the seed (y None or
-    0) H0'' is read from basis.h0; any other y evaluates hess_H0.
+    odd part of X holds no constant loop, so the translation block, which
+    reads the nondegeneracy of a0 (checked by continue_path), is not in L.
+    At the seed (y None or 0) H0'' is read from basis.h0; any other y
+    evaluates hess_H0.
     """
     core.check_r(r)
     if y is None or not y.any():
@@ -323,11 +312,7 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
         pts = basis.pts + basis.phi @ y  # projected_residual's nodes, bit for bit
         hmats = core.hess_H0(basis.sys, pts)
     if r > 0:
-        fmats = core.hess_F(basis.sys, domain, r * pts)
-        if not _repeats_after_pi(fmats):
-            raise ValueError("H_r is not even about a0: F'' along the nodes "
-                             "does not repeat after half a period")
-        hmats = hmats - r**2 * fmats
+        hmats = hmats - r**2 * core.hess_F(basis.sys, domain, r * pts)
 
     phi = basis.phi.reshape(-1, basis.dim)
     L = basis.rot - (2 * np.pi / len(hmats)) * (
@@ -454,7 +439,9 @@ def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
     if residual > 10 * SOLVE_TOL * (vnorm + 1.0):
         raise PhaseDefect(
             f"full gradient {residual:.3e} exceeds 10x the solver "
-            f"tolerance at r={r:.5g}; the phase component did not vanish")
+            f"tolerance at r={r:.5g}; the phase component did not vanish, "
+            f"or the orbit has modes outside the odd subspace (H_r not even "
+            f"about a0)")
     return ReducedSolution(r=r, v=v, u=basis.Z + v, residual_grad=residual,
                            phase_defect=abs(loops.h1_inner(head, basis.zdot)),
                            vnorm=vnorm, iterations=steps, residual_tail=tail)
@@ -476,10 +463,17 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
     fewer), which solve_reduced doubles up to params.modes as the residual
     tail asks; the bases of every mode count are built once for the path.
     A failed r is recorded in `failures`, so a path where none converges
-    has only failures.  Before any solve, SingularOperator unless h''(a0)
-    is nondegenerate by find_critical_point_h's rule (an a0 outside the
-    domain raises DomainError), and build_x_basis refuses the seed."""
-    if not np.linalg.cond(core.hess_h(domain, a0)) < 1 / core.CRITICAL_SV_RATIO:
+    has only failures.  Before any solve, a0 is put to find_critical_point_h,
+    the owner of both rules on it: ValueError naming a0 if its search moves
+    off a0 (a0 is no critical point of h), SingularOperator if a0 is
+    degenerate; the search's own refusals pass through (ValueError for an a0
+    outside the domain, NoConvergence or LeftDomain where its Newton steps
+    from a non-critical a0 fail).  Then build_x_basis refuses the seed."""
+    crit = core.find_critical_point_h(domain, a0)
+    if not np.array_equal(crit.point, a0):
+        raise ValueError(f"a0 = {np.asarray(a0).tolist()} is not a critical "
+                         "point of the regular part")
+    if not crit.nondegenerate:
         raise SingularOperator("critical point of the regular part is degenerate")
     basis = build_x_basis(seed, min(START_MODES, params.modes))
     work_domain = TranslatedDomain(domain, a0)

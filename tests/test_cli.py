@@ -1054,6 +1054,15 @@ def test_simulate_where_pair_distances_overflow_exits_2(tmp_path, capsys):
         "out of range\n")
 
 
+def test_simulate_beyond_half_the_float_range_exits_2(tmp_path, capsys):
+    """At (1e308, 0, -1e308, 0) the pair difference itself overflows: the
+    start is refused, with no RuntimeWarning on the way."""
+    assert main(["simulate", "--r", "0", "--z0=1e308,0,-1e308,0", "--time",
+                 "1", "--csv", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "invalid input: every configuration entry must be at most ")
+
+
 def test_simulate_wrong_z0_length(tmp_path, capsys):
     assert main(["simulate", "--z0", "0.3,0", "--time", "1.0",
                  "--csv", str(tmp_path / "t.csv")]) == 2

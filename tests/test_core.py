@@ -181,15 +181,10 @@ def test_velocity_matches_rigid_rotation():
     assert rhs == pytest.approx(expect, abs=1e-14)
 
 
-def test_pair_indices_cached_and_read_only():
-    """The pair indices, the identity, the +inf diagonal, J_N and the
-    per-system columns are built once (per n or per system), read-only and
-    equal to fresh ones."""
+def test_cached_arrays_are_built_once_and_read_only():
+    """The identity, the +inf diagonal, J_N and the per-system columns are
+    built once (per n or per system), read-only and equal to fresh ones."""
     for n in range(1, 7):
-        iu = core._pair_indices(n)
-        assert core._pair_indices(n) is iu
-        for got, ref in zip(iu, np.triu_indices(n, 1)):
-            assert np.array_equal(got, ref) and not got.flags.writeable
         assert core._eye(n) is core._eye(n)
         assert core._inf_diagonal(n) is core._inf_diagonal(n)
         gammas = RNG.uniform(0.2, 2.0, n) * RNG.choice([-1.0, 1.0], n)
@@ -537,6 +532,26 @@ def test_hamiltonians_reject_overflowing_pair_distances():
     with pytest.raises(ValueError, match="overflows.* at sample 1"):
         core.grad_H0(sys2, np.stack([z / 2, z]))
     assert core.min_separation(z) == np.inf
+
+
+def test_points_beyond_half_the_float_range_are_refused():
+    """At (1e308, 0, -1e308, 0) the pair difference 2e308 overflows, so a
+    coordinate beyond half the largest double is refused before any
+    difference is formed: a ValueError naming it, and no RuntimeWarning
+    (an error under this suite's settings)."""
+    sys2 = VortexSystem([1.0, 1.0])
+    z = np.array([1e308, 0.0, -1e308, 0.0])
+    calls = [
+        lambda: core.eval_H0(sys2, z),
+        lambda: core.grad_H0(sys2, z),
+        lambda: core.hess_H0(sys2, z),
+        lambda: core.vortex_rhs(sys2, Plane(), z),
+        lambda: core.min_separation(z),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"at most 8\.98847e\+307 in "
+                           r"magnitude, .* got 1e\+308$"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

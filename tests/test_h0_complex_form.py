@@ -1,5 +1,6 @@
 """The free-plane pair kernels in complex form, checked against the
-real-variable formulas they replaced, in every array layout."""
+real-variable formulas they replaced, in every array layout; and the energy
+over the full N x N grid against its sum over the pairs j < k."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +9,9 @@ from nvortex import core
 from nvortex.core import VortexSystem
 
 RTOL = 1e-14
+# the grid sum of eval_H0 against the pair sum, relative to sum |terms|:
+# at most 5.7e-16 over 3000 random cases of N = 2..6 at scales 1e-3, 1, 1e3
+ENERGY_RTOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +29,15 @@ def _scaled(gammas, field, shape):
     """Block k of -(G_k/pi) sum_j G_j field[..., k, j, :], in `shape`."""
     out = np.einsum("j,...kjx->...kx", gammas, field)
     return (-(gammas[:, None] / np.pi) * out).reshape(shape)
+
+
+def ref_energy(gammas, z):
+    """-sum_{j<k} G_j G_k log(|d|^2)/(2 pi), each unordered pair once, and
+    the sum of the absolute terms."""
+    dist2 = _pairs(z)[1]
+    i, j = np.triu_indices(gammas.size, 1)
+    terms = np.outer(gammas, gammas)[i, j] * np.log(dist2[..., i, j]) / (2.0 * np.pi)
+    return -terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
 def ref_grad(gammas, z):
@@ -68,6 +81,8 @@ def close(got, want):
 
 def agree(gammas, z, dz):
     sys = VortexSystem(gammas)
+    energy, size = ref_energy(gammas, z)
+    assert np.all(np.abs(core.eval_H0(sys, z) - energy) <= ENERGY_RTOL * size)
     assert close(core.grad_H0(sys, z), ref_grad(gammas, z))
     assert close(core.hess_H0(sys, z), ref_hess(gammas, z))
     assert close(core.grad_H0_increment(sys, z, dz), ref_increment(gammas, z, dz))
@@ -97,6 +112,8 @@ def test_complex_kernels_match_real_formulas_in_every_layout(case):
     gammas, z, dz = case
     n = gammas.size
     agree(gammas, z[0], dz[0])  # a single configuration
+    for scale in (1e-3, 1e3):
+        agree(gammas, scale * z, scale * dz)
     agree(gammas, z, dz)  # a batch
     agree(gammas, z[0], dz)  # one z, a batch of increments
     agree(gammas, z[:, None, :], dz[None, :, :])  # a broadcast (3, 3) batch

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvortex import equilibria as eq, loops as lp, reduction as rd
-from nvortex.errors import AliasWarning, DegenerateFrame, DimensionMismatch
+from nvortex.errors import DegenerateFrame, DimensionMismatch
 
 RNG = np.random.default_rng(2024)
 M, N = 8, 2
@@ -259,12 +259,6 @@ def test_sample_constant_and_cosine():
     c[1, 0] = 1.0
     vals = lp.sample(lp.Loop(c), 2 * (2 * M + 1))[:, 0]
     assert np.allclose(vals, np.cos(lp.sample_times(2 * (2 * M + 1))))
-
-
-def test_alias_warning():
-    u = random_loop()
-    with pytest.warns(AliasWarning):
-        lp.sample(u, 2 * M)  # fewer than 2M+1 samples
 
 
 def test_loops_compare_by_value():

@@ -1,5 +1,6 @@
 """Action, preconditioned operator, contraction solver, continuation."""
 
+import itertools
 import json
 import os
 import re
@@ -451,9 +452,12 @@ def test_operator_is_the_derivative_of_the_projected_residual(make, modes):
     The truncation error, h^2 times the third derivative, grows like
     1/distance^2 there: 2.5e-3 (pair) and 8.9e-4 (triangle) of max|L| at
     step 1e-5, falling as h^2 to 2.5e-7 and 9.0e-8 at step 1e-7, while the
-    roundoff, about 2.5e-16/h, is 2.5e-9.  So step 1e-7, tolerance 1e-6."""
+    roundoff, about 2.5e-16/h, is 2.5e-9.  So step 1e-7, tolerance 1e-6.
+
+    Each case is checked in the disk and in the cubic domain, about whose
+    centre H_r is not even, so F'' there mixes odd and even modes."""
     basis = rd.build_x_basis(eq.normalize_period(make()), modes)
-    disk, r = UnitDisk(), 0.1
+    r = 0.1
     y = np.random.default_rng(modes).normal(size=basis.dim)
     cases = [(np.zeros(basis.dim), 1e-5, 1e-10),
              (0.05 * y / np.linalg.norm(y), 1e-5, 1e-10)]
@@ -461,11 +465,12 @@ def test_operator_is_the_derivative_of_the_projected_residual(make, modes):
         c = np.zeros_like(basis.Z.coeffs)
         c[5] = -(1 - 1e-4) * basis.Z.coeffs[1]  # the cosine of mode 3
         cases.append((basis.coords(lp.Loop(c)), 1e-7, 1e-6))
-    for y0, h, tol in cases:
-        L = rd.assemble_L_r(disk, r, basis, y0)
+    for (y0, h, tol), domain in itertools.product(
+            cases, [UnitDisk(), _CubicDomain(1.0)]):
+        L = rd.assemble_L_r(domain, r, basis, y0)
         fd = np.column_stack([
-            (rd.projected_residual(disk, r, basis, y0 + h * e)
-             - rd.projected_residual(disk, r, basis, y0 - h * e)) / (2 * h)
+            (rd.projected_residual(domain, r, basis, y0 + h * e)
+             - rd.projected_residual(domain, r, basis, y0 - h * e)) / (2 * h)
             for e in np.eye(basis.dim)])
         assert np.abs(L - fd).max() <= tol * np.abs(L).max()
 
@@ -523,21 +528,22 @@ def test_singular_operator_guard(pair_setup, monkeypatch):
         rd.assemble_L_r(disk, 1e-3, basis)
 
 
-def test_off_centre_disk_is_rejected(pair_setup):
-    """Recentred at a0 = (0.3, 0) the disk is not symmetric about the new
-    origin: F'' along r Z(t) differs from F'' along -r Z(t) at first order
-    in r, so H_r is not even about a0 and the orbit need not be odd.  Only
-    the odd part of X is solved on, so the operator and the continuation
-    refuse it with ValueError at every r, and the continuation leaves at
-    its first r."""
-    _, pair, _, basis = pair_setup
-    domain = TranslatedDomain(UnitDisk(), (0.3, 0.0))
-    for r in (0.2, 1e-3):
-        with pytest.raises(ValueError, match="H_r is not even about a0"):
-            rd.assemble_L_r(domain, r, basis)
-        params = rd.SolverParams(modes=M, r_max=r, r_min=r / 2)
-        with pytest.raises(ValueError, match="H_r is not even about a0"):
-            rd.continue_path(pair, UnitDisk(), np.array([0.3, 0.0]), params)
+def test_off_centre_disk_is_rejected(pair_setup, monkeypatch):
+    """An a0 that is no critical point of h is refused before any solve,
+    with a ValueError naming it, since find_critical_point_h's search moves
+    off it.  In the disk |grad h(p)| = |p|/(pi (1 - |p|^2)): 3.2e-10 at
+    (1e-9, 0), above the search's stop CRITICAL_GRAD_TOL = 1e-10, and the
+    search lands on the centre from there and from (0.3, 0); in the
+    quadratic domain it lands on 0 from (0.1, 0) in one step."""
+    solves = []
+    monkeypatch.setattr(rd, "solve_reduced", lambda *a, **k: solves.append(a))
+    params = rd.SolverParams(modes=M, r_points=2)
+    for domain, a0 in [(UnitDisk(), [1e-9, 0.0]), (UnitDisk(), [0.3, 0.0]),
+                       (SyntheticQuadratic(np.diag([3.0, 5.0])), [0.1, 0.0])]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"a0 = {a0} is not a critical point of the regular part")):
+            rd.continue_path(pair_setup[1], domain, np.array(a0), params)
+    assert solves == []
 
 
 def test_center_of_vorticity_identity(pair_setup):
@@ -860,6 +866,39 @@ class _QuarticDomain(core.SyntheticQuadratic):
         return out
 
 
+class _CubicDomain(core.SyntheticQuadratic):
+    """g(w, z) = w.z + c (w_x z_x)(w_x + z_x) on the plane, symmetric in w
+    and z: h(p) = |p|^2 + 2c p_x^3 has a nondegenerate critical point at 0,
+    about which it is not even."""
+
+    def __init__(self, c):
+        super().__init__()
+        self.c = c
+
+    def g(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        wx, zx = w[..., 0], z[..., 0]
+        return super().g(w, z) + self.c * wx * zx * (wx + zx)
+
+    def g_w(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        out = super().g_w(w, z)
+        out[..., 0] += self.c * z[..., 0] * (2 * w[..., 0] + z[..., 0])
+        return out
+
+    def g_ww(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        out = np.zeros(w.shape + (2,))
+        out[..., 0, 0] = 2 * self.c * z[..., 0]
+        return out
+
+    def g_wz(self, w, z):
+        w, z = np.broadcast_arrays(w, z)
+        out = super().g_wz(w, z)
+        out[..., 0, 0] += 2 * self.c * (w[..., 0] + z[..., 0])
+        return out
+
+
 def test_residual_tail_guard_records_the_r(pair_setup):
     """Under a cap of 8 modes the residual tail above mode 8 is 6.3e-7 at
     r = 0.5, far above tail_bound(8) = 5.9e-13, while at r = 0.05 and 0.005
@@ -1010,13 +1049,82 @@ def test_a0_rule_is_the_critical_point_verdict(k, pair_setup, monkeypatch):
 
 
 def test_continuation_solves_about_a0_itself(pair_setup):
-    """The domain is recentred at a0 however near the origin a0 lies: 1e-9
-    off the disk's centre, a0 is no critical point of h, H_r is not even
-    about it, and the solve refuses it rather than move to the origin."""
-    params = rd.SolverParams(modes=4, r_points=2)
-    with pytest.raises(ValueError, match="H_r is not even about a0"):
-        rd.continue_path(pair_setup[1], UnitDisk(), np.array([1e-9, 0.0]),
-                         params)
+    """An a0 delta off the disk's centre but within find_critical_point_h's
+    stop, |grad h(a0)| = delta/pi <= 1e-10, is accepted, and the domain is
+    recentred at a0 itself: at delta = 1e-11 and 1e-10 every r converges,
+    to the centred orbit within an O(delta) bound.  Moving a0 by delta moves
+    the field of H_r at each node by r (grad F(a0 + r u) - grad F(r u)), at
+    most r |F''| delta sqrt(N) for the largest |F''| at the nodes; the
+    field's L^2 norm over the period by sqrt(2 pi) times that.  The residual's
+    coordinates are L^2 products of the field with H^1-orthonormal columns,
+    so they move by at most that L^2 norm, and the solution by |L^-1| times
+    as much, to first order in delta; the bound is twice this.  (The disk is
+    even about its centre, so the O(delta) change of the field lies in even
+    modes, and the odd orbits move by much less: about 1e-18.)"""
+    sys2, pair = pair_setup[:2]
+    params = rd.SolverParams(modes=8, r_points=4)
+    centred = rd.continue_path(pair, UnitDisk(), np.zeros(2), params)
+    for delta in (1e-11, 1e-10):
+        path = rd.continue_path(pair, UnitDisk(), np.array([delta, 0.0]), params)
+        assert not path.failures and len(path.entries) == 4
+        for e, e0 in zip(path.entries, centred.entries):
+            basis = rd.build_x_basis(pair, e0.v.modes)
+            L = rd.assemble_L_r(UnitDisk(), e0.r, basis, basis.coords(e0.v))
+            nodes = e0.r * lp.sample(e0.u, lp.dealias_samples(e0.u.modes))
+            f2 = np.linalg.norm(core.hess_F(sys2, UnitDisk(), nodes), 2,
+                                axis=(-2, -1)).max()
+            bound = (2 * e0.r * f2 * delta * np.sqrt(2 * np.pi * sys2.n)
+                     / np.abs(np.linalg.eigvalsh(L)).min())
+            assert e.r == e0.r
+            assert lp.h1_norm(e.v - e0.v) <= bound
+
+
+def test_cubic_domain_is_judged_by_the_full_gradient(pair_setup, monkeypatch):
+    """About the nondegenerate critical point 0 of h(p) = |p|^2 + 2c p_x^3
+    H_r is not even, and the odd subspace cannot hold the orbit: the seed
+    keeps the pair's centre of vorticity at 0, so along r u the field of the
+    cubic part is 2c r^3 G_k sum_j G_j x_j^2 in x, which lies in the even
+    modes 0 and 2.  The odd solve converges to v = 0 (to roundoff), and the
+    full gradient, which reads every mode, is c r^3 times a constant
+    (1.1835 for the equal pair), constant to 1e-3 wherever it is above
+    1e-13: below, the roundoff of about 1e-16 shows.  So exactly the r
+    where it is under 10 SOLVE_TOL (vnorm + 1) converge, the others fail
+    with PhaseDefect, and FixedPoint and Newton agree."""
+    domain, p = _CubicDomain(0.1), np.array([0.3, -0.2])
+    assert core.eval_h(domain, p) == pytest.approx(p @ p + 0.2 * p[0]**3)
+    assert core.grad_h(domain, p) == pytest.approx(2 * p + [0.6 * p[0]**2, 0])
+    pair = pair_setup[1]
+    grad, last = rd.grad_J_r, {}
+
+    def spy(sys, domain, r, u):  # the full gradient and vnorm of each solve
+        out = grad(sys, domain, r, u)
+        modes = (u.modes - 1) // 2
+        v = u.pad(modes) - lp.build_frame(pair.z, pair.omega, modes)
+        last[r] = lp.h1_norm(out.pad(modes)), lp.h1_norm(v)
+        return out
+    monkeypatch.setattr(rd, "grad_J_r", spy)
+    ratios = []
+    for c in (1e-6, 1e-3, 0.1):
+        paths = {}
+        for mode in ("FixedPoint", "Newton"):
+            params = rd.SolverParams(modes=8, r_points=8, mode=mode)
+            last.clear()
+            path = paths[mode] = rd.continue_path(
+                pair, _CubicDomain(c), np.zeros(2), params)
+            under = {r for r, (full, vnorm) in last.items()
+                     if full <= 10 * rd.SOLVE_TOL * (vnorm + 1)}
+            assert {e.r for e in path.entries} == under
+            assert set(path.failures) == set(last) - under
+            assert all(m.startswith("PhaseDefect: ") for m in path.failures.values())
+            ratios += [full / (c * r**3) for r, (full, _) in last.items()
+                       if full >= 1e-13]
+        fixed, newton = paths["FixedPoint"].entries, paths["Newton"].entries
+        assert [e.r for e in fixed] == [e.r for e in newton]
+        for a, b in zip(fixed, newton):
+            assert lp.h1_norm(a.v - b.v) <= 1e-15
+            assert a.residual_grad == pytest.approx(b.residual_grad, rel=1e-12)
+    assert len(ratios) > 20
+    assert max(ratios) / min(ratios) - 1 <= 1e-3
 
 
 def test_phase_component_of_the_gradient_is_refused(pair_setup, monkeypatch):
