@@ -254,15 +254,14 @@ def cmd_continue(args) -> int:
         return EXIT_OK
 
     seed = equilibria.normalize_period(cfg.seed_equilibrium())
-    crit = core.find_critical_point_h(cfg.domain, cfg.a0_guess)
-    path = reduction.continue_path(seed, cfg.domain, crit.point, cfg.params)
+    path = reduction.continue_path(seed, cfg.domain, cfg.a0_guess, cfg.params)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     lines = [f"{'r':>12} {'vnorm':>13} {'residual':>13} {'phase':>13} "
              f"{'iters':>5}"]
     for entry in path.entries:
         fname = os.path.join(cfg.out_dir, f"{cfg.prefix}_r{entry.r:.6g}.json")
-        reduction.save_orbit(fname, seed.sys, cfg.domain, crit.point, seed.omega,
+        reduction.save_orbit(fname, seed.sys, cfg.domain, path.a0, seed.omega,
                              entry)
         lines.append(f"{entry.r:12.6g} {entry.vnorm:13.6e} "
                      f"{entry.residual_grad:13.6e} {entry.phase_defect:13.6e} "

@@ -531,11 +531,7 @@ def _grad_F(sys, domain, p):
 
 def hess_F(sys: VortexSystem, domain: DomainModel, z):
     """Dense symmetric Hessian of ``eval_F``, shape (..., 2N, 2N)."""
-    return _hess_F(sys, domain, _as_points(z))
-
-
-def _hess_F(sys, domain, p):
-    """``hess_F`` at points p of shape (..., N, 2)."""
+    p = _as_points(z)
     _check_membership(domain, p)
     wp, zp = p[..., :, None, :], p[..., None, :, :]
     gwz = domain.g_wz(wp, zp)
@@ -574,12 +570,11 @@ def eval_h(domain: DomainModel, p):
 
 
 def grad_h(domain: DomainModel, p):
-    p = _check_point(domain, p)
-    return _grad_F(_UNIT_VORTEX, domain, _as_points(p)).reshape(p.shape)
+    return grad_F(_UNIT_VORTEX, domain, _check_point(domain, p))
 
 
 def hess_h(domain: DomainModel, p):
-    return _hess_F(_UNIT_VORTEX, domain, _as_points(_check_point(domain, p)))
+    return hess_F(_UNIT_VORTEX, domain, _check_point(domain, p))
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +673,11 @@ def find_critical_point_h(domain: DomainModel, guess) -> CriticalPoint:
     """Newton iteration on grad h with step halving to stay inside the domain.
 
     The critical point is nondegenerate when the condition number of h''
-    is below 1 / ``CRITICAL_SV_RATIO``, the rule `continue_path` refuses
-    a0 by, so the verdict does not depend on the scale of h; a zero
-    Hessian (condition inf) is degenerate.  A
-    guess that is not finite or not inside the domain, or an iterate where
-    grad h or h'' overflows, raises ValueError.
+    is below 1 / ``CRITICAL_SV_RATIO``, the verdict `continue_path` reads
+    on the a0 it finds here, so it does not depend on the scale of h; a
+    zero Hessian (condition inf) is degenerate.  A guess that is not finite
+    or not inside the domain, or an iterate where grad h or h'' overflows,
+    raises ValueError.
     """
     p = np.asarray(guess, dtype=float).reshape(2)
     if not np.all(np.isfinite(p)):

@@ -127,6 +127,7 @@ class PhysicalOrbit:
 
 @dataclass(eq=False)
 class ContinuationPath:
+    a0: np.ndarray  # the critical point of h the path is solved about
     entries: list  # ReducedSolution, r descending
     failures: dict  # r -> message
 
@@ -456,27 +457,24 @@ _SOLVE_FAILURES = (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
 
 
 def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
-                  a0: np.ndarray, params: SolverParams) -> ContinuationPath:
+                  a0_guess, params: SolverParams) -> ContinuationPath:
     """Solve each r of the grid, from r_max down, each warm-started from the
     last converged r, in `domain` recentred at a0, on the basis of the
     period-normalized equilibrium `seed` at START_MODES (or params.modes if
     fewer), which solve_reduced doubles up to params.modes as the residual
     tail asks; the bases of every mode count are built once for the path.
     A failed r is recorded in `failures`, so a path where none converges
-    has only failures.  Before any solve, a0 is put to find_critical_point_h,
-    the owner of both rules on it: ValueError naming a0 if its search moves
-    off a0 (a0 is no critical point of h), SingularOperator if a0 is
-    degenerate; the search's own refusals pass through (ValueError for an a0
-    outside the domain, NoConvergence or LeftDomain where its Newton steps
-    from a non-critical a0 fail).  Then build_x_basis refuses the seed."""
-    crit = core.find_critical_point_h(domain, a0)
-    if not np.array_equal(crit.point, a0):
-        raise ValueError(f"a0 = {np.asarray(a0).tolist()} is not a critical "
-                         "point of the regular part")
+    has only failures.  Before any solve, a0 is found by
+    find_critical_point_h from `a0_guess`, the owner of both rules on it:
+    SingularOperator if a0 is degenerate; the search's own refusals pass
+    through (ValueError for a guess outside the domain, NoConvergence or
+    LeftDomain where its Newton steps fail).  Then build_x_basis refuses
+    the seed."""
+    crit = core.find_critical_point_h(domain, a0_guess)
     if not crit.nondegenerate:
         raise SingularOperator("critical point of the regular part is degenerate")
     basis = build_x_basis(seed, min(START_MODES, params.modes))
-    work_domain = TranslatedDomain(domain, a0)
+    work_domain = TranslatedDomain(domain, crit.point)
     entries, failures = [], {}
     for r in map(float, params.r_grid()):
         try:
@@ -485,7 +483,7 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
                 warm_start=entries[-1].v if entries else None))
         except _SOLVE_FAILURES as exc:
             failures[r] = f"{type(exc).__name__}: {exc}"
-    return ContinuationPath(entries=entries, failures=failures)
+    return ContinuationPath(a0=crit.point, entries=entries, failures=failures)
 
 
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,

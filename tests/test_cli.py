@@ -591,6 +591,19 @@ def test_continue_degenerate_a0_is_an_error(tmp_path, capsys):
     assert out == "" and not (tmp_path / "x").exists()
 
 
+def test_continue_searches_for_a0_once(tmp_path, monkeypatch):
+    """One continue runs find_critical_point_h once, from a0_guess."""
+    search, guesses = core.find_critical_point_h, []
+
+    def counted(domain, guess):
+        guesses.append(guess)
+        return search(domain, guess)
+    monkeypatch.setattr(core, "find_critical_point_h", counted)
+    assert main(["continue", "--modes", "4", "--r-steps", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert len(guesses) == 1
+
+
 def test_continue_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "none.ini")
     assert main(["continue", "--config", missing]) == 2

@@ -353,7 +353,7 @@ def test_result_containers_compare_by_identity(pair_setup, small_path):
         [rd.solve_reduced(disk, 0.1, basis, rd.SolverParams(modes=M))
          for _ in range(2)],
         [rd.unrescale(np.zeros(2), sol.r, sol.u, 8, disk) for _ in range(2)],
-        [rd.ContinuationPath([sol], {}) for _ in range(2)],
+        [rd.ContinuationPath(np.zeros(2), [sol], {}) for _ in range(2)],
         [basis, rd.build_x_basis(pair, M)],
     ]
     for a, b in twins:
@@ -528,22 +528,36 @@ def test_singular_operator_guard(pair_setup, monkeypatch):
         rd.assemble_L_r(disk, 1e-3, basis)
 
 
-def test_off_centre_disk_is_rejected(pair_setup, monkeypatch):
-    """An a0 that is no critical point of h is refused before any solve,
-    with a ValueError naming it, since find_critical_point_h's search moves
-    off it.  In the disk |grad h(p)| = |p|/(pi (1 - |p|^2)): 3.2e-10 at
-    (1e-9, 0), above the search's stop CRITICAL_GRAD_TOL = 1e-10, and the
-    search lands on the centre from there and from (0.3, 0); in the
-    quadratic domain it lands on 0 from (0.1, 0) in one step."""
-    solves = []
-    monkeypatch.setattr(rd, "solve_reduced", lambda *a, **k: solves.append(a))
-    params = rd.SolverParams(modes=M, r_points=2)
-    for domain, a0 in [(UnitDisk(), [1e-9, 0.0]), (UnitDisk(), [0.3, 0.0]),
-                       (SyntheticQuadratic(np.diag([3.0, 5.0])), [0.1, 0.0])]:
-        with pytest.raises(ValueError, match=re.escape(
-                f"a0 = {a0} is not a critical point of the regular part")):
-            rd.continue_path(pair_setup[1], domain, np.array(a0), params)
-    assert solves == []
+def test_continuation_solves_about_the_point_its_search_finds(pair_setup):
+    """continue_path takes a guess of a0 and solves about the point
+    find_critical_point_h finds from it.  In the disk |grad h(p)| =
+    |p|/(pi (1 - |p|^2)): 3.2e-10 at (1e-9, 0), above the search's stop
+    CRITICAL_GRAD_TOL = 1e-10, so it moves to the centre; from (0.3, 0) it
+    stops at 2.9e-11 off it; in the quadratic domain diag(3, 5) it lands on
+    -1.4e-17 from (0.1, 0) in one step.  Each path's a0 is the search's
+    point, and every r converges, to the path from the guess 0 within the
+    O(delta) bound of test_continuation_solves_about_a0_itself, delta =
+    |a0| (h has its critical point at 0 in both domains)."""
+    sys2, pair = pair_setup[:2]
+    params = rd.SolverParams(modes=8, r_points=4)
+    for domain, guess in [(UnitDisk(), [1e-9, 0.0]), (UnitDisk(), [0.3, 0.0]),
+                          (SyntheticQuadratic(np.diag([3.0, 5.0])), [0.1, 0.0])]:
+        a0 = core.find_critical_point_h(domain, np.array(guess)).point
+        centred = rd.continue_path(pair, domain, np.zeros(2), params)
+        path = rd.continue_path(pair, domain, np.array(guess), params)
+        assert np.array_equal(path.a0, a0)
+        assert not path.failures and len(path.entries) == 4
+        delta = np.linalg.norm(a0)
+        for e, e0 in zip(path.entries, centred.entries):
+            basis = rd.build_x_basis(pair, e0.v.modes)
+            L = rd.assemble_L_r(domain, e0.r, basis, basis.coords(e0.v))
+            nodes = e0.r * lp.sample(e0.u, lp.dealias_samples(e0.u.modes))
+            f2 = np.linalg.norm(core.hess_F(sys2, domain, nodes), 2,
+                                axis=(-2, -1)).max()
+            bound = (2 * e0.r * f2 * delta * np.sqrt(2 * np.pi * sys2.n)
+                     / np.abs(np.linalg.eigvalsh(L)).min())
+            assert e.r == e0.r
+            assert lp.h1_norm(e.v - e0.v) <= bound
 
 
 def test_center_of_vorticity_identity(pair_setup):
