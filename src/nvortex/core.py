@@ -35,8 +35,8 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 COLLISION_TOL = 1e-12
 BOUNDARY_TOL = 1e-14
 
-# find_critical_point_h: stop at |grad h| <= tol, step cap, degeneracy ratio
-CRITICAL_GRAD_TOL = 1e-10
+# find_critical_point_h: stop once a step is <= tol, step cap, degeneracy ratio
+CRITICAL_STEP_TOL = 1e-10
 CRITICAL_MAX_ITER = 50
 CRITICAL_SV_RATIO = 1e-10
 
@@ -94,9 +94,6 @@ class VortexSystem:
     def m_gamma_diag(self) -> np.ndarray:
         """Diagonal of M_Gamma: each vorticity repeated twice."""
         return np.repeat(self.gammas, 2)
-
-    def m_gamma(self) -> np.ndarray:
-        return np.diag(self.m_gamma_diag())
 
     def j_n(self) -> np.ndarray:
         """Block-diagonal symplectic matrix: N copies of J2 (read-only)."""
@@ -245,76 +242,62 @@ class Plane(DomainModel):
     g_wz = g_ww
 
 
-class UnitDisk(DomainModel):
-    """Open unit disk with the method-of-images regular part.
-
-    Over complex points g(w, z) = -(1/2pi) log|f|, f = conj(w) z - 1, is
-    symmetric, and h(p) = -(1/2pi) log(1 - |p|^2).  g_x + i g_y = -z/(2pi f);
-    g_ww has the columns P and -iP with P = z^2/(2pi f^2); g_x + i g_y is
-    holomorphic in z, so g_wz has the columns Q and iQ with Q = 1/(2pi f^2).
-    """
-
-    variant = "disk"
-
-    @staticmethod
-    def _f(w, z):
-        """f = conj(w) z - 1 and z, over complex views of the points."""
-        z = _complex(z)
-        return _complex(w).conj() * z - 1.0, z
+class _ImageDomain(DomainModel):
+    """Method-of-images regular part g(w, z) = -(1/2pi) log|f| over complex
+    points, f = alpha conj(w) z + beta conj(w) + gamma z + delta, which is
+    antiholomorphic in w and holomorphic in z.  With a = df/dconj(w) and
+    D = beta gamma - alpha delta, g_x + i g_y = -a/(2pi f), g_ww has the
+    columns P and -iP, P = (a/f)^2/(2pi), and g_wz the columns Q and iQ,
+    Q = D/(2pi f^2).  A subclass gives ``_f(w, z)``, f and a, and ``_D``."""
 
     def g(self, w, z):
         return -np.log(np.abs(self._f(w, z)[0]) ** 2) / (4.0 * np.pi)
 
     def g_w(self, w, z):
-        f, z = self._f(w, z)
-        return _planar(z / (-2.0 * np.pi * f))
+        f, a = self._f(w, z)
+        return _planar(a / (-2.0 * np.pi * f))
 
     def g_ww(self, w, z):
-        f, z = self._f(w, z)
-        p = (z / f) ** 2 / (2.0 * np.pi)
+        f, a = self._f(w, z)
+        p = (a / f) ** 2 / (2.0 * np.pi)
         return _columns(p, -1j * p)
 
     def g_wz(self, w, z):
-        q = 1.0 / (2.0 * np.pi * self._f(w, z)[0] ** 2)
+        q = self._D / (2.0 * np.pi * self._f(w, z)[0] ** 2)
         return _columns(q, 1j * q)
+
+
+class UnitDisk(_ImageDomain):
+    """Open unit disk: f = conj(w) z - 1, a = z, D = 1, so g is symmetric
+    and h(p) = -(1/2pi) log(1 - |p|^2)."""
+
+    variant = "disk"
+    _D = 1.0
+
+    @staticmethod
+    def _f(w, z):
+        z = _complex(z)
+        return _complex(w).conj() * z - 1.0, z
 
     def boundary_gap(self, p):
         p = np.asarray(p, dtype=float)
         return 1.0 - np.einsum("...x,...x->...", p, p)
 
 
-class HalfPlane(DomainModel):
-    """Open upper half-plane; the image vortex is the mirror across y = 0."""
+class HalfPlane(_ImageDomain):
+    """Open upper half-plane: f = conj(w) - z, a = 1, D = -1; |f| is the
+    distance from w to the mirror image of z across y = 0."""
 
     variant = "halfplane"
+    _D = -1.0
+    _MIN_D2 = np.sqrt(np.finfo(float).tiny)  # 1/|f|^4 in g_ww stays finite
 
-    _R = np.array([[1.0, 0.0], [0.0, -1.0]])
-    _MIN_D2 = np.sqrt(np.finfo(float).tiny)  # 1/|d|^4 in g_ww stays finite
-
-    def _d(self, w, z):
-        """d = w - Rz and |d|^2; BoundaryError if g_ww would not be finite."""
-        d = np.asarray(w, dtype=float) - np.asarray(z, dtype=float) @ self._R
-        d2 = np.einsum("...x,...x->...", d, d)
-        if d2.min() < self._MIN_D2:
+    def _f(self, w, z):
+        f = _complex(w).conj() - _complex(z)
+        d = _planar(f)
+        if np.einsum("...x,...x->...", d, d).min() < self._MIN_D2:
             raise BoundaryError("points too close to the boundary y = 0")
-        return d, d2
-
-    def g(self, w, z):
-        return -np.log(self._d(w, z)[1]) / (4.0 * np.pi)
-
-    def g_w(self, w, z):
-        d, d2 = self._d(w, z)
-        return -d / (2.0 * np.pi * d2[..., None])
-
-    def g_ww(self, w, z):
-        d, d2 = self._d(w, z)
-        d2 = d2[..., None, None]
-        outer = d[..., :, None] * d[..., None, :]
-        return -(np.eye(2) / d2 - 2.0 * outer / d2**2) / (2.0 * np.pi)
-
-    def g_wz(self, w, z):
-        # d depends on z through -R z, so the mixed block is -g_ww @ R.
-        return -self.g_ww(w, z) @ self._R
+        return f, 1.0
 
     def boundary_gap(self, p):
         p = np.asarray(p, dtype=float)
@@ -672,6 +655,10 @@ class CriticalPoint:
 def find_critical_point_h(domain: DomainModel, guess) -> CriticalPoint:
     """Newton iteration on grad h with step halving to stay inside the domain.
 
+    A point where grad h is exactly 0 is returned at once.  Elsewhere the
+    search steps, and stops at the point that a step of at most
+    ``CRITICAL_STEP_TOL`` reaches, as FixedPoint stops: the last step
+    polishes the point, where a small gradient would accept it unpolished.
     The critical point is nondegenerate when the condition number of h''
     is below 1 / ``CRITICAL_SV_RATIO``, the verdict `continue_path` reads
     on the a0 it finds here, so it does not depend on the scale of h; a
@@ -684,11 +671,12 @@ def find_critical_point_h(domain: DomainModel, guess) -> CriticalPoint:
         raise ValueError(f"initial guess must be finite, got {p}")
     if not domain.contains(p):
         raise ValueError(f"initial guess {p} outside the domain")
+    moved = np.inf  # the length of the step that reached p
     for _ in range(CRITICAL_MAX_ITER):
         at = f"at ({p[0]:g}, {p[1]:g}) overflows: point out of range"
         gh = finite(f"grad h {at}", lambda: grad_h(domain, p))
         hh = finite(f"h'' {at}", lambda: hess_h(domain, p))
-        if np.linalg.norm(gh) <= CRITICAL_GRAD_TOL:
+        if moved <= CRITICAL_STEP_TOL or not gh.any():
             return CriticalPoint(point=p, hessian=hh, nondegenerate=bool(
                 np.linalg.cond(hh) < 1 / CRITICAL_SV_RATIO))
         try:
@@ -702,5 +690,5 @@ def find_critical_point_h(domain: DomainModel, guess) -> CriticalPoint:
             step = 0.5 * step
         else:
             raise LeftDomain("Newton step left the domain despite damping")
-        p = cand
+        p, moved = cand, np.linalg.norm(step)
     raise NoConvergence(f"no critical point after {CRITICAL_MAX_ITER} iterations")

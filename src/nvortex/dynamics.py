@@ -15,8 +15,8 @@ import numpy as np
 
 from . import core
 from .core import DomainModel, VortexSystem
-from .errors import (BoundaryApproach, BoundaryError, CollisionApproach,
-                     CollisionError, DomainError, MinStepReached)
+from .errors import (BoundaryApproach, CollisionApproach, CollisionError,
+                     DomainError, MinStepReached)
 from .reduction import PhysicalOrbit
 
 COLLISION_GUARD = 1e-9
@@ -96,7 +96,7 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
                         t_eval=t_eval, dense_output=False)
     except CollisionError as exc:
         raise CollisionApproach(str(exc), t=last_t[0]) from exc
-    except (DomainError, BoundaryError) as exc:
+    except DomainError as exc:
         raise BoundaryApproach(str(exc), t=last_t[0]) from exc
     if sol.status == 1:  # a terminal event fired
         which = next(i for i, te in enumerate(sol.t_events) if len(te))

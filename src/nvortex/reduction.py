@@ -137,7 +137,7 @@ class ContinuationPath:
 
 def _symplectic_term(sys: VortexSystem, u: Loop) -> float:
     """1/2 int M u' . J u, exact in the Fourier coefficients."""
-    mj = sys.m_gamma() @ sys.j_n()
+    mj = sys.m_gamma_diag()[:, None] * sys.j_n()
     a, b = u.coeffs[1::2], u.coeffs[2::2]
     k = np.arange(1, u.modes + 1)
     return float(np.pi * np.sum(k * np.einsum("kd,dc,kc->k", b, mj, a)))
@@ -161,7 +161,7 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
     """
     pts = loops.sample(u, loops.dealias_samples(u.modes))
     field = -core.grad_Hr(sys, domain, r, pts)
-    jm = sys.j_n() @ sys.m_gamma()
+    jm = sys.j_n() * sys.m_gamma_diag()
     lin = Loop(-loops.differentiate(u).coeffs @ jm.T)
     return loops.inv_id_minus_laplace(lin + loops.from_samples(field, u.modes))
 
@@ -280,7 +280,7 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
     cols = mat.reshape(2 * modes + 1, -1)
     phi = (loops.synthesis_matrix(modes, m) @ cols).reshape(m, 2 * n, -1)
     dcols = loops.differentiate(Loop(cols)).coeffs.reshape(2 * modes + 1, 2 * n, -1)
-    jm = seed.sys.j_n() @ seed.sys.m_gamma()
+    jm = seed.sys.j_n() * seed.sys.m_gamma_diag()
     rot = -np.pi * mat.T @ (jm @ dcols).reshape(w.size, -1)
     return XBasis(seed=seed, Z=Z, zdot=zdot, matrix=mat, weights=w, pts=pts,
                   h0=core.hess_H0(seed.sys, pts), phi=phi, rot=rot)

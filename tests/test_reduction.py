@@ -53,7 +53,7 @@ def test_action_symplectic_coefficient_vs_quadrature(pair_setup):
     m = 8 * (2 * M + 1)
     t = lp.sample_times(m)
     vals, dvals = u.eval(t), lp.differentiate(u).eval(t)
-    mj = sys2.m_gamma() @ sys2.j_n()
+    mj = sys2.m_gamma_diag()[:, None] * sys2.j_n()
     quad = 0.5 * 2 * np.pi / m * np.sum(
         np.einsum("ti,ij,tj->t", dvals, mj, vals))
     assert abs(rd._symplectic_term(sys2, u) - quad) < 1e-10 * max(
@@ -420,7 +420,7 @@ def _reference_operator(sys, domain, r, modes, base):
     fmats = (core.hess_F(sys, domain, r * base_pts) if r > 0
              else np.zeros((m, 2 * n, 2 * n)))
     hmats = core.hess_H0(sys, base_pts) - r**2 * fmats
-    jm = sys.j_n() @ sys.m_gamma()
+    jm = sys.j_n() * sys.m_gamma_diag()
 
     def image(hm, col):
         u = lp.unflatten(col, n, modes)
@@ -530,14 +530,18 @@ def test_singular_operator_guard(pair_setup, monkeypatch):
 
 def test_continuation_solves_about_the_point_its_search_finds(pair_setup):
     """continue_path takes a guess of a0 and solves about the point
-    find_critical_point_h finds from it.  In the disk |grad h(p)| =
-    |p|/(pi (1 - |p|^2)): 3.2e-10 at (1e-9, 0), above the search's stop
-    CRITICAL_GRAD_TOL = 1e-10, so it moves to the centre; from (0.3, 0) it
-    stops at 2.9e-11 off it; in the quadratic domain diag(3, 5) it lands on
-    -1.4e-17 from (0.1, 0) in one step.  Each path's a0 is the search's
-    point, and every r converges, to the path from the guess 0 within the
-    O(delta) bound of test_continuation_solves_about_a0_itself, delta =
-    |a0| (h has its critical point at 0 in both domains)."""
+    find_critical_point_h finds from it.  The search stops after a step of
+    at most CRITICAL_STEP_TOL = 1e-10, and that last step lands exactly on
+    the centre: from (1e-9, 0) and (0.3, 0) in the disk, and from (0.1, 0)
+    in the quadratic domain diag(3, 5), whose first step lands on -1.4e-17.
+    Each path's a0 is the search's point, and every r converges, to the
+    path from the guess 0 within an O(delta) bound, delta = |a0| (h has its
+    critical point at 0 in both domains), so here to the bit.  Moving a0 by
+    delta moves the field of H_r at each node by at most r |F''| delta
+    sqrt(N), its L^2 norm over the period by sqrt(2 pi) times that, the
+    residual's coordinates in the H^1-orthonormal columns by at most that,
+    and the solution by |L^-1| times as much, to first order; the bound is
+    twice this."""
     sys2, pair = pair_setup[:2]
     params = rd.SolverParams(modes=8, r_points=4)
     for domain, guess in [(UnitDisk(), [1e-9, 0.0]), (UnitDisk(), [0.3, 0.0]),
@@ -1063,34 +1067,34 @@ def test_a0_rule_is_the_critical_point_verdict(k, pair_setup, monkeypatch):
 
 
 def test_continuation_solves_about_a0_itself(pair_setup):
-    """An a0 delta off the disk's centre but within find_critical_point_h's
-    stop, |grad h(a0)| = delta/pi <= 1e-10, is accepted, and the domain is
-    recentred at a0 itself: at delta = 1e-11 and 1e-10 every r converges,
-    to the centred orbit within an O(delta) bound.  Moving a0 by delta moves
-    the field of H_r at each node by r (grad F(a0 + r u) - grad F(r u)), at
-    most r |F''| delta sqrt(N) for the largest |F''| at the nodes; the
-    field's L^2 norm over the period by sqrt(2 pi) times that.  The residual's
-    coordinates are L^2 products of the field with H^1-orthonormal columns,
-    so they move by at most that L^2 norm, and the solution by |L^-1| times
-    as much, to first order in delta; the bound is twice this.  (The disk is
-    even about its centre, so the O(delta) change of the field lies in even
-    modes, and the odd orbits move by much less: about 1e-18.)"""
-    sys2, pair = pair_setup[:2]
+    """A guess delta off the disk's centre, |grad h| = delta/pi <= 1e-10,
+    is not taken for a0: find_critical_point_h steps from it, and the
+    Newton step from a p with |p|^2 below eps is exactly -p, so the search
+    returns the centre itself.  At delta = 1e-11 and 1e-10 the path's a0 is
+    (0, 0), and every orbit is the centred run's, bit for bit."""
+    pair = pair_setup[1]
     params = rd.SolverParams(modes=8, r_points=4)
     centred = rd.continue_path(pair, UnitDisk(), np.zeros(2), params)
     for delta in (1e-11, 1e-10):
         path = rd.continue_path(pair, UnitDisk(), np.array([delta, 0.0]), params)
+        assert np.array_equal(path.a0, np.zeros(2))
         assert not path.failures and len(path.entries) == 4
         for e, e0 in zip(path.entries, centred.entries):
-            basis = rd.build_x_basis(pair, e0.v.modes)
-            L = rd.assemble_L_r(UnitDisk(), e0.r, basis, basis.coords(e0.v))
-            nodes = e0.r * lp.sample(e0.u, lp.dealias_samples(e0.u.modes))
-            f2 = np.linalg.norm(core.hess_F(sys2, UnitDisk(), nodes), 2,
-                                axis=(-2, -1)).max()
-            bound = (2 * e0.r * f2 * delta * np.sqrt(2 * np.pi * sys2.n)
-                     / np.abs(np.linalg.eigvalsh(L)).min())
-            assert e.r == e0.r
-            assert lp.h1_norm(e.v - e0.v) <= bound
+            assert e.r == e0.r and np.array_equal(e.v.coeffs, e0.v.coeffs)
+
+
+def test_continuation_from_guesses_a_gradient_stop_accepted(pair_setup):
+    """(2.5e-10, 0) and (3e-10, 0) have |grad h| = 8.0e-11 and 9.5e-11, so a
+    stop at |grad h| <= 1e-10 would take them for a0, and their mode-0
+    residual r F''(r u) a0, which the odd solve cannot remove, fails r = 0.2
+    with PhaseDefect.  The search steps until its step is at most 1e-10:
+    both guesses give a0 = (0, 0), and every r converges."""
+    pair = pair_setup[1]
+    params = rd.SolverParams(modes=4, r_points=4)
+    for guess in ([2.5e-10, 0.0], [3e-10, 0.0]):
+        path = rd.continue_path(pair, UnitDisk(), np.array(guess), params)
+        assert np.array_equal(path.a0, np.zeros(2))
+        assert not path.failures and len(path.entries) == 4
 
 
 def test_cubic_domain_is_judged_by_the_full_gradient(pair_setup, monkeypatch):
