@@ -568,9 +568,11 @@ def hess_h(domain: DomainModel, p):
 # The input rules, one owner each; each is a single test on a valid value,
 # as check_r runs in every vector field and operator assembly.
 
-def check_r(r: float, name: str = "r") -> None:
-    """The one rule for the scale parameter r: finite and nonnegative."""
-    if not 0 <= r < np.inf:
+def check_r(r, name: str = "r") -> None:
+    """The one rule for the scale parameter r, one value or each of a stack:
+    finite and nonnegative."""
+    lo, hi = (r, r) if np.isscalar(r) else (np.min(r), np.max(r))  # a NaN is both
+    if not 0 <= lo <= hi < np.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {r}")
 
 
@@ -617,18 +619,21 @@ def eval_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
     return h0 - eval_F(sys, domain, r * u)
 
 
-def grad_Hr(sys: VortexSystem, domain: DomainModel, r: float, u):
+def grad_Hr(sys: VortexSystem, domain: DomainModel, r, u):
     u = np.asarray(u, dtype=float)
     return _grad_Hr(sys, domain, r, _as_points(u)).reshape(u.shape)
 
 
 def _grad_Hr(sys, domain, r, p):
-    """``grad_Hr`` at checked points p of shape (..., N, 2), in that shape."""
+    """``grad_Hr`` at checked points p of shape (..., N, 2), in that shape;
+    a stack of r, an array, runs over the leading axes of p."""
     check_r(r)
     out = _grad_H0(sys, p)
-    if r > 0:
-        out = out - r * _grad_F(sys, domain, r * p)
-    return out
+    if not np.isscalar(r):
+        r = np.reshape(r, np.shape(r) + (1,) * (p.ndim - np.ndim(r)))
+    elif r == 0:
+        return out
+    return out - r * _grad_F(sys, domain, r * p)
 
 
 def vortex_rhs(sys: VortexSystem, domain: DomainModel, z, r: float = 0.0):

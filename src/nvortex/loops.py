@@ -25,7 +25,9 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True, eq=False)
 class Loop:
-    """Band-limited loop: coeffs has shape (2M+1, 2N), rows a0,a1,b1,...,aM,bM.
+    """Band-limited loop: coeffs has shape (2M+1, 2N), rows a0,a1,b1,...,aM,bM,
+    or (..., 2M+1, 2N) for a stack, which every function here that takes a
+    loop broadcasts over.
 
     Loops compare by value (same shape and coefficients) and are not
     hashable: coeffs may share memory with a caller's writable array."""
@@ -34,25 +36,25 @@ class Loop:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or c.shape[0] % 2 != 1 or c.shape[1] % 2 != 0:
+        if c.ndim < 2 or c.shape[-2] % 2 != 1 or c.shape[-1] % 2 != 0:
             raise DimensionMismatch(f"bad coefficient array shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def n(self) -> int:
-        return self.coeffs.shape[1] // 2
+        return self.coeffs.shape[-1] // 2
 
     @property
     def modes(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
+        return (self.coeffs.shape[-2] - 1) // 2
 
     @property
     def dim(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     @property
     def a0(self) -> np.ndarray:
-        return self.coeffs[0]
+        return self.coeffs[..., 0, :]
 
     def eval(self, t) -> np.ndarray:
         """Evaluate u(t); t may be a scalar or an array of times."""
@@ -62,9 +64,9 @@ class Loop:
         """Zero-pad (or truncate) to truncation order `modes`."""
         if modes == self.modes:
             return self
-        c = np.zeros((2 * modes + 1, self.dim))
-        rows = min(c.shape[0], self.coeffs.shape[0])
-        c[:rows] = self.coeffs[:rows]
+        c = np.zeros(self.coeffs.shape[:-2] + (2 * modes + 1, self.dim))
+        rows = min(2 * modes + 1, self.coeffs.shape[-2])
+        c[..., :rows, :] = self.coeffs[..., :rows, :]
         return Loop(c)
 
     def __eq__(self, other):
@@ -87,8 +89,8 @@ class Loop:
 
 def constant_loop(value: np.ndarray, modes: int) -> Loop:
     value = np.asarray(value, dtype=float)
-    c = np.zeros((2 * modes + 1, value.size))
-    c[0] = value
+    c = np.zeros(value.shape[:-1] + (2 * modes + 1, value.shape[-1]))
+    c[..., 0, :] = value
     return Loop(c)
 
 
@@ -117,25 +119,25 @@ def l2_weights(modes: int) -> np.ndarray:
     return w
 
 
-def h1_inner(u: Loop, v: Loop) -> float:
+def h1_inner(u: Loop, v: Loop):
     u, v = _aligned(u, v)
-    return float(np.sum(h1_weights(u.modes) * np.sum(u.coeffs * v.coeffs, axis=1)))
+    return np.sum(h1_weights(u.modes) * np.sum(u.coeffs * v.coeffs, axis=-1), axis=-1)
 
 
-def l2_inner(u: Loop, v: Loop) -> float:
+def l2_inner(u: Loop, v: Loop):
     u, v = _aligned(u, v)
-    return float(np.sum(l2_weights(u.modes) * np.sum(u.coeffs * v.coeffs, axis=1)))
+    return np.sum(l2_weights(u.modes) * np.sum(u.coeffs * v.coeffs, axis=-1), axis=-1)
 
 
-def h1_norm(u: Loop) -> float:
-    return float(np.sqrt(max(h1_inner(u, u), 0.0)))
+def h1_norm(u: Loop):
+    return np.sqrt(np.maximum(h1_inner(u, u), 0.0))
 
 
 def differentiate(u: Loop) -> Loop:
     c = np.zeros_like(u.coeffs)
     k = np.arange(1, u.modes + 1)[:, None]
-    c[1::2] = k * u.coeffs[2::2]
-    c[2::2] = -k * u.coeffs[1::2]
+    c[..., 1::2, :] = k * u.coeffs[..., 2::2, :]
+    c[..., 2::2, :] = -k * u.coeffs[..., 1::2, :]
     return Loop(c)
 
 
@@ -153,9 +155,9 @@ def time_shift(theta: float, u: Loop) -> Loop:
     c = u.coeffs.copy()
     k = np.arange(1, u.modes + 1)[:, None]
     ck, sk = np.cos(k * theta), np.sin(k * theta)
-    a, b = u.coeffs[1::2], u.coeffs[2::2]
-    c[1::2] = ck * a + sk * b
-    c[2::2] = -sk * a + ck * b
+    a, b = u.coeffs[..., 1::2, :], u.coeffs[..., 2::2, :]
+    c[..., 1::2, :] = ck * a + sk * b
+    c[..., 2::2, :] = -sk * a + ck * b
     return Loop(c)
 
 
@@ -197,12 +199,12 @@ def from_samples(values: np.ndarray, modes: int) -> Loop:
     """The loop of order `modes` whose coefficients are the trapezoid rule
     on m equispaced samples, (2/m) S^T values with the constant row halved,
     for S = synthesis_matrix(modes, m): the transpose of `sample`, exact on
-    loops of order `modes`; ValueError unless m >= 2 modes + 1."""
+    loops of order `modes`, for values (..., m, 2N); ValueError unless m >= 2 modes + 1."""
     values = np.asarray(values, dtype=float)
-    m = values.shape[0]
+    m = values.shape[-2]
     check_at_least(m, "len(values)", 2 * modes + 1)
     c = (2.0 / m) * (synthesis_matrix(modes, m).T @ values)
-    c[0] *= 0.5
+    c[..., 0, :] *= 0.5
     return Loop(c)
 
 
@@ -228,22 +230,14 @@ def build_frame(z: np.ndarray, omega: float, modes: int) -> Loop:
 
 def project_D(u: Loop) -> Loop:
     """H^1-orthogonal projection onto constant loops with equal 2-blocks."""
-    mean = u.a0.reshape(-1, 2).mean(axis=0)
+    mean = u.a0.reshape(u.a0.shape[:-1] + (-1, 2)).mean(axis=-2)
     c = np.zeros_like(u.coeffs)
-    c[0] = np.tile(mean, u.n)
+    c[..., 0, :] = np.tile(mean, u.n)
     return Loop(c)
 
 
 # ---------------------------------------------------------------------------
-# flattening helpers for linear algebra on loops
-
-def flatten(u: Loop) -> np.ndarray:
-    return u.coeffs.ravel()
-
-
-def unflatten(vec: np.ndarray, n: int, modes: int) -> Loop:
-    return Loop(np.asarray(vec, dtype=float).reshape(2 * modes + 1, 2 * n))
-
+# linear algebra on loops, over their flattened coefficients
 
 def h1_weight_vector(n: int, modes: int) -> np.ndarray:
     """Diagonal of the H^1 Gram matrix in flattened coordinates."""

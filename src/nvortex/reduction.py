@@ -18,7 +18,7 @@ frozen-Jacobian fixed-point iteration
     v  <-  v - L_r^{-1} [P_X grad J_r(Z + v)]
 
 or by damped Newton, the same loop with L_r assembled at each iterate,
-and continued down a geometric grid of the scale parameter r.  The
+over a geometric grid of the scale parameter r solved as one batch.  The
 iterates read P_X grad J_r in increment form about the seed, in the
 coordinates of a basis sampled once per mode count, and each r is
 solved at the fewest modes, doubling up to a cap, whose residual tail
@@ -151,10 +151,11 @@ def action_J_r(sys: VortexSystem, domain: DomainModel, r: float,
     return _symplectic_term(sys, u) - 2 * np.pi * float(np.mean(ham))
 
 
-def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
+def grad_J_r(sys: VortexSystem, domain: DomainModel, r,
              u: Loop) -> Loop:
     """H^1 gradient: (id-Lap)^{-1} of the L^2 field -J M u' - grad H_r(u),
-    with grad H_r read from core.grad_Hr, the vector field's own.
+    with grad H_r read from core.grad_Hr, the vector field's own; for a
+    stack of R values r, u is a stack of R loops.
 
     The core checks raise CollisionError or DomainError naming the first bad
     sample i, at t = 2 pi i/m on the m = dealias_samples(modes) nodes.
@@ -166,7 +167,7 @@ def grad_J_r(sys: VortexSystem, domain: DomainModel, r: float,
     return loops.inv_id_minus_laplace(lin + loops.from_samples(field, u.modes))
 
 
-def projected_residual(domain: DomainModel, r: float, basis: XBasis,
+def projected_residual(domain: DomainModel, r, basis: XBasis,
                        y: np.ndarray) -> np.ndarray:
     """basis.coords of grad_J_r at Z + v, v = basis.to_loop(y), less the
     seed's plane residual -J M Z' - grad H0(Z), which is 0 in exact
@@ -179,14 +180,16 @@ def projected_residual(domain: DomainModel, r: float, basis: XBasis,
         f = -(grad H0(Z + v) - grad H0(Z)) + r grad F(r (Z + v))  at the nodes,
 
     with the bracket from core.grad_H0_increment, so no O(1) terms cancel
-    and the residual stays accurate relative to |v| as r -> 0."""
+    and the residual stays accurate relative to |v| as r -> 0.  For a
+    stack of R values r, y holds R rows."""
     core.check_r(r)
-    dv = basis.phi @ y
+    r, dv = np.asarray(r, dtype=float)[..., None, None], basis.at_nodes(y)
     field = -core.grad_H0_increment(basis.sys, basis.pts, dv)
-    if r > 0:
+    if r.any():
         field = field + r * core.grad_F(basis.sys, domain, r * (basis.pts + dv))
     phi = basis.phi.reshape(-1, basis.dim)
-    return basis.rot @ y + (2 * np.pi / len(field)) * (phi.T @ field.ravel())
+    return y @ basis.rot.T + (2 * np.pi / len(basis.pts)) * (
+        field.reshape(y.shape[:-1] + (-1,)) @ phi)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +203,11 @@ class XBasis:
     u(t + pi) = -u(t), as flattened columns.  weights is the diagonal H^1
     Gram in flat coordinates.  On the m = dealias_samples(modes) nodes, pts
     is Z and phi is the basis, phi[t] @ y = v(t) for v = to_loop(y), so the
-    residual and the operator at y both read the nodes pts + phi @ y; h0 is
+    residual and the operator at y both read the nodes pts + at_nodes(y); h0 is
     H0'' along pts, the r-independent part of the operator at the seed; rot
     is the linear term -J M d/dt read in the basis.  family holds the bases of
     the same seed by mode count, shared by all of them, so `at` builds each
-    mode count once.
+    mode count once.  coords, to_loop and at_nodes (phi @ y) take stacks.
     """
 
     seed: RelativeEquilibrium
@@ -239,13 +242,17 @@ class XBasis:
         return self.family[modes]
 
     def coords(self, u: Loop) -> np.ndarray:
-        return self.matrix.T @ (self.weights * loops.flatten(u.pad(self.Z.modes)))
+        c = u.pad(self.modes).coeffs
+        return (self.weights * c.reshape(c.shape[:-2] + (-1,))) @ self.matrix
 
     def to_loop(self, y: np.ndarray) -> Loop:
-        return loops.unflatten(self.matrix @ y, self.Z.n, self.Z.modes)
+        return Loop((y @ self.matrix.T).reshape(y.shape[:-1] + self.Z.coeffs.shape))
+
+    def at_nodes(self, y: np.ndarray) -> np.ndarray:
+        return (y @ self.phi.reshape(-1, self.dim).T).reshape(y.shape[:-1] + self.pts.shape)
 
     def column_loop(self, j: int) -> Loop:
-        return loops.unflatten(self.matrix[:, j], self.Z.n, self.Z.modes)
+        return Loop(self.matrix[:, j].reshape(self.Z.coeffs.shape))
 
 
 def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
@@ -286,13 +293,14 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
                   h0=core.hess_H0(seed.sys, pts), phi=phi, rot=rot)
 
 
-def _sym_cond(a: np.ndarray) -> float:
-    """2-norm condition number of a symmetric matrix, max|lambda|/min|lambda|."""
+def _sym_cond(a: np.ndarray):
+    """2-norm condition number of (a stack of) symmetric matrices, max|lambda|/min|lambda|."""
     lam = np.abs(np.linalg.eigvalsh(a))
-    return float(lam.max() / lam.min()) if lam.min() > 0 else np.inf
+    low = lam.min(-1)
+    return np.divide(lam.max(-1), low, out=np.full(low.shape, np.inf), where=low > 0)
 
 
-def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
+def assemble_L_r(domain: DomainModel, r, basis: XBasis,
                  y: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of P_X DPhi_r at the coordinates y over the X basis: the
     derivative in y of projected_residual, whose field has Jacobian
@@ -300,29 +308,33 @@ def assemble_L_r(domain: DomainModel, r: float, basis: XBasis,
 
         L = rot - (2 pi/m) sum_t phi_t^T H_r''(u_t) phi_t,
 
-    symmetrized; SingularOperator if its condition exceeds MAX_COND.  The
-    odd part of X holds no constant loop, so the translation block, which
-    reads the nondegeneracy of a0 (checked by continue_path), is not in L.
-    At the seed (y None or 0) H0'' is read from basis.h0; any other y
-    evaluates hess_H0.
+    symmetrized; SingularOperator if its condition exceeds MAX_COND.  A
+    stack of R values r (y None or (R, dim)) gives a stack of R operators,
+    refused if any is.  The odd part of X holds no constant loop, so the
+    translation block, which reads the nondegeneracy of a0 (checked by
+    continue_path), is not in L.  At the seed (y None or 0) H0'' is read
+    from basis.h0; any other y evaluates hess_H0.
     """
     core.check_r(r)
+    r = np.asarray(r, dtype=float)
     if y is None or not y.any():
         pts, hmats = basis.pts, basis.h0
     else:
-        pts = basis.pts + basis.phi @ y  # projected_residual's nodes, bit for bit
+        pts = basis.pts + basis.at_nodes(y)  # projected_residual's nodes, bit for bit
         hmats = core.hess_H0(basis.sys, pts)
-    if r > 0:
-        hmats = hmats - r**2 * core.hess_F(basis.sys, domain, r * pts)
+    if r.any():
+        s = r[..., None, None]
+        hmats = hmats - (s**2)[..., None] * core.hess_F(basis.sys, domain, s * pts)
+    hmats = np.broadcast_to(hmats, r.shape + hmats.shape[-3:])  # r = 0 reads no F''
 
     phi = basis.phi.reshape(-1, basis.dim)
-    L = basis.rot - (2 * np.pi / len(hmats)) * (
-        phi.T @ (hmats @ basis.phi).reshape(phi.shape))
-    L = 0.5 * (L + L.T)  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
+    hphi = (hmats @ basis.phi).reshape(r.shape + phi.shape)
+    L = basis.rot - (2 * np.pi / len(basis.pts)) * (phi.T @ hphi)
+    L = 0.5 * (L + np.swapaxes(L, -1, -2))  # DPhi_r is H^1 self-adjoint; symmetrize roundoff
     cond = _sym_cond(L)
-    if cond > MAX_COND:
+    if np.any(cond > MAX_COND):
         raise SingularOperator(
-            f"ill-conditioned reduced operator: cond(A)={cond:.3e}")
+            f"ill-conditioned reduced operator: cond(A)={np.max(cond):.3e}")
     return L
 
 
@@ -344,127 +356,157 @@ def tail_bound(modes: int) -> float:
     return SOLVE_TOL / (2 * modes + 1)
 
 
-def _converge(domain: DomainModel, r: float, basis: XBasis, newton: bool,
+def _converge(domain: DomainModel, r: np.ndarray, basis: XBasis, newton: bool,
               y: np.ndarray) -> tuple:
-    """The solve loop on one basis, from the coordinates y: (y, steps).
-    FixedPoint assembles the operator once, at the seed (y None), Newton at
-    each iterate's y; neither builds a Loop.  FixedPoint evaluates
-    projected_residual once before each step, none after its last; Newton
-    once per line-search trial, and its stop and next step read the
-    accepted one."""
+    """The solve loop on one basis for the stack r from the coordinates y,
+    (R, dim): per r its last iterate, steps, and None or its refusal.  Each
+    r has its own stop, strikes, guards and MAX_ITER.  FixedPoint assembles
+    once, at the seed (y None), Newton at each iterate's y; neither builds
+    a Loop.  FixedPoint evaluates projected_residual once before each step,
+    none after its last; Newton once per line-search trial, and its stop and
+    next step read the accepted one."""
     import scipy.linalg  # slow import; only a solve needs the LU
-    res, lu = projected_residual(domain, r, basis, y), None
-    eps_ball = 0.5 * core.min_separation(basis.seed.z)
+    res = projected_residual(domain, r, basis, y)
+    y, steps, refusals = y.copy(), np.zeros(len(r), int), [None] * len(r)
+    act = np.arange(len(r))  # the r still stepping; res, size, strikes, lu hold theirs
+    far = max(5 * core.min_separation(basis.seed.z), 1e3)  # 10 x half the least separation
     # what the stop reads: the last step's norm, or the residual's at the iterate
-    size, guard_strikes = np.linalg.norm(res) if newton else np.inf, 0
+    size = np.linalg.norm(res, axis=1) if newton else np.full(len(r), np.inf)
+    strikes = np.zeros(len(r), int)
     for it in range(1, MAX_ITER + 1):  # step `it`, then the stop
-        if newton or lu is None:
-            lu = scipy.linalg.lu_factor(
-                assemble_L_r(domain, r, basis, y=y if newton else None))
-        step = -scipy.linalg.lu_solve(lu, res)
+        if newton or it == 1:
+            lu = scipy.linalg.lu_factor(assemble_L_r(
+                domain, r[act], basis, y=y[act] if newton else None))
+        step = -scipy.linalg.lu_solve(lu, res[..., None])[..., 0]
+        steps[act] = it
         if newton:  # backtracking: a trial must lower the residual or meet the stop
-            for alpha in 0.5 ** np.arange(8):
-                y_try = y + alpha * step
+            start, trial, todo = y[act], np.full(len(act), np.inf), np.arange(len(act))
+            for alpha in 0.5 ** np.arange(8):  # todo: the r with no trial taken
+                y[act[todo]] = start[todo] + alpha * step[todo]
                 try:
-                    res_try = projected_residual(domain, r, basis, y_try)
-                    trial = np.linalg.norm(res_try)
-                    if trial < size or trial <= SOLVE_TOL:
-                        break
-                except (CollisionError, DomainError):
-                    pass
-            else:
-                raise NoConvergence(
-                    f"Newton line search failed at r={r:.5g}: 8 halvings of "
-                    f"the step did not lower the residual {size:.3e}")
-            y, res, size = y_try, res_try, trial
+                    res[todo] = projected_residual(domain, r[act[todo]], basis, y[act[todo]])
+                    trial[todo] = np.linalg.norm(res[todo], axis=1)
+                    todo = todo[~((trial[todo] < size[todo]) | (trial[todo] <= SOLVE_TOL))]
+                except (CollisionError, DomainError):  # a trial of one r is halved
+                    if len(todo) > 1:
+                        raise
+                if not todo.size:
+                    break
+            why = {j: f"Newton line search failed at r={r[act[j]]:.5g}: 8 halvings "
+                   f"of the step did not lower the residual {size[j]:.3e}" for j in todo}
+            size = trial
         else:
-            y, prev_step, size = y + step, size, np.linalg.norm(step)
-            if 1e-15 < prev_step < np.inf:
-                contraction = size / prev_step
-                if contraction > CONTRACTION_GUARD and size > SOLVE_TOL:
-                    guard_strikes += 1
-                    if guard_strikes >= 3:
-                        raise ContractionFailure(
-                            f"contraction estimate {contraction:.3f} exceeds "
-                            f"guard {CONTRACTION_GUARD} at r={r:.5g}")
-                else:
-                    guard_strikes = 0
-            if np.linalg.norm(y) > max(10 * eps_ball, 1e3):
-                raise ContractionFailure(
-                    f"iterates diverge at r={r:.5g} (|v| = {np.linalg.norm(y):.3e})")
-        if size <= SOLVE_TOL:
-            return y, it
+            y[act] += step
+            prev, size = size, np.linalg.norm(step, axis=1)
+            ratio = size / np.maximum(prev, 1e-15)  # read only where prev > 1e-15
+            strikes = np.where((1e-15 < prev) & (prev < np.inf), np.where(
+                (ratio > CONTRACTION_GUARD) & (size > SOLVE_TOL), strikes + 1, 0), strikes)
+            vnorm = np.linalg.norm(y[act], axis=1)
+            why = {j: f"iterates diverge at r={r[act[j]]:.5g} (|v| = {vnorm[j]:.3e})"
+                   for j in np.flatnonzero(vnorm > far)}
+            why.update({j: f"contraction estimate {ratio[j]:.3f} exceeds guard "
+                        f"{CONTRACTION_GUARD} at r={r[act[j]]:.5g}"
+                        for j in np.flatnonzero(strikes >= 3)})
+        for j, msg in why.items():
+            refusals[act[j]] = (NoConvergence if newton else ContractionFailure)(msg)
+        keep = ~(size <= SOLVE_TOL)
+        keep[list(why)] = False
+        act, res, size, strikes = act[keep], res[keep], size[keep], strikes[keep]
+        if not act.size:
+            return y, steps, refusals
         if not newton:
-            res = projected_residual(domain, r, basis, y)
+            lu = [part[keep] for part in lu]
+            res = projected_residual(domain, r[act], basis, y[act])
     solver, measure = ("Newton", "residual") if newton else ("fixed point", "step norm")
-    raise NoConvergence(
-        f"{solver} not converged in {MAX_ITER} iterations at "
-        f"r={r:.5g} ({measure} {size:.3e} after the last step)")
+    for i, last in zip(act, size):
+        refusals[i] = NoConvergence(f"{solver} not converged in {MAX_ITER} iterations at "
+                                    f"r={r[i]:.5g} ({measure} {last:.3e} after the last step)")
+    return y, steps, refusals
 
 
-def solve_reduced(domain: DomainModel, r: float, basis: XBasis,
-                  params: SolverParams,
-                  warm_start: Loop | None = None) -> ReducedSolution:
-    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X from the
-    seed in `basis`, first at the basis's mode count M.  FixedPoint (the
-    chord method) and Newton run one loop with three settings: the operator
-    is assembled once at the seed, or at each iterate; the stop, tested
-    after each step, reads the step just taken, or the projected residual at
-    the new iterate; the guards are contraction and divergence, or an
-    8-halving line search, whose trial must lower the residual or meet the
-    stop (a start already at the solution, residual 0, takes a 0 step).  Each converged v is checked once in full form,
-    by grad_J_r at Z + v padded to 2M+1 modes: while the residual tail above
-    mode M exceeds tail_bound(M), M doubles, up to params.modes, and the
-    solve goes on from the padded v.  The one verdict on r: NoConvergence
-    for a tail at the cap, or PhaseDefect for a full gradient up to mode M,
-    that is too large; `iterations` counts the steps over every M."""
-    newton = params.mode == "Newton"
-    y = basis.coords(warm_start) if warm_start is not None else np.zeros(basis.dim)
-    steps = 0
+def solve_reduced(domain: DomainModel, r, basis: XBasis,
+                  params: SolverParams):
+    """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X, from v = 0
+    at the seed in `basis`, first at its mode count M.  One r returns its
+    ReducedSolution or raises its refusal; a stack of r is one batch, and
+    lists per r what a solve of it alone gives.  A kernel's CollisionError
+    or DomainError, or SingularOperator, names no r of a batch of several:
+    it is solved again in halves.  FixedPoint (the chord method) and Newton
+    run one loop with three settings: the operator is assembled once at the
+    seed, or at each iterate; the stop, tested after each step, reads the
+    step just taken, or the projected residual at the new iterate; the
+    guards are contraction and divergence, or an 8-halving line search,
+    whose trial must lower the residual or meet the stop (a start at the
+    solution, residual 0, takes a 0 step).  Each converged v is checked once
+    in full form, by grad_J_r at Z + v padded to 2M+1 modes: while the tail
+    above mode M exceeds tail_bound(M), M doubles, up to params.modes, for
+    the r whose tail asks.  The one verdict on r: NoConvergence for a tail
+    at the cap, or PhaseDefect for a full gradient up to mode M, that is too
+    large; `iterations` counts the steps over every M."""
+    core.check_r(r)
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    try:
+        out = _solve_batch(domain, rs, basis, params)
+    except (CollisionError, DomainError, SingularOperator) as exc:
+        out = [exc] if len(rs) == 1 else (
+            solve_reduced(domain, rs[:len(rs) // 2], basis, params)
+            + solve_reduced(domain, rs[len(rs) // 2:], basis, params))
+    if np.ndim(r) == 0 and isinstance(out[0], Exception):
+        raise out[0]
+    return out if np.ndim(r) else out[0]
+
+
+def _solve_batch(domain: DomainModel, r: np.ndarray, basis: XBasis,
+                 params: SolverParams) -> list:
+    newton, out = params.mode == "Newton", [None] * len(r)
+    todo, y, steps = np.arange(len(r)), np.zeros((len(r), basis.dim)), 0
     while True:
-        y, it = _converge(domain, r, basis, newton, y)
-        steps += it
-        v = basis.to_loop(y)
-        grad = grad_J_r(basis.sys, domain, r, (basis.Z + v).pad(2 * basis.modes + 1))
-        head = grad.pad(basis.modes)
-        tail = loops.h1_norm(grad - head)
-        if tail <= tail_bound(basis.modes) or basis.modes >= params.modes:
-            break
+        y, it, refusals = _converge(domain, r[todo], basis, newton, y)
+        for i, exc in zip(todo, refusals):
+            out[i] = exc
+        ok = np.array([exc is None for exc in refusals])
+        todo, steps, v = todo[ok], (steps + it)[ok], basis.to_loop(y[ok])
+        if not todo.size:
+            return out
+        grad = grad_J_r(basis.sys, domain, r[todo], (basis.Z + v).pad(2 * basis.modes + 1))
+        head, bound = grad.pad(basis.modes), tail_bound(basis.modes)
+        tail, residual = loops.h1_norm(grad - head), loops.h1_norm(head)
+        vnorm, phase = loops.h1_norm(v), np.abs(loops.h1_inner(head, basis.zdot))
+        done = (tail <= bound) | (basis.modes >= params.modes)
+        for j in np.flatnonzero(done):
+            i, vj = todo[j], Loop(v.coeffs[j])
+            if tail[j] > bound:
+                out[i] = NoConvergence(f"residual tail {tail[j]:.3e} above {bound:.3e} "
+                                       f"at {basis.modes} modes, r={r[i]:.5g}")
+            elif residual[j] > 10 * SOLVE_TOL * (vnorm[j] + 1.0):
+                out[i] = PhaseDefect(
+                    f"full gradient {residual[j]:.3e} exceeds 10x the solver "
+                    f"tolerance at r={r[i]:.5g}; the phase component did not vanish, "
+                    f"or the orbit has modes outside the odd subspace (H_r not even "
+                    f"about a0)")
+            else:
+                out[i] = ReducedSolution(
+                    r=float(r[i]), v=vj, u=basis.Z + vj, residual_grad=float(residual[j]),
+                    phase_defect=float(phase[j]), vnorm=float(vnorm[j]),
+                    iterations=int(steps[j]), residual_tail=float(tail[j]))
+        if done.all():
+            return out
+        todo, steps, v = todo[~done], steps[~done], Loop(v.coeffs[~done])
         basis = basis.at(min(2 * basis.modes, params.modes))
         y = basis.coords(v)
-    if tail > tail_bound(basis.modes):
-        raise NoConvergence(
-            f"residual tail {tail:.3e} above {tail_bound(basis.modes):.3e} "
-            f"at {basis.modes} modes, r={r:.5g}")
-    residual, vnorm = loops.h1_norm(head), loops.h1_norm(v)
-    if residual > 10 * SOLVE_TOL * (vnorm + 1.0):
-        raise PhaseDefect(
-            f"full gradient {residual:.3e} exceeds 10x the solver "
-            f"tolerance at r={r:.5g}; the phase component did not vanish, "
-            f"or the orbit has modes outside the odd subspace (H_r not even "
-            f"about a0)")
-    return ReducedSolution(r=r, v=v, u=basis.Z + v, residual_grad=residual,
-                           phase_defect=abs(loops.h1_inner(head, basis.zdot)),
-                           vnorm=vnorm, iterations=steps, residual_tail=tail)
 
 
 # ---------------------------------------------------------------------------
 # continuation
 
-# what a failed solve at one r raises: the r is recorded and the sweep goes on
-_SOLVE_FAILURES = (ContractionFailure, NoConvergence, PhaseDefect, DomainError,
-                   CollisionError, SingularOperator)
-
-
 def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
                   a0_guess, params: SolverParams) -> ContinuationPath:
-    """Solve each r of the grid, from r_max down, each warm-started from the
-    last converged r, in `domain` recentred at a0, on the basis of the
-    period-normalized equilibrium `seed` at START_MODES (or params.modes if
-    fewer), which solve_reduced doubles up to params.modes as the residual
-    tail asks; the bases of every mode count are built once for the path.
-    A failed r is recorded in `failures`, so a path where none converges
-    has only failures.  Before any solve, a0 is found by
+    """Solve the r grid, from r_max down, as one solve_reduced batch, in
+    `domain` recentred at a0, on the basis of the period-normalized
+    equilibrium `seed` at START_MODES (or params.modes if fewer); the bases
+    of every mode count are built once for the path.  A failed r is
+    recorded in `failures`, so a path where none converges has only
+    failures.  Before any solve, a0 is found by
     find_critical_point_h from `a0_guess`, the owner of both rules on it:
     SingularOperator if a0 is degenerate; the search's own refusals pass
     through (ValueError for a guess outside the domain, NoConvergence or
@@ -474,16 +516,12 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
     if not crit.nondegenerate:
         raise SingularOperator("critical point of the regular part is degenerate")
     basis = build_x_basis(seed, min(START_MODES, params.modes))
-    work_domain = TranslatedDomain(domain, crit.point)
-    entries, failures = [], {}
-    for r in map(float, params.r_grid()):
-        try:
-            entries.append(solve_reduced(
-                work_domain, r, basis, params,
-                warm_start=entries[-1].v if entries else None))
-        except _SOLVE_FAILURES as exc:
-            failures[r] = f"{type(exc).__name__}: {exc}"
-    return ContinuationPath(a0=crit.point, entries=entries, failures=failures)
+    grid = params.r_grid()
+    outcomes = solve_reduced(TranslatedDomain(domain, crit.point), grid, basis, params)
+    return ContinuationPath(
+        a0=crit.point, entries=[o for o in outcomes if isinstance(o, ReducedSolution)],
+        failures={float(r): f"{type(o).__name__}: {o}"
+                  for r, o in zip(grid, outcomes) if isinstance(o, Exception)})
 
 
 def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,

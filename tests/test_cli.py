@@ -440,6 +440,40 @@ def test_continue_failed_grid_points_exit_1(tmp_path, capsys):
     assert (out / "orbit_summary.txt").read_text() == text
 
 
+@pytest.mark.parametrize("gammas, args, failed, code", [
+    (None, ["--modes", "8", "--r-max", "3", "--r-min", "0.1", "--r-steps", "5"],
+     ["FAILED r=3: DomainError: configuration has points outside the domain "
+      "at sample 0",
+      "FAILED r=1.28186: DomainError: configuration has points outside the "
+      "domain at sample 0"], 1),
+    ("30,30", ["--modes", "8", "--r-steps", "3"],
+     ["FAILED r=0.2: ContractionFailure: contraction estimate 6.480 exceeds "
+      "guard 0.9 at r=0.2"], 1),
+    (None, ["--mode", "newton", "--modes", "8", "--r-max", "1.5", "--r-min",
+            "0.5", "--r-steps", "5"],
+     ["FAILED r=1.5: NoConvergence: Newton line search failed at r=1.5: 8 "
+      "halvings of the step did not lower the residual 5.884e-01"], 0),
+], ids=["domain", "contraction", "line-search"])
+def test_continue_mixed_grid_fails_each_r_alone(gammas, args, failed, code,
+                                                tmp_path, capsys):
+    """A grid solved as one batch fails exactly the r that fail alone, each
+    with its own message, and writes the orbit of every other r: the
+    DomainError of a kernel call, which names no r of the batch, splits it
+    until each half holds the one r that failed, while the contraction
+    guard and Newton's line search refuse their own r."""
+    out = tmp_path / "mixed"
+    config = []
+    if gammas:
+        _write(tmp_path / "pair.ini", f"[system]\ngammas = {gammas}\n")
+        config = ["--config", str(tmp_path / "pair.ini")]
+    assert main(["continue", *config, *args, "--out", str(out)]) == code
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines[-len(failed):] == failed
+    orbits = len(lines) - len(failed)
+    assert orbits == int(args[-1]) - len(failed)
+    assert len(list(out.glob("orbit_r*.json"))) == orbits
+
+
 def test_continue_with_no_converged_grid_point_exits_1(tmp_path, capsys):
     """No r converges: the summary still names each r and its reason, and
     the 80% quota sets the exit code."""

@@ -146,7 +146,7 @@ def x_projector(theta=0.0):
 
 
 def apply(mat, u):
-    return lp.unflatten(mat @ lp.flatten(u), u.n, u.modes)
+    return lp.Loop((mat @ u.coeffs.ravel()).reshape(u.coeffs.shape))
 
 
 def odd_modes(u):
@@ -277,3 +277,36 @@ def test_build_frame_needs_a_normalized_equilibrium():
     pair = eq.make_pair(1.0, 1.0, 2.0)  # omega = 1/(2 pi)
     with pytest.raises(DegenerateFrame, match="period-normalized"):
         lp.build_frame(pair.z, pair.omega, 4)
+
+
+def test_stacked_loops_give_each_loop_its_own_result():
+    """A Loop over coefficients (R, 2M+1, 2N) is R loops: each helper that
+    takes a loop returns, for loop j of a stack, what loop j alone gives."""
+    us, vs = RNG.normal(size=(2, 3, 2 * M + 1, 2 * N))
+    u, v = lp.Loop(us), lp.Loop(vs)
+    stacked = {
+        "time_shift": lp.time_shift(0.7, u).coeffs,
+        "project_D": lp.project_D(u).coeffs,
+        "differentiate": lp.differentiate(u).coeffs,
+        "inv_id_minus_laplace": lp.inv_id_minus_laplace(u).coeffs,
+        "pad": u.pad(M + 3).coeffs,
+        "constant_loop": lp.constant_loop(us[:, 0], M).coeffs,
+        "h1_inner": lp.h1_inner(u, v),
+        "l2_inner": lp.l2_inner(u, v),
+        "sample": lp.sample(u, 4 * M),
+    }
+    for j in range(3):
+        uj, vj = lp.Loop(us[j]), lp.Loop(vs[j])
+        alone = {
+            "time_shift": lp.time_shift(0.7, uj).coeffs,
+            "project_D": lp.project_D(uj).coeffs,
+            "differentiate": lp.differentiate(uj).coeffs,
+            "inv_id_minus_laplace": lp.inv_id_minus_laplace(uj).coeffs,
+            "pad": uj.pad(M + 3).coeffs,
+            "constant_loop": lp.constant_loop(us[j, 0], M).coeffs,
+            "h1_inner": lp.h1_inner(uj, vj),
+            "l2_inner": lp.l2_inner(uj, vj),
+            "sample": lp.sample(uj, 4 * M),
+        }
+        for name, value in alone.items():
+            assert np.allclose(stacked[name][j], value, rtol=1e-14, atol=1e-14), name

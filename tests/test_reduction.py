@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nvortex import (core, dynamics as dyn, equilibria as eq, loops as lp,
                      reduction as rd)
@@ -218,18 +218,19 @@ def test_operator_matches_finite_differences(pair_setup):
 
 
 def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
-    """A continuation in either mode solves each r of its grid once, from
-    r_max down, and no other r.  Each basis holds hess_H0 along the seed Z,
+    """A continuation in either mode solves its grid, from r_max down, as
+    one batch, and no other r.  Each basis holds hess_H0 along the seed Z,
     and a disk orbit is rigid, so every r of a continuation is resolved on
     the START_MODES basis: hess_H0 runs once per continuation, FixedPoint
-    assembles once per r at Z, and each r ends with one full-form grad_J_r
-    (the residual-tail check).  A FixedPoint solve of k steps evaluates k
-    projected residuals, one before each step: none after the step its stop
-    accepts.  Newton assembles only at its own iterate y, once per step,
-    and evaluates one projected residual per iterate: the seed's and the
-    accepted line-search trial's, which the stop test and the next step
-    read.  This solve starts cold, so its first step reads H0'' off the
-    basis."""
+    assembles the operators of every r in one call at Z, and the batch ends
+    with one full-form grad_J_r (the residual-tail check of every r).  A
+    FixedPoint batch evaluates its projected residuals in one call before
+    each step, none after the step the last stop accepts, so it makes as
+    many calls as its longest solve takes steps.  Newton assembles only at
+    its own iterate y, once per step, and evaluates one projected residual
+    per iterate: the seed's and the accepted line-search trial's, which the
+    stop test and the next step read.  Its first step starts at y = 0, so
+    it reads H0'' off the basis."""
     _, pair, _, basis = pair_setup
     names = ("hess_H0", "assemble_L_r", "grad_J_r", "projected_residual")
     counts = dict.fromkeys(names, 0)
@@ -255,11 +256,12 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
         solved_at.clear()
         path = rd.continue_path(pair, UnitDisk(), np.zeros(2), params)
         assert len(path.entries) == 4
-        assert solved_at == list(params.r_grid())
-        assert counts["grad_J_r"] == 4
+        assert len(solved_at) == 1
+        assert np.array_equal(solved_at[0], params.r_grid())
+        assert counts["grad_J_r"] == 1
         if mode == "FixedPoint":
-            assert counts["assemble_L_r"] == 4 and counts["hess_H0"] == 1
-            assert counts["projected_residual"] == sum(
+            assert counts["assemble_L_r"] == 1 and counts["hess_H0"] == 1
+            assert counts["projected_residual"] == max(
                 e.iterations for e in path.entries)
     counts.update(dict.fromkeys(counts, 0))
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis,
@@ -273,8 +275,9 @@ def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
     """A Newton step from y = 0 assembles at the seed itself: its nodes
     pts + phi @ 0 are the seed's, H0'' along them is basis.h0 bit for bit,
     and the operator equals the chord operator (y None) without a hess_H0
-    call.  So a cold solve makes one hess_H0 call fewer than it takes
-    steps, and a warm one makes one per step."""
+    call.  So a solve makes one hess_H0 call fewer than it takes steps, and
+    a batch one fewer than its longest solve takes: each later step
+    evaluates hess_H0 once, at every iterate still stepping."""
     basis = pair_setup[3]
     disk, zero = UnitDisk(), np.zeros(basis.dim)
     assert np.array_equal(core.hess_H0(basis.sys, basis.pts + basis.phi @ zero),
@@ -290,8 +293,10 @@ def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
     cold = rd.solve_reduced(disk, 0.1, basis, params)
     assert cold.iterations >= 2 and len(calls) == cold.iterations - 1
     calls.clear()
-    warm = rd.solve_reduced(disk, 0.12, basis, params, warm_start=cold.v)
-    assert warm.iterations >= 1 and len(calls) == warm.iterations
+    batch = rd.solve_reduced(disk, [0.12, 0.1, 1e-3], basis, params)
+    steps = [sol.iterations for sol in batch]
+    assert steps[1] == cold.iterations and min(steps) < max(steps)
+    assert len(calls) == max(steps) - 1
 
 
 def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
@@ -423,11 +428,11 @@ def _reference_operator(sys, domain, r, modes, base):
     jm = sys.j_n() * sys.m_gamma_diag()
 
     def image(hm, col):
-        u = lp.unflatten(col, n, modes)
+        u = lp.Loop(col.reshape(2 * modes + 1, 2 * n))
         nonlin = lp.from_samples(
             -np.einsum("tij,tj->ti", hm, lp.sample(u, m)), modes)
         lin = lp.Loop(-lp.differentiate(u).coeffs @ jm.T)
-        return lp.flatten(lp.inv_id_minus_laplace(lin + nonlin))
+        return lp.inv_id_minus_laplace(lin + nonlin).coeffs.ravel()
 
     unit = np.diag(1 / np.sqrt(w))
     L = unit @ (w[:, None] * np.column_stack([image(hmats, c) for c in unit]))
@@ -620,18 +625,68 @@ def test_fixedpoint_newton_agree_on_random_pairs(g1, ratio, sign, r):
     assert lp.h1_norm(fp.v - nw.v) <= 1e-9
 
 
+_BATCH_SEEDS = {"pair": eq.make_pair(1.0, 1.0, 2.0),
+                "triangle": eq.make_triangle(1.0, 2.0, 3.0, 1.0),
+                "thomson-3": eq.make_thomson(3, 1.0, 1.0)}
+# from r = 1.5, where each seed's orbit fails (DomainError, which refuses a
+# whole batch, or the contraction guard or Newton's line search, which
+# refuse their own r), down to 1e-3, where one step converges
+_BATCH_GRID = np.r_[1.5, 1.2, np.geomspace(0.5, 1e-3, 6)]
+
+
+@pytest.fixture(scope="module")
+def alone():
+    """Per seed and solver, each r of _BATCH_GRID solved as a batch of one:
+    its ReducedSolution or the exception that refused it."""
+    out = {}
+    for name, seed in _BATCH_SEEDS.items():
+        basis = rd.build_x_basis(eq.normalize_period(seed), rd.START_MODES)
+        for mode in ("FixedPoint", "Newton"):
+            params = rd.SolverParams(modes=8, mode=mode)
+            for r in _BATCH_GRID:
+                try:
+                    out[name, mode, r] = rd.solve_reduced(UnitDisk(), r, basis, params)
+                except (CollisionError, ContractionFailure, DomainError,
+                        NoConvergence, PhaseDefect, SingularOperator) as exc:
+                    out[name, mode, r] = exc
+    return out
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(_BATCH_SEEDS)),
+       mode=st.sampled_from(["FixedPoint", "Newton"]),
+       rs=st.lists(st.sampled_from(list(_BATCH_GRID)), min_size=1,
+                   max_size=len(_BATCH_GRID), unique=True))
+def test_batch_results_do_not_depend_on_the_batch(alone, name, mode, rs):
+    """Whatever r share a batch, and in whatever order, each r gets what a
+    solve of it alone gives: the same exception type where it is refused,
+    and otherwise the same steps and vnorm to 1e-12 relative.  Every r
+    starts from v = 0, and a refusal that names no r splits the batch."""
+    basis = rd.build_x_basis(eq.normalize_period(_BATCH_SEEDS[name]),
+                             rd.START_MODES)
+    batch = rd.solve_reduced(UnitDisk(), np.array(rs), basis,
+                             rd.SolverParams(modes=8, mode=mode))
+    assert len(batch) == len(rs)
+    for r, got in zip(rs, batch):
+        want = alone[name, mode, r]
+        assert type(got) is type(want)
+        if isinstance(want, rd.ReducedSolution):
+            assert got.r == r and got.iterations == want.iterations
+            assert got.vnorm == pytest.approx(want.vnorm, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("points", [3, 6, 10])
 @pytest.mark.parametrize("seed", [
     eq.make_pair(1.0, 1.0, 2.0), eq.make_pair(1.0, 3.0, 2.0),
     eq.make_triangle(1.0, 2.0, 3.0, 1.0), eq.make_thomson(3, 1.0, 1.0),
 ], ids=["pair-1-1", "pair-1-3", "triangle-1-2-3", "thomson-3"])
 def test_fixedpoint_and_newton_continue_to_the_same_orbits(seed, points):
-    """Newton tests its stop after each step, as FixedPoint does, so once
-    vnorm falls below SOLVE_TOL it does not hand the previous r's orbit on
-    as its own.  Down a continuation in the disk at 8 modes both solvers
-    converge at every r and agree to 1e-2 relative H^1 (measured: 6.9e-4
-    at most, on the triangle's 3-point grid); returning the warm start was
-    off by up to 4.7e7 (Thomson-3, 10 points)."""
+    """Newton tests its stop after each step, as FixedPoint does, and each
+    r starts from v = 0, so neither solver hands one r's orbit on as
+    another's.  Down a continuation in the disk at 8 modes both solvers
+    converge at every r and agree to 1e-2 relative H^1 (measured: 5.9e-7
+    at most, on the triangle's 10-point grid)."""
     seed = eq.normalize_period(seed)
     fp, nw = (rd.continue_path(seed, UnitDisk(), np.zeros(2),
                                rd.SolverParams(modes=8, mode=mode,
@@ -803,20 +858,19 @@ def test_disk_orbits_are_rigid(disk_path):
 def test_pair_r4_law_and_one_step_per_r(disk_path):
     """v decays like c r^4 with the same shape at every small r (criterion 4
     derives the rate), so vnorm / r^4 is constant up to O(r^2) and roundoff,
-    to 1e-3 for r <= 5e-3.  The warm start is the previous solution, so the
-    first fixed-point step is v(r) - v(r_prev), of norm vnorm(r_prev) -
-    vnorm(r), and the frozen operator leaves a second step smaller by a
-    factor O(|v|): one iteration when the first step is within SOLVE_TOL, two
-    when it is not.  Noise in the solve would show in both."""
+    to 1e-3 for r <= 5e-3.  Every r starts from v = 0, so the first
+    fixed-point step is v itself up to O(|v|^2), of norm vnorm(r), and the
+    frozen operator leaves a second step smaller by a factor O(|v|): one
+    iteration when vnorm is within SOLVE_TOL, two when it is not.  Noise in
+    the solve would show in both."""
     _, _, path = disk_path
     rs, vs = _r_and_vnorm(path)
     c = vs[rs <= 5e-3] / rs[rs <= 5e-3] ** 4
     assert np.max(np.abs(c / np.median(c) - 1)) <= 1e-3
-    first_step = vs[:-1] - vs[1:]
-    iters = np.array([e.iterations for e in path.entries[1:]])
-    small = rs[1:] < 3e-3
-    assert np.all(iters[small & (first_step < 0.9 * rd.SOLVE_TOL)] == 1)
-    assert np.all(iters[small & (first_step > 1.1 * rd.SOLVE_TOL)] == 2)
+    iters = np.array([e.iterations for e in path.entries])
+    small = rs < 3e-3
+    assert np.all(iters[small & (vs < 0.9 * rd.SOLVE_TOL)] == 1)
+    assert np.all(iters[small & (vs > 1.1 * rd.SOLVE_TOL)] == 2)
     assert np.all(iters[small] <= 2)
 
 
@@ -1054,8 +1108,8 @@ def test_a0_rule_is_the_critical_point_verdict(k, pair_setup, monkeypatch):
     crit = core.find_critical_point_h(domain, np.zeros(2))
     assert crit.nondegenerate == (k > -10)
 
-    def failing_solve(*args, **kw):
-        raise NoConvergence("stub")
+    def failing_solve(domain, r, *args, **kw):
+        return [NoConvergence("stub") for _ in r]
     monkeypatch.setattr(rd, "solve_reduced", failing_solve)
     params = rd.SolverParams(modes=M, r_points=2)
     if crit.nondegenerate:
@@ -1114,11 +1168,12 @@ def test_cubic_domain_is_judged_by_the_full_gradient(pair_setup, monkeypatch):
     pair = pair_setup[1]
     grad, last = rd.grad_J_r, {}
 
-    def spy(sys, domain, r, u):  # the full gradient and vnorm of each solve
+    def spy(sys, domain, r, u):  # the full gradient and vnorm of each r solved
         out = grad(sys, domain, r, u)
         modes = (u.modes - 1) // 2
         v = u.pad(modes) - lp.build_frame(pair.z, pair.omega, modes)
-        last[r] = lp.h1_norm(out.pad(modes)), lp.h1_norm(v)
+        last.update(zip(np.atleast_1d(r),
+                        zip(lp.h1_norm(out.pad(modes)), lp.h1_norm(v))))
         return out
     monkeypatch.setattr(rd, "grad_J_r", spy)
     ratios = []
@@ -1233,7 +1288,7 @@ def test_unrescale_rejects_a_period_out_of_range(r, pair_setup):
 def test_every_r_entry_rejects_bad_r(r, pair_setup):
     """core.check_r is the one rule for r: a negative or non-finite r raises
     ValueError in H_r, its gradient, the rescaled field, the action, the
-    reduced gradient, the operator and both solvers."""
+    reduced gradient, the operator and both solvers, alone or in a stack."""
     sys2, _, Z, basis = pair_setup
     disk, z = UnitDisk(), np.array([0.3, 0.0, -0.3, 0.0])
     calls = [
@@ -1248,6 +1303,14 @@ def test_every_r_entry_rejects_bad_r(r, pair_setup):
                                  rd.SolverParams(modes=M)),
         lambda: rd.solve_reduced(disk, r, basis,
                                  rd.SolverParams(modes=M, mode="Newton")),
+    ]
+    stack, pair = np.array([0.1, r]), lp.Loop(np.stack([Z.coeffs, Z.coeffs]))
+    calls += [  # a stack of r is refused when any of its values is
+        lambda: core.check_r(stack),
+        lambda: core.grad_Hr(sys2, disk, stack, np.stack([z, z])),
+        lambda: rd.grad_J_r(sys2, disk, stack, pair),
+        lambda: rd.assemble_L_r(disk, stack, basis),
+        lambda: rd.solve_reduced(disk, stack, basis, rd.SolverParams(modes=M)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="r must be finite and nonnegative"):
