@@ -67,3 +67,8 @@ class BoundaryApproach(IntegrationError):
 
 class MinStepReached(IntegrationError):
     pass
+
+
+class StepLimitReached(IntegrationError):
+    """The integrator made its step budget, dynamics.MAX_STEPS, before the
+    end time."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import nvortex
-from nvortex import cli, core, equilibria
+from nvortex import cli, core, dynamics, equilibria
 from nvortex import loops as lp
 from nvortex import reduction as rd
 from nvortex.cli import main, load_config
@@ -72,9 +72,24 @@ def _scipy_modules_after(code):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Importing the CLI loads no scipy module: the LU, the matrix
-    exponential and the integrator are imported where they are used."""
+    """Importing the CLI loads no scipy module: `scipy.linalg`, for the
+    LU, is imported at the first solve, and nothing else needs scipy."""
     assert _scipy_modules_after("import sys, nvortex.cli") == "[]"
+
+
+def test_validate_and_simulate_load_no_scipy(cont_run, tmp_path):
+    """The integrator is the package's own collocation method, so
+    re-integrating a continued orbit and a short simulate need numpy
+    alone."""
+    _, out, _ = cont_run
+    orbit = os.path.join(out, sorted(f for f in os.listdir(out)
+                                     if f.endswith(".json"))[0])
+    csv = str(tmp_path / "traj.csv")
+    assert _scipy_modules_after(
+        "import sys\nfrom nvortex.cli import main\n"
+        f"assert main(['validate', '--orbit', {orbit!r}]) == 0\n"
+        "assert main(['simulate', '--z0=0.3,0,-0.3,0.1', '--time', '0.5',"
+        f" '--samples', '5', '--csv', {csv!r}]) == 0") == "[]"
 
 
 def test_equilibrium_check_loads_no_scipy():
@@ -921,7 +936,7 @@ def test_validate_orbit_field_of_another_type_never_raises(field, value,
     (["--rtol", "-1"], "rtol"),
     (["--tol", "nan"], "--tol"),
     (["--tol", "-1"], "--tol"),
-    (["--rtol", "1e-20"], "rtol must be at least"),  # scipy would use 2.2e-14
+    (["--rtol", "1e-20"], "rtol must be at least"),  # below RTOL_FLOOR, 2.2e-14
     (["--rtol", "5e-324"], "rtol must be at least"),  # not its atol, 0
 ])
 def test_validate_bad_argument_exits_2(flags, named, cont_run, capsys):
@@ -1089,6 +1104,19 @@ def test_simulate_collision_start_fails(tmp_path):
     assert main(["simulate", "--z0", "0,0,0,1e-12", "--time", "1.0",
                  "--r", "0",
                  "--csv", str(tmp_path / "t.csv")]) == 1
+
+
+def test_simulate_past_the_step_cap_exits_1(tmp_path, capsys, monkeypatch):
+    """A run that cannot reach --time within the step budget (here 3, where
+    --time=1e300 needs about 1e300 steps) stops with exit 1, naming the cap
+    and the time reached, and writes no CSV."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3)
+    csv = tmp_path / "t.csv"
+    assert main(["simulate", "--z0=0.1,0,-0.1,0", "--time=1e300",
+                 "--csv", str(csv)]) == 1
+    assert re.fullmatch(r"error: step cap MAX_STEPS = 3 reached at t = \S+, "
+                        r"short of T = 1e\+300\n", capsys.readouterr().err)
+    assert not csv.exists()
 
 
 def test_simulate_where_pair_distances_overflow_exits_2(tmp_path, capsys):

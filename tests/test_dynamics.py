@@ -1,7 +1,5 @@
 """Direct integration, invariants, event guards, orbit validation."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,8 @@ from nvortex import core, dynamics as dyn, equilibria as eq, loops as lp
 from nvortex import reduction as rd
 from nvortex.core import HalfPlane, Plane, UnitDisk, VortexSystem
 from nvortex.errors import (BoundaryApproach, BoundaryError, CollisionApproach,
-                            CollisionError, DomainError, MinStepReached)
+                            CollisionError, DomainError, MinStepReached,
+                            StepLimitReached)
 
 M = 10
 
@@ -139,9 +138,10 @@ def test_boundary_guard_stops_dipole(monkeypatch):
 @pytest.mark.parametrize("s", [0.5, 0.2])
 def test_boundary_guard_stops_rescaled_dipole(s, monkeypatch):
     """The field of H_s at u is the physical field in other units: z = s u
-    and t_phys = s^2 t.  With atol scaled by 1/s, DOP853's error norm and
-    steps scale the same way, so the run from u0 = z0/s trips the guard on
-    s u at s^2 t = t1, the physical trip time, up to the integration error.
+    and t_phys = s^2 t.  With atol scaled by 1/s, the error norm
+    atol + rtol |u| of the collocation defect and the steps scale the same
+    way, so the run from u0 = z0/s trips the guard on s u at s^2 t = t1,
+    the physical trip time, up to the integration error.
     Each run places its trip within rtol * t1 of the exact time (checked on
     t1 against a run at rtol / 10), so the two differ by at most
     2 rtol * t1."""
@@ -201,21 +201,94 @@ def test_rescaled_start_inside_boundary_guard_rejected(domain, u0):
 
 
 def test_solver_failure_raises_min_step_reached(monkeypatch):
-    """A solve_ivp result with status -1 (step size below the spacing of
-    floats, say) raises MinStepReached at the last time reached."""
-    import scipy.integrate
+    """A field that turns non-finite from t = 0.25 on fails every step that
+    starts there: the step halves until it falls below 10 float spacings of
+    t, and MinStepReached reports the last time reached, the start of the
+    failing steps."""
+    make_field, starts = dyn._field, []
 
-    def failed(fun, t_span, y0, **kwargs):
-        return SimpleNamespace(
-            t=np.array([0.0, 0.25]), y=np.stack([y0, y0], axis=1),
-            t_events=[np.empty(0)], status=-1, success=False,
-            message="Required step size is less than spacing between numbers.")
+    def broken_field(*args):
+        f = make_field(*args)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+        def field(t, z):
+            starts.append(t)
+            return f(t, z) if t < 0.25 else np.full_like(z, np.nan)
+        return field
+
+    monkeypatch.setattr(dyn, "_field", broken_field)
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     with pytest.raises(MinStepReached, match="Required step size") as info:
         dyn.integrate(pair.sys, Plane(), 0.0, pair.z, pair.period)
-    assert info.value.t == 0.25
+    assert info.value.t == max(starts) >= 0.25
+
+
+def test_step_cap_stops_the_run_at_the_last_time_reached(monkeypatch):
+    """A run that cannot reach T in MAX_STEPS steps raises StepLimitReached
+    naming the cap, at the end of its last step: the same run to that time
+    takes the same MAX_STEPS steps and ends there."""
+    monkeypatch.setattr(dyn, "MAX_STEPS", 5)
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    with pytest.raises(StepLimitReached, match="step cap MAX_STEPS = 5 "
+                       "reached at t = ") as info:
+        dyn.integrate(pair.sys, Plane(), 0.0, pair.z, 1e300)
+    traj = dyn.integrate(pair.sys, Plane(), 0.0, pair.z, info.value.t)
+    assert len(traj.times) == 6 and traj.times[-1] == info.value.t > 0.0
+
+
+def test_gauss_tableau_satisfies_the_simplifying_assumptions():
+    """The s-stage Gauss method: nodes in (0, 1) symmetric about 1/2, b
+    summing to 1, the Lagrange basis 1 at its own node and 0 at the others,
+    and B(s), C(s): A c^(k-1) = c^k / k for k <= s (Hairer, Lubich and
+    Wanner, II.1.3).  Each entry is a power sum whose terms add up to at
+    most 100 in magnitude, so it carries up to about 100 eps of roundoff,
+    and A c^(k-1) adds s such entries times numbers of size <= 1."""
+    gauss = dyn._collocation(dyn.STAGES)
+    c, s, eps = gauss.c, dyn.STAGES, np.finfo(float).eps
+    tol = 100 * s * eps
+    assert np.all((0 < c) & (c < 1)) and np.all(np.diff(c) > 0)
+    assert np.max(np.abs(c + c[::-1] - 1)) <= tol
+    assert abs(gauss.b.sum() - 1) <= tol
+    assert np.max(np.abs(gauss.slopes(c) - np.eye(s))) <= tol
+    for k in range(1, s + 1):
+        assert np.max(np.abs(gauss.A @ c**(k - 1) - c**k / k)) <= tol
+
+
+def _disk_pair_run():
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    sol = rd.solve_reduced(UnitDisk(), 0.2, rd.build_x_basis(pair, M),
+                           rd.SolverParams(modes=M))
+    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 64, domain=UnitDisk())
+    return (pair.sys, UnitDisk(), 1.0, orbit.samples[0], orbit.period,
+            np.append(orbit.times, orbit.period))
+
+
+def _thomson_run():
+    ring = eq.normalize_period(eq.make_thomson(4, 1.0, 1.0))
+    return (ring.sys, Plane(), 0.0, ring.z, ring.period,
+            np.linspace(0.0, ring.period, 65))
+
+
+@pytest.mark.parametrize("run", [_disk_pair_run, _thomson_run],
+                         ids=["disk pair at r = 0.2", "plane Thomson ring"])
+def test_collocation_agrees_with_dop853(run):
+    """Oracle: scipy's DOP853 on the same run, both at rtol = atol = 1e-12.
+    Each integrator holds the error of each of its n steps to
+    atol + rtol |y| in the rms norm, so at most sqrt(2N) times that in any
+    coordinate, and its error at a sample is at most the sum over its steps
+    so far; two runs agree to the sum of the two bounds."""
+    from scipy.integrate import solve_ivp
+    sys, domain, s, z0, T, t_eval = run()
+    rtol = atol = 1e-12
+    ref = solve_ivp(lambda t, z: core.vortex_rhs(sys, domain, z, r=s),
+                    (0.0, T), z0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True)
+    steps = dyn.integrate(sys, domain, s, z0, T, rtol=rtol, atol=atol)
+    traj = dyn.integrate(sys, domain, s, z0, T, rtol=rtol, atol=atol,
+                         t_eval=t_eval)
+    n = (len(ref.t) - 1) + (len(steps.times) - 1)
+    bound = n * np.sqrt(np.size(z0)) * (
+        atol + rtol * np.max(np.abs(traj.states)))
+    assert np.max(np.abs(traj.states - ref.sol(t_eval).T)) <= bound
 
 
 @pytest.mark.parametrize("raised, expected", [
@@ -302,9 +375,12 @@ def test_validate_orbit_negative_control(pair_orbit):
     (1.0, {"rtol": np.nan}, "rtol"),
     (1.0, {"rtol": -1.0}, "rtol"),
     (1.0, {"atol": 0.0}, "atol"),
-    # below 100 eps solve_ivp would raise rtol itself, with a warning
+    # below 100 eps the stage iteration stops on shorter steps only
     (1.0, {"rtol": 1e-20}, "rtol must be at least 2.22"),
     (1.0, {"rtol": 5e-324, "atol": 5e-326}, "rtol must be at least 2.22"),
+    (1.0, {"t_eval": np.array([0.0, 2.0])}, "t_eval must be strictly"),
+    (1.0, {"t_eval": np.array([0.5, 0.5])}, "t_eval must be strictly"),
+    (1.0, {"t_eval": np.array([-0.5, 0.5])}, "t_eval must be strictly"),
 ])
 def test_integrate_rejects_bad_span_and_tolerances(T, kwargs, match):
     """No fabricated end state: a span or t_eval with no interval to
