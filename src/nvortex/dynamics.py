@@ -6,11 +6,14 @@ Hairer, C. Lubich and G. Wanner, Geometric Numerical Integration, II.1.3).
 Each step solves its stages together by fixed-point iteration, one batched
 field call per iteration, and is accepted when the defect of its collocation
 polynomial at the step's end is within tolerance; that polynomial is the
-dense output at the requested times.  The validity guards (collision and
-boundary approach) are tested at every stage point and step end, and a trip
-stops the run at the crossing, found by bisection on the polynomial.  Drift
-reports of the conserved quantities and a period-closure check validate the
-reduction solver's orbits independently.
+dense output at the requested times.  The first step follows scipy's whole
+starting-step rule, one probe call included.  A configuration the field
+refuses at a trial point (the probe, a stage iterate, the step end) rejects
+the step, which is retried shorter.  The validity guards (collision and
+boundary approach) are tested at every accepted stage point and step end,
+and a trip stops the run at the crossing, found by bisection on the
+polynomial.  Drift reports of the conserved quantities and a period-closure
+check validate the reduction solver's orbits independently.
 """
 
 from __future__ import annotations
@@ -29,31 +32,37 @@ from .reduction import PhysicalOrbit
 COLLISION_GUARD = 1e-9
 BOUNDARY_GUARD = 1e-9
 # Gauss stages s: validating the 60 orbits of three seeded pair runs and
-# the default run at rtol 1e-10 makes a median of 152 field calls at s = 6,
-# 90 at s = 8 and 71 at s = 10; s = 8 keeps the extrapolated stage guesses
-# and the power-basis polynomials (coefficient sums <= 100, against 466 at
-# s = 10) close to roundoff
-STAGES = 8
+# the default run at rtol 1e-10 makes a median of 152 field calls at s = 6;
+# from a first step of h0 alone, 90 at s = 8 and 71 at s = 10, and with
+# `_first_step`'s whole rule 85 at s = 8 and 61.5 at s = 10.  The fixed
+# tableau is summed from Legendre coefficients, within a few eps at s = 10
+STAGES = 10
 # the stage iteration stops once its last change of h K is within STAGE_TOL
 # of the error scale atol + rtol |y|.  That change carries the roundoff of
 # the field, about eps |h K|, so below rtol = eps / STAGE_TOL = 100 eps the
 # stop is met only on shorter steps, which buy no accuracy: one period of
-# the plane pair closes to 2e-15 or better at every rtol from 1e-12 down,
-# in 45 steps at 2.3e-14 and in 381 and 3992 at 1e-15 and 1e-16.
+# the plane pair (atol = rtol / 100) closes to 2.4e-15 or better at every
+# rtol from 1e-12 down, in 18 steps at 2.3e-14 and in 55 and 449 at 1e-15
+# and 1e-16.
 # integrate refuses an rtol below RTOL_FLOOR, before atol, so
 # validate_orbit's atol = rtol / 100 is >= eps
 STAGE_TOL = 1e-2
 RTOL_FLOOR = 100 * np.finfo(float).eps
 # at the steps the defect allows, each stage iteration gains about a digit
-# and a step takes 7-8 of them; 20 without reaching STAGE_TOL means h is too
-# long for the iteration to contract, and the step is retried at h / 2
+# and a step takes about 9 of them (7-11 on those 60 orbits at rtol 1e-10);
+# 20 without reaching STAGE_TOL means h is too long for the iteration to
+# contract, and the step is retried at h / 2
 MAX_STAGE_ITER = 20
 # the step budget, rejected steps included: validating one of those 60
-# orbits takes 11-16 steps at rtol 1e-10 and 21-40 at RTOL_FLOOR, so the
-# cap is 500 such periods; at about 0.9 ms a step for a pair (2 vCPU) it
-# ends a run that cannot reach T, such as `simulate --time=1e300`, in
-# about 20 s
+# orbits takes 5-8 steps at rtol 1e-10 and 8-15 at RTOL_FLOOR, so the cap
+# is over 1300 such periods; at about 0.8 ms a step for a pair (2 vCPU) it
+# ends a run that cannot reach T, such as `simulate --time=1e300`, at
+# t = 1700 after about 15 s (with 8 stages and h0 as the first step, at
+# t = 818 after about 12 s)
 MAX_STEPS = 20_000
+# the field's refusals of a configuration: at a trial point they reject the
+# step, since a shorter step may keep every stage inside
+_REFUSALS = (CollisionError, DomainError)
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compares by identity
@@ -74,9 +83,12 @@ class _Collocation:
     (0, 1): A_ij = int_0^c_i l_j and b_j = int_0^1 l_j over the Lagrange
     basis l_j of the nodes.  In x = 2 theta - 1 the Legendre coefficients of
     l_j are (k + 1/2) w_j P_k(x_j), since the quadrature is exact on l_j P_k.
-    l_j and int_0^theta l_j are kept as power series in x, whose absolute
-    coefficients sum to at most 100 at s = 8: on [-1, 1] they evaluate to
-    within about 100 eps."""
+    A, b and l_j(1) are summed from those coefficients by Clenshaw's
+    recurrence: their absolute values sum to at most 3.5 for l_j and 0.5
+    for its integral at s = 10, and |P_k| <= 1 on [-1, 1], so each entry is
+    within a few eps.  The stage guess and the dense output evaluate l_j
+    and int_0^theta l_j as power series in x, one matrix product per call;
+    their coefficients sum to at most 466 and 36 at s = 10."""
 
     def __init__(self, stages: int):
         from numpy.polynomial import legendre  # loaded by integrations only
@@ -84,12 +96,12 @@ class _Collocation:
         slope = (legendre.legvander(x, stages - 1) * w[:, None]
                  * (np.arange(stages) + 0.5)).T
         integral = legendre.legint(slope, lbnd=-1, scl=0.5)
+        self.c = (x + 1) / 2
+        self.A = legendre.legval(x, integral).T
+        self.b = legendre.legval(1.0, integral)
+        self.end_slope = legendre.legval(1.0, slope)
         self._slope = np.apply_along_axis(legendre.leg2poly, 0, slope)
         self._integral = np.apply_along_axis(legendre.leg2poly, 0, integral)
-        self.c = (x + 1) / 2
-        self.A = self.integrals(self.c)
-        self.b = self.integrals(1.0)
-        self.end_slope = self.slopes(1.0)
 
     @staticmethod
     def _powers(theta, n):
@@ -139,7 +151,8 @@ def _guards(domain: DomainModel, s: float):
 def _solve_stages(rhs, gauss: _Collocation, t, y, h, K, scale):
     """The stage slopes K = f(y + h A K) of the step of length h from (t, y),
     by fixed-point iteration from the guess K, every stage in one field
-    call; None when the iteration stops contracting first."""
+    call; None when the iteration stops contracting first.  A refusal of
+    the field propagates to the caller, which rejects the step."""
     last = np.inf
     for _ in range(MAX_STAGE_ITER):
         new = rhs(t, y + h * (gauss.A @ K))
@@ -204,56 +217,82 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
     for guard, error, message in guards:
         if guard(z0) <= 0:
             raise error(message, t=0.0)
-    field, last_t = _field(sys, domain, s), [0.0]
-
-    def rhs(t, z):
-        last_t[0] = t
-        return field(t, z)
-
-    try:
-        times, states = _steps(rhs, guards, z0, T, rtol, atol, t_eval)
-    except CollisionError as exc:
-        raise CollisionApproach(str(exc), t=last_t[0]) from exc
-    except DomainError as exc:
-        raise BoundaryApproach(str(exc), t=last_t[0]) from exc
+    times, states = _steps(_field(sys, domain, s), guards, z0, T, rtol, atol,
+                           t_eval)
     return Trajectory(times=times, states=states, s=s)
+
+
+def _approach(refusal: Exception, t: float):
+    """The integration error that ends a run on the field's refusal at t."""
+    error = (CollisionApproach if isinstance(refusal, CollisionError)
+             else BoundaryApproach)
+    return error(str(refusal), t=t)
+
+
+def _first_step(rhs, y, f, T, scale, order):
+    """The whole starting-step rule of scipy's `select_initial_step` (E.
+    Hairer, S. P. Norsett and G. Wanner, Solving ODEs I, II.4): from
+    h0 = 0.01 |y| / |f| in the error norm, one probe call at y + h0 f
+    estimates |f'| as d2, and the step is min(100 h0, h1, T) with
+    h1 = (0.01 / max(|f|, d2))^(1/order).  A refused probe leaves h0, which
+    the stepping loop shortens as it does any step the field refuses."""
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 * T if min(d0, d1) < 1e-5 else min(0.01 * d0 / d1, T)
+    try:
+        d2 = _rms((rhs(0.0, y + h0 * f) - f) / scale) / h0
+    except _REFUSALS:
+        return h0
+    d = max(d1, d2)
+    h1 = (0.01 / d) ** (1 / order) if d > 0 else np.inf
+    return min(100 * h0, h1, T) if h1 > 0 else h0
 
 
 def _steps(rhs, guards, y, T, rtol, atol, t_eval):
     """The stepping loop of `integrate`: (times, states).  The first step
-    is scipy's first guess 0.01 |y| / |f| in the error norm; after a step
-    with end defect err (in that norm) the next is h * 0.9 err^(-1/(s+1)),
-    at most 4 h, and a rejected one is retried at that, at least h / 5, or
-    at h / 2 when its stages did not converge.  Each step's stage guess is
-    the last step's collocation polynomial, extrapolated.  Every field call
-    of a step is handed the step's start time."""
+    is `_first_step`'s; after a step with end defect err (in scipy's mixed
+    rms norm) the next is h * 0.9 err^(-1/(s+1)), at most 4 h, and a
+    rejected one is retried at that, at least h / 5, or at h / 2 when its
+    stages did not converge or the field refused a trial point (a stage
+    iterate or the step-end defect call) with CollisionError or
+    DomainError.  Once h falls below 10 float spacings of t, such a refusal
+    ends the run as CollisionApproach or BoundaryApproach at t, and any
+    other rejection as MinStepReached.  Each step's stage guess is the last
+    step's collocation polynomial, extrapolated.  Every field call of a step
+    is handed the step's start time."""
     gauss = _collocation(STAGES)
     order = STAGES + 1  # the end defect h (u'(1) - f(u(1))) is O(h^(s+1))
-    t, f = 0.0, rhs(0.0, y)
+    t = 0.0
+    try:
+        f = rhs(t, y)
+    except _REFUSALS as exc:
+        raise _approach(exc, t) from exc
     if t_eval is None:
         times, states = [0.0], [y]
     else:
         times, states = t_eval, np.empty((len(t_eval), y.size))
         states[0] = y  # read only if t_eval[0] is 0
     done = int(t_eval is not None and t_eval[0] == 0)  # t_eval samples
-    scale = atol + rtol * np.abs(y)
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h = 1e-6 * T if min(d0, d1) < 1e-5 else min(0.01 * d0 / d1, T)
+    h = _first_step(rhs, y, f, T, atol + rtol * np.abs(y), order)
     K_last, h_last = np.broadcast_to(f, (STAGES, y.size)), None
     for _ in range(MAX_STEPS):
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h, t1 = (T - t, T) if t + h >= T - min_step else (h, t + h)
         K = K_last if h_last is None \
             else gauss.slopes(1 + gauss.c * h / h_last) @ K_last
-        K = _solve_stages(rhs, gauss, t, y, h, K, atol + rtol * np.abs(y))
-        err = np.nan
-        if K is not None:
-            y1 = y + h * (gauss.b @ K)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
-            err = _rms(h * (gauss.end_slope @ K - rhs(t, y1)) / scale)
+        err, refusal = np.nan, None
+        try:
+            K = _solve_stages(rhs, gauss, t, y, h, K, atol + rtol * np.abs(y))
+            if K is not None:
+                y1 = y + h * (gauss.b @ K)
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+                err = _rms(h * (gauss.end_slope @ K - rhs(t, y1)) / scale)
+        except _REFUSALS as exc:
+            refusal = exc
         if not err <= 1:
             h *= max(0.2, 0.9 * err ** (-1 / order)) if err > 1 else 0.5
             if h < min_step:
+                if refusal is not None:
+                    raise _approach(refusal, t) from refusal
                 raise MinStepReached("Required step size is less than "
                                      "spacing between numbers.", t=t)
             continue

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -563,21 +562,23 @@ def local_uniqueness_probe(domain: DomainModel, r: float, basis: XBasis,
 # orbit persistence
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text to a temp file in the target directory, then rename; an
-    OSError keeps its type but names `path`, not the temporary file, which
-    is removed."""
-    tmp = None
+    """Write text to a new temporary file in the target directory, created
+    with mode 0666 less the umask as ``open(path, "w")`` would, then rename
+    it onto path.  An OSError keeps its type but names `path`, not the
+    temporary file, which is removed on any failure."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f"tmp{os.urandom(6).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise type(exc)(f"cannot write {path}: {exc.strerror or exc}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def save_orbit(path: str, sys: VortexSystem, domain: DomainModel, a0,

@@ -237,28 +237,40 @@ def test_step_cap_stops_the_run_at_the_last_time_reached(monkeypatch):
 
 def test_gauss_tableau_satisfies_the_simplifying_assumptions():
     """The s-stage Gauss method: nodes in (0, 1) symmetric about 1/2, b
-    summing to 1, the Lagrange basis 1 at its own node and 0 at the others,
+    summing to 1, l_j(1) reproducing the polynomials of degree < s at 1,
     and B(s), C(s): A c^(k-1) = c^k / k for k <= s (Hairer, Lubich and
-    Wanner, II.1.3).  Each entry is a power sum whose terms add up to at
-    most 100 in magnitude, so it carries up to about 100 eps of roundoff,
-    and A c^(k-1) adds s such entries times numbers of size <= 1."""
+    Wanner, II.1.3).  A, b and l_j(1) are Legendre series whose absolute
+    coefficients sum to at most 3.5 (l_j) and 0.5 (its integral) at
+    s = 10, with |P_k| <= 1, so each entry carries a few eps of roundoff;
+    a product with c^k adds s of them times numbers of size <= 1, within
+    4 s eps.  The power series of the stage guess and the dense output
+    have coefficient sums of at most 466 (l_j) and 36 (its integral), so
+    slopes(c) is the identity to 500 eps and integrals(c) is A to 4 s eps."""
     gauss = dyn._collocation(dyn.STAGES)
     c, s, eps = gauss.c, dyn.STAGES, np.finfo(float).eps
-    tol = 100 * s * eps
+    tol = 4 * s * eps
     assert np.all((0 < c) & (c < 1)) and np.all(np.diff(c) > 0)
     assert np.max(np.abs(c + c[::-1] - 1)) <= tol
     assert abs(gauss.b.sum() - 1) <= tol
-    assert np.max(np.abs(gauss.slopes(c) - np.eye(s))) <= tol
     for k in range(1, s + 1):
+        assert abs(gauss.end_slope @ c**(k - 1) - 1) <= tol
         assert np.max(np.abs(gauss.A @ c**(k - 1) - c**k / k)) <= tol
+    assert np.max(np.abs(gauss.slopes(c) - np.eye(s))) <= 500 * eps
+    assert np.max(np.abs(gauss.integrals(c) - gauss.A)) <= tol
+
+
+def _disk_pair_orbit(r):
+    """The equal pair's orbit in the disk at r, and its vorticities."""
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    sol = rd.solve_reduced(UnitDisk(), r, rd.build_x_basis(pair, M),
+                           rd.SolverParams(modes=M))
+    return pair.sys, rd.unrescale(np.zeros(2), sol.r, sol.u, 64,
+                                  domain=UnitDisk())
 
 
 def _disk_pair_run():
-    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
-    sol = rd.solve_reduced(UnitDisk(), 0.2, rd.build_x_basis(pair, M),
-                           rd.SolverParams(modes=M))
-    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 64, domain=UnitDisk())
-    return (pair.sys, UnitDisk(), 1.0, orbit.samples[0], orbit.period,
+    sys, orbit = _disk_pair_orbit(0.2)
+    return (sys, UnitDisk(), 1.0, orbit.samples[0], orbit.period,
             np.append(orbit.times, orbit.period))
 
 
@@ -291,20 +303,81 @@ def test_collocation_agrees_with_dop853(run):
     assert np.max(np.abs(traj.states - ref.sol(t_eval).T)) <= bound
 
 
+@pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("sys, domain, z0, T", [
+    (VortexSystem([1.0, -1.0]), UnitDisk(), [0.0, 0.1, 0.0, -0.1], 3.0),
+    (VortexSystem([1.0, 1.0]), UnitDisk(), [0.9, 0.0, -0.9, 0.0], 2.0),
+    (VortexSystem([1.0, 1.0]), HalfPlane(), [0.1, 0.5, -0.1, 0.5], 1.0),
+], ids=["disk dipole", "disk pair near the wall", "half-plane pair"])
+def test_loose_tolerance_runs_near_a_wall_complete(sys, domain, z0, T, tol):
+    """At loose tolerances the steps are long, and a stage iterate or the
+    extrapolated stage guess can leave the domain; the field's refusal
+    there shortens the step and the run completes.  It meets an
+    rtol = atol = 1e-13 run within the sum of the two runs' bounds, as
+    derived in `test_collocation_agrees_with_dop853`."""
+    z0, t_eval = np.array(z0), np.linspace(0.0, T, 33)
+    runs = []
+    for rtol in (tol, 1e-13):
+        steps = len(dyn.integrate(sys, domain, 1.0, z0, T, rtol=rtol,
+                                  atol=rtol).times) - 1
+        traj = dyn.integrate(sys, domain, 1.0, z0, T, rtol=rtol, atol=rtol,
+                             t_eval=t_eval)
+        runs.append((steps, rtol, traj.states))
+    y_max = np.max(np.abs(runs[1][2]))
+    bound = sum(n * np.sqrt(np.size(z0)) * rtol * (1 + y_max)
+                for n, rtol, _ in runs)
+    assert np.max(np.abs(runs[0][2] - runs[1][2])) <= bound
+
+
+def test_first_step_is_the_whole_starting_rule():
+    """The first step is that of scipy's `select_initial_step`: from
+    h0 = 0.01 |y| / |f| and a probe at y + h0 f, min(100 h0, h1, T) with
+    h1 = (0.01 / max(|f|, |f(y + h0 f) - f| / h0))^(1/(s+1)), norms in the
+    error scale atol + rtol |y|.  A short-period orbit, the disk pair at
+    r = 1e-3, opens with a step at least a quarter of its longest, where
+    h0 alone was a hundredth of it.  h1 is not invariant under a change of
+    time unit: on one period 2 pi of the plane pair it binds, at about a
+    twentieth of the longest step, and the first step is the rule's."""
+    rtol, atol = 1e-10, 1e-12
+    sys, orbit = _disk_pair_orbit(1e-3)
+    steps = np.diff(dyn.integrate(sys, UnitDisk(), 1.0, orbit.samples[0],
+                                  orbit.period, rtol=rtol, atol=atol).times)
+    assert steps[0] >= steps.max() / 4
+
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    y, T = pair.z, pair.period
+    steps = np.diff(dyn.integrate(pair.sys, Plane(), 0.0, y, T, rtol=rtol,
+                                  atol=atol).times)
+    scale = atol + rtol * np.abs(y)
+    f = core.vortex_rhs(pair.sys, Plane(), y, r=0.0)
+    d1 = np.sqrt(np.mean((f / scale)**2))
+    h0 = 0.01 * np.sqrt(np.mean((y / scale)**2)) / d1
+    f1 = core.vortex_rhs(pair.sys, Plane(), y + h0 * f, r=0.0)
+    d2 = np.sqrt(np.mean(((f1 - f) / scale)**2)) / h0
+    h1 = (0.01 / max(d1, d2)) ** (1 / (dyn.STAGES + 1))
+    assert steps[0] == pytest.approx(min(100 * h0, h1, T), rel=1e-12)
+    assert steps[0] > 1e-3 * T
+
+
 @pytest.mark.parametrize("raised, expected", [
     (CollisionError, CollisionApproach),
     (DomainError, BoundaryApproach),
     (BoundaryError, BoundaryApproach),
 ])
-def test_field_error_mid_run_stops_at_the_time_of_that_call(
+def test_field_refusal_shortens_the_step(
         raised, expected, monkeypatch):
-    """An error the field raises after the start becomes the integration
-    error of its kind, at the t of the field call that raised it."""
+    """A refusal the field raises at a trial point rejects the step, which
+    is retried at h / 2; a refused probe leaves the first step at h0.  One
+    refusal, at the probe or mid-run, leaves the run to reach T, as
+    close to the unperturbed run as the two runs' error bounds allow (the
+    derivation of `test_collocation_agrees_with_dop853`).  A refusal at
+    every call from t* on ends the run with the integration error of its
+    kind, at the last t reached, with the field's error as its cause."""
     field, make_field = core.vortex_rhs, dyn._field
-    calls = []  # the t of each field call
+    calls, refuse = [], [None]  # the t of each field call; when to refuse
 
     def failing_field(*args, **kwargs):
-        if len(calls) == 20:
+        if refuse[0](len(calls), calls[-1]):
             raise raised("injected")
         return field(*args, **kwargs)
 
@@ -318,11 +391,28 @@ def test_field_error_mid_run_stops_at_the_time_of_that_call(
 
     monkeypatch.setattr(core, "vortex_rhs", failing_field)
     monkeypatch.setattr(dyn, "_field", timed_field)
+    run = (VortexSystem([1.0, 1.0]), UnitDisk(), 1.0,
+           np.array([0.3, 0.0, -0.3, 0.0]), 5.0)
+    rtol, atol = 1e-10, 1e-12
+    refuse[0] = lambda n, t: False
+    clean = dyn.integrate(*run, rtol=rtol, atol=atol)
+    for shot in (2, 20):  # the first-step probe, a stage iterate
+        refuse[0] = lambda n, t, shot=shot: n == shot
+        calls.clear()
+        perturbed = dyn.integrate(*run, rtol=rtol, atol=atol)
+        assert len(calls) > shot
+        assert perturbed.times[-1] == clean.times[-1] == 5.0
+        n = (len(clean.times) - 1) + (len(perturbed.times) - 1)
+        bound = n * np.sqrt(4) * (atol + rtol * np.max(np.abs(clean.states)))
+        assert np.max(np.abs(perturbed.states[-1] - clean.states[-1])) <= bound
+
+    t_star = 2.0
+    refuse[0] = lambda n, t: t >= t_star
+    calls.clear()
     with pytest.raises(expected, match="injected") as info:
-        dyn.integrate(VortexSystem([1.0, 1.0]), UnitDisk(), 1.0,
-                      np.array([0.3, 0.0, -0.3, 0.0]), 5.0)
+        dyn.integrate(*run, rtol=rtol, atol=atol)
     assert isinstance(info.value.__cause__, raised)
-    assert len(calls) == 20 and info.value.t == calls[-1] > 0.0
+    assert info.value.t == max(calls) >= t_star
 
 
 def test_single_vortex_plane_is_stationary():

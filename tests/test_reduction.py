@@ -1366,6 +1366,29 @@ def test_atomic_write_removes_its_temporary_file_when_rename_fails(
     assert target.read_text() == "old\n"
 
 
+def test_atomic_write_applies_the_umask_and_leaves_no_temporary_file(
+        small_path, pair_setup, tmp_path, monkeypatch):
+    """Under umask 022 an orbit file is written 0644, as open(path, "w")
+    would create it, and no temporary file is left beside it, also after a
+    write that fails in the rename or in the text itself."""
+    sys2, pair, _, _ = pair_setup
+    path = tmp_path / "orbit.json"
+    old = os.umask(0o022)
+    try:
+        rd.save_orbit(str(path), sys2, UnitDisk(), np.zeros(2), pair.omega,
+                      small_path.entries[0])
+        with pytest.raises(UnicodeEncodeError):
+            rd.atomic_write(str(tmp_path / "text.txt"), "\udc80")
+        monkeypatch.setattr(os, "replace", lambda src, dst: os.rename(
+            src, os.path.join(src, "missing")))
+        with pytest.raises(OSError, match="cannot write .*orbit.json"):
+            rd.atomic_write(str(path), "new\n")
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o644
+    assert os.listdir(tmp_path) == ["orbit.json"]
+
+
 def test_orbit_schema_version_checked(tmp_path):
     path = os.path.join(tmp_path, "bad.json")
     with open(path, "w") as fh:
