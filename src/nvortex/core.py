@@ -295,7 +295,7 @@ class HalfPlane(_ImageDomain):
     def _f(self, w, z):
         f = _complex(w).conj() - _complex(z)
         d = _planar(f)
-        if np.einsum("...x,...x->...", d, d).min() < self._MIN_D2:
+        if np.einsum("...x,...x->...", d, d).min(initial=np.inf) < self._MIN_D2:
             raise BoundaryError("points too close to the boundary y = 0")
         return f, 1.0
 
@@ -370,21 +370,22 @@ class TranslatedDomain(DomainModel):
 
 
 def domain_from_spec(variant: str, params: dict | None = None) -> DomainModel:
-    """Build a domain from its serialized (variant, params) description."""
+    """Build a domain from its serialized (variant, params) description;
+    ValueError for an unknown variant or a param that it does not read."""
     params = dict(params or {})
     variant = variant.lower()
     if variant.endswith("+offset"):  # a TranslatedDomain; None is no point
         offset = params.pop("offset", None)
         return TranslatedDomain(domain_from_spec(variant[:-7], params), offset)
-    if variant == "plane":
-        return Plane()
-    if variant == "disk":
-        return UnitDisk()
-    if variant == "halfplane":
-        return HalfPlane()
-    if variant == "quadratic":
-        return SyntheticQuadratic(params.get("a_matrix"))
-    raise ValueError(f"unknown domain variant: {variant!r}")
+    build = {"plane": Plane, "disk": UnitDisk, "halfplane": HalfPlane,
+             "quadratic": SyntheticQuadratic}.get(variant)
+    if build is None:
+        raise ValueError(f"unknown domain variant: {variant!r}")
+    unread = sorted(params.keys() - {"a_matrix"} if variant == "quadratic"
+                    else params)
+    if unread:
+        raise ValueError(f"the {variant} domain reads no params {unread}")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +630,13 @@ def _grad_Hr(sys, domain, r, p):
     a stack of r, an array, runs over the leading axes of p."""
     check_r(r)
     out = _grad_H0(sys, p)
-    if not np.isscalar(r):
-        r = np.reshape(r, np.shape(r) + (1,) * (p.ndim - np.ndim(r)))
-    elif r == 0:
-        return out
-    return out - r * _grad_F(sys, domain, r * p)
+    if np.isscalar(r):
+        return out if r == 0 else out - r * _grad_F(sys, domain, r * p)
+    live = np.asarray(r) != 0  # each r = 0 drops the F term, as one r does
+    live = ... if live.all() else live  # all live: views, no copies
+    r = np.reshape(r, np.shape(r) + (1,) * (p.ndim - np.ndim(r)))[live]
+    out[live] -= r * _grad_F(sys, domain, r * p[live])
+    return out
 
 
 def vortex_rhs(sys: VortexSystem, domain: DomainModel, z, r: float = 0.0):

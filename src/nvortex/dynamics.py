@@ -7,12 +7,12 @@ Each step solves its stages together by fixed-point iteration, one batched
 field call per iteration, and is accepted when the defect of its collocation
 polynomial at the step's end is within tolerance; that polynomial is the
 dense output at the requested times.  The first step follows scipy's whole
-starting-step rule, one probe call included.  A configuration the field
-refuses at a trial point (the probe, a stage iterate, the step end) rejects
-the step, which is retried shorter.  The validity guards (collision and
-boundary approach) are tested at every accepted stage point and step end,
-and a trip stops the run at the crossing, found by bisection on the
-polynomial.  Drift reports of the conserved quantities and a period-closure
+starting-step rule, one probe call included.  A step is rejected, and
+retried shorter, when the field refuses a trial point (the probe, a stage
+iterate, the step end) or when a converged stage point or the step end
+trips a validity guard (collision or boundary approach); the run ends on
+such a refusal only once the step is too short to retry, at the last t
+reached.  Drift reports of the conserved quantities and a period-closure
 check validate the reduction solver's orbits independently.
 """
 
@@ -55,13 +55,13 @@ RTOL_FLOOR = 100 * np.finfo(float).eps
 MAX_STAGE_ITER = 20
 # the step budget, rejected steps included: validating one of those 60
 # orbits takes 5-8 steps at rtol 1e-10 and 8-15 at RTOL_FLOOR, so the cap
-# is over 1300 such periods; at about 0.8 ms a step for a pair (2 vCPU) it
-# ends a run that cannot reach T, such as `simulate --time=1e300`, at
-# t = 1700 after about 15 s (with 8 stages and h0 as the first step, at
-# t = 818 after about 12 s)
+# is over 1300 such periods; at about 0.7 ms a step for a pair (2 vCPU) it
+# ends a run that cannot reach T, such as `simulate --z0=0.1,0,-0.1,0
+# --time=1e300`, at t = 1700 after about 14 s (13.4 s and 13.9 s measured)
 MAX_STEPS = 20_000
-# the field's refusals of a configuration: at a trial point they reject the
-# step, since a shorter step may keep every stage inside
+# the field's refusals of a configuration, and the guards' (`_guards`): at a
+# trial point they reject the step, since a shorter step may keep every
+# stage inside
 _REFUSALS = (CollisionError, DomainError)
 
 
@@ -130,22 +130,22 @@ def _field(sys: VortexSystem, domain: DomainModel, s: float):
 
 
 def _guards(domain: DomainModel, s: float):
-    """(guard, error, message) for each guard.  Each guard is the least
-    distance over a stack of configurations minus its guard distance, <= 0
-    where it trips; the boundary's is measured at s*z."""
-    def collision(z):
-        return core.min_separation(z) - COLLISION_GUARD
+    """trip(points): the refusal of the first guard that a stack of
+    configurations trips, a CollisionError for two vortices within
+    COLLISION_GUARD and a DomainError for one within BOUNDARY_GUARD of the
+    boundary, measured at s*z; None where neither trips."""
+    bounded = s > 0 and np.isfinite(domain.boundary_gap(np.zeros(2)))
 
-    guards = [(collision, CollisionApproach,
-               f"vortices within {COLLISION_GUARD:g} of collision")]
-    if s > 0 and np.isfinite(domain.boundary_gap(np.zeros(2))):
-        def boundary(z):
-            return float(domain.boundary_gap((s * z).reshape(-1, 2)).min()) \
-                - BOUNDARY_GUARD
-
-        guards.append((boundary, BoundaryApproach,
-                       f"vortex within {BOUNDARY_GUARD:g} of the boundary"))
-    return guards
+    def trip(points):
+        if core.min_separation(points) <= COLLISION_GUARD:
+            return CollisionError(
+                f"vortices within {COLLISION_GUARD:g} of collision")
+        if bounded and domain.boundary_gap(
+                (s * points).reshape(-1, 2)).min() <= BOUNDARY_GUARD:
+            return DomainError(
+                f"vortex within {BOUNDARY_GUARD:g} of the boundary")
+        return None
+    return trip
 
 
 def _solve_stages(rhs, gauss: _Collocation, t, y, h, K, scale):
@@ -166,40 +166,18 @@ def _solve_stages(rhs, gauss: _Collocation, t, y, h, K, scale):
     return None
 
 
-def _stop_at_first_trip(guards, gauss: _Collocation, t, y, h, K, t1, y1):
-    """Raise the error of the earliest guard crossing in the step, if any.
-    Each guard is tested at the stage points and the step end; one that
-    trips is bisected on the collocation polynomial between its last
-    untripped point (the step start at worst) and its first tripped one."""
-    points = np.vstack([y + h * (gauss.A @ K), y1])
-    trips = []
-    for guard, error, message in guards:
-        if guard(points) > 0:
-            continue
-        first = next(i for i, p in enumerate(points) if guard(p) <= 0)
-        times = np.concatenate([[t], t + h * gauss.c, [t1]])
-        lo, hi = times[first], times[first + 1]
-        while lo < (mid := (lo + hi) / 2) < hi:
-            if guard(y + h * (gauss.integrals((mid - t) / h) @ K)) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        trips.append((hi, error, message))
-    if trips:
-        hi, error, message = min(trips, key=lambda trip: trip[0])
-        raise error(message, t=hi)
-
-
 def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
               T: float, rtol: float = 1e-10, atol: float = 1e-12,
               t_eval: np.ndarray | None = None) -> Trajectory:
     """Integrate the field of H_s over [0, T]; ValueError unless s passes
     ``check_r``, T, rtol, atol are finite and > 0, rtol is at least
     RTOL_FLOOR, and t_eval has 2+ strictly increasing times in [0, T].
-    Without t_eval the trajectory holds every step's end.  A guard that
-    trips raises its error at the crossing; MinStepReached when a step
-    falls below 10 float spacings of t, StepLimitReached after MAX_STEPS
-    steps, both at the last t reached."""
+    Without t_eval the trajectory holds every step's end.  A start that
+    trips a guard raises CollisionApproach or BoundaryApproach at t = 0.
+    Once a step falls below 10 float spacings of t, the run ends at the
+    last t reached: with that error when the field refused the step or a
+    guard tripped in it, and with MinStepReached otherwise;
+    StepLimitReached after MAX_STEPS steps, also at the last t reached."""
     core.check_r(s)
     core.check_positive(T, "T")
     core.check_positive(rtol, "rtol")
@@ -213,17 +191,17 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
             raise ValueError("t_eval must be strictly increasing times "
                              "within [0, T]")
     z0 = np.asarray(z0, dtype=float).ravel()
-    guards = _guards(domain, s)
-    for guard, error, message in guards:
-        if guard(z0) <= 0:
-            raise error(message, t=0.0)
-    times, states = _steps(_field(sys, domain, s), guards, z0, T, rtol, atol,
+    trip = _guards(domain, s)
+    if (refusal := trip(z0)) is not None:
+        raise _approach(refusal, 0.0)
+    times, states = _steps(_field(sys, domain, s), trip, z0, T, rtol, atol,
                            t_eval)
     return Trajectory(times=times, states=states, s=s)
 
 
 def _approach(refusal: Exception, t: float):
-    """The integration error that ends a run on the field's refusal at t."""
+    """The integration error that ends a run on a refusal at t, the
+    field's or a guard's."""
     error = (CollisionApproach if isinstance(refusal, CollisionError)
              else BoundaryApproach)
     return error(str(refusal), t=t)
@@ -247,18 +225,20 @@ def _first_step(rhs, y, f, T, scale, order):
     return min(100 * h0, h1, T) if h1 > 0 else h0
 
 
-def _steps(rhs, guards, y, T, rtol, atol, t_eval):
+def _steps(rhs, trip, y, T, rtol, atol, t_eval):
     """The stepping loop of `integrate`: (times, states).  The first step
     is `_first_step`'s; after a step with end defect err (in scipy's mixed
     rms norm) the next is h * 0.9 err^(-1/(s+1)), at most 4 h, and a
     rejected one is retried at that, at least h / 5, or at h / 2 when its
-    stages did not converge or the field refused a trial point (a stage
-    iterate or the step-end defect call) with CollisionError or
-    DomainError.  Once h falls below 10 float spacings of t, such a refusal
-    ends the run as CollisionApproach or BoundaryApproach at t, and any
-    other rejection as MinStepReached.  Each step's stage guess is the last
-    step's collocation polynomial, extrapolated.  Every field call of a step
-    is handed the step's start time."""
+    stages did not converge or it was refused: the field raised
+    CollisionError or DomainError at a trial point (a stage iterate or the
+    step-end defect call), or `trip` returned one for the converged stage
+    points and the step end, which it tests before the defect call.  Once h
+    falls below 10 float spacings of t, a refusal ends the run as
+    CollisionApproach or BoundaryApproach at t, and any other rejection as
+    MinStepReached.  Each step's stage guess is the last step's collocation
+    polynomial, extrapolated.  Every field call of a step is handed the
+    step's start time."""
     gauss = _collocation(STAGES)
     order = STAGES + 1  # the end defect h (u'(1) - f(u(1))) is O(h^(s+1))
     t = 0.0
@@ -284,8 +264,10 @@ def _steps(rhs, guards, y, T, rtol, atol, t_eval):
             K = _solve_stages(rhs, gauss, t, y, h, K, atol + rtol * np.abs(y))
             if K is not None:
                 y1 = y + h * (gauss.b @ K)
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
-                err = _rms(h * (gauss.end_slope @ K - rhs(t, y1)) / scale)
+                refusal = trip(np.vstack([y + h * (gauss.A @ K), y1]))
+                if refusal is None:
+                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+                    err = _rms(h * (gauss.end_slope @ K - rhs(t, y1)) / scale)
         except _REFUSALS as exc:
             refusal = exc
         if not err <= 1:
@@ -296,7 +278,6 @@ def _steps(rhs, guards, y, T, rtol, atol, t_eval):
                 raise MinStepReached("Required step size is less than "
                                      "spacing between numbers.", t=t)
             continue
-        _stop_at_first_trip(guards, gauss, t, y, h, K, t1, y1)
         if t_eval is None:
             times.append(t1)
             states.append(y1)

@@ -868,6 +868,10 @@ _RAGGED_COEFFS = [[0, 0, 0, 0], [1, 0, -1], [0, 1, 0, -1]]
                              "params": {"a_matrix": [[1, 0], [0, True]]}}},
                  "cannot read orbit file: a_matrix must be a number",
                  id="a-matrix-bool"),
+    pytest.param({"domain": {"variant": "disk",
+                             "params": {"offset": [0.5, 0.0]}}},
+                 "cannot read orbit file: the disk domain reads no params "
+                 "['offset']", id="disk-offset"),
     pytest.param([ORBIT_DOC], "cannot read orbit file: orbit file has no "
                  "field schema_version", id="top-level-list"),
     pytest.param({"r": 10**400}, "cannot read orbit file: r must be a number "

@@ -405,6 +405,19 @@ def test_grad_Hr_matches_fd():
     assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
 
 
+@pytest.mark.parametrize("stack", [[0.0], [0.0, 0.1]])
+def test_grad_Hr_stack_with_r_zero_in_half_plane(stack):
+    """r = 0 drops the F term, alone or in a stack: F at 0 * u lies on the
+    half plane's boundary, so a stack that evaluated it there would refuse
+    what each of its r alone accepts."""
+    sys2, domain = VortexSystem([1.0, -0.5]), HalfPlane()
+    u = np.array([0.4, 0.5, -0.3, 0.2])
+    r = np.array(stack)
+    alone = [core.grad_Hr(sys2, domain, float(x), u) for x in r]
+    assert np.array_equal(core.grad_Hr(sys2, domain, r, np.stack([u] * len(r))),
+                          alone)
+
+
 def test_rhs_tangent_to_energy_level():
     sys3 = VortexSystem([1.0, 2.0, -0.7])
     disk = UnitDisk()
@@ -609,9 +622,20 @@ def test_domain_serialization_roundtrip():
     ("disk+offset", {"offset": [0.1, np.nan]}, "offset must be one finite"),
     ("disk+offset", {"offset": [0.1, 0.0, 0.0]}, "offset must be one finite"),
     ("torus+offset", {"offset": [0.1, 0.0]}, "unknown domain variant: 'torus'"),
+    ("disk", {"offset": [0.5, 0.0]}, "the disk domain reads no params "
+     "['offset']"),
+    ("disk", {"a_matrix": [[1.0, 0.0], [0.0, 1.0]]}, "the disk domain reads "
+     "no params ['a_matrix']"),
+    ("plane", {"bogus": 1}, "the plane domain reads no params ['bogus']"),
+    ("halfplane+offset", {"offset": [0.0, 0.5], "bogus": 1, "a_matrix": 1},
+     "the halfplane domain reads no params ['a_matrix', 'bogus']"),
+    ("quadratic", {"a_matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0, 0]},
+     "the quadratic domain reads no params ['offset']"),
 ])
 def test_domain_from_spec_rejects_what_no_domain_writes(variant, params,
                                                        named):
+    """A spec is refused unless its variant reads every param it carries:
+    a_matrix for quadratic, offset for a variant ending +offset."""
     with pytest.raises(ValueError, match=re.escape(named)):
         core.domain_from_spec(variant, params)
 

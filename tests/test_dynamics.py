@@ -125,14 +125,44 @@ def test_collision_guard_trips_immediately():
 
 
 def test_boundary_guard_stops_dipole(monkeypatch):
-    """A dipole aimed at the disk wall trips the boundary event."""
-    sys2 = VortexSystem([1.0, -1.0])
-    z0 = np.array([0.0, 0.1, 0.0, -0.1])
+    """A dipole aimed at the disk wall trips the boundary guard.  A trip
+    rejects the step as a field refusal does, so the run ends at the last
+    t reached once a step shorter than 2 min_step (min_step = 10 float
+    spacings of t) still trips: the run's gap 1 - |z_k|^2 reaches the
+    guard within 2 min_step of t, and moves at a rate of at most
+    2 max |z_k| |z_k'|.  A run to t takes the same steps until its last,
+    cut to end at t, so its end state is the tripped run's state at t up
+    to the two runs' error bounds over their n accepted steps (derived in
+    `test_collocation_agrees_with_dop853`), which move the gap by at most
+    2 max |z_k| times as much.  So the run to t completes, and its last
+    gap lies above the guard by at most the sum of the two terms."""
+    sys2, disk = VortexSystem([1.0, -1.0]), UnitDisk()
+    z0, rtol, atol = np.array([0.0, 0.1, 0.0, -0.1]), 1e-10, 1e-12
+    make_field, starts = dyn._field, set()
+
+    def timed_field(*args):
+        f = make_field(*args)
+        return lambda t, z: starts.add(t) or f(t, z)
+
     monkeypatch.setattr(dyn, "BOUNDARY_GUARD", 0.25)
+    monkeypatch.setattr(dyn, "_field", timed_field)
     with pytest.raises(BoundaryApproach) as info:
-        dyn.integrate(sys2, UnitDisk(), 1.0, z0, 50.0)
-    assert info.value.t is not None and info.value.t > 0.0
+        dyn.integrate(sys2, disk, 1.0, z0, 50.0, rtol=rtol, atol=atol)
+    t = info.value.t
+    assert t == max(starts) > 0.0
     assert "within 0.25 of the boundary" in str(info.value)
+
+    run = dyn.integrate(sys2, disk, 1.0, z0, t, rtol=rtol, atol=atol)
+    z = run.states.reshape(len(run.times), -1, 2)
+    speed = np.linalg.norm(core.vortex_rhs(sys2, disk, run.states, r=1.0)
+                           .reshape(z.shape), axis=-1)
+    radius = np.linalg.norm(z, axis=-1)
+    n = (len(starts) - 1) + (len(run.times) - 1)
+    drift = n * np.sqrt(z0.size) * (atol + rtol * np.max(np.abs(run.states)))
+    bound = (2 * np.max(radius * speed) * 2 * 10 * np.spacing(t)
+             + 2 * np.max(radius) * drift)
+    above = np.min(disk.boundary_gap(z[-1])) - 0.25
+    assert run.times[-1] == t and 0.0 < above <= bound
 
 
 @pytest.mark.parametrize("s", [0.5, 0.2])
@@ -367,7 +397,9 @@ def test_first_step_is_the_whole_starting_rule():
 def test_field_refusal_shortens_the_step(
         raised, expected, monkeypatch):
     """A refusal the field raises at a trial point rejects the step, which
-    is retried at h / 2; a refused probe leaves the first step at h0.  One
+    is retried at h / 2; a refused probe leaves the first step at h0.  A
+    refusal at the first call, the field at the start, ends the run at
+    t = 0 with the integration error of its kind.  One
     refusal, at the probe or mid-run, leaves the run to reach T, as
     close to the unperturbed run as the two runs' error bounds allow (the
     derivation of `test_collocation_agrees_with_dop853`).  A refusal at
@@ -396,6 +428,12 @@ def test_field_refusal_shortens_the_step(
     rtol, atol = 1e-10, 1e-12
     refuse[0] = lambda n, t: False
     clean = dyn.integrate(*run, rtol=rtol, atol=atol)
+    refuse[0] = lambda n, t: n == 1  # the field at the start
+    calls.clear()
+    with pytest.raises(expected, match="injected") as info:
+        dyn.integrate(*run, rtol=rtol, atol=atol)
+    assert info.value.t == 0.0 and isinstance(info.value.__cause__, raised)
+
     for shot in (2, 20):  # the first-step probe, a stage iterate
         refuse[0] = lambda n, t, shot=shot: n == shot
         calls.clear()
