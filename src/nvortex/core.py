@@ -633,7 +633,6 @@ def _grad_Hr(sys, domain, r, p):
     if np.isscalar(r):
         return out if r == 0 else out - r * _grad_F(sys, domain, r * p)
     live = np.asarray(r) != 0  # each r = 0 drops the F term, as one r does
-    live = ... if live.all() else live  # all live: views, no copies
     r = np.reshape(r, np.shape(r) + (1,) * (p.ndim - np.ndim(r)))[live]
     out[live] -= r * _grad_F(sys, domain, r * p[live])
     return out

@@ -29,7 +29,6 @@ system with period 2*pi*r^2.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -58,11 +57,12 @@ MAX_COND = 1e12
 # Newton once the projected residual at its new iterate, has norm at most this
 SOLVE_TOL = 1e-11
 # each r is solved first at this many modes (or the cap, if smaller): 15
-# columns for a pair, where the default cap's 32 modes are 127.  Measured in
-# process (medians of 6, 2 vCPU) at a start of 1, 2 and 4 modes: the default
-# disk pair 75, 84 and 85 ms, where every orbit lies in mode 1; the (1, 3)
-# pair in a quartic domain, whose orbits use modes 3 to 31, 107, 98 and 75
-# ms.  4 gives the disk up about a tenth to save the other a third.
+# columns for a pair, where the default cap's 32 modes are 127.  At a start
+# of 1, 2 and 4 modes, in process (continue_path, default grid, medians of 12
+# alternated runs, 2 vCPU), the default disk pair, whose orbits lie in mode
+# 1, takes 4.0, 4.5 and 6.0 ms, and the (1, 3) pair in a quartic domain,
+# whose orbits reach 16 modes, 34, 32 and 27 ms: 4 costs the disk 2 ms and
+# saves the quartic 7.
 START_MODES = 4
 # either solver raises NoConvergence after this many steps
 MAX_ITER = 200
@@ -202,11 +202,9 @@ class XBasis:
     u(t + pi) = -u(t), as flattened columns.  weights is the diagonal H^1
     Gram in flat coordinates.  On the m = dealias_samples(modes) nodes, pts
     is Z and phi is the basis, phi[t] @ y = v(t) for v = to_loop(y), so the
-    residual and the operator at y both read the nodes pts + at_nodes(y); h0 is
-    H0'' along pts, the r-independent part of the operator at the seed; rot
-    is the linear term -J M d/dt read in the basis.  family holds the bases of
-    the same seed by mode count, shared by all of them, so `at` builds each
-    mode count once.  coords, to_loop and at_nodes (phi @ y) take stacks.
+    residual and the operator at y both read the nodes pts + at_nodes(y); rot
+    is the linear term -J M d/dt read in the basis.  coords, to_loop and
+    at_nodes (phi @ y) take stacks.
     """
 
     seed: RelativeEquilibrium
@@ -215,10 +213,8 @@ class XBasis:
     matrix: np.ndarray  # (dim_total, dim_X)
     weights: np.ndarray
     pts: np.ndarray  # (m, 2N)
-    h0: np.ndarray  # (m, 2N, 2N)
     phi: np.ndarray  # (m, 2N, dim_X)
     rot: np.ndarray  # (dim_X, dim_X)
-    family: dict = dataclasses.field(default_factory=dict, repr=False)
 
     @property
     def sys(self) -> VortexSystem:
@@ -231,14 +227,6 @@ class XBasis:
     @property
     def modes(self) -> int:
         return self.Z.modes
-
-    def at(self, modes: int) -> XBasis:
-        """The basis of the same seed at `modes`, built once for the family."""
-        self.family.setdefault(self.modes, self)
-        if modes not in self.family:
-            self.family[modes] = dataclasses.replace(
-                build_x_basis(self.seed, modes), family=self.family)
-        return self.family[modes]
 
     def coords(self, u: Loop) -> np.ndarray:
         c = u.pad(self.modes).coeffs
@@ -259,7 +247,7 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
     period-normalized `seed` at `modes` modes, mode by mode: the complement
     of Z' in mode 1 (the SVD null space scipy.linalg.null_space returns),
     then the unit coefficients of each odd mode k >= 3, all scaled to unit
-    H^1 norm; with them, Z, hess_H0 and the basis on the dealias nodes, and
+    H^1 norm; with them, Z and the basis on the dealias nodes, and
     rot = -pi B^T (D x J M) B for the basis matrix B and the derivative D
     on the coefficient rows.  The iterates drop the seed's plane residual,
     so a seed whose residual_HS0 exceeds equilibria.residual_bound raises
@@ -289,7 +277,7 @@ def build_x_basis(seed: RelativeEquilibrium, modes: int) -> XBasis:
     jm = seed.sys.j_n() * seed.sys.m_gamma_diag()
     rot = -np.pi * mat.T @ (jm @ dcols).reshape(w.size, -1)
     return XBasis(seed=seed, Z=Z, zdot=zdot, matrix=mat, weights=w, pts=pts,
-                  h0=core.hess_H0(seed.sys, pts), phi=phi, rot=rot)
+                  phi=phi, rot=rot)
 
 
 def _sym_cond(a: np.ndarray):
@@ -311,16 +299,13 @@ def assemble_L_r(domain: DomainModel, r, basis: XBasis,
     stack of R values r (y None or (R, dim)) gives a stack of R operators,
     refused if any is.  The odd part of X holds no constant loop, so the
     translation block, which reads the nondegeneracy of a0 (checked by
-    continue_path), is not in L.  At the seed (y None or 0) H0'' is read
-    from basis.h0; any other y evaluates hess_H0.
+    continue_path), is not in L.  y None is the seed, whose nodes are pts.
     """
     core.check_r(r)
     r = np.asarray(r, dtype=float)
-    if y is None or not y.any():
-        pts, hmats = basis.pts, basis.h0
-    else:
-        pts = basis.pts + basis.at_nodes(y)  # projected_residual's nodes, bit for bit
-        hmats = core.hess_H0(basis.sys, pts)
+    # projected_residual's nodes, bit for bit
+    pts = basis.pts if y is None else basis.pts + basis.at_nodes(y)
+    hmats = core.hess_H0(basis.sys, pts)
     if r.any():
         s = r[..., None, None]
         hmats = hmats - (s**2)[..., None] * core.hess_F(basis.sys, domain, s * pts)
@@ -360,9 +345,10 @@ def _converge(domain: DomainModel, r: np.ndarray, basis: XBasis, newton: bool,
     """The solve loop on one basis for the stack r from the coordinates y,
     (R, dim): per r its last iterate, steps, and None or its refusal.  Each
     r has its own stop, strikes, guards and MAX_ITER.  FixedPoint assembles
-    once, at the seed (y None), Newton at each iterate's y; neither builds
-    a Loop.  FixedPoint evaluates projected_residual once before each step,
-    none after its last; Newton once per line-search trial, and its stop and
+    once, at the seed (y None), Newton at each iterate's y, y = 0 included;
+    each assembly evaluates hess_H0 once, and neither solver builds a Loop.
+    FixedPoint evaluates projected_residual once before each step, none
+    after its last; Newton once per line-search trial, and its stop and
     next step read the accepted one."""
     import scipy.linalg  # slow import; only a solve needs the LU
     res = projected_residual(domain, r, basis, y)
@@ -491,7 +477,7 @@ def _solve_batch(domain: DomainModel, r: np.ndarray, basis: XBasis,
         if done.all():
             return out
         todo, steps, v = todo[~done], steps[~done], Loop(v.coeffs[~done])
-        basis = basis.at(min(2 * basis.modes, params.modes))
+        basis = build_x_basis(basis.seed, min(2 * basis.modes, params.modes))
         y = basis.coords(v)
 
 
@@ -502,8 +488,8 @@ def continue_path(seed: RelativeEquilibrium, domain: DomainModel,
                   a0_guess, params: SolverParams) -> ContinuationPath:
     """Solve the r grid, from r_max down, as one solve_reduced batch, in
     `domain` recentred at a0, on the basis of the period-normalized
-    equilibrium `seed` at START_MODES (or params.modes if fewer); the bases
-    of every mode count are built once for the path.  A failed r is
+    equilibrium `seed` at START_MODES (or params.modes if fewer); the batch
+    builds the basis of each mode count it doubles to once.  A failed r is
     recorded in `failures`, so a path where none converges has only
     failures.  Before any solve, a0 is found by
     find_critical_point_h from `a0_guess`, the owner of both rules on it:

@@ -31,10 +31,12 @@ def test_trajectories_compare_by_identity():
 @pytest.mark.parametrize("times, states", [
     (np.empty(0), np.empty((0, 2))),
     (np.arange(3.0), np.zeros((2, 2))),
-], ids=["no samples", "states not one per time"])
+    (np.array([0.0, 1.0, 1.0]), np.zeros((3, 2))),
+], ids=["no samples", "states not one per time", "a repeated time"])
 def test_trajectory_rejects_samples_that_measure_nothing(times, states):
-    """No drift is reported from a trajectory without samples, and no state
-    is read at a time it does not belong to."""
+    """No drift is reported from a trajectory without samples, no state
+    is read at a time it does not belong to, and no two states claim one
+    time."""
     with pytest.raises(ValueError, match="one state per time"):
         dyn.Trajectory(times, states, 0.0)
 
@@ -451,6 +453,33 @@ def test_field_refusal_shortens_the_step(
         dyn.integrate(*run, rtol=rtol, atol=atol)
     assert isinstance(info.value.__cause__, raised)
     assert info.value.t == max(calls) >= t_star
+
+
+def test_defect_rejection_shrinks_the_step_by_the_defect_rule(monkeypatch):
+    """A step rejected by its end defect err > 1 is retried at
+    h max(0.2, 0.9 err^(-1/(s+1))), one whose stages did not converge at
+    h / 2: every retry at the same t lies within [0.2, 0.9) of the rejected
+    h.  The default pair's orbit at r = 1e-3 (the default grid's r_min),
+    validated at rtol 2.3e-14 as `nvortex validate --rtol 2.3e-14` does,
+    has its first step rejected by its defect (measured: err 1.17 at t = 0,
+    retried at 0.888 h), so one retry lies strictly between 0.5 and 0.9,
+    where only the defect rule puts it; 0.9 / err^(-1/(s+1)) would put it
+    above 0.9."""
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    basis = rd.build_x_basis(pair, rd.START_MODES)
+    sol = rd.solve_reduced(UnitDisk(), 1e-3, basis, rd.SolverParams())
+    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 256, UnitDisk())
+    tried, solve_stages = [], dyn._solve_stages
+
+    def recorded(rhs, gauss, t, y, h, *args):
+        tried.append((t, h))
+        return solve_stages(rhs, gauss, t, y, h, *args)
+    monkeypatch.setattr(dyn, "_solve_stages", recorded)
+    dyn.validate_orbit(pair.sys, UnitDisk(), orbit, rtol=2.3e-14)
+    ratios = np.array([h1 / h0 for (t0, h0), (t1, h1) in zip(tried, tried[1:])
+                       if t1 == t0])
+    assert ratios.size and np.all((0.2 <= ratios) & (ratios < 0.9))
+    assert np.any((0.5 < ratios) & (ratios < 0.9))
 
 
 def test_single_vortex_plane_is_stationary():

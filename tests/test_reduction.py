@@ -219,18 +219,18 @@ def test_operator_matches_finite_differences(pair_setup):
 
 def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     """A continuation in either mode solves its grid, from r_max down, as
-    one batch, and no other r.  Each basis holds hess_H0 along the seed Z,
-    and a disk orbit is rigid, so every r of a continuation is resolved on
-    the START_MODES basis: hess_H0 runs once per continuation, FixedPoint
-    assembles the operators of every r in one call at Z, and the batch ends
-    with one full-form grad_J_r (the residual-tail check of every r).  A
-    FixedPoint batch evaluates its projected residuals in one call before
-    each step, none after the step the last stop accepts, so it makes as
-    many calls as its longest solve takes steps.  Newton assembles only at
-    its own iterate y, once per step, and evaluates one projected residual
-    per iterate: the seed's and the accepted line-search trial's, which the
-    stop test and the next step read.  Its first step starts at y = 0, so
-    it reads H0'' off the basis."""
+    one batch, and no other r.  A disk orbit is rigid, so every r of a
+    continuation is resolved on the START_MODES basis: FixedPoint
+    assembles the operators of every r in one call at Z, which evaluates
+    hess_H0 once per continuation, and the batch ends with one full-form
+    grad_J_r (the residual-tail check of every r).  A FixedPoint batch
+    evaluates its projected residuals in one call before each step, none
+    after the step the last stop accepts, so it makes as many calls as its
+    longest solve takes steps.  Newton assembles only at its own iterate y,
+    once per step and with one hess_H0 call each, y = 0 included, and
+    evaluates one projected residual per iterate: the seed's and the
+    accepted line-search trial's, which the stop test and the next step
+    read."""
     _, pair, _, basis = pair_setup
     names = ("hess_H0", "assemble_L_r", "grad_J_r", "projected_residual")
     counts = dict.fromkeys(names, 0)
@@ -267,36 +267,33 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis,
                            rd.SolverParams(modes=M, mode="Newton"))
     assert sol.iterations == 2
-    assert counts == {"hess_H0": 1, "assemble_L_r": 2, "grad_J_r": 1,
+    assert counts == {"hess_H0": 2, "assemble_L_r": 2, "grad_J_r": 1,
                       "projected_residual": 3}
 
 
-def test_newton_reads_seed_h0_off_the_basis(pair_setup, monkeypatch):
+def test_newton_evaluates_hess_H0_once_per_step(pair_setup, monkeypatch):
     """A Newton step from y = 0 assembles at the seed itself: its nodes
-    pts + phi @ 0 are the seed's, H0'' along them is basis.h0 bit for bit,
-    and the operator equals the chord operator (y None) without a hess_H0
-    call.  So a solve makes one hess_H0 call fewer than it takes steps, and
-    a batch one fewer than its longest solve takes: each later step
-    evaluates hess_H0 once, at every iterate still stepping."""
+    pts + phi @ 0 are the seed's, so the operator equals the chord
+    operator (y None) bit for bit.  Every assembly evaluates hess_H0 at its
+    own nodes, so a solve makes one hess_H0 call per step, and a batch one
+    per step of its longest solve: each step evaluates hess_H0 once, at
+    every iterate still stepping."""
     basis = pair_setup[3]
     disk, zero = UnitDisk(), np.zeros(basis.dim)
-    assert np.array_equal(core.hess_H0(basis.sys, basis.pts + basis.phi @ zero),
-                          basis.h0)
+    assert np.array_equal(rd.assemble_L_r(disk, 0.1, basis),
+                          rd.assemble_L_r(disk, 0.1, basis, zero))
     calls = []
     hess_H0 = core.hess_H0
     monkeypatch.setattr(core, "hess_H0",
                         lambda *a: calls.append(1) or hess_H0(*a))
-    assert np.array_equal(rd.assemble_L_r(disk, 0.1, basis),
-                          rd.assemble_L_r(disk, 0.1, basis, zero))
-    assert not calls
     params = rd.SolverParams(modes=M, mode="Newton")
     cold = rd.solve_reduced(disk, 0.1, basis, params)
-    assert cold.iterations >= 2 and len(calls) == cold.iterations - 1
+    assert cold.iterations >= 2 and len(calls) == cold.iterations
     calls.clear()
     batch = rd.solve_reduced(disk, [0.12, 0.1, 1e-3], basis, params)
     steps = [sol.iterations for sol in batch]
     assert steps[1] == cold.iterations and min(steps) < max(steps)
-    assert len(calls) == max(steps) - 1
+    assert len(calls) == max(steps)
 
 
 def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
@@ -995,7 +992,7 @@ def test_adaptive_modes_match_the_cap_basis(pair_setup):
     M doubles twice past START_MODES; at r = 0.05 it stops at 8."""
     pair = pair_setup[1]
     start = rd.build_x_basis(pair, rd.START_MODES)
-    full = start.at(32)
+    full = rd.build_x_basis(pair, 32)
     params = rd.SolverParams()
     modes = {}
     for r in (0.5, 0.2, 0.05):
@@ -1004,7 +1001,35 @@ def test_adaptive_modes_match_the_cap_basis(pair_setup):
         assert lp.h1_norm(adaptive.u - alone.u) <= 1e-12 * lp.h1_norm(alone.u)
         modes[r] = adaptive.u.modes
     assert modes == {0.5: 32, 0.2: 16, 0.05: 8}
-    assert set(start.family) == {4, 8, 16, 32}  # each basis built once
+
+
+def test_split_batch_halves_double_their_modes(pair_setup, monkeypatch):
+    """A batch that splits on SingularOperator solves each half on its own,
+    and each half doubles its mode count from START_MODES as the r in it
+    ask: in the quartic domain r = 0.5, 0.2 and 0.05 reach 32, 16 and 8
+    modes.  An operator stack that holds r = 0.1 is refused, so the batch
+    (0.5, 0.2, 0.1, 0.05) splits into (0.5, 0.2), which doubles to 32, and
+    (0.1, 0.05), which splits again: r = 0.1 is refused alone and 0.05
+    doubles to 8.  Each other r gets what a solve of it alone gives."""
+    pair, bad = pair_setup[1], 0.1
+    start, params = rd.build_x_basis(pair, rd.START_MODES), rd.SolverParams()
+    alone = {r: rd.solve_reduced(_QuarticDomain(), r, start, params)
+             for r in (0.5, 0.2, 0.05)}
+    assemble = rd.assemble_L_r
+
+    def refusing(domain, r, *args, **kw):
+        if np.any(np.asarray(r) == bad):
+            raise SingularOperator("injected")
+        return assemble(domain, r, *args, **kw)
+    monkeypatch.setattr(rd, "assemble_L_r", refusing)
+    batch = rd.solve_reduced(_QuarticDomain(), [0.5, 0.2, bad, 0.05], start, params)
+    assert isinstance(batch[2], SingularOperator)
+    got = {sol.r: sol for sol in batch[:2] + batch[3:]}
+    assert {r: sol.u.modes for r, sol in got.items()} == {0.5: 32, 0.2: 16, 0.05: 8}
+    for r, want in alone.items():
+        assert got[r].iterations == want.iterations
+        assert got[r].u.modes == want.u.modes
+        assert got[r].vnorm == pytest.approx(want.vnorm, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("modes, r, tail, bound", [
