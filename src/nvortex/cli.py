@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import core, dynamics, equilibria, reduction
-from .errors import LeftDomain, NoConvergence, VortexError
+from .errors import VortexError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -316,11 +316,7 @@ def cmd_validate(args) -> int:
 
 def cmd_robin(args) -> int:
     domain = core.domain_from_spec(args.domain)
-    try:
-        crit = core.find_critical_point_h(domain, args.guess)
-    except (NoConvergence, LeftDomain) as exc:
-        print(f"no critical point found: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    crit = core.find_critical_point_h(domain, args.guess)
     eigs = np.linalg.eigvalsh(crit.hessian)
     print(f"a0 = ({crit.point[0]:.12g}, {crit.point[1]:.12g})")
     print(f"h(a0) = {core.eval_h(domain, crit.point):.12g}")

@@ -191,25 +191,14 @@ def min_separation(z) -> float:
 class DomainModel:
     """Regular part g of a hydrodynamic Green function and its derivatives.
 
-    Subclasses provide ``g``, the gradient ``g_w`` in the first argument, the
-    second derivatives ``g_ww``, the mixed block ``g_wz`` with entries
-    ``d^2 g / dw_a dz_b``, and ``boundary_gap``.  All methods broadcast over
-    leading axes of the two planar points ``w`` and ``z``.
+    Every domain defines ``g``, the gradient ``g_w`` in the first argument,
+    the second derivatives ``g_ww`` and the mixed block ``g_wz`` with
+    entries ``d^2 g / dw_a dz_b``; ``boundary_gap`` defaults to +inf, an
+    unbounded domain.  All methods broadcast over leading axes of the two
+    planar points ``w`` and ``z``.
     """
 
     variant = "abstract"
-
-    def g(self, w, z):
-        raise NotImplementedError
-
-    def g_w(self, w, z):
-        raise NotImplementedError
-
-    def g_ww(self, w, z):
-        raise NotImplementedError
-
-    def g_wz(self, w, z):
-        raise NotImplementedError
 
     def contains(self, p):
         """Membership of points of shape (..., 2): a positive boundary gap,

@@ -59,9 +59,9 @@ MAX_STAGE_ITER = 20
 # ends a run that cannot reach T, such as `simulate --z0=0.1,0,-0.1,0
 # --time=1e300`, at t = 1700 after about 14 s (13.4 s and 13.9 s measured)
 MAX_STEPS = 20_000
-# the field's refusals of a configuration, and the guards' (`_guards`): at a
-# trial point they reject the step, since a shorter step may keep every
-# stage inside
+# the refusals of a configuration, which the field and the guards
+# (`_guards`) raise alike: at a trial point they reject the step, since a
+# shorter step may keep every stage inside
 _REFUSALS = (CollisionError, DomainError)
 
 
@@ -130,21 +130,20 @@ def _field(sys: VortexSystem, domain: DomainModel, s: float):
 
 
 def _guards(domain: DomainModel, s: float):
-    """trip(points): the refusal of the first guard that a stack of
-    configurations trips, a CollisionError for two vortices within
-    COLLISION_GUARD and a DomainError for one within BOUNDARY_GUARD of the
-    boundary, measured at s*z; None where neither trips."""
+    """trip(points): raises the refusal of the first guard that a stack of
+    configurations trips, as the field raises its own: CollisionError for
+    two vortices within COLLISION_GUARD and DomainError for one within
+    BOUNDARY_GUARD of the boundary, measured at s*z."""
     bounded = s > 0 and np.isfinite(domain.boundary_gap(np.zeros(2)))
 
     def trip(points):
         if core.min_separation(points) <= COLLISION_GUARD:
-            return CollisionError(
+            raise CollisionError(
                 f"vortices within {COLLISION_GUARD:g} of collision")
         if bounded and domain.boundary_gap(
                 (s * points).reshape(-1, 2)).min() <= BOUNDARY_GUARD:
-            return DomainError(
+            raise DomainError(
                 f"vortex within {BOUNDARY_GUARD:g} of the boundary")
-        return None
     return trip
 
 
@@ -173,7 +172,8 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
     ``check_r``, T, rtol, atol are finite and > 0, rtol is at least
     RTOL_FLOOR, and t_eval has 2+ strictly increasing times in [0, T].
     Without t_eval the trajectory holds every step's end.  A start that
-    trips a guard raises CollisionApproach or BoundaryApproach at t = 0.
+    trips a guard or that the field refuses raises CollisionApproach or
+    BoundaryApproach at t = 0, with the refusal as its __cause__.
     Once a step falls below 10 float spacings of t, the run ends at the
     last t reached: with that error when the field refused the step or a
     guard tripped in it, and with MinStepReached otherwise;
@@ -190,11 +190,8 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
                 and np.all(np.diff(t_eval) > 0)):
             raise ValueError("t_eval must be strictly increasing times "
                              "within [0, T]")
-    z0 = np.asarray(z0, dtype=float).ravel()
-    trip = _guards(domain, s)
-    if (refusal := trip(z0)) is not None:
-        raise _approach(refusal, 0.0)
-    times, states = _steps(_field(sys, domain, s), trip, z0, T, rtol, atol,
+    times, states = _steps(_field(sys, domain, s), _guards(domain, s),
+                           np.asarray(z0, dtype=float).ravel(), T, rtol, atol,
                            t_eval)
     return Trajectory(times=times, states=states, s=s)
 
@@ -226,26 +223,28 @@ def _first_step(rhs, y, f, T, scale, order):
 
 
 def _steps(rhs, trip, y, T, rtol, atol, t_eval):
-    """The stepping loop of `integrate`: (times, states).  The first step
-    is `_first_step`'s; after a step with end defect err (in scipy's mixed
-    rms norm) the next is h * 0.9 err^(-1/(s+1)), at most 4 h, and a
-    rejected one is retried at that, at least h / 5, or at h / 2 when its
-    stages did not converge or it was refused: the field raised
-    CollisionError or DomainError at a trial point (a stage iterate or the
-    step-end defect call), or `trip` returned one for the converged stage
-    points and the step end, which it tests before the defect call.  Once h
-    falls below 10 float spacings of t, a refusal ends the run as
-    CollisionApproach or BoundaryApproach at t, and any other rejection as
-    MinStepReached.  Each step's stage guess is the last step's collocation
-    polynomial, extrapolated.  Every field call of a step is handed the
-    step's start time."""
-    gauss = _collocation(STAGES)
-    order = STAGES + 1  # the end defect h (u'(1) - f(u(1))) is O(h^(s+1))
+    """The stepping loop of `integrate`: (times, states).  A start that
+    `trip` or the field refuses ends the run at t = 0, before anything is
+    built.  The first step is `_first_step`'s; after a step with end
+    defect err (in scipy's mixed rms norm) the next is
+    h * 0.9 err^(-1/(s+1)), at most 4 h, and a rejected one is retried at
+    that, at least h / 5, or at h / 2 when its stages did not converge or
+    it was refused: the field raised CollisionError or DomainError at a
+    trial point (a stage iterate or the step-end defect call), or `trip`
+    raised one for the converged stage points and the step end, which it
+    tests before the defect call.  Once h falls below 10 float spacings of
+    t, a refusal ends the run as CollisionApproach or BoundaryApproach at
+    t, and any other rejection as MinStepReached.  Each step's stage guess
+    is the last step's collocation polynomial, extrapolated.  Every field
+    call of a step is handed the step's start time."""
     t = 0.0
     try:
+        trip(y)
         f = rhs(t, y)
     except _REFUSALS as exc:
         raise _approach(exc, t) from exc
+    gauss = _collocation(STAGES)
+    order = STAGES + 1  # the end defect h (u'(1) - f(u(1))) is O(h^(s+1))
     if t_eval is None:
         times, states = [0.0], [y]
     else:
@@ -264,10 +263,9 @@ def _steps(rhs, trip, y, T, rtol, atol, t_eval):
             K = _solve_stages(rhs, gauss, t, y, h, K, atol + rtol * np.abs(y))
             if K is not None:
                 y1 = y + h * (gauss.b @ K)
-                refusal = trip(np.vstack([y + h * (gauss.A @ K), y1]))
-                if refusal is None:
-                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
-                    err = _rms(h * (gauss.end_slope @ K - rhs(t, y1)) / scale)
+                trip(np.vstack([y + h * (gauss.A @ K), y1]))
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+                err = _rms(h * (gauss.end_slope @ K - rhs(t, y1)) / scale)
         except _REFUSALS as exc:
             refusal = exc
         if not err <= 1:

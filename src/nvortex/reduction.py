@@ -345,8 +345,9 @@ def _converge(domain: DomainModel, r: np.ndarray, basis: XBasis, newton: bool,
     """The solve loop on one basis for the stack r from the coordinates y,
     (R, dim): per r its last iterate, steps, and None or its refusal.  Each
     r has its own stop, strikes, guards and MAX_ITER.  FixedPoint assembles
-    once, at the seed (y None), Newton at each iterate's y, y = 0 included;
-    each assembly evaluates hess_H0 once, and neither solver builds a Loop.
+    once, at the seed (y None), Newton at each iterate's y, and at the seed
+    while every y is 0, whose operator it is bit for bit; each assembly
+    evaluates hess_H0 once, and neither solver builds a Loop.
     FixedPoint evaluates projected_residual once before each step, none
     after its last; Newton once per line-search trial, and its stop and
     next step read the accepted one."""
@@ -361,7 +362,7 @@ def _converge(domain: DomainModel, r: np.ndarray, basis: XBasis, newton: bool,
     for it in range(1, MAX_ITER + 1):  # step `it`, then the stop
         if newton or it == 1:
             lu = scipy.linalg.lu_factor(assemble_L_r(
-                domain, r[act], basis, y=y[act] if newton else None))
+                domain, r[act], basis, y=y[act] if newton and y[act].any() else None))
         step = -scipy.linalg.lu_solve(lu, res[..., None])[..., 0]
         steps[act] = it
         if newton:  # backtracking: a trial must lower the residual or meet the stop

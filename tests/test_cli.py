@@ -1179,7 +1179,8 @@ def test_robin_default_guess_lies_inside_each_domain(capsys):
     assert capsys.readouterr().out == default
     # inside the half plane, the search runs and finds no critical point
     assert main(["robin", "--domain", "halfplane"]) == 1
-    assert "no critical point found" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: no critical point after 50 iterations\n")
 
 
 @pytest.mark.parametrize("domain, guess", [("halfplane", "0.3,-0.2"),

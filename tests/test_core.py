@@ -62,6 +62,19 @@ def test_H0_collision_raises():
         core.eval_H0(sys2, np.array([0.0, 0.0, 0.0, 1e-13]))
 
 
+@pytest.mark.parametrize("gammas", [[], [[1.0, 2.0]]], ids=["empty", "matrix"])
+def test_vortex_system_needs_a_nonempty_vector(gammas):
+    with pytest.raises(ValueError, match="gammas must be a nonempty vector"):
+        VortexSystem(gammas)
+
+
+def test_odd_configuration_length_rejected():
+    """Named by its own message: without the check, the reshape to points
+    raises a ValueError of numpy's."""
+    with pytest.raises(ValueError, match="configuration length must be even"):
+        core.min_separation(np.zeros(3))
+
+
 def test_grad_H0_pair_block():
     sys2 = VortexSystem([1.0, 1.0])
     z = np.array([1.0, 0.0, -1.0, 0.0])

@@ -137,22 +137,31 @@ def test_boundary_guard_stops_dipole(monkeypatch):
     to the two runs' error bounds over their n accepted steps (derived in
     `test_collocation_agrees_with_dop853`), which move the gap by at most
     2 max |z_k| times as much.  So the run to t completes, and its last
-    gap lies above the guard by at most the sum of the two terms."""
+    gap lies above the guard by at most the sum of the two terms.  The
+    tripped run makes at most 121 step attempts and 267 field calls
+    (ROADMAP item 7 plans to lower the bound)."""
     sys2, disk = VortexSystem([1.0, -1.0]), UnitDisk()
     z0, rtol, atol = np.array([0.0, 0.1, 0.0, -0.1]), 1e-10, 1e-12
-    make_field, starts = dyn._field, set()
+    make_field, starts, calls = dyn._field, set(), []
+    solve_stages, attempts = dyn._solve_stages, []
 
     def timed_field(*args):
         f = make_field(*args)
-        return lambda t, z: starts.add(t) or f(t, z)
+        return lambda t, z: starts.add(t) or calls.append(t) or f(t, z)
+
+    def counted(*args):
+        attempts.append(1)
+        return solve_stages(*args)
 
     monkeypatch.setattr(dyn, "BOUNDARY_GUARD", 0.25)
     monkeypatch.setattr(dyn, "_field", timed_field)
+    monkeypatch.setattr(dyn, "_solve_stages", counted)
     with pytest.raises(BoundaryApproach) as info:
         dyn.integrate(sys2, disk, 1.0, z0, 50.0, rtol=rtol, atol=atol)
     t = info.value.t
     assert t == max(starts) > 0.0
     assert "within 0.25 of the boundary" in str(info.value)
+    assert len(attempts) <= 121 and len(calls) <= 267
 
     run = dyn.integrate(sys2, disk, 1.0, z0, t, rtol=rtol, atol=atol)
     z = run.states.reshape(len(run.times), -1, 2)
@@ -252,6 +261,35 @@ def test_solver_failure_raises_min_step_reached(monkeypatch):
     with pytest.raises(MinStepReached, match="Required step size") as info:
         dyn.integrate(pair.sys, Plane(), 0.0, pair.z, pair.period)
     assert info.value.t == max(starts) >= 0.25
+
+
+def test_stage_iteration_cap_retries_the_step_at_half(monkeypatch):
+    """A step whose stages are still contracting after MAX_STAGE_ITER field
+    calls is not taken: it is retried at h / 2 from the same t.  Capped at
+    3 calls, the plane pair's run to T = 2 retries steps so (14 measured)
+    and still reaches T, within the two runs' error bounds (derived in
+    `test_collocation_agrees_with_dop853`) of the uncapped run.  Taking the
+    unconverged stages would retry none."""
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    rtol, atol = 1e-10, 1e-12
+    clean = dyn.integrate(pair.sys, Plane(), 0.0, pair.z, 2.0, rtol, atol)
+    tried, solve_stages = [], dyn._solve_stages
+
+    def recorded(rhs, gauss, t, y, h, *args):
+        K = solve_stages(rhs, gauss, t, y, h, *args)
+        tried.append((t, h, K is None))
+        return K
+
+    monkeypatch.setattr(dyn, "MAX_STAGE_ITER", 3)
+    monkeypatch.setattr(dyn, "_solve_stages", recorded)
+    capped = dyn.integrate(pair.sys, Plane(), 0.0, pair.z, 2.0, rtol, atol)
+    stopped = [(t0, h0) for (t0, h0, none), (t1, h1, _) in zip(tried, tried[1:])
+               if none and t1 == t0 and h1 == h0 / 2]
+    assert stopped and len(stopped) == sum(none for *_, none in tried)
+    n = (len(clean.times) - 1) + (len(capped.times) - 1)
+    bound = n * np.sqrt(4) * (atol + rtol * np.max(np.abs(clean.states)))
+    assert capped.times[-1] == 2.0
+    assert np.max(np.abs(capped.states[-1] - clean.states[-1])) <= bound
 
 
 def test_step_cap_stops_the_run_at_the_last_time_reached(monkeypatch):

@@ -120,6 +120,11 @@ def test_non_finite_input_rejected(build, bad):
         build(bad)
 
 
+def test_configuration_of_another_system_rejected():
+    with pytest.raises(ValueError, match="does not match the system"):
+        eq.RelativeEquilibrium(VortexSystem([1.0, 1.0]), np.ones(6), 1.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: eq.make_pair(0.0, 1.0, 1.0),
     lambda: eq.make_triangle(1.0, 0.0, 3.0, 1.0),

@@ -69,6 +69,13 @@ def test_single_cosine_norm():
     assert lp.h1_inner(u, u) == pytest.approx(2 * np.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (5,)],
+                         ids=["even rows", "odd columns", "one axis"])
+def test_loop_rejects_a_coefficient_array_of_no_loop(shape):
+    with pytest.raises(DimensionMismatch, match="bad coefficient array shape"):
+        lp.Loop(np.zeros(shape))
+
+
 def test_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         lp.h1_inner(random_loop(n=2), random_loop(n=3))

@@ -274,18 +274,19 @@ def test_h0_hessians_built_once_per_continuation(pair_setup, monkeypatch):
 def test_newton_evaluates_hess_H0_once_per_step(pair_setup, monkeypatch):
     """A Newton step from y = 0 assembles at the seed itself: its nodes
     pts + phi @ 0 are the seed's, so the operator equals the chord
-    operator (y None) bit for bit.  Every assembly evaluates hess_H0 at its
-    own nodes, so a solve makes one hess_H0 call per step, and a batch one
-    per step of its longest solve: each step evaluates hess_H0 once, at
-    every iterate still stepping."""
+    operator (y None) bit for bit, and the first step of a batch from y = 0
+    evaluates hess_H0 on the seed's (m, 2N) nodes, not on one copy per r.
+    Every assembly evaluates hess_H0 at its own nodes, so a solve makes one
+    hess_H0 call per step, and a batch one per step of its longest solve:
+    each step evaluates hess_H0 once, at every iterate still stepping."""
     basis = pair_setup[3]
     disk, zero = UnitDisk(), np.zeros(basis.dim)
     assert np.array_equal(rd.assemble_L_r(disk, 0.1, basis),
                           rd.assemble_L_r(disk, 0.1, basis, zero))
-    calls = []
+    calls = []  # the node shape of each hess_H0 call
     hess_H0 = core.hess_H0
     monkeypatch.setattr(core, "hess_H0",
-                        lambda *a: calls.append(1) or hess_H0(*a))
+                        lambda *a: calls.append(np.shape(a[1])) or hess_H0(*a))
     params = rd.SolverParams(modes=M, mode="Newton")
     cold = rd.solve_reduced(disk, 0.1, basis, params)
     assert cold.iterations >= 2 and len(calls) == cold.iterations
@@ -294,6 +295,7 @@ def test_newton_evaluates_hess_H0_once_per_step(pair_setup, monkeypatch):
     steps = [sol.iterations for sol in batch]
     assert steps[1] == cold.iterations and min(steps) < max(steps)
     assert len(calls) == max(steps)
+    assert calls[0] == (len(basis.pts), 2 * basis.sys.n)  # the seed's nodes
 
 
 def test_newton_stops_when_line_search_fails(pair_setup, monkeypatch):
@@ -339,7 +341,7 @@ def test_newton_halves_a_trial_step_that_leaves_the_domain(pair_setup,
                         bases.append(k["y"]) or assemble(*a, **k))
     sol = rd.solve_reduced(UnitDisk(), 0.1, basis, params)
     seed, full, half = trials[:3]
-    assert not seed.any() and not bases[0].any()
+    assert not seed.any() and bases[0] is None
     assert np.array_equal(bases[1], half)
     assert np.allclose(half, 0.5 * full, rtol=0, atol=1e-15)
     assert lp.h1_norm(sol.v - clean.v) <= 1e-9
