@@ -199,6 +199,7 @@ class DomainModel:
     """
 
     variant = "abstract"
+    centre = None  # a point about which g is invariant under rotation
 
     def contains(self, p):
         """Membership of points of shape (..., 2): a positive boundary gap,
@@ -261,6 +262,7 @@ class UnitDisk(_ImageDomain):
     and h(p) = -(1/2pi) log(1 - |p|^2)."""
 
     variant = "disk"
+    centre = (0.0, 0.0)
     _D = 1.0
 
     @staticmethod
@@ -338,6 +340,7 @@ class TranslatedDomain(DomainModel):
         if self.offset.shape != (2,) or not np.all(np.isfinite(self.offset)):
             raise ValueError(f"offset must be one finite point, got {offset}")
         self.variant = base.variant + "+offset"
+        self.centre = None if base.centre is None else np.subtract(base.centre, self.offset)
 
     def g(self, w, z):
         return self.base.g(np.asarray(w) + self.offset, np.asarray(z) + self.offset)

@@ -3,17 +3,17 @@
 Integrates the field of H_s (physical at s = 1, plane at s = 0) by adaptive
 s-stage Gauss-Legendre collocation (J. C. Butcher, Math. Comp. 18, 1964; E.
 Hairer, C. Lubich and G. Wanner, Geometric Numerical Integration, II.1.3).
-Each step solves its stages together by fixed-point iteration, one batched
-field call per iteration, and is accepted when the defect of its collocation
-polynomial at the step's end is within tolerance; that polynomial is the
-dense output at the requested times.  The first step follows scipy's whole
-starting-step rule, one probe call included.  A step is rejected, and
-retried shorter, when the field refuses a trial point (the probe, a stage
-iterate, the step end) or when a converged stage point or the step end
-trips a validity guard (collision or boundary approach); the run ends on
-such a refusal only once the step is too short to retry, at the last t
-reached.  Drift reports of the conserved quantities and a period-closure
-check validate the reduction solver's orbits independently.
+Each step solves its stages by fixed-point iteration, one batched field call
+per iteration, and is accepted when its collocation polynomial's end defect
+is within tolerance; that polynomial is the dense output.  The first step
+is scipy's starting step.  A step is retried at h / 2, and h does not grow
+on the next, when the field refuses a trial point or a stage point or the
+step end trips a collision or boundary guard; the run ends on a refusal
+once the step is too short to retry.  Drift reports of the conserved
+quantities and a period-closure check validate the reduction solver's
+orbits independently; in a domain that declares a centre the check runs in
+the frame turning with the orbit about it, where a relative equilibrium is
+at rest (P. K. Newton, The N-Vortex Problem, Springer 2001).
 """
 
 from __future__ import annotations
@@ -167,7 +167,8 @@ def _solve_stages(rhs, gauss: _Collocation, t, y, h, K, scale):
 
 def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
               T: float, rtol: float = 1e-10, atol: float = 1e-12,
-              t_eval: np.ndarray | None = None) -> Trajectory:
+              t_eval: np.ndarray | None = None, *,
+              turns: float = 0) -> Trajectory:
     """Integrate the field of H_s over [0, T]; ValueError unless s passes
     ``check_r``, T, rtol, atol are finite and > 0, rtol is at least
     RTOL_FLOOR, and t_eval has 2+ strictly increasing times in [0, T].
@@ -177,7 +178,10 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
     Once a step falls below 10 float spacings of t, the run ends at the
     last t reached: with that error when the field refused the step or a
     guard tripped in it, and with MinStepReached otherwise;
-    StepLimitReached after MAX_STEPS steps, also at the last t reached."""
+    StepLimitReached after MAX_STEPS steps, also at the last t reached.
+    A nonzero `turns` integrates w = R(-Omega t)(z - c), Omega = 2 pi turns
+    / T, about the domain's `centre` c (ValueError if None), by its field
+    f(c + w) - Omega J w, and turns each state back by 2 pi (turns t/T mod 1)."""
     core.check_r(s)
     core.check_positive(T, "T")
     core.check_positive(rtol, "rtol")
@@ -190,10 +194,19 @@ def integrate(sys: VortexSystem, domain: DomainModel, s: float, z0: np.ndarray,
                 and np.all(np.diff(t_eval) > 0)):
             raise ValueError("t_eval must be strictly increasing times "
                              "within [0, T]")
-    times, states = _steps(_field(sys, domain, s), _guards(domain, s),
-                           np.asarray(z0, dtype=float).ravel(), T, rtol, atol,
-                           t_eval)
-    return Trajectory(times=times, states=states, s=s)
+    z0 = np.asarray(z0, dtype=float).ravel()
+    rhs, trip = _field(sys, domain, s), _guards(domain, s)
+    if not turns:
+        return Trajectory(*_steps(rhs, trip, z0, T, rtol, atol, t_eval), s=s)
+    if domain.centre is None:
+        raise ValueError(f"the {domain.variant} domain has no centre to turn about")
+    c = np.tile(domain.centre, z0.size // 2) / (s or 1.0)  # g is read at s z
+    spin = 2j * np.pi * turns / T  # i Omega: J is i on complex points
+    times, w = _steps(
+        lambda t, w: rhs(t, c + w) - (spin * w.view(complex)).view(float),
+        lambda w: trip(c + w), z0 - c, T, rtol, atol, t_eval)
+    turned = np.exp(2j * np.pi * np.mod(turns * (times / T), 1))[:, None]
+    return Trajectory(times, c + (w.view(complex) * turned).view(float), s=s)
 
 
 def _approach(refusal: Exception, t: float):
@@ -227,7 +240,8 @@ def _steps(rhs, trip, y, T, rtol, atol, t_eval):
     `trip` or the field refuses ends the run at t = 0, before anything is
     built.  The first step is `_first_step`'s; after a step with end
     defect err (in scipy's mixed rms norm) the next is
-    h * 0.9 err^(-1/(s+1)), at most 4 h, and a rejected one is retried at
+    h * 0.9 err^(-1/(s+1)), at most 4 h (h if it followed a refusal, so
+    a run ends on a guard by bisection), and a rejected one is retried at
     that, at least h / 5, or at h / 2 when its stages did not converge or
     it was refused: the field raised CollisionError or DomainError at a
     trial point (a stage iterate or the step-end defect call), or `trip`
@@ -253,6 +267,7 @@ def _steps(rhs, trip, y, T, rtol, atol, t_eval):
     done = int(t_eval is not None and t_eval[0] == 0)  # t_eval samples
     h = _first_step(rhs, y, f, T, atol + rtol * np.abs(y), order)
     K_last, h_last = np.broadcast_to(f, (STAGES, y.size)), None
+    grow = 4.0
     for _ in range(MAX_STEPS):
         min_step = 10 * (np.nextafter(t, np.inf) - t)
         h, t1 = (T - t, T) if t + h >= T - min_step else (h, t + h)
@@ -270,6 +285,7 @@ def _steps(rhs, trip, y, T, rtol, atol, t_eval):
             refusal = exc
         if not err <= 1:
             h *= max(0.2, 0.9 * err ** (-1 / order)) if err > 1 else 0.5
+            grow = 1.0 if refusal is not None else grow
             if h < min_step:
                 if refusal is not None:
                     raise _approach(refusal, t) from refusal
@@ -289,7 +305,8 @@ def _steps(rhs, trip, y, T, rtol, atol, t_eval):
         if t1 == T:
             return np.asarray(times), np.asarray(states)
         t, y, K_last, h_last = t1, y1, K, h
-        h *= min(4.0, 0.9 * err ** (-1 / order)) if err > 0 else 4.0
+        h *= min(grow, 0.9 * err ** (-1 / order)) if err > 0 else grow
+        grow = 4.0
     raise StepLimitReached(f"step cap MAX_STEPS = {MAX_STEPS} reached at "
                            f"t = {t:.6g}, short of T = {T:.6g}", t=t)
 
@@ -315,7 +332,8 @@ def validate_orbit(sys: VortexSystem, domain: DomainModel,
     """Re-integrate the physical system over one period from sample 0."""
     traj = integrate(sys, domain, 1.0, orbit.samples[0], orbit.period,
                      rtol=rtol, atol=rtol * 1e-2,
-                     t_eval=np.append(orbit.times, orbit.period))
+                     t_eval=np.append(orbit.times, orbit.period),
+                     turns=0 if domain.centre is None else orbit.sense)
     closure = float(np.linalg.norm(traj.states[-1] - orbit.samples[0]))
     defect = float(np.max(np.linalg.norm(
         traj.states[: len(orbit.times)] - orbit.samples, axis=-1)))

@@ -122,6 +122,7 @@ class PhysicalOrbit:
     period: float
     times: np.ndarray
     samples: np.ndarray  # (m, 2N)
+    sense: int  # u's mode 1 turns: 1 counterclockwise, -1, or 0 (no mode 1)
 
 
 @dataclass(eq=False)
@@ -528,7 +529,9 @@ def unrescale(a0: np.ndarray, r: float, u: Loop, samples: int,
         raise ValueError(f"a0 and the loop must be finite, got a0 = {a0}")
     if not np.all(domain.contains(pts.reshape(samples, -1, 2))):
         raise DomainError("rescaled orbit leaves the domain")
-    return PhysicalOrbit(period=period, times=times, samples=pts)
+    a1, b1 = u.pad(1).coeffs[1:3]  # sum_k a1_k x b1_k > 0 counterclockwise
+    return PhysicalOrbit(period, times, pts, int(np.sign(
+        a1[0::2] @ b1[1::2] - a1[1::2] @ b1[0::2])))
 
 
 def local_uniqueness_probe(domain: DomainModel, r: float, basis: XBasis,

@@ -137,9 +137,10 @@ def test_boundary_guard_stops_dipole(monkeypatch):
     to the two runs' error bounds over their n accepted steps (derived in
     `test_collocation_agrees_with_dop853`), which move the gap by at most
     2 max |z_k| times as much.  So the run to t completes, and its last
-    gap lies above the guard by at most the sum of the two terms.  The
-    tripped run makes at most 121 step attempts and 267 field calls
-    (ROADMAP item 7 plans to lower the bound)."""
+    gap lies above the guard by at most the sum of the two terms.  After
+    a trip h does not grow, so the tripped run bisects its way to the
+    guard: it makes at most 79 step attempts and 195 field calls, where
+    growing 4x after each trip made 121 and 267."""
     sys2, disk = VortexSystem([1.0, -1.0]), UnitDisk()
     z0, rtol, atol = np.array([0.0, 0.1, 0.0, -0.1]), 1e-10, 1e-12
     make_field, starts, calls = dyn._field, set(), []
@@ -161,7 +162,7 @@ def test_boundary_guard_stops_dipole(monkeypatch):
     t = info.value.t
     assert t == max(starts) > 0.0
     assert "within 0.25 of the boundary" in str(info.value)
-    assert len(attempts) <= 121 and len(calls) <= 267
+    assert len(attempts) <= 79 and len(calls) <= 195
 
     run = dyn.integrate(sys2, disk, 1.0, z0, t, rtol=rtol, atol=atol)
     z = run.states.reshape(len(run.times), -1, 2)
@@ -498,11 +499,11 @@ def test_defect_rejection_shrinks_the_step_by_the_defect_rule(monkeypatch):
     h max(0.2, 0.9 err^(-1/(s+1))), one whose stages did not converge at
     h / 2: every retry at the same t lies within [0.2, 0.9) of the rejected
     h.  The default pair's orbit at r = 1e-3 (the default grid's r_min),
-    validated at rtol 2.3e-14 as `nvortex validate --rtol 2.3e-14` does,
-    has its first step rejected by its defect (measured: err 1.17 at t = 0,
-    retried at 0.888 h), so one retry lies strictly between 0.5 and 0.9,
-    where only the defect rule puts it; 0.9 / err^(-1/(s+1)) would put it
-    above 0.9."""
+    re-integrated in the lab frame at rtol 2.3e-14 and atol rtol / 100 to
+    its sample times, has its first step rejected by its defect (measured:
+    err 1.17 at t = 0, retried at 0.888 h), so one retry lies strictly
+    between 0.5 and 0.9, where only the defect rule puts it;
+    0.9 / err^(-1/(s+1)) would put it above 0.9."""
     pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
     basis = rd.build_x_basis(pair, rd.START_MODES)
     sol = rd.solve_reduced(UnitDisk(), 1e-3, basis, rd.SolverParams())
@@ -513,7 +514,10 @@ def test_defect_rejection_shrinks_the_step_by_the_defect_rule(monkeypatch):
         tried.append((t, h))
         return solve_stages(rhs, gauss, t, y, h, *args)
     monkeypatch.setattr(dyn, "_solve_stages", recorded)
-    dyn.validate_orbit(pair.sys, UnitDisk(), orbit, rtol=2.3e-14)
+    rtol = 2.3e-14
+    dyn.integrate(pair.sys, UnitDisk(), 1.0, orbit.samples[0], orbit.period,
+                  rtol=rtol, atol=rtol * 1e-2,
+                  t_eval=np.append(orbit.times, orbit.period))
     ratios = np.array([h1 / h0 for (t0, h0), (t1, h1) in zip(tried, tried[1:])
                        if t1 == t0])
     assert ratios.size and np.all((0.2 <= ratios) & (ratios < 0.9))
@@ -596,3 +600,83 @@ def test_trajectory_dense_sampling():
     assert traj.states.shape == (100, 4)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(pair.period)
+
+
+def _in_both_frames(sys, domain, z0, T, turns, t_eval, rtol=1e-10,
+                    atol=1e-12):
+    """The lab-frame run and the run in the frame turning `turns` times,
+    both at t_eval, and the sum of their error bounds.  A run of n steps
+    holds each step's error to atol + rtol |y| in the rms norm, so to
+    sqrt(2N) (atol + rtol max|y|) in the 2-norm, and its error at a sample
+    is at most the sum over its steps (the derivation of
+    `test_collocation_agrees_with_dop853`).  Turning a state back is an
+    isometry, and in the turning frame each coordinate is at most the
+    largest distance from the centre, here the origin."""
+    runs, n = [], 0
+    for k in (0, turns):
+        n += len(dyn.integrate(sys, domain, 1.0, z0, T, rtol, atol,
+                               turns=k).times) - 1
+        runs.append(dyn.integrate(sys, domain, 1.0, z0, T, rtol, atol,
+                                  t_eval, turns=k).states)
+    size = np.max(np.linalg.norm(runs[0].reshape(len(t_eval), -1, 2), axis=-1))
+    return runs, n * np.sqrt(np.size(z0)) * (atol + rtol * size)
+
+
+@pytest.fixture(scope="module")
+def default_pair_path():
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    return pair, rd.continue_path(pair, UnitDisk(), np.zeros(2),
+                                  rd.SolverParams())
+
+
+@pytest.mark.parametrize("r", [0.2, 1e-3])
+@pytest.mark.parametrize("delta", [1e-6, 1e-3])
+def test_a_scaled_orbit_closes_alike_in_both_frames(default_pair_path, r,
+                                                    delta):
+    """The turning frame hides no error: the default pair's orbit scaled by
+    1 + delta is no orbit, and closes to about 7.09 r delta (1.418e-6 at
+    r = 0.2 and delta = 1e-6), as `validate_orbit` reports it in the frame
+    turning with the orbit and as the lab-frame run gives it, to within
+    the sum of the two runs' error bounds; so does the largest defect at
+    the samples."""
+    pair, path = default_pair_path
+    entry = next(e for e in path.entries if e.r == pytest.approx(r))
+    orbit = rd.unrescale(path.a0, entry.r, (1 + delta) * entry.u, 64,
+                         UnitDisk())
+    t_eval = np.append(orbit.times, orbit.period)
+    (lab, _), bound = _in_both_frames(pair.sys, UnitDisk(), orbit.samples[0],
+                                      orbit.period, orbit.sense, t_eval)
+    closure = np.linalg.norm(lab[-1] - orbit.samples[0])
+    defect = np.max(np.linalg.norm(lab[:-1] - orbit.samples, axis=-1))
+    report = dyn.validate_orbit(pair.sys, UnitDisk(), orbit)
+    assert orbit.sense == 1 and 6 * r * delta < closure < 8 * r * delta
+    assert abs(report["closure_error"] - closure) <= bound
+    assert abs(report["max_pointwise_defect"] - defect) <= bound
+
+
+@pytest.mark.parametrize("gammas, z0, T, turns", [
+    ([1.0, 1.0], [0.4, 0.1, -0.1, 0.2], 2.0, 1),
+    ([1.0, -1.0], [0.0, 0.05, 0.0, -0.05], 0.1, -1),
+], ids=["off-centre pair", "small dipole"])
+def test_a_start_that_is_no_orbit_runs_alike_in_both_frames(gammas, z0, T,
+                                                            turns):
+    """Any run in the turning frame, turned back, is the lab-frame run: an
+    off-centre pair in the disk, and a small dipole on its way towards
+    the wall, agree at every sample to the sum of the two runs' error
+    bounds."""
+    t_eval = np.linspace(0.0, T, 17)
+    (lab, turned), bound = _in_both_frames(
+        VortexSystem(gammas), UnitDisk(), np.array(z0), T, turns, t_eval)
+    assert np.max(np.linalg.norm(lab - turned, axis=-1)) <= bound
+    assert np.max(np.abs(lab[-1] - lab[0])) > 0.1  # the run moved
+
+
+def test_a_turning_frame_needs_a_declared_centre():
+    """The half plane has no centre of rotation: a turning frame there is
+    refused before any step, while the lab frame runs."""
+    run = (VortexSystem([1.0, 1.0]), HalfPlane(), 1.0,
+           np.array([0.1, 0.5, -0.1, 0.5]), 0.1)
+    assert HalfPlane().centre is None
+    with pytest.raises(ValueError, match="no centre"):
+        dyn.integrate(*run, turns=1)
+    assert dyn.integrate(*run).times[-1] == 0.1

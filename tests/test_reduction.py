@@ -1068,6 +1068,36 @@ def test_one_mode_cap_continues_in_the_disk(pair_setup):
         assert report["closure_error"] <= 1e-6
 
 
+@pytest.mark.parametrize("domain, a0", [
+    (HalfPlane(), [0.0, 0.5]),
+    (SyntheticQuadratic([[3.0, 0.0], [0.0, 5.0]]), [0.0, 0.0]),
+    (_QuarticDomain(), [0.0, 0.0]),
+], ids=["halfplane", "quadratic 3,0;0,5", "quartic"])
+def test_a_domain_without_a_centre_validates_in_the_lab_frame(domain, a0,
+                                                              pair_setup):
+    """A domain that is not invariant under rotation declares no centre
+    (the quadratic one not even at A = I, which the quartic domain
+    inherits), so `validate_orbit` re-integrates its orbits in the lab
+    frame: its report equals (==) the closure and defect of the lab-frame
+    run to the samples.  The half plane has no orbits of its own; a disk
+    orbit placed in it is re-integrated all the same."""
+    assert domain.centre is None
+    pair = pair_setup[1]
+    basis = rd.build_x_basis(pair, rd.START_MODES)
+    solved = UnitDisk() if domain.variant == "halfplane" else domain
+    sol = rd.solve_reduced(solved, 0.05, basis, rd.SolverParams())
+    orbit = rd.unrescale(np.array(a0), sol.r, sol.u, 64, domain)
+    report = dyn.validate_orbit(pair.sys, domain, orbit)
+    traj = dyn.integrate(pair.sys, domain, 1.0, orbit.samples[0],
+                         orbit.period, rtol=1e-10, atol=1e-12,
+                         t_eval=np.append(orbit.times, orbit.period))
+    assert report == {
+        "closure_error": float(np.linalg.norm(
+            traj.states[-1] - orbit.samples[0])),
+        "max_pointwise_defect": float(np.max(np.linalg.norm(
+            traj.states[:-1] - orbit.samples, axis=-1)))}
+
+
 def test_colliding_loop_names_the_sample(pair_setup):
     """z1 = (cos t, 0) and z2 = -z1 meet where cos t = 0; on the m = 84
     nodes of M = 10 the first is sample 21, t = 2 pi 21/84 = pi/2."""
@@ -1273,6 +1303,23 @@ def test_unrescale_geometry(small_path, pair_setup):
     seed_radius = np.linalg.norm(pair.z[0])
     assert np.all(np.abs(radii - sol.r * seed_radius) < 0.05 * sol.r)
     assert np.all(np.linalg.norm(pts, axis=-1) < 1.0)
+
+
+@pytest.mark.parametrize("gammas", [(1.0, 1.0), (-1.0, -2.0), (1.0, -3.0)])
+def test_unrescale_reads_the_sense_of_rotation_off_mode_1(gammas):
+    """The seed Z(t) = exp(-omega J t) z turns counterclockwise for
+    omega > 0 (J = J2 turns clockwise), and an orbit turns as its seed:
+    `sense` is the sign of omega, read off u's mode-1 coefficients.  A
+    loop without mode 1 has no sense."""
+    seed = eq.normalize_period(eq.make_pair(*gammas, 1.0))
+    Z = lp.build_frame(seed.z, seed.omega, 4)
+    orbit = rd.unrescale(np.zeros(2), 0.01, Z, 16, Plane())
+    assert orbit.sense == np.sign(seed.omega) != 0
+    turned = np.arctan2(*orbit.samples[1, 1::-1]) - np.arctan2(
+        *orbit.samples[0, 1::-1])
+    assert np.sign(turned) == orbit.sense  # the first vortex, 1/16 turn on
+    flat = lp.constant_loop(seed.z, 1)
+    assert rd.unrescale(np.zeros(2), 0.01, flat, 4, Plane()).sense == 0
 
 
 def test_unrescale_roundtrip(small_path):
