@@ -32,15 +32,13 @@ EXIT_USAGE = 2
 # the [solver] keys: one per SolverParams field, parsed by its default's type
 SOLVER_FIELDS = dataclasses.fields(reduction.SolverParams)
 DEFAULT_CONFIG = {
-    "system": {"gammas": "1,1", "seed": "pair", "separation": "2.0",
-               "side": "1.0", "radius": "1.0", "n": "2"},
+    "system": {"gammas": "1,1", "seed": "pair", "n": "2"},
     "domain": {"variant": "disk", "a0_guess": "0,0"},
     "solver": {f.name: str(f.default) for f in SOLVER_FIELDS},
     "output": {"dir": ".", "prefix": "orbit"},
 }
-# seed kind: (gamma count, its [system] size key, its `equilibrium` size flag)
-SEEDS = {"pair": (2, "separation", "sep"), "triangle": (3, "side", "side"),
-         "thomson": (1, "radius", "radius")}
+# seed kind: (gamma count, its `equilibrium` size flag)
+SEEDS = {"pair": (2, "sep"), "triangle": (3, "side"), "thomson": (1, "radius")}
 
 
 def make_seed(kind: str, gammas, size: float,
@@ -96,7 +94,6 @@ class RunConfig:
         self.seed = sysal["seed"].lower()
         if self.seed not in SEEDS:
             raise ValueError(f"[system] seed: unknown type {self.seed!r}")
-        self.size = _read(sysal, SEEDS[self.seed][1], float)
         self.n = _read(sysal, "n", int)
 
         dom = parser["domain"]
@@ -131,7 +128,7 @@ class RunConfig:
         return core.VortexSystem(self.gammas)
 
     def seed_equilibrium(self) -> equilibria.RelativeEquilibrium:
-        return make_seed(self.seed, self.gammas, self.size, self.n)
+        return make_seed(self.seed, self.gammas, 1.0, self.n)  # normalizing erases size
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -208,7 +205,7 @@ def trajectory_svg(states: np.ndarray, domain: core.DomainModel) -> str:
 # subcommands
 
 def cmd_equilibrium(args) -> int:
-    flags = [SEEDS[args.type][2]] + (["n"] if args.type == "thomson" else [])
+    flags = [SEEDS[args.type][1]] + (["n"] if args.type == "thomson" else [])
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         raise ValueError(f"{args.type} needs " + " and ".join(missing))
@@ -253,6 +250,9 @@ def cmd_continue(args) -> int:
         cfg.parser.write(sys.stdout)
         return EXIT_OK
 
+    shown = [f"{r:.6g}" for r in cfg.params.r_grid()]  # as files and rows show r
+    if clash := [a for a, b in zip(shown, shown[1:]) if a == b]:  # r decreases
+        raise ValueError(f"two r of the grid share the file {cfg.prefix}_r{clash[0]}.json")
     seed = equilibria.normalize_period(cfg.seed_equilibrium())
     path = reduction.continue_path(seed, cfg.domain, cfg.a0_guess, cfg.params)
 

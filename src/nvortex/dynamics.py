@@ -6,7 +6,8 @@ Hairer, C. Lubich and G. Wanner, Geometric Numerical Integration, II.1.3).
 Each step solves its stages by fixed-point iteration, one batched field call
 per iteration, and is accepted when its collocation polynomial's end defect
 is within tolerance; that polynomial is the dense output.  The first step
-is scipy's starting step.  A step is retried at h / 2, and h does not grow
+is scipy's starting step, whose fallback for a small state or field is
+kept only where one is 0.  A step is retried at h / 2, and h does not grow
 on the next, when the field refuses a trial point or a stage point or the
 step end trips a collision or boundary guard; the run ends on a refusal
 once the step is too short to retry.  Drift reports of the conserved
@@ -218,14 +219,15 @@ def _approach(refusal: Exception, t: float):
 
 
 def _first_step(rhs, y, f, T, scale, order):
-    """The whole starting-step rule of scipy's `select_initial_step` (E.
+    """The starting-step rule of scipy's `select_initial_step` (E.
     Hairer, S. P. Norsett and G. Wanner, Solving ODEs I, II.4): from
     h0 = 0.01 |y| / |f| in the error norm, one probe call at y + h0 f
     estimates |f'| as d2, and the step is min(100 h0, h1, T) with
-    h1 = (0.01 / max(|f|, d2))^(1/order).  A refused probe leaves h0, which
-    the stepping loop shortens as it does any step the field refuses."""
+    h1 = (0.01 / max(|f|, d2))^(1/order); h0 = 1e-6 T only where |y| or |f|
+    is 0 (scipy's threshold of 1e-5 stalled runs at rest in a turning
+    frame).  A refused probe leaves h0, which the stepping loop shortens."""
     d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 * T if min(d0, d1) < 1e-5 else min(0.01 * d0 / d1, T)
+    h0 = 1e-6 * T if min(d0, d1) == 0 else min(0.01 * d0 / d1, T)
     try:
         d2 = _rms((rhs(0.0, y + h0 * f) - f) / scale) / h0
     except _REFUSALS:

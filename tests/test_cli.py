@@ -1,5 +1,6 @@
 """End-to-end command line interface tests via main(argv)."""
 
+import configparser
 import dataclasses
 import json
 import os
@@ -23,7 +24,6 @@ CONT_CONFIG = """\
 [system]
 gammas = 1,1
 seed = pair
-separation = 2.0
 
 [domain]
 variant = disk
@@ -425,7 +425,7 @@ def test_continue_dump_config_roundtrips(cont_run, capsys, tmp_path):
     a = load_config(cfgfile)
     b = load_config(echo)
     assert np.array_equal(a.gammas, b.gammas)
-    assert (a.seed, a.size, a.n) == (b.seed, b.size, b.n)
+    assert (a.seed, a.n) == (b.seed, b.n)
     assert a.params == b.params
     assert a.domain.variant == b.domain.variant
 
@@ -565,12 +565,75 @@ def test_default_config_is_the_library_default():
     assert load_config(None).params == rd.SolverParams()
 
 
+@pytest.mark.parametrize("seed, flag", [
+    ("pair", "sep"), ("triangle", "side"), ("thomson", "radius")],
+    ids=["pair-separation", "triangle-side", "thomson-radius"])
+def test_seed_reads_its_own_size_key(seed, flag, capsys):
+    """Only `equilibrium` reads a seed's size, each kind from its own flag
+    (`cli.SEEDS`), and prints the configuration at that size: the pair's
+    separation, the triangle's sides and the ring's radius are 0.75."""
+    gammas = {"pair": "1,1", "triangle": "1,2,3", "thomson": "1"}[seed]
+    assert cli.SEEDS[seed][1] == flag
+    assert main(["equilibrium", "--type", seed, "--gamma", gammas,
+                 f"--{flag}", "0.75", "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    text = out[out.index("[") + 1:out.index("]")]
+    z = np.array(text.split(), dtype=float).reshape(-1, 2)
+    assert len(z) == {"pair": 2, "triangle": 3, "thomson": 5}[seed]
+    if seed == "thomson":
+        sizes = np.hypot(*(z - z.mean(axis=0)).T)
+    else:
+        sizes = [np.hypot(*(a - b)) for i, a in enumerate(z) for b in z[i + 1:]]
+    assert sizes == pytest.approx([0.75] * len(sizes), rel=1e-10)
+
+
 @pytest.mark.parametrize("seed, key", [
     ("pair", "separation"), ("triangle", "side"), ("thomson", "radius")])
-def test_seed_reads_its_own_size_key(seed, key, tmp_path):
-    cfg = load_config(_write(tmp_path / "s.ini", f"[system]\ngammas = 1\n"
-                             f"seed = {seed}\n{key} = 0.75\nn = 5\n"))
-    assert (cfg.size, cfg.n) == (0.75, 5)
+def test_seed_size_key_is_refused(seed, key, tmp_path, capsys):
+    """`normalize_period` erases a seed's size, so no [system] key sets it:
+    the size key of each seed kind, under its own seed or the default one,
+    with a value that parses or one that does not, exits 2 as unknown and
+    writes nothing."""
+    gammas = {"pair": "1,1", "triangle": "1,2,3", "thomson": "1"}[seed]
+    out = tmp_path / "x"
+    for system in (f"gammas = {gammas}\nseed = {seed}\n", ""):
+        for value in ("0.75", "abc"):
+            cfgfile = _write(tmp_path / "s.ini", f"[system]\n{system}"
+                             f"{key} = {value}\n[output]\ndir = {out}\n")
+            assert main(["continue", "--config", cfgfile]) == 2
+            assert capsys.readouterr() == (
+                "", f"invalid input: unknown key(s) in [system]: {key}\n")
+            assert not out.exists()
+
+
+def test_dump_config_system_section_holds_no_size(capsys):
+    assert main(["continue", "--dump-config"]) == 0
+    dumped = configparser.ConfigParser(interpolation=None)
+    dumped.read_string(capsys.readouterr().out)
+    assert list(dumped["system"]) == ["gammas", "seed", "n"]
+    assert sum(map(len, cli.DEFAULT_CONFIG.values())) == 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(cli.SEEDS)),
+       gammas=st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+       n=st.integers(2, 9), exponent=st.floats(-3.0, 3.0),
+       power=st.integers(-9, 9))
+def test_seed_of_any_size_normalizes_to_the_size_one_seed(
+        kind, gammas, signs, n, exponent, power):
+    """`continue` seeds at size 1 and normalizes: any size gives the same
+    period-normalized seed, bit for bit at a power-of-two size (the scale
+    sqrt|omega| is then exact) and to 8 eps of its largest coordinate at
+    any size in 10^[-3, 3]."""
+    g = (np.array(gammas) * signs)[:cli.SEEDS[kind][0]]
+    assume(abs(g.sum()) > 0.05)
+    one = equilibria.normalize_period(cli.make_seed(kind, g, 1.0, n))
+    assert equilibria.normalize_period(cli.make_seed(kind, g, 2.0**power, n)) == one
+    other = equilibria.normalize_period(cli.make_seed(kind, g, 10.0**exponent, n))
+    eps = np.finfo(float).eps
+    assert other.omega == one.omega and other.sys == one.sys
+    assert np.max(np.abs(other.z - one.z)) <= 8 * eps * np.max(np.abs(one.z))
 
 
 def test_quadratic_domain_matrix_key(tmp_path):
@@ -685,11 +748,12 @@ def test_continue_seed_gamma_count_exits_2(seed, gammas, tmp_path, capsys):
 @pytest.mark.parametrize("text, named", [
     ("[domain]\na0_guess = 0,0,0\n", "[domain] a0_guess:"),
     ("[domain]\na0_guess = x\n", "[domain] a0_guess:"),
-    ("[system]\nseparation = abc\n", "[system] separation:"),
+    # the seed sizes are no keys: their value is refused unparsed, by name
+    ("[system]\nseparation = abc\n", "unknown key(s) in [system]: separation"),
     ("[system]\nseed = triangle\ngammas = 1,2,3\nside = abc\n",
-     "[system] side:"),
+     "unknown key(s) in [system]: side"),
     ("[system]\nseed = thomson\ngammas = 1\nradius = abc\n",
-     "[system] radius:"),
+     "unknown key(s) in [system]: radius"),
     ("[system]\nn = x\n", "[system] n:"),
     ("[solver]\nmodes = abc\n", "[solver] modes:"),
     ("[system]\nseed = square\n", "[system] seed: unknown type 'square'"),
@@ -738,6 +802,26 @@ def test_continue_r_grid_whose_period_underflows_exits_2(tmp_path, capsys):
         "invalid input: [solver]: the period 2 pi r_min^2 must be finite "
         "and positive, got 0.0\n")
     assert not (tmp_path / "x").exists()
+
+
+def test_continue_grid_whose_r_share_a_file_name_exits_2(tmp_path, capsys,
+                                                         monkeypatch):
+    """An orbit file and its summary row show r to 6 digits, so the grid
+    0.2, 0.19999995, 0.1999999 would write three orbits to one file,
+    orbit_r0.2.json, and keep the last.  The grid is refused before any
+    solve and before the output directory is made."""
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(rd, "continue_path", no_solve)
+    out = tmp_path / "x"
+    assert main(["continue", "--modes", "4", "--r-max", "0.2",
+                 "--r-min", "0.1999999", "--r-steps", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "invalid input: two r of the grid share the file "
+        "orbit_r0.2.json\n")
+    assert not out.exists()
 
 
 def test_continue_malformed_config_is_usage_error(tmp_path):

@@ -654,6 +654,30 @@ def test_a_scaled_orbit_closes_alike_in_both_frames(default_pair_path, r,
     assert abs(report["max_pointwise_defect"] - defect) <= bound
 
 
+@pytest.mark.parametrize("rtol", [1e-10, 1e-6])
+def test_an_orbit_at_rest_in_its_turning_frame_takes_one_step(
+        default_pair_path, rtol, monkeypatch):
+    """In the frame turning with it the default r = 0.2 orbit is at rest,
+    so its field is far below the error scale, and the starting rule's
+    h0 = 0.01 |y| / |f| reaches the period: a fallback to 1e-6 T there
+    would need about 8 steps of 4x growth.  Validation makes 4 field
+    calls: the start, the probe, one stage iteration and the step end's
+    defect."""
+    pair, path = default_pair_path
+    entry = next(e for e in path.entries if e.r == 0.2)
+    orbit = rd.unrescale(path.a0, entry.r, entry.u, 256, UnitDisk())
+    field, calls = core.vortex_rhs, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return field(*args, **kwargs)
+
+    monkeypatch.setattr(core, "vortex_rhs", counted)
+    report = dyn.validate_orbit(pair.sys, UnitDisk(), orbit, rtol=rtol)
+    assert len(calls) == 4
+    assert report["closure_error"] <= 1e-14
+
+
 @pytest.mark.parametrize("gammas, z0, T, turns", [
     ([1.0, 1.0], [0.4, 0.1, -0.1, 0.2], 2.0, 1),
     ([1.0, -1.0], [0.0, 0.05, 0.0, -0.05], 0.1, -1),
