@@ -89,7 +89,10 @@ class _Collocation:
     for its integral at s = 10, and |P_k| <= 1 on [-1, 1], so each entry is
     within a few eps.  The stage guess and the dense output evaluate l_j
     and int_0^theta l_j as power series in x, one matrix product per call;
-    their coefficients sum to at most 466 and 36 at s = 10."""
+    their coefficients sum to at most 466 and 36 at s = 10.  The dense
+    output builds x^k by accumulated products, one multiply per column;
+    the stage guess keeps `pow`, bit for bit, since it steers the step
+    sequence, and at its s points `pow` is the cheaper."""
 
     def __init__(self, stages: int):
         from numpy.polynomial import legendre  # loaded by integrations only
@@ -104,17 +107,16 @@ class _Collocation:
         self._slope = np.apply_along_axis(legendre.leg2poly, 0, slope)
         self._integral = np.apply_along_axis(legendre.leg2poly, 0, integral)
 
-    @staticmethod
-    def _powers(theta, n):
-        return (2 * np.asarray(theta)[..., None] - 1) ** np.arange(n)
-
     def slopes(self, theta):
         """l_j(theta): (..., stages)."""
-        return self._powers(theta, len(self._slope)) @ self._slope
+        x = 2 * np.asarray(theta)[..., None] - 1
+        return x ** np.arange(len(self._slope)) @ self._slope
 
     def integrals(self, theta):
-        """int_0^theta l_j: (..., stages)."""
-        return self._powers(theta, len(self._integral)) @ self._integral
+        """int_0^theta l_j at a 1-D theta: (len(theta), stages)."""
+        powers = np.vander(2 * np.asarray(theta) - 1, len(self._integral),
+                           increasing=True)
+        return powers @ self._integral
 
 
 @functools.cache

@@ -416,7 +416,10 @@ def solve_reduced(domain: DomainModel, r, basis: XBasis,
     """Solve P_X grad J_r(Z + v) = 0 for v in the odd part of X, from v = 0
     at the seed in `basis`, first at its mode count M.  One r returns its
     ReducedSolution or raises its refusal; a stack of r is one batch, and
-    lists per r what a solve of it alone gives.  A kernel's CollisionError
+    lists per r its solution or refusal.  That is a solve of it alone to
+    roundoff, not bit for bit: the stack size changes how the stacked LU
+    and matmuls round.  A test checks the same refusal type, the same
+    steps and vnorm to 1e-12 relative.  A kernel's CollisionError
     or DomainError, or SingularOperator, names no r of a batch of several:
     it is solved again in halves.  FixedPoint (the chord method) and Newton
     run one loop with three settings: the operator is assembled once at the

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nvortex import core, dynamics as dyn, equilibria as eq, loops as lp
 from nvortex import reduction as rd
-from nvortex.core import HalfPlane, Plane, UnitDisk, VortexSystem
+from nvortex.core import (HalfPlane, Plane, SyntheticQuadratic, UnitDisk,
+                          VortexSystem)
 from nvortex.errors import (BoundaryApproach, BoundaryError, CollisionApproach,
                             CollisionError, DomainError, MinStepReached,
                             StepLimitReached)
@@ -328,6 +331,28 @@ def test_gauss_tableau_satisfies_the_simplifying_assumptions():
         assert np.max(np.abs(gauss.A @ c**(k - 1) - c**k / k)) <= tol
     assert np.max(np.abs(gauss.slopes(c) - np.eye(s))) <= 500 * eps
     assert np.max(np.abs(gauss.integrals(c) - gauss.A)) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.integers(0, 300),
+                  elements=st.floats(0.0, 1.0)))
+def test_dense_output_basis_matches_the_pow_series(theta):
+    """The dense output's powers of x = 2 theta - 1 are accumulated
+    products: x^k carries k - 1 roundings, at most (k - 1) eps/2 relative,
+    where the reference's `pow` is within 1 ulp, eps relative; both read
+    the same x, and |x| <= 1.  Each product with the n = s + 1 coefficient
+    rows c_jk adds at most n eps/2 times sum_k |c_jk| on either side.  So,
+    to first order in eps, column j differs by at most
+    eps/2 sum_k |c_jk| (k + 1 + 2n), 534 eps at s = 10 (the coefficient
+    sums are at most 36); measured: 17.4 eps at most, on 2.1e6 theta."""
+    gauss = dyn._collocation(dyn.STAGES)
+    coeffs, eps = gauss._integral, np.finfo(float).eps
+    n = len(coeffs)
+    want = (2 * theta[:, None] - 1) ** np.arange(n) @ coeffs
+    got = gauss.integrals(theta)
+    assert got.shape == (len(theta), dyn.STAGES)
+    bound = eps / 2 * (np.abs(coeffs).T @ (np.arange(n) + 1 + 2 * n))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def _disk_pair_orbit(r):
@@ -693,6 +718,60 @@ def test_a_start_that_is_no_orbit_runs_alike_in_both_frames(gammas, z0, T,
         VortexSystem(gammas), UnitDisk(), np.array(z0), T, turns, t_eval)
     assert np.max(np.linalg.norm(lab - turned, axis=-1)) <= bound
     assert np.max(np.abs(lab[-1] - lab[0])) > 0.1  # the run moved
+
+
+def _plane_pair_lab_run():
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    return pair.sys, Plane(), 0.0, pair.z, 2.0, 0
+
+
+def _quadratic_orbit_lab_run():
+    pair = eq.normalize_period(eq.make_pair(1.0, 1.0, 2.0))
+    quad = SyntheticQuadratic(np.diag([3.0, 5.0]))
+    sol = rd.solve_reduced(quad, 0.2, rd.build_x_basis(pair, M),
+                           rd.SolverParams(modes=M))
+    orbit = rd.unrescale(np.zeros(2), sol.r, sol.u, 1, quad)
+    return pair.sys, quad, 1.0, orbit.samples[0], orbit.period, 0
+
+
+def _disk_orbit_turning_run():
+    sys, orbit = _disk_pair_orbit(0.2)
+    return (sys, UnitDisk(), 1.0, orbit.samples[0], orbit.period,
+            orbit.sense)
+
+
+@pytest.mark.parametrize("run", [
+    _plane_pair_lab_run, _quadratic_orbit_lab_run, _disk_orbit_turning_run,
+], ids=["plane pair", "quadratic-domain orbit", "disk orbit turning"])
+def test_dense_output_never_steers_the_run(run, monkeypatch):
+    """The samples t_eval are read off each accepted step's collocation
+    polynomial once the step is taken, so they choose no step and cost no
+    field call.  A run given its own step ends as t_eval returns its
+    states there bit for bit, and it makes the same field calls at 5, 257
+    and 4097 samples.  Lab-frame runs of several steps: the plane pair over
+    T = 2 (7 steps, 39 calls) and the pair's r = 0.2 orbit in the quadratic
+    domain A = diag(3, 5) (8 steps, 69 calls); and the disk pair's r = 0.2
+    orbit validated in its turning frame (1 step, 4 calls)."""
+    sys, domain, s, z0, T, turns = run()
+    field, calls = core.vortex_rhs, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return field(*args, **kwargs)
+
+    monkeypatch.setattr(core, "vortex_rhs", counted)
+    steps = dyn.integrate(sys, domain, s, z0, T, turns=turns)
+    ends = dyn.integrate(sys, domain, s, z0, T, t_eval=steps.times,
+                         turns=turns)
+    assert np.array_equal(ends.times, steps.times)
+    assert np.array_equal(ends.states, steps.states)
+    counts = []
+    for samples in (5, 257, 4097):
+        calls.clear()
+        dyn.integrate(sys, domain, s, z0, T,
+                      t_eval=np.linspace(0.0, T, samples), turns=turns)
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 3 and len(steps.times) > 1
 
 
 def test_a_turning_frame_needs_a_declared_centre():

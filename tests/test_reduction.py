@@ -1012,7 +1012,8 @@ def test_split_batch_halves_double_their_modes(pair_setup, monkeypatch):
     modes.  An operator stack that holds r = 0.1 is refused, so the batch
     (0.5, 0.2, 0.1, 0.05) splits into (0.5, 0.2), which doubles to 32, and
     (0.1, 0.05), which splits again: r = 0.1 is refused alone and 0.05
-    doubles to 8.  Each other r gets what a solve of it alone gives."""
+    doubles to 8.  Each other r gets what a solve of it alone gives, to
+    roundoff: the same steps and modes, and vnorm to 1e-12 relative."""
     pair, bad = pair_setup[1], 0.1
     start, params = rd.build_x_basis(pair, rd.START_MODES), rd.SolverParams()
     alone = {r: rd.solve_reduced(_QuarticDomain(), r, start, params)
